@@ -6,9 +6,11 @@ minimizes the matching objective
 
     F(X) = || (1/m) sum_i grad_theta L(theta, X_i, Y_i)  -  g_obs ||^2
 
-over the candidate features ``X``. The gradient of F w.r.t. X is computed by
-central finite differences over input coordinates (the feature dimension is
-small by design); the linear model uses its closed form.
+over the candidate features ``X``. Its gradient is exact and batched over the
+samples: with v = (1/m) sum_i grad_theta L(theta, X_i, Y_i) - g_obs,
+dF/dX_i = (2/m) J_i^T v, where J_i is the Jacobian of sample i's parameter
+gradient w.r.t. X_i; ``models.per_example_input_vjps`` gives every J_i^T v in
+closed form.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -37,7 +39,6 @@ class AttackConfig:
     seed: int = 0
     keep_every: int = 1                # trajectory storage stride
     backtracking: bool = False         # sgd only: enforce monotone objective
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.iters < 1:
@@ -86,28 +87,10 @@ def matching_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
 
 
 def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
-                    y: np.ndarray, g_obs: np.ndarray, fd_step: float) -> np.ndarray:
-    """dF/dX, shape (m, p). Closed form for linear, central differences else."""
-    m, p = x.shape
+                    y: np.ndarray, g_obs: np.ndarray) -> np.ndarray:
+    """dF/dX, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
     v = _batch_grad(spec, theta, x, y) - g_obs
-    if spec.kind == "linear":
-        # dG/dx_i = (r_i I + x_i theta^T) / m  with r_i = theta.x_i - y_i, so
-        # dF/dx_i = (2/m) (r_i v + (x_i . v) theta)
-        r = x @ theta - y
-        return (2.0 / m) * (r[:, None] * v[None, :] + (x @ v)[:, None] * theta[None, :])
-    out = np.empty((m, p))
-    for i in range(m):
-        yi = y[i:i + 1]
-        base = x[i]
-        h = fd_step * (1.0 + np.abs(base))
-        for j in range(p):
-            xp = base.copy(); xp[j] += h[j]
-            xm = base.copy(); xm[j] -= h[j]
-            gp = models.per_example_grads(spec, theta, xp[None, :], yi)[0]
-            gm = models.per_example_grads(spec, theta, xm[None, :], yi)[0]
-            dg = (gp - gm) / (2.0 * h[j] * m)
-            out[i, j] = 2.0 * float(v @ dg)
-    return out
+    return (2.0 / x.shape[0]) * models.per_example_input_vjps(spec, theta, x, y, v)
 
 
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
@@ -159,7 +142,7 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
     iters_run = 0
 
     for t in range(1, cfg.iters + 1):
-        grad = _grad_objective(spec, theta, x, labels, g_obs, cfg.fd_step)
+        grad = _grad_objective(spec, theta, x, labels, g_obs)
         if cfg.optimizer == "adam":
             mom1 = b1 * mom1 + (1 - b1) * grad
             mom2 = b2 * mom2 + (1 - b2) * grad * grad
@@ -393,6 +376,7 @@ class Phase2Report:
     not_pac_learnable: bool
     search: str
     n_probe: int
+    constants_estimated: bool          # False: c_a was unavailable, the bound is NaN
 
     def validate(self) -> None:
         if not (0.0 <= self.risk <= 1.0 and 0.0 <= self.adv_risk <= 1.0):
@@ -406,7 +390,11 @@ def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarr
                   pac_delta: float, c_a: float, delta_up: float, m_prot: int,
                   epochs: int = 200, lr: float = 0.5, seed: int = 0,
                   search: str = "random-ball", n_probe: int = 64) -> tuple[Classifier, Phase2Report]:
-    """Train the phase-2 classifier and assemble its scorecard."""
+    """Train the phase-2 classifier and assemble its scorecard.
+
+    ``c_a`` is NaN when the constants could not be estimated; the sample lower
+    bound is then NaN and ``constants_estimated`` is False.
+    """
     h = train_phase2(recovered, spec, epochs=epochs, lr=lr, seed=seed)
     r = risk(h, test_x, test_y)
     ar = adv_risk(h, test_x, test_y, budget, search=search, n_probe=n_probe, seed=seed)
@@ -415,7 +403,7 @@ def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarr
         sample_lower_bound=sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         log2_sample_lower_bound=log2_sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         not_pac_learnable=not_pac_condition(delta_up, m_prot, pac_eps),
-        search=search, n_probe=n_probe,
+        search=search, n_probe=n_probe, constants_estimated=not math.isnan(c_a),
     )
     rep.validate()
     return h, rep

@@ -219,7 +219,7 @@ def cmd_attack(args) -> int:
         _, rep = attackmod.phase2_report(
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
-            c_a=est.c_a if est is not None else 1.0,
+            c_a=est.c_a if est is not None else nan,
             delta_up=delta_up, m_prot=target.size, seed=seed)
         with open(os.path.join(args.out, "phase2.json"), "w") as fh:
             fh.write(iomod.canonical_json(asdict(rep)) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models, rng as rngmod
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, NumericError
 
 # Raw mixture lives inside radius _RAW_RADIUS with probability ~1; rejection
 # beyond it makes the bound exact.
@@ -198,24 +198,23 @@ def _pair_ratios(model_spec: models.ModelSpec, theta: np.ndarray,
     labels = [lab for lab, pts in by_label.items() if len(pts) >= 2]
     if not labels:
         raise EstimationError("no label class has two examples")
-    ratios = []
-    skipped = 0
+    # Draw every pair first, in loop order, then take all gradients in one call.
+    labs, first, second = [], [], []
     for _ in range(num_pairs):
         lab = labels[int(g.integers(0, len(labels)))]
         pts = by_label[lab]
         i, j = g.choice(len(pts), size=2, replace=False)
-        x1, x2 = pts[int(i)], pts[int(j)]
-        g1 = models.per_example_grads(model_spec, theta, x1[None, :], np.array([lab]))[0]
-        g2 = models.per_example_grads(model_spec, theta, x2[None, :], np.array([lab]))[0]
-        dg = float(np.linalg.norm(g1 - g2))
-        dx = float(np.linalg.norm(x1 - x2))
-        if dg == 0.0:
-            skipped += 1
-            continue
-        ratios.append(dx / dg)
-    if not ratios:
+        labs.append(lab)
+        first.append(pts[int(i)])
+        second.append(pts[int(j)])
+    x12 = np.array(first + second)
+    grads = models.per_example_grads(model_spec, theta, x12, np.array(labs + labs))
+    dg = np.linalg.norm(grads[:num_pairs] - grads[num_pairs:], axis=1)
+    dx = np.linalg.norm(x12[:num_pairs] - x12[num_pairs:], axis=1)
+    used = dg != 0.0
+    if not used.any():
         raise EstimationError("all sampled pairs had identical gradients")
-    return np.asarray(ratios), skipped
+    return dx[used] / dg[used], int(num_pairs - used.sum())
 
 
 def attack_mismatch_envelope(objectives: np.ndarray) -> tuple[float, float, float]:
@@ -232,6 +231,12 @@ def attack_mismatch_envelope(objectives: np.ndarray) -> tuple[float, float, floa
     denom = float(np.sum(t))
     c_fit = float(np.sum(np.sqrt(t) * s) / denom) if denom > 0 else 0.0
     return float(ratio.min()), float(ratio.max()), c_fit
+
+
+def _finite(losses: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(losses)):
+        raise NumericError("non-finite loss")
+    return losses
 
 
 def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
@@ -273,18 +278,15 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
         d1 *= delta_budget * g.uniform(0.05, 1.0) / np.linalg.norm(d1)
         l1 = models.loss(model_spec, theta_probe + d1, all_x, all_y)
         c_theta = max(c_theta, abs(l1 - base) / float(np.linalg.norm(d1)))
-    c_data = 0.0
+    # Draw every index pair first, in loop order, then score them together.
     n = all_x.shape[0]
-    for _ in range(min(num_deltas, n * (n - 1) // 2) or 1):
-        i, j = int(g.integers(0, n)), int(g.integers(0, n))
-        if i == j:
-            continue
-        dx = float(np.linalg.norm(all_x[i] - all_x[j]))
-        if dx == 0.0:
-            continue
-        li = models.loss(model_spec, theta_probe, all_x[i][None, :], all_y[i:i + 1])
-        lj = models.loss(model_spec, theta_probe, all_x[j][None, :], all_y[j:j + 1])
-        c_data = max(c_data, abs(li - lj) / dx)
+    ij = np.array([(g.integers(0, n), g.integers(0, n))
+                   for _ in range(min(num_deltas, n * (n - 1) // 2) or 1)], dtype=np.int64)
+    dx = np.linalg.norm(all_x[ij[:, 0]] - all_x[ij[:, 1]], axis=1)
+    keep = dx != 0.0                     # also drops the i == j draws
+    point_losses = _finite(models.per_example_losses(model_spec, theta_probe, all_x, all_y))
+    dl = np.abs(point_losses[ij[:, 0]] - point_losses[ij[:, 1]])
+    c_data = float(np.max(dl[keep] / dx[keep], initial=0.0))
     big_c = max(c_theta, c_data, 1e-12)
 
     # M: max |per-example loss| over sampled distortions within the budget.
@@ -292,8 +294,8 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     for _ in range(num_deltas):
         d1 = g.standard_normal(model_spec.param_dim)
         d1 *= delta_budget * g.uniform(0.0, 1.0) / max(np.linalg.norm(d1), 1e-300)
-        for xi, yi in zip(all_x, all_y):
-            big_m = max(big_m, abs(models.loss(model_spec, theta_probe + d1, xi[None, :], np.array([yi]))))
+        per = _finite(models.per_example_losses(model_spec, theta_probe + d1, all_x, all_y))
+        big_m = max(big_m, float(np.max(np.abs(per))))
     big_m = max(big_m, 1e-12)
 
     if attack_objectives is not None and len(attack_objectives) > 0:

@@ -22,7 +22,7 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, NumericError
 
 THREADS_ENV = "FEDTRADEOFF_THREADS"
 
@@ -192,7 +192,7 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
 
     result = protocol.run(config.model, fl_cfg, mech, datasets)
     if result.aborted:
-        raise ConfigurationError(f"run aborted: {result.abort_reason}")
+        raise NumericError(f"run aborted: {result.abort_reason}")
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):

@@ -96,6 +96,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_residual(logits: np.ndarray, yi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities P and the cross-entropy logit gradient P - e_y."""
+    probs = _softmax(logits)
+    d = probs.copy()
+    d[np.arange(yi.shape[0]), yi] -= 1.0
+    return probs, d
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -139,22 +151,17 @@ def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.n
         r = x @ theta - y
         return r[:, None] * x
     if spec.kind == "logistic" and spec.num_classes == 2:
-        z = x @ theta
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        s = _sigmoid(x @ theta)
         return (s - y)[:, None] * x
     yi = y.astype(np.int64)
     if spec.kind == "logistic":
         c, p = spec.num_classes, spec.input_dim
         w = theta.reshape(c, p)
-        probs = _softmax(x @ w.T)
-        d = probs.copy()
-        d[np.arange(m), yi] -= 1.0
+        _, d = _softmax_residual(x @ w.T, yi)
         return (d[:, :, None] * x[:, None, :]).reshape(m, c * p)
     w1, b1, w2, b2 = _unpack_mlp(spec, theta)
     a = np.tanh(x @ w1.T + b1)                       # (m, h)
-    probs = _softmax(a @ w2.T + b2)                  # (m, c)
-    dlogits = probs.copy()
-    dlogits[np.arange(m), yi] -= 1.0
+    _, dlogits = _softmax_residual(a @ w2.T + b2, yi)
     gw2 = dlogits[:, :, None] * a[:, None, :]        # (m, c, h)
     gb2 = dlogits
     da = dlogits @ w2                                # (m, h)
@@ -165,6 +172,52 @@ def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.n
     return np.concatenate(
         [gw1.reshape(mh, -1), gb1, gw2.reshape(mh, -1), gb2], axis=1
     )
+
+
+def per_example_input_vjps(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
+                           y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i is (d g_i / d x_i)^T v, where g_i is row i of per_example_grads.
+
+    Shape (m, input_dim). The mixed derivative d/dx (g^T v) is taken in closed
+    form (Pearlmutter's R-operator): one forward pass, then one reverse pass
+    through the scalar g_i . v.
+    """
+    x, y = _check_batch(spec, theta, x, y)
+    v = np.asarray(v, dtype=np.float64)
+    if spec.kind == "linear":
+        # g = r x with r = theta.x - y
+        r = x @ theta - y
+        return r[:, None] * v[None, :] + (x @ v)[:, None] * theta[None, :]
+    if spec.kind == "logistic" and spec.num_classes == 2:
+        # g = (s - y) x with s = sigmoid(theta.x)
+        s = _sigmoid(x @ theta)
+        return (s - y)[:, None] * v[None, :] + (s * (1.0 - s) * (x @ v))[:, None] * theta[None, :]
+    yi = y.astype(np.int64)
+    if spec.kind == "logistic":
+        # g = d x^T with d = P - e_y, P = softmax(W x); with V = v as (c, p)
+        # and u = V x: V^T d + W^T (P*u - P (P.u))
+        c, p = spec.num_classes, spec.input_dim
+        w = theta.reshape(c, p)
+        vm = v.reshape(c, p)
+        probs, d = _softmax_residual(x @ w.T, yi)
+        pu = probs * (x @ vm.T)
+        return d @ vm + (pu - probs * pu.sum(axis=1, keepdims=True)) @ w
+    # mlp1: s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
+    # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it.
+    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
+    v1, vb1, v2, vb2 = _unpack_mlp(spec, v)
+    a = np.tanh(x @ w1.T + b1)                       # (m, h)
+    probs, dlogits = _softmax_residual(a @ w2.T + b2, yi)
+    da = dlogits @ w2                                # (m, h)
+    ga = 1.0 - a * a
+    dz = da * ga
+    q1 = x @ v1.T + vb1                              # (m, h)
+    q2 = a @ v2.T + vb2                              # (m, c)
+    r = q2 + (q1 * ga) @ w2.T                        # ds/d dlogits
+    pr = probs * r
+    glogits = pr - probs * pr.sum(axis=1, keepdims=True)
+    abar = dlogits @ v2 + glogits @ w2 - 2.0 * a * da * q1
+    return dz @ v1 + (abar * ga) @ w1
 
 
 def grad_params(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

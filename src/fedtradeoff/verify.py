@@ -26,7 +26,7 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .experiment import MechanismSpec, exact_big_m, thread_count
 
 
@@ -110,7 +110,7 @@ def _final_models(scenario: VerifyScenario, trial_seed: int,
                                   seed=trial_seed)
     result = protocol.run(scenario.model, fl_cfg, mech, datasets)
     if result.aborted:
-        raise ConfigurationError(f"verify run aborted: {result.abort_reason}")
+        raise NumericError(f"verify run aborted: {result.abort_reason}")
     return ds_spec, datasets, result
 
 

@@ -1,15 +1,36 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fedtradeoff import attack, datagen, models, protocol, rng as rngmod
+from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError
 
 LINEAR = models.ModelSpec("linear", 2)
 LOGISTIC = models.ModelSpec("logistic", 2)
 CAP_D = 2.0
+
+
+def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
+    """Oracle for attack._grad_objective: central differences of each sample's
+    parameter gradient over its input coordinates, contracted with v."""
+    m, p = x.shape
+    v = models.per_example_grads(spec, theta, x, y).mean(axis=0) - g_obs
+    out = np.empty((m, p))
+    for i in range(m):
+        yi = y[i:i + 1]
+        base = x[i]
+        h = fd_step * (1.0 + np.abs(base))
+        for j in range(p):
+            xp = base.copy(); xp[j] += h[j]
+            xm = base.copy(); xm[j] -= h[j]
+            gp = models.per_example_grads(spec, theta, xp[None, :], yi)[0]
+            gm = models.per_example_grads(spec, theta, xm[None, :], yi)[0]
+            out[i, j] = 2.0 * float(v @ ((gp - gm) / (2.0 * h[j] * m)))
+    return out
 
 
 def single_sample_instance(seed, label=1.0, theta_scale=0.4):
@@ -51,7 +72,7 @@ class TestInvertGradient:
         x = g.standard_normal((3, 2))
         y = g.standard_normal(3)
         g_obs = g.standard_normal(2)
-        analytic = attack._grad_objective(LINEAR, theta, x, y, g_obs, 1e-6)
+        analytic = attack._grad_objective(LINEAR, theta, x, y, g_obs)
         h = 1e-6
         for i in range(3):
             for j in range(2):
@@ -60,6 +81,25 @@ class TestInvertGradient:
                 num = (attack.matching_objective(LINEAR, theta, xp, y, g_obs)
                        - attack.matching_objective(LINEAR, theta, xm, y, g_obs)) / (2 * h)
                 assert analytic[i, j] == pytest.approx(num, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 3),
+        models.ModelSpec("logistic", 3),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("logistic", 3, num_classes=4),
+        models.ModelSpec("mlp1", 2, hidden_dim=8),
+        models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3),
+    ], ids=lambda s: f"{s.kind}-p{s.input_dim}-h{s.hidden_dim}-c{s.num_classes}")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_gradient_matches_finite_difference_oracle(self, spec, seed):
+        g = rngmod.stream(seed, 52)
+        theta = g.standard_normal(spec.param_dim)
+        x = g.standard_normal((5, spec.input_dim))
+        y = g.integers(0, spec.num_classes, 5).astype(np.float64)
+        g_obs = g.standard_normal(spec.param_dim)
+        exact = attack._grad_objective(spec, theta, x, y, g_obs)
+        oracle = fd_grad_objective(spec, theta, x, y, g_obs)
+        assert np.max(np.abs(exact - oracle)) <= 1e-7 * np.max(np.abs(oracle))
 
     def test_sgd_backtracking_monotone(self):
         theta, x, y = single_sample_instance(9)
@@ -284,3 +324,17 @@ class TestPacFormulas:
         assert 0.0 <= rep.risk <= rep.adv_risk <= 1.0
         assert rep.sample_lower_bound == pytest.approx(
             min(0.8, 0.9) * 2.0 ** 1.0)
+        assert rep.constants_estimated
+
+    def test_cli_phase2_without_constants_reports_nan(self, monkeypatch, tmp_path):
+        run_dir, out = str(tmp_path / "run"), str(tmp_path / "atk")
+        assert cli.main(["train", "--mech", "rand", "--sigma", "0.1", "--seed", "2",
+                         "--samples", "6", "--rounds", "2", "--out", run_dir]) == 0
+        monkeypatch.setattr(experiment, "try_estimate", lambda *a, **kw: None)
+        assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
+                         "--phase2", "--pac-eps", "0.1", "--pac-delta", "0.9"]) == 0
+        with open(os.path.join(out, "phase2.json")) as fh:
+            rep = json.load(fh)
+        assert math.isnan(rep["sample_lower_bound"])
+        assert math.isnan(rep["log2_sample_lower_bound"])
+        assert rep["constants_estimated"] is False

@@ -123,6 +123,68 @@ class TestCoveringNumber:
                 <= datagen.log_covering_number(d, hi, lam) + 1e-12)
 
 
+def scalar_estimate(model_spec, theta, datasets, num_pairs, quantile, delta_budget,
+                    num_deltas, seed):
+    """Oracle for estimate_constants: its sampling loops, one point at a time,
+    drawing from the generator in the same order."""
+    g = rngmod.stream(seed, rngmod.STREAM_ESTIMATE, 0)
+    by_label = {}
+    for ds in datasets:
+        for xi, yi in zip(ds.x, ds.y):
+            by_label.setdefault(int(yi), []).append(xi)
+    labels = [lab for lab, pts in by_label.items() if len(pts) >= 2]
+    ratios, skipped = [], 0
+    for _ in range(num_pairs):
+        lab = labels[int(g.integers(0, len(labels)))]
+        pts = by_label[lab]
+        i, j = g.choice(len(pts), size=2, replace=False)
+        x1, x2 = pts[int(i)], pts[int(j)]
+        g1 = models.per_example_grads(model_spec, theta, x1[None, :], np.array([lab]))[0]
+        g2 = models.per_example_grads(model_spec, theta, x2[None, :], np.array([lab]))[0]
+        dg = float(np.linalg.norm(g1 - g2))
+        if dg == 0.0:
+            skipped += 1
+            continue
+        ratios.append(float(np.linalg.norm(x1 - x2)) / dg)
+    all_x = np.concatenate([ds.x for ds in datasets])
+    all_y = np.concatenate([ds.y for ds in datasets])
+    c_theta = 0.0
+    base = models.loss(model_spec, theta, all_x, all_y)
+    for _ in range(num_deltas):
+        d1 = g.standard_normal(model_spec.param_dim)
+        d1 *= delta_budget * g.uniform(0.05, 1.0) / np.linalg.norm(d1)
+        l1 = models.loss(model_spec, theta + d1, all_x, all_y)
+        c_theta = max(c_theta, abs(l1 - base) / float(np.linalg.norm(d1)))
+    c_data = 0.0
+    n = all_x.shape[0]
+    for _ in range(min(num_deltas, n * (n - 1) // 2) or 1):
+        i, j = int(g.integers(0, n)), int(g.integers(0, n))
+        if i == j:
+            continue
+        dx = float(np.linalg.norm(all_x[i] - all_x[j]))
+        if dx == 0.0:
+            continue
+        li = models.loss(model_spec, theta, all_x[i][None, :], all_y[i:i + 1])
+        lj = models.loss(model_spec, theta, all_x[j][None, :], all_y[j:j + 1])
+        c_data = max(c_data, abs(li - lj) / dx)
+    big_m = 0.0
+    for _ in range(num_deltas):
+        d1 = g.standard_normal(model_spec.param_dim)
+        d1 *= delta_budget * g.uniform(0.0, 1.0) / max(np.linalg.norm(d1), 1e-300)
+        for xi, yi in zip(all_x, all_y):
+            big_m = max(big_m, abs(models.loss(model_spec, theta + d1, xi[None, :],
+                                               np.array([yi]))))
+    ratios = np.asarray(ratios)
+    return {
+        "c_a": float(np.quantile(ratios, quantile)),
+        "c_b": float(np.quantile(ratios, 1.0 - quantile)),
+        "big_c": max(c_theta, c_data, 1e-12), "big_m": max(big_m, 1e-12),
+        "ratio_median": float(np.median(ratios)), "c_theta_side": c_theta,
+        "c_data_side": c_data, "skip_rate": skipped / num_pairs,
+        "pairs_used": len(ratios), "pairs_skipped_degenerate": skipped,
+    }
+
+
 class TestEstimateConstants:
     def _spec_and_data(self, seed=0, m=24):
         spec = models.ModelSpec("logistic", 2)
@@ -190,6 +252,33 @@ class TestEstimateConstants:
         est = datagen.estimate_constants(spec, theta, datasets, num_pairs=40, seed=7)
         assert 0.0 <= est.meta["skip_rate"] < 1.0
         assert est.meta["pairs_used"] + est.meta["pairs_skipped_degenerate"] == 40
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 2),
+        models.ModelSpec("logistic", 2),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 2, hidden_dim=4),
+    ], ids=lambda s: f"{s.kind}-c{s.num_classes}")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_matches_scalar_loops(self, spec, seed):
+        # every point appears twice, so some pairs are degenerate and skipped
+        ds = datagen.generate(small_spec(seed=seed, per_client_size=6,
+                                         num_classes=spec.num_classes))[0]
+        ds = datagen.ClientDataset(0, np.concatenate([ds.x, ds.x]),
+                                   np.concatenate([ds.y, ds.y]))
+        theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
+        kw = dict(num_pairs=60, quantile=0.1, delta_budget=1.5, num_deltas=24, seed=seed)
+        est = datagen.estimate_constants(spec, theta, [ds], **kw)
+        want = scalar_estimate(spec, theta, [ds], **kw)
+        assert want["pairs_skipped_degenerate"] > 0
+        got = {"c_a": est.c_a, "c_b": est.c_b, "big_c": est.big_c, "big_m": est.big_m,
+               **{k: est.meta[k] for k in ("ratio_median", "c_theta_side", "c_data_side",
+                                           "skip_rate", "pairs_used",
+                                           "pairs_skipped_degenerate")}}
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
+        assert est.cap_d == datagen.diameter(ds.x)
+        assert (est.c_0, est.c_2) == (1.0, 1.0)
 
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])

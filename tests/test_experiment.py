@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedtradeoff import attack, datagen, experiment, models, protocol
-from fedtradeoff.errors import ConfigurationError
+from fedtradeoff.errors import ConfigurationError, NumericError
 
 
 def base_config(**kw):
@@ -55,6 +55,12 @@ class TestRunTrial:
         assert 0.0 <= row.eps_p <= 1.0
         assert np.isnan(row.privacy_rhs) and not row.privacy_precond_ok
         assert not row.privacy_holds and not row.utility_holds
+
+    def test_diverged_run_is_numeric_error(self):
+        cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
+                          fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
+        with pytest.raises(NumericError, match="run aborted"):
+            experiment.run_trial(cfg, trial_seed=1)
 
     def test_holds_implies_precondition(self):
         for seed in range(6):

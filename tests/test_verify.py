@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedtradeoff import attack, datagen, models, verify
-from fedtradeoff.errors import ConfigurationError
+from fedtradeoff.errors import ConfigurationError, NumericError
 
 
 def tiny_scenario(**kw):
@@ -28,6 +28,12 @@ class TestVerifyBound:
     def test_min_trials_enforced(self):
         with pytest.raises(ConfigurationError):
             verify.verify_bound("privacy", tiny_scenario(), 50)
+
+    def test_diverged_run_is_numeric_error(self):
+        scenario = tiny_scenario(model=models.ModelSpec(kind="linear", input_dim=2),
+                                 fl_rounds=80, learning_rate=1e8)
+        with pytest.raises(NumericError, match="run aborted"):
+            verify.verify_bound("utility", scenario, 100)
 
     def test_privacy_bound_sigma_zero_always_holds(self):
         # delta_up = 0 -> rhs >= 1 >= eps_p; vacuous trials count as non-violations
