@@ -9,8 +9,11 @@ minimizes the matching objective
 over the candidate features ``X``. Its gradient is exact and batched over the
 samples: with v = (1/m) sum_i grad_theta L(theta, X_i, Y_i) - g_obs,
 dF/dX_i = (2/m) J_i^T v, where J_i is the Jacobian of sample i's parameter
-gradient w.r.t. X_i; ``models.per_example_input_vjps`` gives every J_i^T v in
-closed form.
+gradient w.r.t. X_i. ``models.per_example_grads_and_vjp`` scores a candidate
+with one forward pass and returns every J_i^T v as a deferred VJP over that
+pass, so the optimizer runs one forward pass per evaluated candidate: an
+accepted candidate's VJP gives the next step's gradient, and a rejected
+backtracking candidate never pays for its VJP.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -75,22 +78,24 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _batch_grad(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-    return models.per_example_grads(spec, theta, x, y).mean(axis=0)
+def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
+           g_obs: np.ndarray):
+    """F(x), its residual v and the input VJP, all from one forward pass."""
+    grads, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+    v = grads.mean(axis=0) - g_obs
+    return float(v @ v), v, vjp
 
 
 def matching_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
                        y: np.ndarray, g_obs: np.ndarray) -> float:
-    v = _batch_grad(spec, theta, x, y) - g_obs
-    return float(v @ v)
+    return _score(spec, theta, x, y, g_obs)[0]
 
 
 def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
                     y: np.ndarray, g_obs: np.ndarray) -> np.ndarray:
     """dF/dX, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
-    v = _batch_grad(spec, theta, x, y) - g_obs
-    return (2.0 / x.shape[0]) * models.per_example_input_vjps(spec, theta, x, y, v)
+    _, v, vjp = _score(spec, theta, x, y, g_obs)
+    return (2.0 / x.shape[0]) * vjp(v)
 
 
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
@@ -132,7 +137,8 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
         sums = np.zeros(m)
         last = np.zeros(m)
 
-    objectives = [matching_objective(spec, theta, x, labels, g_obs)]
+    f, v, vjp = _score(spec, theta, x, labels, g_obs)
+    objectives = [f]
     iterates = [(0, x.copy())]
     truncated = False
     step = cfg.step_size
@@ -142,33 +148,34 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
     iters_run = 0
 
     for t in range(1, cfg.iters + 1):
-        grad = _grad_objective(spec, theta, x, labels, g_obs)
+        grad = (2.0 / x.shape[0]) * vjp(v)
         if cfg.optimizer == "adam":
             mom1 = b1 * mom1 + (1 - b1) * grad
             mom2 = b2 * mom2 + (1 - b2) * grad * grad
             mhat = mom1 / (1 - b1 ** t)
             vhat = mom2 / (1 - b2 ** t)
             x_new = x - step * mhat / (np.sqrt(vhat) + eps)
-            f_new = matching_objective(spec, theta, x_new, labels, g_obs)
+            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
         else:
             trial = step
             x_new = x - trial * grad
-            f_new = matching_objective(spec, theta, x_new, labels, g_obs)
+            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
             if cfg.backtracking:
                 tries = 0
                 while f_new > objectives[-1] and tries < 40:
                     trial *= 0.5
                     x_new = x - trial * grad
-                    f_new = matching_objective(spec, theta, x_new, labels, g_obs)
+                    f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
                     tries += 1
                 if f_new > objectives[-1]:
-                    x_new, f_new = x, objectives[-1]  # stay put, keep monotone
+                    # stay put, keep monotone
+                    x_new, f_new, v_new, vjp_new = x, objectives[-1], v, vjp
 
         if not (np.all(np.isfinite(x_new)) and np.isfinite(f_new)):
             truncated = True
             break
 
-        x = x_new
+        x, v, vjp = x_new, v_new, vjp_new
         iters_run = t
         objectives.append(f_new)
         if stream_leak:
@@ -199,8 +206,10 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D.
 
-    Uses the stored trajectory when complete (stride 1), else the streaming
-    sums recorded during the run (verified against the same originals).
+    Uses the streaming sums recorded during the run when they were taken
+    against the same originals and D, else re-walks the stored trajectory,
+    which must then be complete (stride 1). Both add the same terms in the
+    same order.
     """
     if cap_d <= 0:
         raise ConfigurationError("D must be > 0")
@@ -212,20 +221,18 @@ def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> 
     if t_total < 1:
         raise ConfigurationError("trace has no iterations")
 
-    if trace.has_full_trajectory():
-        acc = np.zeros(m)
-        for t, x_t in trace.iterates:
-            if t == 0:
-                continue
-            dist = np.linalg.norm(x_t - originals, axis=1)
-            acc += np.minimum(dist, cap_d) / cap_d
-        return float(1.0 - np.mean(acc / t_total))
-
-    if trace.leakage_sums is None:
-        raise ConfigurationError("trace is strided and has no streaming leakage sums")
-    if trace.originals_digest != _digest(originals) or trace.leakage_cap_d != float(cap_d):
+    if (trace.leakage_sums is not None and trace.leakage_cap_d == float(cap_d)
+            and trace.originals_digest == _digest(originals)):
+        return float(1.0 - np.mean(trace.leakage_sums / t_total))
+    if not trace.has_full_trajectory():
+        if trace.leakage_sums is None:
+            raise ConfigurationError("trace is strided and has no streaming leakage sums")
         raise ConfigurationError("streaming sums were computed against different originals/D")
-    return float(1.0 - np.mean(trace.leakage_sums / t_total))
+    acc = np.zeros(m)
+    for _, x_t in trace.iterates[1:]:             # iterates[0] is the t = 0 init
+        dist = np.linalg.norm(x_t - originals, axis=1)
+        acc += np.minimum(dist, cap_d) / cap_d
+    return float(1.0 - np.mean(acc / t_total))
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:

@@ -138,9 +138,9 @@ def cmd_attack(args) -> int:
     seed = manifest["master_seed"]
     datasets = iomod.read_datasets(os.path.join(run_dir, "datasets.csv"))
     rounds = iomod.read_round_log(os.path.join(run_dir, "rounds.jsonl"))
-    if args.round >= len(rounds):
+    if not (0 <= args.round < len(rounds)):
         raise ConfigurationError(f"round {args.round} not in log (have {len(rounds)})")
-    if args.client >= len(datasets):
+    if not (0 <= args.client < len(datasets)):
         raise ConfigurationError(f"client {args.client} not in artifacts")
     rec = rounds[args.round]
     target = datasets[args.client]

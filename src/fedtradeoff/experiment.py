@@ -14,7 +14,8 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +28,21 @@ from .errors import ConfigurationError, EstimationError, NumericError
 THREADS_ENV = "FEDTRADEOFF_THREADS"
 
 
-def thread_count() -> int:
+def parallel_map(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]`` on up to ``FEDTRADEOFF_THREADS`` threads.
+
+    The worker count is capped at the CPU count and the job count. Results
+    come back in job order, so they are identical at any thread count.
+    """
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        n = int(raw)
+        n_threads = min(int(raw), os.cpu_count() or 1, len(jobs))
     except ValueError:
         raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
+    if n_threads <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(fn, jobs))
 
 
 @dataclass(frozen=True)
@@ -263,31 +272,25 @@ def _config_for_sweep_value(config: ExperimentConfig, axis: str, value: float) -
     if axis == "sigma":
         mech = MechanismSpec(kind="randomization", sigma=float(value),
                              shared_noise=config.mechanism.shared_noise)
-        return ExperimentConfig(**{**_cfg_dict(config), "mechanism": mech})
+        return replace(config, mechanism=mech)
     if axis == "m":
         ds = datagen.DatasetSpec(**{**asdict(config.dataset), "per_client_size": int(value)})
-        return ExperimentConfig(**{**_cfg_dict(config), "dataset": ds})
+        return replace(config, dataset=ds)
     if axis == "T":
         atk = attackmod.AttackConfig(**{**asdict(config.attack), "iters": int(value)})
-        return ExperimentConfig(**{**_cfg_dict(config), "attack": atk})
+        return replace(config, attack=atk)
     if axis == "delta_up":
         mech = MechanismSpec(kind="randomization", sigma=1.0,
                              shared_noise=config.mechanism.shared_noise,
                              exact_norm=float(value))
-        return ExperimentConfig(**{**_cfg_dict(config), "mechanism": mech})
+        return replace(config, mechanism=mech)
     raise ConfigurationError(f"unknown sweep axis: {axis!r}")
 
 
-def _cfg_dict(config: ExperimentConfig) -> dict:
-    return {
-        "dataset": config.dataset, "model": config.model, "fl": config.fl,
-        "mechanism": config.mechanism, "attack": config.attack,
-        "master_seed": config.master_seed, "n_eval": config.n_eval,
-        "num_pairs": config.num_pairs, "quantile": config.quantile,
-        "gamma": config.gamma, "eta": config.eta, "rho": config.rho,
-        "big_l": config.big_l, "attack_round": config.attack_round,
-        "attack_client": config.attack_client,
-    }
+def _sweep_trial(axis: str, base_id: str, job: tuple) -> TrialRow:
+    cfg_v, seed, value, ti = job
+    return run_trial(cfg_v, seed, sweep_axis=axis, sweep_value=value,
+                     trial_index=ti, experiment_id=base_id)
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
@@ -300,25 +303,13 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
 
-    base_id = config.experiment_id()
     jobs = []
     for si, value in enumerate(values):
         cfg_v = _config_for_sweep_value(config, axis, value)
         for ti in range(trials):
             seed = rngmod.trial_seed(config.master_seed, si, ti)
-            jobs.append((si, ti, float(value), cfg_v, seed))
-
-    def work(job):
-        si, ti, value, cfg_v, seed = job
-        return run_trial(cfg_v, seed, sweep_axis=axis, sweep_value=value,
-                         trial_index=ti, experiment_id=base_id)
-
-    n_threads = thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(j) for j in jobs]
+            jobs.append((cfg_v, seed, float(value), ti))
+    rows = parallel_map(partial(_sweep_trial, axis, config.experiment_id()), jobs)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

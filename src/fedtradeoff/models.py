@@ -16,6 +16,10 @@ Parameter flattening order (fixed, relied on by distortion injection):
 * mlp1:     ``W1`` (hidden x input, row-major), ``b1``, ``W2`` (classes x hidden,
   row-major), ``b2`` -- concatenated in that order.
 
+``per_example_grads_and_vjp`` runs one forward pass and returns the per-example
+parameter gradients together with a deferred input VJP that reuses that pass's
+cached values; ``per_example_grads`` is its first half.
+
 All losses are mean-reduced over the batch. Everything is float64 and pure:
 identical inputs give bit-identical outputs.
 """
@@ -23,6 +27,7 @@ identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -145,72 +150,74 @@ def loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> fl
 
 def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example parameter gradients, shape (m, param_dim)."""
+    return _forward(spec, theta, x, y)[0]
+
+
+def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
+                              y: np.ndarray):
+    """Per-example parameter gradients g, shape (m, param_dim), and ``vjp``.
+
+    ``vjp(v)`` has row i = (d g_i / d x_i)^T v, shape (m, input_dim): the
+    mixed derivative d/dx (g^T v) in closed form (Pearlmutter's R-operator),
+    one reverse pass through the scalar g_i . v over this call's forward
+    values, so a caller that needs both pays for one forward pass.
+    """
+    grads, vjp, saved = _forward(spec, theta, x, y)
+    return grads, partial(vjp, *saved)
+
+
+def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Per-example gradients, the kind's input VJP and the forward values it reuses."""
     x, y = _check_batch(spec, theta, x, y)
     m = x.shape[0]
     if spec.kind == "linear":
         r = x @ theta - y
-        return r[:, None] * x
+        return r[:, None] * x, _linear_vjp, (r, x, theta)
     if spec.kind == "logistic" and spec.num_classes == 2:
         s = _sigmoid(x @ theta)
-        return (s - y)[:, None] * x
+        return (s - y)[:, None] * x, _binary_vjp, (s, y, x, theta)
     yi = y.astype(np.int64)
     if spec.kind == "logistic":
         c, p = spec.num_classes, spec.input_dim
         w = theta.reshape(c, p)
-        _, d = _softmax_residual(x @ w.T, yi)
-        return (d[:, :, None] * x[:, None, :]).reshape(m, c * p)
+        probs, d = _softmax_residual(x @ w.T, yi)
+        return (d[:, :, None] * x[:, None, :]).reshape(m, c * p), _softmax_vjp, (x, w, probs, d)
     w1, b1, w2, b2 = _unpack_mlp(spec, theta)
     a = np.tanh(x @ w1.T + b1)                       # (m, h)
-    _, dlogits = _softmax_residual(a @ w2.T + b2, yi)
+    probs, dlogits = _softmax_residual(a @ w2.T + b2, yi)
     gw2 = dlogits[:, :, None] * a[:, None, :]        # (m, c, h)
     gb2 = dlogits
     da = dlogits @ w2                                # (m, h)
-    dz = da * (1.0 - a * a)
-    gw1 = dz[:, :, None] * x[:, None, :]             # (m, h, p)
-    gb1 = dz
-    mh = gw1.shape[0]
-    return np.concatenate(
-        [gw1.reshape(mh, -1), gb1, gw2.reshape(mh, -1), gb2], axis=1
-    )
-
-
-def per_example_input_vjps(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
-                           y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row i is (d g_i / d x_i)^T v, where g_i is row i of per_example_grads.
-
-    Shape (m, input_dim). The mixed derivative d/dx (g^T v) is taken in closed
-    form (Pearlmutter's R-operator): one forward pass, then one reverse pass
-    through the scalar g_i . v.
-    """
-    x, y = _check_batch(spec, theta, x, y)
-    v = np.asarray(v, dtype=np.float64)
-    if spec.kind == "linear":
-        # g = r x with r = theta.x - y
-        r = x @ theta - y
-        return r[:, None] * v[None, :] + (x @ v)[:, None] * theta[None, :]
-    if spec.kind == "logistic" and spec.num_classes == 2:
-        # g = (s - y) x with s = sigmoid(theta.x)
-        s = _sigmoid(x @ theta)
-        return (s - y)[:, None] * v[None, :] + (s * (1.0 - s) * (x @ v))[:, None] * theta[None, :]
-    yi = y.astype(np.int64)
-    if spec.kind == "logistic":
-        # g = d x^T with d = P - e_y, P = softmax(W x); with V = v as (c, p)
-        # and u = V x: V^T d + W^T (P*u - P (P.u))
-        c, p = spec.num_classes, spec.input_dim
-        w = theta.reshape(c, p)
-        vm = v.reshape(c, p)
-        probs, d = _softmax_residual(x @ w.T, yi)
-        pu = probs * (x @ vm.T)
-        return d @ vm + (pu - probs * pu.sum(axis=1, keepdims=True)) @ w
-    # mlp1: s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
-    # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it.
-    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    v1, vb1, v2, vb2 = _unpack_mlp(spec, v)
-    a = np.tanh(x @ w1.T + b1)                       # (m, h)
-    probs, dlogits = _softmax_residual(a @ w2.T + b2, yi)
-    da = dlogits @ w2                                # (m, h)
     ga = 1.0 - a * a
     dz = da * ga
+    gw1 = dz[:, :, None] * x[:, None, :]             # (m, h, p)
+    gb1 = dz
+    grads = np.concatenate([gw1.reshape(m, -1), gb1, gw2.reshape(m, -1), gb2], axis=1)
+    return grads, _mlp1_vjp, (spec, x, w1, w2, a, probs, dlogits, da, ga, dz)
+
+
+def _linear_vjp(r, x, theta, v):
+    # g = r x with r = theta.x - y
+    return r[:, None] * v[None, :] + (x @ v)[:, None] * theta[None, :]
+
+
+def _binary_vjp(s, y, x, theta, v):
+    # g = (s - y) x with s = sigmoid(theta.x)
+    return (s - y)[:, None] * v[None, :] + (s * (1.0 - s) * (x @ v))[:, None] * theta[None, :]
+
+
+def _softmax_vjp(x, w, probs, d, v):
+    # g = d x^T with d = P - e_y, P = softmax(W x); with V = v as (c, p)
+    # and u = V x: V^T d + W^T (P*u - P (P.u))
+    vm = v.reshape(w.shape)
+    pu = probs * (x @ vm.T)
+    return d @ vm + (pu - probs * pu.sum(axis=1, keepdims=True)) @ w
+
+
+def _mlp1_vjp(spec, x, w1, w2, a, probs, dlogits, da, ga, dz, v):
+    # s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
+    # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it.
+    v1, vb1, v2, vb2 = _unpack_mlp(spec, v)
     q1 = x @ v1.T + vb1                              # (m, h)
     q2 = a @ v2.T + vb2                              # (m, c)
     r = q2 + (q1 * ga) @ w2.T                        # ds/d dlogits

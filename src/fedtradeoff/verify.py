@@ -17,8 +17,8 @@ two-standard-error binomial slack.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, NumericError
-from .experiment import MechanismSpec, exact_big_m, thread_count
+from .experiment import MechanismSpec, exact_big_m, parallel_map
 
 
 @dataclass(frozen=True)
@@ -242,12 +242,7 @@ def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
     pipeline = _PIPELINES[bound_name]
     seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
 
-    n_threads = thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(lambda s: pipeline(scenario, s), seeds))
-    else:
-        outcomes = [pipeline(scenario, s) for s in seeds]
+    outcomes = parallel_map(partial(pipeline, scenario), seeds)
 
     confidence = stated_confidence(bound_name, scenario)
     vacuous_claim = confidence <= 0.0

@@ -33,6 +33,84 @@ def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
     return out
 
 
+def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_d, x0=None):
+    """Reference copy of the optimizer loop before the forward pass was shared:
+    every step recomputes v with _grad_objective and scores each candidate with
+    matching_objective. Returns the trace and how often backtracking stayed put."""
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
+    p = spec.input_dim
+    g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
+    if x0 is not None:
+        x = x0.copy()
+    elif cfg.init == "zeros":
+        x = np.zeros((m, p))
+    else:
+        x = cfg.init_scale * g.standard_normal((m, p))
+    sums, last = np.zeros(m), np.zeros(m)
+    objectives = [attack.matching_objective(spec, theta, x, labels, g_obs)]
+    iterates = [(0, x.copy())]
+    truncated, stays, iters_run = False, 0, 0
+    mom1, mom2 = np.zeros_like(x), np.zeros_like(x)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, cfg.iters + 1):
+        grad = attack._grad_objective(spec, theta, x, labels, g_obs)
+        if cfg.optimizer == "adam":
+            mom1 = b1 * mom1 + (1 - b1) * grad
+            mom2 = b2 * mom2 + (1 - b2) * grad * grad
+            mhat = mom1 / (1 - b1 ** t)
+            vhat = mom2 / (1 - b2 ** t)
+            x_new = x - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
+            f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+        else:
+            trial = cfg.step_size
+            x_new = x - trial * grad
+            f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+            if cfg.backtracking:
+                tries = 0
+                while f_new > objectives[-1] and tries < 40:
+                    trial *= 0.5
+                    x_new = x - trial * grad
+                    f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+                    tries += 1
+                if f_new > objectives[-1]:
+                    x_new, f_new = x, objectives[-1]
+                    stays += 1
+        if not (np.all(np.isfinite(x_new)) and np.isfinite(f_new)):
+            truncated = True
+            break
+        x = x_new
+        iters_run = t
+        objectives.append(f_new)
+        dist = np.linalg.norm(x - originals, axis=1)
+        last = np.minimum(dist, cap_d) / cap_d
+        sums += last
+        if t % cfg.keep_every == 0 or t == cfg.iters:
+            iterates.append((t, x.copy()))
+    if iterates[-1][0] != iters_run:
+        iterates.append((iters_run, x.copy()))
+    trace = attack.AttackTrace(iterates=iterates, objectives=np.asarray(objectives),
+                               final_x=x.copy(), iters_run=iters_run, stride=cfg.keep_every,
+                               truncated=truncated, leakage_sums=sums, leakage_final=last)
+    return trace, stays
+
+
+def rewalk_leakage(trace, originals, cap_d):
+    """1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D over a stride-1 trajectory."""
+    acc = np.zeros(originals.shape[0])
+    for t, x_t in trace.iterates[1:]:
+        acc += np.minimum(np.linalg.norm(x_t - originals, axis=1), cap_d) / cap_d
+    return float(1.0 - np.mean(acc / trace.iters_run))
+
+
+def attack_instance(spec, seed, m=3):
+    """theta, originals, labels and their exact batch gradient."""
+    g = rngmod.stream(seed, 53)
+    theta = g.standard_normal(spec.param_dim)
+    x = g.standard_normal((m, spec.input_dim))
+    y = g.integers(0, spec.num_classes, m).astype(np.float64)
+    return theta, x, y, models.grad_params(spec, theta, x, y)
+
+
 def single_sample_instance(seed, label=1.0, theta_scale=0.4):
     """theta, x (in the radius-1 ball), y for the canonical inversion scenario."""
     g = rngmod.stream(seed, 50)
@@ -152,6 +230,98 @@ class TestInvertGradient:
                                     originals=x[None, :], cap_d=CAP_D)
         with pytest.raises(ConfigurationError):
             attack.privacy_leakage(tr, x[None, :] + 1.0, CAP_D)
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 3),
+        models.ModelSpec("logistic", 3),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3),
+    ], ids=lambda s: f"{s.kind}-c{s.num_classes}")
+    @pytest.mark.parametrize("optimizer, step_size, backtracking", [
+        ("adam", 0.1, False),
+        ("sgd", 0.3, False),
+        ("sgd", 0.5, True),
+        # from next to the truth, even the 40th halving overshoots: stays put
+        ("sgd", 1e16, True),
+    ], ids=["adam", "sgd", "sgd-backtracking", "sgd-backtracking-stay-put"])
+    @pytest.mark.parametrize("keep_every", [1, 7])
+    def test_shared_forward_pass_matches_two_pass_loop(self, spec, optimizer, step_size,
+                                                       backtracking, keep_every):
+        theta, x, y, g_true = attack_instance(spec, seed=keep_every)
+        cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
+                                  init="gaussian", seed=4, keep_every=keep_every,
+                                  backtracking=backtracking)
+        x0 = x + 0.01 * rngmod.stream(keep_every, 54).standard_normal(x.shape) \
+            if step_size > 1.0 else None
+        # the huge steps overflow exp() in the sigmoid branch np.where discards
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x,
+                                         cap_d=CAP_D, x0=x0)
+            want, stays = two_pass_invert_gradient(spec, theta, g_true, y, 3, cfg, x, CAP_D, x0)
+        assert (stays > 0) == (step_size > 1.0)
+        assert np.array_equal(got.objectives, want.objectives)
+        assert [t for t, _ in got.iterates] == [t for t, _ in want.iterates]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
+        assert np.array_equal(got.final_x, want.final_x)
+        assert np.array_equal(got.leakage_sums, want.leakage_sums)
+        assert np.array_equal(got.leakage_final, want.leakage_final)
+        assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
+
+    @pytest.mark.parametrize("optimizer, step_size", [("adam", 0.1), ("sgd", 1e16)])
+    def test_each_step_reuses_the_accepted_iterates_forward_pass(self, monkeypatch,
+                                                                  optimizer, step_size):
+        spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3)
+        theta, x, y, g_true = attack_instance(spec, seed=5)
+        fused = models.per_example_grads_and_vjp
+        passes, vjp_points = [], []
+
+        def recording(*args):
+            grads, vjp = fused(*args)
+            point = np.array(args[2])
+            passes.append(point)
+
+            def recorded_vjp(v):
+                vjp_points.append(point)
+                return vjp(v)
+            return grads, recorded_vjp
+
+        monkeypatch.setattr(models, "per_example_grads_and_vjp", recording)
+        cfg = attack.AttackConfig(iters=12, optimizer=optimizer, step_size=step_size,
+                                  seed=5, backtracking=optimizer == "sgd")
+        x0 = x + 0.01 * rngmod.stream(5, 54).standard_normal(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, x0=x0)
+        # one VJP per step, taken from the pass of the iterate the step starts at
+        assert len(vjp_points) == tr.iters_run == cfg.iters
+        for (_, x_t), point in zip(tr.iterates, vjp_points):
+            assert np.array_equal(x_t, point)
+        if optimizer == "adam":
+            assert len(passes) == cfg.iters + 1     # one pass per evaluated iterate
+        else:
+            assert np.all(tr.objectives == tr.objectives[0])   # stayed put throughout
+
+    def test_stride_one_leakage_uses_streaming_sums_exactly(self):
+        spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3)
+        theta, x, y, g_true = attack_instance(spec, seed=2)
+        cfg = attack.AttackConfig(iters=40, optimizer="adam", step_size=0.1,
+                                  init="gaussian", seed=2)
+        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x, cap_d=CAP_D)
+        assert tr.has_full_trajectory()
+        assert attack.privacy_leakage(tr, x, CAP_D) == rewalk_leakage(tr, x, CAP_D)
+        # other originals or another D: the stored trajectory is re-walked
+        other = x + 0.25
+        assert attack.privacy_leakage(tr, other, CAP_D) == rewalk_leakage(tr, other, CAP_D)
+        assert attack.privacy_leakage(tr, x, 3.0) == rewalk_leakage(tr, x, 3.0)
+
+    def test_strided_trace_other_cap_rejected(self):
+        spec = models.ModelSpec("logistic", 3)
+        theta, x, y, g_true = attack_instance(spec, seed=3)
+        cfg = attack.AttackConfig(iters=20, optimizer="adam", step_size=0.05,
+                                  seed=3, keep_every=5)
+        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x, cap_d=CAP_D)
+        assert attack.privacy_leakage(tr, x, CAP_D) == float(1.0 - np.mean(tr.leakage_sums / 20))
+        with pytest.raises(ConfigurationError):
+            attack.privacy_leakage(tr, x, 3.0)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigurationError):

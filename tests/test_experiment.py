@@ -102,3 +102,45 @@ class TestSweep:
     def test_too_few_values_rejected(self):
         with pytest.raises(ConfigurationError):
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
+
+
+class TestParallelMap:
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records the worker count and maps
+        in the calling thread, so no thread is started."""
+        sizes: list = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    @pytest.mark.parametrize("threads, cpus, n_jobs, workers", [
+        ("8", 2, 5, 2),         # capped by the CPU count
+        ("8", 16, 3, 3),        # capped by the job count
+        ("3", 16, 5, 3),        # the env var when it is the smallest
+        ("1", 16, 5, None),     # serial: no pool
+        ("8", 1, 5, None),      # one CPU: no pool
+        ("8", None, 5, None),   # CPU count unknown: no pool
+    ])
+    def test_worker_count_capped(self, monkeypatch, threads, cpus, n_jobs, workers):
+        monkeypatch.setattr(self.RecordingPool, "sizes", [])
+        monkeypatch.setattr(experiment, "ThreadPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv(experiment.THREADS_ENV, threads)
+        jobs = list(range(n_jobs))
+        assert experiment.parallel_map(lambda j: j * j, jobs) == [j * j for j in jobs]
+        assert self.RecordingPool.sizes == ([] if workers is None else [workers])
+
+    def test_threads_keep_job_order(self, monkeypatch):
+        monkeypatch.setenv(experiment.THREADS_ENV, "2")
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        jobs = list(range(6))
+        assert experiment.parallel_map(str, jobs) == [str(j) for j in jobs]

@@ -152,6 +152,16 @@ class TestAttackCLI:
                      "--out", str(tmp_path / "o")])
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("index", [["--round", "-1"], ["--client", "-1"],
+                                       ["--round", "2"], ["--client", "5"]])
+    def test_round_or_client_outside_run_exit_1(self, run_dir, tmp_path, index):
+        # a negative index must not wrap around to the last round or client
+        out = str(tmp_path / "o")
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "5", *index])
+        assert r.returncode == 1
+        assert "not in" in r.stderr
+        assert not os.path.exists(os.path.join(out, "results.csv"))
+
     def test_pac_delta_half_precondition_exit_1(self, run_dir, tmp_path):
         r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),
                      "--iters", "10", "--phase2", "--pac-delta", "0.5"])
