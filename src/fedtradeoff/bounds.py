@@ -21,7 +21,7 @@ plain evaluators (here and in the attack module) with no Monte-Carlo pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -258,19 +258,4 @@ class BoundReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "rhs_value": self.rhs_value,
-            "measured_value": self.measured_value,
-            "precondition_ok": self.precondition_ok,
-            "holds": self.holds,
-            "trials": self.trials,
-            "violations": self.violations,
-            "n_vacuous": self.n_vacuous,
-            "fraction_holding": self.fraction_holding,
-            "fraction_holding_checked": self.fraction_holding_checked,
-            "confidence": self.confidence,
-            "slack": self.slack,
-            "vacuous": self.vacuous,
-            "notes": self.notes,
-        }
+        return asdict(self)

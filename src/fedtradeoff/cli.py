@@ -16,16 +16,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import attack as attackmod
-from . import bounds as boundsmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from . import rng as rngmod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
-from .experiment import ExperimentConfig, MechanismSpec, TrialRow, run_sweep, run_trial
+from .experiment import ExperimentConfig, MechanismSpec, run_sweep, score_trial, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -103,14 +102,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     _ensure_dir(args.out)
     seed = config.master_seed
-    ds_spec = datagen.DatasetSpec(**{**asdict(config.dataset), "seed": seed})
-    datasets = datagen.generate(ds_spec)
-    mech = config.mechanism.build(config.model.param_dim, seed)
-    fl_cfg = protocol.FLRunConfig(**{**asdict(config.fl), "seed": seed})
-    result = protocol.run(config.model, fl_cfg, mech, datasets)
-    if result.aborted:
-        sys.stderr.write(f"numeric divergence: {result.abort_reason}\n")
-        return EXIT_NUMERIC
+    datasets, result = simulate(config, seed)
 
     iomod.write_manifest(os.path.join(args.out, "manifest.json"),
                          config.to_dict(), seed)
@@ -146,63 +138,23 @@ def cmd_attack(args) -> int:
     target = datasets[args.client]
     theta_t = np.array(rec["theta_decoded"])
     wire = np.array(rec["wires"][args.client])
-    ds_spec = datagen.DatasetSpec(**{**asdict(config.dataset), "seed": seed})
+    cap_d = config.dataset.diameter_cap
 
-    atk = attackmod.AttackConfig(**{**asdict(config.attack), "seed": seed})
+    atk = replace(config.attack, seed=seed)
     if args.iters is not None:
-        atk = attackmod.AttackConfig(**{**asdict(atk), "iters": args.iters})
+        atk = replace(atk, iters=args.iters)
     t0 = time.perf_counter()
     trace = attackmod.invert_gradient(config.model, theta_t, wire, target.y,
-                                      target.size, atk, originals=target.x,
-                                      cap_d=ds_spec.diameter_cap)
+                                      target.size, atk, originals=target.x, cap_d=cap_d)
     wall = time.perf_counter() - t0
-    eps_p = attackmod.privacy_leakage(trace, target.x, ds_spec.diameter_cap)
-    eps_p_final = attackmod.privacy_leakage_final(trace, target.x, ds_spec.diameter_cap)
-
-    theta = iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv"))
-    delta_model = iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")) - theta
-    sampler = datagen.fresh_sampler(ds_spec, seed)
-    eps_u, half = protocol.measure_utility_loss(config.model, theta, delta_model,
-                                                target, sampler, config.n_eval)
-
-    from .experiment import exact_big_m, try_estimate
-    est = try_estimate(config.model, theta_t, datasets,
-                       num_pairs=config.num_pairs, quantile=config.quantile,
-                       attack_objectives=trace.objectives[1:], seed=seed)
-    delta_up = rec["delta_up_grad"][args.client]
-    delta_two_final = float(np.linalg.norm(delta_model))
-    big_m = exact_big_m(config.model, theta, delta_model, [target])
-    nan = float("nan")
-    if est is not None:
-        privacy_rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
-                                                 ds_spec.diameter_cap, delta_up)
-        threshold = boundsmod.privacy_precondition_threshold(est.c_2, est.c_b,
-                                                             est.c_a, atk.iters)
-        privacy_ok = bool(delta_up >= threshold)
-        lam, utility_rhs = boundsmod.minimize_utility_lambda(
-            est.big_c, delta_two_final, big_m, config.model.param_dim,
-            ds_spec.diameter_cap, config.eta, target.size)
-        consts = (est.c_a, est.c_b, est.big_c, est.cap_d, est.c_0, est.c_2,
-                  est.meta["skip_rate"])
-    else:
-        privacy_rhs, privacy_ok, lam, utility_rhs = nan, False, nan, nan
-        consts = (nan,) * 7
-
-    row = TrialRow(
-        experiment_id=config.experiment_id(),
-        sweep_axis="attack", sweep_value=0.0, trial_index=0, seed=seed,
-        mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
-        eps_p=eps_p, eps_p_final=eps_p_final, eps_u=eps_u, eps_u_halfwidth=half,
-        eps_e=target.size, delta_up_grad=delta_up,
-        delta_up_param=rec["delta_up_param"][args.client],
-        delta_two_grad=rec["delta_two_grad"], delta_two_param=rec["delta_two_param"],
-        privacy_rhs=privacy_rhs, privacy_precond_ok=privacy_ok,
-        privacy_holds=bool(privacy_ok and eps_p <= privacy_rhs),
-        utility_rhs=utility_rhs, utility_lambda=lam,
-        utility_holds=bool(not np.isnan(utility_rhs) and eps_u <= utility_rhs),
-        c_a=consts[0], c_b=consts[1], big_c=consts[2], big_m=big_m, cap_d=consts[3],
-        c_0=consts[4], c_2=consts[5], pair_skip_rate=consts[6],
-    )
+    distortions = (rec["delta_up_grad"][args.client], rec["delta_up_param"][args.client],
+                   rec["delta_two_grad"], rec["delta_two_param"])
+    # the row keeps the manifest config's experiment_id, even with --iters
+    row = score_trial(
+        config, seed, datasets, args.client, theta_t, distortions, trace,
+        iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
+        iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")),
+        atk.iters, sweep_axis="attack")
     _ensure_dir(args.out)
     iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
     iomod.write_timings(os.path.join(args.out, "timings.csv"),
@@ -214,16 +166,14 @@ def cmd_attack(args) -> int:
     if args.phase2:
         recovered = datagen.ClientDataset(client_id=target.client_id,
                                           x=trace.final_x, y=target.y)
-        budget = args.adv_budget if args.adv_budget is not None \
-            else 0.25 * ds_spec.diameter_cap
+        budget = args.adv_budget if args.adv_budget is not None else 0.25 * cap_d
         _, rep = attackmod.phase2_report(
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
-            c_a=est.c_a if est is not None else nan,
-            delta_up=delta_up, m_prot=target.size, seed=seed)
+            c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)
         with open(os.path.join(args.out, "phase2.json"), "w") as fh:
             fh.write(iomod.canonical_json(asdict(rep)) + "\n")
-    print(f"attack: eps_p={eps_p:.4f} eps_p_final={eps_p_final:.4f} -> {args.out}")
+    print(f"attack: eps_p={row.eps_p:.4f} eps_p_final={row.eps_p_final:.4f} -> {args.out}")
     return EXIT_OK
 
 
@@ -259,8 +209,6 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    if len(values) < 2:
-        raise ConfigurationError("sweep needs at least 2 axis values")
     t0 = time.perf_counter()
     rows, summary = run_sweep(config, args.axis, values, args.trials)
     wall = time.perf_counter() - t0
@@ -279,11 +227,10 @@ def cmd_sweep(args) -> int:
 def cmd_estimate_constants(args) -> int:
     config = _load_config(args)
     seed = config.master_seed
-    ds_spec = datagen.DatasetSpec(**{**asdict(config.dataset), "seed": seed})
-    datasets = datagen.generate(ds_spec)
+    datasets = datagen.generate(replace(config.dataset, seed=seed))
     theta = models.init_params(config.model, rngmod.stream(seed, rngmod.STREAM_INIT))
     g = models.grad_params(config.model, theta, datasets[0].x, datasets[0].y)
-    atk = attackmod.AttackConfig(**{**asdict(config.attack), "seed": seed})
+    atk = replace(config.attack, seed=seed)
     trace = attackmod.invert_gradient(config.model, theta, g, datasets[0].y,
                                       datasets[0].size, atk)
     est = datagen.estimate_constants(config.model, theta, datasets,

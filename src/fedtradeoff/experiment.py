@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -85,17 +85,7 @@ class ExperimentConfig:
     attack_client: int = 0
 
     def to_dict(self) -> dict:
-        d = {
-            "dataset": asdict(self.dataset),
-            "model": asdict(self.model),
-            "fl": asdict(self.fl),
-            "mechanism": asdict(self.mechanism),
-            "attack": asdict(self.attack),
-        }
-        for key in ("master_seed", "n_eval", "num_pairs", "quantile", "gamma",
-                    "eta", "rho", "big_l", "attack_round", "attack_client"):
-            d[key] = getattr(self, key)
-        return d
+        return asdict(self)
 
     def experiment_id(self) -> str:
         """Short stable digest of (config, master_seed); the results-row key."""
@@ -104,17 +94,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Inverse of ``to_dict``; unknown top-level keys are ignored."""
         try:
-            return ExperimentConfig(
+            specs = dict(
                 dataset=datagen.DatasetSpec(**d["dataset"]),
                 model=models.ModelSpec(**d["model"]),
                 fl=protocol.FLRunConfig(**d["fl"]),
                 mechanism=MechanismSpec(**d["mechanism"]),
                 attack=attackmod.AttackConfig(**d["attack"]),
-                **{k: d[k] for k in ("master_seed", "n_eval", "num_pairs", "quantile",
-                                     "gamma", "eta", "rho", "big_l", "attack_round",
-                                     "attack_client") if k in d},
             )
+            scalars = {f.name: d[f.name] for f in fields(ExperimentConfig)
+                       if f.name in d and f.name not in specs}
+            return ExperimentConfig(**specs, **scalars)
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad experiment config: {exc}") from exc
 
@@ -186,58 +177,60 @@ def try_estimate(model_spec, theta, datasets, **kw) -> datagen.ConstantsEstimate
         return None
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int, *,
-              sweep_axis: str = "none", sweep_value: float = 0.0,
-              trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
-    """Full pipeline for one seeded trial.
+def simulate(config: ExperimentConfig, seed: int):
+    """Seeded datasets and the protocol run over them; ``(datasets, result)``.
 
-    ``experiment_id`` defaults to this config's digest; sweeps stamp their
-    base config's digest on every row so one sweep stays one experiment.
-    """
-    ds_spec = datagen.DatasetSpec(**{**asdict(config.dataset), "seed": trial_seed})
-    datasets = datagen.generate(ds_spec)
-    mech = config.mechanism.build(config.model.param_dim, trial_seed)
-    fl_cfg = protocol.FLRunConfig(**{**asdict(config.fl), "seed": trial_seed})
-
-    result = protocol.run(config.model, fl_cfg, mech, datasets)
+    Raises ``NumericError`` when the run aborted (diverged)."""
+    datasets = datagen.generate(replace(config.dataset, seed=seed))
+    mech = config.mechanism.build(config.model.param_dim, seed)
+    result = protocol.run(config.model, replace(config.fl, seed=seed), mech, datasets)
     if result.aborted:
         raise NumericError(f"run aborted: {result.abort_reason}")
-    if not (0 <= config.attack_round < len(result.records)):
-        raise ConfigurationError(f"attack_round {config.attack_round} outside run")
-    if not (0 <= config.attack_client < len(datasets)):
-        raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    rec = result.records[config.attack_round]
-    client = config.attack_client
+    return datasets, result
+
+
+def score_trial(config: ExperimentConfig, seed: int,
+                datasets: list[datagen.ClientDataset], client: int,
+                theta_round: np.ndarray, distortions: tuple,
+                trace: attackmod.AttackTrace, theta_shadow: np.ndarray,
+                theta_decoded: np.ndarray, iters: int, *,
+                sweep_axis: str = "none", sweep_value: float = 0.0,
+                trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
+    """Score one inverted upload: leakage, utility loss, constants, bounds.
+
+    ``theta_round`` is the decoded model of the attacked round and
+    ``distortions`` its ``(delta_up_grad, delta_up_param, delta_two_grad,
+    delta_two_param)`` for ``client``; ``trace`` inverted that client's upload
+    with ``iters`` iterations. The utility loss is that of the final decoded
+    model against the final shadow. ``experiment_id`` defaults to this
+    config's digest; sweeps stamp their base config's digest on every row so
+    one sweep stays one experiment.
+    """
+    ds_spec = replace(config.dataset, seed=seed)
+    cap_d = ds_spec.diameter_cap
     target = datasets[client]
+    delta_up, delta_up_param, delta_two_grad, delta_two_param = distortions
+    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
+    eps_p_final = attackmod.privacy_leakage_final(trace, target.x, cap_d)
 
-    atk_cfg = attackmod.AttackConfig(**{**asdict(config.attack), "seed": trial_seed})
-    trace = attackmod.invert_gradient(
-        config.model, rec.theta_decoded, rec.wires[client], target.y, target.size,
-        atk_cfg, originals=target.x, cap_d=ds_spec.diameter_cap)
-    eps_p = attackmod.privacy_leakage(trace, target.x, ds_spec.diameter_cap)
-    eps_p_final = attackmod.privacy_leakage_final(trace, target.x, ds_spec.diameter_cap)
-
-    theta = result.theta_final_shadow
-    delta_model = result.theta_final_decoded - theta
-    sampler = datagen.fresh_sampler(ds_spec, trial_seed)
+    delta_model = theta_decoded - theta_shadow
+    sampler = datagen.fresh_sampler(ds_spec, seed)
     eps_u, half = protocol.measure_utility_loss(
-        config.model, theta, delta_model, target, sampler, config.n_eval)
+        config.model, theta_shadow, delta_model, target, sampler, config.n_eval)
 
     est = try_estimate(
-        config.model, rec.theta_decoded, datasets,
+        config.model, theta_round, datasets,
         num_pairs=config.num_pairs, quantile=config.quantile,
-        attack_objectives=trace.objectives[1:], seed=trial_seed)
+        attack_objectives=trace.objectives[1:], seed=seed)
 
-    delta_up = rec.delta_up_grad[client]
-    cap_d = ds_spec.diameter_cap
     delta_two_final = float(np.linalg.norm(delta_model))
-    big_m = exact_big_m(config.model, theta, delta_model, [target])
+    big_m = exact_big_m(config.model, theta_shadow, delta_model, [target])
     nan = float("nan")
     if est is not None:
         privacy_rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
                                                  cap_d, delta_up)
         threshold = boundsmod.privacy_precondition_threshold(
-            est.c_2, est.c_b, est.c_a, atk_cfg.iters)
+            est.c_2, est.c_b, est.c_a, iters)
         privacy_ok = bool(delta_up >= threshold)
         lam, utility_rhs = boundsmod.minimize_utility_lambda(
             est.big_c, delta_two_final, big_m, config.model.param_dim, cap_d,
@@ -251,11 +244,11 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
     return TrialRow(
         experiment_id=experiment_id or config.experiment_id(),
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        seed=trial_seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
+        seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
         eps_p=eps_p, eps_p_final=eps_p_final, eps_u=eps_u, eps_u_halfwidth=half,
         eps_e=target.size,
-        delta_up_grad=delta_up, delta_up_param=rec.delta_up_param[client],
-        delta_two_grad=rec.delta_two_grad, delta_two_param=rec.delta_two_param,
+        delta_up_grad=delta_up, delta_up_param=delta_up_param,
+        delta_two_grad=delta_two_grad, delta_two_param=delta_two_param,
         privacy_rhs=privacy_rhs, privacy_precond_ok=privacy_ok,
         privacy_holds=bool(privacy_ok and eps_p <= privacy_rhs),
         utility_rhs=utility_rhs, utility_lambda=lam,
@@ -263,6 +256,32 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
         c_a=consts[0], c_b=consts[1], big_c=consts[2], big_m=big_m, cap_d=consts[3],
         c_0=consts[4], c_2=consts[5], pair_skip_rate=consts[6],
     )
+
+
+def run_trial(config: ExperimentConfig, trial_seed: int, *,
+              sweep_axis: str = "none", sweep_value: float = 0.0,
+              trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
+    """Full pipeline for one seeded trial: simulate, invert, ``score_trial``."""
+    datasets, result = simulate(config, trial_seed)
+    if not (0 <= config.attack_round < len(result.records)):
+        raise ConfigurationError(f"attack_round {config.attack_round} outside run")
+    if not (0 <= config.attack_client < len(datasets)):
+        raise ConfigurationError(f"attack_client {config.attack_client} out of range")
+    rec = result.records[config.attack_round]
+    client = config.attack_client
+    target = datasets[client]
+
+    atk_cfg = replace(config.attack, seed=trial_seed)
+    trace = attackmod.invert_gradient(
+        config.model, rec.theta_decoded, rec.wires[client], target.y, target.size,
+        atk_cfg, originals=target.x, cap_d=config.dataset.diameter_cap)
+    distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
+                   rec.delta_two_grad, rec.delta_two_param)
+    return score_trial(
+        config, trial_seed, datasets, client, rec.theta_decoded, distortions, trace,
+        result.theta_final_shadow, result.theta_final_decoded, atk_cfg.iters,
+        sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
+        experiment_id=experiment_id)
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")
@@ -274,10 +293,10 @@ def _config_for_sweep_value(config: ExperimentConfig, axis: str, value: float) -
                              shared_noise=config.mechanism.shared_noise)
         return replace(config, mechanism=mech)
     if axis == "m":
-        ds = datagen.DatasetSpec(**{**asdict(config.dataset), "per_client_size": int(value)})
+        ds = replace(config.dataset, per_client_size=int(value))
         return replace(config, dataset=ds)
     if axis == "T":
-        atk = attackmod.AttackConfig(**{**asdict(config.attack), "iters": int(value)})
+        atk = replace(config.attack, iters=int(value))
         return replace(config, attack=atk)
     if axis == "delta_up":
         mech = MechanismSpec(kind="randomization", sigma=1.0,

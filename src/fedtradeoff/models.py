@@ -110,7 +110,8 @@ def _softmax_residual(logits: np.ndarray, yi: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))      # in [0, 1]: never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

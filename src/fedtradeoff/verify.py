@@ -17,7 +17,7 @@ two-standard-error binomial slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from functools import partial
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, NumericError
-from .experiment import MechanismSpec, exact_big_m, parallel_map
+from .experiment import exact_big_m, parallel_map
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class VerifyScenario:
     offset_scale: float = 1.0          # HE codec offset magnitude
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -69,7 +68,7 @@ def _attack_leakage(scenario: VerifyScenario, trial_seed: int,
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
     rng = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1)
     prot = protocol.protect(g, mech, rng)
-    cfg = attackmod.AttackConfig(**{**asdict(scenario.attack), "seed": trial_seed})
+    cfg = replace(scenario.attack, seed=trial_seed)
     trace = attackmod.invert_gradient(
         scenario.model, theta, prot.wire, ds.y, ds.size, cfg,
         originals=ds.x, cap_d=scenario.dataset.diameter_cap)
@@ -78,7 +77,7 @@ def _attack_leakage(scenario: VerifyScenario, trial_seed: int,
 
 
 def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    ds_spec = datagen.DatasetSpec(**{**asdict(scenario.dataset), "seed": trial_seed})
+    ds_spec = replace(scenario.dataset, seed=trial_seed)
     ds = datagen.generate(ds_spec)[0]
     theta = models.init_params(scenario.model,
                                rngmod.stream(trial_seed, rngmod.STREAM_INIT))
@@ -103,7 +102,7 @@ def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutc
 
 def _final_models(scenario: VerifyScenario, trial_seed: int,
                   mech: protocol.ProtectionMechanism):
-    ds_spec = datagen.DatasetSpec(**{**asdict(scenario.dataset), "seed": trial_seed})
+    ds_spec = replace(scenario.dataset, seed=trial_seed)
     datasets = datagen.generate(ds_spec)
     fl_cfg = protocol.FLRunConfig(rounds=scenario.fl_rounds,
                                   learning_rate=scenario.learning_rate,
@@ -114,10 +113,14 @@ def _final_models(scenario: VerifyScenario, trial_seed: int,
     return ds_spec, datasets, result
 
 
-def _utility_trial(scenario: VerifyScenario, trial_seed: int,
-                   mech: protocol.ProtectionMechanism) -> TrialOutcome:
-    """Measured utility loss vs the utility bound at the minimizing lambda."""
-    ds_spec, datasets, result = _final_models(scenario, trial_seed, mech)
+def _utility_side(scenario: VerifyScenario, trial_seed: int,
+                  ds_spec: datagen.DatasetSpec, datasets: list[datagen.ClientDataset],
+                  result: protocol.RunResult, theta_probe: np.ndarray):
+    """Client 0's measured utility loss vs the utility bound at the minimizing
+    lambda, with the constants estimated at ``theta_probe``.
+
+    Returns the outcome and the estimate, its M and D replaced by the exact
+    ones the bound used."""
     target = datasets[0]
     theta = result.theta_final_shadow
     delta_model = result.theta_final_decoded - theta
@@ -128,17 +131,27 @@ def _utility_trial(scenario: VerifyScenario, trial_seed: int,
         scenario.model, theta, delta_model, target, sampler, scenario.n_eval)
 
     est = datagen.estimate_constants(
-        scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
+        scenario.model, theta_probe, datasets, num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two),
         seed=trial_seed)
-    big_m = exact_big_m(scenario.model, theta, delta_model, [target])
+    est = replace(est, big_m=exact_big_m(scenario.model, theta, delta_model, [target]),
+                  cap_d=ds_spec.diameter_cap)
     lam, rhs = boundsmod.minimize_utility_lambda(
-        est.big_c, delta_two, big_m, scenario.model.param_dim,
-        ds_spec.diameter_cap, scenario.eta, target.size)
-    return TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
-                        extras={"lambda": lam, "delta_two": delta_two,
-                                "big_c": est.big_c, "big_m": big_m,
-                                "cap_d": ds_spec.diameter_cap})
+        est.big_c, delta_two, est.big_m, scenario.model.param_dim,
+        est.cap_d, scenario.eta, target.size)
+    outcome = TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
+                           extras={"lambda": lam, "delta_two": delta_two,
+                                   "big_c": est.big_c, "big_m": est.big_m,
+                                   "cap_d": est.cap_d})
+    return outcome, est
+
+
+def _utility_trial(scenario: VerifyScenario, trial_seed: int,
+                   mech: protocol.ProtectionMechanism) -> TrialOutcome:
+    """Measured utility loss vs the utility bound at the minimizing lambda."""
+    ds_spec, datasets, result = _final_models(scenario, trial_seed, mech)
+    return _utility_side(scenario, trial_seed, ds_spec, datasets, result,
+                         result.theta_final_shadow)[0]
 
 
 def _trial_utility_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
@@ -164,36 +177,19 @@ def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
 
     eps_p = np.empty(k_clients)
     for k, ds in enumerate(datasets):
-        cfg = attackmod.AttackConfig(**{**asdict(scenario.attack), "seed": trial_seed + k})
+        cfg = replace(scenario.attack, seed=trial_seed + k)
         trace = attackmod.invert_gradient(
             scenario.model, rec.theta_decoded, rec.wires[k], ds.y, ds.size, cfg,
             originals=ds.x, cap_d=ds_spec.diameter_cap)
         eps_p[k] = attackmod.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
 
-    target = datasets[0]
-    theta = result.theta_final_shadow
-    delta_model = result.theta_final_decoded - theta
-    delta_two = float(np.linalg.norm(delta_model))
-    sampler = datagen.fresh_sampler(ds_spec, trial_seed)
-    eps_u, _ = protocol.measure_utility_loss(
-        scenario.model, theta, delta_model, target, sampler, scenario.n_eval)
-
-    est = datagen.estimate_constants(
-        scenario.model, rec.theta_decoded, datasets, num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two),
-        seed=trial_seed)
-    big_m = exact_big_m(scenario.model, theta, delta_model, [target])
-    est_for_bound = datagen.ConstantsEstimate(
-        c_a=est.c_a, c_b=est.c_b, big_c=est.big_c, big_m=big_m,
-        cap_d=ds_spec.diameter_cap, c_0=est.c_0, c_2=est.c_2, meta=est.meta)
-    lam, _ = boundsmod.minimize_utility_lambda(
-        est.big_c, delta_two, big_m, scenario.model.param_dim,
-        ds_spec.diameter_cap, scenario.eta, target.size)
-
+    util, est = _utility_side(scenario, trial_seed, ds_spec, datasets, result,
+                              rec.theta_decoded)
+    lam = util.extras["lambda"]
     inputs = boundsmod.BoundInputs(
-        constants=est_for_bound, eta=scenario.eta, lam=lam, gamma=scenario.gamma,
+        constants=est, eta=scenario.eta, lam=lam, gamma=scenario.gamma,
         eps_p=eps_p, eps_e=np.array([float(d.size) for d in datasets]),
-        delta_up=np.array(rec.delta_up_grad), delta_two=delta_two,
+        delta_up=np.array(rec.delta_up_grad), delta_two=util.extras["delta_two"],
         num_clients=k_clients, d=scenario.model.param_dim,
         t_rounds=scenario.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
     budget = inputs.probability_budget()
@@ -201,7 +197,7 @@ def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
         rhs = boundsmod.tradeoff_randomization(inputs, client=0)
     else:
         rhs = boundsmod.tradeoff_general(inputs, client=0)
-    return TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=budget > 0.0,
+    return TrialOutcome(measured=util.measured, rhs=rhs, precondition_ok=budget > 0.0,
                         extras={"probability_budget": budget, "lambda": lam})
 
 

@@ -10,3 +10,8 @@ settings.load_profile("ci")
 
 # Deterministic single-threaded default; thread-count tests override locally.
 os.environ.setdefault("FEDTRADEOFF_THREADS", "1")
+
+# CLI tests run ``python -m fedtradeoff.cli`` in a subprocess: let it import the
+# package from this checkout's src/ as the test process does.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

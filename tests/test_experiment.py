@@ -31,6 +31,11 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigurationError):
             experiment.ExperimentConfig.from_dict({"dataset": {}})
 
+    def test_unknown_top_level_keys_ignored(self):
+        cfg = base_config(attack_round=1, gamma=0.2)
+        d = {**cfg.to_dict(), "comment": "ignored", "schema": 7}
+        assert experiment.ExperimentConfig.from_dict(d) == cfg
+
 
 class TestRunTrial:
     def test_row_fields_sane(self):

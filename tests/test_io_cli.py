@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedtradeoff import datagen, io as iomod, models, protocol
-from fedtradeoff.experiment import TrialRow
+from fedtradeoff import cli, datagen, io as iomod, models, protocol
+from fedtradeoff.experiment import ExperimentConfig, TrialRow, run_trial
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -175,6 +176,47 @@ class TestAttackCLI:
         with open(os.path.join(out, "phase2.json")) as fh:
             rep = json.load(fh)
         assert 0.0 <= rep["risk"] <= rep["adv_risk"] <= 1.0
+
+
+class TestAttackMatchesRunTrial:
+    """``attack`` on a trained run scores the upload as ``run_trial`` does."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        run_dir = str(tmp_path_factory.mktemp("run"))
+        assert cli.main(["train", "--mech", "rand", "--sigma", "0.1", "--seed", "2",
+                         "--samples", "6", "--rounds", "3", "--out", run_dir]) == 0
+        manifest = iomod.read_manifest(os.path.join(run_dir, "manifest.json"))
+        return run_dir, ExperimentConfig.from_dict(manifest["config"]), manifest["master_seed"]
+
+    @pytest.mark.parametrize("rnd,client,extra", [(0, 0, []), (2, 1, ["--phase2"]),
+                                                  (1, 1, ["--dump-trajectory"])])
+    def test_attack_row_equals_run_trial(self, trained, tmp_path, rnd, client, extra):
+        run_dir, config, seed = trained
+        out = str(tmp_path / "atk")
+        assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--round", str(rnd),
+                         "--client", str(client), *extra]) == 0
+        got = iomod.read_results(os.path.join(out, "results.csv"))[0]
+        want = run_trial(replace(config, attack_round=rnd, attack_client=client), seed)
+        # the attack row keys on the manifest config, whose attacked (round, client)
+        # is (0, 0)
+        assert got.sweep_axis == "attack"
+        assert got.experiment_id == config.experiment_id()
+        skip = {"sweep_axis"} | ({"experiment_id"} if (rnd, client) != (0, 0) else set())
+        for name in TrialRow.FIELDS:
+            if name in skip:
+                continue
+            a, b = getattr(got, name), getattr(want, name)
+            assert a == b or (np.isnan(a) and np.isnan(b)), name
+
+    def test_iters_keeps_manifest_experiment_id(self, trained, tmp_path):
+        run_dir, config, _ = trained
+        out = str(tmp_path / "atk")
+        assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--iters", "7"]) == 0
+        row = iomod.read_results(os.path.join(out, "results.csv"))[0]
+        assert row.experiment_id == config.experiment_id()
+        assert row.experiment_id != replace(
+            config, attack=replace(config.attack, iters=7)).experiment_id()
 
 
 class TestExitCodes:

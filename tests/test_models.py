@@ -190,3 +190,24 @@ class TestBatchSemantics:
     def test_losses_nonnegative(self, spec):
         theta, x, y = draw_batch(spec, 11)
         assert models.loss(spec, theta, x, y) >= 0.0
+
+
+def _sigmoid_two_branch(z):
+    # the earlier formula: exp in both np.where branches
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+
+class TestSigmoid:
+    def test_large_logits_raise_no_floating_point_error(self):
+        # underflow of exp(-800) to 0 is the exact limit; overflow and 0*inf are not
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = models._sigmoid(np.array([-800.0, 0.0, 800.0]))
+        assert np.array_equal(s, [0.0, 0.5, 1.0])
+
+    def test_bit_identical_to_two_branch_formula(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 20001),
+                            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8],
+                            np.random.default_rng(0).normal(scale=30.0, size=5000)])
+        got = models._sigmoid(z)
+        assert np.array_equal(got.view(np.uint64), _sigmoid_two_branch(z).view(np.uint64))
