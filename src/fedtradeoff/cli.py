@@ -5,8 +5,8 @@ Subcommands: ``train``, ``attack``, ``verify``, ``sweep``, ``estimate-constants`
 Configuration comes from ``--config`` (a JSON file matching
 ``ExperimentConfig.to_dict``) with individual flags overriding file values.
 Exit codes: 0 success, 1 configuration/usage error, 2 numeric error, 3 I/O
-error, 4 bound check failed. Thread count comes from the env var
-``FEDTRADEOFF_THREADS`` (default 1); outputs are identical at any thread count.
+error, 4 bound check failed. Trials run one after another in a fixed order,
+so outputs depend only on the configuration and the master seed.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ def _load_config(args) -> ExperimentConfig:
     cfg = default_config()
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ConfigurationError(f"bad JSON in {args.config}: {exc}") from exc
+        cfg = ExperimentConfig.from_dict(raw)
     d = cfg.to_dict()
     if getattr(args, "mech", None) is not None:
         d["mechanism"]["kind"] = _MECH_ALIASES[args.mech]
@@ -102,7 +106,8 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     _ensure_dir(args.out)
     seed = config.master_seed
-    datasets, result = simulate(config, seed)
+    mech = config.mechanism.build(config.model.param_dim, seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
 
     iomod.write_manifest(os.path.join(args.out, "manifest.json"),
                          config.to_dict(), seed)
@@ -208,7 +213,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad --values: {exc}") from exc
     t0 = time.perf_counter()
     rows, summary = run_sweep(config, args.axis, values, args.trials)
     wall = time.perf_counter() - t0

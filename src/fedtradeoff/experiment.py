@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -24,26 +21,6 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, EstimationError, NumericError
-
-THREADS_ENV = "FEDTRADEOFF_THREADS"
-
-
-def parallel_map(fn, jobs: list) -> list:
-    """``[fn(job) for job in jobs]`` on up to ``FEDTRADEOFF_THREADS`` threads.
-
-    The worker count is capped at the CPU count and the job count. Results
-    come back in job order, so they are identical at any thread count.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n_threads = min(int(raw), os.cpu_count() or 1, len(jobs))
-    except ValueError:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n_threads <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, jobs))
-
 
 @dataclass(frozen=True)
 class MechanismSpec:
@@ -79,8 +56,6 @@ class ExperimentConfig:
     quantile: float = 0.05
     gamma: float = 0.1
     eta: float = 0.1
-    rho: float = 1.0
-    big_l: float = 1.0
     attack_round: int = 0
     attack_client: int = 0
 
@@ -144,18 +119,11 @@ class TrialRow:
     c_2: float
     pair_skip_rate: float
 
-    FIELDS = (
-        "experiment_id",
-        "sweep_axis", "sweep_value", "trial_index", "seed", "mechanism", "sigma",
-        "eps_p", "eps_p_final", "eps_u", "eps_u_halfwidth", "eps_e",
-        "delta_up_grad", "delta_up_param", "delta_two_grad", "delta_two_param",
-        "privacy_rhs", "privacy_precond_ok", "privacy_holds",
-        "utility_rhs", "utility_lambda", "utility_holds",
-        "c_a", "c_b", "big_c", "big_m", "cap_d", "c_0", "c_2", "pair_skip_rate",
-    )
-
     def as_list(self) -> list:
         return [getattr(self, f) for f in self.FIELDS]
+
+
+TrialRow.FIELDS = tuple(f.name for f in fields(TrialRow))
 
 
 def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarray,
@@ -177,13 +145,13 @@ def try_estimate(model_spec, theta, datasets, **kw) -> datagen.ConstantsEstimate
         return None
 
 
-def simulate(config: ExperimentConfig, seed: int):
+def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
+             fl: protocol.FLRunConfig, mech: protocol.ProtectionMechanism, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
 
     Raises ``NumericError`` when the run aborted (diverged)."""
-    datasets = datagen.generate(replace(config.dataset, seed=seed))
-    mech = config.mechanism.build(config.model.param_dim, seed)
-    result = protocol.run(config.model, replace(config.fl, seed=seed), mech, datasets)
+    datasets = datagen.generate(replace(dataset, seed=seed))
+    result = protocol.run(model, replace(fl, seed=seed), mech, datasets)
     if result.aborted:
         raise NumericError(f"run aborted: {result.abort_reason}")
     return datasets, result
@@ -262,7 +230,8 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
               sweep_axis: str = "none", sweep_value: float = 0.0,
               trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Full pipeline for one seeded trial: simulate, invert, ``score_trial``."""
-    datasets, result = simulate(config, trial_seed)
+    mech = config.mechanism.build(config.model.param_dim, trial_seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, mech, trial_seed)
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):
@@ -306,12 +275,6 @@ def _config_for_sweep_value(config: ExperimentConfig, axis: str, value: float) -
     raise ConfigurationError(f"unknown sweep axis: {axis!r}")
 
 
-def _sweep_trial(axis: str, base_id: str, job: tuple) -> TrialRow:
-    cfg_v, seed, value, ti = job
-    return run_trial(cfg_v, seed, sweep_axis=axis, sweep_value=value,
-                     trial_index=ti, experiment_id=base_id)
-
-
 def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
               trials: int) -> tuple[list[TrialRow], dict]:
     """Cross product of axis values x trials; fixed row order; summary stats."""
@@ -322,13 +285,12 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
 
-    jobs = []
-    for si, value in enumerate(values):
-        cfg_v = _config_for_sweep_value(config, axis, value)
-        for ti in range(trials):
-            seed = rngmod.trial_seed(config.master_seed, si, ti)
-            jobs.append((cfg_v, seed, float(value), ti))
-    rows = parallel_map(partial(_sweep_trial, axis, config.experiment_id()), jobs)
+    base_id = config.experiment_id()
+    configs = [_config_for_sweep_value(config, axis, value) for value in values]
+    rows = [run_trial(configs[si], rngmod.trial_seed(config.master_seed, si, ti),
+                      sweep_axis=axis, sweep_value=float(value), trial_index=ti,
+                      experiment_id=base_id)
+            for si, value in enumerate(values) for ti in range(trials)]
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

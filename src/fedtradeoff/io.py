@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -169,16 +169,14 @@ def write_results(path: str, rows: list[TrialRow], append: bool = False) -> None
             fh.write(",".join(_cell(v) for v in row.as_list()) + "\n")
 
 
-def read_results(path: str) -> list[TrialRow]:
-    def parse(name: str, raw: str):
-        if name in ("trial_index", "seed", "eps_e"):
-            return int(raw)
-        if name in ("experiment_id", "sweep_axis", "mechanism"):
-            return raw
-        if raw in ("true", "false"):
-            return raw == "true"
-        return float(raw)
+_PARSERS = {int: int, float: float, str: str,
+            bool: {"true": True, "false": False}.__getitem__}
 
+
+def read_results(path: str) -> list[TrialRow]:
+    """Rows of ``write_results``; each cell parsed by its field's declared type."""
+    hints = get_type_hints(TrialRow)
+    parsers = [_PARSERS[hints[name]] for name in TrialRow.FIELDS]
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != TrialRow.FIELDS:
@@ -189,8 +187,7 @@ def read_results(path: str) -> list[TrialRow]:
             if not line:
                 continue
             cells = line.split(",")
-            kwargs = {name: parse(name, raw) for name, raw in zip(header, cells)}
-            rows.append(TrialRow(**kwargs))
+            rows.append(TrialRow(*(parse(raw) for parse, raw in zip(parsers, cells))))
     return rows
 
 

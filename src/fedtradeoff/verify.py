@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError, NumericError
-from .experiment import exact_big_m, parallel_map
+from .errors import ConfigurationError
+from .experiment import exact_big_m, simulate
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,10 @@ def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutc
 
 def _final_models(scenario: VerifyScenario, trial_seed: int,
                   mech: protocol.ProtectionMechanism):
-    ds_spec = replace(scenario.dataset, seed=trial_seed)
-    datasets = datagen.generate(ds_spec)
     fl_cfg = protocol.FLRunConfig(rounds=scenario.fl_rounds,
-                                  learning_rate=scenario.learning_rate,
-                                  seed=trial_seed)
-    result = protocol.run(scenario.model, fl_cfg, mech, datasets)
-    if result.aborted:
-        raise NumericError(f"verify run aborted: {result.abort_reason}")
-    return ds_spec, datasets, result
+                                  learning_rate=scenario.learning_rate)
+    datasets, result = simulate(scenario.model, scenario.dataset, fl_cfg, mech, trial_seed)
+    return replace(scenario.dataset, seed=trial_seed), datasets, result
 
 
 def _utility_side(scenario: VerifyScenario, trial_seed: int,
@@ -238,7 +232,7 @@ def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
     pipeline = _PIPELINES[bound_name]
     seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
 
-    outcomes = parallel_map(partial(pipeline, scenario), seeds)
+    outcomes = [pipeline(scenario, seed) for seed in seeds]
 
     confidence = stated_confidence(bound_name, scenario)
     vacuous_claim = confidence <= 0.0

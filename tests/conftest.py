@@ -8,9 +8,6 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-# Deterministic single-threaded default; thread-count tests override locally.
-os.environ.setdefault("FEDTRADEOFF_THREADS", "1")
-
 # CLI tests run ``python -m fedtradeoff.cli`` in a subprocess: let it import the
 # package from this checkout's src/ as the test process does.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,7 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from fedtradeoff import attack, datagen, experiment, models, protocol
+from fedtradeoff import attack, datagen, experiment, models, protocol, verify
 from fedtradeoff.errors import ConfigurationError, NumericError
 
 
@@ -33,8 +36,10 @@ class TestConfigRoundtrip:
 
     def test_unknown_top_level_keys_ignored(self):
         cfg = base_config(attack_round=1, gamma=0.2)
-        d = {**cfg.to_dict(), "comment": "ignored", "schema": 7}
-        assert experiment.ExperimentConfig.from_dict(d) == cfg
+        # rho and big_l: fields of earlier versions, still in old config files
+        for extra in ({"comment": "ignored", "schema": 7}, {"rho": 0.5, "big_l": 2.0}):
+            d = {**cfg.to_dict(), **extra}
+            assert experiment.ExperimentConfig.from_dict(d) == cfg
 
 
 class TestRunTrial:
@@ -109,43 +114,30 @@ class TestSweep:
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
 
 
-class TestParallelMap:
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records the worker count and maps
-        in the calling thread, so no thread is started."""
-        sizes: list = []
+class TestSerialTrials:
+    """Trials run serially: FEDTRADEOFF_THREADS, which earlier versions read,
+    neither changes a result nor starts a thread."""
 
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
+    def test_threads_variable_has_no_effect(self, monkeypatch):
+        scenario = verify.VerifyScenario(
+            dataset=datagen.DatasetSpec(num_clients=1, per_client_size=4, input_dim=2,
+                                        num_classes=2, class_separation=2.0,
+                                        diameter_cap=2.0, seed=0),
+            model=models.ModelSpec(kind="logistic", input_dim=2, num_classes=2),
+            attack=attack.AttackConfig(iters=10, optimizer="adam", step_size=0.1),
+            sigma=0.2, fl_rounds=1, n_eval=100, num_pairs=30, quantile=0.1)
 
-        def __enter__(self):
-            return self
+        def results():
+            # repr is NaN-aware, so equal reprs mean equal results
+            return repr((experiment.run_sweep(base_config(), "sigma", [0.0, 0.3], 2),
+                         verify.verify_bound("utility-he", scenario, 100).to_dict()))
 
-        def __exit__(self, *exc):
-            return False
+        def no_start(thread):
+            raise AssertionError("a trial loop started a thread")
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    @pytest.mark.parametrize("threads, cpus, n_jobs, workers", [
-        ("8", 2, 5, 2),         # capped by the CPU count
-        ("8", 16, 3, 3),        # capped by the job count
-        ("3", 16, 5, 3),        # the env var when it is the smallest
-        ("1", 16, 5, None),     # serial: no pool
-        ("8", 1, 5, None),      # one CPU: no pool
-        ("8", None, 5, None),   # CPU count unknown: no pool
-    ])
-    def test_worker_count_capped(self, monkeypatch, threads, cpus, n_jobs, workers):
-        monkeypatch.setattr(self.RecordingPool, "sizes", [])
-        monkeypatch.setattr(experiment, "ThreadPoolExecutor", self.RecordingPool)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv(experiment.THREADS_ENV, threads)
-        jobs = list(range(n_jobs))
-        assert experiment.parallel_map(lambda j: j * j, jobs) == [j * j for j in jobs]
-        assert self.RecordingPool.sizes == ([] if workers is None else [workers])
-
-    def test_threads_keep_job_order(self, monkeypatch):
-        monkeypatch.setenv(experiment.THREADS_ENV, "2")
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-        jobs = list(range(6))
-        assert experiment.parallel_map(str, jobs) == [str(j) for j in jobs]
+        monkeypatch.delenv("FEDTRADEOFF_THREADS", raising=False)
+        expected = results()
+        monkeypatch.setenv("FEDTRADEOFF_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        assert results() == expected

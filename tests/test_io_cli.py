@@ -14,7 +14,6 @@ from fedtradeoff.experiment import ExperimentConfig, TrialRow, run_trial
 
 def run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    env.setdefault("FEDTRADEOFF_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *args],
@@ -90,11 +89,20 @@ class TestIO:
             privacy_rhs=1.0, privacy_precond_ok=True, privacy_holds=True, utility_rhs=2.5,
             utility_lambda=1.1, utility_holds=True, c_a=1.0, c_b=2.0, big_c=0.5,
             big_m=1.5, cap_d=2.0, c_0=0.4, c_2=1.2, pair_skip_rate=0.0)
-        path = str(tmp_path / "results.csv")
-        iomod.write_results(path, [row])
-        back = iomod.read_results(path)
-        assert len(back) == 1
-        assert back[0] == row
+        nan = float("nan")
+        # NaN columns, as when the constants could not be estimated, and both bools
+        degraded = replace(row, privacy_rhs=nan, privacy_precond_ok=False,
+                           privacy_holds=False, utility_rhs=nan, utility_lambda=nan,
+                           utility_holds=True, c_a=nan, c_b=nan, big_c=nan, cap_d=nan,
+                           c_0=nan, c_2=nan, pair_skip_rate=nan)
+        for original in (row, degraded):
+            path = str(tmp_path / "results.csv")
+            iomod.write_results(path, [original])
+            back = iomod.read_results(path)
+            assert len(back) == 1
+            # repr is NaN-aware and tells True from 1.0 and 16 from 16.0
+            assert [repr(v) for v in back[0].as_list()] == \
+                [repr(v) for v in original.as_list()]
 
 
 class TestTrainCLI:
@@ -224,6 +232,21 @@ class TestExitCodes:
         r = run_cli(["train", "--model", "linear", "--lr", "1e8", "--rounds", "80",
                      "--seed", "1", "--out", str(tmp_path / "div")])
         assert r.returncode == 2
+
+    def test_bad_sweep_value_exit_1(self, tmp_path):
+        r = run_cli(["sweep", "--axis", "sigma", "--values", "0,abc", "--trials", "2",
+                     "--out", str(tmp_path / "s")])
+        assert r.returncode == 1
+        assert "config error" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_malformed_config_json_exit_1(self, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_text('{"dataset": {')
+        r = run_cli(["train", "--config", str(bad), "--out", str(tmp_path / "t")])
+        assert r.returncode == 1
+        assert "config error" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_io_error_exit_3(self, tmp_path):
         blocker = tmp_path / "file.txt"
