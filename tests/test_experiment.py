@@ -1,5 +1,6 @@
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,31 @@ class TestRunTrial:
             row = experiment.run_trial(base_config(), trial_seed=seed)
             if row.privacy_holds:
                 assert row.privacy_precond_ok
+
+
+class TestSimulate:
+    def test_seed_overrides_spec_seeds(self):
+        cfg = base_config(fl=protocol.FLRunConfig(rounds=2, learning_rate=0.2))
+        mech = protocol.randomization(0.3)
+
+        def run(ds_seed, fl_seed):
+            datasets, result = experiment.simulate(
+                cfg.model, replace(cfg.dataset, seed=ds_seed),
+                replace(cfg.fl, seed=fl_seed), mech, seed=5)
+            return ([(d.x.tolist(), d.y.tolist()) for d in datasets],
+                    result.theta_final_decoded.tolist(),
+                    result.theta_final_shadow.tolist())
+
+        assert run(0, 0) == run(11, 12)
+        assert run(0, 0)[1] != experiment.simulate(
+            cfg.model, cfg.dataset, cfg.fl, mech, seed=6)[1].theta_final_decoded.tolist()
+
+    def test_diverged_run_raises(self):
+        cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
+                          fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
+        with pytest.raises(NumericError, match="run aborted"):
+            experiment.simulate(cfg.model, cfg.dataset, cfg.fl,
+                                protocol.no_protection(), seed=1)
 
 
 class TestSweep:

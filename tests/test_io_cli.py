@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedtradeoff import cli, datagen, io as iomod, models, protocol
+from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import ExperimentConfig, TrialRow, run_trial
 
 
@@ -103,6 +104,28 @@ class TestIO:
             # repr is NaN-aware and tells True from 1.0 and 16 from 16.0
             assert [repr(v) for v in back[0].as_list()] == \
                 [repr(v) for v in original.as_list()]
+
+
+    def test_results_header_is_results_v1(self, tmp_path):
+        # FIELDS follows the dataclass: reordering or renaming a field changes
+        # the on-disk results/v1 format, which this pins.
+        path = str(tmp_path / "results.csv")
+        iomod.write_results(path, [])
+        with open(path) as fh:
+            assert fh.read() == (
+                "experiment_id,sweep_axis,sweep_value,trial_index,seed,mechanism,sigma,"
+                "eps_p,eps_p_final,eps_u,eps_u_halfwidth,eps_e,delta_up_grad,"
+                "delta_up_param,delta_two_grad,delta_two_param,privacy_rhs,"
+                "privacy_precond_ok,privacy_holds,utility_rhs,utility_lambda,"
+                "utility_holds,c_a,c_b,big_c,big_m,cap_d,c_0,c_2,pair_skip_rate\n")
+
+    def test_results_header_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        swapped = list(TrialRow.FIELDS)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        path.write_text(",".join(swapped) + "\n")
+        with pytest.raises(ConfigurationError, match="header mismatch"):
+            iomod.read_results(str(path))
 
 
 class TestTrainCLI:
@@ -247,6 +270,22 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "config error" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_config_not_utf8_exit_1(self, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b'{"dataset": "\xff\xfe"}')
+        r = run_cli(["train", "--config", str(bad), "--out", str(tmp_path / "t")])
+        assert r.returncode == 1
+        assert "config error" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_threads_variable_not_read(self, tmp_path):
+        # earlier versions rejected a non-integer FEDTRADEOFF_THREADS
+        r = run_cli(["sweep", "--axis", "sigma", "--values", "0,0.3", "--trials", "1",
+                     "--samples", "4", "--iters", "5", "--rounds", "1",
+                     "--out", str(tmp_path / "s")],
+                    env_extra={"FEDTRADEOFF_THREADS": "abc"})
+        assert r.returncode == 0, r.stderr
 
     def test_io_error_exit_3(self, tmp_path):
         blocker = tmp_path / "file.txt"
