@@ -22,7 +22,6 @@ import numpy as np
 
 from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
-from . import rng as rngmod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
 from .experiment import ExperimentConfig, MechanismSpec, run_sweep, score_trial, simulate
 
@@ -235,11 +234,13 @@ def cmd_sweep(args) -> int:
 def cmd_estimate_constants(args) -> int:
     config = _load_config(args)
     seed = config.master_seed
-    datasets = datagen.generate(replace(config.dataset, seed=seed))
-    theta = models.init_params(config.model, rngmod.stream(seed, rngmod.STREAM_INIT))
-    g = models.grad_params(config.model, theta, datasets[0].x, datasets[0].y)
+    # probe at the initial model; the pilot attack inverts client 0's round-0 gradient
+    datasets, result = simulate(config.model, config.dataset, replace(config.fl, rounds=1),
+                                protocol.no_protection(), seed)
+    rec = result.records[0]
+    theta = rec.theta_decoded
     atk = replace(config.attack, seed=seed)
-    trace = attackmod.invert_gradient(config.model, theta, g, datasets[0].y,
+    trace = attackmod.invert_gradient(config.model, theta, rec.grads[0], datasets[0].y,
                                       datasets[0].size, atk)
     est = datagen.estimate_constants(config.model, theta, datasets,
                                      num_pairs=config.num_pairs,

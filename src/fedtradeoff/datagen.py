@@ -113,19 +113,6 @@ def fresh_sampler(spec: DatasetSpec, seed: int):
     return draw
 
 
-def replay_sampler(dataset: ClientDataset):
-    """Sampler that replays the dataset itself (cyclically)."""
-    pos = 0
-
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal pos
-        idx = [(pos + i) % dataset.size for i in range(n)]
-        pos = (pos + n) % dataset.size
-        return dataset.x[idx], dataset.y[idx]
-
-    return draw
-
-
 def diameter(x: np.ndarray) -> float:
     """Exact max pairwise Euclidean distance (O(m^2) scan)."""
     x = np.asarray(x, dtype=np.float64)
@@ -165,7 +152,8 @@ class ConstantsEstimate:
 
     c_a, c_b bracket the data-vs-gradient distance ratio r = ||X1-X2|| /
     ||grad(X1)-grad(X2)|| over same-label pairs; C bounds |loss difference|
-    per unit parameter / data movement; M bounds |loss| under distortion;
+    per unit parameter / data movement; M is the max |per-example loss| at
+    the probe (trials use the exact M at their realized distortion instead);
     cap_d is the data diameter; c_0 <= c_2 envelope the attack optimizer's
     cumulative gradient-mismatch growth against sqrt(T).
     """
@@ -288,15 +276,7 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     dl = np.abs(point_losses[ij[:, 0]] - point_losses[ij[:, 1]])
     c_data = float(np.max(dl[keep] / dx[keep], initial=0.0))
     big_c = max(c_theta, c_data, 1e-12)
-
-    # M: max |per-example loss| over sampled distortions within the budget.
-    big_m = 0.0
-    for _ in range(num_deltas):
-        d1 = g.standard_normal(model_spec.param_dim)
-        d1 *= delta_budget * g.uniform(0.0, 1.0) / max(np.linalg.norm(d1), 1e-300)
-        per = _finite(models.per_example_losses(model_spec, theta_probe + d1, all_x, all_y))
-        big_m = max(big_m, float(np.max(np.abs(per))))
-    big_m = max(big_m, 1e-12)
+    big_m = max(float(np.max(np.abs(point_losses))), 1e-12)   # M: exact, at the probe
 
     if attack_objectives is not None and len(attack_objectives) > 0:
         c_0, c_2, c_fit = attack_mismatch_envelope(attack_objectives)

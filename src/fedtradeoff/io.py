@@ -187,6 +187,9 @@ def read_results(path: str) -> list[TrialRow]:
             if not line:
                 continue
             cells = line.split(",")
+            if len(cells) != len(parsers):
+                raise ConfigurationError(f"results row has {len(cells)} cells, header "
+                                         f"{len(parsers)}, in {path}")
             rows.append(TrialRow(*(parse(raw) for parse, raw in zip(parsers, cells))))
     return rows
 

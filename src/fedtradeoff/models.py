@@ -246,9 +246,7 @@ def grad_input(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y) -> np.ndarr
         r = float(xb[0] @ theta - yb[0])
         return r * theta
     if spec.kind == "logistic" and spec.num_classes == 2:
-        z = float(xb[0] @ theta)
-        s = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-        return (s - yb[0]) * theta
+        return (_sigmoid(xb[0] @ theta) - yb[0]) * theta
     yi = int(yb[0])
     if spec.kind == "logistic":
         w = theta.reshape(spec.num_classes, spec.input_dim)

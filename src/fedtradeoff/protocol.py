@@ -324,12 +324,9 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
             return RunResult(records, final_dec, theta_shadow, theta_init,
                              aborted=True, abort_reason=f"non-finite update at round {t}")
 
-    if mech.kind == "he_codec":
-        protected_view = server_state.wire(mech)
-    else:
-        protected_view = np.asarray(server_state, dtype=np.float64).copy()
-    return RunResult(records, decode(server_state, mech), theta_shadow, theta_init,
-                     theta_final_protected=protected_view)
+    last = records[-1]
+    return RunResult(records, last.theta_next_decoded, theta_shadow, theta_init,
+                     theta_final_protected=last.theta_next_protected)
 
 
 def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray,

@@ -60,34 +60,35 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def _attack_leakage(scenario: VerifyScenario, trial_seed: int,
-                    mech: protocol.ProtectionMechanism,
-                    theta: np.ndarray, ds: datagen.ClientDataset):
-    """Protect the client gradient, invert it, score leakage."""
-    g = models.grad_params(scenario.model, theta, ds.x, ds.y)
-    rng = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1)
-    prot = protocol.protect(g, mech, rng)
-    cfg = replace(scenario.attack, seed=trial_seed)
-    trace = attackmod.invert_gradient(
-        scenario.model, theta, prot.wire, ds.y, ds.size, cfg,
-        originals=ds.x, cap_d=scenario.dataset.diameter_cap)
-    eps_p = attackmod.privacy_leakage(trace, ds.x, scenario.dataset.diameter_cap)
-    return prot, trace, eps_p
+def _invert(scenario: VerifyScenario, attack_seed: int, theta: np.ndarray,
+            wire: np.ndarray, ds: datagen.ClientDataset):
+    """Invert one client's observed upload; the trace and its leakage."""
+    cap_d = scenario.dataset.diameter_cap
+    cfg = replace(scenario.attack, seed=attack_seed)
+    trace = attackmod.invert_gradient(scenario.model, theta, wire, ds.y, ds.size, cfg,
+                                      originals=ds.x, cap_d=cap_d)
+    return trace, attackmod.privacy_leakage(trace, ds.x, cap_d)
+
+
+def _simulate(scenario: VerifyScenario, trial_seed: int,
+              mech: protocol.ProtectionMechanism, rounds: int):
+    fl_cfg = protocol.FLRunConfig(rounds=rounds, learning_rate=scenario.learning_rate)
+    datasets, result = simulate(scenario.model, scenario.dataset, fl_cfg, mech, trial_seed)
+    return replace(scenario.dataset, seed=trial_seed), datasets, result
 
 
 def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    ds_spec = replace(scenario.dataset, seed=trial_seed)
-    ds = datagen.generate(ds_spec)[0]
-    theta = models.init_params(scenario.model,
-                               rngmod.stream(trial_seed, rngmod.STREAM_INIT))
-    mech = protocol.randomization(scenario.sigma)
-    prot, trace, eps_p = _attack_leakage(scenario, trial_seed, mech, theta, ds)
+    """Client 0's round-0 upload: leakage vs the privacy bound."""
+    ds_spec, datasets, result = _simulate(
+        scenario, trial_seed, protocol.randomization(scenario.sigma), rounds=1)
+    rec, ds = result.records[0], datasets[0]
+    trace, eps_p = _invert(scenario, trial_seed, rec.theta_decoded, rec.wires[0], ds)
 
     est = datagen.estimate_constants(
-        scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
+        scenario.model, rec.theta_decoded, [ds], num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
         seed=trial_seed)
-    delta_up = prot.delta_up_grad
+    delta_up = rec.delta_up_grad[0]
     threshold = boundsmod.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
     rhs = boundsmod.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
@@ -97,14 +98,6 @@ def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutc
                         extras={"delta_up": delta_up, "threshold": threshold,
                                 "c_a": est.c_a, "c_b": est.c_b, "c_2": est.c_2,
                                 "pair_skip_rate": est.meta["skip_rate"]})
-
-
-def _final_models(scenario: VerifyScenario, trial_seed: int,
-                  mech: protocol.ProtectionMechanism):
-    fl_cfg = protocol.FLRunConfig(rounds=scenario.fl_rounds,
-                                  learning_rate=scenario.learning_rate)
-    datasets, result = simulate(scenario.model, scenario.dataset, fl_cfg, mech, trial_seed)
-    return replace(scenario.dataset, seed=trial_seed), datasets, result
 
 
 def _utility_side(scenario: VerifyScenario, trial_seed: int,
@@ -143,7 +136,7 @@ def _utility_side(scenario: VerifyScenario, trial_seed: int,
 def _utility_trial(scenario: VerifyScenario, trial_seed: int,
                    mech: protocol.ProtectionMechanism) -> TrialOutcome:
     """Measured utility loss vs the utility bound at the minimizing lambda."""
-    ds_spec, datasets, result = _final_models(scenario, trial_seed, mech)
+    ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
     return _utility_side(scenario, trial_seed, ds_spec, datasets, result,
                          result.theta_final_shadow)[0]
 
@@ -165,17 +158,12 @@ def _trial_he_utility_bound(scenario: VerifyScenario, trial_seed: int) -> TrialO
 def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
                     randomized_formula: bool) -> TrialOutcome:
     mech = protocol.randomization(scenario.sigma, scenario.shared_noise)
-    ds_spec, datasets, result = _final_models(scenario, trial_seed, mech)
+    ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
     rec = result.records[0]
     k_clients = len(datasets)
-
-    eps_p = np.empty(k_clients)
-    for k, ds in enumerate(datasets):
-        cfg = replace(scenario.attack, seed=trial_seed + k)
-        trace = attackmod.invert_gradient(
-            scenario.model, rec.theta_decoded, rec.wires[k], ds.y, ds.size, cfg,
-            originals=ds.x, cap_d=ds_spec.diameter_cap)
-        eps_p[k] = attackmod.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
+    eps_p = np.array([
+        _invert(scenario, trial_seed + k, rec.theta_decoded, rec.wires[k], ds)[1]
+        for k, ds in enumerate(datasets)])
 
     util, est = _utility_side(scenario, trial_seed, ds_spec, datasets, result,
                               rec.theta_decoded)

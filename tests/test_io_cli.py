@@ -31,6 +31,18 @@ def dir_hashes(path):
             for name in sorted(os.listdir(path))}
 
 
+def sample_row():
+    return TrialRow(
+        experiment_id="abc123def456",
+        sweep_axis="sigma", sweep_value=0.1, trial_index=2, seed=123,
+        mechanism="randomization", sigma=0.1, eps_p=0.5, eps_p_final=0.9,
+        eps_u=0.01, eps_u_halfwidth=0.002, eps_e=16, delta_up_grad=0.3,
+        delta_up_param=0.06, delta_two_grad=0.2, delta_two_param=0.04,
+        privacy_rhs=1.0, privacy_precond_ok=True, privacy_holds=True, utility_rhs=2.5,
+        utility_lambda=1.1, utility_holds=True, c_a=1.0, c_b=2.0, big_c=0.5,
+        big_m=1.5, cap_d=2.0, c_0=0.4, c_2=1.2, pair_skip_rate=0.0)
+
+
 class TestIO:
     def test_dataset_csv_roundtrip(self, tmp_path):
         spec = datagen.DatasetSpec(num_clients=2, per_client_size=5, input_dim=3, seed=3)
@@ -81,15 +93,7 @@ class TestIO:
             assert np.array_equal(rebuilt, np.array(row["theta_next_decoded"]))
 
     def test_results_csv_roundtrip(self, tmp_path):
-        row = TrialRow(
-            experiment_id="abc123def456",
-            sweep_axis="sigma", sweep_value=0.1, trial_index=2, seed=123,
-            mechanism="randomization", sigma=0.1, eps_p=0.5, eps_p_final=0.9,
-            eps_u=0.01, eps_u_halfwidth=0.002, eps_e=16, delta_up_grad=0.3,
-            delta_up_param=0.06, delta_two_grad=0.2, delta_two_param=0.04,
-            privacy_rhs=1.0, privacy_precond_ok=True, privacy_holds=True, utility_rhs=2.5,
-            utility_lambda=1.1, utility_holds=True, c_a=1.0, c_b=2.0, big_c=0.5,
-            big_m=1.5, cap_d=2.0, c_0=0.4, c_2=1.2, pair_skip_rate=0.0)
+        row = sample_row()
         nan = float("nan")
         # NaN columns, as when the constants could not be estimated, and both bools
         degraded = replace(row, privacy_rhs=nan, privacy_precond_ok=False,
@@ -118,6 +122,19 @@ class TestIO:
                 "delta_up_param,delta_two_grad,delta_two_param,privacy_rhs,"
                 "privacy_precond_ok,privacy_holds,utility_rhs,utility_lambda,"
                 "utility_holds,c_a,c_b,big_c,big_m,cap_d,c_0,c_2,pair_skip_rate\n")
+
+    @pytest.mark.parametrize("edit", [lambda line: line + ",9.9",
+                                      lambda line: line.rsplit(",", 1)[0]],
+                             ids=["long", "short"])
+    def test_results_row_cell_count_checked(self, tmp_path, edit):
+        # a row with an extra or a missing cell is rejected, not silently
+        # truncated or failed with a TypeError
+        path = tmp_path / "results.csv"
+        iomod.write_results(str(path), [sample_row(), sample_row()])
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, edit(second)]) + "\n")
+        with pytest.raises(ConfigurationError, match="31 cells|29 cells"):
+            iomod.read_results(str(path))
 
     def test_results_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -409,6 +426,22 @@ class TestVerifyCLI:
 
 
 class TestEstimateConstantsCLI:
+    def test_probe_follows_config_init_scale(self, tmp_path):
+        # the probe is the protocol's initial model, so fl.init_scale moves it
+        cfg = cli.default_config()
+        cfg = replace(cfg, fl=replace(cfg.fl, init_scale=0.1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        c_a = {}
+        for name, extra in (("default", []), ("small", ["--config", str(path)])):
+            out = str(tmp_path / name)
+            rc = cli.main(["estimate-constants", "--samples", "12", "--iters", "15",
+                           "--seed", "3", "--out", out, *extra])
+            assert rc == 0
+            with open(os.path.join(out, "constants.json")) as fh:
+                c_a[name] = json.load(fh)["c_a"]
+        assert c_a["default"] != c_a["small"]
+
     def test_writes_constants_json(self, tmp_path):
         out = str(tmp_path / "c")
         r = run_cli(["estimate-constants", "--samples", "12", "--iters", "15",

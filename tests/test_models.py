@@ -211,3 +211,24 @@ class TestSigmoid:
                             np.random.default_rng(0).normal(scale=30.0, size=5000)])
         got = models._sigmoid(z)
         assert np.array_equal(got.view(np.uint64), _sigmoid_two_branch(z).view(np.uint64))
+
+
+def _binary_grad_input_scalar(theta, x, y):
+    # the earlier binary-logistic grad_input: a scalar two-exp sigmoid
+    z = float(x @ theta)
+    s = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+    return (s - y) * theta
+
+
+class TestGradInputSigmoid:
+    def test_binary_bit_identical_to_scalar_formula(self):
+        # one feature and theta = 1, so the logit is the grid value itself
+        spec = models.ModelSpec("logistic", 1)
+        theta = np.array([1.0])
+        z = np.concatenate([np.linspace(-800.0, 800.0, 2001),
+                            [0.0, -0.0, 709.8, -709.8]])
+        for zi in z:
+            for y in (0, 1):
+                got = models.grad_input(spec, theta, np.array([zi]), y)
+                want = _binary_grad_input_scalar(theta, np.array([zi]), float(y))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (zi, y)

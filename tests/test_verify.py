@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedtradeoff import attack, datagen, models, verify
+from fedtradeoff import attack, bounds, datagen, models, protocol, verify
+from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
 
@@ -18,6 +21,51 @@ def tiny_scenario(**kw):
     )
     base.update(kw)
     return verify.VerifyScenario(**base)
+
+
+def hand_built_privacy_trial(scenario, trial_seed):
+    """Oracle: the privacy pipeline with client 0's round-0 upload rebuilt by
+    hand (data, init, gradient, protection on its stream), outside the protocol."""
+    ds_spec = replace(scenario.dataset, seed=trial_seed)
+    ds = datagen.generate(ds_spec)[0]
+    theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
+    g = models.grad_params(scenario.model, theta, ds.x, ds.y)
+    prot = protocol.protect(g, protocol.randomization(scenario.sigma),
+                            rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1))
+    trace = attack.invert_gradient(
+        scenario.model, theta, prot.wire, ds.y, ds.size,
+        replace(scenario.attack, seed=trial_seed),
+        originals=ds.x, cap_d=ds_spec.diameter_cap)
+    eps_p = attack.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
+    est = datagen.estimate_constants(
+        scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
+        quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
+        seed=trial_seed)
+    delta_up = prot.delta_up_grad
+    threshold = bounds.privacy_precondition_threshold(
+        est.c_2, est.c_b, est.c_a, scenario.attack.iters)
+    rhs = bounds.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
+                                     ds_spec.diameter_cap, delta_up)
+    return verify.TrialOutcome(measured=eps_p, rhs=rhs,
+                               precondition_ok=bool(delta_up >= threshold),
+                               extras={"delta_up": delta_up, "threshold": threshold,
+                                       "c_a": est.c_a, "c_b": est.c_b, "c_2": est.c_2,
+                                       "pair_skip_rate": est.meta["skip_rate"]})
+
+
+class TestPrivacyTrialFromSimulate:
+    @pytest.mark.parametrize("clients", [1, 3])
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_equals_hand_built_round_zero(self, clients, seed):
+        sc = tiny_scenario(
+            dataset=datagen.DatasetSpec(num_clients=clients, per_client_size=6, input_dim=2,
+                                        num_classes=2, class_separation=2.0,
+                                        diameter_cap=2.0, seed=0),
+            sigma=0.4, fl_rounds=3, learning_rate=0.3)
+        got = verify._trial_privacy_bound(sc, seed)
+        want = hand_built_privacy_trial(sc, seed)
+        assert got.extras["delta_up"] > 0.0
+        assert repr(got) == repr(want)
 
 
 class TestVerifyBound:
