@@ -41,8 +41,7 @@ def pilot_single_sample_inversion():
         g_true = models.grad_params(spec, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg,
-                                    originals=x[None, :], cap_d=2.0)
+        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg)
         finals.append(attack.privacy_leakage_final(tr, x[None, :], 2.0))
         trajs.append(attack.privacy_leakage(tr, x[None, :], 2.0))
     print(f"pilot 1: eps_p_final min {min(finals):.4f}, "

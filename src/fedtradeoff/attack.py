@@ -21,7 +21,6 @@ true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ class AttackConfig:
     init: str = "zeros"                # zeros | gaussian
     init_scale: float = 0.5
     seed: int = 0
-    keep_every: int = 1                # trajectory storage stride
     backtracking: bool = False         # sgd only: enforce monotone objective
 
     def __post_init__(self) -> None:
@@ -52,30 +50,15 @@ class AttackConfig:
             raise ConfigurationError("step_size must be > 0")
         if self.init not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown init: {self.init!r}")
-        if self.keep_every < 1:
-            raise ConfigurationError("keep_every must be >= 1")
 
 
 @dataclass
 class AttackTrace:
-    iterates: list[tuple[int, np.ndarray]]   # (t, X_t) at stride keep_every, plus t=0 and final
+    iterates: list[tuple[int, np.ndarray]]   # (t, X_t) for t = 0..iters_run
     objectives: np.ndarray                   # F at t = 0..iters_run
     final_x: np.ndarray
     iters_run: int
-    stride: int
     truncated: bool = False
-    # streaming per-sample leakage sums, filled when originals were provided
-    leakage_sums: np.ndarray | None = None   # sum over t=1..T of min(dist_t, D)/D
-    leakage_final: np.ndarray | None = None  # min(dist_T, D)/D per sample
-    leakage_cap_d: float | None = None
-    originals_digest: str | None = None
-
-    def has_full_trajectory(self) -> bool:
-        return self.stride == 1 and len(self.iterates) >= self.iters_run + 1
-
-
-def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
 
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -100,15 +83,11 @@ def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
 
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                     labels: np.ndarray, m: int, cfg: AttackConfig,
-                    originals: np.ndarray | None = None,
-                    cap_d: float | None = None,
                     x0: np.ndarray | None = None) -> AttackTrace:
     """Reconstruct the m feature vectors behind an observed batch gradient.
 
-    ``originals`` and ``cap_d`` are evaluation-only: when given, per-sample
-    clamped distances are accumulated streaming so leakage can be scored
-    without storing the full trajectory. The optimizer never sees them.
-    ``x0`` overrides the configured init (diagnostics).
+    Every accepted iterate is stored, so leakage is scored afterwards from the
+    trace alone. ``x0`` overrides the configured init (diagnostics).
     """
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -126,16 +105,6 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
         x = np.zeros((m, p))
     else:
         x = cfg.init_scale * g.standard_normal((m, p))
-
-    stream_leak = originals is not None and cap_d is not None
-    if stream_leak:
-        originals = np.asarray(originals, dtype=np.float64)
-        if originals.shape != (m, p):
-            raise ConfigurationError("originals shape mismatch")
-        if cap_d <= 0:
-            raise ConfigurationError("D must be > 0")
-        sums = np.zeros(m)
-        last = np.zeros(m)
 
     f, v, vjp = _score(spec, theta, x, labels, g_obs)
     objectives = [f]
@@ -178,68 +147,42 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
         x, v, vjp = x_new, v_new, vjp_new
         iters_run = t
         objectives.append(f_new)
-        if stream_leak:
-            dist = np.linalg.norm(x - originals, axis=1)
-            clamped = np.minimum(dist, cap_d) / cap_d
-            sums += clamped
-            last = clamped
-        if t % cfg.keep_every == 0 or t == cfg.iters:
-            iterates.append((t, x.copy()))
+        iterates.append((t, x.copy()))
 
-    if iterates[-1][0] != iters_run:
-        iterates.append((iters_run, x.copy()))
+    return AttackTrace(iterates=iterates, objectives=np.asarray(objectives),
+                       final_x=x.copy(), iters_run=iters_run, truncated=truncated)
 
-    return AttackTrace(
-        iterates=iterates,
-        objectives=np.asarray(objectives),
-        final_x=x.copy(),
-        iters_run=iters_run,
-        stride=cfg.keep_every,
-        truncated=truncated,
-        leakage_sums=sums.copy() if stream_leak else None,
-        leakage_final=last.copy() if stream_leak else None,
-        leakage_cap_d=float(cap_d) if stream_leak else None,
-        originals_digest=_digest(originals) if stream_leak else None,
-    )
+
+def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
+    if cap_d <= 0:
+        raise ConfigurationError("D must be > 0")
+    originals = np.asarray(originals, dtype=np.float64)
+    if originals.shape != trace.final_x.shape:
+        raise ConfigurationError(f"originals shape {originals.shape} != "
+                                 f"trace shape {trace.final_x.shape}")
+    return originals
 
 
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D.
 
-    Uses the streaming sums recorded during the run when they were taken
-    against the same originals and D, else re-walks the stored trajectory,
-    which must then be complete (stride 1). Both add the same terms in the
-    same order.
+    Adds one stored iterate at a time, t = 1..T in order. Reducing a stacked
+    (T, m) array instead lets numpy sum pairwise, which moves the result by
+    ulps when m == 1.
     """
-    if cap_d <= 0:
-        raise ConfigurationError("D must be > 0")
-    originals = np.asarray(originals, dtype=np.float64)
-    m = originals.shape[0]
-    if trace.final_x.shape[0] != m:
-        raise ConfigurationError("trace / originals sample count mismatch")
-    t_total = trace.iters_run
-    if t_total < 1:
+    originals = _checked_originals(trace, originals, cap_d)
+    if trace.iters_run < 1:
         raise ConfigurationError("trace has no iterations")
-
-    if (trace.leakage_sums is not None and trace.leakage_cap_d == float(cap_d)
-            and trace.originals_digest == _digest(originals)):
-        return float(1.0 - np.mean(trace.leakage_sums / t_total))
-    if not trace.has_full_trajectory():
-        if trace.leakage_sums is None:
-            raise ConfigurationError("trace is strided and has no streaming leakage sums")
-        raise ConfigurationError("streaming sums were computed against different originals/D")
-    acc = np.zeros(m)
+    acc = np.zeros(originals.shape[0])
     for _, x_t in trace.iterates[1:]:             # iterates[0] is the t = 0 init
         dist = np.linalg.norm(x_t - originals, axis=1)
         acc += np.minimum(dist, cap_d) / cap_d
-    return float(1.0 - np.mean(acc / t_total))
+    return float(1.0 - np.mean(acc / trace.iters_run))
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Final-iterate leakage: 1 - mean_i min(||X_{T,i}-X_i||, D)/D."""
-    if cap_d <= 0:
-        raise ConfigurationError("D must be > 0")
-    originals = np.asarray(originals, dtype=np.float64)
+    originals = _checked_originals(trace, originals, cap_d)
     dist = np.linalg.norm(trace.final_x - originals, axis=1)
     return float(1.0 - np.mean(np.minimum(dist, cap_d) / cap_d))
 

@@ -142,14 +142,12 @@ def cmd_attack(args) -> int:
     target = datasets[args.client]
     theta_t = np.array(rec["theta_decoded"])
     wire = np.array(rec["wires"][args.client])
-    cap_d = config.dataset.diameter_cap
 
     atk = replace(config.attack, seed=seed)
     if args.iters is not None:
         atk = replace(atk, iters=args.iters)
     t0 = time.perf_counter()
-    trace = attackmod.invert_gradient(config.model, theta_t, wire, target.y,
-                                      target.size, atk, originals=target.x, cap_d=cap_d)
+    trace = attackmod.invert_gradient(config.model, theta_t, wire, target.y, target.size, atk)
     wall = time.perf_counter() - t0
     distortions = (rec["delta_up_grad"][args.client], rec["delta_up_param"][args.client],
                    rec["delta_two_grad"], rec["delta_two_param"])
@@ -170,7 +168,8 @@ def cmd_attack(args) -> int:
     if args.phase2:
         recovered = datagen.ClientDataset(client_id=target.client_id,
                                           x=trace.final_x, y=target.y)
-        budget = args.adv_budget if args.adv_budget is not None else 0.25 * cap_d
+        budget = (args.adv_budget if args.adv_budget is not None
+                  else 0.25 * config.dataset.diameter_cap)
         _, rep = attackmod.phase2_report(
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,

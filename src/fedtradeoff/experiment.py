@@ -242,8 +242,7 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
 
     atk_cfg = replace(config.attack, seed=trial_seed)
     trace = attackmod.invert_gradient(
-        config.model, rec.theta_decoded, rec.wires[client], target.y, target.size,
-        atk_cfg, originals=target.x, cap_d=config.dataset.diameter_cap)
+        config.model, rec.theta_decoded, rec.wires[client], target.y, target.size, atk_cfg)
     distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
                    rec.delta_two_grad, rec.delta_two_param)
     return score_trial(

@@ -13,7 +13,7 @@ Schemas (versioned):
 * ``vector/v1``     -- model_*.csv: one coordinate per line.
 * ``results/v1``    -- results.csv: TrialRow fields in declared order.
 * ``timings/v1``    -- timings.csv sidecar.
-* ``attacklog/v1``  -- attack.jsonl: per stored iterate, objective + leakage.
+* ``attacklog/v1``  -- attack.jsonl: a head, then each iterate's objective.
 * ``trajectory/v1`` -- trajectory.csv: iteration, sample, x0..x{p-1}.
 * ``curves/v1``     -- curves.csv: per-axis-value medians for plotting.
 """
@@ -203,12 +203,16 @@ def write_timings(path: str, entries: list[tuple[str, float, int, float]]) -> No
 
 
 def write_attack_summary(path: str, trace) -> None:
-    """JSON-lines: one record per stored iterate (objective + stride metadata)."""
+    """JSON-lines: a head record, then one record per iterate t = 0..iters_run.
+
+    Every iterate is stored, so the head's ``"stride"`` is always 1; it is
+    still written so that ``attacklog/v1`` files stay byte-identical.
+    """
     objectives = trace.objectives
     with open(path, "w") as fh:
         head = {
             "iters_run": trace.iters_run,
-            "stride": trace.stride,
+            "stride": 1,
             "truncated": trace.truncated,
             "final_objective": float(objectives[-1]),
         }

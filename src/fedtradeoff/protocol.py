@@ -264,7 +264,8 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
         if not np.all(np.isfinite(theta_dec)):
             return RunResult(records, theta_dec, theta_shadow, theta_init,
                              aborted=True, abort_reason=f"non-finite model at round {t}")
-        shadow_gap = float(np.linalg.norm(theta_dec - theta_shadow))
+        with np.errstate(over="ignore", invalid="ignore"):
+            shadow_gap = float(np.linalg.norm(theta_dec - theta_shadow))
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -297,8 +298,8 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
                 server_state = server_state - eta * decoded_agg
 
             theta_shadow = theta_shadow - eta * weighted_sum(shadow_grads, sizes)
+            d2g = float(np.linalg.norm(decoded_agg - true_agg))
 
-        d2g = float(np.linalg.norm(decoded_agg - true_agg))
         final_dec = decode(server_state, mech)
         if mech.kind == "he_codec":
             next_protected = server_state.wire(mech)

@@ -63,11 +63,9 @@ class TrialOutcome:
 def _invert(scenario: VerifyScenario, attack_seed: int, theta: np.ndarray,
             wire: np.ndarray, ds: datagen.ClientDataset):
     """Invert one client's observed upload; the trace and its leakage."""
-    cap_d = scenario.dataset.diameter_cap
     cfg = replace(scenario.attack, seed=attack_seed)
-    trace = attackmod.invert_gradient(scenario.model, theta, wire, ds.y, ds.size, cfg,
-                                      originals=ds.x, cap_d=cap_d)
-    return trace, attackmod.privacy_leakage(trace, ds.x, cap_d)
+    trace = attackmod.invert_gradient(scenario.model, theta, wire, ds.y, ds.size, cfg)
+    return trace, attackmod.privacy_leakage(trace, ds.x, scenario.dataset.diameter_cap)
 
 
 def _simulate(scenario: VerifyScenario, trial_seed: int,

@@ -174,8 +174,7 @@ def test_criterion_07_attack_efficacy_floor():
         g_true = models.grad_params(spec, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg,
-                                    originals=x[None, :], cap_d=cap_d)
+        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg)
         hits += attack.privacy_leakage_final(tr, x[None, :], cap_d) >= 0.95
     elapsed = time.perf_counter() - t0
     gate(7, hits >= 27 and elapsed < 300.0,
@@ -255,7 +254,7 @@ def test_criterion_09_formula_unit_suite():
                              (np.array([[1.0, 0.0]]), 0.5)):
         tr = attack.AttackTrace(iterates=[(0, x0 * 0), (1, target), (2, target)],
                                 objectives=np.zeros(3), final_x=target,
-                                iters_run=2, stride=1)
+                                iters_run=2)
         checks.append(attack.privacy_leakage(tr, x0, 2.0) == expected)
     # AdvRisk(0) == Risk
     ds = datagen.generate(datagen.DatasetSpec(

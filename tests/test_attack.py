@@ -36,7 +36,9 @@ def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
 def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_d, x0=None):
     """Reference copy of the optimizer loop before the forward pass was shared:
     every step recomputes v with _grad_objective and scores each candidate with
-    matching_objective. Returns the trace and how often backtracking stayed put."""
+    matching_objective. It also streams the per-sample leakage sums in the loop,
+    as the attack once did. Returns the trace, how often backtracking stayed
+    put, and the streamed (sums, last) over t = 1..iters_run."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     p = spec.input_dim
     g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
@@ -84,18 +86,35 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
         dist = np.linalg.norm(x - originals, axis=1)
         last = np.minimum(dist, cap_d) / cap_d
         sums += last
-        if t % cfg.keep_every == 0 or t == cfg.iters:
-            iterates.append((t, x.copy()))
-    if iterates[-1][0] != iters_run:
-        iterates.append((iters_run, x.copy()))
+        iterates.append((t, x.copy()))
     trace = attack.AttackTrace(iterates=iterates, objectives=np.asarray(objectives),
-                               final_x=x.copy(), iters_run=iters_run, stride=cfg.keep_every,
-                               truncated=truncated, leakage_sums=sums, leakage_final=last)
-    return trace, stays
+                               final_x=x.copy(), iters_run=iters_run, truncated=truncated)
+    return trace, stays, (sums, last)
+
+
+def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
+    """invert_gradient equals the two-pass loop bit for bit, every iterate
+    included, and its stored trajectory scores the leakage the loop streamed.
+    Returns the trace and the oracle's stay-put count."""
+    # the huge steps overflow exp() in the sigmoid branch np.where discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, x0=x0)
+        want, stays, (sums, last) = two_pass_invert_gradient(
+            spec, theta, g_obs, labels, m, cfg, originals, CAP_D, x0)
+    assert np.array_equal(got.objectives, want.objectives)
+    assert [t for t, _ in got.iterates] == list(range(got.iters_run + 1))
+    assert len(got.iterates) == len(want.iterates)
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
+    assert np.array_equal(got.final_x, want.final_x)
+    assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
+    assert (attack.privacy_leakage(got, originals, CAP_D)
+            == float(1.0 - np.mean(sums / got.iters_run)))
+    assert attack.privacy_leakage_final(got, originals, CAP_D) == float(1.0 - np.mean(last))
+    return got, stays
 
 
 def rewalk_leakage(trace, originals, cap_d):
-    """1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D over a stride-1 trajectory."""
+    """1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D over the stored trajectory."""
     acc = np.zeros(originals.shape[0])
     for t, x_t in trace.iterates[1:]:
         acc += np.minimum(np.linalg.norm(x_t - originals, axis=1), cap_d) / cap_d
@@ -139,8 +158,7 @@ class TestInvertGradient:
         g_true = models.grad_params(LINEAR, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg,
-                                    originals=x[None, :], cap_d=CAP_D)
+        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg)
         assert attack.privacy_leakage_final(tr, x[None, :], CAP_D) >= 0.95
 
     def test_closed_form_linear_gradient_matches_finite_differences(self):
@@ -205,32 +223,6 @@ class TestInvertGradient:
         res = stats.mannwhitneyu(atk_err, base_err, alternative="less")
         assert res.pvalue > 0.05
 
-    def test_strided_trace_streaming_leakage_matches_full(self):
-        theta, x, y = single_sample_instance(5)
-        g_true = models.grad_params(LINEAR, theta, x[None, :], y)
-        full_cfg = attack.AttackConfig(iters=50, optimizer="adam", step_size=0.05,
-                                       seed=5, keep_every=1)
-        strided_cfg = attack.AttackConfig(iters=50, optimizer="adam", step_size=0.05,
-                                          seed=5, keep_every=7)
-        full = attack.invert_gradient(LINEAR, theta, g_true, y, 1, full_cfg,
-                                      originals=x[None, :], cap_d=CAP_D)
-        strided = attack.invert_gradient(LINEAR, theta, g_true, y, 1, strided_cfg,
-                                         originals=x[None, :], cap_d=CAP_D)
-        a = attack.privacy_leakage(full, x[None, :], CAP_D)
-        b = attack.privacy_leakage(strided, x[None, :], CAP_D)
-        assert a == pytest.approx(b, rel=1e-12)
-        assert len(strided.iterates) < len(full.iterates)
-
-    def test_strided_trace_wrong_originals_rejected(self):
-        theta, x, y = single_sample_instance(6)
-        g_true = models.grad_params(LINEAR, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=20, optimizer="adam", step_size=0.05,
-                                  seed=6, keep_every=5)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg,
-                                    originals=x[None, :], cap_d=CAP_D)
-        with pytest.raises(ConfigurationError):
-            attack.privacy_leakage(tr, x[None, :] + 1.0, CAP_D)
-
     @pytest.mark.parametrize("spec", [
         models.ModelSpec("linear", 3),
         models.ModelSpec("logistic", 3),
@@ -244,28 +236,26 @@ class TestInvertGradient:
         # from next to the truth, even the 40th halving overshoots: stays put
         ("sgd", 1e16, True),
     ], ids=["adam", "sgd", "sgd-backtracking", "sgd-backtracking-stay-put"])
-    @pytest.mark.parametrize("keep_every", [1, 7])
+    @pytest.mark.parametrize("m", [1, 3])
     def test_shared_forward_pass_matches_two_pass_loop(self, spec, optimizer, step_size,
-                                                       backtracking, keep_every):
-        theta, x, y, g_true = attack_instance(spec, seed=keep_every)
+                                                       backtracking, m):
+        theta, x, y, g_true = attack_instance(spec, seed=m, m=m)
         cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
-                                  init="gaussian", seed=4, keep_every=keep_every,
-                                  backtracking=backtracking)
-        x0 = x + 0.01 * rngmod.stream(keep_every, 54).standard_normal(x.shape) \
+                                  init="gaussian", seed=4, backtracking=backtracking)
+        x0 = x + 0.01 * rngmod.stream(m, 54).standard_normal(x.shape) \
             if step_size > 1.0 else None
-        # the huge steps overflow exp() in the sigmoid branch np.where discards
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x,
-                                         cap_d=CAP_D, x0=x0)
-            want, stays = two_pass_invert_gradient(spec, theta, g_true, y, 3, cfg, x, CAP_D, x0)
+        got, stays = assert_matches_two_pass(spec, theta, g_true, y, x, m, cfg, x0)
         assert (stays > 0) == (step_size > 1.0)
-        assert np.array_equal(got.objectives, want.objectives)
-        assert [t for t, _ in got.iterates] == [t for t, _ in want.iterates]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
-        assert np.array_equal(got.final_x, want.final_x)
-        assert np.array_equal(got.leakage_sums, want.leakage_sums)
-        assert np.array_equal(got.leakage_final, want.leakage_final)
-        assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
+        assert not got.truncated
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_truncated_run_matches_two_pass_loop(self, m):
+        # a linear model's plain-SGD iterates grow without bound and overflow
+        theta, x, y, g_true = attack_instance(LINEAR, seed=m, m=m)
+        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4,
+                                  init="gaussian", seed=4)
+        got, _ = assert_matches_two_pass(LINEAR, theta, g_true, y, x, m, cfg, None)
+        assert got.truncated and 1 <= got.iters_run < cfg.iters
 
     @pytest.mark.parametrize("optimizer, step_size", [("adam", 0.1), ("sgd", 1e16)])
     def test_each_step_reuses_the_accepted_iterates_forward_pass(self, monkeypatch,
@@ -300,28 +290,17 @@ class TestInvertGradient:
         else:
             assert np.all(tr.objectives == tr.objectives[0])   # stayed put throughout
 
-    def test_stride_one_leakage_uses_streaming_sums_exactly(self):
+    def test_leakage_rewalks_the_trajectory_for_any_originals_and_cap(self):
         spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3)
         theta, x, y, g_true = attack_instance(spec, seed=2)
         cfg = attack.AttackConfig(iters=40, optimizer="adam", step_size=0.1,
                                   init="gaussian", seed=2)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x, cap_d=CAP_D)
-        assert tr.has_full_trajectory()
+        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg)
+        assert [t for t, _ in tr.iterates] == list(range(41))
         assert attack.privacy_leakage(tr, x, CAP_D) == rewalk_leakage(tr, x, CAP_D)
-        # other originals or another D: the stored trajectory is re-walked
         other = x + 0.25
         assert attack.privacy_leakage(tr, other, CAP_D) == rewalk_leakage(tr, other, CAP_D)
         assert attack.privacy_leakage(tr, x, 3.0) == rewalk_leakage(tr, x, 3.0)
-
-    def test_strided_trace_other_cap_rejected(self):
-        spec = models.ModelSpec("logistic", 3)
-        theta, x, y, g_true = attack_instance(spec, seed=3)
-        cfg = attack.AttackConfig(iters=20, optimizer="adam", step_size=0.05,
-                                  seed=3, keep_every=5)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, originals=x, cap_d=CAP_D)
-        assert attack.privacy_leakage(tr, x, CAP_D) == float(1.0 - np.mean(tr.leakage_sums / 20))
-        with pytest.raises(ConfigurationError):
-            attack.privacy_leakage(tr, x, 3.0)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -335,7 +314,7 @@ def make_trace(points_over_time, final):
     iterates += [(t + 1, p) for t, p in enumerate(points_over_time)]
     return attack.AttackTrace(iterates=iterates,
                               objectives=np.zeros(len(points_over_time) + 1),
-                              final_x=final, iters_run=len(points_over_time), stride=1)
+                              final_x=final, iters_run=len(points_over_time))
 
 
 class TestPrivacyLeakage:
@@ -368,6 +347,17 @@ class TestPrivacyLeakage:
         tr = make_trace([x], x)
         with pytest.raises(ConfigurationError):
             attack.privacy_leakage(tr, x, 0.0)
+
+    @pytest.mark.parametrize("shape", ["columns", "rows", "transposed"])
+    @pytest.mark.parametrize("score", [attack.privacy_leakage, attack.privacy_leakage_final],
+                             ids=["trajectory", "final"])
+    def test_wrongly_shaped_originals_rejected(self, shape, score):
+        # an (m, 2) trace must not broadcast against (m, 1), (m - 1, 2) or (2, m) originals
+        x = np.array([[0.3, 0.4], [1.0, -0.5], [0.0, 0.2]])
+        tr = make_trace([x + 0.1, x + 0.05], x + 0.05)
+        bad = {"columns": x[:, :1], "rows": x[:2], "transposed": x.T}[shape]
+        with pytest.raises(ConfigurationError):
+            score(tr, bad, CAP_D)
 
     def test_t1_matches_hand_recomputation(self):
         theta, x, y = single_sample_instance(8)

@@ -211,6 +211,20 @@ class TestAttackCLI:
         assert "not in" in r.stderr
         assert not os.path.exists(os.path.join(out, "results.csv"))
 
+    def test_manifest_with_keep_every_exit_1(self, run_dir, tmp_path):
+        # attack.keep_every was removed; a manifest that still carries it is stale
+        path = os.path.join(run_dir, "manifest.json")
+        manifest = iomod.read_manifest(path)
+        manifest["config"]["attack"]["keep_every"] = 1
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        out = str(tmp_path / "o")
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "5"])
+        assert r.returncode == 1
+        assert "config error" in r.stderr and "keep_every" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not os.path.exists(os.path.join(out, "results.csv"))
+
     def test_pac_delta_half_precondition_exit_1(self, run_dir, tmp_path):
         r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),
                      "--iters", "10", "--phase2", "--pac-delta", "0.5"])

@@ -34,8 +34,7 @@ def hand_built_privacy_trial(scenario, trial_seed):
                             rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1))
     trace = attack.invert_gradient(
         scenario.model, theta, prot.wire, ds.y, ds.size,
-        replace(scenario.attack, seed=trial_seed),
-        originals=ds.x, cap_d=ds_spec.diameter_cap)
+        replace(scenario.attack, seed=trial_seed))
     eps_p = attack.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
     est = datagen.estimate_constants(
         scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
