@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Digest every artifact of a fixed set of CLI runs.
 
-Usage: python scripts/artifact_digests.py OUT_DIR
+Usage: python scripts/artifact_digests.py OUT_DIR [SRC]
 
-Runs the commands below with this checkout's ``src/`` (each one a fresh
-``python -m fedtradeoff.cli`` process, working directory OUT_DIR), then prints
-``sha256  relative/path`` for every file they wrote, sorted by path. The
-wall-clock ``timings.csv`` sidecars are skipped: they are outside the
-reproducibility contract. Running this on two checkouts and diffing the
-outputs shows which artifacts a change moved.
+Runs the commands below with the package under SRC (default: this checkout's
+``src/``), each one a fresh ``python -m fedtradeoff.cli`` process with working
+directory OUT_DIR, then prints ``sha256  relative/path`` for every file they
+wrote, sorted by path. The wall-clock ``timings.csv`` sidecars are skipped:
+they are outside the reproducibility contract. Running this command list
+against two source trees (say, a change and an unpacked ``git archive`` of
+its parent) and diffing the outputs shows which artifacts the change moved.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ COMMANDS = [
     ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5", "--trials", "30",
      *SWEEP_MLP1, "--out", "runs/sweep-sigma"],
     ["sweep", "--axis", "m", "--values", "4,8,16", "--trials", "5", "--out", "runs/sweep-m"],
+    # one attack length per axis value; plain SGD whose step overflows some rows
+    ["sweep", "--axis", "T", "--values", "50,100", "--trials", "5", "--out", "runs/sweep-T"],
+    ["sweep", "--axis", "sigma", "--values", "0,0.5", "--trials", "6", "--model", "linear",
+     "--optimizer", "sgd", "--step-size", "12", "--out", "runs/sweep-sgd"],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written
@@ -54,13 +59,14 @@ def sha256(path: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         sys.stderr.write(__doc__)
         return 1
     out = os.path.abspath(argv[0])
+    src = os.path.abspath(argv[1]) if len(argv) == 2 else SRC
     os.makedirs(out, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cmd in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *cmd], cwd=out,
                               env=env, capture_output=True, text=True)

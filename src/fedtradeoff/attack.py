@@ -13,7 +13,9 @@ gradient w.r.t. X_i. ``models.per_example_grads_and_vjp`` scores a candidate
 with one forward pass and returns every J_i^T v as a deferred VJP over that
 pass, so the optimizer runs one forward pass per evaluated candidate: an
 accepted candidate's VJP gives the next step's gradient, and a rejected
-backtracking candidate never pays for its VJP.
+backtracking candidate never pays for its VJP. ``invert_batch`` runs several
+equal-shape inversions in lockstep over a leading trial axis, one stacked
+forward pass per step for all of them; ``invert_gradient`` is its one-row case.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -54,31 +56,52 @@ class AttackConfig:
 
 @dataclass
 class AttackTrace:
-    iterates: list[tuple[int, np.ndarray]]   # (t, X_t) for t = 0..iters_run
+    # X_t for t = 0..iters_run, shape (iters_run + 1, m, p); the traces of one
+    # invert_batch call are views of one array
+    trajectory: np.ndarray
     objectives: np.ndarray                   # F at t = 0..iters_run
     final_x: np.ndarray
     iters_run: int
     truncated: bool = False
 
+    @property
+    def iterates(self) -> list[tuple[int, np.ndarray]]:
+        """(t, X_t) for t = 0..iters_run."""
+        return list(enumerate(self.trajectory))
+
+
+# Bytes of stored iterates one lockstep block may hold: 16 rows of a 250-step
+# inversion of 16 points in R^2. A block's traces share its iterates until the
+# last of them is dropped, so this bounds the memory a block adds.
+_TRAJECTORY_BUDGET = 1 << 20
+
+
+def block_rows(cfg: AttackConfig, m: int, p: int) -> int:
+    """How many uploads of m samples in R^p one ``invert_batch`` call takes:
+    as many as fit the trajectory budget, and at least one."""
+    return max(1, _TRAJECTORY_BUDGET // ((cfg.iters + 1) * m * p * 8))
+
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
            g_obs: np.ndarray):
-    """F(x), its residual v and the input VJP, all from one forward pass."""
+    """F(x), its residual v and the input VJP, all from one forward pass.
+
+    Any leading (trial) axes of the arguments are kept: F has their shape."""
     grads, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
-    v = grads.mean(axis=0) - g_obs
-    return float(v @ v), v, vjp
+    v = grads.mean(axis=-2) - g_obs
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0], v, vjp
 
 
 def matching_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
                        y: np.ndarray, g_obs: np.ndarray) -> float:
-    return _score(spec, theta, x, y, g_obs)[0]
+    return float(_score(spec, theta, x, y, g_obs)[0])
 
 
 def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
                     y: np.ndarray, g_obs: np.ndarray) -> np.ndarray:
     """dF/dX, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
     _, v, vjp = _score(spec, theta, x, y, g_obs)
-    return (2.0 / x.shape[0]) * vjp(v)
+    return (2.0 / x.shape[-2]) * vjp(v)
 
 
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
@@ -87,37 +110,68 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
     """Reconstruct the m feature vectors behind an observed batch gradient.
 
     Every accepted iterate is stored, so leakage is scored afterwards from the
-    trace alone. ``x0`` overrides the configured init (diagnostics).
+    trace alone. ``x0`` overrides the configured init (diagnostics). This is a
+    one-row ``invert_batch``.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    g_obs = np.asarray(g_obs, dtype=np.float64)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     if labels.shape[0] != m:
         raise ConfigurationError("label count != m")
+    g_obs = np.asarray(g_obs, dtype=np.float64)
     if g_obs.shape != (spec.param_dim,):
         raise ConfigurationError("observed gradient length != param_dim")
-    p = spec.input_dim
-
-    g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
     if x0 is not None:
-        x = np.array(x0, dtype=np.float64).reshape(m, p).copy()
-    elif cfg.init == "zeros":
-        x = np.zeros((m, p))
-    else:
-        x = cfg.init_scale * g.standard_normal((m, p))
+        x0 = np.asarray(x0, dtype=np.float64).reshape(1, m, spec.input_dim)
+    return invert_batch(spec, np.asarray(theta, dtype=np.float64)[None], g_obs[None],
+                        labels[None], cfg, [cfg.seed], x0=x0)[0]
 
+
+def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
+                 labels: np.ndarray, cfg: AttackConfig, seeds,
+                 x0: np.ndarray | None = None) -> list[AttackTrace]:
+    """``invert_gradient`` for B uploads in lockstep, one trace per row.
+
+    Row b inverts ``g_obs[b]`` (shape (B, param_dim)) observed at ``theta[b]``
+    with labels ``labels[b]`` (shape (B, m)), under ``cfg`` with its seed
+    replaced by ``seeds[b]``; ``x0`` (B, m, p) overrides the init. Every step
+    runs one stacked forward pass for the rows still running. A row that
+    truncates leaves the batch, frozen at its last accepted iterate; SGD
+    backtracking halves the step of each row that has not yet improved. Row
+    b's trace is bit-identical to that of a one-row run.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    g_obs = np.asarray(g_obs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    seeds = list(seeds)
+    if (labels.ndim != 2 or len(labels) == 0 or len(seeds) != len(labels)
+            or theta.shape != (len(labels), spec.param_dim) or g_obs.shape != theta.shape):
+        raise ConfigurationError("invert_batch needs one theta, g_obs, label row "
+                                 "and seed per upload")
+    n_rows, m = labels.shape
+    p = spec.input_dim
+    if x0 is not None:
+        x = np.array(x0, dtype=np.float64).reshape(n_rows, m, p)
+    elif cfg.init == "zeros":
+        x = np.zeros((n_rows, m, p))
+    else:
+        x = np.stack([cfg.init_scale * rngmod.stream(seed, rngmod.STREAM_ATTACK, 0)
+                      .standard_normal((m, p)) for seed in seeds])
+
+    # stored iterates and objectives, by step then row
+    traj = np.empty((cfg.iters + 1, n_rows, m, p))
+    objectives = np.empty((cfg.iters + 1, n_rows))
+    iters_run = np.zeros(n_rows, dtype=np.int64)
+    truncated = np.zeros(n_rows, dtype=bool)
+    live = np.arange(n_rows)                      # rows still running
     f, v, vjp = _score(spec, theta, x, labels, g_obs)
-    objectives = [f]
-    iterates = [(0, x.copy())]
-    truncated = False
+    traj[0], objectives[0] = x, f
     step = cfg.step_size
     mom1 = np.zeros_like(x)
     mom2 = np.zeros_like(x)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    iters_run = 0
 
     for t in range(1, cfg.iters + 1):
-        grad = (2.0 / x.shape[0]) * vjp(v)
+        grad = (2.0 / m) * vjp(v)
+        stale = False
         if cfg.optimizer == "adam":
             mom1 = b1 * mom1 + (1 - b1) * grad
             mom2 = b2 * mom2 + (1 - b2) * grad * grad
@@ -126,31 +180,61 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
             x_new = x - step * mhat / (np.sqrt(vhat) + eps)
             f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
         else:
-            trial = step
-            x_new = x - trial * grad
+            x_new = x - step * grad
             f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
             if cfg.backtracking:
+                trial = np.full(len(live), step)
                 tries = 0
-                while f_new > objectives[-1] and tries < 40:
-                    trial *= 0.5
-                    x_new = x - trial * grad
-                    f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
+                worse = f_new > f
+                while worse.any() and tries < 40:
+                    trial[worse] *= 0.5
+                    x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
+                    f_new[worse] = _score(spec, theta[worse], x_new[worse],
+                                          labels[worse], g_obs[worse])[0]
                     tries += 1
-                if f_new > objectives[-1]:
-                    # stay put, keep monotone
-                    x_new, f_new, v_new, vjp_new = x, objectives[-1], v, vjp
+                    worse = f_new > f
+                # stay put, keep monotone
+                x_new[worse], f_new[worse] = x[worse], f[worse]
+                stale = tries > 0             # v_new, vjp_new are of the first candidates
 
-        if not (np.all(np.isfinite(x_new)) and np.isfinite(f_new)):
-            truncated = True
-            break
+        ok = np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(f_new)
+        if not ok.all():
+            truncated[live[~ok]] = True
+            live, theta, g_obs, labels = live[ok], theta[ok], g_obs[ok], labels[ok]
+            x_new, f_new, mom1, mom2 = x_new[ok], f_new[ok], mom1[ok], mom2[ok]
+            if len(live) == 0:
+                break
+            stale = True
+        if stale:
+            # one pass over the accepted candidates, for their residuals and VJP
+            v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)[1:]
 
-        x, v, vjp = x_new, v_new, vjp_new
-        iters_run = t
-        objectives.append(f_new)
-        iterates.append((t, x.copy()))
+        x, f, v, vjp = x_new, f_new, v_new, vjp_new
+        iters_run[live] = t
+        traj[t, live] = x
+        objectives[t, live] = f
 
-    return AttackTrace(iterates=iterates, objectives=np.asarray(objectives),
-                       final_x=x.copy(), iters_run=iters_run, truncated=truncated)
+    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
+                        final_x=traj[n, b].copy(), iters_run=int(n),
+                        truncated=bool(truncated[b]))
+            for b, n in enumerate(iters_run)]
+
+
+def invert_uploads(spec: models.ModelSpec, cfg: AttackConfig, seeds: list[int],
+                   uploads: list[tuple[np.ndarray, np.ndarray, ClientDataset]],
+                   cap_d: float) -> tuple[list[AttackTrace], list[float]]:
+    """Invert each observed ``(theta, wire, dataset)`` upload with the attack
+    seed of the same index, ``block_rows`` uploads per ``invert_batch``; the
+    traces and each one's ``privacy_leakage`` against its dataset."""
+    rows = block_rows(cfg, len(uploads[0][2].y), spec.input_dim)
+    traces, leakages = [], []
+    for i in range(0, len(uploads), rows):
+        thetas, wires, dss = zip(*uploads[i:i + rows])
+        block = invert_batch(spec, np.stack(thetas), np.stack(wires),
+                             np.stack([ds.y for ds in dss]), cfg, seeds[i:i + rows])
+        traces += block
+        leakages += privacy_leakage_batch(block, [ds.x for ds in dss], cap_d)
+    return traces, leakages
 
 
 def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
@@ -164,20 +248,29 @@ def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) 
 
 
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
-    """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D.
+    """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D."""
+    return privacy_leakage_batch([trace], [originals], cap_d)[0]
 
-    Adds one stored iterate at a time, t = 1..T in order. Reducing a stacked
+
+def privacy_leakage_batch(traces: list[AttackTrace], originals, cap_d: float) -> list[float]:
+    """``privacy_leakage`` of each trace against its own originals, in one walk.
+
+    Adds one stored iterate at a time, t = 1..T in order, for every row at
+    once; a row past its own ``iters_run`` adds nothing. Reducing a stacked
     (T, m) array instead lets numpy sum pairwise, which moves the result by
     ulps when m == 1.
     """
-    originals = _checked_originals(trace, originals, cap_d)
-    if trace.iters_run < 1:
+    originals = np.stack([_checked_originals(tr, x, cap_d)
+                          for tr, x in zip(traces, originals, strict=True)])
+    runs = np.array([tr.iters_run for tr in traces])
+    if np.any(runs < 1):
         raise ConfigurationError("trace has no iterations")
-    acc = np.zeros(originals.shape[0])
-    for _, x_t in trace.iterates[1:]:             # iterates[0] is the t = 0 init
-        dist = np.linalg.norm(x_t - originals, axis=1)
-        acc += np.minimum(dist, cap_d) / cap_d
-    return float(1.0 - np.mean(acc / trace.iters_run))
+    acc = np.zeros(originals.shape[:2])
+    for t in range(1, runs.max() + 1):            # trajectory[0] is the t = 0 init
+        x_t = np.stack([tr.trajectory[min(t, tr.iters_run)] for tr in traces])
+        dist = np.linalg.norm(x_t - originals, axis=-1)
+        acc += np.where((runs >= t)[:, None], np.minimum(dist, cap_d) / cap_d, 0.0)
+    return [float(1.0 - np.mean(row / n)) for row, n in zip(acc, runs)]
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:

@@ -5,8 +5,10 @@ Subcommands: ``train``, ``attack``, ``verify``, ``sweep``, ``estimate-constants`
 Configuration comes from ``--config`` (a JSON file matching
 ``ExperimentConfig.to_dict``) with individual flags overriding file values.
 Exit codes: 0 success, 1 configuration/usage error, 2 numeric error, 3 I/O
-error, 4 bound check failed. Trials run one after another in a fixed order,
-so outputs depend only on the configuration and the master seed.
+error, 4 bound check failed. Trials run in a fixed order; their gradient
+inversions run in lockstep blocks, and every trial's outputs are those of its
+inversion run alone, so outputs depend only on the configuration and the
+master seed.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ def cmd_attack(args) -> int:
     wall = time.perf_counter() - t0
     distortions = (rec["delta_up_grad"][args.client], rec["delta_up_param"][args.client],
                    rec["delta_two_grad"], rec["delta_two_param"])
+    eps_p = attackmod.privacy_leakage(trace, target.x, config.dataset.diameter_cap)
     # the row keeps the manifest config's experiment_id, even with --iters
     row = score_trial(
-        config, seed, datasets, args.client, theta_t, distortions, trace,
+        config, seed, datasets, args.client, theta_t, distortions, trace, eps_p,
         iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
         iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")),
         atk.iters, sweep_axis="attack")

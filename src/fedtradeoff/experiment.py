@@ -160,7 +160,7 @@ def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
 def score_trial(config: ExperimentConfig, seed: int,
                 datasets: list[datagen.ClientDataset], client: int,
                 theta_round: np.ndarray, distortions: tuple,
-                trace: attackmod.AttackTrace, theta_shadow: np.ndarray,
+                trace: attackmod.AttackTrace, eps_p: float, theta_shadow: np.ndarray,
                 theta_decoded: np.ndarray, iters: int, *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
@@ -169,7 +169,8 @@ def score_trial(config: ExperimentConfig, seed: int,
     ``theta_round`` is the decoded model of the attacked round and
     ``distortions`` its ``(delta_up_grad, delta_up_param, delta_two_grad,
     delta_two_param)`` for ``client``; ``trace`` inverted that client's upload
-    with ``iters`` iterations. The utility loss is that of the final decoded
+    with ``iters`` iterations and ``eps_p`` is its ``attack.privacy_leakage``
+    against the client's data. The utility loss is that of the final decoded
     model against the final shadow. ``experiment_id`` defaults to this
     config's digest; sweeps stamp their base config's digest on every row so
     one sweep stays one experiment.
@@ -178,7 +179,6 @@ def score_trial(config: ExperimentConfig, seed: int,
     cap_d = ds_spec.diameter_cap
     target = datasets[client]
     delta_up, delta_up_param, delta_two_grad, delta_two_param = distortions
-    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
     eps_p_final = attackmod.privacy_leakage_final(trace, target.x, cap_d)
 
     delta_model = theta_decoded - theta_shadow
@@ -230,26 +230,63 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
               sweep_axis: str = "none", sweep_value: float = 0.0,
               trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Full pipeline for one seeded trial: simulate, invert, ``score_trial``."""
-    mech = config.mechanism.build(config.model.param_dim, trial_seed)
-    datasets, result = simulate(config.model, config.dataset, config.fl, mech, trial_seed)
+    return _run_trials([(config, trial_seed, dict(
+        sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
+        experiment_id=experiment_id))])[0]
+
+
+def _observe(config: ExperimentConfig, seed: int):
+    """Simulate one trial; its datasets, run result and attacked round record."""
+    mech = config.mechanism.build(config.model.param_dim, seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):
         raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    rec = result.records[config.attack_round]
-    client = config.attack_client
-    target = datasets[client]
+    return datasets, result, result.records[config.attack_round]
 
-    atk_cfg = replace(config.attack, seed=trial_seed)
-    trace = attackmod.invert_gradient(
-        config.model, rec.theta_decoded, rec.wires[client], target.y, target.size, atk_cfg)
-    distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
-                   rec.delta_two_grad, rec.delta_two_param)
-    return score_trial(
-        config, trial_seed, datasets, client, rec.theta_decoded, distortions, trace,
-        result.theta_final_shadow, result.theta_final_decoded, atk_cfg.iters,
-        sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        experiment_id=experiment_id)
+
+def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
+    """Consecutive trials whose inversions can share one ``invert_batch``: equal
+    model, attack config (seed aside) and m, at most ``attack.block_rows``."""
+    blocks, key = [], None
+    for trial in trials:
+        config = trial[0]
+        m, p = config.dataset.per_client_size, config.model.input_dim
+        new_key = (config.model, replace(config.attack, seed=0), m)
+        if new_key != key or len(blocks[-1]) == attackmod.block_rows(config.attack, m, p):
+            blocks.append([])
+            key = new_key
+        blocks[-1].append(trial)
+    return blocks
+
+
+def _run_trials(trials: list[tuple]) -> list[TrialRow]:
+    """Rows of ``(config, seed, row_kwargs)`` trials, in order, run in lockstep blocks."""
+    return [row for block in _lockstep_blocks(trials) for row in _run_block(block)]
+
+
+def _run_block(block: list[tuple]) -> list[TrialRow]:
+    """Stage-wise: simulate the block's trials in order, invert the attacked
+    uploads together (each trial seed is its attack seed), then ``score_trial``
+    each one. The traces die with the call."""
+    config = block[0][0]
+    seen = [_observe(cfg, seed) for cfg, seed, _ in block]
+    traces, leakages = attackmod.invert_uploads(
+        config.model, config.attack, [seed for _, seed, _ in block],
+        [(rec.theta_decoded, rec.wires[cfg.attack_client], datasets[cfg.attack_client])
+         for (cfg, _, _), (datasets, _, rec) in zip(block, seen)],
+        config.dataset.diameter_cap)
+    rows = []
+    for (cfg, seed, kw), (datasets, result, rec), trace, eps_p in zip(
+            block, seen, traces, leakages):
+        client = cfg.attack_client
+        distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
+                       rec.delta_two_grad, rec.delta_two_param)
+        rows.append(score_trial(
+            cfg, seed, datasets, client, rec.theta_decoded, distortions, trace, eps_p,
+            result.theta_final_shadow, result.theta_final_decoded, cfg.attack.iters, **kw))
+    return rows
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")
@@ -286,10 +323,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
 
     base_id = config.experiment_id()
     configs = [_config_for_sweep_value(config, axis, value) for value in values]
-    rows = [run_trial(configs[si], rngmod.trial_seed(config.master_seed, si, ti),
-                      sweep_axis=axis, sweep_value=float(value), trial_index=ti,
-                      experiment_id=base_id)
-            for si, value in enumerate(values) for ti in range(trials)]
+    rows = _run_trials([
+        (configs[si], rngmod.trial_seed(config.master_seed, si, ti),
+         dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
+              experiment_id=base_id))
+        for si, value in enumerate(values) for ti in range(trials)])
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

@@ -64,7 +64,14 @@ def write_manifest(path: str, config_dict: dict, master_seed: int) -> None:
 
 def read_manifest(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:          # malformed JSON or not UTF-8
+            raise ConfigurationError(f"bad manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not {"config", "master_seed"} <= doc.keys():
+        raise ConfigurationError(f"bad manifest {path}: not an object with "
+                                 f"'config' and 'master_seed'")
+    return doc
 
 
 def round_record_to_dict(rec: RoundRecord) -> dict:
@@ -95,10 +102,13 @@ def write_round_log(path: str, records: Iterable[RoundRecord]) -> None:
 def read_round_log(path: str) -> list[dict]:
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+        try:
+            for n, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    out.append(json.loads(line))
+        except ValueError as exc:          # malformed JSON or not UTF-8
+            raise ConfigurationError(f"bad round log {path}, line {n}: {exc}") from exc
     return out
 
 
@@ -110,7 +120,10 @@ def write_vector(path: str, vec: np.ndarray) -> None:
 
 def read_vector(path: str) -> np.ndarray:
     with open(path) as fh:
-        return np.array([float(line.strip()) for line in fh if line.strip()])
+        try:
+            return np.array([float(line.strip()) for line in fh if line.strip()])
+        except ValueError as exc:          # a non-numeric line or not UTF-8
+            raise ConfigurationError(f"bad vector file {path}: {exc}") from exc
 
 
 def write_datasets(path: str, datasets: list[ClientDataset]) -> None:
@@ -140,9 +153,11 @@ def read_datasets(path: str) -> list[ClientDataset]:
             cells = line.split(",")
             if len(cells) != p + 2:
                 raise ConfigurationError(f"bad datasets row in {path}")
-            cid = int(cells[0])
-            rows.setdefault(cid, []).append(
-                ([float(c) for c in cells[1:-1]], int(cells[-1])))
+            try:
+                cid, point = int(cells[0]), ([float(c) for c in cells[1:-1]], int(cells[-1]))
+            except ValueError as exc:      # a non-numeric cell
+                raise ConfigurationError(f"bad datasets row in {path}: {exc}") from exc
+            rows.setdefault(cid, []).append(point)
     out = []
     for cid in sorted(rows):
         xs = np.array([r[0] for r in rows[cid]])

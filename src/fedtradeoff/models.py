@@ -70,29 +70,44 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, scale: float = 0.5) -
 
 def _unpack_mlp(spec: ModelSpec, theta: np.ndarray):
     p, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    lead = theta.shape[:-1]
     i = 0
-    w1 = theta[i:i + h * p].reshape(h, p); i += h * p
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + c * h].reshape(c, h); i += c * h
-    b2 = theta[i:i + c]
+    w1 = theta[..., i:i + h * p].reshape(*lead, h, p); i += h * p
+    b1 = theta[..., i:i + h]; i += h
+    w2 = theta[..., i:i + c * h].reshape(*lead, c, h); i += c * h
+    b2 = theta[..., i:i + c]
     return w1, b1, w2, b2
 
 
-def _check_batch(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated float64 ``(theta, x, y)``: theta (..., param_dim), x (..., m, p),
+    y (..., m), with the same leading (trial) axes on all three."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise ConfigurationError("batch must be non-empty")
-    if x.shape[1] != spec.input_dim:
-        raise ConfigurationError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
-    if y.shape[0] != x.shape[0]:
+    if x.shape[-1] != spec.input_dim:
+        raise ConfigurationError(f"feature dim {x.shape[-1]} != input_dim {spec.input_dim}")
+    if y.shape != x.shape[:-1]:
         raise ConfigurationError("feature/label count mismatch")
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.param_dim,):
-        raise ConfigurationError(f"param vector length {theta.shape} != ({spec.param_dim},)")
-    return x, y
+    if theta.shape != x.shape[:-2] + (spec.param_dim,):
+        raise ConfigurationError(f"param vector shape {theta.shape} != "
+                                 f"{x.shape[:-2] + (spec.param_dim,)}")
+    return theta, x, y
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector product ``a @ v`` over any leading axes."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _mt(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -104,9 +119,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _softmax_residual(logits: np.ndarray, yi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax probabilities P and the cross-entropy logit gradient P - e_y."""
     probs = _softmax(logits)
-    d = probs.copy()
-    d[np.arange(yi.shape[0]), yi] -= 1.0
-    return probs, d
+    return probs, probs - (yi[..., None] == np.arange(logits.shape[-1]))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -121,7 +134,7 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example losses, shape (m,)."""
-    x, y = _check_batch(spec, theta, x, y)
+    theta, x, y = _check_batch(spec, theta, x, y)
     if spec.kind == "linear":
         r = x @ theta - y
         return 0.5 * r * r
@@ -162,6 +175,12 @@ def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
     mixed derivative d/dx (g^T v) in closed form (Pearlmutter's R-operator),
     one reverse pass through the scalar g_i . v over this call's forward
     values, so a caller that needs both pays for one forward pass.
+
+    Leading trial axes are allowed: theta (B, param_dim), x (B, m, p) and
+    y (B, m) give g (B, m, param_dim) and take v (B, param_dim). Every
+    contraction is a stacked ``np.matmul`` that runs the same BLAS call per
+    trial as the unbatched product, so each trial's values do not depend on
+    the batch it is in.
     """
     grads, vjp, saved = _forward(spec, theta, x, y)
     return grads, partial(vjp, *saved)
@@ -169,61 +188,64 @@ def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
 
 def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Per-example gradients, the kind's input VJP and the forward values it reuses."""
-    x, y = _check_batch(spec, theta, x, y)
-    m = x.shape[0]
+    theta, x, y = _check_batch(spec, theta, x, y)
+    lead = x.shape[:-1]                              # (..., m)
     if spec.kind == "linear":
-        r = x @ theta - y
-        return r[:, None] * x, _linear_vjp, (r, x, theta)
+        r = _mv(x, theta) - y
+        return r[..., None] * x, _linear_vjp, (r, x, theta)
     if spec.kind == "logistic" and spec.num_classes == 2:
-        s = _sigmoid(x @ theta)
-        return (s - y)[:, None] * x, _binary_vjp, (s, y, x, theta)
+        s = _sigmoid(_mv(x, theta))
+        return (s - y)[..., None] * x, _binary_vjp, (s, y, x, theta)
     yi = y.astype(np.int64)
     if spec.kind == "logistic":
         c, p = spec.num_classes, spec.input_dim
-        w = theta.reshape(c, p)
-        probs, d = _softmax_residual(x @ w.T, yi)
-        return (d[:, :, None] * x[:, None, :]).reshape(m, c * p), _softmax_vjp, (x, w, probs, d)
+        w = theta.reshape(*theta.shape[:-1], c, p)
+        probs, d = _softmax_residual(x @ _mt(w), yi)
+        grads = (d[..., :, None] * x[..., None, :]).reshape(*lead, c * p)
+        return grads, _softmax_vjp, (x, w, probs, d)
     w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    a = np.tanh(x @ w1.T + b1)                       # (m, h)
-    probs, dlogits = _softmax_residual(a @ w2.T + b2, yi)
-    gw2 = dlogits[:, :, None] * a[:, None, :]        # (m, c, h)
+    a = np.tanh(x @ _mt(w1) + b1[..., None, :])      # (..., m, h)
+    probs, dlogits = _softmax_residual(a @ _mt(w2) + b2[..., None, :], yi)
+    gw2 = dlogits[..., :, None] * a[..., None, :]    # (..., m, c, h)
     gb2 = dlogits
-    da = dlogits @ w2                                # (m, h)
+    da = dlogits @ w2                                # (..., m, h)
     ga = 1.0 - a * a
     dz = da * ga
-    gw1 = dz[:, :, None] * x[:, None, :]             # (m, h, p)
+    gw1 = dz[..., :, None] * x[..., None, :]         # (..., m, h, p)
     gb1 = dz
-    grads = np.concatenate([gw1.reshape(m, -1), gb1, gw2.reshape(m, -1), gb2], axis=1)
+    grads = np.concatenate([gw1.reshape(*lead, -1), gb1, gw2.reshape(*lead, -1), gb2],
+                           axis=-1)
     return grads, _mlp1_vjp, (spec, x, w1, w2, a, probs, dlogits, da, ga, dz)
 
 
 def _linear_vjp(r, x, theta, v):
     # g = r x with r = theta.x - y
-    return r[:, None] * v[None, :] + (x @ v)[:, None] * theta[None, :]
+    return r[..., None] * v[..., None, :] + _mv(x, v)[..., None] * theta[..., None, :]
 
 
 def _binary_vjp(s, y, x, theta, v):
     # g = (s - y) x with s = sigmoid(theta.x)
-    return (s - y)[:, None] * v[None, :] + (s * (1.0 - s) * (x @ v))[:, None] * theta[None, :]
+    return ((s - y)[..., None] * v[..., None, :]
+            + (s * (1.0 - s) * _mv(x, v))[..., None] * theta[..., None, :])
 
 
 def _softmax_vjp(x, w, probs, d, v):
     # g = d x^T with d = P - e_y, P = softmax(W x); with V = v as (c, p)
     # and u = V x: V^T d + W^T (P*u - P (P.u))
     vm = v.reshape(w.shape)
-    pu = probs * (x @ vm.T)
-    return d @ vm + (pu - probs * pu.sum(axis=1, keepdims=True)) @ w
+    pu = probs * (x @ _mt(vm))
+    return d @ vm + (pu - probs * pu.sum(axis=-1, keepdims=True)) @ w
 
 
 def _mlp1_vjp(spec, x, w1, w2, a, probs, dlogits, da, ga, dz, v):
     # s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
     # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it.
     v1, vb1, v2, vb2 = _unpack_mlp(spec, v)
-    q1 = x @ v1.T + vb1                              # (m, h)
-    q2 = a @ v2.T + vb2                              # (m, c)
-    r = q2 + (q1 * ga) @ w2.T                        # ds/d dlogits
+    q1 = x @ _mt(v1) + vb1[..., None, :]             # (..., m, h)
+    q2 = a @ _mt(v2) + vb2[..., None, :]             # (..., m, c)
+    r = q2 + (q1 * ga) @ _mt(w2)                     # ds/d dlogits
     pr = probs * r
-    glogits = pr - probs * pr.sum(axis=1, keepdims=True)
+    glogits = pr - probs * pr.sum(axis=-1, keepdims=True)
     abar = dlogits @ v2 + glogits @ w2 - 2.0 * a * da * q1
     return dz @ v1 + (abar * ga) @ w1
 
@@ -241,7 +263,7 @@ def grad_input(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y) -> np.ndarr
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigurationError("grad_input expects a single example")
-    xb, yb = _check_batch(spec, theta, x[None, :], np.atleast_1d(y))
+    theta, xb, yb = _check_batch(spec, theta, x[None, :], np.atleast_1d(y))
     if spec.kind == "linear":
         r = float(xb[0] @ theta - yb[0])
         return r * theta

@@ -60,14 +60,6 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def _invert(scenario: VerifyScenario, attack_seed: int, theta: np.ndarray,
-            wire: np.ndarray, ds: datagen.ClientDataset):
-    """Invert one client's observed upload; the trace and its leakage."""
-    cfg = replace(scenario.attack, seed=attack_seed)
-    trace = attackmod.invert_gradient(scenario.model, theta, wire, ds.y, ds.size, cfg)
-    return trace, attackmod.privacy_leakage(trace, ds.x, scenario.dataset.diameter_cap)
-
-
 def _simulate(scenario: VerifyScenario, trial_seed: int,
               mech: protocol.ProtectionMechanism, rounds: int):
     fl_cfg = protocol.FLRunConfig(rounds=rounds, learning_rate=scenario.learning_rate)
@@ -75,13 +67,33 @@ def _simulate(scenario: VerifyScenario, trial_seed: int,
     return replace(scenario.dataset, seed=trial_seed), datasets, result
 
 
-def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    """Client 0's round-0 upload: leakage vs the privacy bound."""
-    ds_spec, datasets, result = _simulate(
-        scenario, trial_seed, protocol.randomization(scenario.sigma), rounds=1)
-    rec, ds = result.records[0], datasets[0]
-    trace, eps_p = _invert(scenario, trial_seed, rec.theta_decoded, rec.wires[0], ds)
+def _privacy_trials(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
+    """Client 0's round-0 upload: leakage vs the privacy bound, per seed, in
+    lockstep blocks of seeds."""
+    rows = attackmod.block_rows(scenario.attack, scenario.dataset.per_client_size,
+                                scenario.dataset.input_dim)
+    return [outcome for i in range(0, len(seeds), rows)
+            for outcome in _privacy_block(scenario, seeds[i:i + rows])]
 
+
+def _privacy_block(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
+    """Stage-wise: simulate each trial in seed order, invert the uploads
+    together, then score each trial. The traces die with the call."""
+    sims = [_simulate(scenario, seed, protocol.randomization(scenario.sigma), rounds=1)
+            for seed in seeds]
+    uploads = [(result.records[0].theta_decoded, result.records[0].wires[0], datasets[0])
+               for _, datasets, result in sims]
+    traces, leakages = attackmod.invert_uploads(scenario.model, scenario.attack, seeds,
+                                                uploads, scenario.dataset.diameter_cap)
+    return [_privacy_outcome(scenario, seed, ds_spec, result.records[0], datasets[0],
+                             trace, eps_p)
+            for seed, (ds_spec, datasets, result), trace, eps_p
+            in zip(seeds, sims, traces, leakages)]
+
+
+def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, ds_spec: datagen.DatasetSpec,
+                     rec: protocol.RoundRecord, ds: datagen.ClientDataset,
+                     trace: attackmod.AttackTrace, eps_p: float) -> TrialOutcome:
     est = datagen.estimate_constants(
         scenario.model, rec.theta_decoded, [ds], num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
@@ -96,6 +108,10 @@ def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutc
                         extras={"delta_up": delta_up, "threshold": threshold,
                                 "c_a": est.c_a, "c_b": est.c_b, "c_2": est.c_2,
                                 "pair_skip_rate": est.meta["skip_rate"]})
+
+
+def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
+    return _privacy_trials(scenario, [trial_seed])[0]
 
 
 def _utility_side(scenario: VerifyScenario, trial_seed: int,
@@ -159,9 +175,10 @@ def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
     ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
     rec = result.records[0]
     k_clients = len(datasets)
-    eps_p = np.array([
-        _invert(scenario, trial_seed + k, rec.theta_decoded, rec.wires[k], ds)[1]
-        for k, ds in enumerate(datasets)])
+    eps_p = np.array(attackmod.invert_uploads(
+        scenario.model, scenario.attack, [trial_seed + k for k in range(k_clients)],
+        [(rec.theta_decoded, rec.wires[k], ds) for k, ds in enumerate(datasets)],
+        ds_spec.diameter_cap)[1])
 
     util, est = _utility_side(scenario, trial_seed, ds_spec, datasets, result,
                               rec.theta_decoded)
@@ -189,12 +206,20 @@ def _trial_tradeoff_randomization(scenario: VerifyScenario, trial_seed: int) -> 
     return _trial_tradeoff(scenario, trial_seed, randomized_formula=True)
 
 
+def _each(trial):
+    """A one-seed pipeline as a pipeline over a list of seeds."""
+    def run(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
+        return [trial(scenario, seed) for seed in seeds]
+    return run
+
+
+# Each maps (scenario, seeds) to the seeds' outcomes, in seed order.
 _PIPELINES = {
-    "privacy": _trial_privacy_bound,
-    "utility": _trial_utility_bound,
-    "tradeoff-general": _trial_tradeoff_general,
-    "tradeoff-randomization": _trial_tradeoff_randomization,
-    "utility-he": _trial_he_utility_bound,
+    "privacy": _privacy_trials,
+    "utility": _each(_trial_utility_bound),
+    "tradeoff-general": _each(_trial_tradeoff_general),
+    "tradeoff-randomization": _each(_trial_tradeoff_randomization),
+    "utility-he": _each(_trial_he_utility_bound),
 }
 
 
@@ -218,7 +243,7 @@ def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
     pipeline = _PIPELINES[bound_name]
     seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
 
-    outcomes = [pipeline(scenario, seed) for seed in seeds]
+    outcomes = pipeline(scenario, seeds)
 
     confidence = stated_confidence(bound_name, scenario)
     vacuous_claim = confidence <= 0.0

@@ -252,7 +252,7 @@ def test_criterion_09_formula_unit_suite():
     x0 = np.array([[0.0, 0.0]])
     for target, expected in ((x0, 1.0), (np.array([[2.0, 0.0]]), 0.0),
                              (np.array([[1.0, 0.0]]), 0.5)):
-        tr = attack.AttackTrace(iterates=[(0, x0 * 0), (1, target), (2, target)],
+        tr = attack.AttackTrace(trajectory=np.stack([x0 * 0, target, target]),
                                 objectives=np.zeros(3), final_x=target,
                                 iters_run=2)
         checks.append(attack.privacy_leakage(tr, x0, 2.0) == expected)

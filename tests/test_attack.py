@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
         last = np.minimum(dist, cap_d) / cap_d
         sums += last
         iterates.append((t, x.copy()))
-    trace = attack.AttackTrace(iterates=iterates, objectives=np.asarray(objectives),
+    trace = attack.AttackTrace(trajectory=np.stack([x_t for _, x_t in iterates]),
+                               objectives=np.asarray(objectives),
                                final_x=x.copy(), iters_run=iters_run, truncated=truncated)
     return trace, stays, (sums, last)
 
@@ -101,16 +103,21 @@ def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
         got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, x0=x0)
         want, stays, (sums, last) = two_pass_invert_gradient(
             spec, theta, g_obs, labels, m, cfg, originals, CAP_D, x0)
-    assert np.array_equal(got.objectives, want.objectives)
     assert [t for t, _ in got.iterates] == list(range(got.iters_run + 1))
-    assert len(got.iterates) == len(want.iterates)
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
-    assert np.array_equal(got.final_x, want.final_x)
-    assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
+    assert_same_trace(got, want)
     assert (attack.privacy_leakage(got, originals, CAP_D)
             == float(1.0 - np.mean(sums / got.iters_run)))
     assert attack.privacy_leakage_final(got, originals, CAP_D) == float(1.0 - np.mean(last))
     return got, stays
+
+
+def assert_same_trace(got, want):
+    """Bit-identical traces: every iterate, objective and final_x, iters_run, truncated."""
+    assert [t for t, _ in got.iterates] == [t for t, _ in want.iterates]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
+    assert np.array_equal(got.objectives, want.objectives)
+    assert np.array_equal(got.final_x, want.final_x)
+    assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
 
 
 def rewalk_leakage(trace, originals, cap_d):
@@ -267,7 +274,7 @@ class TestInvertGradient:
 
         def recording(*args):
             grads, vjp = fused(*args)
-            point = np.array(args[2])
+            point = np.array(args[2]).reshape(x.shape)    # a one-row batch
             passes.append(point)
 
             def recorded_vjp(v):
@@ -308,13 +315,112 @@ class TestInvertGradient:
                                    attack.AttackConfig(iters=1))
 
 
+def scaled_linear_row(seed, scale, m=3):
+    """A linear-model upload (theta, x, y, g_obs, seed) with theta scaled down."""
+    theta, x, y, _ = attack_instance(LINEAR, seed=seed, m=m)
+    theta = scale * theta
+    return theta, x, y, models.grad_params(LINEAR, theta, x, y), seed
+
+
+def count_fp_errors(fn):
+    """fn() and how many numpy ufunc calls in it raised a floating-point error."""
+    events = []
+    old = np.seterrcall(lambda kind, flag: events.append(kind))
+    try:
+        with np.errstate(all="call"):
+            result = fn()
+    finally:
+        np.seterrcall(old)
+    return result, len(events)
+
+
+class TestInvertBatch:
+    """Every row of a lockstep batch is the inversion its own one-row run gives."""
+
+    @staticmethod
+    def check_rows(spec, cfg, rows, x0=None):
+        """Invert ``(theta, x, y, g_obs, seed)`` rows as one batch; check each row
+        against its one-row run and, through that, the two-pass loop."""
+        thetas, xs, ys, gs, seeds = zip(*rows)
+        traces = attack.invert_batch(spec, np.stack(thetas), np.stack(gs), np.stack(ys), cfg,
+                                     seeds, x0=x0)
+        leakages = attack.privacy_leakage_batch(traces, xs, CAP_D)
+        m = len(ys[0])
+        for b, got in enumerate(traces):
+            row_cfg = replace(cfg, seed=seeds[b])
+            row_x0 = None if x0 is None else x0[b]
+            with np.errstate(over="ignore"):     # a truncating row overflows alone too
+                one = attack.invert_gradient(spec, thetas[b], gs[b], ys[b], m, row_cfg,
+                                             x0=row_x0)
+            assert_same_trace(got, one)
+            assert leakages[b] == attack.privacy_leakage(one, xs[b], CAP_D)
+            assert (attack.privacy_leakage_final(got, xs[b], CAP_D)
+                    == attack.privacy_leakage_final(one, xs[b], CAP_D))
+            assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
+        return traces
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 3),
+        models.ModelSpec("logistic", 3),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3),
+    ], ids=lambda s: f"{s.kind}-c{s.num_classes}")
+    @pytest.mark.parametrize("optimizer, step_size, backtracking", [
+        ("adam", 0.1, False),
+        ("sgd", 0.3, False),
+        ("sgd", 0.5, True),
+        ("sgd", 1e16, True),
+    ], ids=["adam", "sgd", "sgd-backtracking", "sgd-backtracking-stay-put"])
+    def test_rows_equal_their_one_row_runs(self, spec, optimizer, step_size, backtracking):
+        rows = [(*attack_instance(spec, seed=s), s) for s in (3, 7, 11)]
+        cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
+                                  init="gaussian", backtracking=backtracking)
+        x0 = None
+        if step_size > 1.0:
+            # row 0 starts next to the truth and stays put; the others start farther off
+            x0 = np.stack([x + scale * rngmod.stream(s, 54).standard_normal(x.shape)
+                           for (_, x, _, _, s), scale in zip(rows, (0.01, 0.5, 0.5))])
+        traces = self.check_rows(spec, cfg, rows, x0)
+        assert not any(tr.truncated for tr in traces)
+        if step_size > 1.0:
+            assert np.all(traces[0].objectives == traces[0].objectives[0])
+
+    def test_truncated_rows_freeze_while_the_others_run(self):
+        # plain SGD at step 1e4 on a linear model: two rows overflow (after 3 and
+        # 4 steps), the two with the smallest theta keep moving to the end
+        rows = [scaled_linear_row(seed, scale)
+                for seed, scale in ((0, 1e-3), (1, 1e-3), (3, 1e-3), (1, 3e-3))]
+        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4, init="gaussian")
+        with np.errstate(over="ignore"):
+            traces = self.check_rows(LINEAR, cfg, rows)
+        assert [tr.truncated for tr in traces] == [True, False, True, False]
+        assert len({tr.iters_run for tr in traces}) == 3
+        assert all(tr.objectives[-1] != tr.objectives[1] for tr in traces[1::2])
+        # a frozen row computes nothing more: the batch raises exactly the
+        # floating-point errors of the truncating rows' own runs
+        _, in_batch = count_fp_errors(lambda: attack.invert_batch(
+            LINEAR, np.stack([r[0] for r in rows]), np.stack([r[3] for r in rows]),
+            np.stack([r[2] for r in rows]), cfg, [r[4] for r in rows]))
+        alone = [count_fp_errors(lambda: attack.invert_gradient(
+            LINEAR, theta, g, y, 3, replace(cfg, seed=seed)))[1]
+            for theta, _, y, g, seed in rows]
+        assert in_batch == sum(alone) and alone[0] > 0 and alone[1] == 0
+
+    def test_mismatched_rows_rejected(self):
+        theta, _, y, g = attack_instance(LINEAR, seed=1)
+        cfg = attack.AttackConfig(iters=2)
+        with pytest.raises(ConfigurationError):
+            attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1])
+        with pytest.raises(ConfigurationError):
+            attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0])
+
+
 def make_trace(points_over_time, final):
     """Synthetic trace: points_over_time[t] is the (m, p) iterate at step t+1."""
-    iterates = [(0, points_over_time[0] * 0.0)]
-    iterates += [(t + 1, p) for t, p in enumerate(points_over_time)]
-    return attack.AttackTrace(iterates=iterates,
-                              objectives=np.zeros(len(points_over_time) + 1),
-                              final_x=final, iters_run=len(points_over_time))
+    return attack.AttackTrace(
+        trajectory=np.stack([points_over_time[0] * 0.0, *points_over_time]),
+        objectives=np.zeros(len(points_over_time) + 1),
+        final_x=final, iters_run=len(points_over_time))
 
 
 class TestPrivacyLeakage:

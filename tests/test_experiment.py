@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedtradeoff import attack, datagen, experiment, models, protocol, verify
+from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
 
@@ -138,6 +139,46 @@ class TestSweep:
     def test_too_few_values_rejected(self):
         with pytest.raises(ConfigurationError):
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
+
+
+class TestLockstepSweep:
+    """Sweeps invert equal-shape trials in lockstep; rows stay those of run_trial."""
+
+    @pytest.mark.parametrize("axis, values", [("sigma", [0.0, 0.3]), ("m", [4, 8]),
+                                              ("T", [10, 25])])
+    def test_rows_equal_per_trial_runs(self, axis, values):
+        config = base_config()
+        rows, _ = experiment.run_sweep(config, axis, values, trials=3)
+        want = [experiment.run_trial(
+                    experiment._config_for_sweep_value(config, axis, v),
+                    rngmod.trial_seed(config.master_seed, si, ti), sweep_axis=axis,
+                    sweep_value=float(v), trial_index=ti, experiment_id=config.experiment_id())
+                for si, v in enumerate(values) for ti in range(3)]
+        # repr is NaN-aware, so equal reprs mean equal cells
+        assert [repr(r.as_list()) for r in rows] == [repr(r.as_list()) for r in want]
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_divergence_inside_a_block_raises_at_the_first_failing_seed(
+            self, monkeypatch, one_row_blocks):
+        # sigma = inf makes every trial of the second value abort in round 0,
+        # after the first value's trials ran in the same block
+        config = base_config()
+        if one_row_blocks:
+            monkeypatch.setattr(attack, "_TRAJECTORY_BUDGET", 1)
+        else:
+            assert attack.block_rows(config.attack, 8, 2) >= 6
+        seen = []
+        real = experiment.simulate
+
+        def recording(model, dataset, fl, mech, seed):
+            seen.append(seed)
+            return real(model, dataset, fl, mech, seed)
+
+        monkeypatch.setattr(experiment, "simulate", recording)
+        with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):
+            experiment.run_sweep(config, "sigma", [0.3, float("inf")], trials=3)
+        assert seen == [rngmod.trial_seed(config.master_seed, si, ti)
+                        for si, ti in ((0, 0), (0, 1), (0, 2), (1, 0))]
 
 
 class TestSerialTrials:

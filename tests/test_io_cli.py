@@ -225,6 +225,27 @@ class TestAttackCLI:
         assert "Traceback" not in r.stderr
         assert not os.path.exists(os.path.join(out, "results.csv"))
 
+    @pytest.mark.parametrize("name, damage", [
+        ("manifest.json", lambda text: text[:len(text) // 2]),
+        ("manifest.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "config"})),
+        ("rounds.jsonl", lambda text: text.replace("\n", "\n{\"round\": \n", 1)),
+        ("model_final_shadow.csv", lambda text: text.replace("\n", "\nnot-a-number\n", 1)),
+        ("datasets.csv", lambda text: text.replace("\n0,", "\nzero,", 1)),
+    ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
+            "vector-non-numeric", "datasets-non-numeric"])
+    def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
+        path = os.path.join(run_dir, name)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(damage(text))
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),
+                     "--iters", "5"])
+        assert r.returncode == 1
+        assert "config error" in r.stderr and name in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_pac_delta_half_precondition_exit_1(self, run_dir, tmp_path):
         r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),
                      "--iters", "10", "--phase2", "--pac-delta", "0.5"])

@@ -67,6 +67,32 @@ class TestPrivacyTrialFromSimulate:
         assert repr(got) == repr(want)
 
 
+def budget_of_rows(scenario, rows):
+    """A trajectory budget that holds exactly ``rows`` of the scenario's inversions."""
+    return rows * (scenario.attack.iters + 1) * scenario.dataset.per_client_size \
+        * scenario.dataset.input_dim * 8
+
+
+class TestLockstepBlocks:
+    """Inverting trials in lockstep blocks of any size changes no report."""
+
+    @pytest.mark.parametrize("bound, clients, rows", [
+        ("privacy", 1, 1), ("privacy", 1, 7),
+        ("tradeoff-general", 3, 2),          # a trial's clients split over two blocks
+    ])
+    def test_report_independent_of_block_size(self, monkeypatch, bound, clients, rows):
+        sc = tiny_scenario(
+            dataset=datagen.DatasetSpec(num_clients=clients, per_client_size=4, input_dim=2,
+                                        num_classes=2, class_separation=2.0,
+                                        diameter_cap=2.0, seed=0),
+            sigma=0.4, gamma=0.02)
+        default = verify.verify_bound(bound, sc, 100).to_dict()
+        assert attack.block_rows(sc.attack, 4, 2) >= 100
+        monkeypatch.setattr(attack, "_TRAJECTORY_BUDGET", budget_of_rows(sc, rows))
+        assert attack.block_rows(sc.attack, 4, 2) == rows
+        assert verify.verify_bound(bound, sc, 100).to_dict() == default
+
+
 class TestVerifyBound:
     def test_unknown_bound_rejected(self):
         with pytest.raises(ConfigurationError):
