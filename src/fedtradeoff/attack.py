@@ -70,16 +70,23 @@ class AttackTrace:
         return list(enumerate(self.trajectory))
 
 
-# Bytes of stored iterates one lockstep block may hold: 16 rows of a 250-step
-# inversion of 16 points in R^2. A block's traces share its iterates until the
-# last of them is dropped, so this bounds the memory a block adds.
-_TRAJECTORY_BUDGET = 1 << 20
+# Bytes one lockstep block may hold: 16 uploads of a 250-step inversion of 16
+# points in R^2, with what their callers keep of each trial meanwhile.
+_BLOCK_BUDGET = 1 << 20
 
 
-def block_rows(cfg: AttackConfig, m: int, p: int) -> int:
-    """How many uploads of m samples in R^p one ``invert_batch`` call takes:
-    as many as fit the trajectory budget, and at least one."""
-    return max(1, _TRAJECTORY_BUDGET // ((cfg.iters + 1) * m * p * 8))
+def lockstep_blocks(items: list, spec: models.ModelSpec, cfg: AttackConfig, m: int,
+                    kept_bytes: int = 0) -> list[list]:
+    """Consecutive slices of ``items``, one ``invert_batch`` call each.
+
+    An item is one upload of m samples: its inversion stores (iters + 1) m p
+    iterates and works on m per-example gradients, and the caller keeps
+    ``kept_bytes`` of its trial until the block is scored. A slice takes as many
+    items as fit the block budget, and at least one.
+    """
+    item_bytes = 8 * m * ((cfg.iters + 1) * spec.input_dim + spec.param_dim) + kept_bytes
+    rows = max(1, _BLOCK_BUDGET // item_bytes)
+    return [items[i:i + rows] for i in range(0, len(items), rows)]
 
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -138,6 +145,23 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     backtracking halves the step of each row that has not yet improved. Row
     b's trace is bit-identical to that of a one-row run.
     """
+    return _traces(*_invert_block(spec, theta, g_obs, labels, cfg, seeds, x0))
+
+
+def _traces(traj: np.ndarray, objectives: np.ndarray, iters_run: np.ndarray,
+            truncated: np.ndarray) -> list[AttackTrace]:
+    """One trace per row of a block's arrays; the trajectories are views."""
+    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
+                        final_x=traj[n, b].copy(), iters_run=int(n),
+                        truncated=bool(truncated[b]))
+            for b, n in enumerate(iters_run)]
+
+
+def _invert_block(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
+                  labels: np.ndarray, cfg: AttackConfig, seeds, x0: np.ndarray | None):
+    """``invert_batch`` as arrays: the stored iterates (iters + 1, B, m, p),
+    a frozen row repeating its last accepted iterate, the objectives
+    (iters + 1, B), and each row's ``iters_run`` and ``truncated``."""
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -214,27 +238,29 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         traj[t, live] = x
         objectives[t, live] = f
 
-    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
-                        final_x=traj[n, b].copy(), iters_run=int(n),
-                        truncated=bool(truncated[b]))
-            for b, n in enumerate(iters_run)]
+    for b in np.flatnonzero(truncated):
+        traj[iters_run[b] + 1:, b] = traj[iters_run[b], b]
+    return traj, objectives, iters_run, truncated
 
 
 def invert_uploads(spec: models.ModelSpec, cfg: AttackConfig, seeds: list[int],
                    uploads: list[tuple[np.ndarray, np.ndarray, ClientDataset]],
-                   cap_d: float) -> tuple[list[AttackTrace], list[float]]:
+                   cap_d: float) -> tuple[list[np.ndarray], list[float]]:
     """Invert each observed ``(theta, wire, dataset)`` upload with the attack
-    seed of the same index, ``block_rows`` uploads per ``invert_batch``; the
-    traces and each one's ``privacy_leakage`` against its dataset."""
-    rows = block_rows(cfg, len(uploads[0][2].y), spec.input_dim)
-    traces, leakages = [], []
-    for i in range(0, len(uploads), rows):
-        thetas, wires, dss = zip(*uploads[i:i + rows])
-        block = invert_batch(spec, np.stack(thetas), np.stack(wires),
-                             np.stack([ds.y for ds in dss]), cfg, seeds[i:i + rows])
-        traces += block
-        leakages += privacy_leakage_batch(block, [ds.x for ds in dss], cap_d)
-    return traces, leakages
+    seed of the same index, in ``lockstep_blocks``. Returns each upload's
+    objectives (F at t = 0..iters_run) and its ``privacy_leakage`` against its
+    dataset, scored from the block's arrays; the iterates die with their block."""
+    objectives, leakages = [], []
+    m = len(uploads[0][2].y)
+    for block in lockstep_blocks(list(zip(seeds, uploads)), spec, cfg, m):
+        block_seeds, block_uploads = zip(*block)
+        thetas, wires, dss = zip(*block_uploads)
+        traj, f, iters_run, _ = _invert_block(spec, np.stack(thetas), np.stack(wires),
+                                              np.stack([ds.y for ds in dss]), cfg,
+                                              block_seeds, None)
+        objectives += [f[:n + 1, b].copy() for b, n in enumerate(iters_run)]
+        leakages += _leakage(traj, iters_run, np.stack([ds.x for ds in dss]), cap_d)
+    return objectives, leakages
 
 
 def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
@@ -249,28 +275,27 @@ def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) 
 
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D."""
-    return privacy_leakage_batch([trace], [originals], cap_d)[0]
+    originals = _checked_originals(trace, originals, cap_d)
+    return _leakage(trace.trajectory[:, None], np.array([trace.iters_run]),
+                    originals[None], cap_d)[0]
 
 
-def privacy_leakage_batch(traces: list[AttackTrace], originals, cap_d: float) -> list[float]:
-    """``privacy_leakage`` of each trace against its own originals, in one walk.
+def _leakage(traj: np.ndarray, iters_run: np.ndarray, originals: np.ndarray,
+             cap_d: float) -> list[float]:
+    """``privacy_leakage`` of each row b of stored iterates ``traj`` (T + 1, B,
+    m, p) over t = 1..iters_run[b], against ``originals[b]``, in one walk.
 
-    Adds one stored iterate at a time, t = 1..T in order, for every row at
-    once; a row past its own ``iters_run`` adds nothing. Reducing a stacked
-    (T, m) array instead lets numpy sum pairwise, which moves the result by
-    ulps when m == 1.
+    Adds one step at a time, t in order, for every row at once; a row past its
+    own ``iters_run`` adds zeros. Reducing a stacked (T, m) array instead lets
+    numpy sum pairwise, which moves the result by ulps when m == 1.
     """
-    originals = np.stack([_checked_originals(tr, x, cap_d)
-                          for tr, x in zip(traces, originals, strict=True)])
-    runs = np.array([tr.iters_run for tr in traces])
-    if np.any(runs < 1):
+    if np.any(iters_run < 1):
         raise ConfigurationError("trace has no iterations")
     acc = np.zeros(originals.shape[:2])
-    for t in range(1, runs.max() + 1):            # trajectory[0] is the t = 0 init
-        x_t = np.stack([tr.trajectory[min(t, tr.iters_run)] for tr in traces])
-        dist = np.linalg.norm(x_t - originals, axis=-1)
-        acc += np.where((runs >= t)[:, None], np.minimum(dist, cap_d) / cap_d, 0.0)
-    return [float(1.0 - np.mean(row / n)) for row, n in zip(acc, runs)]
+    for t in range(1, iters_run.max() + 1):       # traj[0] is the t = 0 init
+        dist = np.linalg.norm(traj[t] - originals, axis=-1)
+        acc += np.where((iters_run >= t)[:, None], np.minimum(dist, cap_d) / cap_d, 0.0)
+    return [float(1.0 - np.mean(row / n)) for row, n in zip(acc, iters_run)]
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:

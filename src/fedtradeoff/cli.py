@@ -153,10 +153,9 @@ def cmd_attack(args) -> int:
     wall = time.perf_counter() - t0
     distortions = (rec["delta_up_grad"][args.client], rec["delta_up_param"][args.client],
                    rec["delta_two_grad"], rec["delta_two_param"])
-    eps_p = attackmod.privacy_leakage(trace, target.x, config.dataset.diameter_cap)
     # the row keeps the manifest config's experiment_id, even with --iters
     row = score_trial(
-        config, seed, datasets, args.client, theta_t, distortions, trace, eps_p,
+        config, seed, datasets, args.client, theta_t, distortions, trace,
         iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
         iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")),
         atk.iters, sweep_axis="attack")

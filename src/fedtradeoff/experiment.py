@@ -11,8 +11,10 @@ appending trials never changes existing ones.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, asdict, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,7 +162,7 @@ def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
 def score_trial(config: ExperimentConfig, seed: int,
                 datasets: list[datagen.ClientDataset], client: int,
                 theta_round: np.ndarray, distortions: tuple,
-                trace: attackmod.AttackTrace, eps_p: float, theta_shadow: np.ndarray,
+                trace: attackmod.AttackTrace, theta_shadow: np.ndarray,
                 theta_decoded: np.ndarray, iters: int, *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
@@ -169,8 +171,7 @@ def score_trial(config: ExperimentConfig, seed: int,
     ``theta_round`` is the decoded model of the attacked round and
     ``distortions`` its ``(delta_up_grad, delta_up_param, delta_two_grad,
     delta_two_param)`` for ``client``; ``trace`` inverted that client's upload
-    with ``iters`` iterations and ``eps_p`` is its ``attack.privacy_leakage``
-    against the client's data. The utility loss is that of the final decoded
+    with ``iters`` iterations. The utility loss is that of the final decoded
     model against the final shadow. ``experiment_id`` defaults to this
     config's digest; sweeps stamp their base config's digest on every row so
     one sweep stays one experiment.
@@ -179,6 +180,7 @@ def score_trial(config: ExperimentConfig, seed: int,
     cap_d = ds_spec.diameter_cap
     target = datasets[client]
     delta_up, delta_up_param, delta_two_grad, delta_two_param = distortions
+    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
     eps_p_final = attackmod.privacy_leakage_final(trace, target.x, cap_d)
 
     delta_model = theta_decoded - theta_shadow
@@ -235,35 +237,69 @@ def run_trial(config: ExperimentConfig, trial_seed: int, *,
         experiment_id=experiment_id))])[0]
 
 
-def _observe(config: ExperimentConfig, seed: int):
-    """Simulate one trial; its datasets, run result and attacked round record."""
+def run_in_blocks(run_block, blocks: list[list]) -> list:
+    """``run_block``'s results for each block, in order. A block that raises
+    runs again one item at a time, so the error raised is the one a serial run
+    meets first: that of the first failing item, whatever stage it fails in.
+    When no item fails alone, the block's own error is raised."""
+    results = []
+    for block in blocks:
+        try:
+            results += run_block(block)
+        except Exception:
+            if len(block) > 1:
+                for item in block:
+                    run_block([item])
+            raise
+    return results
+
+
+class _Observed(NamedTuple):
+    """What ``score_trial`` reads of one trial's simulation."""
+    datasets: list[datagen.ClientDataset]
+    theta_round: np.ndarray        # decoded model of the attacked round
+    wire: np.ndarray               # the attacked client's upload in that round
+    distortions: tuple
+    theta_shadow: np.ndarray       # final shadow model
+    theta_decoded: np.ndarray      # final decoded model
+
+
+def _observe(config: ExperimentConfig, seed: int) -> _Observed:
+    """Simulate one trial; the run's other rounds and clients are dropped."""
     mech = config.mechanism.build(config.model.param_dim, seed)
     datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
-    if not (0 <= config.attack_client < len(datasets)):
-        raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    return datasets, result, result.records[config.attack_round]
+    client = config.attack_client
+    if not (0 <= client < len(datasets)):
+        raise ConfigurationError(f"attack_client {client} out of range")
+    rec = result.records[config.attack_round]
+    distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
+                   rec.delta_two_grad, rec.delta_two_param)
+    return _Observed(datasets, rec.theta_decoded, rec.wires[client], distortions,
+                     result.theta_final_shadow, result.theta_final_decoded)
 
 
 def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
-    """Consecutive trials whose inversions can share one ``invert_batch``: equal
-    model, attack config (seed aside) and m, at most ``attack.block_rows``."""
-    blocks, key = [], None
-    for trial in trials:
+    """Consecutive trials whose inversions can share one ``invert_batch``
+    (equal model, attack config seed aside, and m), cut by
+    ``attack.lockstep_blocks`` with the bytes of each trial's ``_Observed``."""
+    def shape(trial):
         config = trial[0]
-        m, p = config.dataset.per_client_size, config.model.input_dim
-        new_key = (config.model, replace(config.attack, seed=0), m)
-        if new_key != key or len(blocks[-1]) == attackmod.block_rows(config.attack, m, p):
-            blocks.append([])
-            key = new_key
-        blocks[-1].append(trial)
+        return config.model, replace(config.attack, seed=0), config.dataset.per_client_size
+
+    blocks = []
+    for (model, attack, m), group in itertools.groupby(trials, key=shape):
+        group = list(group)
+        clients = max(config.dataset.num_clients for config, _, _ in group)
+        kept = 8 * (clients * m * (model.input_dim + 1) + 4 * model.param_dim)
+        blocks += attackmod.lockstep_blocks(group, model, attack, m, kept)
     return blocks
 
 
 def _run_trials(trials: list[tuple]) -> list[TrialRow]:
     """Rows of ``(config, seed, row_kwargs)`` trials, in order, run in lockstep blocks."""
-    return [row for block in _lockstep_blocks(trials) for row in _run_block(block)]
+    return run_in_blocks(_run_block, _lockstep_blocks(trials))
 
 
 def _run_block(block: list[tuple]) -> list[TrialRow]:
@@ -272,21 +308,15 @@ def _run_block(block: list[tuple]) -> list[TrialRow]:
     each one. The traces die with the call."""
     config = block[0][0]
     seen = [_observe(cfg, seed) for cfg, seed, _ in block]
-    traces, leakages = attackmod.invert_uploads(
-        config.model, config.attack, [seed for _, seed, _ in block],
-        [(rec.theta_decoded, rec.wires[cfg.attack_client], datasets[cfg.attack_client])
-         for (cfg, _, _), (datasets, _, rec) in zip(block, seen)],
-        config.dataset.diameter_cap)
-    rows = []
-    for (cfg, seed, kw), (datasets, result, rec), trace, eps_p in zip(
-            block, seen, traces, leakages):
-        client = cfg.attack_client
-        distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
-                       rec.delta_two_grad, rec.delta_two_param)
-        rows.append(score_trial(
-            cfg, seed, datasets, client, rec.theta_decoded, distortions, trace, eps_p,
-            result.theta_final_shadow, result.theta_final_decoded, cfg.attack.iters, **kw))
-    return rows
+    traces = attackmod.invert_batch(
+        config.model, np.stack([o.theta_round for o in seen]),
+        np.stack([o.wire for o in seen]),
+        np.stack([o.datasets[cfg.attack_client].y for (cfg, _, _), o in zip(block, seen)]),
+        config.attack, [seed for _, seed, _ in block])
+    return [score_trial(cfg, seed, o.datasets, cfg.attack_client, o.theta_round,
+                        o.distortions, trace, o.theta_shadow, o.theta_decoded,
+                        cfg.attack.iters, **kw)
+            for (cfg, seed, kw), o, trace in zip(block, seen, traces)]
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError
-from .experiment import exact_big_m, simulate
+from .experiment import exact_big_m, run_in_blocks, simulate
 
 
 @dataclass(frozen=True)
@@ -70,39 +71,41 @@ def _simulate(scenario: VerifyScenario, trial_seed: int,
 def _privacy_trials(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
     """Client 0's round-0 upload: leakage vs the privacy bound, per seed, in
     lockstep blocks of seeds."""
-    rows = attackmod.block_rows(scenario.attack, scenario.dataset.per_client_size,
-                                scenario.dataset.input_dim)
-    return [outcome for i in range(0, len(seeds), rows)
-            for outcome in _privacy_block(scenario, seeds[i:i + rows])]
+    m = scenario.dataset.per_client_size
+    kept = 8 * (m * (scenario.model.input_dim + 1) + 2 * scenario.model.param_dim)
+    return run_in_blocks(partial(_privacy_block, scenario), attackmod.lockstep_blocks(
+        seeds, scenario.model, scenario.attack, m, kept))
 
 
 def _privacy_block(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
-    """Stage-wise: simulate each trial in seed order, invert the uploads
-    together, then score each trial. The traces die with the call."""
-    sims = [_simulate(scenario, seed, protocol.randomization(scenario.sigma), rounds=1)
-            for seed in seeds]
-    uploads = [(result.records[0].theta_decoded, result.records[0].wires[0], datasets[0])
-               for _, datasets, result in sims]
-    traces, leakages = attackmod.invert_uploads(scenario.model, scenario.attack, seeds,
-                                                uploads, scenario.dataset.diameter_cap)
-    return [_privacy_outcome(scenario, seed, ds_spec, result.records[0], datasets[0],
-                             trace, eps_p)
-            for seed, (ds_spec, datasets, result), trace, eps_p
-            in zip(seeds, sims, traces, leakages)]
+    """Stage-wise: simulate each trial in seed order, keeping client 0's
+    round-0 model, upload, data and distortion; invert the uploads together;
+    then score each trial."""
+    seen = []
+    for seed in seeds:
+        _, datasets, result = _simulate(scenario, seed, protocol.randomization(scenario.sigma),
+                                        rounds=1)
+        rec = result.records[0]
+        seen.append((rec.theta_decoded, rec.wires[0], datasets[0], rec.delta_up_grad[0]))
+    objectives, leakages = attackmod.invert_uploads(
+        scenario.model, scenario.attack, seeds, [obs[:3] for obs in seen],
+        scenario.dataset.diameter_cap)
+    return [_privacy_outcome(scenario, seed, theta, ds, delta_up, f, eps_p)
+            for seed, (theta, _, ds, delta_up), f, eps_p
+            in zip(seeds, seen, objectives, leakages)]
 
 
-def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, ds_spec: datagen.DatasetSpec,
-                     rec: protocol.RoundRecord, ds: datagen.ClientDataset,
-                     trace: attackmod.AttackTrace, eps_p: float) -> TrialOutcome:
+def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, theta: np.ndarray,
+                     ds: datagen.ClientDataset, delta_up: float, objectives: np.ndarray,
+                     eps_p: float) -> TrialOutcome:
     est = datagen.estimate_constants(
-        scenario.model, rec.theta_decoded, [ds], num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
+        scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
+        quantile=scenario.quantile, attack_objectives=objectives[1:],
         seed=trial_seed)
-    delta_up = rec.delta_up_grad[0]
     threshold = boundsmod.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
     rhs = boundsmod.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
-                                        ds_spec.diameter_cap, delta_up)
+                                        scenario.dataset.diameter_cap, delta_up)
     return TrialOutcome(measured=eps_p, rhs=rhs,
                         precondition_ok=bool(delta_up >= threshold),
                         extras={"delta_up": delta_up, "threshold": threshold,

@@ -344,7 +344,15 @@ class TestInvertBatch:
         thetas, xs, ys, gs, seeds = zip(*rows)
         traces = attack.invert_batch(spec, np.stack(thetas), np.stack(gs), np.stack(ys), cfg,
                                      seeds, x0=x0)
-        leakages = attack.privacy_leakage_batch(traces, xs, CAP_D)
+        leakages = [None] * len(rows)
+        if x0 is None:
+            # invert_uploads runs the same block and scores it from its arrays
+            uploads = [(theta, g, datagen.ClientDataset(0, x, y))
+                       for theta, x, y, g in zip(thetas, xs, ys, gs)]
+            objectives, leakages = attack.invert_uploads(spec, cfg, list(seeds), uploads,
+                                                         CAP_D)
+            for f, got in zip(objectives, traces):
+                assert np.array_equal(f, got.objectives)
         m = len(ys[0])
         for b, got in enumerate(traces):
             row_cfg = replace(cfg, seed=seeds[b])
@@ -353,7 +361,8 @@ class TestInvertBatch:
                 one = attack.invert_gradient(spec, thetas[b], gs[b], ys[b], m, row_cfg,
                                              x0=row_x0)
             assert_same_trace(got, one)
-            assert leakages[b] == attack.privacy_leakage(one, xs[b], CAP_D)
+            if leakages[b] is not None:
+                assert leakages[b] == attack.privacy_leakage(one, xs[b], CAP_D)
             assert (attack.privacy_leakage_final(got, xs[b], CAP_D)
                     == attack.privacy_leakage_final(one, xs[b], CAP_D))
             assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
@@ -406,6 +415,16 @@ class TestInvertBatch:
             for theta, _, y, g, seed in rows]
         assert in_batch == sum(alone) and alone[0] > 0 and alone[1] == 0
 
+    def test_frozen_rows_repeat_their_last_accepted_iterate(self):
+        rows = [scaled_linear_row(seed, scale) for seed, scale in ((0, 1e-3), (1, 1e-3))]
+        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4, init="gaussian")
+        thetas, _, ys, gs, seeds = zip(*rows)
+        with np.errstate(over="ignore"):
+            traj, _, iters_run, truncated = attack._invert_block(
+                LINEAR, np.stack(thetas), np.stack(gs), np.stack(ys), cfg, seeds, None)
+        assert list(truncated) == [True, False] and iters_run[0] < cfg.iters
+        assert np.all(traj[iters_run[0]:, 0] == traj[iters_run[0], 0])
+
     def test_mismatched_rows_rejected(self):
         theta, _, y, g = attack_instance(LINEAR, seed=1)
         cfg = attack.AttackConfig(iters=2)
@@ -413,6 +432,21 @@ class TestInvertBatch:
             attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1])
         with pytest.raises(ConfigurationError):
             attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0])
+
+
+class TestLockstepBlocks:
+    @pytest.mark.parametrize("budget, kept, want", [
+        (1, 0, [[0], [1], [2], [3], [4]]),
+        (2 * 768, 0, [[0, 1], [2, 3], [4]]),       # an upload holds 768 bytes
+        (2 * 768 + 767, 0, [[0, 1], [2, 3], [4]]),
+        (3 * 768, 384, [[0, 1], [2, 3], [4]]),     # and its caller keeps 384
+        (1 << 20, 0, [[0, 1, 2, 3, 4]]),
+    ])
+    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, kept, want):
+        # 8 bytes x m x ((iters + 1) p + d) = 8 x 4 x (11 x 2 + 2)
+        monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
+        cfg = attack.AttackConfig(iters=10)
+        assert attack.lockstep_blocks(list(range(5)), LOGISTIC, cfg, 4, kept) == want
 
 
 def make_trace(points_over_time, final):

@@ -164,9 +164,9 @@ class TestLockstepSweep:
         # after the first value's trials ran in the same block
         config = base_config()
         if one_row_blocks:
-            monkeypatch.setattr(attack, "_TRAJECTORY_BUDGET", 1)
-        else:
-            assert attack.block_rows(config.attack, 8, 2) >= 6
+            monkeypatch.setattr(attack, "_BLOCK_BUDGET", 1)
+        assert len(experiment._lockstep_blocks(
+            [(config, 0, {})] * 6)) == (6 if one_row_blocks else 1)
         seen = []
         real = experiment.simulate
 
@@ -177,8 +177,49 @@ class TestLockstepSweep:
         monkeypatch.setattr(experiment, "simulate", recording)
         with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):
             experiment.run_sweep(config, "sigma", [0.3, float("inf")], trials=3)
-        assert seen == [rngmod.trial_seed(config.master_seed, si, ti)
-                        for si, ti in ((0, 0), (0, 1), (0, 2), (1, 0))]
+        # no trial after the first failing one is simulated
+        assert seen[-1] == rngmod.trial_seed(config.master_seed, 1, 0)
+        assert set(seen) == {rngmod.trial_seed(config.master_seed, si, ti)
+                             for si, ti in ((0, 0), (0, 1), (0, 2), (1, 0))}
+
+    @pytest.mark.parametrize("stage", ["invert", "score"])
+    def test_an_earlier_seed_failing_later_in_the_pipeline_raises_first(
+            self, monkeypatch, stage):
+        # trial (0, 1) fails when inverted or scored, trial (1, 0) when
+        # simulated; a serial run meets trial (0, 1)'s error first
+        config = base_config()
+        early = rngmod.trial_seed(config.master_seed, 0, 1)
+        invert, score = attack.invert_batch, experiment.score_trial
+
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, x0=None):
+            if early in seeds:
+                raise ConfigurationError("invert failed")
+            return invert(spec, theta, g_obs, labels, cfg, seeds, x0)
+
+        def failing_score(config, seed, *args, **kw):
+            if seed == early:
+                raise ConfigurationError("score failed")
+            return score(config, seed, *args, **kw)
+
+        if stage == "invert":
+            monkeypatch.setattr(attack, "invert_batch", failing_invert)
+        else:
+            monkeypatch.setattr(experiment, "score_trial", failing_score)
+        with pytest.raises(ConfigurationError, match=f"{stage} failed"):
+            experiment.run_sweep(config, "sigma", [0.3, float("inf"), 0.5], trials=3)
+
+
+    def test_a_block_that_fails_only_in_lockstep_raises(self, monkeypatch):
+        invert = attack.invert_batch
+
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, x0=None):
+            if len(seeds) > 1:
+                raise ConfigurationError("lockstep failed")
+            return invert(spec, theta, g_obs, labels, cfg, seeds, x0)
+
+        monkeypatch.setattr(attack, "invert_batch", failing_invert)
+        with pytest.raises(ConfigurationError, match="lockstep failed"):
+            experiment.run_sweep(base_config(), "sigma", [0.0, 0.3], trials=2)
 
 
 class TestSerialTrials:

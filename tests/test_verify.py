@@ -67,30 +67,66 @@ class TestPrivacyTrialFromSimulate:
         assert repr(got) == repr(want)
 
 
-def budget_of_rows(scenario, rows):
-    """A trajectory budget that holds exactly ``rows`` of the scenario's inversions."""
-    return rows * (scenario.attack.iters + 1) * scenario.dataset.per_client_size \
-        * scenario.dataset.input_dim * 8
+def record_block_rows(monkeypatch):
+    """The row count of every lockstep inversion from here on."""
+    rows = []
+    real = attack._invert_block
+
+    def recording(spec, theta, *args):
+        rows.append(len(theta))
+        return real(spec, theta, *args)
+    monkeypatch.setattr(attack, "_invert_block", recording)
+    return rows
 
 
 class TestLockstepBlocks:
     """Inverting trials in lockstep blocks of any size changes no report."""
 
-    @pytest.mark.parametrize("bound, clients, rows", [
-        ("privacy", 1, 1), ("privacy", 1, 7),
-        ("tradeoff-general", 3, 2),          # a trial's clients split over two blocks
+    @pytest.mark.parametrize("bound, clients, budget, want_rows", [
+        ("privacy", 1, 1, [1] * 100),
+        ("privacy", 1, (1 << 20) // 15, [78, 22]),
+        # a trial's 3 clients split over two blocks: 2 x 8 x 4 x (11 x 2 + 2) bytes
+        ("tradeoff-general", 3, 2 * 768, [2, 1] * 100),
     ])
-    def test_report_independent_of_block_size(self, monkeypatch, bound, clients, rows):
+    def test_report_independent_of_block_size(self, monkeypatch, bound, clients, budget,
+                                               want_rows):
         sc = tiny_scenario(
             dataset=datagen.DatasetSpec(num_clients=clients, per_client_size=4, input_dim=2,
                                         num_classes=2, class_separation=2.0,
                                         diameter_cap=2.0, seed=0),
             sigma=0.4, gamma=0.02)
+        rows = record_block_rows(monkeypatch)
         default = verify.verify_bound(bound, sc, 100).to_dict()
-        assert attack.block_rows(sc.attack, 4, 2) >= 100
-        monkeypatch.setattr(attack, "_TRAJECTORY_BUDGET", budget_of_rows(sc, rows))
-        assert attack.block_rows(sc.attack, 4, 2) == rows
+        assert rows == ([100] if bound == "privacy" else [3] * 100)
+        rows.clear()
+        monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
         assert verify.verify_bound(bound, sc, 100).to_dict() == default
+        assert rows == want_rows
+
+    def test_first_failing_seed_raises_whatever_stage_it_fails_in(self, monkeypatch):
+        # seed 2 fails when scored, seed 5 when simulated; all share one block,
+        # and a serial run meets seed 2's error first
+        sc = tiny_scenario(sigma=0.4)
+        seeds = [rngmod.trial_seed(0, 0, i) for i in range(100)]
+        estimate, simulate = datagen.estimate_constants, verify.simulate
+
+        def failing_estimate(*args, seed, **kw):
+            if seed == seeds[2]:
+                raise NumericError("estimate failed at seed 2")
+            return estimate(*args, seed=seed, **kw)
+
+        def failing_simulate(model, dataset, fl, mech, seed):
+            if seed == seeds[5]:
+                raise NumericError("run aborted at seed 5")
+            return simulate(model, dataset, fl, mech, seed)
+
+        monkeypatch.setattr(datagen, "estimate_constants", failing_estimate)
+        monkeypatch.setattr(verify, "simulate", failing_simulate)
+        rows = record_block_rows(monkeypatch)
+        with pytest.raises(NumericError, match="estimate failed at seed 2"):
+            verify.verify_bound("privacy", sc, 100)
+        # the block stops at seed 5's simulation; seeds 0..2 then run alone
+        assert rows == [1, 1, 1]
 
 
 class TestVerifyBound:
