@@ -53,6 +53,9 @@ COMMANDS = [
     ["sweep", "--axis", "T", "--values", "50,100", "--trials", "5", "--out", "runs/sweep-T"],
     ["sweep", "--axis", "sigma", "--values", "0,0.5", "--trials", "6", "--model", "linear",
      "--optimizer", "sgd", "--step-size", "12", "--out", "runs/sweep-sgd"],
+    # the randomization rescaled to an exact upload norm
+    ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "5",
+     "--out", "runs/sweep-delta-up"],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written

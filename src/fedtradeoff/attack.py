@@ -15,7 +15,9 @@ pass, so the optimizer runs one forward pass per evaluated candidate: an
 accepted candidate's VJP gives the next step's gradient, and a rejected
 backtracking candidate never pays for its VJP. ``invert_batch`` runs several
 equal-shape inversions in lockstep over a leading trial axis, one stacked
-forward pass per step for all of them; ``invert_gradient`` is its one-row case.
+forward pass per step for all of them, and returns one trace per upload;
+``invert_gradient`` is its one-row case. ``privacy_leakage`` scores each trace
+from its stored trajectory alone.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -63,11 +65,6 @@ class AttackTrace:
     final_x: np.ndarray
     iters_run: int
     truncated: bool = False
-
-    @property
-    def iterates(self) -> list[tuple[int, np.ndarray]]:
-        """(t, X_t) for t = 0..iters_run."""
-        return list(enumerate(self.trajectory))
 
 
 # Bytes one lockstep block may hold: 16 uploads of a 250-step inversion of 16
@@ -143,28 +140,11 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     with labels ``labels[b]`` (shape (B, m)), under ``cfg`` with its seed
     replaced by ``seeds[b]``; ``x0`` (B, m, p) overrides the init. Every step
     runs one stacked forward pass for the rows still running. A row that
-    truncates leaves the batch, frozen at its last accepted iterate (a row
-    whose objective at the init is not finite truncates before step 1); SGD
+    truncates leaves the batch at its last accepted iterate (a row whose
+    objective at the init is not finite truncates before step 1); SGD
     backtracking halves the step of each row that has not yet improved. Row
     b's trace is bit-identical to that of a one-row run.
     """
-    return _traces(*_invert_block(spec, theta, g_obs, labels, cfg, seeds, x0))
-
-
-def _traces(traj: np.ndarray, objectives: np.ndarray, iters_run: np.ndarray,
-            truncated: np.ndarray) -> list[AttackTrace]:
-    """One trace per row of a block's arrays; the trajectories are views."""
-    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
-                        final_x=traj[n, b].copy(), iters_run=int(n),
-                        truncated=bool(truncated[b]))
-            for b, n in enumerate(iters_run)]
-
-
-def _invert_block(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
-                  labels: np.ndarray, cfg: AttackConfig, seeds, x0: np.ndarray | None):
-    """``invert_batch`` as arrays: the stored iterates (iters + 1, B, m, p),
-    a frozen row repeating its last accepted iterate, the objectives
-    (iters + 1, B), and each row's ``iters_run`` and ``truncated``."""
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -183,7 +163,8 @@ def _invert_block(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         x = np.stack([cfg.init_scale * rngmod.stream(seed, rngmod.STREAM_ATTACK, 0)
                       .standard_normal((m, p)) for seed in seeds])
 
-    # stored iterates and objectives, by step then row
+    # stored iterates and objectives, by step then row; a row's trace reads
+    # only its steps 0..iters_run
     traj = np.empty((cfg.iters + 1, n_rows, m, p))
     objectives = np.empty((cfg.iters + 1, n_rows))
     iters_run = np.zeros(n_rows, dtype=np.int64)
@@ -244,29 +225,10 @@ def _invert_block(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         traj[t, live] = x
         objectives[t, live] = f
 
-    for b in np.flatnonzero(truncated):
-        traj[iters_run[b] + 1:, b] = traj[iters_run[b], b]
-    return traj, objectives, iters_run, truncated
-
-
-def invert_uploads(spec: models.ModelSpec, cfg: AttackConfig, seeds: list[int],
-                   uploads: list[tuple[np.ndarray, np.ndarray, ClientDataset]],
-                   cap_d: float) -> tuple[list[np.ndarray], list[float]]:
-    """Invert each observed ``(theta, wire, dataset)`` upload with the attack
-    seed of the same index, in ``lockstep_blocks``. Returns each upload's
-    objectives (F at t = 0..iters_run) and its ``privacy_leakage`` against its
-    dataset, scored from the block's arrays; the iterates die with their block."""
-    objectives, leakages = [], []
-    m = len(uploads[0][2].y)
-    for block in lockstep_blocks(list(zip(seeds, uploads)), spec, cfg, m):
-        block_seeds, block_uploads = zip(*block)
-        thetas, wires, dss = zip(*block_uploads)
-        traj, f, iters_run, _ = _invert_block(spec, np.stack(thetas), np.stack(wires),
-                                              np.stack([ds.y for ds in dss]), cfg,
-                                              block_seeds, None)
-        objectives += [f[:n + 1, b].copy() for b, n in enumerate(iters_run)]
-        leakages += _leakage(traj, iters_run, np.stack([ds.x for ds in dss]), cap_d)
-    return objectives, leakages
+    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
+                        final_x=traj[n, b].copy(), iters_run=int(n),
+                        truncated=bool(truncated[b]))
+            for b, n in enumerate(iters_run)]
 
 
 def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
@@ -280,30 +242,18 @@ def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) 
 
 
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
-    """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D."""
+    """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D
+    over t = 1..iters_run. The cumulative sum adds in t order; numpy's pairwise
+    ``sum`` would not, and moves the result by ulps when m == 1."""
     originals = _checked_originals(trace, originals, cap_d)
-    if trace.iters_run < 1 and not trace.truncated:
+    n = trace.iters_run
+    if n < 1:
+        if trace.truncated:
+            raise NumericError("attack diverged at its first step: no iterate to score")
         raise ConfigurationError("trace has no iterations")
-    return _leakage(trace.trajectory[:, None], np.array([trace.iters_run]),
-                    originals[None], cap_d)[0]
-
-
-def _leakage(traj: np.ndarray, iters_run: np.ndarray, originals: np.ndarray,
-             cap_d: float) -> list[float]:
-    """``privacy_leakage`` of each row b of stored iterates ``traj`` (T + 1, B,
-    m, p) over t = 1..iters_run[b], against ``originals[b]``, in one walk.
-
-    Adds one step at a time, t in order, for every row at once; a row past its
-    own ``iters_run`` adds zeros. Reducing a stacked (T, m) array instead lets
-    numpy sum pairwise, which moves the result by ulps when m == 1.
-    """
-    if np.any(iters_run < 1):
-        raise NumericError("attack diverged at its first step: no iterate to score")
-    acc = np.zeros(originals.shape[:2])
-    for t in range(1, iters_run.max() + 1):       # traj[0] is the t = 0 init
-        dist = np.linalg.norm(traj[t] - originals, axis=-1)
-        acc += np.where((iters_run >= t)[:, None], np.minimum(dist, cap_d) / cap_d, 0.0)
-    return [float(1.0 - np.mean(row / n)) for row, n in zip(acc, iters_run)]
+    dist = np.linalg.norm(trace.trajectory[1:n + 1] - originals, axis=-1)
+    acc = np.cumsum(np.minimum(dist, cap_d) / cap_d, axis=0)[-1]
+    return float(1.0 - np.mean(acc / n))
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:

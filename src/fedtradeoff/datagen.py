@@ -253,10 +253,11 @@ def _mean_losses(model_spec: models.ModelSpec, thetas: np.ndarray, x: np.ndarray
     out = np.empty(len(thetas))
     for s in range(0, len(thetas), rows):
         chunk = thetas[s:s + rows]
-        per = models.per_example_losses(model_spec, chunk,
-                                        np.broadcast_to(x, (len(chunk), *x.shape)),
-                                        np.broadcast_to(y, (len(chunk), *y.shape)))
-        out[s:s + rows] = per.mean(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):   # _finite raises below
+            per = models.per_example_losses(model_spec, chunk,
+                                            np.broadcast_to(x, (len(chunk), *x.shape)),
+                                            np.broadcast_to(y, (len(chunk), *y.shape)))
+            out[s:s + rows] = per.mean(axis=-1)
     return _finite(out)
 
 

@@ -232,9 +232,8 @@ def write_attack_summary(path: str, trace) -> None:
             "final_objective": float(objectives[-1]),
         }
         fh.write(canonical_json(head) + "\n")
-        for t, _x in trace.iterates:
-            fh.write(canonical_json({"iteration": t,
-                                     "objective": float(objectives[t])}) + "\n")
+        for t, f in enumerate(objectives):
+            fh.write(canonical_json({"iteration": t, "objective": float(f)}) + "\n")
 
 
 def write_trajectory(path: str, trace) -> None:
@@ -242,7 +241,7 @@ def write_trajectory(path: str, trace) -> None:
     m, p = trace.final_x.shape
     with open(path, "w") as fh:
         fh.write("iteration,sample," + ",".join(f"x{i}" for i in range(p)) + "\n")
-        for t, x_t in trace.iterates:
+        for t, x_t in enumerate(trace.trajectory):
             for i in range(m):
                 cells = [str(t), str(i)] + [repr(float(v)) for v in x_t[i]]
                 fh.write(",".join(cells) + "\n")

@@ -133,6 +133,9 @@ def protect(g: np.ndarray, mech: ProtectionMechanism,
         with np.errstate(over="ignore"):      # a huge sigma records ||delta|| = inf
             if mech.exact_norm is not None:
                 n = np.linalg.norm(delta)
+                if np.isinf(n):               # rescale the direction, not the overflow
+                    delta = delta / np.abs(delta).max()
+                    n = np.linalg.norm(delta)
                 delta = delta * (mech.exact_norm / n) if n > 0 else delta
             delta_up = float(np.linalg.norm(delta))
         return ProtectedGradient(wire=g + delta, delta=delta, delta_up_grad=delta_up)

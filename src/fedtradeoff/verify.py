@@ -87,20 +87,25 @@ def _privacy_block(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutc
                                         rounds=1)
         rec = result.records[0]
         seen.append((rec.theta_decoded, rec.wires[0], datasets[0], rec.delta_up_grad[0]))
-    objectives, leakages = attackmod.invert_uploads(
-        scenario.model, scenario.attack, seeds, [obs[:3] for obs in seen],
-        scenario.dataset.diameter_cap)
-    return [_privacy_outcome(scenario, seed, theta, ds, delta_up, f, eps_p)
-            for seed, (theta, _, ds, delta_up), f, eps_p
-            in zip(seeds, seen, objectives, leakages)]
+    traces = _invert(scenario, [obs[:3] for obs in seen], seeds)
+    return [_privacy_outcome(scenario, seed, theta, ds, delta_up, trace)
+            for seed, (theta, _, ds, delta_up), trace in zip(seeds, seen, traces)]
+
+
+def _invert(scenario: VerifyScenario, uploads: list[tuple], seeds: list[int]):
+    """Traces of ``(theta, wire, dataset)`` uploads, inverted in one block."""
+    thetas, wires, dss = zip(*uploads)
+    return attackmod.invert_batch(scenario.model, np.stack(thetas), np.stack(wires),
+                                  np.stack([ds.y for ds in dss]), scenario.attack, seeds)
 
 
 def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, theta: np.ndarray,
-                     ds: datagen.ClientDataset, delta_up: float, objectives: np.ndarray,
-                     eps_p: float) -> TrialOutcome:
+                     ds: datagen.ClientDataset, delta_up: float,
+                     trace: attackmod.AttackTrace) -> TrialOutcome:
+    eps_p = attackmod.privacy_leakage(trace, ds.x, scenario.dataset.diameter_cap)
     est = datagen.estimate_constants(
         scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, attack_objectives=objectives[1:],
+        quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
         seed=trial_seed)
     threshold = boundsmod.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
@@ -178,10 +183,14 @@ def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
     ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
     rec = result.records[0]
     k_clients = len(datasets)
-    eps_p = np.array(attackmod.invert_uploads(
-        scenario.model, scenario.attack, [trial_seed + k for k in range(k_clients)],
-        [(rec.theta_decoded, rec.wires[k], ds) for k, ds in enumerate(datasets)],
-        ds_spec.diameter_cap)[1])
+    eps_p = []
+    for block in attackmod.lockstep_blocks(list(enumerate(datasets)), scenario.model,
+                                           scenario.attack, datasets[0].size):
+        traces = _invert(scenario, [(rec.theta_decoded, rec.wires[k], ds) for k, ds in block],
+                         [trial_seed + k for k, _ in block])
+        eps_p += [attackmod.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
+                  for trace, (_, ds) in zip(traces, block)]
+    eps_p = np.array(eps_p)
 
     util, est = _utility_side(scenario, trial_seed, ds_spec, datasets, result,
                               rec.theta_decoded)

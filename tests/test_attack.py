@@ -103,7 +103,7 @@ def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
         got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, x0=x0)
         want, stays, (sums, last) = two_pass_invert_gradient(
             spec, theta, g_obs, labels, m, cfg, originals, CAP_D, x0)
-    assert [t for t, _ in got.iterates] == list(range(got.iters_run + 1))
+    assert len(got.trajectory) == got.iters_run + 1
     assert_same_trace(got, want)
     assert (attack.privacy_leakage(got, originals, CAP_D)
             == float(1.0 - np.mean(sums / got.iters_run)))
@@ -113,8 +113,7 @@ def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
 
 def assert_same_trace(got, want):
     """Bit-identical traces: every iterate, objective and final_x, iters_run, truncated."""
-    assert [t for t, _ in got.iterates] == [t for t, _ in want.iterates]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.iterates, want.iterates))
+    assert np.array_equal(got.trajectory, want.trajectory)
     assert np.array_equal(got.objectives, want.objectives)
     assert np.array_equal(got.final_x, want.final_x)
     assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
@@ -123,7 +122,7 @@ def assert_same_trace(got, want):
 def rewalk_leakage(trace, originals, cap_d):
     """1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D over the stored trajectory."""
     acc = np.zeros(originals.shape[0])
-    for t, x_t in trace.iterates[1:]:
+    for x_t in trace.trajectory[1:trace.iters_run + 1]:
         acc += np.minimum(np.linalg.norm(x_t - originals, axis=1), cap_d) / cap_d
     return float(1.0 - np.mean(acc / trace.iters_run))
 
@@ -290,24 +289,36 @@ class TestInvertGradient:
             tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, x0=x0)
         # one VJP per step, taken from the pass of the iterate the step starts at
         assert len(vjp_points) == tr.iters_run == cfg.iters
-        for (_, x_t), point in zip(tr.iterates, vjp_points):
+        for x_t, point in zip(tr.trajectory, vjp_points):
             assert np.array_equal(x_t, point)
         if optimizer == "adam":
             assert len(passes) == cfg.iters + 1     # one pass per evaluated iterate
         else:
             assert np.all(tr.objectives == tr.objectives[0])   # stayed put throughout
 
-    def test_leakage_rewalks_the_trajectory_for_any_originals_and_cap(self):
-        spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3)
-        theta, x, y, g_true = attack_instance(spec, seed=2)
-        cfg = attack.AttackConfig(iters=40, optimizer="adam", step_size=0.1,
+    @pytest.mark.parametrize("spec, optimizer, step_size", [
+        (models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3), "adam", 0.1),
+        (models.ModelSpec("logistic", 2), "sgd", 0.5),
+        # plain SGD overflows: the trace truncates before its last step
+        (LINEAR, "sgd", 1e4),
+    ], ids=["mlp1-adam", "logistic-sgd", "linear-truncated"])
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_leakage_rewalks_the_trajectory_for_any_originals_and_cap(self, spec, optimizer,
+                                                                       step_size, m):
+        theta, x, y, g_true = attack_instance(spec, seed=2, m=m)
+        if step_size > 1.0:
+            theta = 1e-3 * theta
+            g_true = models.grad_params(spec, theta, x, y)
+        cfg = attack.AttackConfig(iters=40, optimizer=optimizer, step_size=step_size,
                                   init="gaussian", seed=2)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg)
-        assert [t for t, _ in tr.iterates] == list(range(41))
-        assert attack.privacy_leakage(tr, x, CAP_D) == rewalk_leakage(tr, x, CAP_D)
-        other = x + 0.25
-        assert attack.privacy_leakage(tr, other, CAP_D) == rewalk_leakage(tr, other, CAP_D)
-        assert attack.privacy_leakage(tr, x, 3.0) == rewalk_leakage(tr, x, 3.0)
+        with np.errstate(over="ignore"):
+            tr = attack.invert_gradient(spec, theta, g_true, y, m, cfg)
+        assert tr.truncated == (step_size > 1.0)
+        assert 1 <= tr.iters_run and len(tr.trajectory) == tr.iters_run + 1
+        for originals in (x, x + 0.25):
+            for cap_d in (CAP_D, 0.7):
+                assert (attack.privacy_leakage(tr, originals, cap_d)
+                        == rewalk_leakage(tr, originals, cap_d))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -344,15 +355,6 @@ class TestInvertBatch:
         thetas, xs, ys, gs, seeds = zip(*rows)
         traces = attack.invert_batch(spec, np.stack(thetas), np.stack(gs), np.stack(ys), cfg,
                                      seeds, x0=x0)
-        leakages = [None] * len(rows)
-        if x0 is None:
-            # invert_uploads runs the same block and scores it from its arrays
-            uploads = [(theta, g, datagen.ClientDataset(0, x, y))
-                       for theta, x, y, g in zip(thetas, xs, ys, gs)]
-            objectives, leakages = attack.invert_uploads(spec, cfg, list(seeds), uploads,
-                                                         CAP_D)
-            for f, got in zip(objectives, traces):
-                assert np.array_equal(f, got.objectives)
         m = len(ys[0])
         for b, got in enumerate(traces):
             row_cfg = replace(cfg, seed=seeds[b])
@@ -361,8 +363,8 @@ class TestInvertBatch:
                 one = attack.invert_gradient(spec, thetas[b], gs[b], ys[b], m, row_cfg,
                                              x0=row_x0)
             assert_same_trace(got, one)
-            if leakages[b] is not None:
-                assert leakages[b] == attack.privacy_leakage(one, xs[b], CAP_D)
+            assert (attack.privacy_leakage(got, xs[b], CAP_D)
+                    == attack.privacy_leakage(one, xs[b], CAP_D))
             assert (attack.privacy_leakage_final(got, xs[b], CAP_D)
                     == attack.privacy_leakage_final(one, xs[b], CAP_D))
             assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
@@ -415,16 +417,6 @@ class TestInvertBatch:
             for theta, _, y, g, seed in rows]
         assert in_batch == sum(alone) and alone[0] > 0 and alone[1] == 0
 
-    def test_frozen_rows_repeat_their_last_accepted_iterate(self):
-        rows = [scaled_linear_row(seed, scale) for seed, scale in ((0, 1e-3), (1, 1e-3))]
-        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4, init="gaussian")
-        thetas, _, ys, gs, seeds = zip(*rows)
-        with np.errstate(over="ignore"):
-            traj, _, iters_run, truncated = attack._invert_block(
-                LINEAR, np.stack(thetas), np.stack(gs), np.stack(ys), cfg, seeds, None)
-        assert list(truncated) == [True, False] and iters_run[0] < cfg.iters
-        assert np.all(traj[iters_run[0]:, 0] == traj[iters_run[0], 0])
-
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_a_row_overflowing_at_its_init_truncates_before_step_1(self, optimizer):
         # the middle row's wire is 1e200: its objective at the init is inf, so it
@@ -447,10 +439,6 @@ class TestInvertBatch:
         # a trace without iterates is a divergence when it truncated, else malformed
         with pytest.raises(NumericError, match="diverged at its first step"):
             attack.privacy_leakage(bad, xs[1], CAP_D)
-        with pytest.raises(NumericError, match="diverged at its first step"):
-            attack.invert_uploads(LOGISTIC, cfg, list(seeds),
-                                  [(t, w, datagen.ClientDataset(0, x, yy))
-                                   for t, x, yy, w in zip(thetas, xs, ys, gs)], CAP_D)
         with pytest.raises(ConfigurationError, match="no iterations"):
             attack.privacy_leakage(replace(bad, truncated=False), xs[1], CAP_D)
 
@@ -533,7 +521,7 @@ class TestPrivacyLeakage:
         g_true = models.grad_params(LINEAR, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=1, optimizer="adam", step_size=0.05, seed=8)
         tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg)
-        x1 = dict(tr.iterates)[1]
+        x1 = tr.trajectory[1]
         expected = 1.0 - min(np.linalg.norm(x1[0] - x), CAP_D) / CAP_D
         assert attack.privacy_leakage(tr, x[None, :], CAP_D) == pytest.approx(expected)
 

@@ -74,6 +74,9 @@ class TestProtect:
         mech = protocol.ProtectionMechanism(kind="randomization", sigma=1.0, exact_norm=0.7)
         p = protocol.protect(np.zeros(5), mech, rngmod.stream(3, 4))
         assert p.delta_up_grad == pytest.approx(0.7, rel=1e-12)
+        # a finite norm rescales the draw itself
+        z = rngmod.stream(3, 4).standard_normal(5)
+        assert np.array_equal(p.delta, z * (0.7 / np.linalg.norm(z)))
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
@@ -83,6 +86,14 @@ class TestProtect:
         assert np.all(np.isfinite(out.wire))
         if exact_norm is None:
             assert out.delta_up_grad == math.inf
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e300])
+    def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
+        # ||delta|| is inf at these sigmas; the rescale keeps the direction
+        mech = protocol.ProtectionMechanism(kind="randomization", sigma=sigma, exact_norm=2.0)
+        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
+        assert out.delta_up_grad == pytest.approx(2.0, rel=1e-15)
+        assert np.all(np.isfinite(out.wire))
 
     def test_bad_permutation_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -70,12 +70,12 @@ class TestPrivacyTrialFromSimulate:
 def record_block_rows(monkeypatch):
     """The row count of every lockstep inversion from here on."""
     rows = []
-    real = attack._invert_block
+    real = attack.invert_batch
 
-    def recording(spec, theta, *args):
+    def recording(spec, theta, *args, **kw):
         rows.append(len(theta))
-        return real(spec, theta, *args)
-    monkeypatch.setattr(attack, "_invert_block", recording)
+        return real(spec, theta, *args, **kw)
+    monkeypatch.setattr(attack, "invert_batch", recording)
     return rows
 
 
