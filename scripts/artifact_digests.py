@@ -44,6 +44,9 @@ COMMANDS = [
     # every bound at the least trial count verify accepts
     ["verify", "--bound", "privacy", "--trials", "100", "--sigma", "0.6", "--iters", "250",
      "--step-size", "0.15", "--out", "runs/verify"],
+    # the privacy bound at K > 1, estimated on client 0's data only
+    ["verify", "--bound", "privacy", "--clients", "2", "--trials", "100", "--sigma", "0.6",
+     "--iters", "250", "--step-size", "0.15", "--out", "runs/verify-k2"],
     *[["verify", "--bound", bound, "--trials", "100", "--clients", "2", "--out", "runs/verify"]
       for bound in ("utility", "utility-he", "tradeoff-general", "tradeoff-randomization")],
     ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5", "--trials", "30",

@@ -130,7 +130,7 @@ def pilot_privacy_bound_scenario():
         attack=attack.AttackConfig(iters=250, optimizer="adam", step_size=0.15,
                                    init="gaussian"),
         sigma=0.6, gamma=0.1, num_pairs=150, quantile=0.1)
-    outs = [verify._trial_privacy_bound(scenario, 7000 + i) for i in range(40)]
+    outs = verify.trial_outcomes("privacy", scenario, [7000 + i for i in range(40)])
     ok = [o for o in outs if o.precondition_ok]
     viol = sum(1 for o in ok if o.measured > o.rhs)
     print(f"pilot 6: precondition {len(ok)}/40, violations {viol}")

@@ -25,7 +25,8 @@ import numpy as np
 from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
-from .experiment import ExperimentConfig, MechanismSpec, run_sweep, score_trial, simulate
+from .experiment import (ExperimentConfig, MechanismSpec, Observed, run_sweep, score_trial,
+                         simulate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,23 +143,23 @@ def cmd_attack(args) -> int:
         raise ConfigurationError(f"client {args.client} not in artifacts")
     rec = rounds[args.round]
     target = datasets[args.client]
-    theta_t = np.array(rec["theta_decoded"])
-    wire = np.array(rec["wires"][args.client])
+    observed = Observed(
+        datasets, np.array(rec["theta_decoded"]), [np.array(w) for w in rec["wires"]],
+        rec["delta_up_grad"], rec["delta_up_param"], rec["delta_two_grad"],
+        rec["delta_two_param"], iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
+        iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")))
 
     atk = replace(config.attack, seed=seed)
     if args.iters is not None:
         atk = replace(atk, iters=args.iters)
     t0 = time.perf_counter()
-    trace = attackmod.invert_gradient(config.model, theta_t, wire, target.y, target.size, atk)
+    trace = attackmod.invert_gradient(config.model, observed.theta_round,
+                                      observed.wires[args.client], target.y, target.size, atk)
     wall = time.perf_counter() - t0
-    distortions = (rec["delta_up_grad"][args.client], rec["delta_up_param"][args.client],
-                   rec["delta_two_grad"], rec["delta_two_param"])
     # the row keeps the manifest config's experiment_id, even with --iters
-    row = score_trial(
-        config, seed, datasets, args.client, theta_t, distortions, trace,
-        iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
-        iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")),
-        atk.iters, sweep_axis="attack")
+    row = score_trial(replace(config, attack=atk, attack_client=args.client), seed,
+                      observed, trace, sweep_axis="attack",
+                      experiment_id=config.experiment_id())
     _ensure_dir(args.out)
     iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
     iomod.write_timings(os.path.join(args.out, "timings.csv"),

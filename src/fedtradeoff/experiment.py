@@ -1,11 +1,13 @@
-"""Experiment configuration and the end-to-end single-trial pipeline.
+"""Experiment configuration and the one trial runner.
 
-One trial = generate data, run the protocol, invert a client's uploaded
-gradient, measure leakage / utility loss, estimate the analysis constants on
-the trial's own data, and evaluate the bound formulas. The Monte-Carlo bound
-verifier and the sweep harness both run this pipeline with per-trial seeds
-derived splittably from the master seed, so trials are independent and
-appending trials never changes existing ones.
+One trial = generate data, run the protocol (``simulate``), keep what scoring
+reads of the run (``observe``), invert the attacked client's upload, and score
+it. ``run_trials`` runs trials stage-wise in lockstep blocks and takes the
+scorer as an argument: sweeps and ``run_trial`` pass ``score_trial`` (leakage,
+utility loss, constants estimated on the trial's own data, bounds, one
+``TrialRow``), and the Monte-Carlo bound verifier passes each bound's outcome
+function. Per-trial seeds are derived splittably from the master seed, so
+trials are independent and appending trials never changes existing ones.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, asdict, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -159,37 +162,62 @@ def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
     return datasets, result
 
 
-def score_trial(config: ExperimentConfig, seed: int,
-                datasets: list[datagen.ClientDataset], client: int,
-                theta_round: np.ndarray, distortions: tuple,
-                trace: attackmod.AttackTrace, theta_shadow: np.ndarray,
-                theta_decoded: np.ndarray, iters: int, *,
+class Observed(NamedTuple):
+    """What scoring reads of one trial's simulation: its data, every client's
+    upload in the attacked round, and the final models."""
+    datasets: list[datagen.ClientDataset]
+    theta_round: np.ndarray        # decoded model of the attacked round
+    wires: list[np.ndarray]        # each client's upload in that round
+    delta_up_grad: list[float]     # and its distortions
+    delta_up_param: list[float]
+    delta_two_grad: float
+    delta_two_param: float
+    theta_shadow: np.ndarray       # final shadow model
+    theta_decoded: np.ndarray      # final decoded model
+
+
+def observe(config: ExperimentConfig, seed: int) -> Observed:
+    """Simulate one trial; the run's other rounds are dropped."""
+    mech = config.mechanism.build(config.model.param_dim, seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
+    if not (0 <= config.attack_round < len(result.records)):
+        raise ConfigurationError(f"attack_round {config.attack_round} outside run")
+    if not (0 <= config.attack_client < len(datasets)):
+        raise ConfigurationError(f"attack_client {config.attack_client} out of range")
+    rec = result.records[config.attack_round]
+    return Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
+                    rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
+                    result.theta_final_shadow, result.theta_final_decoded)
+
+
+def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
+                trace: attackmod.AttackTrace, *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Score one inverted upload: leakage, utility loss, constants, bounds.
 
-    ``theta_round`` is the decoded model of the attacked round and
-    ``distortions`` its ``(delta_up_grad, delta_up_param, delta_two_grad,
-    delta_two_param)`` for ``client``; ``trace`` inverted that client's upload
-    with ``iters`` iterations. The utility loss is that of the final decoded
-    model against the final shadow. ``experiment_id`` defaults to this
-    config's digest; sweeps stamp their base config's digest on every row so
-    one sweep stays one experiment.
+    ``trace`` inverted the upload of ``config.attack_client`` in the observed
+    round with ``config.attack.iters`` iterations. The utility loss is that of
+    the final decoded model against the final shadow. ``experiment_id``
+    defaults to this config's digest; sweeps stamp their base config's digest
+    on every row so one sweep stays one experiment.
     """
     ds_spec = replace(config.dataset, seed=seed)
     cap_d = ds_spec.diameter_cap
-    target = datasets[client]
-    delta_up, delta_up_param, delta_two_grad, delta_two_param = distortions
+    client = config.attack_client
+    target = observed.datasets[client]
+    delta_up = observed.delta_up_grad[client]
     eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
     eps_p_final = attackmod.privacy_leakage_final(trace, target.x, cap_d)
 
-    delta_model = theta_decoded - theta_shadow
+    theta_shadow = observed.theta_shadow
+    delta_model = observed.theta_decoded - theta_shadow
     sampler = datagen.fresh_sampler(ds_spec, seed)
     eps_u, half = protocol.measure_utility_loss(
         config.model, theta_shadow, delta_model, target, sampler, config.n_eval)
 
     est = try_estimate(
-        config.model, theta_round, datasets,
+        config.model, observed.theta_round, observed.datasets,
         num_pairs=config.num_pairs, quantile=config.quantile,
         attack_objectives=trace.objectives[1:], seed=seed)
 
@@ -200,7 +228,7 @@ def score_trial(config: ExperimentConfig, seed: int,
         privacy_rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
                                                  cap_d, delta_up)
         threshold = boundsmod.privacy_precondition_threshold(
-            est.c_2, est.c_b, est.c_a, iters)
+            est.c_2, est.c_b, est.c_a, config.attack.iters)
         privacy_ok = bool(delta_up >= threshold)
         lam, utility_rhs = boundsmod.minimize_utility_lambda(
             est.big_c, delta_two_final, big_m, config.model.param_dim, cap_d,
@@ -217,8 +245,8 @@ def score_trial(config: ExperimentConfig, seed: int,
         seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
         eps_p=eps_p, eps_p_final=eps_p_final, eps_u=eps_u, eps_u_halfwidth=half,
         eps_e=target.size,
-        delta_up_grad=delta_up, delta_up_param=delta_up_param,
-        delta_two_grad=delta_two_grad, delta_two_param=delta_two_param,
+        delta_up_grad=delta_up, delta_up_param=observed.delta_up_param[client],
+        delta_two_grad=observed.delta_two_grad, delta_two_param=observed.delta_two_param,
         privacy_rhs=privacy_rhs, privacy_precond_ok=privacy_ok,
         privacy_holds=bool(privacy_ok and eps_p <= privacy_rhs),
         utility_rhs=utility_rhs, utility_lambda=lam,
@@ -231,10 +259,10 @@ def score_trial(config: ExperimentConfig, seed: int,
 def run_trial(config: ExperimentConfig, trial_seed: int, *,
               sweep_axis: str = "none", sweep_value: float = 0.0,
               trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
-    """Full pipeline for one seeded trial: simulate, invert, ``score_trial``."""
-    return _run_trials([(config, trial_seed, dict(
+    """Full pipeline for one seeded trial: observe, invert, ``score_trial``."""
+    return run_trials([(config, trial_seed, dict(
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        experiment_id=experiment_id))])[0]
+        experiment_id=experiment_id))], score_trial)[0]
 
 
 def run_in_blocks(run_block, blocks: list[list]) -> list:
@@ -254,36 +282,10 @@ def run_in_blocks(run_block, blocks: list[list]) -> list:
     return results
 
 
-class _Observed(NamedTuple):
-    """What ``score_trial`` reads of one trial's simulation."""
-    datasets: list[datagen.ClientDataset]
-    theta_round: np.ndarray        # decoded model of the attacked round
-    wire: np.ndarray               # the attacked client's upload in that round
-    distortions: tuple
-    theta_shadow: np.ndarray       # final shadow model
-    theta_decoded: np.ndarray      # final decoded model
-
-
-def _observe(config: ExperimentConfig, seed: int) -> _Observed:
-    """Simulate one trial; the run's other rounds and clients are dropped."""
-    mech = config.mechanism.build(config.model.param_dim, seed)
-    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
-    if not (0 <= config.attack_round < len(result.records)):
-        raise ConfigurationError(f"attack_round {config.attack_round} outside run")
-    client = config.attack_client
-    if not (0 <= client < len(datasets)):
-        raise ConfigurationError(f"attack_client {client} out of range")
-    rec = result.records[config.attack_round]
-    distortions = (rec.delta_up_grad[client], rec.delta_up_param[client],
-                   rec.delta_two_grad, rec.delta_two_param)
-    return _Observed(datasets, rec.theta_decoded, rec.wires[client], distortions,
-                     result.theta_final_shadow, result.theta_final_decoded)
-
-
 def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
     """Consecutive trials whose inversions can share one ``invert_batch``
     (equal model, attack config seed aside, and m), cut by
-    ``attack.lockstep_blocks`` with the bytes of each trial's ``_Observed``."""
+    ``attack.lockstep_blocks`` with the bytes of each trial's ``Observed``."""
     def shape(trial):
         config = trial[0]
         return config.model, replace(config.attack, seed=0), config.dataset.per_client_size
@@ -291,31 +293,36 @@ def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
     blocks = []
     for (model, attack, m), group in itertools.groupby(trials, key=shape):
         group = list(group)
-        clients = max(config.dataset.num_clients for config, _, _ in group)
-        kept = 8 * (clients * m * (model.input_dim + 1) + 4 * model.param_dim)
+        k = max(config.dataset.num_clients for config, _, _ in group)
+        kept = 8 * (k * m * (model.input_dim + 1) + (k + 3) * model.param_dim)
         blocks += attackmod.lockstep_blocks(group, model, attack, m, kept)
     return blocks
 
 
-def _run_trials(trials: list[tuple]) -> list[TrialRow]:
-    """Rows of ``(config, seed, row_kwargs)`` trials, in order, run in lockstep blocks."""
-    return run_in_blocks(_run_block, _lockstep_blocks(trials))
+def run_trials(trials: list[tuple], score, *, invert: bool = True) -> list:
+    """``score(config, seed, observed, trace, **kw)`` of each ``(config, seed,
+    kw)`` trial, in order.
+
+    Trials run stage-wise in lockstep blocks: observe each in order, invert
+    the attacked uploads together (each trial seed is its attack seed), then
+    score each trace; the traces die with the block. With ``invert`` false the
+    trace is None and each trial is a block of its own."""
+    blocks = _lockstep_blocks(trials) if invert else [[trial] for trial in trials]
+    return run_in_blocks(partial(_run_block, score, invert), blocks)
 
 
-def _run_block(block: list[tuple]) -> list[TrialRow]:
-    """Stage-wise: simulate the block's trials in order, invert the attacked
-    uploads together (each trial seed is its attack seed), then ``score_trial``
-    each one. The traces die with the call."""
+def _run_block(score, invert: bool, block: list[tuple]) -> list:
     config = block[0][0]
-    seen = [_observe(cfg, seed) for cfg, seed, _ in block]
-    traces = attackmod.invert_batch(
-        config.model, np.stack([o.theta_round for o in seen]),
-        np.stack([o.wire for o in seen]),
-        np.stack([o.datasets[cfg.attack_client].y for (cfg, _, _), o in zip(block, seen)]),
-        config.attack, [seed for _, seed, _ in block])
-    return [score_trial(cfg, seed, o.datasets, cfg.attack_client, o.theta_round,
-                        o.distortions, trace, o.theta_shadow, o.theta_decoded,
-                        cfg.attack.iters, **kw)
+    seen = [observe(cfg, seed) for cfg, seed, _ in block]
+    traces = [None] * len(block)
+    if invert:
+        clients = [cfg.attack_client for cfg, _, _ in block]
+        traces = attackmod.invert_batch(
+            config.model, np.stack([o.theta_round for o in seen]),
+            np.stack([o.wires[k] for k, o in zip(clients, seen)]),
+            np.stack([o.datasets[k].y for k, o in zip(clients, seen)]),
+            config.attack, [seed for _, seed, _ in block])
+    return [score(cfg, seed, o, trace, **kw)
             for (cfg, seed, kw), o, trace in zip(block, seen, traces)]
 
 
@@ -353,11 +360,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
 
     base_id = config.experiment_id()
     configs = [_config_for_sweep_value(config, axis, value) for value in values]
-    rows = _run_trials([
+    rows = run_trials([
         (configs[si], rngmod.trial_seed(config.master_seed, si, ti),
          dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
               experiment_id=base_id))
-        for si, value in enumerate(values) for ti in range(trials)])
+        for si, value in enumerate(values) for ti in range(trials)], score_trial)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

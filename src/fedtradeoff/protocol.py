@@ -105,7 +105,7 @@ def _apply_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return v[perm]
 
 
-def _invert_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
+def _undo_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     out[perm] = v
     return out
@@ -129,9 +129,12 @@ def protect(g: np.ndarray, mech: ProtectionMechanism,
     if mech.kind == "randomization":
         if rng is None:
             raise ConfigurationError("randomization requires an rng")
-        delta = mech.sigma * rng.standard_normal(g.shape[0])
+        z = rng.standard_normal(g.shape[0])
         with np.errstate(over="ignore"):      # a huge sigma records ||delta|| = inf
+            delta = mech.sigma * z
             if mech.exact_norm is not None:
+                if not np.all(np.isfinite(delta)):   # overflowed: take the direction from z
+                    delta = z
                 n = np.linalg.norm(delta)
                 if np.isinf(n):               # rescale the direction, not the overflow
                     delta = delta / np.abs(delta).max()
@@ -155,7 +158,7 @@ def decode(state, mech: ProtectionMechanism) -> np.ndarray:
     if mech.kind == "he_codec":
         if not isinstance(state, Cipher):
             raise ConfigurationError("he_codec decode expects a Cipher state")
-        return _invert_perm(state.payload, mech.permutation)
+        return _undo_perm(state.payload, mech.permutation)
     return np.asarray(state, dtype=np.float64)
 
 
@@ -225,7 +228,6 @@ class RunResult:
     records: list[RoundRecord]
     theta_final_decoded: np.ndarray    # Dec(protected final model)
     theta_final_shadow: np.ndarray     # from-scratch unprotected final model
-    theta_init: np.ndarray
     theta_final_protected: np.ndarray | None = None   # server-side wire view
     aborted: bool = False
     abort_reason: str = ""
@@ -238,35 +240,30 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
 
 
 def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMechanism,
-        datasets: list[ClientDataset], theta_init: np.ndarray | None = None) -> RunResult:
+        datasets: list[ClientDataset]) -> RunResult:
     """Execute the protocol; protected and shadow trajectories share the seed."""
     for ds in datasets:
         if ds.x.shape[1] != model_spec.input_dim:
             raise ConfigurationError("dataset / model dimension mismatch")
-    d = model_spec.param_dim
-    if theta_init is None:
-        theta_init = models.init_params(
-            model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
-    theta_init = np.asarray(theta_init, dtype=np.float64)
-    if theta_init.shape != (d,):
-        raise ConfigurationError("theta_init length != param_dim")
-    if mech.kind == "he_codec" and np.asarray(mech.permutation).shape[0] != d:
+    theta0 = models.init_params(
+        model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
+    if mech.kind == "he_codec" and np.asarray(mech.permutation).shape[0] != model_spec.param_dim:
         raise ConfigurationError("he_codec dimension != param_dim")
 
     sizes = [ds.size for ds in datasets]
     if mech.kind == "he_codec":
         server_state: Cipher | np.ndarray = Cipher(
-            payload=_apply_perm(theta_init, mech.permutation), units=1.0)
+            payload=_apply_perm(theta0, mech.permutation), units=1.0)
     else:
-        server_state = theta_init.copy()
-    theta_shadow = theta_init.copy()
+        server_state = theta0.copy()
+    theta_shadow = theta0.copy()
 
     records: list[RoundRecord] = []
     for t in range(config.rounds):
         eta = _eta_at(config, t)
         theta_dec = decode(server_state, mech)
         if not np.all(np.isfinite(theta_dec)):
-            return RunResult(records, theta_dec, theta_shadow, theta_init,
+            return RunResult(records, theta_dec, theta_shadow,
                              aborted=True, abort_reason=f"non-finite model at round {t}")
         with np.errstate(over="ignore", invalid="ignore"):
             shadow_gap = float(np.linalg.norm(theta_dec - theta_shadow))
@@ -277,7 +274,7 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
                 shadow_grads = [client_local_update(model_spec, theta_shadow, ds)
                                 for ds in datasets]
         except NumericError as exc:
-            return RunResult(records, theta_dec, theta_shadow, theta_init,
+            return RunResult(records, theta_dec, theta_shadow,
                              aborted=True, abort_reason=f"non-finite gradient at round {t}: {exc}")
         protected = []
         for k, g in enumerate(grads):
@@ -294,7 +291,7 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
                 payload_agg = weighted_sum([p.cipher.payload for p in protected], sizes)
                 units_agg = float(weighted_sum(
                     [np.array([p.cipher.units]) for p in protected], sizes)[0])
-                decoded_agg = _invert_perm(payload_agg, mech.permutation)
+                decoded_agg = _undo_perm(payload_agg, mech.permutation)
                 server_state = Cipher(payload=server_state.payload - eta * payload_agg,
                                       units=server_state.units - eta * units_agg)
             else:
@@ -326,11 +323,11 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
         ))
 
         if not np.all(np.isfinite(final_dec)):
-            return RunResult(records, final_dec, theta_shadow, theta_init,
+            return RunResult(records, final_dec, theta_shadow,
                              aborted=True, abort_reason=f"non-finite update at round {t}")
 
     last = records[-1]
-    return RunResult(records, last.theta_next_decoded, theta_shadow, theta_init,
+    return RunResult(records, last.theta_next_decoded, theta_shadow,
                      theta_final_protected=last.theta_next_protected)
 
 

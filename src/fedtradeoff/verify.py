@@ -1,10 +1,14 @@
 """Monte-Carlo verification of the probabilistic bounds.
 
-Each supported bound has a trial pipeline that draws fresh data with an
-independent seed, runs the relevant slice of the protocol/attack machinery,
-measures the bounded quantity, evaluates the bound's rhs from constants
-estimated on that trial's own data, and records whether the bound held and
-whether its stated precondition applied.
+A bound's trials are ``experiment`` trials: ``VerifyScenario.experiment_config``
+gives the config they run, and ``trial_outcomes`` runs one per seed through
+``experiment.run_trials`` (observe, invert, score), with the bound's outcome
+function as the scorer. Each outcome measures the bounded quantity on the
+trial's fresh data, evaluates the bound's rhs from constants estimated on that
+data, and records whether the bound held and whether its stated precondition
+applied. Privacy trials invert client 0's round-0 upload in lockstep blocks
+across seeds; a trade-off trial inverts each of its clients' round-0 uploads
+itself; utility trials invert nothing.
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -27,7 +31,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError
-from .experiment import exact_big_m, run_in_blocks, simulate
+from .experiment import ExperimentConfig, MechanismSpec, Observed, exact_big_m, run_trials
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,22 @@ class VerifyScenario:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def experiment_config(self, bound_name: str) -> ExperimentConfig:
+        """The config of ``bound_name``'s trials. The privacy bound reads client
+        0's round-0 upload, so its run is one round long and its noise is never
+        shared; rho and L stay here, as constants of the trade-off formulas."""
+        mech = MechanismSpec("randomization", self.sigma, self.shared_noise)
+        rounds = self.fl_rounds
+        if bound_name == "privacy":
+            mech, rounds = MechanismSpec("randomization", self.sigma), 1
+        elif bound_name == "utility-he":
+            mech = MechanismSpec("he_codec", offset_scale=self.offset_scale)
+        return ExperimentConfig(
+            dataset=self.dataset, model=self.model,
+            fl=protocol.FLRunConfig(rounds, self.learning_rate), mechanism=mech,
+            attack=self.attack, n_eval=self.n_eval, num_pairs=self.num_pairs,
+            quantile=self.quantile, gamma=self.gamma, eta=self.eta)
+
 
 @dataclass
 class TrialOutcome:
@@ -61,56 +81,19 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def _simulate(scenario: VerifyScenario, trial_seed: int,
-              mech: protocol.ProtectionMechanism, rounds: int):
-    fl_cfg = protocol.FLRunConfig(rounds=rounds, learning_rate=scenario.learning_rate)
-    datasets, result = simulate(scenario.model, scenario.dataset, fl_cfg, mech, trial_seed)
-    return replace(scenario.dataset, seed=trial_seed), datasets, result
-
-
-def _privacy_trials(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
-    """Client 0's round-0 upload: leakage vs the privacy bound, per seed, in
-    lockstep blocks of seeds."""
-    m = scenario.dataset.per_client_size
-    kept = 8 * (m * (scenario.model.input_dim + 1) + 2 * scenario.model.param_dim)
-    return run_in_blocks(partial(_privacy_block, scenario), attackmod.lockstep_blocks(
-        seeds, scenario.model, scenario.attack, m, kept))
-
-
-def _privacy_block(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
-    """Stage-wise: simulate each trial in seed order, keeping client 0's
-    round-0 model, upload, data and distortion; invert the uploads together;
-    then score each trial."""
-    seen = []
-    for seed in seeds:
-        _, datasets, result = _simulate(scenario, seed, protocol.randomization(scenario.sigma),
-                                        rounds=1)
-        rec = result.records[0]
-        seen.append((rec.theta_decoded, rec.wires[0], datasets[0], rec.delta_up_grad[0]))
-    traces = _invert(scenario, [obs[:3] for obs in seen], seeds)
-    return [_privacy_outcome(scenario, seed, theta, ds, delta_up, trace)
-            for seed, (theta, _, ds, delta_up), trace in zip(seeds, seen, traces)]
-
-
-def _invert(scenario: VerifyScenario, uploads: list[tuple], seeds: list[int]):
-    """Traces of ``(theta, wire, dataset)`` uploads, inverted in one block."""
-    thetas, wires, dss = zip(*uploads)
-    return attackmod.invert_batch(scenario.model, np.stack(thetas), np.stack(wires),
-                                  np.stack([ds.y for ds in dss]), scenario.attack, seeds)
-
-
-def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, theta: np.ndarray,
-                     ds: datagen.ClientDataset, delta_up: float,
+def _privacy_outcome(config: ExperimentConfig, seed: int, obs: Observed,
                      trace: attackmod.AttackTrace) -> TrialOutcome:
-    eps_p = attackmod.privacy_leakage(trace, ds.x, scenario.dataset.diameter_cap)
+    """Client 0's leakage vs the privacy bound, with the constants estimated on
+    its data at the attacked round's model."""
+    ds, delta_up = obs.datasets[0], obs.delta_up_grad[0]
+    cap_d = config.dataset.diameter_cap
+    eps_p = attackmod.privacy_leakage(trace, ds.x, cap_d)
     est = datagen.estimate_constants(
-        scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
-        seed=trial_seed)
+        config.model, obs.theta_round, [ds], num_pairs=config.num_pairs,
+        quantile=config.quantile, attack_objectives=trace.objectives[1:], seed=seed)
     threshold = boundsmod.privacy_precondition_threshold(
-        est.c_2, est.c_b, est.c_a, scenario.attack.iters)
-    rhs = boundsmod.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
-                                        scenario.dataset.diameter_cap, delta_up)
+        est.c_2, est.c_b, est.c_a, config.attack.iters)
+    rhs = boundsmod.privacy_upper_bound(config.gamma, ds.size, est.c_a, cap_d, delta_up)
     return TrialOutcome(measured=eps_p, rhs=rhs,
                         precondition_ok=bool(delta_up >= threshold),
                         extras={"delta_up": delta_up, "threshold": threshold,
@@ -118,36 +101,30 @@ def _privacy_outcome(scenario: VerifyScenario, trial_seed: int, theta: np.ndarra
                                 "pair_skip_rate": est.meta["skip_rate"]})
 
 
-def _trial_privacy_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    return _privacy_trials(scenario, [trial_seed])[0]
-
-
-def _utility_side(scenario: VerifyScenario, trial_seed: int,
-                  ds_spec: datagen.DatasetSpec, datasets: list[datagen.ClientDataset],
-                  result: protocol.RunResult, theta_probe: np.ndarray):
+def _utility_side(config: ExperimentConfig, seed: int, obs: Observed,
+                  theta_probe: np.ndarray):
     """Client 0's measured utility loss vs the utility bound at the minimizing
     lambda, with the constants estimated at ``theta_probe``.
 
     Returns the outcome and the estimate, its M and D replaced by the exact
     ones the bound used."""
-    target = datasets[0]
-    theta = result.theta_final_shadow
-    delta_model = result.theta_final_decoded - theta
+    target = obs.datasets[0]
+    theta = obs.theta_shadow
+    delta_model = obs.theta_decoded - theta
     delta_two = float(np.linalg.norm(delta_model))
 
-    sampler = datagen.fresh_sampler(ds_spec, trial_seed)
+    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed)
     eps_u, _ = protocol.measure_utility_loss(
-        scenario.model, theta, delta_model, target, sampler, scenario.n_eval)
+        config.model, theta, delta_model, target, sampler, config.n_eval)
 
     est = datagen.estimate_constants(
-        scenario.model, theta_probe, datasets, num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two),
-        seed=trial_seed)
-    est = replace(est, big_m=exact_big_m(scenario.model, theta, delta_model, [target]),
-                  cap_d=ds_spec.diameter_cap)
+        config.model, theta_probe, obs.datasets, num_pairs=config.num_pairs,
+        quantile=config.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=seed)
+    est = replace(est, big_m=exact_big_m(config.model, theta, delta_model, [target]),
+                  cap_d=config.dataset.diameter_cap)
     lam, rhs = boundsmod.minimize_utility_lambda(
-        est.big_c, delta_two, est.big_m, scenario.model.param_dim,
-        est.cap_d, scenario.eta, target.size)
+        est.big_c, delta_two, est.big_m, config.model.param_dim,
+        est.cap_d, config.eta, target.size)
     outcome = TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
                            extras={"lambda": lam, "delta_two": delta_two,
                                    "big_c": est.big_c, "big_m": est.big_m,
@@ -155,84 +132,61 @@ def _utility_side(scenario: VerifyScenario, trial_seed: int,
     return outcome, est
 
 
-def _utility_trial(scenario: VerifyScenario, trial_seed: int,
-                   mech: protocol.ProtectionMechanism) -> TrialOutcome:
-    """Measured utility loss vs the utility bound at the minimizing lambda."""
-    ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
-    return _utility_side(scenario, trial_seed, ds_spec, datasets, result,
-                         result.theta_final_shadow)[0]
-
-
-def _trial_utility_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    return _utility_trial(scenario, trial_seed,
-                          protocol.randomization(scenario.sigma, scenario.shared_noise))
-
-
-def _trial_he_utility_bound(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    mech = protocol.random_he_codec(scenario.model.param_dim, trial_seed,
-                                    scenario.offset_scale)
-    out = _utility_trial(scenario, trial_seed, mech)
-    if out.extras["delta_two"] != 0.0:
+def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
+                     trace: None) -> TrialOutcome:
+    """Measured utility loss vs the utility bound, constants at the final shadow."""
+    out = _utility_side(config, seed, obs, obs.theta_shadow)[0]
+    if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
         raise ConfigurationError("HE run produced nonzero two-way distortion")
     return out
 
 
-def _trial_tradeoff(scenario: VerifyScenario, trial_seed: int,
-                    randomized_formula: bool) -> TrialOutcome:
-    mech = protocol.randomization(scenario.sigma, scenario.shared_noise)
-    ds_spec, datasets, result = _simulate(scenario, trial_seed, mech, scenario.fl_rounds)
-    rec = result.records[0]
-    k_clients = len(datasets)
+def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
+                      config: ExperimentConfig, seed: int, obs: Observed,
+                      trace: None) -> TrialOutcome:
+    """Client 0's utility loss vs a trade-off bound, from every client's
+    round-0 leakage (client k inverted with attack seed ``seed + k``)."""
     eps_p = []
-    for block in attackmod.lockstep_blocks(list(enumerate(datasets)), scenario.model,
-                                           scenario.attack, datasets[0].size):
-        traces = _invert(scenario, [(rec.theta_decoded, rec.wires[k], ds) for k, ds in block],
-                         [trial_seed + k for k, _ in block])
-        eps_p += [attackmod.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
-                  for trace, (_, ds) in zip(traces, block)]
-    eps_p = np.array(eps_p)
+    for block in attackmod.lockstep_blocks(list(enumerate(obs.datasets)), config.model,
+                                           config.attack, obs.datasets[0].size):
+        traces = attackmod.invert_batch(
+            config.model, np.stack([obs.theta_round] * len(block)),
+            np.stack([obs.wires[k] for k, _ in block]), np.stack([ds.y for _, ds in block]),
+            config.attack, [seed + k for k, _ in block])
+        eps_p += [attackmod.privacy_leakage(tr, ds.x, config.dataset.diameter_cap)
+                  for tr, (_, ds) in zip(traces, block)]
 
-    util, est = _utility_side(scenario, trial_seed, ds_spec, datasets, result,
-                              rec.theta_decoded)
+    util, est = _utility_side(config, seed, obs, obs.theta_round)
     lam = util.extras["lambda"]
     inputs = boundsmod.BoundInputs(
-        constants=est, eta=scenario.eta, lam=lam, gamma=scenario.gamma,
-        eps_p=eps_p, eps_e=np.array([float(d.size) for d in datasets]),
-        delta_up=np.array(rec.delta_up_grad), delta_two=util.extras["delta_two"],
-        num_clients=k_clients, d=scenario.model.param_dim,
-        t_rounds=scenario.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
+        constants=est, eta=config.eta, lam=lam, gamma=config.gamma,
+        eps_p=np.array(eps_p), eps_e=np.array([float(d.size) for d in obs.datasets]),
+        delta_up=np.array(obs.delta_up_grad), delta_two=util.extras["delta_two"],
+        num_clients=len(obs.datasets), d=config.model.param_dim,
+        t_rounds=config.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
     budget = inputs.probability_budget()
-    if randomized_formula:
-        rhs = boundsmod.tradeoff_randomization(inputs, client=0)
-    else:
-        rhs = boundsmod.tradeoff_general(inputs, client=0)
-    return TrialOutcome(measured=util.measured, rhs=rhs, precondition_ok=budget > 0.0,
+    formula = (boundsmod.tradeoff_randomization if randomized_formula
+               else boundsmod.tradeoff_general)
+    return TrialOutcome(measured=util.measured, rhs=formula(inputs, client=0),
+                        precondition_ok=budget > 0.0,
                         extras={"probability_budget": budget, "lambda": lam})
 
 
-def _trial_tradeoff_general(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    return _trial_tradeoff(scenario, trial_seed, randomized_formula=False)
-
-
-def _trial_tradeoff_randomization(scenario: VerifyScenario, trial_seed: int) -> TrialOutcome:
-    return _trial_tradeoff(scenario, trial_seed, randomized_formula=True)
-
-
-def _each(trial):
-    """A one-seed pipeline as a pipeline over a list of seeds."""
-    def run(scenario: VerifyScenario, seeds: list[int]) -> list[TrialOutcome]:
-        return [trial(scenario, seed) for seed in seeds]
-    return run
-
-
-# Each maps (scenario, seeds) to the seeds' outcomes, in seed order.
-_PIPELINES = {
-    "privacy": _privacy_trials,
-    "utility": _each(_trial_utility_bound),
-    "tradeoff-general": _each(_trial_tradeoff_general),
-    "tradeoff-randomization": _each(_trial_tradeoff_randomization),
-    "utility-he": _each(_trial_he_utility_bound),
-}
+def trial_outcomes(bound_name: str, scenario: VerifyScenario,
+                   seeds: list[int]) -> list[TrialOutcome]:
+    """One trial of ``bound_name`` per seed, run through ``experiment.run_trials``;
+    their outcomes in seed order."""
+    if bound_name not in boundsmod.BOUND_NAMES:
+        raise ConfigurationError(f"unknown bound name: {bound_name!r}; "
+                                 f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
+    trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
+    if bound_name == "privacy":
+        return run_trials(trials, _privacy_outcome)
+    if bound_name.startswith("tradeoff"):
+        score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
+    else:
+        score = _utility_outcome
+    return run_trials(trials, score, invert=False)
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:
@@ -247,15 +201,11 @@ def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:
 def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
                  master_seed: int = 0) -> boundsmod.BoundReport:
     """Run the bound's pipeline `trials` times and score the violation rate."""
-    if bound_name not in _PIPELINES:
-        raise ConfigurationError(f"unknown bound name: {bound_name!r}; "
-                                 f"expected one of {sorted(_PIPELINES)}")
     if trials < 100:
         raise ConfigurationError("trials must be >= 100")
-    pipeline = _PIPELINES[bound_name]
     seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
 
-    outcomes = pipeline(scenario, seeds)
+    outcomes = trial_outcomes(bound_name, scenario, seeds)
 
     confidence = stated_confidence(bound_name, scenario)
     vacuous_claim = confidence <= 0.0

@@ -95,6 +95,23 @@ class TestProtect:
         assert out.delta_up_grad == pytest.approx(2.0, rel=1e-15)
         assert np.all(np.isfinite(out.wire))
 
+    @pytest.mark.parametrize("exact_norm", [None, 2.0])
+    @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
+    def test_overflowing_draw_without_warning(self, sigma, exact_norm):
+        # sigma * z overflows some entries; the rescale takes z's direction
+        z = rngmod.stream(0, 1).standard_normal(4)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(sigma * z))
+        mech = protocol.ProtectionMechanism(kind="randomization", sigma=sigma,
+                                            exact_norm=exact_norm)
+        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
+        if exact_norm is None:
+            assert out.delta_up_grad == math.inf
+        else:
+            assert np.all(np.isfinite(out.wire))
+            assert out.delta_up_grad == pytest.approx(2.0)
+            assert np.array_equal(out.delta, z * (2.0 / np.linalg.norm(z)))
+
     def test_bad_permutation_rejected(self):
         with pytest.raises(ConfigurationError):
             protocol.he_codec(np.array([0, 0, 2]), np.zeros(3))

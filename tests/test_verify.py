@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtradeoff import attack, bounds, datagen, models, protocol, verify
+from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
@@ -61,9 +61,58 @@ class TestPrivacyTrialFromSimulate:
                                         num_classes=2, class_separation=2.0,
                                         diameter_cap=2.0, seed=0),
             sigma=0.4, fl_rounds=3, learning_rate=0.3)
-        got = verify._trial_privacy_bound(sc, seed)
+        got = verify.trial_outcomes("privacy", sc, [seed])[0]
         want = hand_built_privacy_trial(sc, seed)
         assert got.extras["delta_up"] > 0.0
+        assert repr(got) == repr(want)
+
+
+def hand_built_utility_trial(scenario, trial_seed, mech):
+    """Oracle: the utility pipeline on a protocol run whose data, mechanism and
+    run config are built here, with M computed here from its definition."""
+    ds_spec = replace(scenario.dataset, seed=trial_seed)
+    datasets = datagen.generate(ds_spec)
+    fl = protocol.FLRunConfig(rounds=scenario.fl_rounds, learning_rate=scenario.learning_rate,
+                              seed=trial_seed)
+    result = protocol.run(scenario.model, fl, mech, datasets)
+    target = datasets[0]
+    theta = result.theta_final_shadow
+    delta_model = result.theta_final_decoded - theta
+    delta_two = float(np.linalg.norm(delta_model))
+    eps_u, _ = protocol.measure_utility_loss(
+        scenario.model, theta, delta_model, target,
+        datagen.fresh_sampler(ds_spec, trial_seed), scenario.n_eval)
+    est = datagen.estimate_constants(
+        scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
+        quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)
+    losses = models.per_example_losses(scenario.model, theta + delta_model, target.x, target.y)
+    big_m = max(float(np.max(np.abs(losses))), 1e-12)
+    lam, rhs = bounds.minimize_utility_lambda(
+        est.big_c, delta_two, big_m, scenario.model.param_dim, ds_spec.diameter_cap,
+        scenario.eta, target.size)
+    return verify.TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
+                               extras={"lambda": lam, "delta_two": delta_two,
+                                       "big_c": est.big_c, "big_m": big_m,
+                                       "cap_d": ds_spec.diameter_cap})
+
+
+class TestUtilityTrialFromSimulate:
+    @pytest.mark.parametrize("bound", ["utility", "utility-he"])
+    @pytest.mark.parametrize("clients", [1, 2])
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_equals_hand_built_run(self, bound, clients, seed):
+        sc = tiny_scenario(
+            dataset=datagen.DatasetSpec(num_clients=clients, per_client_size=6, input_dim=2,
+                                        num_classes=2, class_separation=2.0,
+                                        diameter_cap=2.0, seed=0),
+            sigma=0.4, fl_rounds=3, learning_rate=0.3, offset_scale=0.5)
+        if bound == "utility":
+            mech = protocol.randomization(sc.sigma)
+        else:
+            mech = protocol.random_he_codec(sc.model.param_dim, seed, sc.offset_scale)
+        got, = verify.trial_outcomes(bound, sc, [seed])
+        want = hand_built_utility_trial(sc, seed, mech)
+        assert (got.extras["delta_two"] > 0.0) == (bound == "utility")
         assert repr(got) == repr(want)
 
 
@@ -84,7 +133,7 @@ class TestLockstepBlocks:
 
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
-        ("privacy", 1, (1 << 20) // 15, [78, 22]),
+        ("privacy", 1, (1 << 20) // 15, [75, 25]),
         # a trial's 3 clients split over two blocks: 2 x 8 x 4 x (11 x 2 + 2) bytes
         ("tradeoff-general", 3, 2 * 768, [2, 1] * 100),
     ])
@@ -108,7 +157,7 @@ class TestLockstepBlocks:
         # and a serial run meets seed 2's error first
         sc = tiny_scenario(sigma=0.4)
         seeds = [rngmod.trial_seed(0, 0, i) for i in range(100)]
-        estimate, simulate = datagen.estimate_constants, verify.simulate
+        estimate, simulate = datagen.estimate_constants, experiment.simulate
 
         def failing_estimate(*args, seed, **kw):
             if seed == seeds[2]:
@@ -121,7 +170,7 @@ class TestLockstepBlocks:
             return simulate(model, dataset, fl, mech, seed)
 
         monkeypatch.setattr(datagen, "estimate_constants", failing_estimate)
-        monkeypatch.setattr(verify, "simulate", failing_simulate)
+        monkeypatch.setattr(experiment, "simulate", failing_simulate)
         rows = record_block_rows(monkeypatch)
         with pytest.raises(NumericError, match="estimate failed at seed 2"):
             verify.verify_bound("privacy", sc, 100)
@@ -191,8 +240,8 @@ class TestVerifyBound:
         sc_he = tiny_scenario()
         sc_plain = tiny_scenario(sigma=0.0)
         for seed in (11, 22, 33):
-            a = verify._trial_he_utility_bound(sc_he, seed)
-            b = verify._trial_utility_bound(sc_plain, seed)
+            a, = verify.trial_outcomes("utility-he", sc_he, [seed])
+            b, = verify.trial_outcomes("utility", sc_plain, [seed])
             assert a.measured == b.measured
             assert a.rhs == b.rhs
 
