@@ -6,18 +6,19 @@ seeds. Run this script to reproduce the numbers that were frozen:
 
   pilot 1  single-sample linear inversion, seeds 0..19      -> locked: final
            leakage >= 0.95 must hold in >= 90% of fresh seeds (observed 20/20
-           at 1.0; trajectory-average 10th percentile 0.9805 -> locked 0.95).
+           at 1.0; trajectory-average 10th percentile 0.9866 -> locked 0.95).
   pilot 2  sigma sweep (mlp1 harness), 10 trials            -> locked: medians
-           non-increasing + Spearman rho <= 0, p < 0.05 (observed rho -0.82).
+           non-increasing + Spearman rho <= 0, p < 0.05 (observed medians
+           0.806 .. 0.185, rho -0.825, p 1.7e-13).
   pilot 3  noise-floor attack vs random-init baseline       -> locked: one-sided
            Mann-Whitney p(attack < baseline) must be > 0.05 (observed 1.0).
   pilot 4  phase-2 training accuracy on separable data      -> locked: >= 0.95
-           (observed min 0.975 over 20 seeds).
+           (observed min 1.000 over 20 seeds).
   pilot 5  utility loss under large distortion, 50 seeds    -> locked: >= 45/50
            (observed 50/50 at 20 GD steps, distortion norm 10).
   pilot 6  privacy-bound scenario calibration               -> locked scenario:
            sigma=0.6, T=250, adam 0.15 gaussian-init, quantile 0.1 (observed:
-           precondition satisfied in ~85% of trials, zero violations).
+           precondition satisfied in 35/40 trials, zero violations).
 """
 
 import numpy as np

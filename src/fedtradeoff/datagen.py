@@ -1,11 +1,11 @@
 """Bounded synthetic datasets and empirical estimation of the analysis constants.
 
 The generator draws i.i.d. examples from a truncated class-conditional Gaussian
-mixture and maps them with a fixed affine scale into the ball of radius
-``diameter_cap / 2`` centered at the origin, so the max pairwise feature
-distance never exceeds ``diameter_cap``. Truncation-by-rejection keeps train
-and fresh evaluation draws i.i.d. from the *same* distribution, which the
-utility-loss measurement requires.
+mixture and maps them with a fixed scale into the ball of radius
+``diameter_cap / 2`` at the origin, so no two feature vectors lie more than
+``diameter_cap`` apart. Train and fresh evaluation draws come from the *same*
+distribution, as the utility-loss measurement requires. Both draw whole arrays
+per call in the order of data stream v3 (``_draw_examples``).
 """
 
 from __future__ import annotations
@@ -71,35 +71,31 @@ def _class_centers(spec: DatasetSpec) -> np.ndarray:
     g = rngmod.stream(spec.seed, rngmod.STREAM_DATA, 0, 0)
     p = spec.input_dim
     q, _ = np.linalg.qr(g.standard_normal((p, p)))
-    centers = np.empty((spec.num_classes, p))
-    for c in range(spec.num_classes):
-        sign = 1.0 if c % 2 == 0 else -1.0
-        centers[c] = sign * q[:, (c // 2) % p]
+    c = np.arange(spec.num_classes)
+    centers = np.where(c % 2 == 0, 1.0, -1.0)[:, None] * q[:, (c // 2) % p].T
     return (spec.class_separation / 2.0) * centers
 
 
-def _draw_examples(spec: DatasetSpec, g: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    centers = _class_centers(spec)
-    scale = (spec.diameter_cap / 2.0) / _RAW_RADIUS
-    xs = np.empty((n, spec.input_dim))
-    ys = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        label = int(g.integers(0, spec.num_classes))
-        while True:
-            raw = centers[label] + g.standard_normal(spec.input_dim)
-            if np.linalg.norm(raw) <= _RAW_RADIUS:
-                break
-        xs[i] = raw * scale
-        ys[i] = label
-    return xs, ys
+def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generator,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n examples in data stream v3's order: n labels, an (n, p) normal array, then
+    pass by pass a fresh normal row per row outside _RAW_RADIUS, in row order."""
+    y = g.integers(0, spec.num_classes, n)
+    raw = centers[y] + g.standard_normal((n, spec.input_dim))
+    out = np.flatnonzero(np.linalg.norm(raw, axis=1) > _RAW_RADIUS)
+    while out.size:
+        raw[out] = centers[y[out]] + g.standard_normal((out.size, spec.input_dim))
+        out = out[np.linalg.norm(raw[out], axis=1) > _RAW_RADIUS]
+    return raw * ((spec.diameter_cap / 2.0) / _RAW_RADIUS), y
 
 
 def generate(spec: DatasetSpec) -> list[ClientDataset]:
     """K client datasets, fully determined by spec.seed."""
+    centers = _class_centers(spec)
     out = []
     for k in range(spec.num_clients):
         g = rngmod.stream(spec.seed, rngmod.STREAM_DATA, 1, k)
-        x, y = _draw_examples(spec, g, spec.per_client_size)
+        x, y = _draw_examples(spec, centers, g, spec.per_client_size)
         out.append(ClientDataset(client_id=k, x=x, y=y))
     return out
 
@@ -107,12 +103,15 @@ def generate(spec: DatasetSpec) -> list[ClientDataset]:
 def fresh_sampler(spec: DatasetSpec, seed: int):
     """Sampler of fresh i.i.d. draws from the same distribution as generate().
 
-    Returns a callable ``f(n) -> (x, y)``; successive calls continue the stream.
+    Returns a callable ``f(n) -> (x, y)``; successive calls continue the stream
+    ``(seed, STREAM_EVAL, 0)``, each as one data stream v3 batch of n rows, so
+    ``f(200)`` twice does not give the rows of ``f(400)``.
     """
     g = rngmod.stream(seed, rngmod.STREAM_EVAL, 0)
+    centers = _class_centers(spec)
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        return _draw_examples(spec, g, n)
+        return _draw_examples(spec, centers, g, n)
 
     return draw
 

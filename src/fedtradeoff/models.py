@@ -162,7 +162,8 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
 
 def loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Mean per-example loss of the batch."""
-    out = float(per_example_losses(spec, theta, x, y).mean())
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean raises below
+        out = float(per_example_losses(spec, theta, x, y).mean())
     if not np.isfinite(out):
         raise NumericError("non-finite loss")
     return out

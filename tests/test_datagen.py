@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,78 @@ class TestGenerate:
         x, y = draw(200)
         assert x.shape == (200, 2)
         assert np.all(np.linalg.norm(x, axis=1) <= spec.diameter_cap / 2 + 1e-12)
+
+
+def per_example_draws(spec, g, n):
+    """The per-example rejection loop data stream v3 replaced: a label, then
+    normal vectors around its center until one lies inside the raw radius."""
+    centers = datagen._class_centers(spec)
+    xs = np.empty((n, spec.input_dim))
+    ys = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        label = int(g.integers(0, spec.num_classes))
+        while True:
+            raw = centers[label] + g.standard_normal(spec.input_dim)
+            if np.linalg.norm(raw) <= datagen._RAW_RADIUS:
+                break
+        xs[i] = raw * ((spec.diameter_cap / 2.0) / datagen._RAW_RADIUS)
+        ys[i] = label
+    return xs, ys
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestDataStreamV3:
+    # p = 3, 4 classes at separation 5: about 12% of first normal draws fall
+    # outside the raw radius and are redrawn
+    SPEC = datagen.DatasetSpec(num_clients=1, per_client_size=20000, input_dim=3,
+                               num_classes=4, class_separation=5.0, seed=0)
+
+    def test_same_law_as_the_per_example_loop(self):
+        n = self.SPEC.per_client_size
+        ds = datagen.generate(self.SPEC)[0]
+        x, y = ds.x, ds.y
+        ox, oy = per_example_draws(self.SPEC, rngmod.stream(1, 999), n)
+        for c in range(self.SPEC.num_classes):
+            f, of = np.mean(y == c), np.mean(oy == c)
+            pooled = (f + of) / 2
+            assert abs(f - of) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / n), c
+            a, b = x[y == c], ox[oy == c]
+            se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+            assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se), c
+
+    def test_redraws_happen_at_this_separation(self):
+        g = rngmod.stream(2, 999)
+        y = g.integers(0, self.SPEC.num_classes, self.SPEC.per_client_size)
+        raw = datagen._class_centers(self.SPEC)[y] + g.standard_normal((len(y), self.SPEC.input_dim))
+        assert 0.10 < np.mean(np.linalg.norm(raw, axis=1) > datagen._RAW_RADIUS) < 0.14
+
+    @pytest.mark.parametrize("cap", [2.0, 0.5])      # raw-to-ball scales 1/4 and 1/16 are exact
+    @pytest.mark.parametrize("separation", [0.0, 5.0, 8.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_row_inside_the_ball(self, cap, separation, seed):
+        spec = datagen.DatasetSpec(num_clients=3, per_client_size=500, input_dim=3,
+                                   num_classes=4, class_separation=separation,
+                                   diameter_cap=cap, seed=seed)
+        draw = datagen.fresh_sampler(spec, seed)
+        xs = [ds.x for ds in datagen.generate(spec)] + [draw(n)[0] for n in (1, 700)]
+        for x in xs:
+            assert np.all(np.linalg.norm(x, axis=1) <= cap / 2)
+
+    def test_pinned_draws(self):
+        # a silent change of the draw order moves these digests
+        spec = datagen.DatasetSpec(num_clients=2, per_client_size=32, input_dim=3,
+                                   num_classes=4, class_separation=5.0, seed=0)
+        assert digest(*[a for ds in datagen.generate(spec) for a in (ds.x, ds.y)]) == (
+            "44cec56a8f4ccbcdfc0ca7b5906c67cf7224927e368e2e70e36def73148a17dc")
+        assert digest(*datagen.fresh_sampler(spec, 0)(400)) == (
+            "3474649d2adca4123ad2dabf266bfcbd156519429a2b53ac744401dd0410311d")
 
 
 class TestDiameter:
@@ -293,17 +366,17 @@ class TestEstimateConstants:
         assert est.big_m == experiment.exact_big_m(spec, theta, np.zeros(spec.param_dim), [ds])
 
     def test_pinned_v2_estimate(self):
-        # estimate stream v2 at logistic, seed 0: a silent change of the draw
-        # order or of the scoring arithmetic moves this repr
+        # estimate stream v2 at logistic, seed 0, on data stream v3's data: a
+        # silent change of the draw order or of the scoring arithmetic moves this repr
         spec, theta, datasets = self._spec_and_data(seed=0)
         est = datagen.estimate_constants(spec, theta, datasets, seed=0)
         assert repr(est) == (
-            "ConstantsEstimate(c_a=1.9976233435481627, c_b=2.468087156121216, "
-            "big_c=0.7933466679322986, big_m=0.7512975393352194, "
-            "cap_d=1.3632865687583617, c_0=1.0, c_2=1.0, meta={'num_pairs': 200, "
+            "ConstantsEstimate(c_a=1.9730635063329232, c_b=2.8886442424914773, "
+            "big_c=4.947852398304605, big_m=0.8136677050466931, "
+            "cap_d=1.68962109179969, c_0=1.0, c_2=1.0, meta={'num_pairs': 200, "
             "'pairs_used': 200, 'pairs_skipped_degenerate': 0, 'skip_rate': 0.0, "
-            "'quantile': 0.05, 'ratio_median': 2.1475783084861257, "
-            "'c_theta_side': 0.10261546504500411, 'c_data_side': 0.7933466679322986, "
+            "'quantile': 0.05, 'ratio_median': 2.3664105812401046, "
+            "'c_theta_side': 0.15002250354021882, 'c_data_side': 4.947852398304605, "
             "'delta_budget': 1.0, 'c_fit': None, 'pilot_iters': 0})")
 
     @pytest.mark.parametrize("spec", [

@@ -317,6 +317,17 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert "RuntimeWarning" not in r.stderr
 
+    def test_huge_finite_model_non_finite_loss_exit_2(self, tmp_path):
+        # learning rate 60 for 300 rounds: the linear model stays finite, but its
+        # squared residuals overflow in the utility loss
+        r = run_cli(["sweep", "--axis", "sigma", "--values", "0.3,0.5", "--trials", "1",
+                     "--model", "linear", "--lr", "60", "--rounds", "300", "--seed", "3",
+                     "--out", str(tmp_path / "s")],
+                    env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert r.returncode == 2, r.stderr
+        assert "numeric error: non-finite loss" in r.stderr
+        assert "RuntimeWarning" not in r.stderr
+
     def test_bad_sweep_value_exit_1(self, tmp_path):
         r = run_cli(["sweep", "--axis", "sigma", "--values", "0,abc", "--trials", "2",
                      "--out", str(tmp_path / "s")])
