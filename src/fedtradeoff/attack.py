@@ -72,18 +72,25 @@ class AttackTrace:
 _BLOCK_BUDGET = 1 << 20
 
 
-def lockstep_blocks(items: list, spec: models.ModelSpec, cfg: AttackConfig, m: int,
-                    kept_bytes: int = 0) -> list[list]:
+def lockstep_blocks(items: list, uploads: list[int], spec: models.ModelSpec,
+                    cfg: AttackConfig, m: int, kept_bytes: int = 0) -> list[list]:
     """Consecutive slices of ``items``, one ``invert_batch`` call each.
 
-    An item is one upload of m samples: its inversion stores (iters + 1) m p
-    iterates and works on m per-example gradients, and the caller keeps
-    ``kept_bytes`` of its trial until the block is scored. A slice takes as many
-    items as fit the block budget, and at least one.
+    Item i holds ``uploads[i]`` uploads of m samples: each inversion stores
+    (iters + 1) m p iterates and works on m per-example gradients, and the
+    caller keeps ``kept_bytes`` of the item until the block is scored. A slice
+    takes as many items as fit the block budget, and at least one.
     """
-    item_bytes = 8 * m * ((cfg.iters + 1) * spec.input_dim + spec.param_dim) + kept_bytes
-    rows = max(1, _BLOCK_BUDGET // item_bytes)
-    return [items[i:i + rows] for i in range(0, len(items), rows)]
+    upload_bytes = 8 * m * ((cfg.iters + 1) * spec.input_dim + spec.param_dim)
+    blocks, held = [], 0
+    for item, n in zip(items, uploads):
+        cost = n * upload_bytes + kept_bytes
+        if not blocks or held + cost > _BLOCK_BUDGET:
+            blocks.append([])
+            held = 0
+        blocks[-1].append(item)
+        held += cost
+    return blocks
 
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -300,12 +307,11 @@ def risk(h: Classifier, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
-             search: str = "random-ball", n_probe: int = 64, steps: int = 10,
-             step_size: float | None = None, seed: int = 0) -> float:
+             n_probe: int = 64, seed: int = 0) -> float:
     """Lower estimate of the adversarial risk at perturbation budget ``budget``.
 
-    Fraction of test points for which the search finds X within the ball with
-    h(X) != label. The center point is always probed, so budget 0 reduces
+    Fraction of test points for which a random search finds X within the ball
+    with h(X) != label. The center point is always probed, so budget 0 reduces
     exactly to risk(). Probes come from per-point substreams, so growing
     n_probe only extends each point's probe sequence: the estimate is monotone
     non-decreasing in n_probe. Probes scale radially with budget, so for
@@ -313,8 +319,6 @@ def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
     """
     if budget < 0:
         raise ConfigurationError("budget must be >= 0")
-    if search not in ("random-ball", "input-gradient-ascent"):
-        raise ConfigurationError(f"unknown search: {search!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     m, p = x.shape
@@ -325,37 +329,17 @@ def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
             continue
         if budget == 0.0:
             continue
-        found = False
-        if search == "random-ball":
-            g = rngmod.stream(seed, rngmod.STREAM_ATTACK, 1, i)
-            for _ in range(n_probe):
-                u = g.standard_normal(p)
-                radius_frac = g.uniform(0, 1) ** (1.0 / p)
-                nu = np.linalg.norm(u)
-                if nu == 0:
-                    continue
-                cand = x[i] + (budget * radius_frac) * u / nu
-                if int(h.predict(cand[None, :])[0]) != int(y[i]):
-                    found = True
-                    break
-        else:
-            step = step_size if step_size is not None else budget / max(steps, 1)
-            cand = x[i].copy()
-            for _ in range(steps):
-                gi = models.grad_input(h.spec, h.theta, cand, int(y[i]))
-                n = np.linalg.norm(gi)
-                if n == 0:
-                    break
-                cand = cand + step * gi / n
-                off = cand - x[i]
-                d = np.linalg.norm(off)
-                if d > budget:
-                    cand = x[i] + off * (budget / d)
-                if int(h.predict(cand[None, :])[0]) != int(y[i]):
-                    found = True
-                    break
-        if found:
-            hits += 1
+        g = rngmod.stream(seed, rngmod.STREAM_ATTACK, 1, i)
+        for _ in range(n_probe):
+            u = g.standard_normal(p)
+            radius_frac = g.uniform(0, 1) ** (1.0 / p)
+            nu = np.linalg.norm(u)
+            if nu == 0:
+                continue
+            cand = x[i] + (budget * radius_frac) * u / nu
+            if int(h.predict(cand[None, :])[0]) != int(y[i]):
+                hits += 1
+                break
     return hits / m
 
 
@@ -415,7 +399,7 @@ def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarr
                   spec: models.ModelSpec, *, budget: float, pac_eps: float,
                   pac_delta: float, c_a: float, delta_up: float, m_prot: int,
                   epochs: int = 200, lr: float = 0.5, seed: int = 0,
-                  search: str = "random-ball", n_probe: int = 64) -> tuple[Classifier, Phase2Report]:
+                  n_probe: int = 64) -> tuple[Classifier, Phase2Report]:
     """Train the phase-2 classifier and assemble its scorecard.
 
     ``c_a`` is NaN when the constants could not be estimated; the sample lower
@@ -423,13 +407,13 @@ def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarr
     """
     h = train_phase2(recovered, spec, epochs=epochs, lr=lr, seed=seed)
     r = risk(h, test_x, test_y)
-    ar = adv_risk(h, test_x, test_y, budget, search=search, n_probe=n_probe, seed=seed)
+    ar = adv_risk(h, test_x, test_y, budget, n_probe=n_probe, seed=seed)
     rep = Phase2Report(
         risk=r, adv_risk=ar, budget=budget, pac_eps=pac_eps, pac_delta=pac_delta,
         sample_lower_bound=sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         log2_sample_lower_bound=log2_sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         not_pac_learnable=not_pac_condition(delta_up, m_prot, pac_eps),
-        search=search, n_probe=n_probe, constants_estimated=not math.isnan(c_a),
+        search="random-ball", n_probe=n_probe, constants_estimated=not math.isnan(c_a),
     )
     rep.validate()
     return h, rep

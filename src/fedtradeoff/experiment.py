@@ -1,13 +1,21 @@
-"""Experiment configuration and the one trial runner.
+"""Experiment configuration, the one trial runner and the bound sides.
 
 One trial = generate data, run the protocol (``simulate``), keep what scoring
-reads of the run (``observe``), invert the attacked client's upload, and score
-it. ``run_trials`` runs trials stage-wise in lockstep blocks and takes the
-scorer as an argument: sweeps and ``run_trial`` pass ``score_trial`` (leakage,
-utility loss, constants estimated on the trial's own data, bounds, one
-``TrialRow``), and the Monte-Carlo bound verifier passes each bound's outcome
-function. Per-trial seeds are derived splittably from the master seed, so
-trials are independent and appending trials never changes existing ones.
+reads of the run (``observe``), invert the uploads the trial lists, and score
+it. ``run_trials`` runs trials stage-wise in lockstep blocks and is the only
+inverter of simulated uploads. Sweeps and ``run_trial`` pass it
+``score_trial`` (one ``TrialRow``), the bound verifier each bound's outcome
+function, and ``estimate-constants`` its pilot estimate.
+
+``privacy_outcome`` and ``utility_outcome`` compute each bound side once;
+each caller passes its own constants estimate: ``score_trial`` one at the
+attacked round's model over every client's data, for both bounds; verify's
+privacy side client 0's data alone at the round-0 model; verify's utility
+side every client's data at the final shadow, and its trade-off at the
+round-0 model, both with C's parameter moves scaled to max(1, 2 ||delta||).
+
+Per-trial seeds are derived splittably from the master seed, so trials are
+independent and appending trials never changes existing ones.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -132,13 +140,10 @@ TrialRow.FIELDS = tuple(f.name for f in fields(TrialRow))
 
 
 def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarray,
-                datasets: list[datagen.ClientDataset]) -> float:
-    """max_Z |loss(theta + delta, Z)| over the protected training points."""
-    worst = 0.0
-    for ds in datasets:
-        per = models.per_example_losses(model_spec, theta + delta, ds.x, ds.y)
-        worst = max(worst, float(np.max(np.abs(per))))
-    return max(worst, 1e-12)
+                target: datagen.ClientDataset) -> float:
+    """max_Z |loss(theta + delta, Z)| over the protected client's training points."""
+    per = models.per_example_losses(model_spec, theta + delta, target.x, target.y)
+    return max(1e-12, float(np.max(np.abs(per))))   # 1e-12 first: a NaN maximum gives 1e-12
 
 
 def try_estimate(model_spec, theta, datasets, **kw) -> datagen.ConstantsEstimate | None:
@@ -190,69 +195,119 @@ def observe(config: ExperimentConfig, seed: int) -> Observed:
                     result.theta_final_shadow, result.theta_final_decoded)
 
 
+@dataclass
+class TrialOutcome:
+    """One side of a bound in one trial: the measured quantity, the bound's rhs,
+    whether its stated precondition applied, and the values behind the rhs."""
+    measured: float
+    rhs: float
+    precondition_ok: bool
+    extras: dict = field(default_factory=dict)
+
+
+def privacy_outcome(config: ExperimentConfig, observed: Observed,
+                    trace: attackmod.AttackTrace,
+                    est: datagen.ConstantsEstimate | None) -> TrialOutcome:
+    """The attacked client's leakage vs the privacy bound at constants ``est``.
+
+    ``trace`` inverted that client's upload in the observed round. With ``est``
+    None (no usable pair) the threshold, rhs and constants are NaN and the
+    precondition fails."""
+    client = config.attack_client
+    target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
+    cap_d = config.dataset.diameter_cap
+    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
+    if est is None:
+        nan = float("nan")
+        threshold = rhs = c_a = c_b = c_2 = skip_rate = nan
+    else:
+        threshold = boundsmod.privacy_precondition_threshold(
+            est.c_2, est.c_b, est.c_a, config.attack.iters)
+        rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a, cap_d,
+                                            delta_up)
+        c_a, c_b, c_2, skip_rate = est.c_a, est.c_b, est.c_2, est.meta["skip_rate"]
+    return TrialOutcome(measured=eps_p, rhs=rhs, precondition_ok=bool(delta_up >= threshold),
+                        extras={"delta_up": delta_up, "threshold": threshold, "c_a": c_a,
+                                "c_b": c_b, "c_2": c_2, "pair_skip_rate": skip_rate})
+
+
+def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
+                    big_c: Callable[[float], float]) -> tuple[TrialOutcome, float]:
+    """The attacked client's utility loss vs the utility bound at the minimizing
+    lambda; ``(outcome, halfwidth of the loss)``.
+
+    The loss is that of the final decoded model against the final shadow, on
+    fresh draws. ``big_c(delta_two)`` gives the bound's C from the two-way
+    distortion ||delta||, taken once the loss is measured: the C of each caller
+    is its own (see the module docstring). M is exact at the final decoded
+    model; D is the configured cap. A NaN C gives NaN lambda and rhs; an
+    infinite ||delta|| raises ``NumericError``."""
+    target = observed.datasets[config.attack_client]
+    theta = observed.theta_shadow
+    delta_model = observed.theta_decoded - theta
+    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed)
+    eps_u, half = protocol.measure_utility_loss(
+        config.model, theta, delta_model, target, sampler, config.n_eval)
+
+    with np.errstate(over="ignore"):          # an overflowing ||delta|| raises below
+        delta_two = float(np.linalg.norm(delta_model))
+    if not np.isfinite(delta_two):
+        raise NumericError("non-finite two-way distortion")
+    c = big_c(delta_two)
+    big_m = exact_big_m(config.model, theta, delta_model, target)
+    cap_d = config.dataset.diameter_cap
+    if np.isnan(c):
+        lam = rhs = float("nan")
+    else:
+        lam, rhs = boundsmod.minimize_utility_lambda(
+            c, delta_two, big_m, config.model.param_dim, cap_d, config.eta, target.size)
+    return TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
+                        extras={"lambda": lam, "delta_two": delta_two, "big_c": c,
+                                "big_m": big_m, "cap_d": cap_d}), half
+
+
 def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
-                trace: attackmod.AttackTrace, *,
+                traces: list[attackmod.AttackTrace], *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Score one inverted upload: leakage, utility loss, constants, bounds.
 
-    ``trace`` inverted the upload of ``config.attack_client`` in the observed
-    round with ``config.attack.iters`` iterations. The utility loss is that of
-    the final decoded model against the final shadow. ``experiment_id``
-    defaults to this config's digest; sweeps stamp their base config's digest
-    on every row so one sweep stays one experiment.
+    ``traces`` holds the one inversion of ``config.attack_client``'s upload in
+    the observed round, with ``config.attack.iters`` iterations. Both bounds
+    take their constants from one estimate at that round's model over every
+    client's data (``try_estimate``: NaN bound columns when it fails).
+    ``experiment_id`` defaults to this config's digest; sweeps stamp their base
+    config's digest on every row so one sweep stays one experiment.
     """
-    ds_spec = replace(config.dataset, seed=seed)
-    cap_d = ds_spec.diameter_cap
+    trace, = traces
     client = config.attack_client
-    target = observed.datasets[client]
-    delta_up = observed.delta_up_grad[client]
-    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
-    eps_p_final = attackmod.privacy_leakage_final(trace, target.x, cap_d)
-
-    theta_shadow = observed.theta_shadow
-    delta_model = observed.theta_decoded - theta_shadow
-    sampler = datagen.fresh_sampler(ds_spec, seed)
-    eps_u, half = protocol.measure_utility_loss(
-        config.model, theta_shadow, delta_model, target, sampler, config.n_eval)
-
     est = try_estimate(
         config.model, observed.theta_round, observed.datasets,
         num_pairs=config.num_pairs, quantile=config.quantile,
         attack_objectives=trace.objectives[1:], seed=seed)
-
-    delta_two_final = float(np.linalg.norm(delta_model))
-    big_m = exact_big_m(config.model, theta_shadow, delta_model, [target])
-    nan = float("nan")
-    if est is not None:
-        privacy_rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
-                                                 cap_d, delta_up)
-        threshold = boundsmod.privacy_precondition_threshold(
-            est.c_2, est.c_b, est.c_a, config.attack.iters)
-        privacy_ok = bool(delta_up >= threshold)
-        lam, utility_rhs = boundsmod.minimize_utility_lambda(
-            est.big_c, delta_two_final, big_m, config.model.param_dim, cap_d,
-            config.eta, target.size)
-        consts = (est.c_a, est.c_b, est.big_c, est.cap_d, est.c_0, est.c_2,
-                  est.meta["skip_rate"])
-    else:
-        privacy_rhs, privacy_ok, lam, utility_rhs = nan, False, nan, nan
-        consts = (nan,) * 7
-
+    privacy = privacy_outcome(config, observed, trace, est)
+    big_c = float("nan") if est is None else est.big_c
+    utility, half = utility_outcome(config, seed, observed, lambda _: big_c)
+    target = observed.datasets[client]
+    consts = privacy.extras
+    cap_d, c_0 = (float("nan"),) * 2 if est is None else (est.cap_d, est.c_0)
     return TrialRow(
         experiment_id=experiment_id or config.experiment_id(),
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
         seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
-        eps_p=eps_p, eps_p_final=eps_p_final, eps_u=eps_u, eps_u_halfwidth=half,
-        eps_e=target.size,
-        delta_up_grad=delta_up, delta_up_param=observed.delta_up_param[client],
+        eps_p=privacy.measured,
+        eps_p_final=attackmod.privacy_leakage_final(trace, target.x,
+                                                    config.dataset.diameter_cap),
+        eps_u=utility.measured, eps_u_halfwidth=half, eps_e=target.size,
+        delta_up_grad=observed.delta_up_grad[client],
+        delta_up_param=observed.delta_up_param[client],
         delta_two_grad=observed.delta_two_grad, delta_two_param=observed.delta_two_param,
-        privacy_rhs=privacy_rhs, privacy_precond_ok=privacy_ok,
-        privacy_holds=bool(privacy_ok and eps_p <= privacy_rhs),
-        utility_rhs=utility_rhs, utility_lambda=lam,
-        utility_holds=bool(not np.isnan(utility_rhs) and eps_u <= utility_rhs),
-        c_a=consts[0], c_b=consts[1], big_c=consts[2], big_m=big_m, cap_d=consts[3],
-        c_0=consts[4], c_2=consts[5], pair_skip_rate=consts[6],
+        privacy_rhs=privacy.rhs, privacy_precond_ok=privacy.precondition_ok,
+        privacy_holds=bool(privacy.precondition_ok and privacy.measured <= privacy.rhs),
+        utility_rhs=utility.rhs, utility_lambda=utility.extras["lambda"],
+        utility_holds=bool(not np.isnan(utility.rhs) and utility.measured <= utility.rhs),
+        c_a=consts["c_a"], c_b=consts["c_b"], big_c=big_c, big_m=utility.extras["big_m"],
+        cap_d=cap_d, c_0=c_0, c_2=consts["c_2"], pair_skip_rate=consts["pair_skip_rate"],
     )
 
 
@@ -282,10 +337,16 @@ def run_in_blocks(run_block, blocks: list[list]) -> list:
     return results
 
 
-def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
+def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
+    """The uploads a trial inverts by default: the attacked client's."""
+    return (config.attack_client,)
+
+
+def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
     """Consecutive trials whose inversions can share one ``invert_batch``
     (equal model, attack config seed aside, and m), cut by
-    ``attack.lockstep_blocks`` with the bytes of each trial's ``Observed``."""
+    ``attack.lockstep_blocks`` with each trial's upload count and the bytes of
+    its ``Observed``."""
     def shape(trial):
         config = trial[0]
         return config.model, replace(config.attack, seed=0), config.dataset.per_client_size
@@ -295,35 +356,39 @@ def _lockstep_blocks(trials: list[tuple]) -> list[list[tuple]]:
         group = list(group)
         k = max(config.dataset.num_clients for config, _, _ in group)
         kept = 8 * (k * m * (model.input_dim + 1) + (k + 3) * model.param_dim)
-        blocks += attackmod.lockstep_blocks(group, model, attack, m, kept)
+        uploads = [len(inverted(config)) for config, _, _ in group]
+        blocks += attackmod.lockstep_blocks(group, uploads, model, attack, m, kept)
     return blocks
 
 
-def run_trials(trials: list[tuple], score, *, invert: bool = True) -> list:
-    """``score(config, seed, observed, trace, **kw)`` of each ``(config, seed,
+def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
+    """``score(config, seed, observed, traces, **kw)`` of each ``(config, seed,
     kw)`` trial, in order.
 
-    Trials run stage-wise in lockstep blocks: observe each in order, invert
-    the attacked uploads together (each trial seed is its attack seed), then
-    score each trace; the traces die with the block. With ``invert`` false the
-    trace is None and each trial is a block of its own."""
-    blocks = _lockstep_blocks(trials) if invert else [[trial] for trial in trials]
-    return run_in_blocks(partial(_run_block, score, invert), blocks)
+    ``inverted(config)`` lists the clients whose uploads in the attacked round
+    a trial inverts: by default the attacked client, none for the utility
+    bounds, every client for the trade-offs. Trials run stage-wise in lockstep
+    blocks: observe each in order, invert every listed upload of the block in
+    one ``attack.invert_batch`` (a trial's j-th upload with attack seed
+    ``seed + j``), then score each trial with its traces in listed order; the
+    traces die with the block. This is the only place a simulated upload is
+    inverted."""
+    return run_in_blocks(partial(_run_block, score, inverted),
+                         _lockstep_blocks(trials, inverted))
 
 
-def _run_block(score, invert: bool, block: list[tuple]) -> list:
-    config = block[0][0]
+def _run_block(score, inverted, block: list[tuple]) -> list:
     seen = [observe(cfg, seed) for cfg, seed, _ in block]
-    traces = [None] * len(block)
-    if invert:
-        clients = [cfg.attack_client for cfg, _, _ in block]
-        traces = attackmod.invert_batch(
-            config.model, np.stack([o.theta_round for o in seen]),
-            np.stack([o.wires[k] for k, o in zip(clients, seen)]),
-            np.stack([o.datasets[k].y for k, o in zip(clients, seen)]),
-            config.attack, [seed for _, seed, _ in block])
-    return [score(cfg, seed, o, trace, **kw)
-            for (cfg, seed, kw), o, trace in zip(block, seen, traces)]
+    clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
+    uploads = [(o, k, seed + j) for (_, seed, _), o, ks in zip(block, seen, clients)
+               for j, k in enumerate(ks)]
+    traces = iter(attackmod.invert_batch(
+        block[0][0].model, np.stack([o.theta_round for o, _, _ in uploads]),
+        np.stack([o.wires[k] for o, k, _ in uploads]),
+        np.stack([o.datasets[k].y for o, k, _ in uploads]),
+        block[0][0].attack, [s for _, _, s in uploads]) if uploads else ())
+    return [score(cfg, seed, o, list(itertools.islice(traces, len(ks))), **kw)
+            for (cfg, seed, kw), o, ks in zip(block, seen, clients)]
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")

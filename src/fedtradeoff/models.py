@@ -265,33 +265,6 @@ def grad_params(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray
     return g
 
 
-def grad_input(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y) -> np.ndarray:
-    """Gradient of the single-example loss w.r.t. the feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigurationError("grad_input expects a single example")
-    theta, xb, yb = _check_batch(spec, theta, x[None, :], np.atleast_1d(y))
-    if spec.kind == "linear":
-        r = float(xb[0] @ theta - yb[0])
-        return r * theta
-    if spec.kind == "logistic" and spec.num_classes == 2:
-        return (_sigmoid(xb[0] @ theta) - yb[0]) * theta
-    yi = int(yb[0])
-    if spec.kind == "logistic":
-        w = theta.reshape(spec.num_classes, spec.input_dim)
-        probs = _softmax(w @ xb[0])
-        d = probs.copy()
-        d[yi] -= 1.0
-        return w.T @ d
-    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    a = np.tanh(w1 @ xb[0] + b1)
-    probs = _softmax(w2 @ a + b2)
-    d = probs.copy()
-    d[yi] -= 1.0
-    dz = (w2.T @ d) * (1.0 - a * a)
-    return w1.T @ dz
-
-
 def predict(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Hard class predictions, shape (m,), integer labels."""
     x = np.asarray(x, dtype=np.float64)
@@ -324,23 +297,6 @@ def finite_diff_check(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.n
         tp = theta.copy(); tp[j] += step
         tm = theta.copy(); tm[j] -= step
         num = (loss(spec, tp, x, y) - loss(spec, tm, x, y)) / (2.0 * step)
-        err = abs(analytic[j] - num) / (abs(analytic[j]) + step)
-        worst = max(worst, err)
-    return worst
-
-
-def finite_diff_check_input(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y,
-                            step: float = 1e-5) -> float:
-    """Same check for the input gradient of a single example."""
-    if step <= 0:
-        raise ConfigurationError("step must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    analytic = grad_input(spec, theta, x, y)
-    worst = 0.0
-    for j in range(x.shape[0]):
-        xp = x.copy(); xp[j] += step
-        xm = x.copy(); xm[j] -= step
-        num = (loss(spec, theta, xp, np.atleast_1d(y)) - loss(spec, theta, xm, np.atleast_1d(y))) / (2.0 * step)
         err = abs(analytic[j] - num) / (abs(analytic[j]) + step)
         worst = max(worst, err)
     return worst

@@ -2,13 +2,14 @@
 
 A bound's trials are ``experiment`` trials: ``VerifyScenario.experiment_config``
 gives the config they run, and ``trial_outcomes`` runs one per seed through
-``experiment.run_trials`` (observe, invert, score), with the bound's outcome
-function as the scorer. Each outcome measures the bounded quantity on the
-trial's fresh data, evaluates the bound's rhs from constants estimated on that
-data, and records whether the bound held and whether its stated precondition
-applied. Privacy trials invert client 0's round-0 upload in lockstep blocks
-across seeds; a trade-off trial inverts each of its clients' round-0 uploads
-itself; utility trials invert nothing.
+``experiment.run_trials``, with the bound's outcome function as the scorer.
+Privacy trials invert client 0's round-0 upload, trade-off trials every
+client's, utility trials none. Each outcome scores its bound with
+``experiment.privacy_outcome`` / ``utility_outcome``, the sides ``score_trial``
+uses too, at constants estimated here on the trial's fresh data: privacy on
+client 0's data alone at the round-0 model; utility at the final shadow and
+trade-off at the round-0 model, both over every client's data with C's
+parameter moves scaled to max(1, 2 ||delta||).
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -21,8 +22,8 @@ two-standard-error binomial slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field, replace
-from functools import partial
+from dataclasses import dataclass, asdict, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError
-from .experiment import ExperimentConfig, MechanismSpec, Observed, exact_big_m, run_trials
+from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
+                         privacy_outcome, run_trials, utility_outcome)
 
 
 @dataclass(frozen=True)
@@ -73,69 +75,31 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
-@dataclass
-class TrialOutcome:
-    measured: float
-    rhs: float
-    precondition_ok: bool
-    extras: dict = field(default_factory=dict)
-
-
 def _privacy_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     trace: attackmod.AttackTrace) -> TrialOutcome:
+                     traces: list[attackmod.AttackTrace]) -> TrialOutcome:
     """Client 0's leakage vs the privacy bound, with the constants estimated on
-    its data at the attacked round's model."""
-    ds, delta_up = obs.datasets[0], obs.delta_up_grad[0]
-    cap_d = config.dataset.diameter_cap
-    eps_p = attackmod.privacy_leakage(trace, ds.x, cap_d)
+    its data alone at the attacked round's model."""
+    trace, = traces
     est = datagen.estimate_constants(
-        config.model, obs.theta_round, [ds], num_pairs=config.num_pairs,
+        config.model, obs.theta_round, obs.datasets[:1], num_pairs=config.num_pairs,
         quantile=config.quantile, attack_objectives=trace.objectives[1:], seed=seed)
-    threshold = boundsmod.privacy_precondition_threshold(
-        est.c_2, est.c_b, est.c_a, config.attack.iters)
-    rhs = boundsmod.privacy_upper_bound(config.gamma, ds.size, est.c_a, cap_d, delta_up)
-    return TrialOutcome(measured=eps_p, rhs=rhs,
-                        precondition_ok=bool(delta_up >= threshold),
-                        extras={"delta_up": delta_up, "threshold": threshold,
-                                "c_a": est.c_a, "c_b": est.c_b, "c_2": est.c_2,
-                                "pair_skip_rate": est.meta["skip_rate"]})
+    return privacy_outcome(config, obs, trace, est)
 
 
-def _utility_side(config: ExperimentConfig, seed: int, obs: Observed,
-                  theta_probe: np.ndarray):
-    """Client 0's measured utility loss vs the utility bound at the minimizing
-    lambda, with the constants estimated at ``theta_probe``.
-
-    Returns the outcome and the estimate, its M and D replaced by the exact
-    ones the bound used."""
-    target = obs.datasets[0]
-    theta = obs.theta_shadow
-    delta_model = obs.theta_decoded - theta
-    delta_two = float(np.linalg.norm(delta_model))
-
-    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed)
-    eps_u, _ = protocol.measure_utility_loss(
-        config.model, theta, delta_model, target, sampler, config.n_eval)
-
-    est = datagen.estimate_constants(
+def _utility_estimate(config: ExperimentConfig, seed: int, obs: Observed,
+                      theta_probe: np.ndarray, delta_two: float) -> datagen.ConstantsEstimate:
+    """The utility side's estimate: every client's data at ``theta_probe``, the
+    parameter moves of C scaled to max(1, 2 ||delta||)."""
+    return datagen.estimate_constants(
         config.model, theta_probe, obs.datasets, num_pairs=config.num_pairs,
         quantile=config.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=seed)
-    est = replace(est, big_m=exact_big_m(config.model, theta, delta_model, [target]),
-                  cap_d=config.dataset.diameter_cap)
-    lam, rhs = boundsmod.minimize_utility_lambda(
-        est.big_c, delta_two, est.big_m, config.model.param_dim,
-        est.cap_d, config.eta, target.size)
-    outcome = TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
-                           extras={"lambda": lam, "delta_two": delta_two,
-                                   "big_c": est.big_c, "big_m": est.big_m,
-                                   "cap_d": est.cap_d})
-    return outcome, est
 
 
 def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     trace: None) -> TrialOutcome:
-    """Measured utility loss vs the utility bound, constants at the final shadow."""
-    out = _utility_side(config, seed, obs, obs.theta_shadow)[0]
+                     traces: list) -> TrialOutcome:
+    """Measured utility loss vs the utility bound, C estimated at the final shadow."""
+    out, _ = utility_outcome(config, seed, obs, lambda delta_two: _utility_estimate(
+        config, seed, obs, obs.theta_shadow, delta_two).big_c)
     if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
         raise ConfigurationError("HE run produced nonzero two-way distortion")
     return out
@@ -143,25 +107,22 @@ def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
 
 def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
                       config: ExperimentConfig, seed: int, obs: Observed,
-                      trace: None) -> TrialOutcome:
+                      traces: list[attackmod.AttackTrace]) -> TrialOutcome:
     """Client 0's utility loss vs a trade-off bound, from every client's
-    round-0 leakage (client k inverted with attack seed ``seed + k``)."""
-    eps_p = []
-    for block in attackmod.lockstep_blocks(list(enumerate(obs.datasets)), config.model,
-                                           config.attack, obs.datasets[0].size):
-        traces = attackmod.invert_batch(
-            config.model, np.stack([obs.theta_round] * len(block)),
-            np.stack([obs.wires[k] for k, _ in block]), np.stack([ds.y for _, ds in block]),
-            config.attack, [seed + k for k, _ in block])
-        eps_p += [attackmod.privacy_leakage(tr, ds.x, config.dataset.diameter_cap)
-                  for tr, (_, ds) in zip(traces, block)]
-
-    util, est = _utility_side(config, seed, obs, obs.theta_round)
-    lam = util.extras["lambda"]
+    round-0 leakage (``traces[k]`` inverted client k) and constants estimated
+    at the round-0 model."""
+    eps_p = [attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
+             for trace, ds in zip(traces, obs.datasets)]
+    # cached, so the bound reads the estimate utility_outcome took C from
+    estimate = cache(partial(_utility_estimate, config, seed, obs, obs.theta_round))
+    util, _ = utility_outcome(config, seed, obs, lambda delta_two: estimate(delta_two).big_c)
+    lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
     inputs = boundsmod.BoundInputs(
-        constants=est, eta=config.eta, lam=lam, gamma=config.gamma,
-        eps_p=np.array(eps_p), eps_e=np.array([float(d.size) for d in obs.datasets]),
-        delta_up=np.array(obs.delta_up_grad), delta_two=util.extras["delta_two"],
+        constants=replace(estimate(delta_two), big_m=util.extras["big_m"],
+                          cap_d=util.extras["cap_d"]),
+        eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(eps_p),
+        eps_e=np.array([float(d.size) for d in obs.datasets]),
+        delta_up=np.array(obs.delta_up_grad), delta_two=delta_two,
         num_clients=len(obs.datasets), d=config.model.param_dim,
         t_rounds=config.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
     budget = inputs.probability_budget()
@@ -184,9 +145,9 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
         return run_trials(trials, _privacy_outcome)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
-    else:
-        score = _utility_outcome
-    return run_trials(trials, score, invert=False)
+        return run_trials(trials, score,
+                          inverted=lambda config: range(config.dataset.num_clients))
+    return run_trials(trials, _utility_outcome, inverted=lambda config: ())
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:

@@ -452,18 +452,22 @@ class TestInvertBatch:
 
 
 class TestLockstepBlocks:
-    @pytest.mark.parametrize("budget, kept, want", [
-        (1, 0, [[0], [1], [2], [3], [4]]),
-        (2 * 768, 0, [[0, 1], [2, 3], [4]]),       # an upload holds 768 bytes
-        (2 * 768 + 767, 0, [[0, 1], [2, 3], [4]]),
-        (3 * 768, 384, [[0, 1], [2, 3], [4]]),     # and its caller keeps 384
-        (1 << 20, 0, [[0, 1, 2, 3, 4]]),
+    @pytest.mark.parametrize("budget, uploads, kept, want", [
+        (1, [1] * 5, 0, [[0], [1], [2], [3], [4]]),
+        (2 * 768, [1] * 5, 0, [[0, 1], [2, 3], [4]]),       # an upload holds 768 bytes
+        (2 * 768 + 767, [1] * 5, 0, [[0, 1], [2, 3], [4]]),
+        (3 * 768, [1] * 5, 384, [[0, 1], [2, 3], [4]]),     # and its caller keeps 384
+        (1 << 20, [1] * 5, 0, [[0, 1, 2, 3, 4]]),
+        # each item is charged its upload count; an item over the budget stands alone
+        (3 * 768, [2, 1, 3, 0, 1], 0, [[0, 1], [2, 3], [4]]),
+        (1, [0] * 5, 0, [[0, 1, 2, 3, 4]]),
     ])
-    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, kept, want):
+    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, kept,
+                                                  want):
         # 8 bytes x m x ((iters + 1) p + d) = 8 x 4 x (11 x 2 + 2)
         monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
         cfg = attack.AttackConfig(iters=10)
-        assert attack.lockstep_blocks(list(range(5)), LOGISTIC, cfg, 4, kept) == want
+        assert attack.lockstep_blocks(list(range(5)), uploads, LOGISTIC, cfg, 4, kept) == want
 
 
 def make_trace(points_over_time, final):
@@ -594,19 +598,6 @@ class TestAdvRisk:
         r = attack.risk(self.h, self.ds.x, self.ds.y)
         ar = attack.adv_risk(self.h, self.ds.x, self.ds.y, 0.3, seed=5)
         assert ar >= r
-
-    def test_margin_flip_under_gradient_ascent(self):
-        # closed-form distance to a linear boundary: |theta.x| / ||theta||
-        theta = np.array([1.5, -0.8])
-        h = attack.Classifier(LOGISTIC, theta)
-        x = np.array([0.6, 0.9])
-        label = int(theta @ x >= 0)
-        margin = abs(theta @ x) / np.linalg.norm(theta)
-        below = attack.adv_risk(h, x[None, :], np.array([label]), 0.9 * margin,
-                                search="input-gradient-ascent", steps=20, seed=0)
-        above = attack.adv_risk(h, x[None, :], np.array([label]), 1.1 * margin,
-                                search="input-gradient-ascent", steps=20, seed=0)
-        assert below == 0.0 and above == 1.0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):

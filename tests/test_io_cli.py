@@ -10,13 +10,12 @@ import pytest
 
 from fedtradeoff import cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
-from fedtradeoff.experiment import ExperimentConfig, TrialRow, run_trial
+from fedtradeoff.experiment import ExperimentConfig, MechanismSpec, TrialRow, run_trial
 
 
 def run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    # the suite's own warning filter, which pytest applies only in its process
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **(env_extra or {})}
     return subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
 
@@ -322,8 +321,7 @@ class TestExitCodes:
         # squared residuals overflow in the utility loss
         r = run_cli(["sweep", "--axis", "sigma", "--values", "0.3,0.5", "--trials", "1",
                      "--model", "linear", "--lr", "60", "--rounds", "300", "--seed", "3",
-                     "--out", str(tmp_path / "s")],
-                    env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+                     "--out", str(tmp_path / "s")])
         assert r.returncode == 2, r.stderr
         assert "numeric error: non-finite loss" in r.stderr
         assert "RuntimeWarning" not in r.stderr
@@ -496,6 +494,22 @@ class TestEstimateConstantsCLI:
             with open(os.path.join(out, "constants.json")) as fh:
                 c_a[name] = json.load(fh)["c_a"]
         assert c_a["default"] != c_a["small"]
+
+    def test_pilot_is_client_0_unprotected_round_0(self, tmp_path):
+        # the pilot inverts client 0's unprotected round-0 gradient, whatever
+        # mechanism, round and client the config attacks
+        cfg = cli.default_config()
+        attacked = replace(cfg, mechanism=MechanismSpec("randomization", sigma=0.5),
+                           attack_round=2, attack_client=1)
+        plain = replace(cfg, mechanism=MechanismSpec("none"), attack_round=0, attack_client=0)
+        written = []
+        for name, config in (("attacked", attacked), ("plain", plain)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config.to_dict()))
+            out = tmp_path / name
+            assert cli.main(["estimate-constants", "--config", str(path), "--out", str(out)]) == 0
+            written.append((out / "constants.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_writes_constants_json(self, tmp_path):
         out = str(tmp_path / "c")

@@ -52,11 +52,6 @@ class TestLinearClosedForm:
                                np.array([[1.0, 2.0]]), np.array([0.0]))
         assert np.array_equal(g, np.array([3.0, 6.0]))
 
-    def test_grad_input(self):
-        spec = models.ModelSpec("linear", 2)
-        g = models.grad_input(spec, np.array([1.0, 1.0]), np.array([1.0, 2.0]), 0.0)
-        assert np.array_equal(g, np.array([3.0, 3.0]))
-
 
 class TestLogisticClosedForm:
     def test_zero_weights_gives_ln2(self):
@@ -77,11 +72,6 @@ class TestLogisticClosedForm:
         g = models.grad_params(spec, np.zeros(3), x, np.array([1]))
         assert np.allclose(g, -0.5 * x[0], atol=0, rtol=0)
 
-    def test_input_grad_at_zero_weights_is_zero(self):
-        spec = models.ModelSpec("logistic", 3)
-        g = models.grad_input(spec, np.zeros(3), np.array([1.0, 2.0, 3.0]), 1)
-        assert np.array_equal(g, np.zeros(3))
-
 
 ALL_SPECS = [
     models.ModelSpec("linear", 4),
@@ -98,14 +88,6 @@ class TestFiniteDifferences:
         for seed in range(20):
             theta, x, y = draw_batch(spec, seed)
             worst = max(worst, models.finite_diff_check(spec, theta, x, y, 1e-5))
-        assert worst <= 1e-5
-
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.param_dim}")
-    def test_input_gradients_match(self, spec):
-        worst = 0.0
-        for seed in range(20):
-            theta, x, y = draw_batch(spec, seed, m=1)
-            worst = max(worst, models.finite_diff_check_input(spec, theta, x[0], y[0], 1e-5))
         assert worst <= 1e-5
 
     def test_linear_is_exact_to_rounding(self):
@@ -170,9 +152,6 @@ class TestBatchSemantics:
         a = models.grad_params(spec, theta, x, y)
         b = models.grad_params(spec, theta, x, y)
         assert np.array_equal(a, b)
-        ga = models.grad_input(spec, theta, x[0], y[0])
-        gb = models.grad_input(spec, theta, x[0], y[0])
-        assert np.array_equal(ga, gb)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("m", [1, 8, 37])
@@ -229,24 +208,3 @@ class TestSigmoid:
                             np.random.default_rng(0).normal(scale=30.0, size=5000)])
         got = models._sigmoid(z)
         assert np.array_equal(got.view(np.uint64), _sigmoid_two_branch(z).view(np.uint64))
-
-
-def _binary_grad_input_scalar(theta, x, y):
-    # the earlier binary-logistic grad_input: a scalar two-exp sigmoid
-    z = float(x @ theta)
-    s = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-    return (s - y) * theta
-
-
-class TestGradInputSigmoid:
-    def test_binary_bit_identical_to_scalar_formula(self):
-        # one feature and theta = 1, so the logit is the grid value itself
-        spec = models.ModelSpec("logistic", 1)
-        theta = np.array([1.0])
-        z = np.concatenate([np.linspace(-800.0, 800.0, 2001),
-                            [0.0, -0.0, 709.8, -709.8]])
-        for zi in z:
-            for y in (0, 1):
-                got = models.grad_input(spec, theta, np.array([zi]), y)
-                want = _binary_grad_input_scalar(theta, np.array([zi]), float(y))
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (zi, y)

@@ -134,8 +134,9 @@ class TestLockstepBlocks:
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
         ("privacy", 1, (1 << 20) // 15, [75, 25]),
-        # a trial's 3 clients split over two blocks: 2 x 8 x 4 x (11 x 2 + 2) bytes
-        ("tradeoff-general", 3, 2 * 768, [2, 1] * 100),
+        # a trial's 3 uploads of 8 x 4 x (11 x 2 + 2) bytes each: over the budget,
+        # yet never split over blocks
+        ("tradeoff-general", 3, 2 * 768, [3] * 100),
     ])
     def test_report_independent_of_block_size(self, monkeypatch, bound, clients, budget,
                                                want_rows):
@@ -146,7 +147,7 @@ class TestLockstepBlocks:
             sigma=0.4, gamma=0.02)
         rows = record_block_rows(monkeypatch)
         default = verify.verify_bound(bound, sc, 100).to_dict()
-        assert rows == ([100] if bound == "privacy" else [3] * 100)
+        assert rows == ([100] if bound == "privacy" else [300])
         rows.clear()
         monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
         assert verify.verify_bound(bound, sc, 100).to_dict() == default
@@ -192,6 +193,27 @@ class TestVerifyBound:
                                  fl_rounds=80, learning_rate=1e8)
         with pytest.raises(NumericError, match="run aborted"):
             verify.verify_bound("utility", scenario, 100)
+
+    def test_huge_finite_model_non_finite_loss_is_numeric_error(self):
+        # learning rate 40 for 250 rounds: the linear model stays finite, but
+        # ||delta|| overflows; the utility loss, measured first, raises cleanly
+        scenario = verify.VerifyScenario(
+            dataset=datagen.DatasetSpec(1, 16, 3), model=models.ModelSpec("linear", 3),
+            attack=attack.AttackConfig(iters=10), fl_rounds=250, learning_rate=40.0,
+            n_eval=100)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            verify.trial_outcomes("utility", scenario, [0])
+
+    def test_overflowing_two_way_distortion_is_numeric_error(self):
+        # learning rate 1e160: the logistic losses stay finite, ||delta||^2 does not
+        scenario = verify.VerifyScenario(
+            dataset=datagen.DatasetSpec(1, 16, 3), model=models.ModelSpec("logistic", 3),
+            attack=attack.AttackConfig(iters=10), fl_rounds=3, learning_rate=1e160,
+            n_eval=100)
+        with pytest.raises(NumericError, match="non-finite two-way distortion"):
+            verify.trial_outcomes("utility", scenario, [0])
+        with pytest.raises(NumericError, match="non-finite two-way distortion"):
+            experiment.run_trial(scenario.experiment_config("utility"), 0)
 
     def test_privacy_bound_sigma_zero_always_holds(self):
         # delta_up = 0 -> rhs >= 1 >= eps_p; vacuous trials count as non-violations
