@@ -247,6 +247,95 @@ class TestLockstepSweep:
             experiment.run_sweep(base_config(), "sigma", [0.0, 0.3], trials=2)
 
 
+def three_client_config():
+    return base_config(dataset=datagen.DatasetSpec(
+        num_clients=3, per_client_size=8, input_dim=2, num_classes=2,
+        class_separation=2.0, diameter_cap=2.0, seed=0))
+
+
+class TestRunTrialsInverter:
+    """run_trials inverts exactly the uploads ``inverted`` lists, each as its own
+    one-upload inversion would."""
+
+    def test_listed_uploads_inverted_in_order_with_seed_plus_j(self):
+        config = three_client_config()
+        seen = []
+
+        def score(cfg, seed, observed, traces):
+            seen.append((seed, observed, traces))
+            return seed
+
+        seeds = [11, 12]
+        assert experiment.run_trials([(config, s, {}) for s in seeds], score,
+                                     inverted=lambda cfg: (2, 0)) == seeds
+        m = config.dataset.per_client_size
+        for seed, observed, traces in seen:
+            assert len(traces) == 2
+            for j, (k, got) in enumerate(zip((2, 0), traces)):
+                want = attack.invert_gradient(
+                    config.model, observed.theta_round, observed.wires[k],
+                    observed.datasets[k].y, m, replace(config.attack, seed=seed + j))
+                assert np.array_equal(got.trajectory, want.trajectory)
+                assert np.array_equal(got.objectives, want.objectives)
+
+    def test_no_listed_upload_inverts_nothing(self, monkeypatch):
+        def no_invert(*args, **kw):
+            raise AssertionError("an upload was inverted")
+
+        monkeypatch.setattr(attack, "invert_batch", no_invert)
+        got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
+                                    lambda cfg, seed, observed, traces: len(traces),
+                                    inverted=lambda cfg: ())
+        assert got == [0, 0]
+
+
+class TestBoundSides:
+    """The privacy and utility sides score_trial and verify share."""
+
+    @staticmethod
+    def observed_and_trace(config, seed):
+        observed = experiment.observe(config, seed)
+        k = config.attack_client
+        trace = attack.invert_gradient(
+            config.model, observed.theta_round, observed.wires[k], observed.datasets[k].y,
+            config.dataset.per_client_size, replace(config.attack, seed=seed))
+        return observed, trace
+
+    def test_verify_outcome_is_the_shared_one(self):
+        assert verify.TrialOutcome is experiment.TrialOutcome
+
+    def test_privacy_without_estimate_is_nan_and_fails_precondition(self):
+        config = base_config()
+        observed, trace = self.observed_and_trace(config, 5)
+        got = experiment.privacy_outcome(config, observed, trace, None)
+        target = observed.datasets[0]
+        assert got.measured == attack.privacy_leakage(trace, target.x,
+                                                      config.dataset.diameter_cap)
+        assert got.extras["delta_up"] == observed.delta_up_grad[0] > 0.0
+        assert np.isnan(got.rhs) and not got.precondition_ok
+        for key in ("threshold", "c_a", "c_b", "c_2", "pair_skip_rate"):
+            assert np.isnan(got.extras[key]), key
+
+    def test_utility_with_nan_c_keeps_the_measured_loss(self):
+        config = base_config()
+        observed, _ = self.observed_and_trace(config, 5)
+        asked = []
+
+        def nan_c(delta_two):
+            asked.append(delta_two)
+            return float("nan")
+
+        got, half = experiment.utility_outcome(config, 5, observed, nan_c)
+        row = experiment.run_trial(config, 5)
+        # the loss and its halfwidth do not depend on C
+        assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
+        assert asked == [float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))]
+        assert got.extras["delta_two"] == asked[0]
+        assert got.extras["big_m"] == row.big_m
+        assert np.isnan(got.rhs) and np.isnan(got.extras["lambda"])
+        assert not got.precondition_ok
+
+
 class TestSerialTrials:
     """Trials run serially: FEDTRADEOFF_THREADS, which earlier versions read,
     neither changes a result nor starts a thread."""
