@@ -36,6 +36,9 @@ COMMANDS = [
      "--phase2", "--pac-eps", "0.1", "--pac-delta", "0.9", "--dump-trajectory"],
     ["attack", "--run-dir", "runs/a", "--out", "runs/a-attack", "--iters", "200",
      "--round", "3", "--client", "1", "--append"],
+    # one noise draw per round shared by every client
+    ["train", "--mech", "rand", "--shared-noise", "--sigma", "0.2", "--clients", "3",
+     "--seed", "9", "--out", "runs/shared"],
     # the HE codec: wire view differs from the decoded model
     ["train", "--mech", "he", "--seed", "5", "--out", "runs/he"],
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",

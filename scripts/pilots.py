@@ -78,7 +78,7 @@ def pilot_noise_floor():
                 break
         y = np.array([1])
         g_true = models.grad_params(spec, theta, x[None, :], y)
-        prot = protocol.protect(g_true, protocol.randomization(20.0),
+        prot = protocol.protect(g_true, protocol.MechanismSpec("randomization", 20.0),
                                 rngmod.stream(seed, 61))
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)

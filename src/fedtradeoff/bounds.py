@@ -102,15 +102,13 @@ def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
 
 
 def minimize_utility_lambda(big_c: float, delta_two: float, big_m: float, d: int,
-                            cap_d: float, eta: float, m: int,
-                            lam_hi: float | None = None) -> tuple[float, float]:
+                            cap_d: float, eta: float, m: int) -> tuple[float, float]:
     """(lambda*, rhs*) minimizing the utility bound over lambda > delta_two.
 
     Coarse log grid to bracket the minimum, then golden-section refinement.
     """
     lo = delta_two + max(1e-9, 1e-9 * delta_two)
-    if lam_hi is None:
-        lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
+    lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
 
     def f(lam: float) -> float:
         return utility_upper_bound(big_c, lam, delta_two, big_m, d, cap_d, eta, m)

@@ -108,8 +108,8 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     _ensure_dir(args.out)
     seed = config.master_seed
-    mech = config.mechanism.build(config.model.param_dim, seed)
-    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, config.mechanism,
+                                seed)
 
     iomod.write_manifest(os.path.join(args.out, "manifest.json"),
                          config.to_dict(), seed)

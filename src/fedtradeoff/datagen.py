@@ -302,11 +302,14 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     point_losses = _finite(models.per_example_losses(model_spec, theta_probe, all_x, all_y))
     base = float(_finite(point_losses.mean()))
     deltas = g.standard_normal((num_deltas, model_spec.param_dim))
-    deltas *= (delta_budget * g.uniform(0.05, 1.0, num_deltas)
-               / np.linalg.norm(deltas, axis=1))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge budget raises below
+        deltas *= (delta_budget * g.uniform(0.05, 1.0, num_deltas)
+                   / np.linalg.norm(deltas, axis=1))[:, None]
+        moves = np.linalg.norm(deltas, axis=1)   # not finite when a move is not
+    if not np.all(np.isfinite(moves)):
+        raise NumericError("non-finite parameter move")
     moved = _mean_losses(model_spec, theta_probe + deltas, all_x, all_y)
-    c_theta = float(np.max(np.abs(moved - base) / np.linalg.norm(deltas, axis=1),
-                           initial=0.0))
+    c_theta = float(np.max(np.abs(moved - base) / moves, initial=0.0))
     n = all_x.shape[0]
     ij = g.integers(0, n, size=(min(num_deltas, n * (n - 1) // 2) or 1, 2))
     dx = np.linalg.norm(all_x[ij[:, 0]] - all_x[ij[:, 1]], axis=1)

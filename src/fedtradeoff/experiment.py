@@ -34,26 +34,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, EstimationError, NumericError
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    """Serializable mechanism description; materialized per run."""
-    kind: str = "none"
-    sigma: float = 0.0
-    shared_noise: bool = False
-    offset_scale: float = 1.0
-    exact_norm: float | None = None
-
-    def build(self, param_dim: int, seed: int) -> protocol.ProtectionMechanism:
-        if self.kind == "none":
-            return protocol.no_protection()
-        if self.kind == "randomization":
-            return protocol.ProtectionMechanism(
-                kind="randomization", sigma=self.sigma,
-                shared_noise=self.shared_noise, exact_norm=self.exact_norm)
-        if self.kind == "he_codec":
-            return protocol.random_he_codec(param_dim, seed, self.offset_scale)
-        raise ConfigurationError(f"unknown mechanism kind: {self.kind!r}")
+from .protocol import MechanismSpec
 
 
 @dataclass
@@ -156,7 +137,7 @@ def try_estimate(model_spec, theta, datasets, **kw) -> datagen.ConstantsEstimate
 
 
 def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
-             fl: protocol.FLRunConfig, mech: protocol.ProtectionMechanism, seed: int):
+             fl: protocol.FLRunConfig, mech: MechanismSpec, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
 
     Raises ``NumericError`` when the run aborted (diverged)."""
@@ -183,8 +164,8 @@ class Observed(NamedTuple):
 
 def observe(config: ExperimentConfig, seed: int) -> Observed:
     """Simulate one trial; the run's other rounds are dropped."""
-    mech = config.mechanism.build(config.model.param_dim, seed)
-    datasets, result = simulate(config.model, config.dataset, config.fl, mech, seed)
+    datasets, result = simulate(config.model, config.dataset, config.fl, config.mechanism,
+                                seed)
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):

@@ -13,12 +13,19 @@ aggregation step. Bookkeeping per round:
 * ``shadow_gap        = ||decoded model - from-scratch unprotected model||``
   at the start of the round (diagnostic; zero for none and HE).
 
+``MechanismSpec`` is the one mechanism type: configs serialize it, and
+``protect`` and ``run`` take it as it is. Its kinds are ``none``,
+``randomization`` and ``he_codec``. Randomization adds Gaussian noise drawn
+on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
+``(seed, PROTECT, t, 0)`` for every client when the noise is shared.
+
 The HE mechanism is a simulated additively-homomorphic codec: a ciphertext is
 ``(permuted payload, offset units)``; linear server ops act per component, so
 decryption (subtract the tracked offset, invert the permutation) is exact and
 the decoded trajectory is bit-equal to the unprotected one, while the
 materialized wire bytes (payload + units * offset) differ from the true
-gradient.
+gradient. ``run`` draws the key (permutation, offset) once per run, from the
+run's seed on stream ``(seed, MECH)``.
 """
 
 from __future__ import annotations
@@ -37,13 +44,17 @@ MECH_KINDS = ("none", "randomization", "he_codec")
 
 
 @dataclass(frozen=True)
-class ProtectionMechanism:
+class MechanismSpec:
+    """A protection mechanism as configs serialize it.
+
+    ``sigma``, ``shared_noise`` (one delta for all clients) and ``exact_norm``
+    (rescale delta to this norm) set randomization; ``offset_scale`` sets the
+    he_codec offset, whose key ``run`` draws once per run from its seed."""
     kind: str = "none"
     sigma: float = 0.0
-    permutation: Optional[np.ndarray] = None   # he_codec: index bijection
-    offset: Optional[np.ndarray] = None        # he_codec: additive mask
-    shared_noise: bool = False                 # randomization: same delta for all clients
-    exact_norm: Optional[float] = None         # randomization: rescale delta to this norm
+    shared_noise: bool = False
+    offset_scale: float = 1.0
+    exact_norm: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MECH_KINDS:
@@ -52,42 +63,21 @@ class ProtectionMechanism:
             raise ConfigurationError("sigma must be >= 0")
         if self.exact_norm is not None and self.exact_norm < 0:
             raise ConfigurationError("exact_norm must be >= 0")
-        if self.kind == "he_codec":
-            if self.permutation is None or self.offset is None:
-                raise ConfigurationError("he_codec needs permutation and offset")
-            perm = np.asarray(self.permutation)
-            if sorted(perm.tolist()) != list(range(perm.shape[0])):
-                raise ConfigurationError("permutation must be a bijection on indices")
-            if perm.shape[0] != np.asarray(self.offset).shape[0]:
-                raise ConfigurationError("permutation/offset length mismatch")
-            if not np.all(np.isfinite(self.offset)):
-                raise ConfigurationError("offset must be finite")
 
 
-def no_protection() -> ProtectionMechanism:
-    return ProtectionMechanism(kind="none")
-
-
-def randomization(sigma: float, shared_noise: bool = False) -> ProtectionMechanism:
-    return ProtectionMechanism(kind="randomization", sigma=sigma, shared_noise=shared_noise)
-
-
-def he_codec(permutation: np.ndarray, offset: np.ndarray) -> ProtectionMechanism:
-    return ProtectionMechanism(
-        kind="he_codec",
-        permutation=np.asarray(permutation, dtype=np.int64),
-        offset=np.asarray(offset, dtype=np.float64),
-    )
-
-
-def random_he_codec(dim: int, seed: int, offset_scale: float = 1.0) -> ProtectionMechanism:
-    """Seeded random permutation plus a nonzero Gaussian offset."""
+def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The he_codec key ``(permutation, offset)`` on stream ``(seed, MECH)``: a
+    random permutation, then a Gaussian offset of scale ``offset_scale``
+    (all ones when that offset is all zero)."""
     g = rngmod.stream(seed, rngmod.STREAM_MECH)
     perm = g.permutation(dim)
-    off = offset_scale * g.standard_normal(dim)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite offset raises below
+        off = offset_scale * g.standard_normal(dim)
     if np.all(off == 0.0):
         off = np.ones(dim)
-    return he_codec(perm, off)
+    if not np.all(np.isfinite(off)):
+        raise ConfigurationError("offset must be finite")
+    return perm, off
 
 
 @dataclass
@@ -96,13 +86,9 @@ class Cipher:
     payload: np.ndarray
     units: float
 
-    def wire(self, mech: ProtectionMechanism) -> np.ndarray:
+    def wire(self, offset: np.ndarray) -> np.ndarray:
         """Materialized bytes an eavesdropper sees."""
-        return self.payload + self.units * mech.offset
-
-
-def _apply_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return v[perm]
+        return self.payload + self.units * offset
 
 
 def _undo_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -119,9 +105,10 @@ class ProtectedGradient:
     cipher: Optional[Cipher] = None  # he_codec only: exact homomorphic payload
 
 
-def protect(g: np.ndarray, mech: ProtectionMechanism,
-            rng: np.random.Generator | None = None) -> ProtectedGradient:
-    """Apply the mechanism to one client gradient."""
+def protect(g: np.ndarray, mech: MechanismSpec, rng: np.random.Generator | None = None,
+            key: tuple[np.ndarray, np.ndarray] | None = None) -> ProtectedGradient:
+    """Apply the mechanism to one client gradient: randomization draws from
+    ``rng``, he_codec encrypts under ``key`` (``_he_key``)."""
     g = np.asarray(g, dtype=np.float64)
     if mech.kind == "none":
         delta = np.zeros_like(g)
@@ -142,23 +129,25 @@ def protect(g: np.ndarray, mech: ProtectionMechanism,
                 delta = delta * (mech.exact_norm / n) if n > 0 else delta
             delta_up = float(np.linalg.norm(delta))
         return ProtectedGradient(wire=g + delta, delta=delta, delta_up_grad=delta_up)
-    cipher = Cipher(payload=_apply_perm(g, mech.permutation), units=1.0)
-    wire = cipher.wire(mech)
+    if key is None:
+        raise ConfigurationError("he_codec requires a key")
+    perm, offset = key
+    cipher = Cipher(payload=g[perm], units=1.0)
+    wire = cipher.wire(offset)
     delta = wire - g
     return ProtectedGradient(wire=wire, delta=delta,
                              delta_up_grad=float(np.linalg.norm(delta)), cipher=cipher)
 
 
-def decode(state, mech: ProtectionMechanism) -> np.ndarray:
+def decode(state, key: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Client-side decode of a downloaded model state.
 
-    none / randomization: identity. he_codec: offset removal (exact, the units
-    component is tracked next to the payload) then inverse permutation.
+    A plain vector (none / randomization) decodes to itself. An he_codec
+    ``Cipher`` under ``key``: offset removal (exact, the units component is
+    tracked next to the payload) then inverse permutation.
     """
-    if mech.kind == "he_codec":
-        if not isinstance(state, Cipher):
-            raise ConfigurationError("he_codec decode expects a Cipher state")
-        return _undo_perm(state.payload, mech.permutation)
+    if isinstance(state, Cipher):
+        return _undo_perm(state.payload, key[0])
     return np.asarray(state, dtype=np.float64)
 
 
@@ -239,29 +228,29 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
     return config.learning_rate / math.sqrt(t + 1.0)
 
 
-def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMechanism,
+def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
         datasets: list[ClientDataset]) -> RunResult:
-    """Execute the protocol; protected and shadow trajectories share the seed."""
+    """Execute the protocol; protected and shadow trajectories share the seed,
+    and an he_codec run draws its key from it once."""
     for ds in datasets:
         if ds.x.shape[1] != model_spec.input_dim:
             raise ConfigurationError("dataset / model dimension mismatch")
     theta0 = models.init_params(
         model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
-    if mech.kind == "he_codec" and np.asarray(mech.permutation).shape[0] != model_spec.param_dim:
-        raise ConfigurationError("he_codec dimension != param_dim")
 
     sizes = [ds.size for ds in datasets]
     if mech.kind == "he_codec":
-        server_state: Cipher | np.ndarray = Cipher(
-            payload=_apply_perm(theta0, mech.permutation), units=1.0)
+        key = _he_key(model_spec.param_dim, config.seed, mech.offset_scale)
+        server_state: Cipher | np.ndarray = Cipher(payload=theta0[key[0]], units=1.0)
     else:
+        key = None
         server_state = theta0.copy()
     theta_shadow = theta0.copy()
 
     records: list[RoundRecord] = []
     for t in range(config.rounds):
         eta = _eta_at(config, t)
-        theta_dec = decode(server_state, mech)
+        theta_dec = decode(server_state, key)
         if not np.all(np.isfinite(theta_dec)):
             return RunResult(records, theta_dec, theta_shadow,
                              aborted=True, abort_reason=f"non-finite model at round {t}")
@@ -283,7 +272,7 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
                 prng = rngmod.stream(config.seed, rngmod.STREAM_PROTECT, t, key_client)
             else:
                 prng = None
-            protected.append(protect(g, mech, prng))
+            protected.append(protect(g, mech, prng, key))
 
         true_agg = weighted_sum(grads, sizes)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -291,7 +280,7 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
                 payload_agg = weighted_sum([p.cipher.payload for p in protected], sizes)
                 units_agg = float(weighted_sum(
                     [np.array([p.cipher.units]) for p in protected], sizes)[0])
-                decoded_agg = _undo_perm(payload_agg, mech.permutation)
+                decoded_agg = _undo_perm(payload_agg, key[0])
                 server_state = Cipher(payload=server_state.payload - eta * payload_agg,
                                       units=server_state.units - eta * units_agg)
             else:
@@ -301,9 +290,9 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: ProtectionMecha
             theta_shadow = theta_shadow - eta * weighted_sum(shadow_grads, sizes)
             d2g = float(np.linalg.norm(decoded_agg - true_agg))
 
-        final_dec = decode(server_state, mech)
+        final_dec = decode(server_state, key)
         if mech.kind == "he_codec":
-            next_protected = server_state.wire(mech)
+            next_protected = server_state.wire(key[1])
         else:
             next_protected = np.asarray(server_state, dtype=np.float64).copy()
         records.append(RoundRecord(

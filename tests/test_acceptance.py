@@ -85,9 +85,8 @@ def test_criterion_03_he_fidelity():
                                       num_classes=2, class_separation=2.0,
                                       diameter_cap=2.0, seed=seed)
         datasets = datagen.generate(ds_spec)
-        mech = protocol.random_he_codec(model.param_dim, seed=seed)
         cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3, seed=seed)
-        res = protocol.run(model, cfg, mech, datasets)
+        res = protocol.run(model, cfg, protocol.MechanismSpec("he_codec"), datasets)
         for rec in res.records:
             ok &= rec.delta_two_grad == 0.0 and rec.delta_two_param == 0.0
             ok &= rec.shadow_gap == 0.0
@@ -109,7 +108,8 @@ def test_criterion_04_randomization_equality():
         datasets = datagen.generate(ds_spec)
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.25, seed=seed)
         res = protocol.run(model, cfg,
-                           protocol.randomization(0.3, shared_noise=True), datasets)
+                           protocol.MechanismSpec("randomization", 0.3, shared_noise=True),
+                           datasets)
         for rec in res.records:
             for k in range(3):
                 worst = max(worst, abs(rec.delta_two_grad - rec.delta_up_grad[k]))

@@ -218,7 +218,7 @@ class TestInvertGradient:
             theta, x, _ = single_sample_instance(seed, theta_scale=0.5)
             y = np.array([1])
             g_true = models.grad_params(LOGISTIC, theta, x[None, :], y)
-            prot = protocol.protect(g_true, protocol.randomization(20.0),
+            prot = protocol.protect(g_true, protocol.MechanismSpec("randomization", 20.0),
                                     rngmod.stream(seed, 61))
             cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                       init="gaussian", seed=seed)

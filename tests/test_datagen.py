@@ -394,10 +394,18 @@ class TestEstimateConstants:
 
     def test_non_finite_perturbed_loss_raises(self):
         spec = models.ModelSpec("linear", 2)
-        ds = datagen.ClientDataset(0, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        # finite moves of norm < 1e150 whose squared residuals overflow
+        ds = datagen.ClientDataset(0, 1e10 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                                    np.array([1, 1, 0]))
         with pytest.raises(NumericError, match="non-finite loss"):
-            datagen.estimate_constants(spec, np.array([0.3, -0.2]), [ds], delta_budget=1e300)
+            datagen.estimate_constants(spec, np.array([0.3, -0.2]), [ds], delta_budget=1e150)
+
+    @pytest.mark.parametrize("budget", [1e308, math.inf])
+    def test_overflowing_parameter_move_raises(self, budget):
+        # the moves' scales overflow: no RuntimeWarning, a NumericError
+        spec, theta, datasets = self._spec_and_data()
+        with pytest.raises(NumericError, match="non-finite parameter move"):
+            datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
 
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])

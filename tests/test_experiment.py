@@ -53,8 +53,7 @@ class TestOverflowIsWarningClean:
         cfg = base_config(mechanism=experiment.MechanismSpec(kind="randomization",
                                                              sigma=1e200))
         seed = rngmod.trial_seed(3, 0, 0)
-        mech = cfg.mechanism.build(cfg.model.param_dim, seed)
-        _, result = experiment.simulate(cfg.model, cfg.dataset, cfg.fl, mech, seed)
+        _, result = experiment.simulate(cfg.model, cfg.dataset, cfg.fl, cfg.mechanism, seed)
         assert result.records[0].delta_up_grad == [math.inf]
         # the attack objective overflows at its init, so the trial cannot be scored
         with pytest.raises(NumericError, match="attack diverged at its first step"):
@@ -109,7 +108,7 @@ class TestRunTrial:
 class TestSimulate:
     def test_seed_overrides_spec_seeds(self):
         cfg = base_config(fl=protocol.FLRunConfig(rounds=2, learning_rate=0.2))
-        mech = protocol.randomization(0.3)
+        mech = experiment.MechanismSpec("randomization", 0.3)
 
         def run(ds_seed, fl_seed):
             datasets, result = experiment.simulate(
@@ -128,7 +127,7 @@ class TestSimulate:
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
             experiment.simulate(cfg.model, cfg.dataset, cfg.fl,
-                                protocol.no_protection(), seed=1)
+                                experiment.MechanismSpec(), seed=1)
 
 
 class TestSweep:

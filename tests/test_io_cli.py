@@ -65,7 +65,7 @@ class TestIO:
         datasets = datagen.generate(spec)
         model = models.ModelSpec("logistic", 2)
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.2, seed=1)
-        res = protocol.run(model, cfg, protocol.randomization(0.1), datasets)
+        res = protocol.run(model, cfg, MechanismSpec("randomization", 0.1), datasets)
         path = str(tmp_path / "r.jsonl")
         iomod.write_round_log(path, res.records)
         back = iomod.read_round_log(path)
@@ -82,7 +82,7 @@ class TestIO:
         datasets = datagen.generate(spec)
         model = models.ModelSpec("logistic", 2)
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=2)
-        res = protocol.run(model, cfg, protocol.no_protection(), datasets)
+        res = protocol.run(model, cfg, MechanismSpec(), datasets)
         path = str(tmp_path / "r.jsonl")
         iomod.write_round_log(path, res.records)
         sizes = [d.size for d in datasets]
@@ -331,6 +331,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s")])
         assert r.returncode == 1
         assert "config error" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("mechanism, args, message", [
+        ({"kind": "bogus"}, ["train"], "unknown mechanism kind"),
+        ({"kind": "randomization", "sigma": -1.0}, ["train"], "sigma must be >= 0"),
+        ({"kind": "randomization", "exact_norm": -1.0}, ["train"], "exact_norm must be >= 0"),
+        # written as JSON Infinity
+        ({"kind": "he_codec", "offset_scale": float("inf")}, ["train"], "offset must be finite"),
+        ({}, ["sweep", "--axis", "sigma", "--values=-1,0", "--trials", "1"],
+         "sigma must be >= 0"),
+    ], ids=["kind-bogus", "sigma-negative", "exact-norm-negative", "offset-scale-infinite",
+            "sweep-sigma-negative"])
+    def test_bad_mechanism_exit_1(self, tmp_path, mechanism, args, message):
+        config = cli.default_config().to_dict()
+        config["mechanism"].update(mechanism)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        r = run_cli([*args, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_malformed_config_json_exit_1(self, tmp_path):

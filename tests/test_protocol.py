@@ -49,29 +49,30 @@ class TestClientLocalUpdate:
 class TestProtect:
     def test_none_and_sigma_zero(self):
         g = np.array([1.0, -2.0, 0.5])
-        p0 = protocol.protect(g, protocol.no_protection())
+        p0 = protocol.protect(g, protocol.MechanismSpec())
         assert p0.delta_up_grad == 0.0 and np.array_equal(p0.wire, g)
-        p1 = protocol.protect(g, protocol.randomization(0.0), rngmod.stream(0, 1))
+        p1 = protocol.protect(g, protocol.MechanismSpec("randomization", 0.0),
+                              rngmod.stream(0, 1))
         assert p1.delta_up_grad == 0.0 and np.array_equal(p1.wire, g)
 
     def test_he_identity_perm_unit_offset(self):
         g = np.array([1.0, -2.0, 0.5])
-        mech = protocol.he_codec(np.arange(3), np.array([1.0, 0.0, 0.0]))
-        p = protocol.protect(g, mech)
+        p = protocol.protect(g, protocol.MechanismSpec("he_codec"),
+                             key=(np.arange(3), np.array([1.0, 0.0, 0.0])))
         assert p.delta_up_grad == 1.0
         assert np.array_equal(p.wire, g + np.array([1.0, 0.0, 0.0]))
 
     def test_randomization_chi_square(self):
         # E ||delta||^2 = d sigma^2 = 1.0 for sigma=0.1, d=100
         g = rngmod.stream(1, 99)
-        mech = protocol.randomization(0.1)
+        mech = protocol.MechanismSpec("randomization", 0.1)
         zero = np.zeros(100)
         mean_sq = np.mean([protocol.protect(zero, mech, g).delta_up_grad ** 2
                            for _ in range(10000)])
         assert abs(mean_sq - 1.0) <= 0.03
 
     def test_exact_norm(self):
-        mech = protocol.ProtectionMechanism(kind="randomization", sigma=1.0, exact_norm=0.7)
+        mech = protocol.MechanismSpec(kind="randomization", sigma=1.0, exact_norm=0.7)
         p = protocol.protect(np.zeros(5), mech, rngmod.stream(3, 4))
         assert p.delta_up_grad == pytest.approx(0.7, rel=1e-12)
         # a finite norm rescales the draw itself
@@ -80,8 +81,8 @@ class TestProtect:
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
-        mech = protocol.ProtectionMechanism(kind="randomization", sigma=1e200,
-                                            exact_norm=exact_norm)
+        mech = protocol.MechanismSpec(kind="randomization", sigma=1e200,
+                                      exact_norm=exact_norm)
         out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
         assert np.all(np.isfinite(out.wire))
         if exact_norm is None:
@@ -90,7 +91,7 @@ class TestProtect:
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
         # ||delta|| is inf at these sigmas; the rescale keeps the direction
-        mech = protocol.ProtectionMechanism(kind="randomization", sigma=sigma, exact_norm=2.0)
+        mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=2.0)
         out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
         assert out.delta_up_grad == pytest.approx(2.0, rel=1e-15)
         assert np.all(np.isfinite(out.wire))
@@ -102,8 +103,8 @@ class TestProtect:
         z = rngmod.stream(0, 1).standard_normal(4)
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(sigma * z))
-        mech = protocol.ProtectionMechanism(kind="randomization", sigma=sigma,
-                                            exact_norm=exact_norm)
+        mech = protocol.MechanismSpec(kind="randomization", sigma=sigma,
+                                      exact_norm=exact_norm)
         out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
         if exact_norm is None:
             assert out.delta_up_grad == math.inf
@@ -112,22 +113,18 @@ class TestProtect:
             assert out.delta_up_grad == pytest.approx(2.0)
             assert np.array_equal(out.delta, z * (2.0 / np.linalg.norm(z)))
 
-    def test_bad_permutation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            protocol.he_codec(np.array([0, 0, 2]), np.zeros(3))
-
 
 class TestDecode:
     def test_identity_for_none_and_randomization(self):
+        # both keep the model state a plain vector
         v = np.array([1.0, 2.0])
-        assert np.array_equal(protocol.decode(v, protocol.no_protection()), v)
-        assert np.array_equal(protocol.decode(v, protocol.randomization(0.3)), v)
+        assert np.array_equal(protocol.decode(v), v)
 
     def test_he_inverts_exactly(self):
-        mech = protocol.random_he_codec(6, seed=5)
+        key = protocol._he_key(6, 5, 1.0)
         theta = rngmod.stream(2, 3).standard_normal(6)
-        cipher = protocol.Cipher(payload=theta[mech.permutation], units=1.0)
-        assert np.array_equal(protocol.decode(cipher, mech), theta)
+        cipher = protocol.Cipher(payload=theta[key[0]], units=1.0)
+        assert np.array_equal(protocol.decode(cipher, key), theta)
 
 
 class TestAggregate:
@@ -163,7 +160,7 @@ class TestRun:
     def test_none_mechanism_shadow_identical(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3, seed=1)
-        res = protocol.run(MODEL, cfg, protocol.no_protection(), datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
         assert not res.aborted
         for rec in res.records:
             assert rec.delta_two_grad == 0.0
@@ -174,8 +171,7 @@ class TestRun:
     def test_he_zero_two_way_and_bit_equal_shadow(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3, seed=1)
-        mech = protocol.random_he_codec(MODEL.param_dim, seed=9)
-        res = protocol.run(MODEL, cfg, mech, datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
         for rec in res.records:
             assert rec.delta_two_grad == 0.0
             assert rec.delta_two_param == 0.0
@@ -186,27 +182,25 @@ class TestRun:
     def test_he_single_round_k1_eta1_reproduces_unprotected(self):
         _, datasets = make_datasets(num_clients=1)
         cfg = protocol.FLRunConfig(rounds=1, learning_rate=1.0, seed=2)
-        mech = protocol.random_he_codec(MODEL.param_dim, seed=3)
-        res = protocol.run(MODEL, cfg, mech, datasets)
-        plain = protocol.run(MODEL, cfg, protocol.no_protection(), datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
+        plain = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
         assert np.array_equal(res.theta_final_decoded, plain.theta_final_decoded)
         assert res.records[0].delta_two_grad == 0.0
 
     def test_protected_final_view(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=1)
-        plain = protocol.run(MODEL, cfg, protocol.no_protection(), datasets)
+        plain = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
         assert np.array_equal(plain.theta_final_protected, plain.theta_final_decoded)
-        mech = protocol.random_he_codec(MODEL.param_dim, seed=9)
-        he = protocol.run(MODEL, cfg, mech, datasets)
+        he = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
         assert np.all(np.isfinite(he.theta_final_protected))
         assert not np.allclose(he.theta_final_protected, he.theta_final_decoded)
 
     def test_shared_noise_delta_two_equals_delta_up(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.25, seed=4)
-        res = protocol.run(MODEL, cfg, protocol.randomization(0.2, shared_noise=True),
-                           datasets)
+        mech = protocol.MechanismSpec("randomization", 0.2, shared_noise=True)
+        res = protocol.run(MODEL, cfg, mech, datasets)
         for rec in res.records:
             for k in range(len(datasets)):
                 assert rec.delta_two_grad == pytest.approx(rec.delta_up_grad[k], abs=1e-12)
@@ -215,7 +209,7 @@ class TestRun:
     def test_randomization_delta_two_is_aggregate_delta_norm(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.25, seed=12)
-        res = protocol.run(MODEL, cfg, protocol.randomization(0.3), datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
         sizes = [d.size for d in datasets]
         for rec in res.records:
             agg_delta = protocol.weighted_sum(rec.deltas, sizes)
@@ -225,7 +219,7 @@ class TestRun:
     def test_delta_up_is_wire_minus_grad_norm(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.25, seed=5)
-        res = protocol.run(MODEL, cfg, protocol.randomization(0.4), datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.4), datasets)
         for rec in res.records:
             for k in range(len(datasets)):
                 direct = float(np.linalg.norm(rec.wires[k] - rec.grads[k]))
@@ -235,8 +229,8 @@ class TestRun:
     def test_sigma_zero_identical_to_none(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3, seed=6)
-        a = protocol.run(MODEL, cfg, protocol.no_protection(), datasets)
-        b = protocol.run(MODEL, cfg, protocol.randomization(0.0), datasets)
+        a = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        b = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.0), datasets)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
             assert ra.delta_two_grad == rb.delta_two_grad == 0.0
@@ -246,8 +240,8 @@ class TestRun:
     def test_bit_reproducible(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3, seed=7)
-        a = protocol.run(MODEL, cfg, protocol.randomization(0.3), datasets)
-        b = protocol.run(MODEL, cfg, protocol.randomization(0.3), datasets)
+        a = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
+        b = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
         assert np.array_equal(a.theta_final_decoded, b.theta_final_decoded)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
@@ -257,16 +251,49 @@ class TestRun:
         ds = datagen.ClientDataset(client_id=0,
                                    x=np.array([[10.0, 10.0]]), y=np.array([0.0]))
         cfg = protocol.FLRunConfig(rounds=400, learning_rate=10.0, seed=1)
-        res = protocol.run(spec, cfg, protocol.no_protection(), [ds])
+        res = protocol.run(spec, cfg, protocol.MechanismSpec(), [ds])
         assert res.aborted and "non-finite" in res.abort_reason
 
     def test_inv_sqrt_schedule(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.4, lr_schedule="inv_sqrt",
                                    seed=8)
-        res = protocol.run(MODEL, cfg, protocol.no_protection(), datasets)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
         etas = [rec.eta for rec in res.records]
         assert etas == pytest.approx([0.4 / np.sqrt(t + 1) for t in range(4)])
+
+
+def old_codec_key(dim, seed, offset_scale):
+    """Test-side copy of the draws of the removed seeded HE-codec factory: the
+    key every he_codec run was built with, at its trial seed."""
+    g = rngmod.stream(seed, rngmod.STREAM_MECH)
+    perm = g.permutation(dim)
+    off = offset_scale * g.standard_normal(dim)
+    if np.all(off == 0.0):
+        off = np.ones(dim)
+    return perm, off
+
+
+class TestHEKey:
+    @pytest.mark.parametrize("seed", [4, 2024])
+    def test_run_key_is_the_old_codec_at_the_run_seed(self, seed):
+        _, datasets = make_datasets(num_clients=2)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=seed)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec", offset_scale=0.5),
+                           datasets)
+        perm, offset = old_codec_key(MODEL.param_dim, seed, 0.5)
+        first = res.records[0]
+        for g, wire in zip(first.grads, first.wires):
+            assert np.array_equal(wire, g[perm] + offset)
+        # the old Cipher view of the final server state: payload + units * offset,
+        # the units tracked through each round's size-weighted aggregation
+        sizes = [ds.size for ds in datasets]
+        units = 1.0
+        for rec in res.records:
+            units = units - rec.eta * float(
+                protocol.weighted_sum([np.array([1.0])] * len(sizes), sizes)[0])
+        want = res.theta_final_decoded[perm] + units * offset
+        assert np.array_equal(res.theta_final_protected, want)
 
 
 class TestMeasureUtilityLoss:

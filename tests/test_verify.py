@@ -30,7 +30,7 @@ def hand_built_privacy_trial(scenario, trial_seed):
     ds = datagen.generate(ds_spec)[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
-    prot = protocol.protect(g, protocol.randomization(scenario.sigma),
+    prot = protocol.protect(g, protocol.MechanismSpec("randomization", scenario.sigma),
                             rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1))
     trace = attack.invert_gradient(
         scenario.model, theta, prot.wire, ds.y, ds.size,
@@ -107,9 +107,9 @@ class TestUtilityTrialFromSimulate:
                                         diameter_cap=2.0, seed=0),
             sigma=0.4, fl_rounds=3, learning_rate=0.3, offset_scale=0.5)
         if bound == "utility":
-            mech = protocol.randomization(sc.sigma)
+            mech = protocol.MechanismSpec("randomization", sc.sigma)
         else:
-            mech = protocol.random_he_codec(sc.model.param_dim, seed, sc.offset_scale)
+            mech = protocol.MechanismSpec("he_codec", offset_scale=sc.offset_scale)
         got, = verify.trial_outcomes(bound, sc, [seed])
         want = hand_built_utility_trial(sc, seed, mech)
         assert (got.extras["delta_two"] > 0.0) == (bound == "utility")
