@@ -41,6 +41,9 @@ COMMANDS = [
      "--seed", "9", "--out", "runs/shared"],
     # the HE codec: wire view differs from the decoded model
     ["train", "--mech", "he", "--seed", "5", "--out", "runs/he"],
+    # seven equal clients, whose size weights sum to 0.9999999999999998
+    ["train", "--mech", "he", "--clients", "7", "--rounds", "3", "--seed", "5",
+     "--out", "runs/he-k7"],
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",
      "--phase2", "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],

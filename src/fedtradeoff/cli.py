@@ -37,6 +37,24 @@ EXIT_BOUND_FAILED = 4
 _MECH_ALIASES = {"none": "none", "rand": "randomization", "randomization": "randomization",
                  "he": "he_codec", "he_codec": "he_codec"}
 
+# each config flag and the ExperimentConfig.to_dict field(s) it overrides
+_FLAG_FIELDS = {
+    "mech": ["mechanism.kind"],
+    "sigma": ["mechanism.sigma"],
+    "shared_noise": ["mechanism.shared_noise"],
+    "rounds": ["fl.rounds"],
+    "lr": ["fl.learning_rate"],
+    "seed": ["master_seed"],
+    "clients": ["dataset.num_clients"],
+    "samples": ["dataset.per_client_size"],
+    "input_dim": ["dataset.input_dim", "model.input_dim"],
+    "model": ["model.kind"],
+    "hidden": ["model.hidden_dim"],
+    "iters": ["attack.iters"],
+    "step_size": ["attack.step_size"],
+    "optimizer": ["attack.optimizer"],
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are configuration errors (exit 1)
@@ -68,35 +86,15 @@ def _load_config(args) -> ExperimentConfig:
                 raise ConfigurationError(f"bad JSON in {args.config}: {exc}") from exc
         cfg = ExperimentConfig.from_dict(raw)
     d = cfg.to_dict()
-    if getattr(args, "mech", None) is not None:
-        d["mechanism"]["kind"] = _MECH_ALIASES[args.mech]
-    if getattr(args, "sigma", None) is not None:
-        d["mechanism"]["sigma"] = args.sigma
-    if getattr(args, "shared_noise", False):
-        d["mechanism"]["shared_noise"] = True
-    if getattr(args, "rounds", None) is not None:
-        d["fl"]["rounds"] = args.rounds
-    if getattr(args, "lr", None) is not None:
-        d["fl"]["learning_rate"] = args.lr
-    if getattr(args, "seed", None) is not None:
-        d["master_seed"] = args.seed
-    if getattr(args, "clients", None) is not None:
-        d["dataset"]["num_clients"] = args.clients
-    if getattr(args, "samples", None) is not None:
-        d["dataset"]["per_client_size"] = args.samples
-    if getattr(args, "input_dim", None) is not None:
-        d["dataset"]["input_dim"] = args.input_dim
-        d["model"]["input_dim"] = args.input_dim
-    if getattr(args, "model", None) is not None:
-        d["model"]["kind"] = args.model
-    if getattr(args, "hidden", None) is not None:
-        d["model"]["hidden_dim"] = args.hidden
-    if getattr(args, "iters", None) is not None:
-        d["attack"]["iters"] = args.iters
-    if getattr(args, "step_size", None) is not None:
-        d["attack"]["step_size"] = args.step_size
-    if getattr(args, "optimizer", None) is not None:
-        d["attack"]["optimizer"] = args.optimizer
+    for flag, paths in _FLAG_FIELDS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag == "mech":
+            value = _MECH_ALIASES[value]
+        for path in paths:
+            section, _, name = path.rpartition(".")
+            (d[section] if section else d)[name] = value
     return ExperimentConfig.from_dict(d)
 
 
@@ -261,7 +259,8 @@ def _add_common_config_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--mech", choices=sorted(_MECH_ALIASES))
     p.add_argument("--sigma", type=float)
-    p.add_argument("--shared-noise", dest="shared_noise", action="store_true")
+    # absent is None, so a config file's shared_noise stands
+    p.add_argument("--shared-noise", dest="shared_noise", action="store_true", default=None)
     p.add_argument("--rounds", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)

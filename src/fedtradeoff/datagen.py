@@ -282,6 +282,8 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
         raise ConfigurationError("num_pairs must be >= 2")
     if not (0 <= quantile <= 0.5):
         raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
+    if not delta_budget > 0:                  # NaN fails too
+        raise ConfigurationError("delta_budget must be > 0")
     theta_probe = np.asarray(theta_probe, dtype=np.float64)
     g = rngmod.stream(seed, rngmod.STREAM_ESTIMATE, 0)
     all_x = np.concatenate([ds.x for ds in datasets], axis=0)

@@ -140,12 +140,9 @@ def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
              fl: protocol.FLRunConfig, mech: MechanismSpec, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
 
-    Raises ``NumericError`` when the run aborted (diverged)."""
+    ``protocol.run`` raises ``NumericError`` when the run diverges."""
     datasets = datagen.generate(replace(dataset, seed=seed))
-    result = protocol.run(model, replace(fl, seed=seed), mech, datasets)
-    if result.aborted:
-        raise NumericError(f"run aborted: {result.abort_reason}")
-    return datasets, result
+    return datasets, protocol.run(model, replace(fl, seed=seed), mech, datasets)
 
 
 class Observed(NamedTuple):

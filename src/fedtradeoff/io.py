@@ -79,10 +79,8 @@ def round_record_to_dict(rec: RoundRecord) -> dict:
         "round": rec.round_index,
         "eta": rec.eta,
         "theta_decoded": _floats(rec.theta_decoded),
-        "theta_next_protected": _floats(rec.theta_next_protected)
-        if rec.theta_next_protected is not None else None,
-        "theta_next_decoded": _floats(rec.theta_next_decoded)
-        if rec.theta_next_decoded is not None else None,
+        "theta_next_protected": _floats(rec.theta_next_protected),
+        "theta_next_decoded": _floats(rec.theta_next_decoded),
         "grads": [_floats(g) for g in rec.grads],
         "wires": [_floats(w) for w in rec.wires],
         "delta_up_grad": rec.delta_up_grad,

@@ -19,20 +19,21 @@ aggregation step. Bookkeeping per round:
 on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
 ``(seed, PROTECT, t, 0)`` for every client when the noise is shared.
 
-The HE mechanism is a simulated additively-homomorphic codec: a ciphertext is
-``(permuted payload, offset units)``; linear server ops act per component, so
-decryption (subtract the tracked offset, invert the permutation) is exact and
-the decoded trajectory is bit-equal to the unprotected one, while the
-materialized wire bytes (payload + units * offset) differ from the true
-gradient. ``run`` draws the key (permutation, offset) once per run, from the
-run's seed on stream ``(seed, MECH)``.
+The HE mechanism is a simulated additively-homomorphic codec under a key
+``(perm, offset)``: client k uploads ``g_k[perm] + offset``. Decryption is
+exact, so the server keeps no ciphertext: it steps on the true aggregate, the
+decoded trajectory is bit-equal to the unprotected one, and the wire view of
+the model is ``theta[perm] + units * offset``, where ``units`` starts at 1 and
+loses ``eta_t`` times the size-weighted sum of the clients' unit offsets each
+round. ``run`` draws the key once per run, from the run's seed on stream
+``(seed, MECH)``. A model, gradient or update that is not finite ends the run
+with ``NumericError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,9 +60,9 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.kind not in MECH_KINDS:
             raise ConfigurationError(f"unknown mechanism kind: {self.kind!r}")
-        if self.kind == "randomization" and self.sigma < 0:
+        if self.kind == "randomization" and not self.sigma >= 0:   # NaN fails too
             raise ConfigurationError("sigma must be >= 0")
-        if self.exact_norm is not None and self.exact_norm < 0:
+        if self.exact_norm is not None and not self.exact_norm >= 0:
             raise ConfigurationError("exact_norm must be >= 0")
 
 
@@ -81,34 +82,16 @@ def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.nd
 
 
 @dataclass
-class Cipher:
-    """Simulated HE ciphertext: payload in the permuted domain + offset units."""
-    payload: np.ndarray
-    units: float
-
-    def wire(self, offset: np.ndarray) -> np.ndarray:
-        """Materialized bytes an eavesdropper sees."""
-        return self.payload + self.units * offset
-
-
-def _undo_perm(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[perm] = v
-    return out
-
-
-@dataclass
 class ProtectedGradient:
     wire: np.ndarray                 # what the server / attacker observes
     delta: np.ndarray                # wire - true gradient
     delta_up_grad: float             # ||delta||
-    cipher: Optional[Cipher] = None  # he_codec only: exact homomorphic payload
 
 
 def protect(g: np.ndarray, mech: MechanismSpec, rng: np.random.Generator | None = None,
             key: tuple[np.ndarray, np.ndarray] | None = None) -> ProtectedGradient:
     """Apply the mechanism to one client gradient: randomization draws from
-    ``rng``, he_codec encrypts under ``key`` (``_he_key``)."""
+    ``rng``, he_codec encrypts under ``key`` (``_he_key``) to ``g[perm] + offset``."""
     g = np.asarray(g, dtype=np.float64)
     if mech.kind == "none":
         delta = np.zeros_like(g)
@@ -132,23 +115,9 @@ def protect(g: np.ndarray, mech: MechanismSpec, rng: np.random.Generator | None 
     if key is None:
         raise ConfigurationError("he_codec requires a key")
     perm, offset = key
-    cipher = Cipher(payload=g[perm], units=1.0)
-    wire = cipher.wire(offset)
+    wire = g[perm] + offset
     delta = wire - g
-    return ProtectedGradient(wire=wire, delta=delta,
-                             delta_up_grad=float(np.linalg.norm(delta)), cipher=cipher)
-
-
-def decode(state, key: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Client-side decode of a downloaded model state.
-
-    A plain vector (none / randomization) decodes to itself. An he_codec
-    ``Cipher`` under ``key``: offset removal (exact, the units component is
-    tracked next to the payload) then inverse permutation.
-    """
-    if isinstance(state, Cipher):
-        return _undo_perm(state.payload, key[0])
-    return np.asarray(state, dtype=np.float64)
+    return ProtectedGradient(wire=wire, delta=delta, delta_up_grad=float(np.linalg.norm(delta)))
 
 
 def client_local_update(model_spec: models.ModelSpec, theta: np.ndarray,
@@ -191,8 +160,8 @@ class RoundRecord:
     delta_two_grad: float
     delta_two_param: float
     shadow_gap: float
-    theta_next_protected: np.ndarray | None = None   # server wire state after update
-    theta_next_decoded: np.ndarray | None = None     # its client-side decode
+    theta_next_protected: np.ndarray   # wire view of the model after the update
+    theta_next_decoded: np.ndarray     # the model after the update
 
 
 @dataclass(frozen=True)
@@ -215,11 +184,9 @@ class FLRunConfig:
 @dataclass
 class RunResult:
     records: list[RoundRecord]
-    theta_final_decoded: np.ndarray    # Dec(protected final model)
+    theta_final_decoded: np.ndarray    # final model, as the clients decode it
     theta_final_shadow: np.ndarray     # from-scratch unprotected final model
-    theta_final_protected: np.ndarray | None = None   # server-side wire view
-    aborted: bool = False
-    abort_reason: str = ""
+    theta_final_protected: np.ndarray  # wire view of the final model
 
 
 def _eta_at(config: FLRunConfig, t: int) -> float:
@@ -231,40 +198,37 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
 def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
         datasets: list[ClientDataset]) -> RunResult:
     """Execute the protocol; protected and shadow trajectories share the seed,
-    and an he_codec run draws its key from it once."""
+    and an he_codec run draws its key from it once.
+
+    Raises ``NumericError`` when the model, a gradient or an update is not
+    finite."""
     for ds in datasets:
         if ds.x.shape[1] != model_spec.input_dim:
             raise ConfigurationError("dataset / model dimension mismatch")
-    theta0 = models.init_params(
+    theta = models.init_params(
         model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
 
     sizes = [ds.size for ds in datasets]
-    if mech.kind == "he_codec":
-        key = _he_key(model_spec.param_dim, config.seed, mech.offset_scale)
-        server_state: Cipher | np.ndarray = Cipher(payload=theta0[key[0]], units=1.0)
-    else:
-        key = None
-        server_state = theta0.copy()
-    theta_shadow = theta0.copy()
+    key = (_he_key(model_spec.param_dim, config.seed, mech.offset_scale)
+           if mech.kind == "he_codec" else None)
+    units = 1.0                        # offset units in the he_codec wire view of the model
+    if not np.all(np.isfinite(theta)):
+        raise NumericError("run aborted: non-finite model at round 0")
+    theta_shadow = theta.copy()
 
     records: list[RoundRecord] = []
     for t in range(config.rounds):
         eta = _eta_at(config, t)
-        theta_dec = decode(server_state, key)
-        if not np.all(np.isfinite(theta_dec)):
-            return RunResult(records, theta_dec, theta_shadow,
-                             aborted=True, abort_reason=f"non-finite model at round {t}")
         with np.errstate(over="ignore", invalid="ignore"):
-            shadow_gap = float(np.linalg.norm(theta_dec - theta_shadow))
+            shadow_gap = float(np.linalg.norm(theta - theta_shadow))
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = [client_local_update(model_spec, theta_dec, ds) for ds in datasets]
+                grads = [client_local_update(model_spec, theta, ds) for ds in datasets]
                 shadow_grads = [client_local_update(model_spec, theta_shadow, ds)
                                 for ds in datasets]
         except NumericError as exc:
-            return RunResult(records, theta_dec, theta_shadow,
-                             aborted=True, abort_reason=f"non-finite gradient at round {t}: {exc}")
+            raise NumericError(f"run aborted: non-finite gradient at round {t}: {exc}") from exc
         protected = []
         for k, g in enumerate(grads):
             if mech.kind == "randomization":
@@ -274,31 +238,27 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
                 prng = None
             protected.append(protect(g, mech, prng, key))
 
+        # the server steps on what it decodes: the noisy wires under
+        # randomization, else the true gradients (he_codec decrypts exactly)
         true_agg = weighted_sum(grads, sizes)
         with np.errstate(over="ignore", invalid="ignore"):
-            if mech.kind == "he_codec":
-                payload_agg = weighted_sum([p.cipher.payload for p in protected], sizes)
-                units_agg = float(weighted_sum(
-                    [np.array([p.cipher.units]) for p in protected], sizes)[0])
-                decoded_agg = _undo_perm(payload_agg, key[0])
-                server_state = Cipher(payload=server_state.payload - eta * payload_agg,
-                                      units=server_state.units - eta * units_agg)
-            else:
-                decoded_agg = weighted_sum([p.wire for p in protected], sizes)
-                server_state = server_state - eta * decoded_agg
-
+            agg = (weighted_sum([p.wire for p in protected], sizes)
+                   if mech.kind == "randomization" else true_agg)
+            theta_next = theta - eta * agg
             theta_shadow = theta_shadow - eta * weighted_sum(shadow_grads, sizes)
-            d2g = float(np.linalg.norm(decoded_agg - true_agg))
+            d2g = float(np.linalg.norm(agg - true_agg))
+        if not np.all(np.isfinite(theta_next)):
+            raise NumericError(f"run aborted: non-finite update at round {t}")
 
-        final_dec = decode(server_state, key)
-        if mech.kind == "he_codec":
-            next_protected = server_state.wire(key[1])
+        if key is None:
+            wire_view = theta_next
         else:
-            next_protected = np.asarray(server_state, dtype=np.float64).copy()
+            units = units - eta * weighted_sum([1.0] * len(sizes), sizes)
+            wire_view = theta_next[key[0]] + units * key[1]
         records.append(RoundRecord(
             round_index=t,
             eta=eta,
-            theta_decoded=theta_dec,
+            theta_decoded=theta,
             grads=grads,
             wires=[p.wire for p in protected],
             deltas=[p.delta for p in protected],
@@ -307,17 +267,12 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
             delta_two_grad=d2g,
             delta_two_param=eta * d2g,
             shadow_gap=shadow_gap,
-            theta_next_protected=next_protected,
-            theta_next_decoded=final_dec,
+            theta_next_protected=wire_view,
+            theta_next_decoded=theta_next,
         ))
+        theta = theta_next
 
-        if not np.all(np.isfinite(final_dec)):
-            return RunResult(records, final_dec, theta_shadow,
-                             aborted=True, abort_reason=f"non-finite update at round {t}")
-
-    last = records[-1]
-    return RunResult(records, last.theta_next_decoded, theta_shadow,
-                     theta_final_protected=last.theta_next_protected)
+    return RunResult(records, theta, theta_shadow, records[-1].theta_next_protected)
 
 
 def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray,

@@ -407,6 +407,12 @@ class TestEstimateConstants:
         with pytest.raises(NumericError, match="non-finite parameter move"):
             datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
+    def test_budget_not_positive_rejected(self, budget):
+        spec, theta, datasets = self._spec_and_data()
+        with pytest.raises(ConfigurationError, match="delta_budget must be > 0"):
+            datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
+
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])
         c0, c2, cfit = datagen.attack_mismatch_envelope(objectives)

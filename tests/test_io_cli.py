@@ -178,6 +178,31 @@ class TestTrainCLI:
                 file_hash(os.path.join(out_rand, name))
 
 
+class TestLoadConfig:
+    def load(self, argv):
+        return cli._load_config(cli.build_parser().parse_args(["train", "--out", "o", *argv]))
+
+    def test_each_flag_sets_its_fields(self):
+        cfg = self.load(["--mech", "rand", "--sigma", "0.2", "--shared-noise", "--rounds", "4",
+                         "--lr", "0.3", "--seed", "8", "--clients", "3", "--samples", "5",
+                         "--input-dim", "4", "--model", "mlp1", "--hidden", "6",
+                         "--iters", "9", "--step-size", "0.7", "--optimizer", "sgd"])
+        assert cfg.mechanism == MechanismSpec("randomization", 0.2, shared_noise=True)
+        assert (cfg.fl.rounds, cfg.fl.learning_rate, cfg.master_seed) == (4, 0.3, 8)
+        assert (cfg.dataset.num_clients, cfg.dataset.per_client_size,
+                cfg.dataset.input_dim) == (3, 5, 4)
+        assert (cfg.model.kind, cfg.model.input_dim, cfg.model.hidden_dim) == ("mlp1", 4, 6)
+        assert (cfg.attack.iters, cfg.attack.step_size, cfg.attack.optimizer) == \
+            (9, 0.7, "sgd")
+
+    def test_absent_flags_keep_the_config_file(self, tmp_path):
+        config = cli.default_config().to_dict()
+        config["mechanism"].update(kind="randomization", sigma=0.4, shared_noise=True)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert self.load(["--config", str(path)]).to_dict() == config
+
+
 class TestAttackCLI:
     @pytest.fixture()
     def run_dir(self, tmp_path):
@@ -341,8 +366,12 @@ class TestExitCodes:
         ({"kind": "he_codec", "offset_scale": float("inf")}, ["train"], "offset must be finite"),
         ({}, ["sweep", "--axis", "sigma", "--values=-1,0", "--trials", "1"],
          "sigma must be >= 0"),
+        ({}, ["train", "--mech", "rand", "--sigma", "nan"], "sigma must be >= 0"),
+        # written as JSON NaN
+        ({"kind": "randomization", "exact_norm": float("nan")}, ["train"],
+         "exact_norm must be >= 0"),
     ], ids=["kind-bogus", "sigma-negative", "exact-norm-negative", "offset-scale-infinite",
-            "sweep-sigma-negative"])
+            "sweep-sigma-negative", "sigma-nan", "exact-norm-nan"])
     def test_bad_mechanism_exit_1(self, tmp_path, mechanism, args, message):
         config = cli.default_config().to_dict()
         config["mechanism"].update(mechanism)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedtradeoff import datagen, models, protocol, rng as rngmod
-from fedtradeoff.errors import ConfigurationError
+from fedtradeoff.errors import ConfigurationError, NumericError
 
 
 MODEL = models.ModelSpec("logistic", 3)
@@ -114,19 +114,6 @@ class TestProtect:
             assert np.array_equal(out.delta, z * (2.0 / np.linalg.norm(z)))
 
 
-class TestDecode:
-    def test_identity_for_none_and_randomization(self):
-        # both keep the model state a plain vector
-        v = np.array([1.0, 2.0])
-        assert np.array_equal(protocol.decode(v), v)
-
-    def test_he_inverts_exactly(self):
-        key = protocol._he_key(6, 5, 1.0)
-        theta = rngmod.stream(2, 3).standard_normal(6)
-        cipher = protocol.Cipher(payload=theta[key[0]], units=1.0)
-        assert np.array_equal(protocol.decode(cipher, key), theta)
-
-
 class TestAggregate:
     def test_equal_sizes_unweighted_mean(self):
         out = protocol.aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
@@ -161,7 +148,6 @@ class TestRun:
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3, seed=1)
         res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
-        assert not res.aborted
         for rec in res.records:
             assert rec.delta_two_grad == 0.0
             assert rec.shadow_gap == 0.0
@@ -246,13 +232,20 @@ class TestRun:
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
 
-    def test_divergence_aborts_with_reason(self):
+    @pytest.mark.parametrize("x, fl, message", [
+        ([[10.0, 10.0]], dict(init_scale=math.nan), "non-finite model at round 0"),
+        # the residual times x overflows
+        ([[1e200, 1e200]], {},
+         "non-finite gradient at round 0: non-finite parameter gradient"),
+        # a finite gradient times eta overflows
+        ([[10.0, 10.0]], dict(learning_rate=1e308), "non-finite update at round 0"),
+    ], ids=["model", "gradient", "update"])
+    def test_divergence_raises(self, x, fl, message):
         spec = models.ModelSpec("linear", 2)
-        ds = datagen.ClientDataset(client_id=0,
-                                   x=np.array([[10.0, 10.0]]), y=np.array([0.0]))
-        cfg = protocol.FLRunConfig(rounds=400, learning_rate=10.0, seed=1)
-        res = protocol.run(spec, cfg, protocol.MechanismSpec(), [ds])
-        assert res.aborted and "non-finite" in res.abort_reason
+        ds = datagen.ClientDataset(client_id=0, x=np.array(x), y=np.array([0.0]))
+        cfg = protocol.FLRunConfig(rounds=2, seed=1, **fl)
+        with pytest.raises(NumericError, match=f"^run aborted: {message}$"):
+            protocol.run(spec, cfg, protocol.MechanismSpec(), [ds])
 
     def test_inv_sqrt_schedule(self):
         _, datasets = make_datasets()
@@ -275,24 +268,26 @@ def old_codec_key(dim, seed, offset_scale):
 
 
 class TestHEKey:
+    # at K = 7 the size weights sum to 0.9999999999999998, not 1
+    @pytest.mark.parametrize("num_clients", [2, 7])
     @pytest.mark.parametrize("seed", [4, 2024])
-    def test_run_key_is_the_old_codec_at_the_run_seed(self, seed):
-        _, datasets = make_datasets(num_clients=2)
+    def test_run_key_is_the_old_codec_at_the_run_seed(self, seed, num_clients):
+        _, datasets = make_datasets(num_clients=num_clients)
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=seed)
         res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec", offset_scale=0.5),
                            datasets)
         perm, offset = old_codec_key(MODEL.param_dim, seed, 0.5)
-        first = res.records[0]
-        for g, wire in zip(first.grads, first.wires):
-            assert np.array_equal(wire, g[perm] + offset)
-        # the old Cipher view of the final server state: payload + units * offset,
+        # the old ciphertext view of each round's server state: payload + units * offset,
         # the units tracked through each round's size-weighted aggregation
         sizes = [ds.size for ds in datasets]
         units = 1.0
         for rec in res.records:
+            for g, wire in zip(rec.grads, rec.wires):
+                assert np.array_equal(wire, g[perm] + offset)
             units = units - rec.eta * float(
                 protocol.weighted_sum([np.array([1.0])] * len(sizes), sizes)[0])
-        want = res.theta_final_decoded[perm] + units * offset
+            want = rec.theta_next_decoded[perm] + units * offset
+            assert np.array_equal(rec.theta_next_protected, want)
         assert np.array_equal(res.theta_final_protected, want)
 
 
