@@ -39,6 +39,12 @@ COMMANDS = [
     # one noise draw per round shared by every client
     ["train", "--mech", "rand", "--shared-noise", "--sigma", "0.2", "--clients", "3",
      "--seed", "9", "--out", "runs/shared"],
+    # randomization noise of one key, then of 21 keys: both sides of the
+    # break-even where rng.normals stops calling rng.stream per key
+    ["train", "--mech", "rand", "--clients", "1", "--rounds", "1", "--seed", "11",
+     "--out", "runs/rand-k1"],
+    ["train", "--mech", "rand", "--clients", "7", "--rounds", "3", "--seed", "12",
+     "--out", "runs/rand-k7"],
     # the HE codec: wire view differs from the decoded model
     ["train", "--mech", "he", "--seed", "5", "--out", "runs/he"],
     # seven equal clients, whose size weights sum to 0.9999999999999998

@@ -79,7 +79,7 @@ def pilot_noise_floor():
         y = np.array([1])
         g_true = models.grad_params(spec, theta, x[None, :], y)
         prot = protocol.protect(g_true, protocol.MechanismSpec("randomization", 20.0),
-                                rngmod.stream(seed, 61))
+                                rngmod.stream(seed, 61).standard_normal(g_true.shape[0]))
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)
         tr = attack.invert_gradient(spec, theta, prot.wire, y, 1, cfg)

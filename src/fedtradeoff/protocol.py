@@ -17,7 +17,8 @@ aggregation step. Bookkeeping per round:
 ``protect`` and ``run`` take it as it is. Its kinds are ``none``,
 ``randomization`` and ``he_codec``. Randomization adds Gaussian noise drawn
 on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
-``(seed, PROTECT, t, 0)`` for every client when the noise is shared.
+``(seed, PROTECT, t, 0)`` for every client when the noise is shared; ``run``
+draws all rounds' noise before round 0, from those same streams.
 
 The HE mechanism is a simulated additively-homomorphic codec under a key
 ``(perm, offset)``: client k uploads ``g_k[perm] + offset``. Decryption is
@@ -88,18 +89,16 @@ class ProtectedGradient:
     delta_up_grad: float             # ||delta||
 
 
-def protect(g: np.ndarray, mech: MechanismSpec, rng: np.random.Generator | None = None,
+def protect(g: np.ndarray, mech: MechanismSpec, z: np.ndarray | None = None,
             key: tuple[np.ndarray, np.ndarray] | None = None) -> ProtectedGradient:
-    """Apply the mechanism to one client gradient: randomization draws from
-    ``rng``, he_codec encrypts under ``key`` (``_he_key``) to ``g[perm] + offset``."""
+    """Apply the mechanism to one client gradient: randomization adds
+    ``sigma * z`` for standard normals ``z``, he_codec encrypts under ``key``
+    (``_he_key``) to ``g[perm] + offset``."""
     g = np.asarray(g, dtype=np.float64)
     if mech.kind == "none":
         delta = np.zeros_like(g)
         return ProtectedGradient(wire=g.copy(), delta=delta, delta_up_grad=0.0)
     if mech.kind == "randomization":
-        if rng is None:
-            raise ConfigurationError("randomization requires an rng")
-        z = rng.standard_normal(g.shape[0])
         with np.errstate(over="ignore"):      # a huge sigma records ||delta|| = inf
             delta = mech.sigma * z
             if mech.exact_norm is not None:
@@ -118,14 +117,6 @@ def protect(g: np.ndarray, mech: MechanismSpec, rng: np.random.Generator | None 
     wire = g[perm] + offset
     delta = wire - g
     return ProtectedGradient(wire=wire, delta=delta, delta_up_grad=float(np.linalg.norm(delta)))
-
-
-def client_local_update(model_spec: models.ModelSpec, theta: np.ndarray,
-                        dataset: ClientDataset) -> np.ndarray:
-    """Full-batch local gradient of client k at the decoded model."""
-    if dataset.size == 0:
-        raise ConfigurationError("client dataset is empty")
-    return models.grad_params(model_spec, theta, dataset.x, dataset.y)
 
 
 def weighted_sum(vectors: list[np.ndarray], sizes: list[int]) -> np.ndarray:
@@ -175,8 +166,10 @@ class FLRunConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:     # NaN fails too
+            raise ConfigurationError("learning rate must be finite and > 0")
+        if not 0 <= self.init_scale < math.inf:
+            raise ConfigurationError("init_scale must be finite and >= 0")
         if self.lr_schedule not in ("constant", "inv_sqrt"):
             raise ConfigurationError(f"unknown lr schedule: {self.lr_schedule!r}")
 
@@ -195,48 +188,67 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
     return config.learning_rate / math.sqrt(t + 1.0)
 
 
+def _gradients(model_spec: models.ModelSpec, datasets: list[ClientDataset], n: int):
+    """``grads(*thetas)``: the (n, K, d) full-batch gradients of the first n
+    models on each of the K clients. Clients of one size share one stacked call
+    over leading axes (n, K), on inputs stacked once here; others take one call each."""
+    if len({ds.size for ds in datasets}) > 1:
+        return lambda *thetas: np.array([[models.per_example_grads(
+            model_spec, th, ds.x, ds.y).mean(axis=0) for ds in datasets] for th in thetas[:n]])
+    x, y = (np.array([[getattr(ds, f) for ds in datasets]] * n, dtype=np.float64) for f in "xy")
+    stacked = np.empty((n, len(datasets), model_spec.param_dim))
+
+    def grads(*thetas):
+        stacked[:] = np.array(thetas[:n])[:, None]
+        return models.per_example_grads(model_spec, stacked, x, y).mean(axis=-2)
+    return grads
+
+
 def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
         datasets: list[ClientDataset]) -> RunResult:
     """Execute the protocol; protected and shadow trajectories share the seed,
-    and an he_codec run draws its key from it once.
+    and an he_codec run draws its key from it once. Clients of one size take
+    each round's gradients in one stacked call (``_gradients``).
 
     Raises ``NumericError`` when the model, a gradient or an update is not
     finite."""
     for ds in datasets:
         if ds.x.shape[1] != model_spec.input_dim:
             raise ConfigurationError("dataset / model dimension mismatch")
-    theta = models.init_params(
-        model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
+        if ds.size == 0:
+            raise ConfigurationError("client dataset is empty")
+    with np.errstate(over="ignore"):       # an overflowing draw raises below
+        theta = models.init_params(
+            model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
 
-    sizes = [ds.size for ds in datasets]
-    key = (_he_key(model_spec.param_dim, config.seed, mech.offset_scale)
-           if mech.kind == "he_codec" else None)
+    sizes, k, d = [ds.size for ds in datasets], len(datasets), model_spec.param_dim
+    key = _he_key(d, config.seed, mech.offset_scale) if mech.kind == "he_codec" else None
     units = 1.0                        # offset units in the he_codec wire view of the model
-    if not np.all(np.isfinite(theta)):
+    noise = [[None] * k] * config.rounds
+    if mech.kind == "randomization":
+        clients = [0] if mech.shared_noise else range(1, k + 1)
+        noise = rngmod.normals(config.seed, [(rngmod.STREAM_PROTECT, t, c) for t in
+                                             range(config.rounds) for c in clients], d)
+        noise = noise.reshape(config.rounds, -1, d)
+        if mech.shared_noise:
+            noise = np.repeat(noise, k, axis=1)
+    if not np.isfinite(theta).all():
         raise NumericError("run aborted: non-finite model at round 0")
     theta_shadow = theta.copy()
+    # only noise moves the model off the shadow; without it one gradient set is both
+    gradients = _gradients(model_spec, datasets, 2 if mech.kind == "randomization" else 1)
 
     records: list[RoundRecord] = []
     for t in range(config.rounds):
         eta = _eta_at(config, t)
         with np.errstate(over="ignore", invalid="ignore"):
             shadow_gap = float(np.linalg.norm(theta - theta_shadow))
-
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                grads = [client_local_update(model_spec, theta, ds) for ds in datasets]
-                shadow_grads = [client_local_update(model_spec, theta_shadow, ds)
-                                for ds in datasets]
-        except NumericError as exc:
-            raise NumericError(f"run aborted: non-finite gradient at round {t}: {exc}") from exc
-        protected = []
-        for k, g in enumerate(grads):
-            if mech.kind == "randomization":
-                key_client = 0 if mech.shared_noise else k + 1
-                prng = rngmod.stream(config.seed, rngmod.STREAM_PROTECT, t, key_client)
-            else:
-                prng = None
-            protected.append(protect(g, mech, prng, key))
+            stacked = gradients(theta, theta_shadow)
+        if not np.isfinite(stacked).all():
+            raise NumericError(f"run aborted: non-finite gradient at round {t}: "
+                               "non-finite parameter gradient")
+        grads = list(stacked[0])
+        protected = [protect(g, mech, z, key) for g, z in zip(grads, noise[t])]
 
         # the server steps on what it decodes: the noisy wires under
         # randomization, else the true gradients (he_codec decrypts exactly)
@@ -245,15 +257,16 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
             agg = (weighted_sum([p.wire for p in protected], sizes)
                    if mech.kind == "randomization" else true_agg)
             theta_next = theta - eta * agg
-            theta_shadow = theta_shadow - eta * weighted_sum(shadow_grads, sizes)
+            theta_shadow = theta_shadow - eta * (
+                true_agg if len(stacked) == 1 else weighted_sum(list(stacked[1]), sizes))
             d2g = float(np.linalg.norm(agg - true_agg))
-        if not np.all(np.isfinite(theta_next)):
+        if not np.isfinite(theta_next).all():
             raise NumericError(f"run aborted: non-finite update at round {t}")
 
         if key is None:
             wire_view = theta_next
         else:
-            units = units - eta * weighted_sum([1.0] * len(sizes), sizes)
+            units = units - eta * weighted_sum([1.0] * k, sizes)
             wire_view = theta_next[key[0]] + units * key[1]
         records.append(RoundRecord(
             round_index=t,

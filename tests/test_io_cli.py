@@ -382,6 +382,23 @@ class TestExitCodes:
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("init_scale", float("nan"), "init_scale must be finite and >= 0"),
+        ("init_scale", float("inf"), "init_scale must be finite and >= 0"),
+        ("init_scale", -0.5, "init_scale must be finite and >= 0"),
+        ("learning_rate", float("nan"), "learning rate must be finite and > 0"),
+        ("learning_rate", float("inf"), "learning rate must be finite and > 0"),
+    ], ids=["init-scale-nan", "init-scale-inf", "init-scale-negative", "lr-nan", "lr-inf"])
+    def test_bad_fl_value_exit_1(self, tmp_path, field, value, message):
+        config = cli.default_config().to_dict()
+        config["fl"][field] = value          # NaN and inf written as JSON NaN / Infinity
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_malformed_config_json_exit_1(self, tmp_path):
         bad = tmp_path / "config.json"
         bad.write_text('{"dataset": {')

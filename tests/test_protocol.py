@@ -17,33 +17,45 @@ def make_datasets(seed=42, num_clients=3, m=8):
     return spec, datagen.generate(spec)
 
 
+def round_zero(datasets, model=MODEL):
+    """Record of round 0 of a one-round unprotected run over ``datasets``."""
+    cfg = protocol.FLRunConfig(rounds=1, seed=3)
+    return protocol.run(model, cfg, protocol.MechanismSpec(), datasets).records[0]
+
+
 class TestClientLocalUpdate:
     def test_single_example_equals_grad_params(self):
         _, datasets = make_datasets(m=1)
         ds = datasets[0]
-        theta = np.array([0.1, -0.2, 0.3])
-        g = protocol.client_local_update(MODEL, theta, ds)
-        assert np.array_equal(g, models.grad_params(MODEL, theta, ds.x, ds.y))
+        rec = round_zero([ds])
+        assert np.array_equal(rec.grads[0],
+                              models.grad_params(MODEL, rec.theta_decoded, ds.x, ds.y))
 
     def test_duplicated_dataset_same_gradient(self):
         _, datasets = make_datasets(m=4)
         ds = datasets[0]
         dup = datagen.ClientDataset(client_id=0, x=np.vstack([ds.x, ds.x]),
                                     y=np.concatenate([ds.y, ds.y]))
-        theta = np.array([0.1, -0.2, 0.3])
-        a = protocol.client_local_update(MODEL, theta, ds)
-        b = protocol.client_local_update(MODEL, theta, dup)
+        a = round_zero([ds]).grads[0]
+        b = round_zero([dup]).grads[0]
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_matches_per_example_mean_loop(self):
         _, datasets = make_datasets(m=8)
         ds = datasets[0]
-        theta = np.array([0.4, 0.0, -0.6])
-        g = protocol.client_local_update(MODEL, theta, ds)
+        rec = round_zero([ds])
         acc = np.zeros(3)
         for i in range(8):      # independent brute-force mean
-            acc += models.grad_params(MODEL, theta, ds.x[i][None, :], ds.y[i:i + 1])
-        assert np.allclose(g, acc / 8, rtol=1e-12, atol=1e-15)
+            acc += models.grad_params(MODEL, rec.theta_decoded, ds.x[i][None, :], ds.y[i:i + 1])
+        assert np.allclose(rec.grads[0], acc / 8, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("sizes", [[0], [4, 0]])
+    def test_empty_client_dataset_is_a_config_error(self, sizes):
+        _, datasets = make_datasets(num_clients=len(sizes), m=4)
+        cut = [datagen.ClientDataset(ds.client_id, ds.x[:m], ds.y[:m])
+               for ds, m in zip(datasets, sizes)]
+        with pytest.raises(ConfigurationError, match="^client dataset is empty$"):
+            round_zero(cut)
 
 
 class TestProtect:
@@ -52,7 +64,7 @@ class TestProtect:
         p0 = protocol.protect(g, protocol.MechanismSpec())
         assert p0.delta_up_grad == 0.0 and np.array_equal(p0.wire, g)
         p1 = protocol.protect(g, protocol.MechanismSpec("randomization", 0.0),
-                              rngmod.stream(0, 1))
+                              rngmod.stream(0, 1).standard_normal(3))
         assert p1.delta_up_grad == 0.0 and np.array_equal(p1.wire, g)
 
     def test_he_identity_perm_unit_offset(self):
@@ -67,13 +79,13 @@ class TestProtect:
         g = rngmod.stream(1, 99)
         mech = protocol.MechanismSpec("randomization", 0.1)
         zero = np.zeros(100)
-        mean_sq = np.mean([protocol.protect(zero, mech, g).delta_up_grad ** 2
-                           for _ in range(10000)])
+        draws = (protocol.protect(zero, mech, g.standard_normal(100)) for _ in range(10000))
+        mean_sq = np.mean([p.delta_up_grad ** 2 for p in draws])
         assert abs(mean_sq - 1.0) <= 0.03
 
     def test_exact_norm(self):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1.0, exact_norm=0.7)
-        p = protocol.protect(np.zeros(5), mech, rngmod.stream(3, 4))
+        p = protocol.protect(np.zeros(5), mech, rngmod.stream(3, 4).standard_normal(5))
         assert p.delta_up_grad == pytest.approx(0.7, rel=1e-12)
         # a finite norm rescales the draw itself
         z = rngmod.stream(3, 4).standard_normal(5)
@@ -83,7 +95,7 @@ class TestProtect:
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1e200,
                                       exact_norm=exact_norm)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
+        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
         assert np.all(np.isfinite(out.wire))
         if exact_norm is None:
             assert out.delta_up_grad == math.inf
@@ -92,7 +104,7 @@ class TestProtect:
     def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
         # ||delta|| is inf at these sigmas; the rescale keeps the direction
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=2.0)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
+        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
         assert out.delta_up_grad == pytest.approx(2.0, rel=1e-15)
         assert np.all(np.isfinite(out.wire))
 
@@ -105,7 +117,7 @@ class TestProtect:
             assert not np.all(np.isfinite(sigma * z))
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma,
                                       exact_norm=exact_norm)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1))
+        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
         if exact_norm is None:
             assert out.delta_up_grad == math.inf
         else:
@@ -233,7 +245,8 @@ class TestRun:
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
 
     @pytest.mark.parametrize("x, fl, message", [
-        ([[10.0, 10.0]], dict(init_scale=math.nan), "non-finite model at round 0"),
+        # the initial draw times init_scale overflows
+        ([[10.0, 10.0]], dict(init_scale=1.5e308), "non-finite model at round 0"),
         # the residual times x overflows
         ([[1e200, 1e200]], {},
          "non-finite gradient at round 0: non-finite parameter gradient"),
@@ -254,6 +267,84 @@ class TestRun:
         res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
         etas = [rec.eta for rec in res.records]
         assert etas == pytest.approx([0.4 / np.sqrt(t + 1) for t in range(4)])
+
+
+class TestFLRunConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("init_scale", math.nan, "init_scale must be finite and >= 0"),
+        ("init_scale", math.inf, "init_scale must be finite and >= 0"),
+        ("init_scale", -math.inf, "init_scale must be finite and >= 0"),
+        ("init_scale", -0.5, "init_scale must be finite and >= 0"),
+        ("learning_rate", math.nan, "learning rate must be finite and > 0"),
+        ("learning_rate", math.inf, "learning rate must be finite and > 0"),
+        ("learning_rate", 0.0, "learning rate must be finite and > 0"),
+    ])
+    def test_bad_value_is_a_config_error(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            protocol.FLRunConfig(rounds=2, **{field: value})
+
+    def test_zero_init_scale_starts_at_the_origin(self):
+        _, datasets = make_datasets()
+        cfg = protocol.FLRunConfig(rounds=1, init_scale=0.0)
+        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        assert np.array_equal(res.records[0].theta_decoded, np.zeros(3))
+
+
+RUN_MODELS = [models.ModelSpec("linear", 3), models.ModelSpec("logistic", 3),
+              models.ModelSpec("logistic", 3, num_classes=3),
+              models.ModelSpec("mlp1", 3, hidden_dim=4, num_classes=3)]
+RUN_MECHS = {
+    "none": protocol.MechanismSpec(),
+    "he": protocol.MechanismSpec("he_codec", offset_scale=0.5),
+    "rand": protocol.MechanismSpec("randomization", 0.3),
+    "shared": protocol.MechanismSpec("randomization", 0.3, shared_noise=True),
+    "exact-norm": protocol.MechanismSpec("randomization", 0.3, exact_norm=0.8),
+}
+
+
+class TestRoundsMatchPerClientReference:
+    """Every round of ``run`` equals the per-client computation bit for bit:
+    one ``grad_params`` call per client and trajectory, and the noise of
+    client k in round t drawn from its own ``rng.stream``."""
+
+    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
+    @pytest.mark.parametrize("mech_name", list(RUN_MECHS))
+    @pytest.mark.parametrize("num_clients", [1, 2, 7])
+    @pytest.mark.parametrize("model", RUN_MODELS, ids=lambda m: f"{m.kind}{m.num_classes}")
+    def test_bit_identical(self, model, num_clients, mech_name, sizes):
+        mech = RUN_MECHS[mech_name]
+        spec = datagen.DatasetSpec(num_clients=num_clients, per_client_size=9, input_dim=3,
+                                   num_classes=model.num_classes, class_separation=2.0,
+                                   diameter_cap=2.0, seed=21)
+        datasets = datagen.generate(spec)
+        if sizes == "unequal":
+            datasets = [datagen.ClientDataset(ds.client_id, ds.x[:9 - k], ds.y[:9 - k])
+                        for k, ds in enumerate(datasets)]
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3, seed=17)
+        res = protocol.run(model, cfg, mech, datasets)
+        key = protocol._he_key(model.param_dim, cfg.seed, 0.5) if mech_name == "he" else None
+        sizes = [ds.size for ds in datasets]
+        shadow = res.records[0].theta_decoded
+        for t, rec in enumerate(res.records):
+            assert rec.shadow_gap == float(np.linalg.norm(rec.theta_decoded - shadow))
+            wires = []
+            for k, ds in enumerate(datasets):
+                g = models.grad_params(model, rec.theta_decoded, ds.x, ds.y)
+                z = None
+                if mech.kind == "randomization":
+                    client = 0 if mech.shared_noise else k + 1
+                    z = rngmod.stream(cfg.seed, rngmod.STREAM_PROTECT, t, client).standard_normal(
+                        model.param_dim)
+                want = protocol.protect(g, mech, z, key)
+                assert np.array_equal(rec.grads[k], g)
+                assert np.array_equal(rec.wires[k], want.wire)
+                assert rec.delta_up_grad[k] == want.delta_up_grad
+                wires.append(want.wire if mech.kind == "randomization" else g)
+            step = rec.eta * protocol.weighted_sum(wires, sizes)
+            assert np.array_equal(rec.theta_next_decoded, rec.theta_decoded - step)
+            shadow = shadow - rec.eta * protocol.weighted_sum(
+                [models.grad_params(model, shadow, ds.x, ds.y) for ds in datasets], sizes)
+        assert np.array_equal(res.theta_final_shadow, shadow)
 
 
 def old_codec_key(dim, seed, offset_scale):

@@ -30,8 +30,8 @@ def hand_built_privacy_trial(scenario, trial_seed):
     ds = datagen.generate(ds_spec)[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
-    prot = protocol.protect(g, protocol.MechanismSpec("randomization", scenario.sigma),
-                            rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1))
+    z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal(g.shape[0])
+    prot = protocol.protect(g, protocol.MechanismSpec("randomization", scenario.sigma), z)
     trace = attack.invert_gradient(
         scenario.model, theta, prot.wire, ds.y, ds.size,
         replace(scenario.attack, seed=trial_seed))
