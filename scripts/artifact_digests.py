@@ -71,6 +71,9 @@ COMMANDS = [
     # the randomization rescaled to an exact upload norm
     ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "5",
      "--out", "runs/sweep-delta-up"],
+    # seven rows at once through protect's per-row rescale
+    ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "2", "--clients", "7",
+     "--out", "runs/sweep-delta-up-k7"],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written

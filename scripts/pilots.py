@@ -78,11 +78,12 @@ def pilot_noise_floor():
                 break
         y = np.array([1])
         g_true = models.grad_params(spec, theta, x[None, :], y)
-        prot = protocol.protect(g_true, protocol.MechanismSpec("randomization", 20.0),
-                                rngmod.stream(seed, 61).standard_normal(g_true.shape[0]))
+        (wire,), _ = protocol.protect(
+            g_true[None], protocol.MechanismSpec("randomization", 20.0),
+            rngmod.stream(seed, 61).standard_normal((1, g_true.shape[0])))
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)
-        tr = attack.invert_gradient(spec, theta, prot.wire, y, 1, cfg)
+        tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg)
         atk_err.append(np.linalg.norm(tr.final_x[0] - x))
         base_err.append(np.linalg.norm(0.5 * rngmod.stream(seed, 62).standard_normal(2) - x))
     p = stats.mannwhitneyu(atk_err, base_err, alternative="less").pvalue

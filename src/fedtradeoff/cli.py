@@ -14,6 +14,7 @@ master seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -142,7 +143,7 @@ def cmd_attack(args) -> int:
     rec = rounds[args.round]
     target = datasets[args.client]
     observed = Observed(
-        datasets, np.array(rec["theta_decoded"]), [np.array(w) for w in rec["wires"]],
+        datasets, np.array(rec["theta_decoded"]), np.array(rec["wires"]),
         rec["delta_up_grad"], rec["delta_up_param"], rec["delta_two_grad"],
         rec["delta_two_param"], iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
         iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")))
@@ -274,6 +275,7 @@ def _add_common_config_flags(p: _Parser) -> None:
     p.add_argument("--optimizer", choices=("sgd", "adam"))
 
 
+@functools.cache        # built once per process: parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="fedtradeoff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -53,6 +53,12 @@ class ExperimentConfig:
     attack_round: int = 0
     attack_client: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("master_seed", "attack_round", "attack_client"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or not value >= 0:
+                raise ConfigurationError(f"{name} must be an integer >= 0")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -150,7 +156,7 @@ class Observed(NamedTuple):
     upload in the attacked round, and the final models."""
     datasets: list[datagen.ClientDataset]
     theta_round: np.ndarray        # decoded model of the attacked round
-    wires: list[np.ndarray]        # each client's upload in that round
+    wires: np.ndarray              # (K, d): each client's upload in that round
     delta_up_grad: list[float]     # and its distortions
     delta_up_param: list[float]
     delta_two_grad: float

@@ -48,8 +48,8 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def _floats(vec: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(vec, dtype=np.float64)]
+def _floats(a: np.ndarray) -> list:
+    return np.asarray(a, dtype=np.float64).tolist()
 
 
 def write_manifest(path: str, config_dict: dict, master_seed: int) -> None:
@@ -81,8 +81,8 @@ def round_record_to_dict(rec: RoundRecord) -> dict:
         "theta_decoded": _floats(rec.theta_decoded),
         "theta_next_protected": _floats(rec.theta_next_protected),
         "theta_next_decoded": _floats(rec.theta_next_decoded),
-        "grads": [_floats(g) for g in rec.grads],
-        "wires": [_floats(w) for w in rec.wires],
+        "grads": _floats(rec.grads),
+        "wires": _floats(rec.wires),
         "delta_up_grad": rec.delta_up_grad,
         "delta_up_param": rec.delta_up_param,
         "delta_two_grad": rec.delta_two_grad,

@@ -1,10 +1,11 @@
 """Four-step distorted-aggregation protocol over an in-memory channel.
 
 Per round: clients decode the downloaded model, compute one full-batch local
-gradient each, upload a protected version, and the server takes a weighted
-aggregation step. Bookkeeping per round:
+gradient each, upload a protected version (one ``protect`` call maps the
+round's (K, d) gradients to its (K, d) uploads), and the server takes a
+weighted aggregation step. Bookkeeping per round:
 
-* ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space) and
+* ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space, row k's 1-D norm) and
   ``delta_up_param[k] = eta_t * delta_up_grad[k]`` (parameter space).
 * ``delta_two_grad    = ||decoded aggregated distorted gradient - true aggregate||``
   and ``delta_two_param = eta_t * delta_two_grad`` -- the one-step gap between
@@ -82,46 +83,42 @@ def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.nd
     return perm, off
 
 
-@dataclass
-class ProtectedGradient:
-    wire: np.ndarray                 # what the server / attacker observes
-    delta: np.ndarray                # wire - true gradient
-    delta_up_grad: float             # ||delta||
-
-
-def protect(g: np.ndarray, mech: MechanismSpec, z: np.ndarray | None = None,
-            key: tuple[np.ndarray, np.ndarray] | None = None) -> ProtectedGradient:
-    """Apply the mechanism to one client gradient: randomization adds
-    ``sigma * z`` for standard normals ``z``, he_codec encrypts under ``key``
-    (``_he_key``) to ``g[perm] + offset``."""
-    g = np.asarray(g, dtype=np.float64)
+def protect(grads: np.ndarray, mech: MechanismSpec, noise: np.ndarray | None = None,
+            key: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, list[float]]:
+    """Apply the mechanism to a round's (K, d) gradients: the (K, d) wires and each
+    row's ``||wire - grad||``. Randomization adds ``sigma * noise`` for (K, d) standard
+    normals, each row rescaled to ``exact_norm`` when set; he_codec encrypts each row
+    under ``key`` (``_he_key``) to ``g[perm] + offset``."""
+    grads = np.asarray(grads, dtype=np.float64)
     if mech.kind == "none":
-        delta = np.zeros_like(g)
-        return ProtectedGradient(wire=g.copy(), delta=delta, delta_up_grad=0.0)
-    if mech.kind == "randomization":
-        with np.errstate(over="ignore"):      # a huge sigma records ||delta|| = inf
-            delta = mech.sigma * z
-            if mech.exact_norm is not None:
-                if not np.all(np.isfinite(delta)):   # overflowed: take the direction from z
-                    delta = z
-                n = np.linalg.norm(delta)
-                if np.isinf(n):               # rescale the direction, not the overflow
-                    delta = delta / np.abs(delta).max()
-                    n = np.linalg.norm(delta)
-                delta = delta * (mech.exact_norm / n) if n > 0 else delta
-            delta_up = float(np.linalg.norm(delta))
-        return ProtectedGradient(wire=g + delta, delta=delta, delta_up_grad=delta_up)
-    if key is None:
+        return grads.copy(), [0.0] * len(grads)
+    if mech.kind == "he_codec" and key is None:
         raise ConfigurationError("he_codec requires a key")
-    perm, offset = key
-    wire = g[perm] + offset
-    delta = wire - g
-    return ProtectedGradient(wire=wire, delta=delta, delta_up_grad=float(np.linalg.norm(delta)))
+    with np.errstate(over="ignore"):          # a huge sigma records ||delta|| = inf
+        if mech.kind == "he_codec":
+            wires = grads[:, key[0]] + key[1]
+            delta = wires - grads
+        else:
+            delta = mech.sigma * noise
+            if mech.exact_norm is not None:
+                for row, z in zip(delta, noise):      # each row rescaled in place
+                    if not np.all(np.isfinite(row)):  # overflowed: take the direction from z
+                        row[:] = z
+                    n = np.linalg.norm(row)
+                    if np.isinf(n):           # rescale the direction, not the overflow
+                        row /= np.abs(row).max()
+                        n = np.linalg.norm(row)
+                    if n > 0:
+                        row *= mech.exact_norm / n
+            wires = grads + delta
+        # one 1-D norm per row: norm(axis=1) sums in another order and would move its bits
+        return wires, [float(np.linalg.norm(row)) for row in delta]
 
 
-def weighted_sum(vectors: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Size-weighted sum in fixed client order (shared by all trajectories)."""
-    if len(vectors) != len(sizes) or not vectors:
+def weighted_sum(vectors: np.ndarray | list, sizes: list[int]) -> np.ndarray:
+    """Size-weighted sum of a list's items or an array's rows, in fixed client
+    order (shared by all trajectories)."""
+    if len(vectors) != len(sizes) or not len(vectors):
         raise ConfigurationError("vectors/sizes length mismatch or empty")
     total = float(sum(sizes))
     if total <= 0:
@@ -143,9 +140,8 @@ class RoundRecord:
     round_index: int
     eta: float
     theta_decoded: np.ndarray          # model the clients trained on this round
-    grads: list[np.ndarray]            # true g_k
-    wires: list[np.ndarray]            # observed g_tilde_k
-    deltas: list[np.ndarray]
+    grads: np.ndarray                  # (K, d) true g_k
+    wires: np.ndarray                  # (K, d) observed g_tilde_k
     delta_up_grad: list[float]
     delta_up_param: list[float]
     delta_two_grad: float
@@ -224,7 +220,7 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
     sizes, k, d = [ds.size for ds in datasets], len(datasets), model_spec.param_dim
     key = _he_key(d, config.seed, mech.offset_scale) if mech.kind == "he_codec" else None
     units = 1.0                        # offset units in the he_codec wire view of the model
-    noise = [[None] * k] * config.rounds
+    noise = [None] * config.rounds
     if mech.kind == "randomization":
         clients = [0] if mech.shared_noise else range(1, k + 1)
         noise = rngmod.normals(config.seed, [(rngmod.STREAM_PROTECT, t, c) for t in
@@ -247,18 +243,17 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
         if not np.isfinite(stacked).all():
             raise NumericError(f"run aborted: non-finite gradient at round {t}: "
                                "non-finite parameter gradient")
-        grads = list(stacked[0])
-        protected = [protect(g, mech, z, key) for g, z in zip(grads, noise[t])]
+        grads = stacked[0]
+        wires, delta_up = protect(grads, mech, noise[t], key)
 
         # the server steps on what it decodes: the noisy wires under
         # randomization, else the true gradients (he_codec decrypts exactly)
         true_agg = weighted_sum(grads, sizes)
         with np.errstate(over="ignore", invalid="ignore"):
-            agg = (weighted_sum([p.wire for p in protected], sizes)
-                   if mech.kind == "randomization" else true_agg)
+            agg = weighted_sum(wires, sizes) if mech.kind == "randomization" else true_agg
             theta_next = theta - eta * agg
             theta_shadow = theta_shadow - eta * (
-                true_agg if len(stacked) == 1 else weighted_sum(list(stacked[1]), sizes))
+                true_agg if len(stacked) == 1 else weighted_sum(stacked[1], sizes))
             d2g = float(np.linalg.norm(agg - true_agg))
         if not np.isfinite(theta_next).all():
             raise NumericError(f"run aborted: non-finite update at round {t}")
@@ -273,10 +268,9 @@ def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
             eta=eta,
             theta_decoded=theta,
             grads=grads,
-            wires=[p.wire for p in protected],
-            deltas=[p.delta for p in protected],
-            delta_up_grad=[p.delta_up_grad for p in protected],
-            delta_up_param=[eta * p.delta_up_grad for p in protected],
+            wires=wires,
+            delta_up_grad=delta_up,
+            delta_up_param=[eta * u for u in delta_up],
             delta_two_grad=d2g,
             delta_two_param=eta * d2g,
             shadow_gap=shadow_gap,

@@ -13,11 +13,11 @@ from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import ExperimentConfig, MechanismSpec, TrialRow, run_trial
 
 
-def run_cli(args, env_extra=None, cwd=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None):
     # the suite's own warning filter, which pytest applies only in its process
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **(env_extra or {})}
     return subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
 
 
 def file_hash(path):
@@ -176,6 +176,20 @@ class TestTrainCLI:
                      "model_final_shadow.csv"):
             assert file_hash(os.path.join(out_none, name)) == \
                 file_hash(os.path.join(out_rand, name))
+
+
+class TestMain:
+    def test_parser_built_once_per_process(self, tmp_path):
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit) as usage:       # --out missing
+            cli.main(["train"])
+        assert usage.value.code == 1
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.main(["train", "--mech", "rand", "--rounds", "2", "--seed", "4",
+                             "--out", str(out)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert dir_hashes(outs[0]) == dir_hashes(outs[1])
 
 
 class TestLoadConfig:
@@ -395,6 +409,33 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         r = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        # a redraw loop that did not end, then NaN that passed as a separation
+        ("dataset", "class_separation", 20.0, "class_separation must be between 0 and 14"),
+        ("dataset", "class_separation", float("inf"),
+         "class_separation must be between 0 and 14"),
+        ("dataset", "class_separation", float("nan"),
+         "class_separation must be between 0 and 14"),
+        ("dataset", "class_separation", -1.0, "class_separation must be between 0 and 14"),
+        ("dataset", "diameter_cap", float("nan"), "diameter_cap must be finite and > 0"),
+        (None, "master_seed", -1, "master_seed must be an integer >= 0"),
+        (None, "master_seed", float("nan"), "master_seed must be an integer >= 0"),
+        (None, "attack_round", 0.0, "attack_round must be an integer >= 0"),
+        (None, "attack_client", -1, "attack_client must be an integer >= 0"),
+    ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
+            "diameter-nan", "seed-negative", "seed-nan", "attack-round-float",
+            "attack-client-negative"])
+    def test_bad_config_value_exit_1(self, tmp_path, section, field, value, message):
+        config = cli.default_config().to_dict()
+        (config[section] if section else config)[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "o")],
+                    timeout=10)
         assert r.returncode == 1, r.stderr
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr

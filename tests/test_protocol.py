@@ -60,53 +60,84 @@ class TestClientLocalUpdate:
 
 class TestProtect:
     def test_none_and_sigma_zero(self):
-        g = np.array([1.0, -2.0, 0.5])
-        p0 = protocol.protect(g, protocol.MechanismSpec())
-        assert p0.delta_up_grad == 0.0 and np.array_equal(p0.wire, g)
-        p1 = protocol.protect(g, protocol.MechanismSpec("randomization", 0.0),
-                              rngmod.stream(0, 1).standard_normal(3))
-        assert p1.delta_up_grad == 0.0 and np.array_equal(p1.wire, g)
+        g = np.array([[1.0, -2.0, 0.5]])
+        wires, delta_up = protocol.protect(g, protocol.MechanismSpec())
+        assert delta_up == [0.0] and np.array_equal(wires, g)
+        wires, delta_up = protocol.protect(g, protocol.MechanismSpec("randomization", 0.0),
+                                           rngmod.stream(0, 1).standard_normal((1, 3)))
+        assert delta_up == [0.0] and np.array_equal(wires, g)
 
     def test_he_identity_perm_unit_offset(self):
-        g = np.array([1.0, -2.0, 0.5])
-        p = protocol.protect(g, protocol.MechanismSpec("he_codec"),
-                             key=(np.arange(3), np.array([1.0, 0.0, 0.0])))
-        assert p.delta_up_grad == 1.0
-        assert np.array_equal(p.wire, g + np.array([1.0, 0.0, 0.0]))
+        g = np.array([[1.0, -2.0, 0.5]])
+        wires, delta_up = protocol.protect(g, protocol.MechanismSpec("he_codec"),
+                                           key=(np.arange(3), np.array([1.0, 0.0, 0.0])))
+        assert delta_up == [1.0]
+        assert np.array_equal(wires, g + np.array([1.0, 0.0, 0.0]))
+
+    def test_he_without_key_is_a_config_error(self):
+        with pytest.raises(ConfigurationError, match="^he_codec requires a key$"):
+            protocol.protect(np.zeros((2, 3)), protocol.MechanismSpec("he_codec"))
 
     def test_randomization_chi_square(self):
         # E ||delta||^2 = d sigma^2 = 1.0 for sigma=0.1, d=100
         g = rngmod.stream(1, 99)
         mech = protocol.MechanismSpec("randomization", 0.1)
-        zero = np.zeros(100)
-        draws = (protocol.protect(zero, mech, g.standard_normal(100)) for _ in range(10000))
-        mean_sq = np.mean([p.delta_up_grad ** 2 for p in draws])
+        _, delta_up = protocol.protect(np.zeros((10000, 100)), mech,
+                                       g.standard_normal((10000, 100)))
+        mean_sq = np.mean([u ** 2 for u in delta_up])
         assert abs(mean_sq - 1.0) <= 0.03
 
     def test_exact_norm(self):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1.0, exact_norm=0.7)
-        p = protocol.protect(np.zeros(5), mech, rngmod.stream(3, 4).standard_normal(5))
-        assert p.delta_up_grad == pytest.approx(0.7, rel=1e-12)
+        wires, delta_up = protocol.protect(np.zeros((1, 5)), mech,
+                                           rngmod.stream(3, 4).standard_normal((1, 5)))
+        assert delta_up[0] == pytest.approx(0.7, rel=1e-12)
         # a finite norm rescales the draw itself
         z = rngmod.stream(3, 4).standard_normal(5)
-        assert np.array_equal(p.delta, z * (0.7 / np.linalg.norm(z)))
+        assert np.array_equal(wires[0], 0.0 + z * (0.7 / np.linalg.norm(z)))
+
+    def test_exact_norm_rows_equal_hand_built_rows(self):
+        # one block through every branch of the per-row rescale: sigma * z
+        # overflows, its norm overflows, it is finite, it is zero
+        sigma, target = 1e308, 2.0
+        z = np.array([[2.0, -0.5, 0.1, 1.0, -3.0],
+                      [1.0, -0.5, 0.25, 1.5, 0.75],
+                      [1e-200, -3e-200, 2e-200, 0.0, 5e-201],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])
+        g = rngmod.stream(5, 6).standard_normal((4, 5))
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(sigma * z[0]))
+            assert np.isinf(np.linalg.norm(sigma * z[1]))
+            deltas = [z[0] * (target / np.linalg.norm(z[0]))]
+            d = sigma * z[1]
+            d = d / np.abs(d).max()
+            deltas.append(d * (target / np.linalg.norm(d)))
+        d = sigma * z[2]
+        deltas += [d * (target / np.linalg.norm(d)), sigma * z[3]]
+        mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=target)
+        wires, delta_up = protocol.protect(g, mech, z)
+        assert np.array_equal(wires, np.array([gk + dk for gk, dk in zip(g, deltas)]))
+        assert delta_up == [float(np.linalg.norm(dk)) for dk in deltas]
+        assert delta_up[:3] == pytest.approx([target] * 3, rel=1e-15) and delta_up[3] == 0.0
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1e200,
                                       exact_norm=exact_norm)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
-        assert np.all(np.isfinite(out.wire))
+        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
+                                           rngmod.stream(0, 1).standard_normal((1, 4)))
+        assert np.all(np.isfinite(wires))
         if exact_norm is None:
-            assert out.delta_up_grad == math.inf
+            assert delta_up[0] == math.inf
 
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
         # ||delta|| is inf at these sigmas; the rescale keeps the direction
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=2.0)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
-        assert out.delta_up_grad == pytest.approx(2.0, rel=1e-15)
-        assert np.all(np.isfinite(out.wire))
+        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
+                                           rngmod.stream(0, 1).standard_normal((1, 4)))
+        assert delta_up[0] == pytest.approx(2.0, rel=1e-15)
+        assert np.all(np.isfinite(wires))
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
@@ -117,13 +148,14 @@ class TestProtect:
             assert not np.all(np.isfinite(sigma * z))
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma,
                                       exact_norm=exact_norm)
-        out = protocol.protect(np.ones(4), mech, rngmod.stream(0, 1).standard_normal(4))
+        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
+                                           rngmod.stream(0, 1).standard_normal((1, 4)))
         if exact_norm is None:
-            assert out.delta_up_grad == math.inf
+            assert delta_up[0] == math.inf
         else:
-            assert np.all(np.isfinite(out.wire))
-            assert out.delta_up_grad == pytest.approx(2.0)
-            assert np.array_equal(out.delta, z * (2.0 / np.linalg.norm(z)))
+            assert np.all(np.isfinite(wires))
+            assert delta_up[0] == pytest.approx(2.0)
+            assert np.array_equal(wires[0], np.ones(4) + z * (2.0 / np.linalg.norm(z)))
 
 
 class TestAggregate:
@@ -210,7 +242,7 @@ class TestRun:
         res = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
         sizes = [d.size for d in datasets]
         for rec in res.records:
-            agg_delta = protocol.weighted_sum(rec.deltas, sizes)
+            agg_delta = protocol.weighted_sum(rec.wires - rec.grads, sizes)
             assert rec.delta_two_grad == pytest.approx(
                 float(np.linalg.norm(agg_delta)), abs=1e-12)
 
@@ -335,11 +367,13 @@ class TestRoundsMatchPerClientReference:
                     client = 0 if mech.shared_noise else k + 1
                     z = rngmod.stream(cfg.seed, rngmod.STREAM_PROTECT, t, client).standard_normal(
                         model.param_dim)
-                want = protocol.protect(g, mech, z, key)
+                # a one-row block: a row must not depend on the rest of its block
+                (wire,), (delta_up,) = protocol.protect(
+                    g[None], mech, None if z is None else z[None], key)
                 assert np.array_equal(rec.grads[k], g)
-                assert np.array_equal(rec.wires[k], want.wire)
-                assert rec.delta_up_grad[k] == want.delta_up_grad
-                wires.append(want.wire if mech.kind == "randomization" else g)
+                assert np.array_equal(rec.wires[k], wire)
+                assert rec.delta_up_grad[k] == delta_up
+                wires.append(wire if mech.kind == "randomization" else g)
             step = rec.eta * protocol.weighted_sum(wires, sizes)
             assert np.array_equal(rec.theta_next_decoded, rec.theta_decoded - step)
             shadow = shadow - rec.eta * protocol.weighted_sum(

@@ -30,17 +30,17 @@ def hand_built_privacy_trial(scenario, trial_seed):
     ds = datagen.generate(ds_spec)[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
-    z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal(g.shape[0])
-    prot = protocol.protect(g, protocol.MechanismSpec("randomization", scenario.sigma), z)
+    z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, g.shape[0]))
+    (wire,), (delta_up,) = protocol.protect(
+        g[None], protocol.MechanismSpec("randomization", scenario.sigma), z)
     trace = attack.invert_gradient(
-        scenario.model, theta, prot.wire, ds.y, ds.size,
+        scenario.model, theta, wire, ds.y, ds.size,
         replace(scenario.attack, seed=trial_seed))
     eps_p = attack.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
     est = datagen.estimate_constants(
         scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
         seed=trial_seed)
-    delta_up = prot.delta_up_grad
     threshold = bounds.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
     rhs = bounds.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
