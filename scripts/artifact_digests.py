@@ -74,6 +74,10 @@ COMMANDS = [
     # seven rows at once through protect's per-row rescale
     ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "2", "--clients", "7",
      "--out", "runs/sweep-delta-up-k7"],
+    # two points a client: the fourth row's points have two labels, so its
+    # constants row fails in a block of estimates that succeed (NaN columns)
+    ["sweep", "--axis", "sigma", "--values", "0,0.1", "--trials", "4", "--clients", "1",
+     "--samples", "2", "--iters", "20", "--out", "runs/sweep-nan-row"],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import models, rng as rngmod
 from .datagen import ClientDataset
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, require_int
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,15 @@ class AttackConfig:
     backtracking: bool = False         # sgd only: enforce monotone objective
 
     def __post_init__(self) -> None:
-        if self.iters < 1:
-            raise ConfigurationError("iters must be >= 1")
+        require_int("iters", self.iters, 1)
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer: {self.optimizer!r}")
-        if self.step_size <= 0:
-            raise ConfigurationError("step_size must be > 0")
+        if not 0 < self.step_size < math.inf:         # NaN fails too
+            raise ConfigurationError("step_size must be finite and > 0")
         if self.init not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown init: {self.init!r}")
+        if not 0 <= self.init_scale < math.inf:
+            raise ConfigurationError("attack init_scale must be finite and >= 0")
 
 
 @dataclass

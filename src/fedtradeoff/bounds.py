@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field
+from typing import Callable
 
 import numpy as np
 
-from .datagen import ConstantsEstimate, log_covering_number
+from .datagen import ConstantsEstimate
 from .errors import ConfigurationError
 
 BOUND_NAMES = ("privacy", "utility", "tradeoff-general", "tradeoff-randomization", "utility-he")
@@ -56,25 +57,55 @@ def privacy_upper_bound(gamma: float, m: int, c_a: float, cap_d: float,
     return 1.0 + math.sqrt(math.log(2.0 / gamma) / (2.0 * m)) - (c_a / (2.0 * cap_d)) * delta_up
 
 
-def _m_term(big_m: float, d: int, cap_d: float, lam: float, eta: float, m: float) -> float:
-    """M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain."""
+def _m_term_of(big_m: float, d: int, cap_d: float, eta: float,
+               m: float) -> Callable[[float], float]:
+    """lambda -> M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain.
+
+    The arguments are checked and the lambda-free logs taken once, so a search
+    over lambda pays only for the lambda-dependent part."""
     if big_m <= 0:
         raise ConfigurationError("M must be > 0")
     if m <= 0:
         raise ConfigurationError("sample size must be > 0")
     if not (0.0 < eta <= 1.0):
         raise ConfigurationError("eta must be in (0, 1]")
-    log_n = log_covering_number(d, cap_d, lam)
-    a = math.log(2.0 * math.log(2.0)) + log_n
-    if eta < 1.0:
-        b = math.log(2.0 * math.log(1.0 / eta))
-        inner_log = np.logaddexp(a, b)
-    else:
-        inner_log = a
-    val_log = math.log(big_m) + 0.5 * (inner_log - math.log(m))
-    if val_log > 700.0:
-        return math.inf
-    return math.exp(val_log)
+    if d < 1:
+        raise ConfigurationError("d must be >= 1")
+    if cap_d < 0:
+        raise ConfigurationError("D must be >= 0")
+    log_2d, log_2ln2 = math.log(2 * d), math.log(2.0 * math.log(2.0))
+    b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else None
+    log_m_term, log_m = math.log(big_m), math.log(m)
+
+    def term(lam: float) -> float:
+        # log N as in datagen.log_covering_number
+        a = log_2ln2 + (2.0 * cap_d / (lam * lam) + 1.0) * log_2d
+        val_log = log_m_term + 0.5 * ((a if b is None else _logaddexp(a, b)) - log_m)
+        if val_log > 700.0:
+            return math.inf
+        return math.exp(val_log)
+    return term
+
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` of two floats in numpy's own operations, without the
+    ufunc call: log1p and exp of libm, as numpy's scalar loop takes them."""
+    if x == y:
+        return x + _LN2
+    if x > y:
+        return x + math.log1p(math.exp(y - x))
+    return y + math.log1p(math.exp(x - y))
+
+
+def _m_term(big_m: float, d: int, cap_d: float, lam: float, eta: float, m: float) -> float:
+    """M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain."""
+    term = _m_term_of(big_m, d, cap_d, eta, m)
+    if lam <= 0:
+        raise ConfigurationError("lambda must be > 0")
+    return term(lam)
 
 
 def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float,
@@ -109,20 +140,26 @@ def minimize_utility_lambda(big_c: float, delta_two: float, big_m: float, d: int
     """
     lo = delta_two + max(1e-9, 1e-9 * delta_two)
     lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
+    # utility_upper_bound's checks, once; every lambda tried exceeds delta_two
+    if big_c <= 0:
+        raise ConfigurationError("C must be > 0")
+    if delta_two < 0:
+        raise ConfigurationError("delta_two must be >= 0")
+    m_term = _m_term_of(big_m, d, cap_d, eta, m)
 
     def f(lam: float) -> float:
-        return utility_upper_bound(big_c, lam, delta_two, big_m, d, cap_d, eta, m)
+        return (big_c * lam + big_c * delta_two) + m_term(lam)
 
     # expand hi until the grid minimum is interior
     for _ in range(20):
-        grid = np.geomspace(lo, lam_hi, 64)
-        vals = [f(float(l)) for l in grid]
+        grid = np.geomspace(lo, lam_hi, 64).tolist()
+        vals = [f(lam) for lam in grid]
         i = int(np.argmin(vals))
         if i < len(grid) - 1:
             break
         lam_hi *= 4.0
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     e = a + phi * (b - a)

@@ -27,7 +27,7 @@ from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, run_sweep, run_trials,
-                         score_trial, simulate)
+                         score_trial, simulate, trial_probe)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -156,9 +156,12 @@ def cmd_attack(args) -> int:
                                       observed.wires[args.client], target.y, target.size, atk)
     wall = time.perf_counter() - t0
     # the row keeps the manifest config's experiment_id, even with --iters
-    row = score_trial(replace(config, attack=atk, attack_client=args.client), seed,
-                      observed, [trace], sweep_axis="attack",
-                      experiment_id=config.experiment_id())
+    scored = replace(config, attack=atk, attack_client=args.client)
+    probe = trial_probe(scored, seed, observed, [trace])
+    row = score_trial(scored, seed, observed, [trace],
+                      functools.partial(datagen.estimate_constants, config.model,
+                                        **probe._asdict()),
+                      sweep_axis="attack", experiment_id=config.experiment_id())
     _ensure_dir(args.out)
     iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
     iomod.write_timings(os.path.join(args.out, "timings.csv"),
@@ -232,20 +235,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _pilot_estimate(config: ExperimentConfig, seed: int, observed: Observed,
-                    traces: list) -> datagen.ConstantsEstimate:
-    return datagen.estimate_constants(
-        config.model, observed.theta_round, observed.datasets, num_pairs=config.num_pairs,
-        quantile=config.quantile, attack_objectives=traces[0].objectives[1:], seed=seed)
-
-
 def cmd_estimate_constants(args) -> int:
     config = _load_config(args)
     # the pilot inverts client 0's unprotected round-0 gradient; the constants
     # are estimated at that round's model over every client's data
     pilot = replace(config, fl=replace(config.fl, rounds=1), mechanism=MechanismSpec(),
                     attack_round=0, attack_client=0)
-    est, = run_trials([(pilot, config.master_seed, {})], _pilot_estimate)
+    est, = run_trials([(pilot, config.master_seed, {})],
+                      lambda config, seed, observed, traces, estimate: estimate(), trial_probe)
     _ensure_dir(args.out)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}

@@ -10,13 +10,16 @@ per call in the order of data stream v3 (``_draw_examples``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import models, rng as rngmod
-from .errors import ConfigurationError, EstimationError, NumericError
+from .errors import (ConfigurationError, EstimationError, FedTradeoffError, NumericError,
+                     require_int)
 
 # Raw mixture lives inside radius _RAW_RADIUS with probability ~1; rejection
 # beyond it makes the bound exact.
@@ -26,8 +29,16 @@ _RAW_RADIUS = 4.0
 # dimensions took 7 s at separation 16 and over 20 s at 20.
 _MAX_SEPARATION = 2 * (_RAW_RADIUS + 3.0)
 
+# Least probability that a drawn row lands inside _RAW_RADIUS. A redraw pass
+# keeps about 1 - P of the rows still outside, so n rows take about ln(n) / P
+# passes: at 1e-4, 60,000 for 400 rows. Generating 2 clients of 16 rows at
+# separation 2 took 0.9 s at input_dim 40 (P = 1.8e-4) and over 20 s at 50
+# (P = 8e-7); separation 14 keeps P >= 1e-4 up to input_dim 8.
+_MIN_INSIDE = 1e-4
+
 # Bytes a stacked temporary may take: the diameter scan's block of pairwise
-# differences, and one chunk of c_theta's perturbed-model forward values.
+# differences, and one chunk of an estimate's pair gradients or of its
+# perturbed-model forward values.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -42,19 +53,48 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
-        if self.per_client_size < 1:
-            raise ConfigurationError("per_client_size must be >= 1")
-        if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
+        for name, least in (("num_clients", 1), ("per_client_size", 1), ("input_dim", 1),
+                            ("num_classes", 2)):
+            require_int(name, getattr(self, name), least)
         if not 0 <= self.class_separation <= _MAX_SEPARATION:     # NaN fails too
             raise ConfigurationError(
                 f"class_separation must be between 0 and {_MAX_SEPARATION:g}")
         if not 0 < self.diameter_cap < math.inf:
             raise ConfigurationError("diameter_cap must be finite and > 0")
+        inside = _inside_probability(self.input_dim, self.class_separation)
+        if not inside >= _MIN_INSIDE:
+            raise ConfigurationError(
+                f"input_dim {self.input_dim} at class_separation {self.class_separation:g}: "
+                f"a row lands inside the truncation radius with probability "
+                f"{inside:.2g}, below {_MIN_INSIDE:g}")
+
+
+@functools.cache
+def _inside_probability(input_dim: int, separation: float) -> float:
+    """P(||c + z|| <= _RAW_RADIUS) for z ~ N(0, I_p) and ||c|| = separation / 2:
+    the noncentral chi-square CDF at _RAW_RADIUS^2, summed as a Poisson mixture
+    of central ones (Johnson, Kotz and Balakrishnan, Continuous Univariate
+    Distributions, vol. 2, 1995, ch. 29)."""
+    half_nc, z = (separation / 2.0) ** 2 / 2.0, _RAW_RADIUS ** 2 / 2.0
+    total, j = 0.0, 0
+    while True:
+        log_weight = -half_nc - math.lgamma(j + 1.0) + (j * math.log(half_nc) if j else 0.0)
+        term = math.exp(log_weight) * _lower_gamma(input_dim / 2.0 + j, z)
+        total += term
+        if not half_nc or (j >= half_nc and term <= 1e-17 * total):
+            return total
+        j += 1
+
+
+def _lower_gamma(a: float, z: float) -> float:
+    """The regularized lower incomplete gamma P(a, z), by its power series."""
+    term = total = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= z / (a + n)
+        total += term
+    return total * math.exp(a * math.log(z) - z - math.lgamma(a + 1.0))
 
 
 @dataclass
@@ -62,6 +102,9 @@ class ClientDataset:
     client_id: int
     x: np.ndarray  # (m, p)
     y: np.ndarray  # (m,) integer labels
+    # class centers of the mixture the rows were drawn from, when known: a
+    # fresh sampler of the same law takes them instead of a second QR
+    centers: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -97,25 +140,29 @@ def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generato
 
 
 def generate(spec: DatasetSpec) -> list[ClientDataset]:
-    """K client datasets, fully determined by spec.seed."""
+    """K client datasets, fully determined by spec.seed; each carries the
+    mixture's class centers."""
     centers = _class_centers(spec)
     out = []
     for k in range(spec.num_clients):
         g = rngmod.stream(spec.seed, rngmod.STREAM_DATA, 1, k)
         x, y = _draw_examples(spec, centers, g, spec.per_client_size)
-        out.append(ClientDataset(client_id=k, x=x, y=y))
+        out.append(ClientDataset(client_id=k, x=x, y=y, centers=centers))
     return out
 
 
-def fresh_sampler(spec: DatasetSpec, seed: int):
+def fresh_sampler(spec: DatasetSpec, seed: int, centers: np.ndarray | None = None):
     """Sampler of fresh i.i.d. draws from the same distribution as generate().
 
     Returns a callable ``f(n) -> (x, y)``; successive calls continue the stream
     ``(seed, STREAM_EVAL, 0)``, each as one data stream v3 batch of n rows, so
-    ``f(200)`` twice does not give the rows of ``f(400)``.
+    ``f(200)`` twice does not give the rows of ``f(400)``. ``centers`` are
+    spec's class centers when the caller has them (``ClientDataset.centers``
+    of a dataset generated from spec).
     """
     g = rngmod.stream(seed, rngmod.STREAM_EVAL, 0)
-    centers = _class_centers(spec)
+    if centers is None:
+        centers = _class_centers(spec)
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         return _draw_examples(spec, centers, g, n)
@@ -213,21 +260,6 @@ def _sample_pairs(y: np.ndarray, num_pairs: int,
     return members[starts[k] + i], members[starts[k] + j]
 
 
-def _pair_ratios(model_spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, num_pairs: int,
-                 g: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Sampled ratios r = ||x1-x2|| / ||grad1-grad2|| over same-label pairs."""
-    idx = np.concatenate(_sample_pairs(y, num_pairs, g))
-    x12 = x[idx]
-    grads = models.per_example_grads(model_spec, theta, x12, y[idx])
-    dg = np.linalg.norm(grads[:num_pairs] - grads[num_pairs:], axis=1)
-    dx = np.linalg.norm(x12[:num_pairs] - x12[num_pairs:], axis=1)
-    used = dg != 0.0
-    if not used.any():
-        raise EstimationError("all sampled pairs had identical gradients")
-    return dx[used] / dg[used], int(num_pairs - used.sum())
-
-
 def attack_mismatch_envelope(objectives: np.ndarray) -> tuple[float, float, float]:
     """(c_0, c_2, c_fit) from an attack's per-iteration objective series.
 
@@ -244,27 +276,17 @@ def attack_mismatch_envelope(objectives: np.ndarray) -> tuple[float, float, floa
     return float(ratio.min()), float(ratio.max()), c_fit
 
 
-def _finite(losses: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(losses)):
-        raise NumericError("non-finite loss")
-    return losses
-
-
-def _mean_losses(model_spec: models.ModelSpec, thetas: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-    """``models.loss`` at each row of ``thetas`` over (x, y), in stacked chunks
-    of at most ``_BLOCK_BYTES`` of per-example forward values."""
-    n = x.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n * (model_spec.hidden_dim + model_spec.num_classes)))
-    out = np.empty(len(thetas))
-    for s in range(0, len(thetas), rows):
-        chunk = thetas[s:s + rows]
-        with np.errstate(over="ignore", invalid="ignore"):   # _finite raises below
-            per = models.per_example_losses(model_spec, chunk,
-                                            np.broadcast_to(x, (len(chunk), *x.shape)),
-                                            np.broadcast_to(y, (len(chunk), *y.shape)))
-            out[s:s + rows] = per.mean(axis=-1)
-    return _finite(out)
+class Probe(NamedTuple):
+    """One row of ``estimate_constants_batch``: the arguments of an
+    ``estimate_constants`` call after its model spec, with its defaults."""
+    theta_probe: np.ndarray
+    datasets: list[ClientDataset]
+    num_pairs: int = 200
+    quantile: float = 0.05
+    delta_budget: float = 1.0
+    num_deltas: int = 64
+    attack_objectives: np.ndarray | None = None
+    seed: int = 0
 
 
 def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
@@ -273,7 +295,8 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
                        delta_budget: float = 1.0, num_deltas: int = 64,
                        attack_objectives: np.ndarray | None = None,
                        seed: int = 0) -> ConstantsEstimate:
-    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) on the given data.
+    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) on the given data: the
+    one-row ``estimate_constants_batch``.
 
     ``attack_objectives`` is the per-iteration objective series of a pilot
     attack run; when absent, c_0 = c_2 = 1 placeholders are recorded as such.
@@ -285,70 +308,218 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     ``num_deltas`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
     index pairs of the data side of C.
     """
-    if num_pairs < 2:
+    row, = estimate_constants_batch(model_spec, [Probe(
+        theta_probe, datasets, num_pairs, quantile, delta_budget, num_deltas,
+        attack_objectives, seed)])
+    return constants_of(row)
+
+
+def constants_of(row: ConstantsEstimate | FedTradeoffError) -> ConstantsEstimate:
+    """A row of ``estimate_constants_batch``: its estimate, or its error raised."""
+    if isinstance(row, FedTradeoffError):
+        raise row
+    return row
+
+
+def estimate_row_bytes(model_spec: models.ModelSpec, n: int, num_pairs: int,
+                       num_deltas: int = 64) -> int:
+    """Bytes ``estimate_constants_batch`` holds per row of n data points until it
+    returns; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
+    p, d = model_spec.input_dim, model_spec.param_dim
+    return 8 * ((n + 2 * num_pairs) * (p + 3) + num_deltas * (2 * d + 4))
+
+
+class _Drawn(NamedTuple):
+    """A probe's validated inputs and every draw of its estimate stream."""
+    probe: Probe
+    theta: np.ndarray       # (d,)
+    x: np.ndarray           # (n, p): every client's rows
+    y: np.ndarray           # (n,)
+    pairs: np.ndarray       # (2 num_pairs,): first rows, then second rows
+    moves: np.ndarray       # (num_deltas, d) parameter-move normals
+    scales: np.ndarray      # (num_deltas,)
+    ij: np.ndarray          # (k, 2) point pairs of C's data side
+
+
+def _draw(model_spec: models.ModelSpec, probe: Probe) -> _Drawn:
+    if probe.num_pairs < 2:
         raise ConfigurationError("num_pairs must be >= 2")
-    if not (0 <= quantile <= 0.5):
+    if not (0 <= probe.quantile <= 0.5):
         raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
-    if not delta_budget > 0:                  # NaN fails too
+    if not probe.delta_budget > 0:                  # NaN fails too
         raise ConfigurationError("delta_budget must be > 0")
-    theta_probe = np.asarray(theta_probe, dtype=np.float64)
-    g = rngmod.stream(seed, rngmod.STREAM_ESTIMATE, 0)
-    all_x = np.concatenate([ds.x for ds in datasets], axis=0)
-    all_y = np.concatenate([ds.y for ds in datasets], axis=0)
+    g = rngmod.stream(probe.seed, rngmod.STREAM_ESTIMATE, 0)
+    x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
+    y = np.concatenate([ds.y for ds in probe.datasets], axis=0)
+    pairs = np.concatenate(_sample_pairs(y, probe.num_pairs, g))
+    moves = g.standard_normal((probe.num_deltas, model_spec.param_dim))
+    scales = g.uniform(0.05, 1.0, probe.num_deltas)
+    n = x.shape[0]
+    ij = g.integers(0, n, size=(min(probe.num_deltas, n * (n - 1) // 2) or 1, 2))
+    return _Drawn(probe, np.asarray(probe.theta_probe, dtype=np.float64), x, y, pairs,
+                  moves, scales, ij)
 
-    ratios, skipped = _pair_ratios(model_spec, theta_probe, all_x, all_y, num_pairs, g)
-    if quantile == 0.0:
-        c_a, c_b = float(ratios.min()), float(ratios.max())
-    else:
-        c_a = float(np.quantile(ratios, quantile))
-        c_b = float(np.quantile(ratios, 1.0 - quantile))
 
-    cap_d = diameter(all_x)
-    if cap_d == 0.0:
-        cap_d = 1.0  # single-point degenerate data; keep D usable
+def _chunks(count: int, item_bytes: int):
+    """Slices of ``range(count)`` of at most ``_BLOCK_BYTES`` of items each."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return (slice(s, s + step) for s in range(0, count, step))
 
-    # C: max |loss diff| per unit movement, parameter side and data side.
-    point_losses = _finite(models.per_example_losses(model_spec, theta_probe, all_x, all_y))
-    base = float(_finite(point_losses.mean()))
-    deltas = g.standard_normal((num_deltas, model_spec.param_dim))
-    with np.errstate(over="ignore", invalid="ignore"):   # a huge budget raises below
-        deltas *= (delta_budget * g.uniform(0.05, 1.0, num_deltas)
-                   / np.linalg.norm(deltas, axis=1))[:, None]
-        moves = np.linalg.norm(deltas, axis=1)   # not finite when a move is not
-    if not np.all(np.isfinite(moves)):
-        raise NumericError("non-finite parameter move")
-    moved = _mean_losses(model_spec, theta_probe + deltas, all_x, all_y)
-    c_theta = float(np.max(np.abs(moved - base) / moves, initial=0.0))
-    n = all_x.shape[0]
-    ij = g.integers(0, n, size=(min(num_deltas, n * (n - 1) // 2) or 1, 2))
-    dx = np.linalg.norm(all_x[ij[:, 0]] - all_x[ij[:, 1]], axis=1)
-    keep = dx != 0.0                     # also drops the i == j draws
-    dl = np.abs(point_losses[ij[:, 0]] - point_losses[ij[:, 1]])
-    c_data = float(np.max(dl[keep] / dx[keep], initial=0.0))
-    big_c = max(c_theta, c_data, 1e-12)
-    big_m = max(float(np.max(np.abs(point_losses))), 1e-12)   # M: exact, at the probe
 
-    if attack_objectives is not None and len(attack_objectives) > 0:
-        c_0, c_2, c_fit = attack_mismatch_envelope(attack_objectives)
+def estimate_constants_batch(model_spec: models.ModelSpec,
+                             probes: list[Probe]) -> list[ConstantsEstimate | FedTradeoffError]:
+    """``estimate_constants`` at each probe: row i is the estimate that
+    ``estimate_constants(model_spec, **probes[i]._asdict())`` returns, bit for
+    bit, or the package error it raises, which fails that row alone.
+
+    Each row draws from its own stream in estimate stream v2's order. Rows of
+    one shape (data size, pair and move counts) are scored together: their pair
+    gradients, point losses and perturbed-model losses in stacked model calls
+    of at most ``_BLOCK_BYTES`` each, their quantiles in one ``np.quantile``.
+    A model call's values of a row do not depend on the rows stacked with it
+    (``models.per_example_grads_and_vjp``)."""
+    out: list = [None] * len(probes)
+    groups: dict[tuple, list[int]] = {}
+    drawn = {}
+    for i, probe in enumerate(probes):
+        try:
+            drawn[i] = _draw(model_spec, probe)
+        except FedTradeoffError as exc:
+            out[i] = exc
+            continue
+        key = (drawn[i].x.shape, drawn[i].theta.shape, probe.num_pairs, probe.num_deltas)
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        for i, est in zip(rows, _estimate_group(model_spec, [drawn[i] for i in rows])):
+            out[i] = est
+    return out
+
+
+def _estimate_group(spec: models.ModelSpec,
+                    rows: list[_Drawn]) -> list[ConstantsEstimate | FedTradeoffError]:
+    """The estimates of drawn rows of one shape. Every row is scored, silently
+    (a stage may overflow on a row that fails anyway); each row then takes the
+    first error its one-row call would raise, in that order."""
+    theta = np.array([r.theta for r in rows])                    # (B, d)
+    x, y = np.array([r.x for r in rows]), np.array([r.y for r in rows])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        used, ratios, brackets = _pair_ratios(spec, rows, theta, x, y)
+        point, base, norms, moved_loss, c_theta, c_data = _loss_sides(spec, rows, theta, x, y)
+    checks = zip(used.any(axis=-1), np.isfinite(point).all(axis=-1) & np.isfinite(base),
+                 np.isfinite(norms).all(axis=-1), np.isfinite(moved_loss).all(axis=-1))
+    big_m = np.abs(point).max(axis=-1).tolist()                  # M: exact, at the probe
+    out = []
+    for k, (row, (any_used, finite_point, finite_move, finite_moved)) in enumerate(
+            zip(rows, checks)):
+        try:
+            if not any_used:
+                raise EstimationError("all sampled pairs had identical gradients")
+            if not finite_point:
+                raise NumericError("non-finite loss")
+            if not finite_move:
+                raise NumericError("non-finite parameter move")
+            if not finite_moved:
+                raise NumericError("non-finite loss")
+            out.append(_assemble(row, ratios[k], brackets[k], diameter(row.x),
+                                 float(c_theta[k]), float(c_data[k]), big_m[k]))
+        except FedTradeoffError as exc:
+            out.append(exc)
+    return out
+
+
+def _pair_ratios(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
+                 x: np.ndarray, y: np.ndarray):
+    """Each row's used-pair mask, ratios r = ||x1 - x2|| / ||grad1 - grad2|| over
+    its same-label pairs, and (c_a, c_b, median) of the rows with a ratio."""
+    b, num_pairs = len(rows), rows[0].probe.num_pairs
+    pairs = np.array([r.pairs for r in rows])                    # (B, 2 num_pairs)
+    dg, dx = np.empty((b, num_pairs)), np.empty((b, num_pairs))
+    # a pair's two rows, labels and gradients, and the gradients' temporaries
+    item = 8 * 2 * num_pairs * (spec.input_dim + 2 * spec.param_dim + 4)
+    at = np.arange(b)[:, None]
+    for s in _chunks(b, item):
+        x12 = x[at[s], pairs[s]]
+        grads = models.per_example_grads(spec, theta[s], x12, y[at[s], pairs[s]])
+        dg[s] = np.linalg.norm(grads[:, :num_pairs] - grads[:, num_pairs:], axis=-1)
+        dx[s] = np.linalg.norm(x12[:, :num_pairs] - x12[:, num_pairs:], axis=-1)
+    used = dg != 0.0
+    ratios = [dx[j][used[j]] / dg[j][used[j]] for j in range(b)]
+    by_shape: dict[tuple, list[int]] = {}
+    for j, r in enumerate(ratios):
+        if r.size:
+            by_shape.setdefault((r.size, rows[j].probe.quantile), []).append(j)
+    brackets = {}
+    for (_, q), js in by_shape.items():
+        r = np.array([ratios[j] for j in js])
+        lo, hi = ((r.min(axis=-1), r.max(axis=-1)) if q == 0.0
+                  else np.quantile(r, [q, 1.0 - q], axis=-1))
+        brackets.update(zip(js, zip(lo.tolist(), hi.tolist(),
+                                    np.median(r, axis=-1).tolist())))
+    return used, ratios, brackets
+
+
+def _loss_sides(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
+                x: np.ndarray, y: np.ndarray):
+    """Each row's point losses, their mean, parameter-move norms, perturbed-model
+    losses, and the parameter and data sides of C: max |loss diff| per unit
+    movement."""
+    b, n, d = len(rows), x.shape[1], spec.param_dim
+    point = models.per_example_losses(spec, theta, x, y)          # (B, n)
+    base = point.mean(axis=-1)
+    moves = np.array([r.moves for r in rows])                     # (B, num_deltas, d)
+    budget = np.array([r.probe.delta_budget for r in rows])[:, None]
+    moves *= (budget * np.array([r.scales for r in rows])
+              / np.linalg.norm(moves, axis=-1))[..., None]
+    norms = np.linalg.norm(moves, axis=-1)
+    moved = (theta[:, None, :] + moves).reshape(-1, d)
+    owner = np.repeat(np.arange(b), moves.shape[1])
+    moved_loss = np.empty(len(moved))
+    # a model's rows, labels and forward values: about three copies of each layer
+    item = 8 * n * (spec.input_dim + 2 + 3 * (spec.hidden_dim + spec.num_classes))
+    for s in _chunks(len(moved), item):
+        moved_loss[s] = models.per_example_losses(
+            spec, moved[s], x[owner[s]], y[owner[s]]).mean(axis=-1)
+    moved_loss = moved_loss.reshape(moves.shape[:2])
+    c_theta = (np.abs(moved_loss - base[:, None]) / norms).max(axis=-1, initial=0.0)
+    at = np.arange(b)[:, None]
+    i, j = np.array([r.ij for r in rows]).transpose(2, 0, 1)     # (B, k) each
+    gap = np.linalg.norm(x[at, i] - x[at, j], axis=-1)
+    dl = np.abs(point[at, i] - point[at, j])
+    # gap 0 also drops the i == j draws
+    c_data = np.divide(dl, gap, out=np.zeros_like(dl), where=gap != 0.0).max(
+        axis=-1, initial=0.0)
+    return point, base, norms, moved_loss, c_theta, c_data
+
+
+def _assemble(row: _Drawn, ratios: np.ndarray, bracket: tuple[float, float, float],
+              cap_d: float, c_theta: float, c_data: float, big_m: float) -> ConstantsEstimate:
+    """A row's validated estimate from its scored parts."""
+    probe = row.probe
+    c_a, c_b, median = bracket
+    skipped = probe.num_pairs - len(ratios)
+    objectives = probe.attack_objectives
+    if objectives is not None and len(objectives) > 0:
+        c_0, c_2, c_fit = attack_mismatch_envelope(objectives)
         c_0 = max(c_0, 1e-12)
         c_2 = max(c_2, c_0)
-        pilot_note = {"c_fit": c_fit, "pilot_iters": int(len(attack_objectives))}
+        pilot_note = {"c_fit": c_fit, "pilot_iters": int(len(objectives))}
     else:
         c_0, c_2 = 1.0, 1.0
         pilot_note = {"c_fit": None, "pilot_iters": 0}
-
     est = ConstantsEstimate(
-        c_a=c_a, c_b=c_b, big_c=big_c, big_m=big_m, cap_d=cap_d, c_0=c_0, c_2=c_2,
+        c_a=c_a, c_b=c_b, big_c=max(c_theta, c_data, 1e-12), big_m=max(big_m, 1e-12),
+        cap_d=cap_d or 1.0,   # 0 for single-point degenerate data; keep D usable
+        c_0=c_0, c_2=c_2,
         meta={
-            "num_pairs": num_pairs,
+            "num_pairs": probe.num_pairs,
             "pairs_used": int(len(ratios)),
             "pairs_skipped_degenerate": skipped,
-            "skip_rate": skipped / num_pairs,
-            "quantile": quantile,
-            "ratio_median": float(np.median(ratios)),
+            "skip_rate": skipped / probe.num_pairs,
+            "quantile": probe.quantile,
+            "ratio_median": median,
             "c_theta_side": c_theta,
             "c_data_side": c_data,
-            "delta_budget": delta_budget,
+            "delta_budget": probe.delta_budget,
             **pilot_note,
         },
     )

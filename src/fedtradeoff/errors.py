@@ -4,6 +4,8 @@ CLI exit-code map: ConfigurationError -> 1, NumericError (and subclasses) -> 2,
 IO errors -> 3, failed bound check -> 4.
 """
 
+import numbers
+
 
 class FedTradeoffError(Exception):
     """Base class for all package errors."""
@@ -19,3 +21,10 @@ class NumericError(FedTradeoffError):
 
 class EstimationError(NumericError):
     """Constant estimation failed (e.g. every sampled pair was degenerate)."""
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is an integer >= ``least``;
+    a float from a config file, 2.0 or NaN, is not."""
+    if not isinstance(value, numbers.Integral) or not value >= least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}")

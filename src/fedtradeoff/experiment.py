@@ -1,17 +1,19 @@
 """Experiment configuration, the one trial runner and the bound sides.
 
 One trial = generate data, run the protocol (``simulate``), keep what scoring
-reads of the run (``observe``), invert the uploads the trial lists, and score
-it. ``run_trials`` runs trials stage-wise in lockstep blocks and is the only
-inverter of simulated uploads. Sweeps and ``run_trial`` pass it
-``score_trial`` (one ``TrialRow``), the bound verifier each bound's outcome
-function, and ``estimate-constants`` its pilot estimate.
+reads of the run (``observe``), invert the uploads the trial lists, estimate
+its constants at the probe its scorer names, and score it. ``run_trials`` runs
+trials stage-wise in lockstep blocks, with one ``attack.invert_batch`` and one
+``datagen.estimate_constants_batch`` per block, and is the only inverter of
+simulated uploads. Sweeps and ``run_trial`` pass it ``score_trial`` (one
+``TrialRow``) with ``trial_probe``, the bound verifier each bound's outcome
+function and probe, and ``estimate-constants`` its pilot probe.
 
 ``privacy_outcome`` and ``utility_outcome`` compute each bound side once;
-each caller passes its own constants estimate: ``score_trial`` one at the
-attacked round's model over every client's data, for both bounds; verify's
-privacy side client 0's data alone at the round-0 model; verify's utility
-side every client's data at the final shadow, and its trade-off at the
+each caller's probe names its own constants: ``trial_probe`` the attacked
+round's model over every client's data, for both bounds of ``score_trial``;
+verify's privacy side client 0's data alone at the round-0 model; verify's
+utility side every client's data at the final shadow, and its trade-off at the
 round-0 model, both with C's parameter moves scaled to max(1, 2 ||delta||).
 
 Per-trial seeds are derived splittably from the master seed, so trials are
@@ -33,7 +35,7 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError, EstimationError, NumericError
+from .errors import ConfigurationError, EstimationError, NumericError, require_int
 from .protocol import MechanismSpec
 
 
@@ -54,10 +56,9 @@ class ExperimentConfig:
     attack_client: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("master_seed", "attack_round", "attack_client"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not value >= 0:
-                raise ConfigurationError(f"{name} must be an integer >= 0")
+        for name, least in (("master_seed", 0), ("attack_round", 0), ("attack_client", 0),
+                            ("n_eval", 1), ("num_pairs", 1)):
+            require_int(name, getattr(self, name), least)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,11 +134,12 @@ def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarr
     return max(1e-12, float(np.max(np.abs(per))))   # 1e-12 first: a NaN maximum gives 1e-12
 
 
-def try_estimate(model_spec, theta, datasets, **kw) -> datagen.ConstantsEstimate | None:
-    """Constants estimate, or None when the data admits no usable pair
-    (e.g. single-sample clients); callers emit NaN bound columns then."""
+def try_estimate(estimate: Callable[[], datagen.ConstantsEstimate]
+                 ) -> datagen.ConstantsEstimate | None:
+    """``estimate()``, or None when the data admits no usable pair (e.g.
+    single-sample clients); callers emit NaN bound columns then."""
     try:
-        return datagen.estimate_constants(model_spec, theta, datasets, **kw)
+        return estimate()
     except EstimationError:
         return None
 
@@ -215,29 +217,35 @@ def privacy_outcome(config: ExperimentConfig, observed: Observed,
                                 "c_b": c_b, "c_2": c_2, "pair_skip_rate": skip_rate})
 
 
+def two_way_distortion(observed: Observed) -> float:
+    """||delta||, the final decoded model's distance from the final shadow;
+    inf when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
+
+
 def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
-                    big_c: Callable[[float], float]) -> tuple[TrialOutcome, float]:
+                    big_c: Callable[[], float]) -> tuple[TrialOutcome, float]:
     """The attacked client's utility loss vs the utility bound at the minimizing
     lambda; ``(outcome, halfwidth of the loss)``.
 
     The loss is that of the final decoded model against the final shadow, on
-    fresh draws. ``big_c(delta_two)`` gives the bound's C from the two-way
-    distortion ||delta||, taken once the loss is measured: the C of each caller
-    is its own (see the module docstring). M is exact at the final decoded
-    model; D is the configured cap. A NaN C gives NaN lambda and rhs; an
-    infinite ||delta|| raises ``NumericError``."""
+    fresh draws. ``big_c()`` gives the bound's C, asked for once the loss and
+    the two-way distortion ||delta|| are taken: the C of each caller is its own
+    (see the module docstring). M is exact at the final decoded model; D is
+    the configured cap. A NaN C gives NaN lambda and rhs; an infinite ||delta||
+    raises ``NumericError``."""
     target = observed.datasets[config.attack_client]
     theta = observed.theta_shadow
     delta_model = observed.theta_decoded - theta
-    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed)
+    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed, target.centers)
     eps_u, half = protocol.measure_utility_loss(
         config.model, theta, delta_model, target, sampler, config.n_eval)
 
-    with np.errstate(over="ignore"):          # an overflowing ||delta|| raises below
-        delta_two = float(np.linalg.norm(delta_model))
+    delta_two = two_way_distortion(observed)
     if not np.isfinite(delta_two):
         raise NumericError("non-finite two-way distortion")
-    c = big_c(delta_two)
+    c = big_c()
     big_m = exact_big_m(config.model, theta, delta_model, target)
     cap_d = config.dataset.diameter_cap
     if np.isnan(c):
@@ -250,28 +258,35 @@ def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
                                 "big_m": big_m, "cap_d": cap_d}), half
 
 
+def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
+                traces: list[attackmod.AttackTrace]) -> datagen.Probe:
+    """``score_trial``'s constants probe: the observed round's model over every
+    client's data, the default budget, and the inversion's objectives."""
+    return datagen.Probe(observed.theta_round, observed.datasets,
+                         num_pairs=config.num_pairs, quantile=config.quantile,
+                         attack_objectives=traces[0].objectives[1:], seed=seed)
+
+
 def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
-                traces: list[attackmod.AttackTrace], *,
+                traces: list[attackmod.AttackTrace],
+                estimate: Callable[[], datagen.ConstantsEstimate], *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Score one inverted upload: leakage, utility loss, constants, bounds.
 
     ``traces`` holds the one inversion of ``config.attack_client``'s upload in
     the observed round, with ``config.attack.iters`` iterations. Both bounds
-    take their constants from one estimate at that round's model over every
-    client's data (``try_estimate``: NaN bound columns when it fails).
-    ``experiment_id`` defaults to this config's digest; sweeps stamp their base
-    config's digest on every row so one sweep stays one experiment.
+    take their constants from ``estimate()``, the estimate at ``trial_probe``
+    (``try_estimate``: NaN bound columns when it fails). ``experiment_id``
+    defaults to this config's digest; sweeps stamp their base config's digest
+    on every row so one sweep stays one experiment.
     """
     trace, = traces
     client = config.attack_client
-    est = try_estimate(
-        config.model, observed.theta_round, observed.datasets,
-        num_pairs=config.num_pairs, quantile=config.quantile,
-        attack_objectives=trace.objectives[1:], seed=seed)
+    est = try_estimate(estimate)
     privacy = privacy_outcome(config, observed, trace, est)
     big_c = float("nan") if est is None else est.big_c
-    utility, half = utility_outcome(config, seed, observed, lambda _: big_c)
+    utility, half = utility_outcome(config, seed, observed, lambda: big_c)
     target = observed.datasets[client]
     consts = privacy.extras
     cap_d, c_0 = (float("nan"),) * 2 if est is None else (est.cap_d, est.c_0)
@@ -298,10 +313,10 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
 def run_trial(config: ExperimentConfig, trial_seed: int, *,
               sweep_axis: str = "none", sweep_value: float = 0.0,
               trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
-    """Full pipeline for one seeded trial: observe, invert, ``score_trial``."""
+    """Full pipeline for one seeded trial: observe, invert, estimate, ``score_trial``."""
     return run_trials([(config, trial_seed, dict(
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        experiment_id=experiment_id))], score_trial)[0]
+        experiment_id=experiment_id))], score_trial, trial_probe)[0]
 
 
 def run_in_blocks(run_block, blocks: list[list]) -> list:
@@ -330,7 +345,7 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
     """Consecutive trials whose inversions can share one ``invert_batch``
     (equal model, attack config seed aside, and m), cut by
     ``attack.lockstep_blocks`` with each trial's upload count and the bytes of
-    its ``Observed``."""
+    its ``Observed`` and of its constants row."""
     def shape(trial):
         config = trial[0]
         return config.model, replace(config.attack, seed=0), config.dataset.per_client_size
@@ -339,40 +354,52 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
     for (model, attack, m), group in itertools.groupby(trials, key=shape):
         group = list(group)
         k = max(config.dataset.num_clients for config, _, _ in group)
-        kept = 8 * (k * m * (model.input_dim + 1) + (k + 3) * model.param_dim)
+        pairs = max(config.num_pairs for config, _, _ in group)
+        kept = (8 * (k * m * (model.input_dim + 1) + (k + 3) * model.param_dim)
+                + datagen.estimate_row_bytes(model, k * m, pairs))
         uploads = [len(inverted(config)) for config, _, _ in group]
         blocks += attackmod.lockstep_blocks(group, uploads, model, attack, m, kept)
     return blocks
 
 
-def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
-    """``score(config, seed, observed, traces, **kw)`` of each ``(config, seed,
-    kw)`` trial, in order.
+def run_trials(trials: list[tuple], score, probe, *, inverted=attacked_client) -> list:
+    """``score(config, seed, observed, traces, estimate, **kw)`` of each
+    ``(config, seed, kw)`` trial, in order.
 
     ``inverted(config)`` lists the clients whose uploads in the attacked round
     a trial inverts: by default the attacked client, none for the utility
-    bounds, every client for the trade-offs. Trials run stage-wise in lockstep
-    blocks: observe each in order, invert every listed upload of the block in
-    one ``attack.invert_batch`` (a trial's j-th upload with attack seed
-    ``seed + j``), then score each trial with its traces in listed order; the
-    traces die with the block. This is the only place a simulated upload is
-    inverted."""
-    return run_in_blocks(partial(_run_block, score, inverted),
+    bounds, every client for the trade-offs. ``probe(config, seed, observed,
+    traces)`` names where a trial's constants are estimated (a
+    ``datagen.Probe``), and ``estimate()`` returns that estimate or raises its
+    error.
+
+    Trials run stage-wise in lockstep blocks: observe each in order, invert
+    every listed upload of the block in one ``attack.invert_batch`` (a trial's
+    j-th upload with attack seed ``seed + j``), estimate every probe of the
+    block in one ``datagen.estimate_constants_batch``, then score each trial
+    with its traces in listed order; the traces and estimates die with the
+    block. A row whose estimate fails fails where its scorer asks for it, so a
+    block raises the error a serial run meets first (``run_in_blocks``). This
+    is the only place a simulated upload is inverted."""
+    return run_in_blocks(partial(_run_block, score, probe, inverted),
                          _lockstep_blocks(trials, inverted))
 
 
-def _run_block(score, inverted, block: list[tuple]) -> list:
+def _run_block(score, probe, inverted, block: list[tuple]) -> list:
     seen = [observe(cfg, seed) for cfg, seed, _ in block]
     clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
     uploads = [(o, k, seed + j) for (_, seed, _), o, ks in zip(block, seen, clients)
                for j, k in enumerate(ks)]
-    traces = iter(attackmod.invert_batch(
+    inversions = iter(attackmod.invert_batch(
         block[0][0].model, np.stack([o.theta_round for o, _, _ in uploads]),
         np.stack([o.wires[k] for o, k, _ in uploads]),
         np.stack([o.datasets[k].y for o, k, _ in uploads]),
         block[0][0].attack, [s for _, _, s in uploads]) if uploads else ())
-    return [score(cfg, seed, o, list(itertools.islice(traces, len(ks))), **kw)
-            for (cfg, seed, kw), o, ks in zip(block, seen, clients)]
+    traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
+    rows = datagen.estimate_constants_batch(block[0][0].model, [
+        probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
+    return [score(cfg, seed, o, ts, partial(datagen.constants_of, row), **kw)
+            for (cfg, seed, kw), o, ts, row in zip(block, seen, traces, rows)]
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")
@@ -413,7 +440,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
         (configs[si], rngmod.trial_seed(config.master_seed, si, ti),
          dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
               experiment_id=base_id))
-        for si, value in enumerate(values) for ti in range(trials)], score_trial)
+        for si, value in enumerate(values) for ti in range(trials)], score_trial, trial_probe)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

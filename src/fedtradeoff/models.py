@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, require_int
 
 VALID_KINDS = ("linear", "logistic", "mlp1")
 
@@ -46,12 +46,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in VALID_KINDS:
             raise ConfigurationError(f"unknown model kind: {self.kind!r}")
-        if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
-        if self.kind == "mlp1" and self.hidden_dim < 1:
-            raise ConfigurationError("mlp1 requires hidden_dim >= 1")
-        if self.kind in ("logistic", "mlp1") and self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
+        require_int("input_dim", self.input_dim, 1)
+        require_int("hidden_dim", self.hidden_dim, 1 if self.kind == "mlp1" else 0)
+        require_int("num_classes", self.num_classes,
+                    2 if self.kind in ("logistic", "mlp1") else 1)
 
     @property
     def param_dim(self) -> int:

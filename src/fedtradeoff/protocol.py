@@ -41,7 +41,7 @@ import numpy as np
 
 from . import models, rng as rngmod
 from .datagen import ClientDataset
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, require_int
 
 MECH_KINDS = ("none", "randomization", "he_codec")
 
@@ -160,8 +160,7 @@ class FLRunConfig:
     init_scale: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+        require_int("rounds", self.rounds, 1)
         if not 0 < self.learning_rate < math.inf:     # NaN fails too
             raise ConfigurationError("learning rate must be finite and > 0")
         if not 0 <= self.init_scale < math.inf:

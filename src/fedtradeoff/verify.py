@@ -6,10 +6,10 @@ gives the config they run, and ``trial_outcomes`` runs one per seed through
 Privacy trials invert client 0's round-0 upload, trade-off trials every
 client's, utility trials none. Each outcome scores its bound with
 ``experiment.privacy_outcome`` / ``utility_outcome``, the sides ``score_trial``
-uses too, at constants estimated here on the trial's fresh data: privacy on
-client 0's data alone at the round-0 model; utility at the final shadow and
-trade-off at the round-0 model, both over every client's data with C's
-parameter moves scaled to max(1, 2 ||delta||).
+uses too, at constants estimated on the trial's fresh data at the probe the
+bound names: privacy on client 0's data alone at the round-0 model; utility
+at the final shadow and trade-off at the round-0 model, both over every
+client's data with C's parameter moves scaled to max(1, 2 ||delta||).
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
-                         privacy_outcome, run_trials, utility_outcome)
+                         privacy_outcome, run_trials, two_way_distortion, utility_outcome)
 
 
 @dataclass(frozen=True)
@@ -75,31 +75,35 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
+def _privacy_probe(config: ExperimentConfig, seed: int, obs: Observed,
+                   traces: list[attackmod.AttackTrace]) -> datagen.Probe:
+    """The privacy side's probe: client 0's data alone at the attacked round's
+    model, with the inversion's objectives."""
+    return datagen.Probe(obs.theta_round, obs.datasets[:1], num_pairs=config.num_pairs,
+                         quantile=config.quantile,
+                         attack_objectives=traces[0].objectives[1:], seed=seed)
+
+
 def _privacy_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     traces: list[attackmod.AttackTrace]) -> TrialOutcome:
-    """Client 0's leakage vs the privacy bound, with the constants estimated on
-    its data alone at the attacked round's model."""
+                     traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
+    """Client 0's leakage vs the privacy bound, at the constants of ``_privacy_probe``."""
     trace, = traces
-    est = datagen.estimate_constants(
-        config.model, obs.theta_round, obs.datasets[:1], num_pairs=config.num_pairs,
-        quantile=config.quantile, attack_objectives=trace.objectives[1:], seed=seed)
-    return privacy_outcome(config, obs, trace, est)
+    return privacy_outcome(config, obs, trace, estimate())
 
 
-def _utility_estimate(config: ExperimentConfig, seed: int, obs: Observed,
-                      theta_probe: np.ndarray, delta_two: float) -> datagen.ConstantsEstimate:
-    """The utility side's estimate: every client's data at ``theta_probe``, the
-    parameter moves of C scaled to max(1, 2 ||delta||)."""
-    return datagen.estimate_constants(
-        config.model, theta_probe, obs.datasets, num_pairs=config.num_pairs,
-        quantile=config.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=seed)
+def _utility_probe(theta_name: str, config: ExperimentConfig, seed: int, obs: Observed,
+                   traces: list) -> datagen.Probe:
+    """The utility side's probe: every client's data at the observed model
+    ``theta_name``, the parameter moves of C scaled to max(1, 2 ||delta||)."""
+    return datagen.Probe(getattr(obs, theta_name), obs.datasets,
+                         num_pairs=config.num_pairs, quantile=config.quantile,
+                         delta_budget=max(1.0, 2.0 * two_way_distortion(obs)), seed=seed)
 
 
 def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     traces: list) -> TrialOutcome:
+                     traces: list, estimate) -> TrialOutcome:
     """Measured utility loss vs the utility bound, C estimated at the final shadow."""
-    out, _ = utility_outcome(config, seed, obs, lambda delta_two: _utility_estimate(
-        config, seed, obs, obs.theta_shadow, delta_two).big_c)
+    out, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
     if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
         raise ConfigurationError("HE run produced nonzero two-way distortion")
     return out
@@ -107,18 +111,16 @@ def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
 
 def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
                       config: ExperimentConfig, seed: int, obs: Observed,
-                      traces: list[attackmod.AttackTrace]) -> TrialOutcome:
+                      traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
     """Client 0's utility loss vs a trade-off bound, from every client's
     round-0 leakage (``traces[k]`` inverted client k) and constants estimated
     at the round-0 model."""
     eps_p = [attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
              for trace, ds in zip(traces, obs.datasets)]
-    # cached, so the bound reads the estimate utility_outcome took C from
-    estimate = cache(partial(_utility_estimate, config, seed, obs, obs.theta_round))
-    util, _ = utility_outcome(config, seed, obs, lambda delta_two: estimate(delta_two).big_c)
+    util, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
     lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
     inputs = boundsmod.BoundInputs(
-        constants=replace(estimate(delta_two), big_m=util.extras["big_m"],
+        constants=replace(estimate(), big_m=util.extras["big_m"],
                           cap_d=util.extras["cap_d"]),
         eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(eps_p),
         eps_e=np.array([float(d.size) for d in obs.datasets]),
@@ -142,12 +144,13 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
     trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, _privacy_outcome)
+        return run_trials(trials, _privacy_outcome, _privacy_probe)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
-        return run_trials(trials, score,
+        return run_trials(trials, score, partial(_utility_probe, "theta_round"),
                           inverted=lambda config: range(config.dataset.num_clients))
-    return run_trials(trials, _utility_outcome, inverted=lambda config: ())
+    return run_trials(trials, _utility_outcome, partial(_utility_probe, "theta_shadow"),
+                      inverted=lambda config: ())
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:

@@ -109,6 +109,37 @@ class TestLambdaMinimizer:
         lam, rhs = bounds.minimize_utility_lambda(0.5, 0.0, 1.0, 2, 1.0, 0.1, 50)
         assert lam > 0 and np.isfinite(rhs)
 
+    @pytest.mark.parametrize("args, want", [
+        # (C, ||delta||, M, d, D, eta, m): results of the search that called
+        # utility_upper_bound at every lambda, which these must equal bit for bit
+        ((1.0, 0.0, 1.0, 2, 2.0, 0.1, 32), (1.7497685039327529, 2.847032872206904)),
+        ((0.5, 0.3, 0.8, 2, 2.0, 1.0, 32), (1.96416363890655, 1.8153442947143916)),
+        # the grid grows 3 and 2 times before its minimum is interior
+        ((1e-9, 0.1, 1.0, 2, 2.0, 0.1, 32), (1194.917945287861, 0.5632054532026993)),
+        ((1e-6, 0.0, 5.0, 10, 1.0, 0.05, 100), (242.75197851540824, 2.903696337737563)),
+        # log of the M term above 700 at every lambda: an infinite rhs
+        ((2.0, 0.1, 1e305, 2, 2.0, 0.1, 32), (0.10000000100033671, math.inf)),
+        ((1.1, 0.05, 0.7, 2, 2.0, 0.1, 32), (1.6036245032254344, 2.715687383510874)),
+        ((0.3, 5.0, 2.5, 42, 4.0, 0.5, 1000), (5.610951692728832, 4.68411325189661)),
+        ((4.0, 0.0, 0.01, 1, 0.0, 1.0, 1), (1.0003234746037885e-09, 0.01665109622444786)),
+        ((0.02, 0.001, 3.0, 8, 3.0, 0.9, 7), (16.580258236264804, 5.860458847229151)),
+    ])
+    def test_pinned_minimum(self, args, want):
+        assert bounds.minimize_utility_lambda(*args) == want
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.1, 1.0, 2, 2.0, 0.1, 32), "C must be > 0"),
+        ((1.0, -0.1, 1.0, 2, 2.0, 0.1, 32), "delta_two must be >= 0"),
+        ((1.0, 0.1, 0.0, 2, 2.0, 0.1, 32), "M must be > 0"),
+        ((1.0, 0.1, 1.0, 2, 2.0, 0.1, 0), "sample size must be > 0"),
+        ((1.0, 0.1, 1.0, 2, 2.0, 1.5, 32), "eta must be in"),
+        ((1.0, 0.1, 1.0, 0, 2.0, 0.1, 32), "d must be >= 1"),
+        ((1.0, 0.1, 1.0, 2, -1.0, 0.1, 32), "D must be >= 0"),
+    ])
+    def test_arguments_checked_as_the_bound_checks_them(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            bounds.minimize_utility_lambda(*args)
+
 
 def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,
                 eps_p=None, eps_e=None):

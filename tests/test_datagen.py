@@ -413,6 +413,21 @@ class TestEstimateConstants:
         with pytest.raises(ConfigurationError, match="delta_budget must be > 0"):
             datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
 
+    def test_one_row_call_is_the_batch_row(self, monkeypatch):
+        spec, theta, datasets = self._spec_and_data(seed=3)
+        seen = []
+        batch = datagen.estimate_constants_batch
+
+        def recording(model_spec, probes):
+            seen.append(probes)
+            return batch(model_spec, probes)
+
+        monkeypatch.setattr(datagen, "estimate_constants_batch", recording)
+        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=30, seed=3)
+        probe, = seen[0]
+        assert probe == datagen.Probe(theta, datasets, num_pairs=30, seed=3)
+        assert repr(est) == repr(batch(spec, [probe])[0])
+
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])
         c0, c2, cfit = datagen.attack_mismatch_envelope(objectives)
@@ -446,3 +461,124 @@ class TestSamplePairs:
         counts = np.bincount(3 * first + second, minlength=9)
         assert list(np.flatnonzero(counts)) == [1, 2, 3, 5, 6, 7]
         assert np.all(np.abs(counts[counts > 0] - 10000) < 400)   # > 4 sd
+
+
+def row_or_error(spec, probe):
+    """``estimate_constants`` at ``probe``, or the package error it raises."""
+    try:
+        return datagen.estimate_constants(spec, **probe._asdict())
+    except (ConfigurationError, NumericError) as exc:
+        return exc
+
+
+class TestEstimateConstantsBatch:
+    """Every row of a stacked estimate is the estimate its own one-row call gives,
+    and a row that fails fails alone."""
+
+    @staticmethod
+    def check_rows(spec, probes):
+        rows = datagen.estimate_constants_batch(spec, probes)
+        assert len(rows) == len(probes)
+        for probe, got in zip(probes, rows):
+            want = row_or_error(spec, probe)
+            assert type(got) is type(want)
+            # repr is exact for floats and NaN-aware; an error's repr is its message
+            assert repr(got) == repr(want)
+        return rows
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 2),
+        models.ModelSpec("logistic", 2),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 2, hidden_dim=4),
+    ], ids=lambda s: f"{s.kind}-c{s.num_classes}")
+    @pytest.mark.parametrize("clients", [1, 2])
+    @pytest.mark.parametrize("quantile", [0.0, 0.05])
+    def test_rows_equal_their_one_row_runs(self, spec, clients, quantile):
+        probes = []
+        for seed, budget in enumerate([1.0, 0.3, 2.5, 7.0]):
+            datasets = datagen.generate(small_spec(seed=seed, num_clients=clients,
+                                                   per_client_size=6,
+                                                   num_classes=spec.num_classes))
+            theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
+            probes.append(datagen.Probe(
+                theta, datasets, num_pairs=20, quantile=quantile, delta_budget=budget,
+                num_deltas=16, seed=seed,
+                attack_objectives=np.linspace(4.0, 1.0, 8) if seed % 2 else None))
+        # mid-block, a row of one shape with the others whose points all
+        # coincide: every pair's gradients are equal
+        same = [datagen.ClientDataset(ds.client_id, np.full_like(ds.x, 0.3), ds.y)
+                for ds in probes[0].datasets]
+        probes.insert(2, probes[0]._replace(datasets=same, seed=9))
+        # and one row of another pair count, in a group of its own
+        probes.append(probes[1]._replace(num_pairs=7))
+        rows = self.check_rows(spec, probes)
+        assert [type(r).__name__ for r in rows] == (
+            ["ConstantsEstimate"] * 2 + ["EstimationError"] + ["ConstantsEstimate"] * 3)
+        assert str(rows[2]) == "all sampled pairs had identical gradients"
+
+    def test_each_failing_row_fails_alone(self):
+        spec = models.ModelSpec("logistic", 2)
+        datasets = datagen.generate(small_spec(seed=1, per_client_size=12))
+        theta = models.init_params(spec, rngmod.stream(1, rngmod.STREAM_INIT))
+        good = datagen.Probe(theta, datasets, num_pairs=30, seed=1)
+        lone = datagen.ClientDataset(0, np.array([[0.1, 0.2], [0.3, -0.1]]), np.array([0, 1]))
+        probes = [
+            good,
+            good._replace(delta_budget=math.inf),         # its moves overflow
+            good._replace(quantile=0.7),                   # a bad setting
+            good._replace(datasets=[lone]),                # no label with two points
+            good._replace(theta_probe=np.full(2, np.nan)),  # its losses are NaN
+            good._replace(seed=2),
+        ]
+        rows = self.check_rows(spec, probes)
+        assert [type(r).__name__ for r in rows] == [
+            "ConstantsEstimate", "NumericError", "ConfigurationError", "EstimationError",
+            "NumericError", "ConstantsEstimate"]
+        assert [str(r) for r in rows[1:5]] == [
+            "non-finite parameter move",
+            "quantile must be in [0, 0.5]; 0 = min/max mode",
+            "no label class has two examples", "non-finite loss"]
+
+    def test_chunked_stages_equal_one_stack(self, monkeypatch):
+        spec = models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3)
+        probes = [datagen.Probe(
+            models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT)),
+            datagen.generate(small_spec(seed=seed, per_client_size=10, num_classes=3)),
+            num_pairs=20, seed=seed) for seed in range(3)]
+        want = datagen.estimate_constants_batch(spec, probes)
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)   # one row, one model per call
+        assert repr(datagen.estimate_constants_batch(spec, probes)) == repr(want)
+
+
+class TestInputDimBound:
+    """Specs whose rows almost never land inside the truncation radius are
+    rejected; the rest draw as before."""
+
+    @pytest.mark.parametrize("input_dim, separation", [(60, 2.0), (50, 2.0), (9, 14.0),
+                                                       (20, 12.0), (10**6, 0.0)])
+    def test_rejected(self, input_dim, separation):
+        with pytest.raises(ConfigurationError, match="inside the truncation radius"):
+            small_spec(input_dim=input_dim, class_separation=separation)
+
+    @pytest.mark.parametrize("input_dim, separation", [(40, 2.0), (8, 14.0), (3, 14.0),
+                                                       (1, 0.0)])
+    def test_accepted(self, input_dim, separation):
+        ds, = datagen.generate(small_spec(input_dim=input_dim, class_separation=separation))
+        assert np.all(np.linalg.norm(ds.x, axis=1) <= 1.0)
+
+    def test_inside_probability_is_the_noncentral_chi_square_cdf(self):
+        stats = pytest.importorskip("scipy.stats")
+        for p, sep in [(1, 0.0), (3, 5.0), (8, 14.0), (40, 2.0), (50, 2.0)]:
+            want = stats.ncx2.cdf(16.0, p, (sep / 2) ** 2) if sep else stats.chi2.cdf(16.0, p)
+            assert datagen._inside_probability(p, sep) == pytest.approx(want, rel=1e-12)
+
+
+def test_generated_datasets_carry_the_centers_a_sampler_reuses(monkeypatch):
+    spec = small_spec(seed=4, num_clients=2, num_classes=4)
+    datasets = datagen.generate(spec)
+    assert all(ds.centers is datasets[0].centers for ds in datasets)
+    want = datagen.fresh_sampler(spec, 4)(300)
+    monkeypatch.setattr(datagen, "_class_centers", None)     # no second QR
+    got = datagen.fresh_sampler(spec, 4, datasets[0].centers)(300)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -260,12 +260,13 @@ class TestRunTrialsInverter:
         config = three_client_config()
         seen = []
 
-        def score(cfg, seed, observed, traces):
+        def score(cfg, seed, observed, traces, estimate):
             seen.append((seed, observed, traces))
             return seed
 
         seeds = [11, 12]
         assert experiment.run_trials([(config, s, {}) for s in seeds], score,
+                                     experiment.trial_probe,
                                      inverted=lambda cfg: (2, 0)) == seeds
         m = config.dataset.per_client_size
         for seed, observed, traces in seen:
@@ -283,7 +284,9 @@ class TestRunTrialsInverter:
 
         monkeypatch.setattr(attack, "invert_batch", no_invert)
         got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
-                                    lambda cfg, seed, observed, traces: len(traces),
+                                    lambda cfg, seed, observed, traces, estimate: len(traces),
+                                    lambda cfg, seed, observed, traces: datagen.Probe(
+                                        observed.theta_round, observed.datasets, seed=seed),
                                     inverted=lambda cfg: ())
         assert got == [0, 0]
 
@@ -320,16 +323,17 @@ class TestBoundSides:
         observed, _ = self.observed_and_trace(config, 5)
         asked = []
 
-        def nan_c(delta_two):
-            asked.append(delta_two)
+        def nan_c():
+            asked.append("C")
             return float("nan")
 
         got, half = experiment.utility_outcome(config, 5, observed, nan_c)
         row = experiment.run_trial(config, 5)
-        # the loss and its halfwidth do not depend on C
+        # the loss and its halfwidth do not depend on C, asked for once
         assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
-        assert asked == [float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))]
-        assert got.extras["delta_two"] == asked[0]
+        assert asked == ["C"]
+        assert got.extras["delta_two"] == float(
+            np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
         assert got.extras["big_m"] == row.big_m
         assert np.isnan(got.rhs) and np.isnan(got.extras["lambda"])
         assert not got.precondition_ok

@@ -426,9 +426,35 @@ class TestExitCodes:
         (None, "master_seed", float("nan"), "master_seed must be an integer >= 0"),
         (None, "attack_round", 0.0, "attack_round must be an integer >= 0"),
         (None, "attack_client", -1, "attack_client must be an integer >= 0"),
+        # a float or NaN where an int is due, once an uncaught TypeError or accepted
+        ("fl", "rounds", 2.0, "rounds must be an integer >= 1"),
+        ("fl", "rounds", float("nan"), "rounds must be an integer >= 1"),
+        ("attack", "iters", 20.0, "iters must be an integer >= 1"),
+        ("attack", "iters", float("nan"), "iters must be an integer >= 1"),
+        (None, "n_eval", 400.0, "n_eval must be an integer >= 1"),
+        (None, "n_eval", float("nan"), "n_eval must be an integer >= 1"),
+        (None, "num_pairs", 120.0, "num_pairs must be an integer >= 1"),
+        (None, "num_pairs", float("nan"), "num_pairs must be an integer >= 1"),
+        ("dataset", "num_clients", 2.0, "num_clients must be an integer >= 1"),
+        ("dataset", "per_client_size", 8.0, "per_client_size must be an integer >= 1"),
+        ("dataset", "num_classes", 2.0, "num_classes must be an integer >= 2"),
+        ("model", "input_dim", 2.0, "input_dim must be an integer >= 1"),
+        ("model", "hidden_dim", 4.0, "hidden_dim must be an integer >= 0"),
+        # once a diverged attack, exit 2
+        ("attack", "step_size", float("nan"), "step_size must be finite and > 0"),
+        ("attack", "step_size", float("inf"), "step_size must be finite and > 0"),
+        ("attack", "init_scale", float("nan"), "attack init_scale must be finite and >= 0"),
+        # a redraw loop that did not end: rows outside the radius at 60 dimensions
+        ("dataset", "input_dim", 60, "input_dim 60 at class_separation 2: a row lands "
+                                     "inside the truncation radius with probability "
+                                     "1.4e-09, below 0.0001"),
     ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
             "diameter-nan", "seed-negative", "seed-nan", "attack-round-float",
-            "attack-client-negative"])
+            "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
+            "iters-nan", "n-eval-float", "n-eval-nan", "num-pairs-float", "num-pairs-nan",
+            "num-clients-float", "per-client-size-float", "num-classes-float",
+            "model-input-dim-float", "hidden-dim-float", "step-size-nan", "step-size-inf",
+            "attack-init-scale-nan", "input-dim-60"])
     def test_bad_config_value_exit_1(self, tmp_path, section, field, value, message):
         config = cli.default_config().to_dict()
         (config[section] if section else config)[field] = value

@@ -116,6 +116,20 @@ class TestUtilityTrialFromSimulate:
         assert repr(got) == repr(want)
 
 
+    def test_one_class_centers_qr_per_trial(self, monkeypatch):
+        # the fresh sampler reuses the centers its trial's data was drawn with
+        seen = []
+        real = datagen._class_centers
+
+        def counting(spec):
+            seen.append(spec.seed)
+            return real(spec)
+
+        monkeypatch.setattr(datagen, "_class_centers", counting)
+        verify.trial_outcomes("utility", tiny_scenario(sigma=0.4, fl_rounds=2), [5, 6, 7])
+        assert seen == [5, 6, 7]
+
+
 def record_block_rows(monkeypatch):
     """The row count of every lockstep inversion from here on."""
     rows = []
@@ -133,7 +147,9 @@ class TestLockstepBlocks:
 
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
-        ("privacy", 1, (1 << 20) // 15, [75, 25]),
+        # a trial's upload of 8 x 4 x (11 x 2 + 2) bytes, its Observed's 160 and
+        # its constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
+        ("privacy", 1, 75 * (768 + 160 + 6656), [75, 25]),
         # a trial's 3 uploads of 8 x 4 x (11 x 2 + 2) bytes each: over the budget,
         # yet never split over blocks
         ("tradeoff-general", 3, 2 * 768, [3] * 100),
@@ -158,19 +174,19 @@ class TestLockstepBlocks:
         # and a serial run meets seed 2's error first
         sc = tiny_scenario(sigma=0.4)
         seeds = [rngmod.trial_seed(0, 0, i) for i in range(100)]
-        estimate, simulate = datagen.estimate_constants, experiment.simulate
+        estimate, simulate = datagen.estimate_constants_batch, experiment.simulate
 
-        def failing_estimate(*args, seed, **kw):
-            if seed == seeds[2]:
-                raise NumericError("estimate failed at seed 2")
-            return estimate(*args, seed=seed, **kw)
+        def failing_estimate(spec, probes):
+            # seed 2's row fails, and only that row
+            return [NumericError("estimate failed at seed 2") if probe.seed == seeds[2]
+                    else row for probe, row in zip(probes, estimate(spec, probes))]
 
         def failing_simulate(model, dataset, fl, mech, seed):
             if seed == seeds[5]:
                 raise NumericError("run aborted at seed 5")
             return simulate(model, dataset, fl, mech, seed)
 
-        monkeypatch.setattr(datagen, "estimate_constants", failing_estimate)
+        monkeypatch.setattr(datagen, "estimate_constants_batch", failing_estimate)
         monkeypatch.setattr(experiment, "simulate", failing_simulate)
         rows = record_block_rows(monkeypatch)
         with pytest.raises(NumericError, match="estimate failed at seed 2"):
