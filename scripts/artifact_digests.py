@@ -61,6 +61,10 @@ COMMANDS = [
      "--iters", "250", "--step-size", "0.15", "--out", "runs/verify-k2"],
     *[["verify", "--bound", bound, "--trials", "100", "--clients", "2", "--out", "runs/verify"]
       for bound in ("utility", "utility-he", "tradeoff-general", "tradeoff-randomization")],
+    # every verify flag that falls back to the scenario's default, set
+    ["verify", "--bound", "tradeoff-randomization", "--trials", "100", "--clients", "2",
+     "--rho", "0.5", "--big-l", "2", "--gamma", "0.05", "--eta", "0.2",
+     "--out", "runs/verify-flags"],
     ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5", "--trials", "30",
      *SWEEP_MLP1, "--out", "runs/sweep-sigma"],
     ["sweep", "--axis", "m", "--values", "4,8,16", "--trials", "5", "--out", "runs/sweep-m"],
@@ -78,6 +82,9 @@ COMMANDS = [
     # constants row fails in a block of estimates that succeed (NaN columns)
     ["sweep", "--axis", "sigma", "--values", "0,0.1", "--trials", "4", "--clients", "1",
      "--samples", "2", "--iters", "20", "--out", "runs/sweep-nan-row"],
+    # equal axis values: a constant input to the rank correlation, NaN rho and p
+    ["sweep", "--axis", "sigma", "--values", "0,0", "--trials", "2", "--samples", "4",
+     "--iters", "5", "--rounds", "1", "--out", "runs/sweep-constant"],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written

@@ -68,32 +68,6 @@ class AttackTrace:
     truncated: bool = False
 
 
-# Bytes one lockstep block may hold: 16 uploads of a 250-step inversion of 16
-# points in R^2, with what their callers keep of each trial meanwhile.
-_BLOCK_BUDGET = 1 << 20
-
-
-def lockstep_blocks(items: list, uploads: list[int], spec: models.ModelSpec,
-                    cfg: AttackConfig, m: int, kept_bytes: int = 0) -> list[list]:
-    """Consecutive slices of ``items``, one ``invert_batch`` call each.
-
-    Item i holds ``uploads[i]`` uploads of m samples: each inversion stores
-    (iters + 1) m p iterates and works on m per-example gradients, and the
-    caller keeps ``kept_bytes`` of the item until the block is scored. A slice
-    takes as many items as fit the block budget, and at least one.
-    """
-    upload_bytes = 8 * m * ((cfg.iters + 1) * spec.input_dim + spec.param_dim)
-    blocks, held = [], 0
-    for item, n in zip(items, uploads):
-        cost = n * upload_bytes + kept_bytes
-        if not blocks or held + cost > _BLOCK_BUDGET:
-            blocks.append([])
-            held = 0
-        blocks[-1].append(item)
-        held += cost
-    return blocks
-
-
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
            g_obs: np.ndarray):
     """F(x), its residual v and the input VJP, all from one forward pass.

@@ -100,12 +100,16 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(x - y))
 
 
-def _m_term(big_m: float, d: int, cap_d: float, lam: float, eta: float, m: float) -> float:
-    """M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain."""
-    term = _m_term_of(big_m, d, cap_d, eta, m)
-    if lam <= 0:
-        raise ConfigurationError("lambda must be > 0")
-    return term(lam)
+def _utility_bound_of(big_c: float, delta_two: float, big_m: float, d: int, cap_d: float,
+                      eta: float, m: float) -> Callable[[float], float]:
+    """lambda -> C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m), its
+    lambda-free arguments checked once."""
+    if big_c <= 0:
+        raise ConfigurationError("C must be > 0")
+    if delta_two < 0:
+        raise ConfigurationError("delta_two must be >= 0")
+    m_term = _m_term_of(big_m, d, cap_d, eta, m)
+    return lambda lam: (big_c * lam + big_c * delta_two) + m_term(lam)
 
 
 def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float,
@@ -113,11 +117,7 @@ def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float
     """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m)."""
     if lam <= delta_two:
         raise ConfigurationError("lambda must exceed delta_two")
-    if big_c <= 0:
-        raise ConfigurationError("C must be > 0")
-    if delta_two < 0:
-        raise ConfigurationError("delta_two must be >= 0")
-    return (big_c * lam + big_c * delta_two) + _m_term(big_m, d, cap_d, lam, eta, m)
+    return _utility_bound_of(big_c, delta_two, big_m, d, cap_d, eta, m)(lam)
 
 
 def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
@@ -125,11 +125,7 @@ def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
     """HE mechanism bound: C*lambda + M*sqrt(...), i.e. zero two-way distortion."""
     if lam <= 0:
         raise ConfigurationError("lambda must be > 0")
-    if big_c <= 0:
-        raise ConfigurationError("C must be > 0")
-    # operation order mirrors utility_upper_bound so equality at zero
-    # distortion is bit-for-bit
-    return (big_c * lam + big_c * 0.0) + _m_term(big_m, d, cap_d, lam, eta, m)
+    return _utility_bound_of(big_c, 0.0, big_m, d, cap_d, eta, m)(lam)
 
 
 def minimize_utility_lambda(big_c: float, delta_two: float, big_m: float, d: int,
@@ -140,15 +136,8 @@ def minimize_utility_lambda(big_c: float, delta_two: float, big_m: float, d: int
     """
     lo = delta_two + max(1e-9, 1e-9 * delta_two)
     lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
-    # utility_upper_bound's checks, once; every lambda tried exceeds delta_two
-    if big_c <= 0:
-        raise ConfigurationError("C must be > 0")
-    if delta_two < 0:
-        raise ConfigurationError("delta_two must be >= 0")
-    m_term = _m_term_of(big_m, d, cap_d, eta, m)
-
-    def f(lam: float) -> float:
-        return (big_c * lam + big_c * delta_two) + m_term(lam)
+    # every lambda tried exceeds delta_two
+    f = _utility_bound_of(big_c, delta_two, big_m, d, cap_d, eta, m)
 
     # expand hi until the grid minimum is interior
     for _ in range(20):
@@ -235,30 +224,30 @@ def _client_average_term(inputs: BoundInputs) -> float:
     return total / inputs.num_clients
 
 
-def tradeoff_general(inputs: BoundInputs, client: int = 0) -> float:
-    """General-mechanism trade-off rhs for the designated client."""
+def _tradeoff(inputs: BoundInputs, client: int, coefficient: float) -> float:
+    """coefficient * (the client-average term) + the M term of ``client``."""
     if not (0 <= client < inputs.num_clients):
         raise ConfigurationError("client index out of range")
     if np.any(inputs.eps_e <= 0):
         raise ConfigurationError("eps_e must be positive")
     c = inputs.constants
-    head = c.big_c * inputs.big_l * _client_average_term(inputs)
-    tail = _m_term(c.big_m, inputs.d, c.cap_d, inputs.lam, inputs.eta,
-                   float(inputs.eps_e[client]))
-    return head + tail
+    head = coefficient * _client_average_term(inputs)
+    tail = _m_term_of(c.big_m, inputs.d, c.cap_d, inputs.eta, float(inputs.eps_e[client]))
+    if inputs.lam <= 0:
+        raise ConfigurationError("lambda must be > 0")
+    return head + tail(inputs.lam)
+
+
+def tradeoff_general(inputs: BoundInputs, client: int = 0) -> float:
+    """General-mechanism trade-off rhs for the designated client: coefficient C * L."""
+    return _tradeoff(inputs, client, inputs.constants.big_c * inputs.big_l)
 
 
 def tradeoff_randomization(inputs: BoundInputs, client: int = 0) -> float:
     """Randomization trade-off rhs: coefficient (2 + rho) * C, L elided."""
     if inputs.rho <= 0:
         raise ConfigurationError("rho must be > 0")
-    if not (0 <= client < inputs.num_clients):
-        raise ConfigurationError("client index out of range")
-    c = inputs.constants
-    head = (2.0 + inputs.rho) * c.big_c * _client_average_term(inputs)
-    tail = _m_term(c.big_m, inputs.d, c.cap_d, inputs.lam, inputs.eta,
-                   float(inputs.eps_e[client]))
-    return head + tail
+    return _tradeoff(inputs, client, (2.0 + inputs.rho) * inputs.constants.big_c)
 
 
 def private_pac_sample_size(alpha: float, eps_p: float, c_2: float, eta: float,

@@ -26,8 +26,8 @@ import numpy as np
 from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
-from .experiment import (ExperimentConfig, MechanismSpec, Observed, run_sweep, run_trials,
-                         score_trial, simulate, trial_probe)
+from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, run_sweep,
+                         run_trials, score_trial, simulate, trial_probe)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,22 +38,25 @@ EXIT_BOUND_FAILED = 4
 _MECH_ALIASES = {"none": "none", "rand": "randomization", "randomization": "randomization",
                  "he": "he_codec", "he_codec": "he_codec"}
 
-# each config flag and the ExperimentConfig.to_dict field(s) it overrides
-_FLAG_FIELDS = {
-    "mech": ["mechanism.kind"],
-    "sigma": ["mechanism.sigma"],
-    "shared_noise": ["mechanism.shared_noise"],
-    "rounds": ["fl.rounds"],
-    "lr": ["fl.learning_rate"],
-    "seed": ["master_seed"],
-    "clients": ["dataset.num_clients"],
-    "samples": ["dataset.per_client_size"],
-    "input_dim": ["dataset.input_dim", "model.input_dim"],
-    "model": ["model.kind"],
-    "hidden": ["model.hidden_dim"],
-    "iters": ["attack.iters"],
-    "step_size": ["attack.step_size"],
-    "optimizer": ["attack.optimizer"],
+# each common config flag (by dest: --input-dim is input_dim), its add_argument
+# options and the ExperimentConfig.to_dict field(s) it overrides. Every flag is
+# None when absent, so the config file's value stands.
+_CONFIG_FLAGS = {
+    "mech": (dict(choices=sorted(_MECH_ALIASES)), ["mechanism.kind"]),
+    "sigma": (dict(type=float), ["mechanism.sigma"]),
+    "shared_noise": (dict(action="store_true", default=None), ["mechanism.shared_noise"]),
+    "rounds": (dict(type=int), ["fl.rounds"]),
+    "lr": (dict(type=float), ["fl.learning_rate"]),
+    "seed": (dict(type=int), ["master_seed"]),
+    "clients": (dict(type=int), ["dataset.num_clients"]),
+    "samples": (dict(type=int, help="per-client training set size"),
+                ["dataset.per_client_size"]),
+    "input_dim": (dict(type=int), ["dataset.input_dim", "model.input_dim"]),
+    "model": (dict(choices=models.VALID_KINDS), ["model.kind"]),
+    "hidden": (dict(type=int), ["model.hidden_dim"]),
+    "iters": (dict(type=int, help="attack iterations"), ["attack.iters"]),
+    "step_size": (dict(type=float), ["attack.step_size"]),
+    "optimizer": (dict(choices=("sgd", "adam")), ["attack.optimizer"]),
 }
 
 
@@ -87,7 +90,7 @@ def _load_config(args) -> ExperimentConfig:
                 raise ConfigurationError(f"bad JSON in {args.config}: {exc}") from exc
         cfg = ExperimentConfig.from_dict(raw)
     d = cfg.to_dict()
-    for flag, paths in _FLAG_FIELDS.items():
+    for flag, (_, paths) in _CONFIG_FLAGS.items():
         value = getattr(args, flag)
         if value is None:
             continue
@@ -179,14 +182,16 @@ def cmd_attack(args) -> int:
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
             c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)
-        with open(os.path.join(args.out, "phase2.json"), "w") as fh:
-            fh.write(iomod.canonical_json(asdict(rep)) + "\n")
+        iomod.write_json(os.path.join(args.out, "phase2.json"), asdict(rep))
     print(f"attack: eps_p={row.eps_p:.4f} eps_p_final={row.eps_p_final:.4f} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    scenario_kwargs = dict(
+    # a flag left out keeps VerifyScenario's default
+    optional = dict(sigma=args.sigma, gamma=args.gamma, eta=args.eta, rho=args.rho,
+                    big_l=args.big_l, fl_rounds=args.rounds, n_eval=args.n_eval)
+    scenario = verifymod.VerifyScenario(
         dataset=datagen.DatasetSpec(
             num_clients=args.clients, per_client_size=args.samples,
             input_dim=args.input_dim, num_classes=2, class_separation=2.0,
@@ -195,15 +200,11 @@ def cmd_verify(args) -> int:
                                hidden_dim=args.hidden or 0, num_classes=2),
         attack=attackmod.AttackConfig(iters=args.iters, optimizer="adam",
                                       step_size=args.step_size),
-        sigma=args.sigma, gamma=args.gamma, eta=args.eta, rho=args.rho,
-        big_l=args.big_l, fl_rounds=args.rounds, n_eval=args.n_eval,
-    )
-    scenario = verifymod.VerifyScenario(**scenario_kwargs)
+        **{name: value for name, value in optional.items() if value is not None})
     report = verifymod.verify_bound(args.bound, scenario, args.trials,
                                     master_seed=args.seed)
     _ensure_dir(args.out)
-    with open(os.path.join(args.out, f"report_{args.bound}.json"), "w") as fh:
-        fh.write(iomod.canonical_json(report.to_dict()) + "\n")
+    iomod.write_json(os.path.join(args.out, f"report_{args.bound}.json"), report.to_dict())
     line = (f"verify {args.bound}: fraction_holding={report.fraction_holding:.4f} "
             f"confidence={report.confidence:.4f} slack={report.slack:.4f} "
             f"vacuous={report.vacuous} holds={report.holds}")
@@ -225,8 +226,7 @@ def cmd_sweep(args) -> int:
     wall = time.perf_counter() - t0
     _ensure_dir(args.out)
     iomod.write_results(os.path.join(args.out, "results.csv"), rows)
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(iomod.canonical_json(summary) + "\n")
+    iomod.write_json(os.path.join(args.out, "summary.json"), summary)
     iomod.write_curves(os.path.join(args.out, "curves.csv"), summary)
     iomod.write_timings(os.path.join(args.out, "timings.csv"),
                         [(args.axis, -1.0, -1, wall)])
@@ -246,8 +246,7 @@ def cmd_estimate_constants(args) -> int:
     _ensure_dir(args.out)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}
-    with open(os.path.join(args.out, "constants.json"), "w") as fh:
-        fh.write(iomod.canonical_json(doc) + "\n")
+    iomod.write_json(os.path.join(args.out, "constants.json"), doc)
     print(f"constants: c_a={est.c_a:.4g} c_b={est.c_b:.4g} C={est.big_c:.4g} "
           f"M={est.big_m:.4g} D={est.cap_d:.4g} c_0={est.c_0:.4g} c_2={est.c_2:.4g}")
     return EXIT_OK
@@ -255,21 +254,8 @@ def cmd_estimate_constants(args) -> int:
 
 def _add_common_config_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON experiment config file")
-    p.add_argument("--mech", choices=sorted(_MECH_ALIASES))
-    p.add_argument("--sigma", type=float)
-    # absent is None, so a config file's shared_noise stands
-    p.add_argument("--shared-noise", dest="shared_noise", action="store_true", default=None)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clients", type=int)
-    p.add_argument("--samples", type=int, help="per-client training set size")
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--model", choices=models.VALID_KINDS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--iters", type=int, help="attack iterations")
-    p.add_argument("--step-size", dest="step_size", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
+    for flag, (options, _) in _CONFIG_FLAGS.items():
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, **options)
 
 
 @functools.cache        # built once per process: parse_args leaves the parser as it was
@@ -301,11 +287,11 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--big-l", dest="big_l", type=float, default=1.0)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--big-l", dest="big_l", type=float)
     p.add_argument("--clients", type=int, default=1)
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--input-dim", dest="input_dim", type=int, default=2)
@@ -313,14 +299,14 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=int)
     p.add_argument("--iters", type=int, default=40)
     p.add_argument("--step-size", dest="step_size", type=float, default=0.05)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=400)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--n-eval", dest="n_eval", type=int)
     p.add_argument("--diameter", type=float, default=2.0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="sweep an axis, emit trade-off curves")
     _add_common_config_flags(p)
-    p.add_argument("--axis", required=True, choices=("sigma", "m", "T", "delta_up"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--out", required=True)

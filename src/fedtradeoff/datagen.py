@@ -290,13 +290,9 @@ class Probe(NamedTuple):
 
 
 def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
-                       datasets: list[ClientDataset], *,
-                       num_pairs: int = 200, quantile: float = 0.05,
-                       delta_budget: float = 1.0, num_deltas: int = 64,
-                       attack_objectives: np.ndarray | None = None,
-                       seed: int = 0) -> ConstantsEstimate:
+                       datasets: list[ClientDataset], **options) -> ConstantsEstimate:
     """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) on the given data: the
-    one-row ``estimate_constants_batch``.
+    one-row ``estimate_constants_batch``, ``options`` the rest of its ``Probe``.
 
     ``attack_objectives`` is the per-iteration objective series of a pilot
     attack run; when absent, c_0 = c_2 = 1 placeholders are recorded as such.
@@ -308,9 +304,7 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     ``num_deltas`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
     index pairs of the data side of C.
     """
-    row, = estimate_constants_batch(model_spec, [Probe(
-        theta_probe, datasets, num_pairs, quantile, delta_budget, num_deltas,
-        attack_objectives, seed)])
+    row, = estimate_constants_batch(model_spec, [Probe(theta_probe, datasets, **options)])
     return constants_of(row)
 
 

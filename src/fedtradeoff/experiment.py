@@ -59,6 +59,13 @@ class ExperimentConfig:
         for name, least in (("master_seed", 0), ("attack_round", 0), ("attack_client", 0),
                             ("n_eval", 1), ("num_pairs", 1)):
             require_int(name, getattr(self, name), least)
+        # the scorers' own checks, made when the config is built; NaN fails each
+        if not 0 <= self.quantile <= 0.5:
+            raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
+        if not 0 < self.gamma <= 2:
+            raise ConfigurationError("gamma must be in (0, 2] so ln(2/gamma) >= 0")
+        if not 0 < self.eta <= 1:
+            raise ConfigurationError("eta must be in (0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -310,13 +317,10 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
     )
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int, *,
-              sweep_axis: str = "none", sweep_value: float = 0.0,
-              trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
-    """Full pipeline for one seeded trial: observe, invert, estimate, ``score_trial``."""
-    return run_trials([(config, trial_seed, dict(
-        sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        experiment_id=experiment_id))], score_trial, trial_probe)[0]
+def run_trial(config: ExperimentConfig, trial_seed: int, **row_fields) -> TrialRow:
+    """Full pipeline for one seeded trial: observe, invert, estimate, and
+    ``score_trial`` with the row fields given."""
+    return run_trials([(config, trial_seed, row_fields)], score_trial, trial_probe)[0]
 
 
 def run_in_blocks(run_block, blocks: list[list]) -> list:
@@ -341,24 +345,34 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     return (config.attack_client,)
 
 
-def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
-    """Consecutive trials whose inversions can share one ``invert_batch``
-    (equal model, attack config seed aside, and m), cut by
-    ``attack.lockstep_blocks`` with each trial's upload count and the bytes of
-    its ``Observed`` and of its constants row."""
-    def shape(trial):
-        config = trial[0]
-        return config.model, replace(config.attack, seed=0), config.dataset.per_client_size
+# Bytes one lockstep block may hold: 16 uploads of a 250-step inversion of 16
+# points in R^2, with what the runner keeps of each trial meanwhile.
+_BLOCK_BUDGET = 1 << 20
 
-    blocks = []
-    for (model, attack, m), group in itertools.groupby(trials, key=shape):
-        group = list(group)
-        k = max(config.dataset.num_clients for config, _, _ in group)
-        pairs = max(config.num_pairs for config, _, _ in group)
-        kept = (8 * (k * m * (model.input_dim + 1) + (k + 3) * model.param_dim)
-                + datagen.estimate_row_bytes(model, k * m, pairs))
-        uploads = [len(inverted(config)) for config, _, _ in group]
-        blocks += attackmod.lockstep_blocks(group, uploads, model, attack, m, kept)
+
+def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
+    """Consecutive slices of ``trials``, one ``invert_batch`` and one
+    ``datagen.estimate_constants_batch`` call each.
+
+    A block holds trials of one shape (equal model, attack config seed aside,
+    and m) and takes as many as fit ``_BLOCK_BUDGET``, at least one. Each trial
+    is charged its own bytes: for each listed upload the inversion's
+    (iters + 1) m p iterates and its m per-example gradients, its ``Observed``,
+    and its constants row (``datagen.estimate_row_bytes``)."""
+    blocks, held, last = [], 0, None
+    for trial in trials:
+        config = trial[0]
+        model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
+        p, d = model.input_dim, model.param_dim
+        shape = (model, replace(config.attack, seed=0), m)
+        cost = (len(inverted(config)) * 8 * m * ((config.attack.iters + 1) * p + d)
+                + 8 * (k * m * (p + 1) + (k + 3) * d)
+                + datagen.estimate_row_bytes(model, k * m, config.num_pairs))
+        if shape != last or held + cost > _BLOCK_BUDGET:
+            blocks.append([])
+            held, last = 0, shape
+        blocks[-1].append(trial)
+        held += cost
     return blocks
 
 
@@ -373,7 +387,8 @@ def run_trials(trials: list[tuple], score, probe, *, inverted=attacked_client) -
     ``datagen.Probe``), and ``estimate()`` returns that estimate or raises its
     error.
 
-    Trials run stage-wise in lockstep blocks: observe each in order, invert
+    Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
+    (trials of one shape within the block budget): observe each in order, invert
     every listed upload of the block in one ``attack.invert_batch`` (a trial's
     j-th upload with attack seed ``seed + j``), estimate every probe of the
     block in one ``datagen.estimate_constants_batch``, then score each trial
@@ -416,12 +431,10 @@ def _config_for_sweep_value(config: ExperimentConfig, axis: str, value: float) -
     if axis == "T":
         atk = replace(config.attack, iters=int(value))
         return replace(config, attack=atk)
-    if axis == "delta_up":
-        mech = MechanismSpec(kind="randomization", sigma=1.0,
-                             shared_noise=config.mechanism.shared_noise,
-                             exact_norm=float(value))
-        return replace(config, mechanism=mech)
-    raise ConfigurationError(f"unknown sweep axis: {axis!r}")
+    # delta_up, the last of SWEEP_AXES, which run_sweep checks
+    mech = MechanismSpec(kind="randomization", sigma=1.0,
+                         shared_noise=config.mechanism.shared_noise, exact_norm=float(value))
+    return replace(config, mechanism=mech)
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
@@ -457,7 +470,10 @@ def summarize_sweep(axis: str, values: list[float], rows: list[TrialRow]) -> dic
                          for i in range(len(medians) - 1))
     xs = [r.sweep_value for r in rows]
     ys = [r.eps_p for r in rows]
-    rho, pval = stats.spearmanr(xs, ys)
+    if any(all(v == vs[0] for v in vs) for vs in (xs, ys)):
+        rho = pval = float("nan")       # scipy's answer to constant input, minus its warning
+    else:
+        rho, pval = stats.spearmanr(xs, ys)
     return {
         "axis": axis,
         "values": [float(v) for v in values],

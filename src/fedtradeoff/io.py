@@ -52,6 +52,12 @@ def _floats(a: np.ndarray) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
+def write_json(path: str, doc) -> None:
+    """``doc`` as one line of canonical JSON."""
+    with open(path, "w") as fh:
+        fh.write(canonical_json(doc) + "\n")
+
+
 def write_manifest(path: str, config_dict: dict, master_seed: int) -> None:
     doc = {
         "schemas": SCHEMAS,

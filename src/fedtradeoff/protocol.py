@@ -62,10 +62,10 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.kind not in MECH_KINDS:
             raise ConfigurationError(f"unknown mechanism kind: {self.kind!r}")
-        if self.kind == "randomization" and not self.sigma >= 0:   # NaN fails too
-            raise ConfigurationError("sigma must be >= 0")
-        if self.exact_norm is not None and not self.exact_norm >= 0:
-            raise ConfigurationError("exact_norm must be >= 0")
+        if self.kind == "randomization" and not 0 <= self.sigma < math.inf:   # NaN fails too
+            raise ConfigurationError("sigma must be >= 0 and finite")
+        if self.exact_norm is not None and not 0 <= self.exact_norm < math.inf:
+            raise ConfigurationError("exact_norm must be >= 0 and finite")
 
 
 def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -452,25 +452,6 @@ class TestInvertBatch:
             attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0])
 
 
-class TestLockstepBlocks:
-    @pytest.mark.parametrize("budget, uploads, kept, want", [
-        (1, [1] * 5, 0, [[0], [1], [2], [3], [4]]),
-        (2 * 768, [1] * 5, 0, [[0, 1], [2, 3], [4]]),       # an upload holds 768 bytes
-        (2 * 768 + 767, [1] * 5, 0, [[0, 1], [2, 3], [4]]),
-        (3 * 768, [1] * 5, 384, [[0, 1], [2, 3], [4]]),     # and its caller keeps 384
-        (1 << 20, [1] * 5, 0, [[0, 1, 2, 3, 4]]),
-        # each item is charged its upload count; an item over the budget stands alone
-        (3 * 768, [2, 1, 3, 0, 1], 0, [[0, 1], [2, 3], [4]]),
-        (1, [0] * 5, 0, [[0, 1, 2, 3, 4]]),
-    ])
-    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, kept,
-                                                  want):
-        # 8 bytes x m x ((iters + 1) p + d) = 8 x 4 x (11 x 2 + 2)
-        monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
-        cfg = attack.AttackConfig(iters=10)
-        assert attack.lockstep_blocks(list(range(5)), uploads, LOGISTIC, cfg, 4, kept) == want
-
-
 def make_trace(points_over_time, final):
     """Synthetic trace: points_over_time[t] is the (m, p) iterate at step t+1."""
     return attack.AttackTrace(

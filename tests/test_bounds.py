@@ -95,6 +95,62 @@ class TestUtilityUpperBound:
             b = bounds.he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m)
             assert a == b  # bit-for-bit
 
+    # (C, lambda, ||delta||, M, d, D, eta, m) and the bounds at those arguments
+    PINNED = [
+        ((1.0, 1.0, 0.0, 1.0, 2, 2.0, 0.1, 32), 7.671231604745007, 7.671231604745007),
+        ((0.5, 2.0, 0.3, 0.8, 2, 2.0, 1.0, 32), 1.816043688926158, 1.666043688926158),
+        ((1.3, 0.7, 0.2, 2.0, 5, 1.0, 0.05, 100), 82.97537262074567, 82.71537262074567),
+        ((2.0, 1e-3, 0.0, 1.0, 10, 10.0, 0.1, 100), math.inf, math.inf),
+        ((0.02, 5.0, 4.5, 3.0, 8, 3.0, 0.9, 7), 7.656416975160837, 7.566416975160836),
+        ((4.0, 1e-9, 0.0, 0.01, 1, 0.0, 1.0, 1), 0.016651096223153965, 0.016651096223153965),
+        ((1e-6, 242.0, 0.0, 5.0, 10, 1.0, 0.05, 10**6), 0.029276543412452626,
+         0.029276543412452626),
+        ((0.3, 5.61, 5.0, 2.5, 42, 4.0, 0.5, 1000), 4.6841133519473885, 3.1841133519473894),
+    ]
+
+    @pytest.mark.parametrize("args, general, he", PINNED)
+    def test_pinned_values(self, args, general, he):
+        c_const, lam, _, m_const, d, cap, eta, m = args
+        assert bounds.utility_upper_bound(*args) == general
+        assert bounds.he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m) == he
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.1, 0.1, 1.0, 2, 2.0, 0.1, 32), "lambda must exceed delta_two"),
+        ((0.0, 1.0, 0.1, 1.0, 2, 2.0, 0.1, 32), "C must be > 0"),
+        ((1.0, 1.0, -0.1, 1.0, 2, 2.0, 0.1, 32), "delta_two must be >= 0"),
+        ((1.0, 1.0, 0.1, 0.0, 2, 2.0, 0.1, 32), "M must be > 0"),
+        ((1.0, 1.0, 0.1, 1.0, 2, 2.0, 0.1, 0), "sample size must be > 0"),
+        ((1.0, 1.0, 0.1, 1.0, 2, 2.0, 1.5, 32), "eta must be in (0, 1]"),
+        ((1.0, 1.0, 0.1, 1.0, 2, 2.0, 0.0, 32), "eta must be in (0, 1]"),
+        ((1.0, 1.0, 0.1, 1.0, 0, 2.0, 0.1, 32), "d must be >= 1"),
+        ((1.0, 1.0, 0.1, 1.0, 2, -1.0, 0.1, 32), "D must be >= 0"),
+        # the first failing check is reported
+        ((0.0, 0.05, 0.1, 1.0, 2, 2.0, 0.1, 32), "lambda must exceed delta_two"),
+        ((0.0, 1.0, 0.1, 0.0, 2, 2.0, 0.1, 32), "C must be > 0"),
+        ((1.0, 1.0, 0.1, 0.0, 2, -1.0, 0.1, 32), "M must be > 0"),
+    ])
+    def test_error_messages(self, args, message):
+        with pytest.raises(ConfigurationError) as exc:
+            bounds.utility_upper_bound(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.0, 1.0, 2, 2.0, 0.1, 32), "lambda must be > 0"),
+        ((1.0, -1.0, 1.0, 2, 2.0, 0.1, 32), "lambda must be > 0"),
+        ((0.0, 1.0, 1.0, 2, 2.0, 0.1, 32), "C must be > 0"),
+        ((1.0, 1.0, 0.0, 2, 2.0, 0.1, 32), "M must be > 0"),
+        ((1.0, 1.0, 1.0, 2, 2.0, 0.1, 0), "sample size must be > 0"),
+        ((1.0, 1.0, 1.0, 2, 2.0, 1.5, 32), "eta must be in (0, 1]"),
+        ((1.0, 1.0, 1.0, 0, 2.0, 0.1, 32), "d must be >= 1"),
+        ((1.0, 1.0, 1.0, 2, -1.0, 0.1, 32), "D must be >= 0"),
+        ((0.0, 0.0, 1.0, 2, 2.0, 0.1, 32), "lambda must be > 0"),
+        ((0.0, 1.0, 0.0, 2, 2.0, 0.1, 32), "C must be > 0"),
+    ])
+    def test_he_error_messages(self, args, message):
+        with pytest.raises(ConfigurationError) as exc:
+            bounds.he_utility_upper_bound(*args)
+        assert str(exc.value) == message
+
 
 class TestLambdaMinimizer:
     def test_minimizer_respects_constraint_and_beats_grid(self):
@@ -142,9 +198,9 @@ class TestLambdaMinimizer:
 
 
 def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,
-                eps_p=None, eps_e=None):
-    est = datagen.ConstantsEstimate(c_a=1.2, c_b=2.5, big_c=0.8, big_m=1.5,
-                                    cap_d=2.0, c_0=0.5, c_2=1.0)
+                eps_p=None, eps_e=None, big_m=1.5, cap_d=2.0):
+    est = datagen.ConstantsEstimate(c_a=1.2, c_b=2.5, big_c=0.8, big_m=big_m,
+                                    cap_d=cap_d, c_0=0.5, c_2=1.0)
     return bounds.BoundInputs(
         constants=est, eta=eta, lam=lam, gamma=gamma,
         eps_p=np.array(eps_p if eps_p is not None else [0.5] * k),
@@ -156,7 +212,7 @@ def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,
 class TestTradeoffs:
     def test_head_vanishes_with_full_leakage_and_gamma_one(self):
         inp = make_inputs(k=1, gamma=1.0, eps_p=[1.0])
-        expected_tail = bounds._m_term(1.5, 4, 2.0, 1.0, 0.1, 20.0)
+        expected_tail = bounds._m_term_of(1.5, 4, 2.0, 0.1, 20.0)(1.0)
         assert bounds.tradeoff_general(inp) == pytest.approx(expected_tail, rel=1e-12)
         assert bounds.tradeoff_randomization(inp) == pytest.approx(expected_tail, rel=1e-12)
 
@@ -212,6 +268,56 @@ class TestTradeoffs:
     def test_probability_budget_vacuous_flag(self):
         inp = make_inputs(k=3, gamma=0.4, eta=0.2)
         assert inp.probability_budget() < 0
+
+    # make_inputs arguments, then each client's general and randomization rhs
+    @pytest.mark.parametrize("kw, general, randomization", [
+        ({}, [73.85632780823762] * 3, [78.58711584034694] * 3),
+        (dict(k=1, gamma=1.0, eps_p=[1.0]), [71.49093379218297], [71.49093379218297]),
+        (dict(k=2, gamma=0.1, eta=0.2, lam=1.5, big_l=1.3, rho=0.7, eps_p=[0.4, 0.7],
+              eps_e=[10.0, 30.0]),
+         [12.938214981154708, 8.683711809897728], [16.031086793824652, 11.77658362256767]),
+        (dict(k=4, gamma=[0.01, 0.2, 0.5, 1.0], eta=1.0, lam=0.2, big_l=2.0, rho=1e-12,
+              eps_p=[0.0, 0.25, 0.9, 1.3], eps_e=[1.0, 2.0, 50.0, 7.0]),
+         [7.129569886958932e+45, 5.041367214012063e+45, 1.0082734428024099e+45,
+          2.6947241251068763e+45],
+         [7.129569886958932e+45, 5.041367214012063e+45, 1.0082734428024099e+45,
+          2.6947241251068763e+45]),
+        (dict(lam=0.05, big_m=1e300, cap_d=4.0), [math.inf] * 3, [math.inf] * 3),
+    ])
+    def test_pinned_values(self, kw, general, randomization):
+        inp = make_inputs(**kw)
+        assert [bounds.tradeoff_general(inp, c) for c in range(len(general))] == general
+        assert [bounds.tradeoff_randomization(inp, c)
+                for c in range(len(randomization))] == randomization
+
+    @pytest.mark.parametrize("kw, changed, client, general, randomization", [
+        ({}, {}, 3, "client index out of range", "client index out of range"),
+        ({}, {}, -1, "client index out of range", "client index out of range"),
+        (dict(big_m=0.0), {}, 0, "M must be > 0", "M must be > 0"),
+        ({}, dict(d=0), 0, "d must be >= 1", "d must be >= 1"),
+        (dict(cap_d=-1.0), {}, 0, "D must be >= 0", "D must be >= 0"),
+        (dict(lam=0.0), {}, 0, "lambda must be > 0", "lambda must be > 0"),
+        (dict(lam=-1.0), {}, 0, "lambda must be > 0", "lambda must be > 0"),
+        ({}, dict(eta=1.5), 0, "eta must be in (0, 1]", "eta must be in (0, 1]"),
+        (dict(big_m=0.0, lam=0.0), {}, 0, "M must be > 0", "M must be > 0"),
+        (dict(rho=0.0), {}, 0, None, "rho must be > 0"),
+        (dict(rho=-1.0), {}, 5, "client index out of range", "rho must be > 0"),
+        ({}, dict(eps_e=np.array([0.0, 20.0, 20.0])), 0, "eps_e must be positive",
+         "eps_e must be positive"),
+    ])
+    def test_error_messages(self, kw, changed, client, general, randomization):
+        # changed: fields set after construction, past BoundInputs' own checks
+        inp = make_inputs(**kw)
+        for name, value in changed.items():
+            setattr(inp, name, value)
+        for formula, message in ((bounds.tradeoff_general, general),
+                                 (bounds.tradeoff_randomization, randomization)):
+            if message is None:
+                formula(inp, client)
+                continue
+            with pytest.raises(ConfigurationError) as exc:
+                formula(inp, client)
+            assert str(exc.value) == message
 
     def test_eps_e_below_one_rejected(self):
         with pytest.raises(ConfigurationError):

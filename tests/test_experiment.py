@@ -160,9 +160,70 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             experiment.run_sweep(base_config(), "lr", [0.1, 0.2], trials=2)
 
+    @pytest.mark.parametrize("values, eps_p", [([0.0, 0.0], [0.2, 0.5, 0.1, 0.9]),
+                                               ([0.0, 0.3], [0.4] * 4)],
+                             ids=["constant-axis", "constant-eps-p"])
+    def test_constant_input_gives_nan_correlation(self, values, eps_p):
+        # scipy's answer, without the ConstantInputWarning that the suite's
+        # filter would raise
+        blank = experiment.TrialRow(*[0.0] * len(experiment.TrialRow.FIELDS))
+        rows = [replace(blank, sweep_value=values[i // 2], eps_p=e)
+                for i, e in enumerate(eps_p)]
+        summary = experiment.summarize_sweep("sigma", values, rows)
+        assert math.isnan(summary["spearman_rho"]) and math.isnan(summary["spearman_p"])
+
     def test_too_few_values_rejected(self):
         with pytest.raises(ConfigurationError):
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
+
+
+# a trial of lockstep_config holds, for each upload, 8 x m x ((iters + 1) p + d)
+# = 8 x 4 x (11 x 2 + 2) bytes; and what the runner keeps of it: its Observed's
+# 8 x (k m (p + 1) + (k + 3) d) = 160 bytes and its constants row's
+# 8 x ((k m + 2 num_pairs) (p + 3) + 64 (2 d + 4)) bytes
+UPLOAD = 768
+
+
+def kept(num_pairs):
+    return 160 + 8 * ((4 + 2 * num_pairs) * 5 + 64 * 8)
+
+
+def lockstep_config(index, num_pairs=30, iters=10):
+    return base_config(dataset=datagen.DatasetSpec(num_clients=1, per_client_size=4,
+                                                   input_dim=2, num_classes=2,
+                                                   class_separation=2.0, diameter_cap=2.0,
+                                                   seed=0),
+                       attack=attack.AttackConfig(iters=iters), num_pairs=num_pairs,
+                       master_seed=index)
+
+
+class TestLockstepBlocks:
+    @pytest.mark.parametrize("budget, uploads, pairs, want", [
+        (1, [1] * 5, [30] * 5, [[0], [1], [2], [3], [4]]),
+        (2 * (UPLOAD + kept(30)), [1] * 5, [30] * 5, [[0, 1], [2, 3], [4]]),
+        (3 * (UPLOAD + kept(30)) - 1, [1] * 5, [30] * 5, [[0, 1], [2, 3], [4]]),
+        # each trial is charged its own constants row
+        (2 * UPLOAD + kept(30) + kept(60), [1] * 5, [30, 60] * 2 + [30],
+         [[0, 1], [2, 3], [4]]),
+        (1 << 20, [1] * 5, [30] * 5, [[0, 1, 2, 3, 4]]),
+        # and its own upload count; a trial over the budget stands alone
+        (3 * UPLOAD + 2 * kept(30), [2, 1, 3, 0, 1], [30] * 5, [[0, 1], [2, 3], [4]]),
+        # trials without uploads are charged what the runner keeps of them
+        (5 * kept(30), [0] * 5, [30] * 5, [[0, 1, 2, 3, 4]]),
+    ], ids=["one-byte", "two-trials", "two-trials-and-a-byte-short-of-three",
+            "own-constants-row", "default-budget", "own-upload-count", "no-uploads"])
+    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, pairs,
+                                                  want):
+        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", budget)
+        trials = [(lockstep_config(i, n), i, {}) for i, n in enumerate(pairs)]
+        blocks = experiment._lockstep_blocks(
+            trials, inverted=lambda config: range(uploads[config.master_seed]))
+        assert [[seed for _, seed, _ in block] for block in blocks] == want
+
+    def test_a_new_shape_starts_a_block(self):
+        trials = [(lockstep_config(i, iters=10 + i // 2), i, {}) for i in range(5)]
+        blocks = experiment._lockstep_blocks(trials)
+        assert [[seed for _, seed, _ in block] for block in blocks] == [[0, 1], [2, 3], [4]]
 
 
 class TestLockstepSweep:
@@ -184,11 +245,11 @@ class TestLockstepSweep:
     @pytest.mark.parametrize("one_row_blocks", [False, True])
     def test_divergence_inside_a_block_raises_at_the_first_failing_seed(
             self, monkeypatch, one_row_blocks):
-        # sigma = inf makes every trial of the second value abort in round 0,
+        # sigma = 1e308 makes every trial of the second value abort in round 0,
         # after the first value's trials ran in the same block
         config = base_config()
         if one_row_blocks:
-            monkeypatch.setattr(attack, "_BLOCK_BUDGET", 1)
+            monkeypatch.setattr(experiment, "_BLOCK_BUDGET", 1)
         assert len(experiment._lockstep_blocks(
             [(config, 0, {})] * 6)) == (6 if one_row_blocks else 1)
         seen = []
@@ -200,7 +261,7 @@ class TestLockstepSweep:
 
         monkeypatch.setattr(experiment, "simulate", recording)
         with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):
-            experiment.run_sweep(config, "sigma", [0.3, float("inf")], trials=3)
+            experiment.run_sweep(config, "sigma", [0.3, 1e308], trials=3)
         # no trial after the first failing one is simulated
         assert seen[-1] == rngmod.trial_seed(config.master_seed, 1, 0)
         assert set(seen) == {rngmod.trial_seed(config.master_seed, si, ti)
@@ -230,7 +291,7 @@ class TestLockstepSweep:
         else:
             monkeypatch.setattr(experiment, "score_trial", failing_score)
         with pytest.raises(ConfigurationError, match=f"{stage} failed"):
-            experiment.run_sweep(config, "sigma", [0.3, float("inf"), 0.5], trials=3)
+            experiment.run_sweep(config, "sigma", [0.3, 1e308, 0.5], trials=3)
 
 
     def test_a_block_that_fails_only_in_lockstep_raises(self, monkeypatch):

@@ -384,8 +384,14 @@ class TestExitCodes:
         # written as JSON NaN
         ({"kind": "randomization", "exact_norm": float("nan")}, ["train"],
          "exact_norm must be >= 0"),
+        # once a run aborted at round 0, exit 2
+        ({"kind": "randomization", "sigma": float("inf")}, ["train"],
+         "sigma must be >= 0 and finite"),
+        ({"kind": "randomization", "exact_norm": float("inf")}, ["train"],
+         "exact_norm must be >= 0 and finite"),
     ], ids=["kind-bogus", "sigma-negative", "exact-norm-negative", "offset-scale-infinite",
-            "sweep-sigma-negative", "sigma-nan", "exact-norm-nan"])
+            "sweep-sigma-negative", "sigma-nan", "exact-norm-nan", "sigma-inf",
+            "exact-norm-inf"])
     def test_bad_mechanism_exit_1(self, tmp_path, mechanism, args, message):
         config = cli.default_config().to_dict()
         config["mechanism"].update(mechanism)
@@ -448,13 +454,21 @@ class TestExitCodes:
         ("dataset", "input_dim", 60, "input_dim 60 at class_separation 2: a row lands "
                                      "inside the truncation radius with probability "
                                      "1.4e-09, below 0.0001"),
+        # once checked only where a trial is scored, so train took them
+        (None, "quantile", float("nan"), "quantile must be in [0, 0.5]"),
+        (None, "quantile", 0.6, "quantile must be in [0, 0.5]"),
+        (None, "gamma", float("nan"), "gamma must be in (0, 2]"),
+        (None, "gamma", 0.0, "gamma must be in (0, 2]"),
+        (None, "eta", float("nan"), "eta must be in (0, 1]"),
+        (None, "eta", 1.5, "eta must be in (0, 1]"),
     ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
             "diameter-nan", "seed-negative", "seed-nan", "attack-round-float",
             "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
             "iters-nan", "n-eval-float", "n-eval-nan", "num-pairs-float", "num-pairs-nan",
             "num-clients-float", "per-client-size-float", "num-classes-float",
             "model-input-dim-float", "hidden-dim-float", "step-size-nan", "step-size-inf",
-            "attack-init-scale-nan", "input-dim-60"])
+            "attack-init-scale-nan", "input-dim-60", "quantile-nan", "quantile-0.6",
+            "gamma-nan", "gamma-0", "eta-nan", "eta-1.5"])
     def test_bad_config_value_exit_1(self, tmp_path, section, field, value, message):
         config = cli.default_config().to_dict()
         (config[section] if section else config)[field] = value
@@ -465,6 +479,39 @@ class TestExitCodes:
         assert r.returncode == 1, r.stderr
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_every_numeric_config_value_runs_or_exits_1(self, tmp_path, capsys):
+        # each numeric leaf of the default config, under each mechanism kind, set
+        # to each value below: train runs, or exits 1 with a config error; never
+        # exit 2 or an uncaught exception
+        base = cli.default_config().to_dict()
+
+        def numeric(section):
+            return [name for name, v in section.items()
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        leaves = [(None, name) for name in numeric(base)] + [
+            (key, name) for key, section in base.items() if isinstance(section, dict)
+            for name in numeric(section)]
+        path, out = tmp_path / "config.json", str(tmp_path / "o")
+        bad = []
+        for kind in protocol.MECH_KINDS:
+            for section, name in leaves:
+                for value in (float("nan"), float("inf"), -float("inf"), -1, 0, 2.5):
+                    config = json.loads(json.dumps(base))
+                    config["mechanism"]["kind"] = kind
+                    (config[section] if section else config)[name] = value
+                    path.write_text(json.dumps(config))
+                    case = (kind, section, name, value)
+                    try:
+                        rc = cli.main(["train", "--config", str(path), "--out", out])
+                    except Exception as exc:      # noqa: BLE001 -- the case under test
+                        bad.append((*case, repr(exc)))
+                        continue
+                    err = capsys.readouterr().err
+                    if not (rc == 0 or (rc == 1 and err.startswith("config error:"))):
+                        bad.append((*case, rc, err))
+        assert len(leaves) == 28
+        assert bad == []
 
     def test_malformed_config_json_exit_1(self, tmp_path):
         bad = tmp_path / "config.json"

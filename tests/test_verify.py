@@ -165,7 +165,7 @@ class TestLockstepBlocks:
         default = verify.verify_bound(bound, sc, 100).to_dict()
         assert rows == ([100] if bound == "privacy" else [300])
         rows.clear()
-        monkeypatch.setattr(attack, "_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", budget)
         assert verify.verify_bound(bound, sc, 100).to_dict() == default
         assert rows == want_rows
 
