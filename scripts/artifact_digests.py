@@ -13,12 +13,17 @@ they are outside the reproducibility contract.
 ``--compare`` runs the command list against two source trees (say, a change
 and an unpacked ``git archive`` of its parent), each in a fresh temporary
 directory, and prints only the files whose digests differ (or that only one
-tree wrote), then the counts of differing and identical files.
+tree wrote), then the counts of differing and identical files. Under each
+``.json``, ``.jsonl`` or ``.csv`` file both trees wrote, it names what differs:
+the dotted keys of the JSON leaves (a list index or JSONL line shows as ``*``)
+or the CSV columns.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -56,7 +61,7 @@ COMMANDS = [
     # every bound at the least trial count verify accepts
     ["verify", "--bound", "privacy", "--trials", "100", "--sigma", "0.6", "--iters", "250",
      "--step-size", "0.15", "--out", "runs/verify"],
-    # the privacy bound at K > 1, estimated on client 0's data only
+    # the privacy bound at K > 1, estimated on every client's data
     ["verify", "--bound", "privacy", "--clients", "2", "--trials", "100", "--sigma", "0.6",
      "--iters", "250", "--step-size", "0.15", "--out", "runs/verify-k2"],
     *[["verify", "--bound", bound, "--trials", "100", "--clients", "2", "--out", "runs/verify"]
@@ -114,15 +119,72 @@ def digests(out: str, src: str) -> dict[str, str] | None:
     return {rel: sha256(os.path.join(out, rel)) for rel in paths}
 
 
+def _leaves(doc, path=()):
+    """(path, repr) of every leaf of a JSON document; dict keys and list
+    indices make up the path."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path, repr(doc)          # repr tells NaN apart from other floats
+
+
+def _cells(path: str) -> dict | None:
+    """{path: repr} of a file's leaves: a JSON document's, each JSONL line's under
+    its line index, or each CSV cell's as (row, column); None for other files.
+    A CSV whose first row holds a number has no header, and names columns by
+    position."""
+    with open(path, newline="") as fh:
+        if path.endswith(".json"):
+            return dict(_leaves(json.load(fh)))
+        if path.endswith(".jsonl"):
+            return dict(_leaves([json.loads(line) for line in fh]))
+        if not path.endswith(".csv"):
+            return None
+        rows = list(csv.reader(fh))
+
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+    if rows and not any(is_number(cell) for cell in rows[0]):
+        header, rows = rows[0], rows[1:]
+    else:
+        header = [f"column {j}" for j in range(max(map(len, rows), default=0))]
+    return {(i, header[j] if j < len(header) else f"column {j}"): cell
+            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def differing_keys(path_a: str, path_b: str) -> list[str] | None:
+    """The dotted keys or columns in which two versions of a file differ, list
+    indices shown as ``*``; None when the file is not JSON, JSONL or CSV."""
+    a, b = _cells(path_a), _cells(path_b)
+    if a is None:
+        return None
+    return sorted({".".join("*" if isinstance(part, int) else part for part in key)
+                   .removeprefix("*.")
+                   for key in a.keys() | b.keys() if a.get(key) != b.get(key)})
+
+
 def compare(src_a: str, src_b: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        a = digests(os.path.join(tmp, "a"), src_a)
-        b = a and digests(os.path.join(tmp, "b"), src_b)
-    if b is None:
-        return 1
-    differ = sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
-    for rel in differ:
-        print(f"{a.get(rel, '-'):64}  {b.get(rel, '-'):64}  {rel}")
+        out_a, out_b = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+        a = digests(out_a, src_a)
+        b = a and digests(out_b, src_b)
+        if b is None:
+            return 1
+        differ = sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
+        for rel in differ:
+            print(f"{a.get(rel, '-'):64}  {b.get(rel, '-'):64}  {rel}")
+            keys = (rel in a and rel in b
+                    and differing_keys(os.path.join(out_a, rel), os.path.join(out_b, rel)))
+            if keys:
+                print("    differ in: " + ", ".join(keys))
     print(f"{len(differ)} differ, {len(a.keys() | b.keys()) - len(differ)} identical")
     return 0
 

@@ -290,31 +290,36 @@ def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
     exactly to risk(). Probes come from per-point substreams, so growing
     n_probe only extends each point's probe sequence: the estimate is monotone
     non-decreasing in n_probe. Probes scale radially with budget, so for
-    half-space classifiers it is monotone in budget as well.
+    half-space classifiers it is monotone in budget as well. A budget whose
+    probes overflow the classifier's scores is a ``ConfigurationError``.
     """
-    if budget < 0:
-        raise ConfigurationError("budget must be >= 0")
+    if not 0 <= budget < math.inf:
+        raise ConfigurationError("budget must be finite and >= 0")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     m, p = x.shape
     hits = 0
-    for i in range(m):
-        if int(h.predict(x[i][None, :])[0]) != int(y[i]):
-            hits += 1
-            continue
-        if budget == 0.0:
-            continue
-        g = rngmod.stream(seed, rngmod.STREAM_ATTACK, 1, i)
-        for _ in range(n_probe):
-            u = g.standard_normal(p)
-            radius_frac = g.uniform(0, 1) ** (1.0 / p)
-            nu = np.linalg.norm(u)
-            if nu == 0:
-                continue
-            cand = x[i] + (budget * radius_frac) * u / nu
-            if int(h.predict(cand[None, :])[0]) != int(y[i]):
+    try:
+        for i in range(m):
+            if int(h.predict(x[i][None, :])[0]) != int(y[i]):
                 hits += 1
-                break
+                continue
+            if budget == 0.0:
+                continue
+            g = rngmod.stream(seed, rngmod.STREAM_ATTACK, 1, i)
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(n_probe):
+                    u = g.standard_normal(p)
+                    radius_frac = g.uniform(0, 1) ** (1.0 / p)
+                    nu = np.linalg.norm(u)
+                    if nu == 0:
+                        continue
+                    cand = x[i] + (budget * radius_frac) * u / nu
+                    if int(h.predict(cand[None, :])[0]) != int(y[i]):
+                        hits += 1
+                        break
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"budget {budget} overflows the classifier's scores") from exc
     return hits / m
 
 

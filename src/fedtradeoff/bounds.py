@@ -240,12 +240,14 @@ def _tradeoff(inputs: BoundInputs, client: int, coefficient: float) -> float:
 
 def tradeoff_general(inputs: BoundInputs, client: int = 0) -> float:
     """General-mechanism trade-off rhs for the designated client: coefficient C * L."""
+    if not inputs.big_l > 0:                       # NaN fails too
+        raise ConfigurationError("big_l must be > 0")
     return _tradeoff(inputs, client, inputs.constants.big_c * inputs.big_l)
 
 
 def tradeoff_randomization(inputs: BoundInputs, client: int = 0) -> float:
     """Randomization trade-off rhs: coefficient (2 + rho) * C, L elided."""
-    if inputs.rho <= 0:
+    if not inputs.rho > 0:                         # NaN fails too
         raise ConfigurationError("rho must be > 0")
     return _tradeoff(inputs, client, (2.0 + inputs.rho) * inputs.constants.big_c)
 

@@ -242,7 +242,7 @@ def cmd_estimate_constants(args) -> int:
     pilot = replace(config, fl=replace(config.fl, rounds=1), mechanism=MechanismSpec(),
                     attack_round=0, attack_client=0)
     est, = run_trials([(pilot, config.master_seed, {})],
-                      lambda config, seed, observed, traces, estimate: estimate(), trial_probe)
+                      lambda config, seed, observed, traces, estimate: estimate())
     _ensure_dir(args.out)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}

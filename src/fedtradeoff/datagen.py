@@ -41,6 +41,10 @@ _MIN_INSIDE = 1e-4
 # perturbed-model forward values.
 _BLOCK_BYTES = 1 << 20
 
+# Parameter moves an estimate scores for C's parameter side; also the most
+# point pairs of its data side.
+_NUM_DELTAS = 64
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -284,7 +288,6 @@ class Probe(NamedTuple):
     num_pairs: int = 200
     quantile: float = 0.05
     delta_budget: float = 1.0
-    num_deltas: int = 64
     attack_objectives: np.ndarray | None = None
     seed: int = 0
 
@@ -300,8 +303,8 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     Every sample comes from the stream ``(seed, STREAM_ESTIMATE, 0)``, drawn
     as whole arrays in this order (estimate stream v2): the ``num_pairs``
     pair labels, their first indices, their second indices (``_sample_pairs``);
-    the ``num_deltas`` x param_dim parameter-move normals, then their
-    ``num_deltas`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
+    the ``_NUM_DELTAS`` x param_dim parameter-move normals, then their
+    ``_NUM_DELTAS`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
     index pairs of the data side of C.
     """
     row, = estimate_constants_batch(model_spec, [Probe(theta_probe, datasets, **options)])
@@ -315,12 +318,11 @@ def constants_of(row: ConstantsEstimate | FedTradeoffError) -> ConstantsEstimate
     return row
 
 
-def estimate_row_bytes(model_spec: models.ModelSpec, n: int, num_pairs: int,
-                       num_deltas: int = 64) -> int:
+def estimate_row_bytes(model_spec: models.ModelSpec, n: int, num_pairs: int) -> int:
     """Bytes ``estimate_constants_batch`` holds per row of n data points until it
     returns; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
     p, d = model_spec.input_dim, model_spec.param_dim
-    return 8 * ((n + 2 * num_pairs) * (p + 3) + num_deltas * (2 * d + 4))
+    return 8 * ((n + 2 * num_pairs) * (p + 3) + _NUM_DELTAS * (2 * d + 4))
 
 
 class _Drawn(NamedTuple):
@@ -330,8 +332,8 @@ class _Drawn(NamedTuple):
     x: np.ndarray           # (n, p): every client's rows
     y: np.ndarray           # (n,)
     pairs: np.ndarray       # (2 num_pairs,): first rows, then second rows
-    moves: np.ndarray       # (num_deltas, d) parameter-move normals
-    scales: np.ndarray      # (num_deltas,)
+    moves: np.ndarray       # (_NUM_DELTAS, d) parameter-move normals
+    scales: np.ndarray      # (_NUM_DELTAS,)
     ij: np.ndarray          # (k, 2) point pairs of C's data side
 
 
@@ -346,10 +348,10 @@ def _draw(model_spec: models.ModelSpec, probe: Probe) -> _Drawn:
     x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
     y = np.concatenate([ds.y for ds in probe.datasets], axis=0)
     pairs = np.concatenate(_sample_pairs(y, probe.num_pairs, g))
-    moves = g.standard_normal((probe.num_deltas, model_spec.param_dim))
-    scales = g.uniform(0.05, 1.0, probe.num_deltas)
+    moves = g.standard_normal((_NUM_DELTAS, model_spec.param_dim))
+    scales = g.uniform(0.05, 1.0, _NUM_DELTAS)
     n = x.shape[0]
-    ij = g.integers(0, n, size=(min(probe.num_deltas, n * (n - 1) // 2) or 1, 2))
+    ij = g.integers(0, n, size=(min(_NUM_DELTAS, n * (n - 1) // 2) or 1, 2))
     return _Drawn(probe, np.asarray(probe.theta_probe, dtype=np.float64), x, y, pairs,
                   moves, scales, ij)
 
@@ -367,7 +369,7 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     bit, or the package error it raises, which fails that row alone.
 
     Each row draws from its own stream in estimate stream v2's order. Rows of
-    one shape (data size, pair and move counts) are scored together: their pair
+    one shape (data size and pair count) are scored together: their pair
     gradients, point losses and perturbed-model losses in stacked model calls
     of at most ``_BLOCK_BYTES`` each, their quantiles in one ``np.quantile``.
     A model call's values of a row do not depend on the rows stacked with it
@@ -381,7 +383,7 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
         except FedTradeoffError as exc:
             out[i] = exc
             continue
-        key = (drawn[i].x.shape, drawn[i].theta.shape, probe.num_pairs, probe.num_deltas)
+        key = (drawn[i].x.shape, drawn[i].theta.shape, probe.num_pairs)
         groups.setdefault(key, []).append(i)
     for rows in groups.values():
         for i, est in zip(rows, _estimate_group(model_spec, [drawn[i] for i in rows])):
@@ -460,7 +462,7 @@ def _loss_sides(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
     b, n, d = len(rows), x.shape[1], spec.param_dim
     point = models.per_example_losses(spec, theta, x, y)          # (B, n)
     base = point.mean(axis=-1)
-    moves = np.array([r.moves for r in rows])                     # (B, num_deltas, d)
+    moves = np.array([r.moves for r in rows])                     # (B, _NUM_DELTAS, d)
     budget = np.array([r.probe.delta_budget for r in rows])[:, None]
     moves *= (budget * np.array([r.scales for r in rows])
               / np.linalg.norm(moves, axis=-1))[..., None]

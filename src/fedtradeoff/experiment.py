@@ -2,19 +2,14 @@
 
 One trial = generate data, run the protocol (``simulate``), keep what scoring
 reads of the run (``observe``), invert the uploads the trial lists, estimate
-its constants at the probe its scorer names, and score it. ``run_trials`` runs
-trials stage-wise in lockstep blocks, with one ``attack.invert_batch`` and one
+its constants at ``trial_probe``, and score it. ``run_trials`` runs trials
+stage-wise in lockstep blocks, with one ``attack.invert_batch`` and one
 ``datagen.estimate_constants_batch`` per block, and is the only inverter of
-simulated uploads. Sweeps and ``run_trial`` pass it ``score_trial`` (one
-``TrialRow``) with ``trial_probe``, the bound verifier each bound's outcome
-function and probe, and ``estimate-constants`` its pilot probe.
+simulated uploads. Sweeps and ``run_trial`` score with ``score_trial`` (one
+``TrialRow``), the bound verifier with each bound's outcome function.
 
-``privacy_outcome`` and ``utility_outcome`` compute each bound side once;
-each caller's probe names its own constants: ``trial_probe`` the attacked
-round's model over every client's data, for both bounds of ``score_trial``;
-verify's privacy side client 0's data alone at the round-0 model; verify's
-utility side every client's data at the final shadow, and its trade-off at the
-round-0 model, both with C's parameter moves scaled to max(1, 2 ||delta||).
+``privacy_outcome`` and ``utility_outcome`` compute each bound side once, and
+every bound reads C, c_a and c_b from the one estimate at ``trial_probe``.
 
 Per-trial seeds are derived splittably from the master seed, so trials are
 independent and appending trials never changes existing ones.
@@ -25,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, asdict, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -237,11 +233,10 @@ def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
     lambda; ``(outcome, halfwidth of the loss)``.
 
     The loss is that of the final decoded model against the final shadow, on
-    fresh draws. ``big_c()`` gives the bound's C, asked for once the loss and
-    the two-way distortion ||delta|| are taken: the C of each caller is its own
-    (see the module docstring). M is exact at the final decoded model; D is
-    the configured cap. A NaN C gives NaN lambda and rhs; an infinite ||delta||
-    raises ``NumericError``."""
+    fresh draws. ``big_c()`` gives the bound's C (at ``trial_probe``), asked
+    for once the loss and the two-way distortion ||delta|| are taken. M is
+    exact at the final decoded model; D is the configured cap. A NaN C gives
+    NaN lambda and rhs; an infinite ||delta|| raises ``NumericError``."""
     target = observed.datasets[config.attack_client]
     theta = observed.theta_shadow
     delta_model = observed.theta_decoded - theta
@@ -267,11 +262,17 @@ def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
 
 def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
                 traces: list[attackmod.AttackTrace]) -> datagen.Probe:
-    """``score_trial``'s constants probe: the observed round's model over every
-    client's data, the default budget, and the inversion's objectives."""
+    """A trial's one constants probe, for every bound: the attacked round's
+    model over every client's data, C's parameter moves up to max(1, 2 ||delta||)
+    (1 when ||delta|| is not finite, which its scorer raises on), and the first
+    inversion's objectives when the trial inverts an upload."""
+    delta_two = two_way_distortion(observed)
+    budget = max(1.0, 2.0 * delta_two) if math.isfinite(delta_two) else 1.0
     return datagen.Probe(observed.theta_round, observed.datasets,
                          num_pairs=config.num_pairs, quantile=config.quantile,
-                         attack_objectives=traces[0].objectives[1:], seed=seed)
+                         delta_budget=budget,
+                         attack_objectives=traces[0].objectives[1:] if traces else None,
+                         seed=seed)
 
 
 def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
@@ -320,7 +321,7 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
 def run_trial(config: ExperimentConfig, trial_seed: int, **row_fields) -> TrialRow:
     """Full pipeline for one seeded trial: observe, invert, estimate, and
     ``score_trial`` with the row fields given."""
-    return run_trials([(config, trial_seed, row_fields)], score_trial, trial_probe)[0]
+    return run_trials([(config, trial_seed, row_fields)], score_trial)[0]
 
 
 def run_in_blocks(run_block, blocks: list[list]) -> list:
@@ -376,16 +377,14 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
     return blocks
 
 
-def run_trials(trials: list[tuple], score, probe, *, inverted=attacked_client) -> list:
+def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     """``score(config, seed, observed, traces, estimate, **kw)`` of each
     ``(config, seed, kw)`` trial, in order.
 
     ``inverted(config)`` lists the clients whose uploads in the attacked round
     a trial inverts: by default the attacked client, none for the utility
-    bounds, every client for the trade-offs. ``probe(config, seed, observed,
-    traces)`` names where a trial's constants are estimated (a
-    ``datagen.Probe``), and ``estimate()`` returns that estimate or raises its
-    error.
+    bounds, every client for the trade-offs. ``estimate()`` returns the
+    trial's estimate at ``trial_probe`` or raises its error.
 
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
     (trials of one shape within the block budget): observe each in order, invert
@@ -396,11 +395,11 @@ def run_trials(trials: list[tuple], score, probe, *, inverted=attacked_client) -
     block. A row whose estimate fails fails where its scorer asks for it, so a
     block raises the error a serial run meets first (``run_in_blocks``). This
     is the only place a simulated upload is inverted."""
-    return run_in_blocks(partial(_run_block, score, probe, inverted),
+    return run_in_blocks(partial(_run_block, score, inverted),
                          _lockstep_blocks(trials, inverted))
 
 
-def _run_block(score, probe, inverted, block: list[tuple]) -> list:
+def _run_block(score, inverted, block: list[tuple]) -> list:
     seen = [observe(cfg, seed) for cfg, seed, _ in block]
     clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
     uploads = [(o, k, seed + j) for (_, seed, _), o, ks in zip(block, seen, clients)
@@ -412,7 +411,7 @@ def _run_block(score, probe, inverted, block: list[tuple]) -> list:
         block[0][0].attack, [s for _, _, s in uploads]) if uploads else ())
     traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
     rows = datagen.estimate_constants_batch(block[0][0].model, [
-        probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
+        trial_probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
     return [score(cfg, seed, o, ts, partial(datagen.constants_of, row), **kw)
             for (cfg, seed, kw), o, ts, row in zip(block, seen, traces, rows)]
 
@@ -453,7 +452,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
         (configs[si], rngmod.trial_seed(config.master_seed, si, ti),
          dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
               experiment_id=base_id))
-        for si, value in enumerate(values) for ti in range(trials)], score_trial, trial_probe)
+        for si, value in enumerate(values) for ti in range(trials)], score_trial)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

@@ -6,10 +6,7 @@ gives the config they run, and ``trial_outcomes`` runs one per seed through
 Privacy trials invert client 0's round-0 upload, trade-off trials every
 client's, utility trials none. Each outcome scores its bound with
 ``experiment.privacy_outcome`` / ``utility_outcome``, the sides ``score_trial``
-uses too, at constants estimated on the trial's fresh data at the probe the
-bound names: privacy on client 0's data alone at the round-0 model; utility
-at the final shadow and trade-off at the round-0 model, both over every
-client's data with C's parameter moves scaled to max(1, 2 ||delta||).
+uses too, at the trial's one estimate at ``experiment.trial_probe``.
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -33,7 +30,7 @@ from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
-                         privacy_outcome, run_trials, two_way_distortion, utility_outcome)
+                         privacy_outcome, run_trials, utility_outcome)
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,11 @@ class VerifyScenario:
     quantile: float = 0.05
     offset_scale: float = 1.0          # HE codec offset magnitude
 
+    def __post_init__(self) -> None:
+        for name in ("rho", "big_l"):               # NaN fails too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -75,34 +77,16 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
-def _privacy_probe(config: ExperimentConfig, seed: int, obs: Observed,
-                   traces: list[attackmod.AttackTrace]) -> datagen.Probe:
-    """The privacy side's probe: client 0's data alone at the attacked round's
-    model, with the inversion's objectives."""
-    return datagen.Probe(obs.theta_round, obs.datasets[:1], num_pairs=config.num_pairs,
-                         quantile=config.quantile,
-                         attack_objectives=traces[0].objectives[1:], seed=seed)
-
-
 def _privacy_outcome(config: ExperimentConfig, seed: int, obs: Observed,
                      traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
-    """Client 0's leakage vs the privacy bound, at the constants of ``_privacy_probe``."""
+    """Client 0's leakage vs the privacy bound."""
     trace, = traces
     return privacy_outcome(config, obs, trace, estimate())
 
 
-def _utility_probe(theta_name: str, config: ExperimentConfig, seed: int, obs: Observed,
-                   traces: list) -> datagen.Probe:
-    """The utility side's probe: every client's data at the observed model
-    ``theta_name``, the parameter moves of C scaled to max(1, 2 ||delta||)."""
-    return datagen.Probe(getattr(obs, theta_name), obs.datasets,
-                         num_pairs=config.num_pairs, quantile=config.quantile,
-                         delta_budget=max(1.0, 2.0 * two_way_distortion(obs)), seed=seed)
-
-
 def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
                      traces: list, estimate) -> TrialOutcome:
-    """Measured utility loss vs the utility bound, C estimated at the final shadow."""
+    """Measured utility loss vs the utility bound."""
     out, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
     if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
         raise ConfigurationError("HE run produced nonzero two-way distortion")
@@ -113,8 +97,7 @@ def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
                       config: ExperimentConfig, seed: int, obs: Observed,
                       traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
     """Client 0's utility loss vs a trade-off bound, from every client's
-    round-0 leakage (``traces[k]`` inverted client k) and constants estimated
-    at the round-0 model."""
+    round-0 leakage (``traces[k]`` inverted client k)."""
     eps_p = [attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
              for trace, ds in zip(traces, obs.datasets)]
     util, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
@@ -144,13 +127,12 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
     trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, _privacy_outcome, _privacy_probe)
+        return run_trials(trials, _privacy_outcome)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
-        return run_trials(trials, score, partial(_utility_probe, "theta_round"),
+        return run_trials(trials, score,
                           inverted=lambda config: range(config.dataset.num_clients))
-    return run_trials(trials, _utility_outcome, partial(_utility_probe, "theta_shadow"),
-                      inverted=lambda config: ())
+    return run_trials(trials, _utility_outcome, inverted=lambda config: ())
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:

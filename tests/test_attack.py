@@ -585,6 +585,16 @@ class TestAdvRisk:
         with pytest.raises(ConfigurationError):
             attack.adv_risk(self.h, self.ds.x, self.ds.y, -0.1)
 
+    @pytest.mark.parametrize("budget, message", [
+        (math.nan, "budget must be finite and >= 0"),
+        (math.inf, "budget must be finite and >= 0"),
+        # finite, but its probes overflow the classifier's scores
+        (1e308, "overflows the classifier's scores"),
+    ])
+    def test_non_finite_or_overflowing_budget_rejected(self, budget, message):
+        with pytest.raises(ConfigurationError, match=message):
+            attack.adv_risk(self.h, self.ds.x, self.ds.y, budget)
+
 
 class TestPacFormulas:
     def test_sample_lower_bound_example(self):

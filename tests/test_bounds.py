@@ -302,6 +302,9 @@ class TestTradeoffs:
         (dict(big_m=0.0, lam=0.0), {}, 0, "M must be > 0", "M must be > 0"),
         (dict(rho=0.0), {}, 0, None, "rho must be > 0"),
         (dict(rho=-1.0), {}, 5, "client index out of range", "rho must be > 0"),
+        (dict(rho=math.nan), {}, 0, None, "rho must be > 0"),
+        (dict(big_l=math.nan), {}, 0, "big_l must be > 0", None),
+        (dict(big_l=-1.0), {}, 0, "big_l must be > 0", None),
         ({}, dict(eps_e=np.array([0.0, 20.0, 20.0])), 0, "eps_e must be positive",
          "eps_e must be positive"),
     ])

@@ -351,9 +351,9 @@ class TestEstimateConstants:
         ds = datagen.ClientDataset(0, np.concatenate([ds.x, ds.x]),
                                    np.concatenate([ds.y, ds.y]))
         theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
-        kw = dict(num_pairs=60, quantile=0.1, delta_budget=1.5, num_deltas=24, seed=seed)
+        kw = dict(num_pairs=60, quantile=0.1, delta_budget=1.5, seed=seed)
         est = datagen.estimate_constants(spec, theta, [ds], **kw)
-        want = scalar_estimate(spec, theta, [ds], **kw)
+        want = scalar_estimate(spec, theta, [ds], num_deltas=datagen._NUM_DELTAS, **kw)
         assert want["pairs_skipped_degenerate"] > 0
         got = {"c_a": est.c_a, "c_b": est.c_b, "big_c": est.big_c, "big_m": est.big_m,
                **{k: est.meta[k] for k in ("ratio_median", "c_theta_side", "c_data_side",
@@ -503,7 +503,7 @@ class TestEstimateConstantsBatch:
             theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
             probes.append(datagen.Probe(
                 theta, datasets, num_pairs=20, quantile=quantile, delta_budget=budget,
-                num_deltas=16, seed=seed,
+                seed=seed,
                 attack_objectives=np.linspace(4.0, 1.0, 8) if seed % 2 else None))
         # mid-block, a row of one shape with the others whose points all
         # coincide: every pair's gradients are equal

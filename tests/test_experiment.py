@@ -327,7 +327,6 @@ class TestRunTrialsInverter:
 
         seeds = [11, 12]
         assert experiment.run_trials([(config, s, {}) for s in seeds], score,
-                                     experiment.trial_probe,
                                      inverted=lambda cfg: (2, 0)) == seeds
         m = config.dataset.per_client_size
         for seed, observed, traces in seen:
@@ -346,8 +345,6 @@ class TestRunTrialsInverter:
         monkeypatch.setattr(attack, "invert_batch", no_invert)
         got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
                                     lambda cfg, seed, observed, traces, estimate: len(traces),
-                                    lambda cfg, seed, observed, traces: datagen.Probe(
-                                        observed.theta_round, observed.datasets, seed=seed),
                                     inverted=lambda cfg: ())
         assert got == [0, 0]
 
@@ -398,6 +395,41 @@ class TestBoundSides:
         assert got.extras["big_m"] == row.big_m
         assert np.isnan(got.rhs) and np.isnan(got.extras["lambda"])
         assert not got.precondition_ok
+
+
+class TestOneProbe:
+    """Every bound reads its constants from the one estimate at trial_probe."""
+
+    def test_verify_sides_read_run_trials_constants(self):
+        # one round: the privacy and utility bounds run one config
+        scenario = verify.VerifyScenario(
+            dataset=datagen.DatasetSpec(num_clients=2, per_client_size=8, input_dim=2,
+                                        num_classes=2, class_separation=2.0,
+                                        diameter_cap=2.0, seed=0),
+            model=models.ModelSpec(kind="logistic", input_dim=2, num_classes=2),
+            attack=attack.AttackConfig(iters=40, optimizer="adam", step_size=0.1),
+            sigma=0.3, fl_rounds=1, n_eval=200, num_pairs=80, quantile=0.1)
+        config = scenario.experiment_config("privacy")
+        assert config == scenario.experiment_config("utility")
+        row = experiment.run_trial(config, 7)
+        privacy, = verify.trial_outcomes("privacy", scenario, [7])
+        utility, = verify.trial_outcomes("utility", scenario, [7])
+        assert (row.c_a, row.c_b, row.privacy_rhs) == (
+            privacy.extras["c_a"], privacy.extras["c_b"], privacy.rhs)
+        assert (row.big_c, row.utility_rhs) == (utility.extras["big_c"], utility.rhs)
+
+    @pytest.mark.parametrize("delta_two, budget", [
+        (0.0, 1.0), (0.25, 1.0), (0.5, 1.0), (0.75, 1.5), (3.0, 6.0),
+        # an overflowing ||delta||, which the utility side raises on
+        (math.inf, 1.0)])
+    def test_move_budget_is_twice_the_distortion_at_least_one(self, delta_two, budget):
+        config = base_config()
+        d = config.model.param_dim
+        observed = experiment.observe(config, 5)._replace(
+            theta_shadow=np.zeros(d), theta_decoded=np.r_[delta_two, np.zeros(d - 1)])
+        assert experiment.trial_probe(config, 5, observed, []) == datagen.Probe(
+            observed.theta_round, observed.datasets, num_pairs=80, quantile=0.1,
+            delta_budget=budget, seed=5)
 
 
 class TestSerialTrials:

@@ -289,6 +289,15 @@ class TestAttackCLI:
                      "--iters", "10", "--phase2", "--pac-delta", "0.5"])
         assert r.returncode == 1
 
+    def test_non_finite_or_overflowing_adv_budget_exit_1(self, run_dir, tmp_path):
+        # NaN once scored an adv_risk, inf and 1e308 warned from inside a matmul
+        for budget in ("nan", "inf", "1e308"):
+            r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / budget),
+                         "--iters", "10", "--phase2", f"--adv-budget={budget}"])
+            assert r.returncode == 1, (budget, r.stderr)
+            assert "config error: budget" in r.stderr
+            assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
+
     def test_phase2_report_written(self, run_dir, tmp_path):
         out = str(tmp_path / "p2")
         r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
@@ -364,6 +373,21 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "numeric error: non-finite loss" in r.stderr
         assert "RuntimeWarning" not in r.stderr
+
+    @pytest.mark.parametrize("bound, flag", [
+        ("tradeoff-general", "--big-l=nan"), ("tradeoff-general", "--big-l=-1"),
+        ("tradeoff-general", "--big-l=inf"), ("tradeoff-randomization", "--rho=nan"),
+        ("tradeoff-randomization", "--rho=-1"),
+    ], ids=["big-l-nan", "big-l-negative", "big-l-inf", "rho-nan", "rho-negative"])
+    def test_bad_tradeoff_constant_exit_1(self, tmp_path, bound, flag):
+        # a NaN constant once gave a NaN rhs, which counted as holding
+        r = run_cli(["verify", "--bound", bound, "--trials", "100", "--clients", "2",
+                     "--samples", "4", "--iters", "5", "--rounds", "1", "--n-eval", "100",
+                     flag, "--out", str(tmp_path / "v")])
+        name = flag[2:flag.index("=")].replace("-", "_")
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {name} must be finite and > 0" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_bad_sweep_value_exit_1(self, tmp_path):
         r = run_cli(["sweep", "--axis", "sigma", "--values", "0,abc", "--trials", "2",

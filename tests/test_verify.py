@@ -25,9 +25,12 @@ def tiny_scenario(**kw):
 
 def hand_built_privacy_trial(scenario, trial_seed):
     """Oracle: the privacy pipeline with client 0's round-0 upload rebuilt by
-    hand (data, init, gradient, protection on its stream), outside the protocol."""
+    hand (data, init, gradient, protection on its stream), outside the protocol.
+    The constants pool every client's data; C's move budget enters no privacy
+    extra, so the default stands."""
     ds_spec = replace(scenario.dataset, seed=trial_seed)
-    ds = datagen.generate(ds_spec)[0]
+    datasets = datagen.generate(ds_spec)
+    ds = datasets[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
     z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, g.shape[0]))
@@ -38,7 +41,7 @@ def hand_built_privacy_trial(scenario, trial_seed):
         replace(scenario.attack, seed=trial_seed))
     eps_p = attack.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
     est = datagen.estimate_constants(
-        scenario.model, theta, [ds], num_pairs=scenario.num_pairs,
+        scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
         seed=trial_seed)
     threshold = bounds.privacy_precondition_threshold(
@@ -69,7 +72,8 @@ class TestPrivacyTrialFromSimulate:
 
 def hand_built_utility_trial(scenario, trial_seed, mech):
     """Oracle: the utility pipeline on a protocol run whose data, mechanism and
-    run config are built here, with M computed here from its definition."""
+    run config are built here, with M computed here from its definition and C
+    estimated at the round-0 model, without attack objectives."""
     ds_spec = replace(scenario.dataset, seed=trial_seed)
     datasets = datagen.generate(ds_spec)
     fl = protocol.FLRunConfig(rounds=scenario.fl_rounds, learning_rate=scenario.learning_rate,
@@ -82,8 +86,9 @@ def hand_built_utility_trial(scenario, trial_seed, mech):
     eps_u, _ = protocol.measure_utility_loss(
         scenario.model, theta, delta_model, target,
         datagen.fresh_sampler(ds_spec, trial_seed), scenario.n_eval)
+    theta0 = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     est = datagen.estimate_constants(
-        scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
+        scenario.model, theta0, datasets, num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)
     losses = models.per_example_losses(scenario.model, theta + delta_model, target.x, target.y)
     big_m = max(float(np.max(np.abs(losses))), 1e-12)
