@@ -171,24 +171,23 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             mhat = mom1 / (1 - b1 ** t)
             vhat = mom2 / (1 - b2 ** t)
             x_new = x - step * mhat / (np.sqrt(vhat) + eps)
-            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
         else:
             x_new = x - step * grad
-            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
-            if cfg.backtracking:
-                trial = np.full(len(live), step)
-                tries = 0
+        f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
+        if cfg.optimizer == "sgd" and cfg.backtracking:
+            trial = np.full(len(live), step)
+            tries = 0
+            worse = f_new > f
+            while worse.any() and tries < 40:
+                trial[worse] *= 0.5
+                x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
+                f_new[worse] = _score(spec, theta[worse], x_new[worse],
+                                      labels[worse], g_obs[worse])[0]
+                tries += 1
                 worse = f_new > f
-                while worse.any() and tries < 40:
-                    trial[worse] *= 0.5
-                    x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
-                    f_new[worse] = _score(spec, theta[worse], x_new[worse],
-                                          labels[worse], g_obs[worse])[0]
-                    tries += 1
-                    worse = f_new > f
-                # stay put, keep monotone
-                x_new[worse], f_new[worse] = x[worse], f[worse]
-                stale = tries > 0             # v_new, vjp_new are of the first candidates
+            # stay put, keep monotone
+            x_new[worse], f_new[worse] = x[worse], f[worse]
+            stale = tries > 0                 # v_new, vjp_new are of the first candidates
 
         ok = np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(f_new)
         if not ok.all():
@@ -259,12 +258,11 @@ class Classifier:
 
 
 def train_phase2(recovered: ClientDataset, spec: models.ModelSpec, *,
-                 epochs: int = 200, lr: float = 0.5, seed: int = 0,
-                 init_scale: float = 0.1) -> Classifier:
+                 epochs: int = 200, lr: float = 0.5, seed: int = 0) -> Classifier:
     """Deterministic full-batch gradient-descent training on recovered data."""
     if recovered.size == 0:
         raise ConfigurationError("recovered dataset is empty")
-    theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT), init_scale)
+    theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT), 0.1)
     for _ in range(epochs):
         theta = theta - lr * models.grad_params(spec, theta, recovered.x, recovered.y)
         if not np.all(np.isfinite(theta)):
@@ -281,8 +279,11 @@ def risk(h: Classifier, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(pred != np.asarray(y).astype(np.int64)))
 
 
+_N_PROBE = 64       # adv_risk's probes per point, as phase2_report runs it
+
+
 def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
-             n_probe: int = 64, seed: int = 0) -> float:
+             n_probe: int = _N_PROBE, seed: int = 0) -> float:
     """Lower estimate of the adversarial risk at perturbation budget ``budget``.
 
     Fraction of test points for which a random search finds X within the ball
@@ -378,22 +379,21 @@ class Phase2Report:
 def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarray,
                   spec: models.ModelSpec, *, budget: float, pac_eps: float,
                   pac_delta: float, c_a: float, delta_up: float, m_prot: int,
-                  epochs: int = 200, lr: float = 0.5, seed: int = 0,
-                  n_probe: int = 64) -> tuple[Classifier, Phase2Report]:
+                  seed: int = 0) -> tuple[Classifier, Phase2Report]:
     """Train the phase-2 classifier and assemble its scorecard.
 
     ``c_a`` is NaN when the constants could not be estimated; the sample lower
     bound is then NaN and ``constants_estimated`` is False.
     """
-    h = train_phase2(recovered, spec, epochs=epochs, lr=lr, seed=seed)
+    h = train_phase2(recovered, spec, seed=seed)
     r = risk(h, test_x, test_y)
-    ar = adv_risk(h, test_x, test_y, budget, n_probe=n_probe, seed=seed)
+    ar = adv_risk(h, test_x, test_y, budget, seed=seed)
     rep = Phase2Report(
         risk=r, adv_risk=ar, budget=budget, pac_eps=pac_eps, pac_delta=pac_delta,
         sample_lower_bound=sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         log2_sample_lower_bound=log2_sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
         not_pac_learnable=not_pac_condition(delta_up, m_prot, pac_eps),
-        search="random-ball", n_probe=n_probe, constants_estimated=not math.isnan(c_a),
+        search="random-ball", n_probe=_N_PROBE, constants_estimated=not math.isnan(c_a),
     )
     rep.validate()
     return h, rep

@@ -108,13 +108,12 @@ def _ensure_dir(path: str) -> None:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    _ensure_dir(args.out)
     seed = config.master_seed
-    datasets, result = simulate(config.model, config.dataset, config.fl, config.mechanism,
-                                seed)
+    datasets, result = simulate(config, seed)
 
-    iomod.write_manifest(os.path.join(args.out, "manifest.json"),
-                         config.to_dict(), seed)
+    _ensure_dir(args.out)
+    iomod.write_json(os.path.join(args.out, "manifest.json"),
+                     {"schemas": iomod.SCHEMAS, "config": config.to_dict(), "master_seed": seed})
     iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"), result.records)
     iomod.write_datasets(os.path.join(args.out, "datasets.csv"), datasets)
     iomod.write_vector(os.path.join(args.out, "model_final_decoded.csv"),
@@ -165,15 +164,8 @@ def cmd_attack(args) -> int:
                       functools.partial(datagen.estimate_constants, config.model,
                                         **probe._asdict()),
                       sweep_axis="attack", experiment_id=config.experiment_id())
-    _ensure_dir(args.out)
-    iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
-    iomod.write_timings(os.path.join(args.out, "timings.csv"),
-                        [("attack", 0.0, 0, wall)])
-    iomod.write_attack_summary(os.path.join(args.out, "attack.jsonl"), trace)
-    if args.dump_trajectory:
-        iomod.write_trajectory(os.path.join(args.out, "trajectory.csv"), trace)
-
-    if args.phase2:
+    rep = None
+    if args.phase2:         # before the first write: a phase-2 error leaves --out as it was
         recovered = datagen.ClientDataset(client_id=target.client_id,
                                           x=trace.final_x, y=target.y)
         budget = (args.adv_budget if args.adv_budget is not None
@@ -182,6 +174,15 @@ def cmd_attack(args) -> int:
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
             c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)
+
+    _ensure_dir(args.out)
+    iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
+    iomod.write_timings(os.path.join(args.out, "timings.csv"),
+                        [("attack", 0.0, 0, wall)])
+    iomod.write_attack_summary(os.path.join(args.out, "attack.jsonl"), trace)
+    if args.dump_trajectory:
+        iomod.write_trajectory(os.path.join(args.out, "trajectory.csv"), trace)
+    if rep is not None:
         iomod.write_json(os.path.join(args.out, "phase2.json"), asdict(rep))
     print(f"attack: eps_p={row.eps_p:.4f} eps_p_final={row.eps_p_final:.4f} -> {args.out}")
     return EXIT_OK

@@ -147,13 +147,13 @@ def try_estimate(estimate: Callable[[], datagen.ConstantsEstimate]
         return None
 
 
-def simulate(model: models.ModelSpec, dataset: datagen.DatasetSpec,
-             fl: protocol.FLRunConfig, mech: MechanismSpec, seed: int):
+def simulate(config: ExperimentConfig, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
 
     ``protocol.run`` raises ``NumericError`` when the run diverges."""
-    datasets = datagen.generate(replace(dataset, seed=seed))
-    return datasets, protocol.run(model, replace(fl, seed=seed), mech, datasets)
+    datasets = datagen.generate(replace(config.dataset, seed=seed))
+    return datasets, protocol.run(config.model, replace(config.fl, seed=seed),
+                                  config.mechanism, datasets)
 
 
 class Observed(NamedTuple):
@@ -172,8 +172,7 @@ class Observed(NamedTuple):
 
 def observe(config: ExperimentConfig, seed: int) -> Observed:
     """Simulate one trial; the run's other rounds are dropped."""
-    datasets, result = simulate(config.model, config.dataset, config.fl, config.mechanism,
-                                seed)
+    datasets, result = simulate(config, seed)
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):
@@ -324,23 +323,6 @@ def run_trial(config: ExperimentConfig, trial_seed: int, **row_fields) -> TrialR
     return run_trials([(config, trial_seed, row_fields)], score_trial)[0]
 
 
-def run_in_blocks(run_block, blocks: list[list]) -> list:
-    """``run_block``'s results for each block, in order. A block that raises
-    runs again one item at a time, so the error raised is the one a serial run
-    meets first: that of the first failing item, whatever stage it fails in.
-    When no item fails alone, the block's own error is raised."""
-    results = []
-    for block in blocks:
-        try:
-            results += run_block(block)
-        except Exception:
-            if len(block) > 1:
-                for item in block:
-                    run_block([item])
-            raise
-    return results
-
-
 def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     """The uploads a trial inverts by default: the attacked client's."""
     return (config.attack_client,)
@@ -392,11 +374,20 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     j-th upload with attack seed ``seed + j``), estimate every probe of the
     block in one ``datagen.estimate_constants_batch``, then score each trial
     with its traces in listed order; the traces and estimates die with the
-    block. A row whose estimate fails fails where its scorer asks for it, so a
-    block raises the error a serial run meets first (``run_in_blocks``). This
-    is the only place a simulated upload is inverted."""
-    return run_in_blocks(partial(_run_block, score, inverted),
-                         _lockstep_blocks(trials, inverted))
+    block. A row whose estimate fails fails where its scorer asks for it, and a
+    block that raises reruns one trial at a time, so the error raised is the
+    one a serial run meets first: that of the first failing trial, whatever
+    stage it fails in. This is the only place a simulated upload is inverted."""
+    rows = []
+    for block in _lockstep_blocks(trials, inverted):
+        try:
+            rows += _run_block(score, inverted, block)
+        except Exception:
+            if len(block) > 1:
+                for trial in block:
+                    _run_block(score, inverted, [trial])
+            raise
+    return rows
 
 
 def _run_block(score, inverted, block: list[tuple]) -> list:
@@ -420,6 +411,8 @@ SWEEP_AXES = ("sigma", "m", "T", "delta_up")
 
 
 def _config_for_sweep_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    if axis in ("m", "T") and not float(value).is_integer():     # NaN and inf too
+        raise ConfigurationError(f"{axis} sweep values must be whole numbers, got {value}")
     if axis == "sigma":
         mech = MechanismSpec(kind="randomization", sigma=float(value),
                              shared_noise=config.mechanism.shared_noise)

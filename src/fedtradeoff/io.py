@@ -58,16 +58,6 @@ def write_json(path: str, doc) -> None:
         fh.write(canonical_json(doc) + "\n")
 
 
-def write_manifest(path: str, config_dict: dict, master_seed: int) -> None:
-    doc = {
-        "schemas": SCHEMAS,
-        "config": config_dict,
-        "master_seed": master_seed,
-    }
-    with open(path, "w") as fh:
-        fh.write(canonical_json(doc) + "\n")
-
-
 def read_manifest(path: str) -> dict:
     with open(path) as fh:
         try:

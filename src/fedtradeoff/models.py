@@ -130,6 +130,21 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _scores(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
+    """The kind's one forward pass over x (..., m, p): its scores and what the
+    gradient pass reuses. theta . x and () for linear and binary logistic; the
+    logits W x and (W,) for softmax; W2 a + b2 and (W1, W2, a) with
+    a = tanh(W1 x + b1) for mlp1."""
+    if spec.kind == "linear" or (spec.kind == "logistic" and spec.num_classes == 2):
+        return _mv(x, theta), ()
+    if spec.kind == "logistic":
+        w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
+        return x @ _mt(w), (w,)
+    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
+    a = np.tanh(x @ _mt(w1) + b1[..., None, :])      # (..., m, h)
+    return a @ _mt(w2) + b2[..., None, :], (w1, w2, a)
+
+
 def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example losses, shape (m,).
 
@@ -138,24 +153,17 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
     bit-identical to its own unbatched call.
     """
     theta, x, y = _check_batch(spec, theta, x, y)
+    z, _ = _scores(spec, theta, x)
     if spec.kind == "linear":
-        r = _mv(x, theta) - y
+        r = z - y
         return 0.5 * r * r
     if spec.kind == "logistic" and spec.num_classes == 2:
-        z = _mv(x, theta)
         # log(1 + exp(-z*s)) with s = 2y-1, stable form
         return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    yi = y.astype(np.int64)
-    if spec.kind == "logistic":
-        w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
-        logits = x @ _mt(w)
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-        a = np.tanh(x @ _mt(w1) + b1[..., None, :])
-        logits = a @ _mt(w2) + b2[..., None, :]
-    logp = _log_softmax(logits)
+    logp = _log_softmax(z)
     # C order, so that a later mean sums each row as an unbatched call would
-    return -np.ascontiguousarray(np.take_along_axis(logp, yi[..., None], axis=-1)[..., 0])
+    return -np.ascontiguousarray(
+        np.take_along_axis(logp, y.astype(np.int64)[..., None], axis=-1)[..., 0])
 
 
 def loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -194,31 +202,26 @@ def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
 def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Per-example gradients, the kind's input VJP and the forward values it reuses."""
     theta, x, y = _check_batch(spec, theta, x, y)
+    z, saved = _scores(spec, theta, x)
     lead = x.shape[:-1]                              # (..., m)
     if spec.kind == "linear":
-        r = _mv(x, theta) - y
+        r = z - y
         return r[..., None] * x, _linear_vjp, (r, x, theta)
     if spec.kind == "logistic" and spec.num_classes == 2:
-        s = _sigmoid(_mv(x, theta))
+        s = _sigmoid(z)
         return (s - y)[..., None] * x, _binary_vjp, (s, y, x, theta)
-    yi = y.astype(np.int64)
+    probs, dlogits = _softmax_residual(z, y.astype(np.int64))
     if spec.kind == "logistic":
-        c, p = spec.num_classes, spec.input_dim
-        w = theta.reshape(*theta.shape[:-1], c, p)
-        probs, d = _softmax_residual(x @ _mt(w), yi)
-        grads = (d[..., :, None] * x[..., None, :]).reshape(*lead, c * p)
-        return grads, _softmax_vjp, (x, w, probs, d)
-    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    a = np.tanh(x @ _mt(w1) + b1[..., None, :])      # (..., m, h)
-    probs, dlogits = _softmax_residual(a @ _mt(w2) + b2[..., None, :], yi)
+        w, = saved
+        grads = (dlogits[..., :, None] * x[..., None, :]).reshape(*lead, -1)
+        return grads, _softmax_vjp, (x, w, probs, dlogits)
+    w1, w2, a = saved
     gw2 = dlogits[..., :, None] * a[..., None, :]    # (..., m, c, h)
-    gb2 = dlogits
     da = dlogits @ w2                                # (..., m, h)
     ga = 1.0 - a * a
-    dz = da * ga
+    dz = da * ga                                     # the b1 gradient; dlogits is b2's
     gw1 = dz[..., :, None] * x[..., None, :]         # (..., m, h, p)
-    gb1 = dz
-    grads = np.concatenate([gw1.reshape(*lead, -1), gb1, gw2.reshape(*lead, -1), gb2],
+    grads = np.concatenate([gw1.reshape(*lead, -1), dz, gw2.reshape(*lead, -1), dlogits],
                            axis=-1)
     return grads, _mlp1_vjp, (spec, x, w1, w2, a, probs, dlogits, da, ga, dz)
 
@@ -268,16 +271,12 @@ def predict(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
+    z, _ = _scores(spec, theta, x)
     if spec.kind == "linear":
-        return np.clip(np.rint(x @ theta), 0, spec.num_classes - 1).astype(np.int64)
+        return np.clip(np.rint(z), 0, spec.num_classes - 1).astype(np.int64)
     if spec.kind == "logistic" and spec.num_classes == 2:
-        return (x @ theta >= 0.0).astype(np.int64)
-    if spec.kind == "logistic":
-        w = theta.reshape(spec.num_classes, spec.input_dim)
-        return np.argmax(x @ w.T, axis=1).astype(np.int64)
-    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    a = np.tanh(x @ w1.T + b1)
-    return np.argmax(a @ w2.T + b2, axis=1).astype(np.int64)
+        return (z >= 0.0).astype(np.int64)
+    return np.argmax(z, axis=-1).astype(np.int64)
 
 
 def finite_diff_check(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -620,7 +620,7 @@ class TestPacFormulas:
         ds = separable_dataset(seed=6, m=20)
         h, rep = attack.phase2_report(ds, ds.x, ds.y, LOGISTIC, budget=0.5,
                                       pac_eps=0.1, pac_delta=0.9, c_a=1.0,
-                                      delta_up=1.0, m_prot=20, epochs=200, seed=1)
+                                      delta_up=1.0, m_prot=20, seed=1)
         assert 0.0 <= rep.risk <= rep.adv_risk <= 1.0
         assert rep.sample_lower_bound == pytest.approx(
             min(0.8, 0.9) * 2.0 ** 1.0)

@@ -53,7 +53,7 @@ class TestOverflowIsWarningClean:
         cfg = base_config(mechanism=experiment.MechanismSpec(kind="randomization",
                                                              sigma=1e200))
         seed = rngmod.trial_seed(3, 0, 0)
-        _, result = experiment.simulate(cfg.model, cfg.dataset, cfg.fl, cfg.mechanism, seed)
+        _, result = experiment.simulate(cfg, seed)
         assert result.records[0].delta_up_grad == [math.inf]
         # the attack objective overflows at its init, so the trial cannot be scored
         with pytest.raises(NumericError, match="attack diverged at its first step"):
@@ -107,27 +107,26 @@ class TestRunTrial:
 
 class TestSimulate:
     def test_seed_overrides_spec_seeds(self):
-        cfg = base_config(fl=protocol.FLRunConfig(rounds=2, learning_rate=0.2))
-        mech = experiment.MechanismSpec("randomization", 0.3)
+        cfg = base_config(fl=protocol.FLRunConfig(rounds=2, learning_rate=0.2),
+                          mechanism=experiment.MechanismSpec("randomization", 0.3))
 
         def run(ds_seed, fl_seed):
             datasets, result = experiment.simulate(
-                cfg.model, replace(cfg.dataset, seed=ds_seed),
-                replace(cfg.fl, seed=fl_seed), mech, seed=5)
+                replace(cfg, dataset=replace(cfg.dataset, seed=ds_seed),
+                        fl=replace(cfg.fl, seed=fl_seed)), seed=5)
             return ([(d.x.tolist(), d.y.tolist()) for d in datasets],
                     result.theta_final_decoded.tolist(),
                     result.theta_final_shadow.tolist())
 
         assert run(0, 0) == run(11, 12)
         assert run(0, 0)[1] != experiment.simulate(
-            cfg.model, cfg.dataset, cfg.fl, mech, seed=6)[1].theta_final_decoded.tolist()
+            cfg, seed=6)[1].theta_final_decoded.tolist()
 
     def test_diverged_run_raises(self):
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
-            experiment.simulate(cfg.model, cfg.dataset, cfg.fl,
-                                experiment.MechanismSpec(), seed=1)
+            experiment.simulate(replace(cfg, mechanism=experiment.MechanismSpec()), seed=1)
 
 
 class TestSweep:
@@ -155,6 +154,22 @@ class TestSweep:
             assert by_key_big[key] == row
         assert [(r.sweep_value, r.trial_index) for r in rows_small] == \
             [(0.0, 0), (0.0, 1), (0.3, 0), (0.3, 1)]
+
+    @pytest.mark.parametrize("axis", ["m", "T"])
+    @pytest.mark.parametrize("value", [1.5, float("nan"), float("inf")])
+    def test_non_whole_count_rejected_before_any_trial(self, monkeypatch, axis, value):
+        seen = []
+        monkeypatch.setattr(experiment, "simulate", lambda *args: seen.append(args))
+        with pytest.raises(ConfigurationError, match="must be whole numbers"):
+            experiment.run_sweep(base_config(), axis, [4, value], trials=1)
+        assert seen == []
+
+    def test_whole_float_count_is_an_int(self):
+        config = experiment._config_for_sweep_value(base_config(), "m", 4.0)
+        assert config.dataset.per_client_size == 4
+        assert type(config.dataset.per_client_size) is int
+        config = experiment._config_for_sweep_value(base_config(), "T", 7.0)
+        assert type(config.attack.iters) is int and config.attack.iters == 7
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -255,9 +270,9 @@ class TestLockstepSweep:
         seen = []
         real = experiment.simulate
 
-        def recording(model, dataset, fl, mech, seed):
+        def recording(config, seed):
             seen.append(seed)
-            return real(model, dataset, fl, mech, seed)
+            return real(config, seed)
 
         monkeypatch.setattr(experiment, "simulate", recording)
         with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):

@@ -12,12 +12,17 @@ from fedtradeoff import cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import ExperimentConfig, MechanismSpec, TrialRow, run_trial
 
+from conftest import run_cli_in_process as run_cli
 
-def run_cli(args, env_extra=None, cwd=None, timeout=None):
+
+def run_cli_process(args, env_extra=None):
+    """``python -m fedtradeoff.cli args`` in a subprocess of its own: for the
+    entry point itself (one test per exit code), a cross-process determinism
+    check and the ``PYTHONWARNINGS`` test; the other CLI tests run in-process."""
     # the suite's own warning filter, which pytest applies only in its process
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **(env_extra or {})}
     return subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
+                          capture_output=True, text=True, env=env)
 
 
 def file_hash(path):
@@ -298,6 +303,25 @@ class TestAttackCLI:
             assert "config error: budget" in r.stderr
             assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
 
+    @pytest.mark.parametrize("flag", [["--adv-budget=nan"], ["--pac-eps=nan"],
+                                      ["--pac-delta", "2"]],
+                             ids=["adv-budget-nan", "pac-eps-nan", "pac-delta-2"])
+    def test_phase2_error_leaves_out_as_it_was(self, run_dir, tmp_path, flag):
+        # attack once wrote its files, and appended its row, before phase 2 failed
+        fresh = str(tmp_path / "fresh")
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", fresh, "--iters", "10",
+                     "--phase2", *flag])
+        assert r.returncode == 1 and "config error:" in r.stderr, r.stderr
+        assert not os.path.exists(fresh)
+        earlier = str(tmp_path / "earlier")
+        assert run_cli(["attack", "--run-dir", run_dir, "--out", earlier,
+                        "--iters", "10"]).returncode == 0
+        before = dir_hashes(earlier)
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", earlier, "--iters", "10",
+                     "--append", "--phase2", *flag])
+        assert r.returncode == 1 and "config error:" in r.stderr, r.stderr
+        assert dir_hashes(earlier) == before
+
     def test_phase2_report_written(self, run_dir, tmp_path):
         out = str(tmp_path / "p2")
         r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
@@ -351,14 +375,15 @@ class TestAttackMatchesRunTrial:
 
 class TestExitCodes:
     def test_numeric_divergence_exit_2(self, tmp_path):
-        r = run_cli(["train", "--model", "linear", "--lr", "1e8", "--rounds", "80",
-                     "--seed", "1", "--out", str(tmp_path / "div")])
+        r = run_cli_process(["train", "--model", "linear", "--lr", "1e8", "--rounds", "80",
+                             "--seed", "1", "--out", str(tmp_path / "div")])
         assert r.returncode == 2
 
     def test_attack_diverged_at_first_step_exit_2(self, tmp_path):
-        # sigma = 1e200 overflows the attack objective at its init
-        r = run_cli(["sweep", "--axis", "sigma", "--values", "0,1e200", "--trials", "1",
-                     "--out", str(tmp_path / "s")])
+        # sigma = 1e200 overflows the attack objective at its init; a subprocess
+        # under PYTHONWARNINGS, so a warning fails it outside pytest's filter too
+        r = run_cli_process(["sweep", "--axis", "sigma", "--values", "0,1e200",
+                             "--trials", "1", "--out", str(tmp_path / "s")])
         assert r.returncode == 2, r.stderr
         assert "numeric error: attack diverged at its first step" in r.stderr
         assert "Traceback" not in r.stderr
@@ -540,7 +565,7 @@ class TestExitCodes:
     def test_malformed_config_json_exit_1(self, tmp_path):
         bad = tmp_path / "config.json"
         bad.write_text('{"dataset": {')
-        r = run_cli(["train", "--config", str(bad), "--out", str(tmp_path / "t")])
+        r = run_cli_process(["train", "--config", str(bad), "--out", str(tmp_path / "t")])
         assert r.returncode == 1
         assert "config error" in r.stderr
         assert "Traceback" not in r.stderr
@@ -564,8 +589,8 @@ class TestExitCodes:
     def test_io_error_exit_3(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
-        r = run_cli(["train", "--mech", "none", "--seed", "1",
-                     "--out", str(blocker / "sub")])
+        r = run_cli_process(["train", "--mech", "none", "--seed", "1",
+                             "--out", str(blocker / "sub")])
         assert r.returncode == 3
 
 
@@ -612,6 +637,19 @@ class TestSweepCLI:
                      "--out", str(tmp_path / "s")])
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("axis, values", [
+        ("m", "1.5,4"), ("T", "2.7,4"), ("m", "nan,4"), ("T", "nan,4"), ("m", "inf,4"),
+        ("T", "inf,4")], ids=["m-1.5", "T-2.7", "m-nan", "T-nan", "m-inf", "T-inf"])
+    def test_non_whole_count_value_exit_1(self, tmp_path, axis, values):
+        # m and T were once truncated by int(), and NaN or inf raised from it
+        out = str(tmp_path / "s")
+        r = run_cli(["sweep", "--axis", axis, f"--values={values}", "--trials", "1",
+                     "--samples", "4", "--iters", "5", "--rounds", "1", "--out", out])
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {axis} sweep values must be whole numbers" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not os.path.exists(out)
+
     def test_small_sweep_runs_and_roundtrips(self, tmp_path):
         out = str(tmp_path / "s")
         r = run_cli(["sweep", "--axis", "sigma", "--values", "0,0.3", "--trials", "2",
@@ -631,10 +669,10 @@ class TestSweepCLI:
         args = ["sweep", "--axis", "sigma", "--values", "0,0.3", "--trials", "2",
                 "--samples", "4", "--iters", "10", "--rounds", "1", "--seed", "4"]
         out1, out4 = str(tmp_path / "t1"), str(tmp_path / "t4")
-        assert run_cli(args + ["--out", out1],
-                       env_extra={"FEDTRADEOFF_THREADS": "1"}).returncode == 0
-        assert run_cli(args + ["--out", out4],
-                       env_extra={"FEDTRADEOFF_THREADS": "4"}).returncode == 0
+        assert run_cli_process(args + ["--out", out1],
+                               env_extra={"FEDTRADEOFF_THREADS": "1"}).returncode == 0
+        assert run_cli_process(args + ["--out", out4],
+                               env_extra={"FEDTRADEOFF_THREADS": "4"}).returncode == 0
         assert file_hash(os.path.join(out1, "results.csv")) == \
             file_hash(os.path.join(out4, "results.csv"))
 

@@ -189,6 +189,84 @@ class TestBatchSemantics:
         assert models.loss(spec, theta, x, y) >= 0.0
 
 
+def earlier_losses(spec, theta, x, y):
+    """``per_example_losses`` as each kind wrote its own forward pass out."""
+    mv = lambda a, v: np.matmul(a, v[..., None])[..., 0]
+    mt = lambda a: a.swapaxes(-1, -2)
+    if spec.kind == "linear":
+        r = mv(x, theta) - y
+        return 0.5 * r * r
+    if spec.kind == "logistic" and spec.num_classes == 2:
+        z = mv(x, theta)
+        return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    yi = y.astype(np.int64)
+    if spec.kind == "logistic":
+        w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
+        logits = x @ mt(w)
+    else:
+        w1, b1, w2, b2 = unpack_mlp1(spec, theta)
+        a = np.tanh(x @ mt(w1) + b1[..., None, :])
+        logits = a @ mt(w2) + b2[..., None, :]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return -np.take_along_axis(logp, yi[..., None], axis=-1)[..., 0]
+
+
+def earlier_predict(spec, theta, x):
+    """``predict`` as it wrote each kind's forward pass out, for 2-D x."""
+    if spec.kind == "linear":
+        return np.clip(np.rint(x @ theta), 0, spec.num_classes - 1).astype(np.int64)
+    if spec.kind == "logistic" and spec.num_classes == 2:
+        return (x @ theta >= 0.0).astype(np.int64)
+    if spec.kind == "logistic":
+        w = theta.reshape(spec.num_classes, spec.input_dim)
+        return np.argmax(x @ w.T, axis=1).astype(np.int64)
+    w1, b1, w2, b2 = unpack_mlp1(spec, theta)
+    a = np.tanh(x @ w1.T + b1)
+    return np.argmax(a @ w2.T + b2, axis=1).astype(np.int64)
+
+
+def unpack_mlp1(spec, theta):
+    p, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    lead = theta.shape[:-1]
+    cuts = np.cumsum([h * p, h, c * h])
+    w1, b1, w2, b2 = np.split(theta, cuts, axis=-1)
+    return w1.reshape(*lead, h, p), b1, w2.reshape(*lead, c, h), b2
+
+
+class TestOneForwardPass:
+    """``predict`` and ``per_example_losses`` share each kind's forward pass,
+    and give what the kinds' separate formulas gave, bit for bit."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [models.ModelSpec("linear", 3, num_classes=5)],
+                             ids=lambda s: f"{s.kind}-{s.num_classes}")
+    def test_equal_to_the_separate_formulas(self, spec):
+        rows = [draw_batch(spec, seed, m=7, theta_scale=2.0) for seed in range(6)]
+        for theta, x, y in rows:
+            assert np.array_equal(models.per_example_losses(spec, theta, x, y),
+                                  earlier_losses(spec, theta, x, y))
+            pred = models.predict(spec, theta, x)
+            assert pred.dtype == np.int64
+            assert np.array_equal(pred, earlier_predict(spec, theta, x))
+            assert np.array_equal(models.predict(spec, theta, x[2]),
+                                  earlier_predict(spec, theta, x[2][None, :]))
+        # leading trial axes
+        thetas, xs, ys = (np.stack(parts) for parts in zip(*rows))
+        assert np.array_equal(models.per_example_losses(spec, thetas, xs, ys),
+                              earlier_losses(spec, thetas, xs, ys))
+
+    def test_binary_score_of_exactly_zero(self):
+        spec = models.ModelSpec("logistic", 2)
+        theta = np.array([1.0, -1.0])
+        x = np.array([[0.5, 0.5], [0.0, 0.0], [-3.0, -3.0], [1.0, 0.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        assert models.predict(spec, theta, x).tolist() == [1, 1, 1, 1]
+        assert earlier_predict(spec, theta, x).tolist() == [1, 1, 1, 1]
+        losses = models.per_example_losses(spec, theta, x, y)
+        assert np.array_equal(losses, earlier_losses(spec, theta, x, y))
+        assert losses[:3].tolist() == [np.log1p(1.0)] * 3
+
+
 def _sigmoid_two_branch(z):
     # the earlier formula: exp in both np.where branches
     with np.errstate(over="ignore", invalid="ignore"):

@@ -186,10 +186,10 @@ class TestLockstepBlocks:
             return [NumericError("estimate failed at seed 2") if probe.seed == seeds[2]
                     else row for probe, row in zip(probes, estimate(spec, probes))]
 
-        def failing_simulate(model, dataset, fl, mech, seed):
+        def failing_simulate(config, seed):
             if seed == seeds[5]:
                 raise NumericError("run aborted at seed 5")
-            return simulate(model, dataset, fl, mech, seed)
+            return simulate(config, seed)
 
         monkeypatch.setattr(datagen, "estimate_constants_batch", failing_estimate)
         monkeypatch.setattr(experiment, "simulate", failing_simulate)
