@@ -16,8 +16,12 @@ accepted candidate's VJP gives the next step's gradient, and a rejected
 backtracking candidate never pays for its VJP. ``invert_batch`` runs several
 equal-shape inversions in lockstep over a leading trial axis, one stacked
 forward pass per step for all of them, and returns one trace per upload;
-``invert_gradient`` is its one-row case. ``privacy_leakage`` scores each trace
-from its stored trajectory alone.
+``invert_gradient`` is its one-row case. Each accepted iterate is either
+stored in the trace's trajectory or, when ``invert_batch`` is given the
+uploads' originals and D, scored as it comes: the loop then adds each sample's
+clamped distance into a running sum and keeps no trajectory.
+``privacy_leakage`` scores either trace, a stored one by walking its
+trajectory, a streamed one only against the originals and D it streamed.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -59,13 +63,16 @@ class AttackConfig:
 
 @dataclass
 class AttackTrace:
-    # X_t for t = 0..iters_run, shape (iters_run + 1, m, p); the traces of one
-    # invert_batch call are views of one array
-    trajectory: np.ndarray
+    # X_t for t = 0..iters_run, shape (iters_run + 1, m, p), or None for a
+    # streamed trace; the traces of one invert_batch call are views of one array
+    trajectory: np.ndarray | None
     objectives: np.ndarray                   # F at t = 0..iters_run
     final_x: np.ndarray
     iters_run: int
     truncated: bool = False
+    # a streamed trace's (originals, D, sums): sums[i] adds
+    # min(||X_{t,i} - originals[i]||, D) / D over t = 1..iters_run, in t order
+    streamed: tuple | None = None
 
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -115,7 +122,8 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
 
 def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                  labels: np.ndarray, cfg: AttackConfig, seeds,
-                 x0: np.ndarray | None = None) -> list[AttackTrace]:
+                 x0: np.ndarray | None = None, originals: np.ndarray | None = None,
+                 cap_d=None) -> list[AttackTrace]:
     """``invert_gradient`` for B uploads in lockstep, one trace per row.
 
     Row b inverts ``g_obs[b]`` (shape (B, param_dim)) observed at ``theta[b]``
@@ -126,6 +134,11 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     objective at the init is not finite truncates before step 1); SGD
     backtracking halves the step of each row that has not yet improved. Row
     b's trace is bit-identical to that of a one-row run.
+
+    Given ``originals`` (B, m, p) and ``cap_d`` (B,), each row's D, the traces
+    are streamed: no trajectory is stored, and row b's leakage sums are taken
+    against ``originals[b]`` and ``cap_d[b]`` at each accepted step, the sums
+    ``privacy_leakage`` would add over a stored trajectory.
     """
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -145,16 +158,29 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         x = np.stack([cfg.init_scale * rngmod.stream(seed, rngmod.STREAM_ATTACK, 0)
                       .standard_normal((m, p)) for seed in seeds])
 
-    # stored iterates and objectives, by step then row; a row's trace reads
-    # only its steps 0..iters_run
-    traj = np.empty((cfg.iters + 1, n_rows, m, p))
+    # each accepted iterate goes to the stored trajectory (by step then row)
+    # or, streamed, into its row's leakage sums; a row's trace reads only its
+    # steps 0..iters_run
+    if originals is None:
+        traj = np.empty((cfg.iters + 1, n_rows, m, p))
+        traj[0] = x
+    else:
+        originals = np.asarray(originals, dtype=np.float64)
+        caps = np.asarray(cap_d, dtype=np.float64)
+        if originals.shape != x.shape or caps.shape != (n_rows,) or not np.all(caps > 0):
+            raise ConfigurationError("invert_batch needs one (m, p) originals and one "
+                                     "D > 0 per upload")
+        sums = np.zeros((n_rows, m))
+    final = x.copy()                              # each row's last accepted iterate
     objectives = np.empty((cfg.iters + 1, n_rows))
     iters_run = np.zeros(n_rows, dtype=np.int64)
     f, v, vjp = _score(spec, theta, x, labels, g_obs)
-    traj[0], objectives[0] = x, f
+    objectives[0] = f
     truncated = ~np.isfinite(f)                   # no step starts from F = inf
     live = np.flatnonzero(~truncated)             # rows still running
+    rows = slice(None)                            # live, as a view while every row runs
     if truncated.any():
+        rows = live
         theta, g_obs, labels, x = theta[live], g_obs[live], labels[live], x[live]
         f, v, vjp = _score(spec, theta, x, labels, g_obs)
     step = cfg.step_size
@@ -192,8 +218,10 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         ok = np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(f_new)
         if not ok.all():
             truncated[live[~ok]] = True
+            final[live[~ok]] = x[~ok]
             live, theta, g_obs, labels = live[ok], theta[ok], g_obs[ok], labels[ok]
-            x_new, f_new, mom1, mom2 = x_new[ok], f_new[ok], mom1[ok], mom2[ok]
+            x, x_new, f_new, mom1, mom2 = x[ok], x_new[ok], f_new[ok], mom1[ok], mom2[ok]
+            rows = live
             if len(live) == 0:
                 break
             stale = True
@@ -202,14 +230,27 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)[1:]
 
         x, f, v, vjp = x_new, f_new, v_new, vjp_new
-        iters_run[live] = t
-        traj[t, live] = x
-        objectives[t, live] = f
+        iters_run[rows] = t
+        objectives[t, rows] = f
+        if originals is None:
+            traj[t, rows] = x
+        else:
+            sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
+    final[rows] = x
 
-    return [AttackTrace(trajectory=traj[:n + 1, b], objectives=objectives[:n + 1, b].copy(),
-                        final_x=traj[n, b].copy(), iters_run=int(n),
-                        truncated=bool(truncated[b]))
+    return [AttackTrace(trajectory=traj[:n + 1, b] if originals is None else None,
+                        objectives=objectives[:n + 1, b].copy(), final_x=final[b],
+                        iters_run=int(n), truncated=bool(truncated[b]),
+                        streamed=None if originals is None
+                        else (originals[b], float(caps[b]), sums[b]))
             for b, n in enumerate(iters_run)]
+
+
+def _clamped_distances(x: np.ndarray, originals: np.ndarray, cap_d) -> np.ndarray:
+    """min(||x_i - originals_i||, D) / D over the last axis; the norm is
+    ``np.linalg.norm``'s own sum of squares, without its per-call checks."""
+    d = x - originals
+    return np.minimum(np.sqrt(np.add.reduce(d * d, axis=-1)), cap_d) / cap_d
 
 
 def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
@@ -224,24 +265,31 @@ def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) 
 
 def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D
-    over t = 1..iters_run. The cumulative sum adds in t order; numpy's pairwise
-    ``sum`` would not, and moves the result by ulps when m == 1."""
+    over t = 1..iters_run. The cumulative sum adds in t order, as a streamed
+    trace's sums do; numpy's pairwise ``sum`` would not, and moves the result
+    by ulps when m == 1. A streamed trace is scored only against the originals
+    and D it streamed."""
     originals = _checked_originals(trace, originals, cap_d)
     n = trace.iters_run
     if n < 1:
         if trace.truncated:
             raise NumericError("attack diverged at its first step: no iterate to score")
         raise ConfigurationError("trace has no iterations")
-    dist = np.linalg.norm(trace.trajectory[1:n + 1] - originals, axis=-1)
-    acc = np.cumsum(np.minimum(dist, cap_d) / cap_d, axis=0)[-1]
+    if trace.trajectory is None:
+        streamed_x, streamed_d, acc = trace.streamed
+        if streamed_d != cap_d or not np.array_equal(streamed_x, originals):
+            raise ConfigurationError("a streamed trace scores only the originals and D "
+                                     "it streamed")
+    else:
+        acc = np.cumsum(_clamped_distances(trace.trajectory[1:n + 1], originals, cap_d),
+                        axis=0)[-1]
     return float(1.0 - np.mean(acc / n))
 
 
 def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
     """Final-iterate leakage: 1 - mean_i min(||X_{T,i}-X_i||, D)/D."""
     originals = _checked_originals(trace, originals, cap_d)
-    dist = np.linalg.norm(trace.final_x - originals, axis=1)
-    return float(1.0 - np.mean(np.minimum(dist, cap_d) / cap_d))
+    return float(1.0 - np.mean(_clamped_distances(trace.final_x, originals, cap_d)))
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,13 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     return (config.attack_client,)
 
 
-# Bytes one lockstep block may hold: 16 uploads of a 250-step inversion of 16
-# points in R^2, with what the runner keeps of each trial meanwhile.
+# Bytes one lockstep block may hold: 53 trials of the privacy verify scenario
+# (a logistic model; 16 points in R^2; 150 constants pairs).
 _BLOCK_BUDGET = 1 << 20
+# (m, p) arrays a streamed inversion holds per upload whatever its iteration
+# count: the iterate, its candidate, the gradient, Adam's two moments, the
+# originals, the final iterate and the leakage sums
+_LOOP_ARRAYS = 8
 
 
 def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
@@ -339,16 +343,18 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
 
     A block holds trials of one shape (equal model, attack config seed aside,
     and m) and takes as many as fit ``_BLOCK_BUDGET``, at least one. Each trial
-    is charged its own bytes: for each listed upload the inversion's
-    (iters + 1) m p iterates and its m per-example gradients, its ``Observed``,
-    and its constants row (``datagen.estimate_row_bytes``)."""
+    is charged its own bytes: for each listed upload the streamed inversion's
+    ``_LOOP_ARRAYS`` (m, p) arrays and its m per-example gradients, its
+    ``Observed``, and its constants row (``datagen.estimate_row_bytes``). The
+    inversion stores no trajectory, so the charge does not grow with the
+    attack's iterations."""
     blocks, held, last = [], 0, None
     for trial in trials:
         config = trial[0]
         model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
         p, d = model.input_dim, model.param_dim
         shape = (model, replace(config.attack, seed=0), m)
-        cost = (len(inverted(config)) * 8 * m * ((config.attack.iters + 1) * p + d)
+        cost = (len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
                 + 8 * (k * m * (p + 1) + (k + 3) * d)
                 + datagen.estimate_row_bytes(model, k * m, config.num_pairs))
         if shape != last or held + cost > _BLOCK_BUDGET:
@@ -371,13 +377,15 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
     (trials of one shape within the block budget): observe each in order, invert
     every listed upload of the block in one ``attack.invert_batch`` (a trial's
-    j-th upload with attack seed ``seed + j``), estimate every probe of the
-    block in one ``datagen.estimate_constants_batch``, then score each trial
-    with its traces in listed order; the traces and estimates die with the
-    block. A row whose estimate fails fails where its scorer asks for it, and a
-    block that raises reruns one trial at a time, so the error raised is the
-    one a serial run meets first: that of the first failing trial, whatever
-    stage it fails in. This is the only place a simulated upload is inverted."""
+    j-th upload with attack seed ``seed + j``, its leakage streamed against
+    that client's data at the trial's ``diameter_cap``, which alone its trace
+    then scores), estimate every probe of the block in one
+    ``datagen.estimate_constants_batch``, then score each trial with its traces
+    in listed order; the traces and estimates die with the block. A row whose
+    estimate fails fails where its scorer asks for it, and a block that raises
+    reruns one trial at a time, so the error raised is the one a serial run
+    meets first: that of the first failing trial, whatever stage it fails in.
+    This is the only place a simulated upload is inverted."""
     rows = []
     for block in _lockstep_blocks(trials, inverted):
         try:
@@ -393,13 +401,15 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
 def _run_block(score, inverted, block: list[tuple]) -> list:
     seen = [observe(cfg, seed) for cfg, seed, _ in block]
     clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
-    uploads = [(o, k, seed + j) for (_, seed, _), o, ks in zip(block, seen, clients)
+    uploads = [(cfg, o, k, seed + j) for (cfg, seed, _), o, ks in zip(block, seen, clients)
                for j, k in enumerate(ks)]
     inversions = iter(attackmod.invert_batch(
-        block[0][0].model, np.stack([o.theta_round for o, _, _ in uploads]),
-        np.stack([o.wires[k] for o, k, _ in uploads]),
-        np.stack([o.datasets[k].y for o, k, _ in uploads]),
-        block[0][0].attack, [s for _, _, s in uploads]) if uploads else ())
+        block[0][0].model, np.stack([o.theta_round for _, o, _, _ in uploads]),
+        np.stack([o.wires[k] for _, o, k, _ in uploads]),
+        np.stack([o.datasets[k].y for _, o, k, _ in uploads]),
+        block[0][0].attack, [s for _, _, _, s in uploads],
+        originals=np.stack([o.datasets[k].x for _, o, k, _ in uploads]),
+        cap_d=[cfg.dataset.diameter_cap for cfg, _, _, _ in uploads]) if uploads else ())
     traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
     rows = datagen.estimate_constants_batch(block[0][0].model, [
         trial_probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])

@@ -28,7 +28,7 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
                          privacy_outcome, run_trials, utility_outcome)
 
@@ -147,8 +147,10 @@ def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:
 def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
                  master_seed: int = 0) -> boundsmod.BoundReport:
     """Run the bound's pipeline `trials` times and score the violation rate."""
+    require_int("master_seed", master_seed, 0)
     if trials < 100:
         raise ConfigurationError("trials must be >= 100")
+    require_int("trials", trials, 100)              # 100.0 and NaN fail here
     seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
 
     outcomes = trial_outcomes(bound_name, scenario, seeds)

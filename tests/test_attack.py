@@ -38,8 +38,8 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
     """Reference copy of the optimizer loop before the forward pass was shared:
     every step recomputes v with _grad_objective and scores each candidate with
     matching_objective. It also streams the per-sample leakage sums in the loop,
-    as the attack once did. Returns the trace, how often backtracking stayed
-    put, and the streamed (sums, last) over t = 1..iters_run."""
+    as the attack's streamed traces do. Returns the trace, how often
+    backtracking stayed put, and the streamed (sums, last) over t = 1..iters_run."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     p = spec.input_dim
     g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
@@ -334,6 +334,35 @@ def scaled_linear_row(seed, scale, m=3):
     return theta, x, y, models.grad_params(LINEAR, theta, x, y), seed
 
 
+def leakage_or_error(trace, originals, cap_d):
+    """privacy_leakage, or the NumericError of a trace without iterates."""
+    try:
+        return attack.privacy_leakage(trace, originals, cap_d)
+    except NumericError as exc:
+        return repr(exc)
+
+
+def assert_streams_as_stored(spec, cfg, rows, x0=None):
+    """Invert ``(theta, x, y, g_obs, seed)`` rows twice in lockstep, storing the
+    trajectory and streaming the leakage against each row's x at its own D;
+    every row scores and ends bit for bit alike. Returns the streamed traces."""
+    thetas, xs, ys, gs, seeds = map(np.stack, zip(*rows))
+    caps = np.resize([CAP_D, 0.7, 1.3], len(rows))
+    args = (spec, thetas, gs, ys, cfg, seeds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = attack.invert_batch(*args, x0=x0)
+        streamed = attack.invert_batch(*args, x0=x0, originals=xs, cap_d=caps)
+    for got, want, x, cap_d in zip(streamed, stored, xs, caps):
+        assert got.trajectory is None and want.streamed is None
+        assert np.array_equal(got.objectives, want.objectives)
+        assert np.array_equal(got.final_x, want.final_x)
+        assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
+        assert leakage_or_error(got, x, cap_d) == leakage_or_error(want, x, cap_d)
+        assert (attack.privacy_leakage_final(got, x, cap_d)
+                == attack.privacy_leakage_final(want, x, cap_d))
+    return streamed
+
+
 def count_fp_errors(fn):
     """fn() and how many numpy ufunc calls in it raised a floating-point error."""
     events = []
@@ -369,6 +398,7 @@ class TestInvertBatch:
             assert (attack.privacy_leakage_final(got, xs[b], CAP_D)
                     == attack.privacy_leakage_final(one, xs[b], CAP_D))
             assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
+        assert_streams_as_stored(spec, cfg, rows, x0)
         return traces
 
     @pytest.mark.parametrize("spec", [
@@ -396,6 +426,38 @@ class TestInvertBatch:
         assert not any(tr.truncated for tr in traces)
         if step_size > 1.0:
             assert np.all(traces[0].objectives == traces[0].objectives[0])
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec("linear", 3),
+        models.ModelSpec("logistic", 3),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3),
+    ], ids=lambda s: f"{s.kind}-c{s.num_classes}")
+    @pytest.mark.parametrize("optimizer, step_size, backtracking", [
+        ("adam", 0.1, False),
+        ("sgd", 0.3, False),
+        ("sgd", 0.5, True),
+        ("sgd", 1e16, True),
+    ], ids=["adam", "sgd", "sgd-backtracking", "sgd-backtracking-stay-put"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_streamed_rows_equal_their_stored_runs(self, spec, optimizer, step_size,
+                                                   backtracking, m):
+        rows = [(*attack_instance(spec, seed=s, m=m), s) for s in (3, 7, 11)]
+        cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
+                                  init="gaussian", backtracking=backtracking)
+        assert_streams_as_stored(spec, cfg, rows)
+
+    def test_streamed_trace_scores_only_its_originals_and_cap(self):
+        rows = [(*attack_instance(LOGISTIC, seed=s), s) for s in (3, 7)]
+        cfg = attack.AttackConfig(iters=10, init="gaussian")
+        traces = assert_streams_as_stored(LOGISTIC, cfg, rows)
+        x_a, x_b = rows[0][1], rows[1][1]
+        # bound by value: an equal copy of the originals scores alike
+        assert attack.privacy_leakage(traces[1], x_b, 0.7) == attack.privacy_leakage(
+            traces[1], x_b.copy(), 0.7)
+        for originals, cap_d in ((x_a + 0.25, CAP_D), (x_b, CAP_D), (x_a, 0.7), (x_a, 1.0)):
+            with pytest.raises(ConfigurationError, match="streamed"):
+                attack.privacy_leakage(traces[0], originals, cap_d)
 
     def test_truncated_rows_freeze_while_the_others_run(self):
         # plain SGD at step 1e4 on a linear model: two rows overflow (after 3 and
@@ -440,6 +502,9 @@ class TestInvertBatch:
         # a trace without iterates is a divergence when it truncated, else malformed
         with pytest.raises(NumericError, match="diverged at its first step"):
             attack.privacy_leakage(bad, xs[1], CAP_D)
+        streamed = assert_streams_as_stored(LOGISTIC, cfg, rows)
+        with pytest.raises(NumericError, match="diverged at its first step"):
+            attack.privacy_leakage(streamed[1], xs[1], streamed[1].streamed[1])
         with pytest.raises(ConfigurationError, match="no iterations"):
             attack.privacy_leakage(replace(bad, truncated=False), xs[1], CAP_D)
 
@@ -450,6 +515,12 @@ class TestInvertBatch:
             attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1])
         with pytest.raises(ConfigurationError):
             attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0])
+        x = attack_instance(LINEAR, seed=1)[1]
+        for originals, cap_d in ((x, [CAP_D]), (x[None], CAP_D), (x[None], [0.0]),
+                                 (x[None, :2], [CAP_D])):
+            with pytest.raises(ConfigurationError):
+                attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0],
+                                    originals=originals, cap_d=cap_d)
 
 
 def make_trace(points_over_time, final):

@@ -192,11 +192,12 @@ class TestSweep:
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
 
 
-# a trial of lockstep_config holds, for each upload, 8 x m x ((iters + 1) p + d)
-# = 8 x 4 x (11 x 2 + 2) bytes; and what the runner keeps of it: its Observed's
+# a trial of lockstep_config holds, for each upload, 8 x m x (8 p + d)
+# = 8 x 4 x (8 x 2 + 2) bytes, the streamed inversion's 8 (m, p) arrays and its
+# per-example gradients; and what the runner keeps of it: its Observed's
 # 8 x (k m (p + 1) + (k + 3) d) = 160 bytes and its constants row's
 # 8 x ((k m + 2 num_pairs) (p + 3) + 64 (2 d + 4)) bytes
-UPLOAD = 768
+UPLOAD = 576
 
 
 def kept(num_pairs):
@@ -239,6 +240,14 @@ class TestLockstepBlocks:
         trials = [(lockstep_config(i, iters=10 + i // 2), i, {}) for i in range(5)]
         blocks = experiment._lockstep_blocks(trials)
         assert [[seed for _, seed, _ in block] for block in blocks] == [[0, 1], [2, 3], [4]]
+
+    def test_plan_does_not_grow_with_the_iterations(self, monkeypatch):
+        # no trajectory is stored, so a 1000-step inversion costs a 10-step one's bytes
+        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", 2 * (UPLOAD + kept(30)))
+        plans = [[[seed for _, seed, _ in block] for block in experiment._lockstep_blocks(
+                     [(lockstep_config(i, iters=iters), i, {}) for i in range(5)])]
+                 for iters in (10, 1000)]
+        assert plans == [[[0, 1], [2, 3], [4]]] * 2
 
 
 class TestLockstepSweep:
@@ -291,10 +300,10 @@ class TestLockstepSweep:
         early = rngmod.trial_seed(config.master_seed, 0, 1)
         invert, score = attack.invert_batch, experiment.score_trial
 
-        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, x0=None):
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, **kw):
             if early in seeds:
                 raise ConfigurationError("invert failed")
-            return invert(spec, theta, g_obs, labels, cfg, seeds, x0)
+            return invert(spec, theta, g_obs, labels, cfg, seeds, **kw)
 
         def failing_score(config, seed, *args, **kw):
             if seed == early:
@@ -312,10 +321,10 @@ class TestLockstepSweep:
     def test_a_block_that_fails_only_in_lockstep_raises(self, monkeypatch):
         invert = attack.invert_batch
 
-        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, x0=None):
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, **kw):
             if len(seeds) > 1:
                 raise ConfigurationError("lockstep failed")
-            return invert(spec, theta, g_obs, labels, cfg, seeds, x0)
+            return invert(spec, theta, g_obs, labels, cfg, seeds, **kw)
 
         monkeypatch.setattr(attack, "invert_batch", failing_invert)
         with pytest.raises(ConfigurationError, match="lockstep failed"):
@@ -330,7 +339,7 @@ def three_client_config():
 
 class TestRunTrialsInverter:
     """run_trials inverts exactly the uploads ``inverted`` lists, each as its own
-    one-upload inversion would."""
+    one-upload inversion would, its leakage streamed against that client's data."""
 
     def test_listed_uploads_inverted_in_order_with_seed_plus_j(self):
         config = three_client_config()
@@ -350,8 +359,12 @@ class TestRunTrialsInverter:
                 want = attack.invert_gradient(
                     config.model, observed.theta_round, observed.wires[k],
                     observed.datasets[k].y, m, replace(config.attack, seed=seed + j))
-                assert np.array_equal(got.trajectory, want.trajectory)
+                assert got.trajectory is None
                 assert np.array_equal(got.objectives, want.objectives)
+                assert np.array_equal(got.final_x, want.final_x)
+                x, cap_d = observed.datasets[k].x, config.dataset.diameter_cap
+                assert (attack.privacy_leakage(got, x, cap_d)
+                        == attack.privacy_leakage(want, x, cap_d))
 
     def test_no_listed_upload_inverts_nothing(self, monkeypatch):
         def no_invert(*args, **kw):

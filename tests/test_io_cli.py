@@ -683,6 +683,13 @@ class TestVerifyCLI:
                      "--out", str(tmp_path / "v")])
         assert r.returncode == 1
 
+    def test_negative_seed_is_a_config_error(self, tmp_path):
+        r = run_cli(["verify", "--bound", "privacy", "--trials", "100", "--seed", "-1",
+                     "--out", str(tmp_path / "v")])
+        assert r.returncode == 1
+        assert "config error: master_seed must be an integer >= 0" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_holding_bound_exit_0_with_report(self, tmp_path):
         out = str(tmp_path / "v")
         r = run_cli(["verify", "--bound", "utility-he", "--trials", "100",

@@ -152,12 +152,12 @@ class TestLockstepBlocks:
 
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
-        # a trial's upload of 8 x 4 x (11 x 2 + 2) bytes, its Observed's 160 and
-        # its constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
-        ("privacy", 1, 75 * (768 + 160 + 6656), [75, 25]),
-        # a trial's 3 uploads of 8 x 4 x (11 x 2 + 2) bytes each: over the budget,
+        # a trial's streamed upload of 8 x 4 x (8 x 2 + 2) bytes, its Observed's
+        # 160 and its constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
+        ("privacy", 1, 75 * (576 + 160 + 6656), [75, 25]),
+        # a trial's 3 uploads of 8 x 4 x (8 x 2 + 2) bytes each: over the budget,
         # yet never split over blocks
-        ("tradeoff-general", 3, 2 * 768, [3] * 100),
+        ("tradeoff-general", 3, 2 * 576, [3] * 100),
     ])
     def test_report_independent_of_block_size(self, monkeypatch, bound, clients, budget,
                                                want_rows):
@@ -206,8 +206,14 @@ class TestVerifyBound:
             verify.verify_bound("no-such-bound", tiny_scenario(), 100)
 
     def test_min_trials_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="trials must be >= 100"):
             verify.verify_bound("privacy", tiny_scenario(), 50)
+
+    @pytest.mark.parametrize("trials, master_seed", [(100, -1), (100, 0.5), (100.0, 0),
+                                                     (float("nan"), 0)])
+    def test_seed_and_trials_must_be_integers(self, trials, master_seed):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            verify.verify_bound("privacy", tiny_scenario(), trials, master_seed=master_seed)
 
     def test_diverged_run_is_numeric_error(self):
         scenario = tiny_scenario(model=models.ModelSpec(kind="linear", input_dim=2),
