@@ -83,6 +83,13 @@ COMMANDS = [
     # seven rows at once through protect's per-row rescale
     ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "2", "--clients", "7",
      "--out", "runs/sweep-delta-up-k7"],
+    # one stacked run per block: shared noise over three clients and four
+    # rounds, six trials in one block (enough streams for the batched seeding)
+    ["sweep", "--axis", "sigma", "--values", "0,0.2", "--trials", "3", "--shared-noise",
+     "--clients", "3", "--rounds", "4", "--out", "runs/sweep-shared"],
+    # and six he_codec trials a block, each drawing its own key
+    ["sweep", "--axis", "m", "--values", "4,8", "--trials", "6", "--mech", "he",
+     "--clients", "3", "--rounds", "3", "--out", "runs/sweep-m-he"],
     # two points a client: the fourth row's points have two labels, so its
     # constants row fails in a block of estimates that succeed (NaN columns)
     ["sweep", "--axis", "sigma", "--values", "0,0.1", "--trials", "4", "--clients", "1",

@@ -155,8 +155,8 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     elif cfg.init == "zeros":
         x = np.zeros((n_rows, m, p))
     else:
-        x = np.stack([cfg.init_scale * rngmod.stream(seed, rngmod.STREAM_ATTACK, 0)
-                      .standard_normal((m, p)) for seed in seeds])
+        x = np.stack([cfg.init_scale * g.standard_normal((m, p)) for g in rngmod.streams(
+            seeds, [(rngmod.STREAM_ATTACK, 0)] * n_rows)])
 
     # each accepted iterate goes to the stored trajectory (by step then row)
     # or, streamed, into its row's leakage sums; a row's trace reads only its

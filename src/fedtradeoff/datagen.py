@@ -11,6 +11,7 @@ per call in the order of data stream v3 (``_draw_examples``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -115,19 +116,26 @@ class ClientDataset:
         return int(self.x.shape[0])
 
 
-def _class_centers(spec: DatasetSpec) -> np.ndarray:
-    """Class centers at +-(separation/2) along seeded orthonormal axes.
+def _class_centers_batch(spec: DatasetSpec, gens) -> np.ndarray:
+    """The (n, num_classes, p) class centers of spec's mixture at each of n seeds,
+    from their streams ``gens``: +-(separation/2) along orthonormal axes, the Q
+    of the QR of a (p, p) normal draw from the stream, the n draws factored in
+    one stacked ``np.linalg.qr``.
 
     Classes 2j and 2j+1 sit antipodally on axis j (mod p), so any separation
     actually separates them; a fresh random rotation per seed keeps datasets
     distinct across seeds.
     """
-    g = rngmod.stream(spec.seed, rngmod.STREAM_DATA, 0, 0)
     p = spec.input_dim
-    q, _ = np.linalg.qr(g.standard_normal((p, p)))
+    q, _ = np.linalg.qr(np.array([g.standard_normal((p, p)) for g in gens]))
     c = np.arange(spec.num_classes)
-    centers = np.where(c % 2 == 0, 1.0, -1.0)[:, None] * q[:, (c // 2) % p].T
+    centers = np.where(c % 2 == 0, 1.0, -1.0)[:, None] * q[..., (c // 2) % p].swapaxes(-1, -2)
     return (spec.class_separation / 2.0) * centers
+
+
+def _class_centers(spec: DatasetSpec) -> np.ndarray:
+    """spec's class centers, from its stream ``(seed, DATA, 0, 0)``."""
+    return _class_centers_batch(spec, [rngmod.stream(spec.seed, rngmod.STREAM_DATA, 0, 0)])[0]
 
 
 def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generator,
@@ -145,14 +153,23 @@ def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generato
 
 def generate(spec: DatasetSpec) -> list[ClientDataset]:
     """K client datasets, fully determined by spec.seed; each carries the
-    mixture's class centers."""
-    centers = _class_centers(spec)
-    out = []
-    for k in range(spec.num_clients):
-        g = rngmod.stream(spec.seed, rngmod.STREAM_DATA, 1, k)
-        x, y = _draw_examples(spec, centers, g, spec.per_client_size)
-        out.append(ClientDataset(client_id=k, x=x, y=y, centers=centers))
-    return out
+    mixture's class centers. The one-seed ``generate_batch``."""
+    return generate_batch(spec, [spec.seed])[0]
+
+
+def generate_batch(spec: DatasetSpec, seeds: list[int]) -> list[list[ClientDataset]]:
+    """``generate(replace(spec, seed=s))`` for each seed s, bit for bit.
+
+    Every stream is seeded at once (``rng.streams``): each seed's class
+    centers from ``(seed, DATA, 0, 0)``, their QRs stacked, then client k's
+    rows from ``(seed, DATA, 1, k)`` in data stream v3's order."""
+    k = spec.num_clients
+    gens = rngmod.streams(list(seeds) + [s for s in seeds for _ in range(k)],
+                          [(rngmod.STREAM_DATA, 0, 0)] * len(seeds)
+                          + [(rngmod.STREAM_DATA, 1, j) for _ in seeds for j in range(k)])
+    return [[ClientDataset(j, *_draw_examples(spec, centers, next(gens), spec.per_client_size),
+                           centers=centers) for j in range(k)]
+            for centers in _class_centers_batch(spec, itertools.islice(gens, len(seeds)))]
 
 
 def fresh_sampler(spec: DatasetSpec, seed: int, centers: np.ndarray | None = None):
@@ -337,14 +354,15 @@ class _Drawn(NamedTuple):
     ij: np.ndarray          # (k, 2) point pairs of C's data side
 
 
-def _draw(model_spec: models.ModelSpec, probe: Probe) -> _Drawn:
+def _draw(model_spec: models.ModelSpec, probe: Probe, g: np.random.Generator) -> _Drawn:
+    """The probe's inputs, checked, and its draws from g, its stream
+    ``(seed, ESTIMATE, 0)``."""
     if probe.num_pairs < 2:
         raise ConfigurationError("num_pairs must be >= 2")
     if not (0 <= probe.quantile <= 0.5):
         raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
     if not probe.delta_budget > 0:                  # NaN fails too
         raise ConfigurationError("delta_budget must be > 0")
-    g = rngmod.stream(probe.seed, rngmod.STREAM_ESTIMATE, 0)
     x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
     y = np.concatenate([ds.y for ds in probe.datasets], axis=0)
     pairs = np.concatenate(_sample_pairs(y, probe.num_pairs, g))
@@ -368,7 +386,8 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     ``estimate_constants(model_spec, **probes[i]._asdict())`` returns, bit for
     bit, or the package error it raises, which fails that row alone.
 
-    Each row draws from its own stream in estimate stream v2's order. Rows of
+    Each row draws from its own stream, all seeded at once (``rng.streams``),
+    in estimate stream v2's order. Rows of
     one shape (data size and pair count) are scored together: their pair
     gradients, point losses and perturbed-model losses in stacked model calls
     of at most ``_BLOCK_BYTES`` each, their quantiles in one ``np.quantile``.
@@ -377,9 +396,11 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     out: list = [None] * len(probes)
     groups: dict[tuple, list[int]] = {}
     drawn = {}
-    for i, probe in enumerate(probes):
+    gens = rngmod.streams([probe.seed for probe in probes],
+                          [(rngmod.STREAM_ESTIMATE, 0)] * len(probes))
+    for i, (probe, g) in enumerate(zip(probes, gens)):
         try:
-            drawn[i] = _draw(model_spec, probe)
+            drawn[i] = _draw(model_spec, probe, g)
         except FedTradeoffError as exc:
             out[i] = exc
             continue

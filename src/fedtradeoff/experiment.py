@@ -3,10 +3,11 @@
 One trial = generate data, run the protocol (``simulate``), keep what scoring
 reads of the run (``observe``), invert the uploads the trial lists, estimate
 its constants at ``trial_probe``, and score it. ``run_trials`` runs trials
-stage-wise in lockstep blocks, with one ``attack.invert_batch`` and one
-``datagen.estimate_constants_batch`` per block, and is the only inverter of
-simulated uploads. Sweeps and ``run_trial`` score with ``score_trial`` (one
-``TrialRow``), the bound verifier with each bound's outcome function.
+stage-wise in lockstep blocks, with one ``simulate_batch``, one
+``attack.invert_batch`` and one ``datagen.estimate_constants_batch`` per
+block, and is the only inverter of simulated uploads. Sweeps and
+``run_trial`` score with ``score_trial`` (one ``TrialRow``), the bound
+verifier with each bound's outcome function.
 
 ``privacy_outcome`` and ``utility_outcome`` compute each bound side once, and
 every bound reads C, c_a and c_b from the one estimate at ``trial_probe``.
@@ -149,11 +150,28 @@ def try_estimate(estimate: Callable[[], datagen.ConstantsEstimate]
 
 def simulate(config: ExperimentConfig, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
+    The one-trial ``simulate_batch``.
 
     ``protocol.run`` raises ``NumericError`` when the run diverges."""
-    datasets = datagen.generate(replace(config.dataset, seed=seed))
-    return datasets, protocol.run(config.model, replace(config.fl, seed=seed),
-                                  config.mechanism, datasets)
+    return simulate_batch([(config, seed)])[0]
+
+
+def simulate_batch(trials: list[tuple[ExperimentConfig, int]]) -> list[tuple]:
+    """``simulate(config, seed)`` of each trial, bit for bit: every trial's data
+    in one ``datagen.generate_batch`` and every run in one stacked
+    ``protocol.run_batch``. The trials share their model, dataset spec and FL
+    config, and their mechanisms share kind and noise sharing
+    (``_lockstep_blocks`` puts only such trials in one block).
+
+    Raises ``NumericError`` when a trial's run diverges."""
+    config, seeds = trials[0][0], [seed for _, seed in trials]
+    shared = (config.model, config.dataset, config.fl)
+    if any((cfg.model, cfg.dataset, cfg.fl) != shared for cfg, _ in trials):
+        raise ConfigurationError("stacked trials need one model, dataset spec and FL config")
+    datasets = datagen.generate_batch(config.dataset, seeds)
+    results = protocol.run_batch(config.model, config.fl, [cfg.mechanism for cfg, _ in trials],
+                                 datasets, seeds)
+    return list(zip(datasets, results))
 
 
 class Observed(NamedTuple):
@@ -172,7 +190,11 @@ class Observed(NamedTuple):
 
 def observe(config: ExperimentConfig, seed: int) -> Observed:
     """Simulate one trial; the run's other rounds are dropped."""
-    datasets, result = simulate(config, seed)
+    return _observed(config, *simulate(config, seed))
+
+
+def _observed(config: ExperimentConfig, datasets: list[datagen.ClientDataset],
+              result: protocol.RunResult) -> Observed:
     if not (0 <= config.attack_round < len(result.records)):
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):
@@ -328,7 +350,7 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     return (config.attack_client,)
 
 
-# Bytes one lockstep block may hold: 53 trials of the privacy verify scenario
+# Bytes one lockstep block may hold: 52 trials of the privacy verify scenario
 # (a logistic model; 16 points in R^2; 150 constants pairs).
 _BLOCK_BUDGET = 1 << 20
 # (m, p) arrays a streamed inversion holds per upload whatever its iteration
@@ -338,23 +360,28 @@ _LOOP_ARRAYS = 8
 
 
 def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
-    """Consecutive slices of ``trials``, one ``invert_batch`` and one
-    ``datagen.estimate_constants_batch`` call each.
+    """Consecutive slices of ``trials``, one ``simulate_batch``, one
+    ``invert_batch`` and one ``datagen.estimate_constants_batch`` call each.
 
-    A block holds trials of one shape (equal model, attack config seed aside,
-    and m) and takes as many as fit ``_BLOCK_BUDGET``, at least one. Each trial
-    is charged its own bytes: for each listed upload the streamed inversion's
-    ``_LOOP_ARRAYS`` (m, p) arrays and its m per-example gradients, its
-    ``Observed``, and its constants row (``datagen.estimate_row_bytes``). The
-    inversion stores no trajectory, so the charge does not grow with the
-    attack's iterations."""
+    A block holds trials of one shape (equal model, attack config, dataset spec
+    and FL config, and mechanism kind and noise sharing) and takes as many as
+    fit ``_BLOCK_BUDGET``, at least one. Each trial is charged its own bytes:
+    its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
+    round (2 under randomization, whose shadow takes its own) and, per round,
+    its n gradient sets, wires, noise and 4 model vectors; for each listed
+    upload the streamed inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its m
+    per-example gradients; its ``Observed``; and its constants row
+    (``datagen.estimate_row_bytes``). The inversion stores no trajectory, so
+    the charge does not grow with the attack's iterations."""
     blocks, held, last = [], 0, None
     for trial in trials:
         config = trial[0]
         model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
-        p, d = model.input_dim, model.param_dim
-        shape = (model, replace(config.attack, seed=0), m)
-        cost = (len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
+        p, d, mech = model.input_dim, model.param_dim, config.mechanism
+        n = 2 if mech.kind == "randomization" else 1
+        shape = (model, config.attack, config.dataset, config.fl, mech.kind, mech.shared_noise)
+        cost = (8 * d * (n * k * m + config.fl.rounds * ((n + 2) * k + 4))
+                + len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
                 + 8 * (k * m * (p + 1) + (k + 3) * d)
                 + datagen.estimate_row_bytes(model, k * m, config.num_pairs))
         if shape != last or held + cost > _BLOCK_BUDGET:
@@ -375,7 +402,8 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     trial's estimate at ``trial_probe`` or raises its error.
 
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
-    (trials of one shape within the block budget): observe each in order, invert
+    (trials of one shape within the block budget): observe them in one
+    ``simulate_batch``, invert
     every listed upload of the block in one ``attack.invert_batch`` (a trial's
     j-th upload with attack seed ``seed + j``, its leakage streamed against
     that client's data at the trial's ``diameter_cap``, which alone its trace
@@ -399,7 +427,8 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
 
 
 def _run_block(score, inverted, block: list[tuple]) -> list:
-    seen = [observe(cfg, seed) for cfg, seed, _ in block]
+    seen = [_observed(cfg, *sim) for (cfg, _, _), sim in
+            zip(block, simulate_batch([(cfg, seed) for cfg, seed, _ in block]))]
     clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
     uploads = [(cfg, o, k, seed + j) for (cfg, seed, _), o, ks in zip(block, seen, clients)
                for j, k in enumerate(ks)]
@@ -452,10 +481,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
     base_id = config.experiment_id()
     configs = [_config_for_sweep_value(config, axis, value) for value in values]
     rows = run_trials([
-        (configs[si], rngmod.trial_seed(config.master_seed, si, ti),
-         dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
-              experiment_id=base_id))
-        for si, value in enumerate(values) for ti in range(trials)], score_trial)
+        (configs[si], seed, dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
+                                 experiment_id=base_id))
+        for si, value in enumerate(values)
+        for ti, seed in enumerate(rngmod.trial_seeds(config.master_seed, si, trials))],
+        score_trial)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

@@ -3,7 +3,9 @@
 Per round: clients decode the downloaded model, compute one full-batch local
 gradient each, upload a protected version (one ``protect`` call maps the
 round's (K, d) gradients to its (K, d) uploads), and the server takes a
-weighted aggregation step. Bookkeeping per round:
+weighted aggregation step. ``run_batch`` runs many trials' rounds at once on a
+leading trial axis, each trial on its own seed, and ``run`` is its one-trial
+case. Bookkeeping per round:
 
 * ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space, row k's 1-D norm) and
   ``delta_up_param[k] = eta_t * delta_up_grad[k]`` (parameter space).
@@ -64,15 +66,20 @@ class MechanismSpec:
             raise ConfigurationError(f"unknown mechanism kind: {self.kind!r}")
         if self.kind == "randomization" and not 0 <= self.sigma < math.inf:   # NaN fails too
             raise ConfigurationError("sigma must be >= 0 and finite")
+        # every kind writes both into the manifest, which must stay strict JSON
+        if not math.isfinite(self.sigma):
+            raise ConfigurationError("sigma must be finite")
+        if not math.isfinite(self.offset_scale):
+            raise ConfigurationError(f"offset must be finite: offset_scale is {self.offset_scale}")
         if self.exact_norm is not None and not 0 <= self.exact_norm < math.inf:
             raise ConfigurationError("exact_norm must be >= 0 and finite")
 
 
-def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The he_codec key ``(permutation, offset)`` on stream ``(seed, MECH)``: a
-    random permutation, then a Gaussian offset of scale ``offset_scale``
-    (all ones when that offset is all zero)."""
-    g = rngmod.stream(seed, rngmod.STREAM_MECH)
+def _he_key(dim: int, g: np.random.Generator,
+            offset_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The he_codec key ``(permutation, offset)`` drawn from a run's stream
+    ``(seed, MECH)``: a random permutation, then a Gaussian offset of scale
+    ``offset_scale`` (all ones when that offset is all zero)."""
     perm = g.permutation(dim)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite offset raises below
         off = offset_scale * g.standard_normal(dim)
@@ -86,22 +93,41 @@ def _he_key(dim: int, seed: int, offset_scale: float) -> tuple[np.ndarray, np.nd
 def protect(grads: np.ndarray, mech: MechanismSpec, noise: np.ndarray | None = None,
             key: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, list[float]]:
     """Apply the mechanism to a round's (K, d) gradients: the (K, d) wires and each
-    row's ``||wire - grad||``. Randomization adds ``sigma * noise`` for (K, d) standard
-    normals, each row rescaled to ``exact_norm`` when set; he_codec encrypts each row
-    under ``key`` (``_he_key``) to ``g[perm] + offset``."""
+    row's ``||wire - grad||``. The one-trial ``protect_batch``."""
     grads = np.asarray(grads, dtype=np.float64)
-    if mech.kind == "none":
-        return grads.copy(), [0.0] * len(grads)
-    if mech.kind == "he_codec" and key is None:
+    wires, (delta_up,) = protect_batch(
+        grads[None], [mech], None if noise is None else np.asarray(noise)[None],
+        None if key is None else (key[0][None], key[1][None]))
+    return wires[0], delta_up
+
+
+def protect_batch(grads: np.ndarray, mechs: list[MechanismSpec], noise: np.ndarray | None = None,
+                  keys: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, list[list[float]]]:
+    """Apply trial b's mechanism to its round's (K, d) gradients ``grads[b]``, for
+    mechanisms of one kind: the (B, K, d) wires and each trial's list of
+    ``||wire - grad||`` per row. Randomization adds ``sigma * noise[b]`` for (B, K, d)
+    standard normals, each row rescaled to its trial's ``exact_norm`` when set;
+    he_codec encrypts each row of trial b under key ``(perms[b], offsets[b])``
+    (``_he_key``) to ``g[perm] + offset``."""
+    grads = np.asarray(grads, dtype=np.float64)
+    kind = mechs[0].kind
+    if kind == "none":
+        return grads.copy(), [[0.0] * grads.shape[1] for _ in grads]
+    if kind == "he_codec" and keys is None:
         raise ConfigurationError("he_codec requires a key")
     with np.errstate(over="ignore"):          # a huge sigma records ||delta|| = inf
-        if mech.kind == "he_codec":
-            wires = grads[:, key[0]] + key[1]
+        if kind == "he_codec":
+            b, k, _ = grads.shape
+            wires = (grads[np.arange(b)[:, None, None], np.arange(k)[:, None], keys[0][:, None]]
+                     + keys[1][:, None])
             delta = wires - grads
         else:
-            delta = mech.sigma * noise
-            if mech.exact_norm is not None:
-                for row, z in zip(delta, noise):      # each row rescaled in place
+            delta = np.array([m.sigma for m in mechs], dtype=np.float64)[:, None, None] * noise
+            for mech, rows, zs in zip(mechs, delta, noise):
+                if mech.exact_norm is None:
+                    continue
+                for row, z in zip(rows, zs):          # each row rescaled in place
                     if not np.all(np.isfinite(row)):  # overflowed: take the direction from z
                         row[:] = z
                     n = np.linalg.norm(row)
@@ -111,8 +137,16 @@ def protect(grads: np.ndarray, mech: MechanismSpec, noise: np.ndarray | None = N
                     if n > 0:
                         row *= mech.exact_norm / n
             wires = grads + delta
-        # one 1-D norm per row: norm(axis=1) sums in another order and would move its bits
-        return wires, [float(np.linalg.norm(row)) for row in delta]
+        return wires, [_norms(rows) for rows in delta]
+
+
+def _norms(rows: np.ndarray) -> list[float]:
+    """Each row's 2-norm as ``np.linalg.norm`` of the row alone gives it: the
+    square root of the contiguous row's ``dot`` with itself, which a stacked
+    (1, d) @ (d, 1) ``np.matmul`` takes for every row at once (norm(axis=-1)
+    sums in another order and would move its bits). Callers ignore overflow."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]).tolist()
 
 
 def weighted_sum(vectors: np.ndarray | list, sizes: list[int]) -> np.ndarray:
@@ -183,18 +217,21 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
     return config.learning_rate / math.sqrt(t + 1.0)
 
 
-def _gradients(model_spec: models.ModelSpec, datasets: list[ClientDataset], n: int):
-    """``grads(*thetas)``: the (n, K, d) full-batch gradients of the first n
-    models on each of the K clients. Clients of one size share one stacked call
-    over leading axes (n, K), on inputs stacked once here; others take one call each."""
-    if len({ds.size for ds in datasets}) > 1:
-        return lambda *thetas: np.array([[models.per_example_grads(
-            model_spec, th, ds.x, ds.y).mean(axis=0) for ds in datasets] for th in thetas[:n]])
-    x, y = (np.array([[getattr(ds, f) for ds in datasets]] * n, dtype=np.float64) for f in "xy")
-    stacked = np.empty((n, len(datasets), model_spec.param_dim))
+def _gradients(model_spec: models.ModelSpec, datasets: list[list[ClientDataset]], n: int):
+    """``grads(*thetas)``: the (n, B, K, d) full-batch gradients of the first n
+    (B, d) models, row b on each of trial b's K clients. When every client has
+    one size, the trials share one stacked call over leading axes (n, B, K), on
+    inputs stacked once here; otherwise each model and client takes its own."""
+    if len({ds.size for trial in datasets for ds in trial}) > 1:
+        return lambda *thetas: np.array([[[models.per_example_grads(
+            model_spec, row, ds.x, ds.y).mean(axis=0) for ds in trial]
+            for row, trial in zip(th, datasets)] for th in thetas[:n]])
+    x, y = (np.array([[[getattr(ds, f) for ds in trial] for trial in datasets]] * n,
+                     dtype=np.float64) for f in "xy")
+    stacked = np.empty(x.shape[:3] + (model_spec.param_dim,))
 
     def grads(*thetas):
-        stacked[:] = np.array(thetas[:n])[:, None]
+        stacked[:] = np.array(thetas[:n])[:, :, None]
         return models.per_example_grads(model_spec, stacked, x, y).mean(axis=-2)
     return grads
 
@@ -202,83 +239,113 @@ def _gradients(model_spec: models.ModelSpec, datasets: list[ClientDataset], n: i
 def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
         datasets: list[ClientDataset]) -> RunResult:
     """Execute the protocol; protected and shadow trajectories share the seed,
-    and an he_codec run draws its key from it once. Clients of one size take
-    each round's gradients in one stacked call (``_gradients``).
+    and an he_codec run draws its key from it once. The one-trial ``run_batch``.
 
     Raises ``NumericError`` when the model, a gradient or an update is not
     finite."""
-    for ds in datasets:
-        if ds.x.shape[1] != model_spec.input_dim:
-            raise ConfigurationError("dataset / model dimension mismatch")
-        if ds.size == 0:
-            raise ConfigurationError("client dataset is empty")
-    with np.errstate(over="ignore"):       # an overflowing draw raises below
-        theta = models.init_params(
-            model_spec, rngmod.stream(config.seed, rngmod.STREAM_INIT), config.init_scale)
+    return run_batch(model_spec, config, [mech], [datasets], [config.seed])[0]
 
-    sizes, k, d = [ds.size for ds in datasets], len(datasets), model_spec.param_dim
-    key = _he_key(d, config.seed, mech.offset_scale) if mech.kind == "he_codec" else None
-    units = 1.0                        # offset units in the he_codec wire view of the model
-    noise = [None] * config.rounds
-    if mech.kind == "randomization":
-        clients = [0] if mech.shared_noise else range(1, k + 1)
-        noise = rngmod.normals(config.seed, [(rngmod.STREAM_PROTECT, t, c) for t in
-                                             range(config.rounds) for c in clients], d)
-        noise = noise.reshape(config.rounds, -1, d)
-        if mech.shared_noise:
-            noise = np.repeat(noise, k, axis=1)
+
+def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[MechanismSpec],
+              datasets: list[list[ClientDataset]], seeds: list[int]) -> list[RunResult]:
+    """``run(model_spec, replace(config, seed=seeds[b]), mechs[b], datasets[b])``
+    for each trial b, bit for bit, the B trials stacked on a leading axis: one
+    ``_gradients`` call and one ``protect_batch`` call per round for all of them.
+    The mechanisms share their kind and noise sharing, and the trials their
+    client sizes; sigma, ``exact_norm`` and ``offset_scale`` may differ. Every
+    trial's init, he_codec key and noise streams are seeded at once
+    (``rng.streams``).
+
+    Raises ``NumericError`` when a trial's model, gradient or update is not
+    finite, in the first round where one is."""
+    for trial in datasets:
+        for ds in trial:
+            if ds.x.shape[1] != model_spec.input_dim:
+                raise ConfigurationError("dataset / model dimension mismatch")
+            if ds.size == 0:
+                raise ConfigurationError("client dataset is empty")
+    sizes, kind, shared = [ds.size for ds in datasets[0]], mechs[0].kind, mechs[0].shared_noise
+    if any([ds.size for ds in trial] != sizes for trial in datasets) or any(
+            (m.kind, m.shared_noise) != (kind, shared) for m in mechs):
+        raise ConfigurationError("stacked runs need one mechanism kind, noise sharing "
+                                 "and list of client sizes")
+    b, k, d, rounds = len(seeds), len(sizes), model_spec.param_dim, config.rounds
+    with np.errstate(over="ignore"):       # an overflowing draw raises below
+        theta = np.array([models.init_params(model_spec, g, config.init_scale)
+                          for g in rngmod.streams(seeds, [(rngmod.STREAM_INIT,)] * b)])
+
+    keys = None
+    if kind == "he_codec":
+        perms, offsets = zip(*[_he_key(d, g, m.offset_scale) for m, g in zip(
+            mechs, rngmod.streams(seeds, [(rngmod.STREAM_MECH,)] * b))])
+        keys = np.array(perms), np.array(offsets)
+    units = np.ones(b)                 # offset units in the he_codec wire view of the model
+    noise = [None] * rounds
+    if kind == "randomization":
+        clients = [0] if shared else range(1, k + 1)
+        noise = rngmod.normals(
+            [s for _ in range(rounds) for s in seeds for _ in clients],
+            [(rngmod.STREAM_PROTECT, t, c) for t in range(rounds) for _ in seeds
+             for c in clients], d).reshape(rounds, b, -1, d)
+        if shared:
+            noise = np.repeat(noise, k, axis=2)
     if not np.isfinite(theta).all():
         raise NumericError("run aborted: non-finite model at round 0")
     theta_shadow = theta.copy()
     # only noise moves the model off the shadow; without it one gradient set is both
-    gradients = _gradients(model_spec, datasets, 2 if mech.kind == "randomization" else 1)
+    gradients = _gradients(model_spec, datasets, 2 if kind == "randomization" else 1)
 
-    records: list[RoundRecord] = []
-    for t in range(config.rounds):
-        eta = _eta_at(config, t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shadow_gap = float(np.linalg.norm(theta - theta_shadow))
+    records: list[list[RoundRecord]] = [[] for _ in range(b)]
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value raises below
+        for t in range(rounds):
+            eta = _eta_at(config, t)
+            shadow_gap = _norms(theta - theta_shadow)
             stacked = gradients(theta, theta_shadow)
-        if not np.isfinite(stacked).all():
-            raise NumericError(f"run aborted: non-finite gradient at round {t}: "
-                               "non-finite parameter gradient")
-        grads = stacked[0]
-        wires, delta_up = protect(grads, mech, noise[t], key)
+            if not np.isfinite(stacked).all():
+                raise NumericError(f"run aborted: non-finite gradient at round {t}: "
+                                   "non-finite parameter gradient")
+            grads = stacked[0]
+            wires, delta_up = protect_batch(grads, mechs, noise[t], keys)
 
-        # the server steps on what it decodes: the noisy wires under
-        # randomization, else the true gradients (he_codec decrypts exactly)
-        true_agg = weighted_sum(grads, sizes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            agg = weighted_sum(wires, sizes) if mech.kind == "randomization" else true_agg
+            # the server steps on what it decodes: the noisy wires under
+            # randomization, else the true gradients (he_codec decrypts exactly);
+            # weighted_sum runs over the client axis, 1
+            true_agg = weighted_sum(grads.swapaxes(0, 1), sizes)
+            agg = (weighted_sum(wires.swapaxes(0, 1), sizes) if kind == "randomization"
+                   else true_agg)
             theta_next = theta - eta * agg
-            theta_shadow = theta_shadow - eta * (
-                true_agg if len(stacked) == 1 else weighted_sum(stacked[1], sizes))
-            d2g = float(np.linalg.norm(agg - true_agg))
-        if not np.isfinite(theta_next).all():
-            raise NumericError(f"run aborted: non-finite update at round {t}")
+            # without noise the shadow takes the model's step from the model's state
+            theta_shadow = (theta_next if len(stacked) == 1 else
+                            theta_shadow - eta * weighted_sum(stacked[1].swapaxes(0, 1), sizes))
+            d2g = _norms(agg - true_agg)
+            if not np.isfinite(theta_next).all():
+                raise NumericError(f"run aborted: non-finite update at round {t}")
 
-        if key is None:
-            wire_view = theta_next
-        else:
-            units = units - eta * weighted_sum([1.0] * k, sizes)
-            wire_view = theta_next[key[0]] + units * key[1]
-        records.append(RoundRecord(
-            round_index=t,
-            eta=eta,
-            theta_decoded=theta,
-            grads=grads,
-            wires=wires,
-            delta_up_grad=delta_up,
-            delta_up_param=[eta * u for u in delta_up],
-            delta_two_grad=d2g,
-            delta_two_param=eta * d2g,
-            shadow_gap=shadow_gap,
-            theta_next_protected=wire_view,
-            theta_next_decoded=theta_next,
-        ))
-        theta = theta_next
+            if keys is None:
+                wire_view = theta_next
+            else:
+                units = units - eta * weighted_sum([1.0] * k, sizes)
+                wire_view = (theta_next[np.arange(b)[:, None], keys[0]]
+                             + units[:, None] * keys[1])
+            for i, trial in enumerate(records):
+                trial.append(RoundRecord(
+                    round_index=t,
+                    eta=eta,
+                    theta_decoded=theta[i],
+                    grads=grads[i],
+                    wires=wires[i],
+                    delta_up_grad=delta_up[i],
+                    delta_up_param=[eta * u for u in delta_up[i]],
+                    delta_two_grad=d2g[i],
+                    delta_two_param=eta * d2g[i],
+                    shadow_gap=shadow_gap[i],
+                    theta_next_protected=wire_view[i],
+                    theta_next_decoded=theta_next[i],
+                ))
+            theta = theta_next
 
-    return RunResult(records, theta, theta_shadow, records[-1].theta_next_protected)
+    return [RunResult(trial, theta[i], theta_shadow[i], trial[-1].theta_next_protected)
+            for i, trial in enumerate(records)]
 
 
 def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray,

@@ -151,7 +151,7 @@ def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
     if trials < 100:
         raise ConfigurationError("trials must be >= 100")
     require_int("trials", trials, 100)              # 100.0 and NaN fail here
-    seeds = [rngmod.trial_seed(master_seed, 0, i) for i in range(trials)]
+    seeds = rngmod.trial_seeds(master_seed, 0, trials)
 
     outcomes = trial_outcomes(bound_name, scenario, seeds)
 

@@ -129,6 +129,104 @@ class TestSimulate:
             experiment.simulate(replace(cfg, mechanism=experiment.MechanismSpec()), seed=1)
 
 
+def stacked_config(model, mechanism, clients, schedule, sigma=None):
+    """A two-round config of the lockstep tests; ``sigma`` overrides the
+    mechanism's."""
+    if sigma is not None:
+        mechanism = replace(mechanism, sigma=sigma)
+    return base_config(
+        dataset=datagen.DatasetSpec(num_clients=clients, per_client_size=5, input_dim=3,
+                                    num_classes=model.num_classes, class_separation=2.0,
+                                    diameter_cap=2.0, seed=0),
+        model=model, mechanism=mechanism,
+        fl=protocol.FLRunConfig(rounds=2, learning_rate=0.3, lr_schedule=schedule))
+
+
+def assert_same_simulation(got, want):
+    """Two ``simulate`` results bit for bit: data, every round record, final models."""
+    (got_ds, got_run), (want_ds, want_run) = got, want
+    for a, b in zip(got_ds, want_ds, strict=True):
+        assert (a.client_id, a.x.tobytes(), a.y.tobytes(), a.centers.tobytes()) == (
+            b.client_id, b.x.tobytes(), b.y.tobytes(), b.centers.tobytes())
+    for a, b in zip(got_run.records, want_run.records, strict=True):
+        for f in ("round_index", "eta", "delta_up_grad", "delta_up_param", "delta_two_grad",
+                  "delta_two_param", "shadow_gap"):
+            assert repr(getattr(a, f)) == repr(getattr(b, f)), f
+        for f in ("theta_decoded", "grads", "wires", "theta_next_protected",
+                  "theta_next_decoded"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+    for f in ("theta_final_decoded", "theta_final_shadow", "theta_final_protected"):
+        assert getattr(got_run, f).tobytes() == getattr(want_run, f).tobytes(), f
+
+
+STACKED_MODELS = [models.ModelSpec("linear", 3), models.ModelSpec("logistic", 3),
+                  models.ModelSpec("logistic", 3, num_classes=3),
+                  models.ModelSpec("mlp1", 3, hidden_dim=4, num_classes=3)]
+STACKED_MECHS = {
+    "none": experiment.MechanismSpec(),
+    "rand": experiment.MechanismSpec("randomization", 0.3),
+    "shared": experiment.MechanismSpec("randomization", 0.3, shared_noise=True),
+    "exact-norm": experiment.MechanismSpec("randomization", 0.3, exact_norm=0.7),
+    "he": experiment.MechanismSpec("he_codec", offset_scale=0.5),
+}
+
+
+class TestSimulateBatch:
+    """A lockstep block's stacked simulation gives each trial its one-trial run."""
+
+    @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
+    @pytest.mark.parametrize("clients", [1, 3])
+    @pytest.mark.parametrize("mech_name", list(STACKED_MECHS))
+    @pytest.mark.parametrize("model", STACKED_MODELS, ids=lambda m: f"{m.kind}{m.num_classes}")
+    def test_each_trial_equals_its_one_trial_run(self, model, mech_name, clients, schedule):
+        config = stacked_config(model, STACKED_MECHS[mech_name], clients, schedule)
+        # seven trials: enough streams to take the batched seeding
+        seeds = [rngmod.trial_seed(3, 0, i) for i in range(7)]
+        got = experiment.simulate_batch([(config, seed) for seed in seeds])
+        for sim, seed in zip(got, seeds, strict=True):
+            assert_same_simulation(sim, experiment.simulate(config, seed))
+
+    @pytest.mark.parametrize("mech_name", ["rand", "shared", "exact-norm"])
+    def test_mixed_sigmas_in_one_block(self, mech_name):
+        # the sigma sweep's trials differ in sigma (and the delta_up sweep's in
+        # exact_norm) yet share one block
+        model = models.ModelSpec("logistic", 3)
+        configs = [stacked_config(model, STACKED_MECHS[mech_name], 3, "constant", sigma)
+                   for sigma in (0.0, 0.05, 0.3, 2.0, 0.0, 1.0)]
+        if mech_name == "exact-norm":
+            configs = [replace(c, mechanism=replace(c.mechanism, exact_norm=0.2 * i))
+                       for i, c in enumerate(configs)]
+        trials = [(c, rngmod.trial_seed(3, 0, i)) for i, c in enumerate(configs)]
+        assert len(experiment._lockstep_blocks([(c, s, {}) for c, s in trials])) == 1
+        for sim, (config, seed) in zip(experiment.simulate_batch(trials), trials, strict=True):
+            assert_same_simulation(sim, experiment.simulate(config, seed))
+
+    def test_trials_of_another_shape_are_refused(self):
+        config = base_config()
+        other = replace(config, fl=replace(config.fl, rounds=2))
+        with pytest.raises(ConfigurationError, match="one model, dataset spec and FL config"):
+            experiment.simulate_batch([(config, 1), (other, 2)])
+        with pytest.raises(ConfigurationError, match="one mechanism kind"):
+            experiment.simulate_batch([(config, 1),
+                                       (replace(config, mechanism=experiment.MechanismSpec()), 2)])
+
+    def test_diverging_trial_mid_block_raises_the_serial_message(self):
+        # the middle trial's sigma overflows its first update at this seed (as
+        # in the sweep test above); its neighbours run in the same block
+        configs = [base_config(mechanism=experiment.MechanismSpec("randomization", sigma))
+                   for sigma in (0.3, 1e308, 0.3)]
+        trials = [(c, rngmod.trial_seed(3, 1, i), {}) for i, c in enumerate(configs)]
+        assert len(experiment._lockstep_blocks(trials)) == 1
+        with pytest.raises(NumericError) as serial:
+            experiment.simulate(configs[1], trials[1][1])
+        with pytest.raises(NumericError) as stacked:
+            experiment.simulate_batch([(c, s) for c, s, _ in trials])
+        with pytest.raises(NumericError) as blocked:
+            experiment.run_trials(trials, experiment.score_trial)
+        assert str(stacked.value) == str(blocked.value) == str(serial.value) == (
+            "run aborted: non-finite update at round 0")
+
+
 class TestSweep:
     def test_m_axis_rhs_column_decreases(self):
         rows, summary = experiment.run_sweep(base_config(), "m", [8, 16, 32, 64],
@@ -159,7 +257,7 @@ class TestSweep:
     @pytest.mark.parametrize("value", [1.5, float("nan"), float("inf")])
     def test_non_whole_count_rejected_before_any_trial(self, monkeypatch, axis, value):
         seen = []
-        monkeypatch.setattr(experiment, "simulate", lambda *args: seen.append(args))
+        monkeypatch.setattr(experiment, "simulate_batch", lambda *args: seen.append(args))
         with pytest.raises(ConfigurationError, match="must be whole numbers"):
             experiment.run_sweep(base_config(), axis, [4, value], trials=1)
         assert seen == []
@@ -194,14 +292,16 @@ class TestSweep:
 
 # a trial of lockstep_config holds, for each upload, 8 x m x (8 p + d)
 # = 8 x 4 x (8 x 2 + 2) bytes, the streamed inversion's 8 (m, p) arrays and its
-# per-example gradients; and what the runner keeps of it: its Observed's
+# per-example gradients; and what the runner keeps of it: its stacked run's
+# 8 d (n k m + rounds ((n + 2) k + 4)) = 8 x 2 x (2 x 4 + 8) = 256 bytes (n = 2
+# gradient sets under randomization), its Observed's
 # 8 x (k m (p + 1) + (k + 3) d) = 160 bytes and its constants row's
 # 8 x ((k m + 2 num_pairs) (p + 3) + 64 (2 d + 4)) bytes
 UPLOAD = 576
 
 
 def kept(num_pairs):
-    return 160 + 8 * ((4 + 2 * num_pairs) * 5 + 64 * 8)
+    return 256 + 160 + 8 * ((4 + 2 * num_pairs) * 5 + 64 * 8)
 
 
 def lockstep_config(index, num_pairs=30, iters=10):
@@ -276,20 +376,21 @@ class TestLockstepSweep:
             monkeypatch.setattr(experiment, "_BLOCK_BUDGET", 1)
         assert len(experiment._lockstep_blocks(
             [(config, 0, {})] * 6)) == (6 if one_row_blocks else 1)
-        seen = []
-        real = experiment.simulate
+        calls = []
+        real = experiment.simulate_batch
 
-        def recording(config, seed):
-            seen.append(seed)
-            return real(config, seed)
+        def recording(trials):
+            calls.append([seed for _, seed in trials])
+            return real(trials)
 
-        monkeypatch.setattr(experiment, "simulate", recording)
+        monkeypatch.setattr(experiment, "simulate_batch", recording)
         with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):
             experiment.run_sweep(config, "sigma", [0.3, 1e308], trials=3)
-        # no trial after the first failing one is simulated
-        assert seen[-1] == rngmod.trial_seed(config.master_seed, 1, 0)
-        assert set(seen) == {rngmod.trial_seed(config.master_seed, si, ti)
-                             for si, ti in ((0, 0), (0, 1), (0, 2), (1, 0))}
+        seeds = [rngmod.trial_seed(config.master_seed, si, ti)
+                 for si in range(2) for ti in range(3)]
+        # the block's stacked run fails; then its trials run alone, and no
+        # trial after the first failing one is simulated
+        assert calls == ([] if one_row_blocks else [seeds]) + [[s] for s in seeds[:4]]
 
     @pytest.mark.parametrize("stage", ["invert", "score"])
     def test_an_earlier_seed_failing_later_in_the_pipeline_raises_first(

@@ -451,6 +451,26 @@ class TestExitCodes:
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("args, mechanism, message", [
+        (["--mech", "none", "--sigma", "nan"], {}, "sigma must be finite"),
+        (["--mech", "he", "--sigma", "inf"], {}, "sigma must be finite"),
+        # written as JSON NaN
+        ([], {"kind": "randomization", "offset_scale": float("nan")}, "offset must be finite"),
+        ([], {"kind": "none", "offset_scale": float("nan")}, "offset must be finite"),
+    ], ids=["none-sigma-nan", "he-sigma-inf", "randomization-offset-nan", "none-offset-nan"])
+    def test_non_finite_mechanism_value_writes_no_manifest(self, tmp_path, args, mechanism,
+                                                           message):
+        # once each of these exited 0 and wrote NaN or Infinity into
+        # manifest.json, which a strict JSON parser rejects
+        config = cli.default_config().to_dict()
+        config["mechanism"].update(mechanism)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", *args, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert r.returncode == 1, r.stderr
+        assert f"config error: {message}" in r.stderr
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("init_scale", float("nan"), "init_scale must be finite and >= 0"),
         ("init_scale", float("inf"), "init_scale must be finite and >= 0"),

@@ -354,7 +354,10 @@ class TestRoundsMatchPerClientReference:
                         for k, ds in enumerate(datasets)]
         cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3, seed=17)
         res = protocol.run(model, cfg, mech, datasets)
-        key = protocol._he_key(model.param_dim, cfg.seed, 0.5) if mech_name == "he" else None
+        key = None
+        if mech_name == "he":
+            key = protocol._he_key(model.param_dim,
+                                   rngmod.stream(cfg.seed, rngmod.STREAM_MECH), 0.5)
         sizes = [ds.size for ds in datasets]
         shadow = res.records[0].theta_decoded
         for t, rec in enumerate(res.records):

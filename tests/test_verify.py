@@ -122,17 +122,19 @@ class TestUtilityTrialFromSimulate:
 
 
     def test_one_class_centers_qr_per_trial(self, monkeypatch):
-        # the fresh sampler reuses the centers its trial's data was drawn with
+        # the fresh sampler reuses the centers its trial's data was drawn with,
+        # and the block's trials share one stacked QR
         seen = []
-        real = datagen._class_centers
+        real = datagen._class_centers_batch
 
-        def counting(spec):
-            seen.append(spec.seed)
-            return real(spec)
+        def counting(spec, gens):
+            gens = list(gens)
+            seen.append(len(gens))
+            return real(spec, gens)
 
-        monkeypatch.setattr(datagen, "_class_centers", counting)
+        monkeypatch.setattr(datagen, "_class_centers_batch", counting)
         verify.trial_outcomes("utility", tiny_scenario(sigma=0.4, fl_rounds=2), [5, 6, 7])
-        assert seen == [5, 6, 7]
+        assert seen == [3]
 
 
 def record_block_rows(monkeypatch):
@@ -152,9 +154,10 @@ class TestLockstepBlocks:
 
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
-        # a trial's streamed upload of 8 x 4 x (8 x 2 + 2) bytes, its Observed's
-        # 160 and its constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
-        ("privacy", 1, 75 * (576 + 160 + 6656), [75, 25]),
+        # a trial's streamed upload of 8 x 4 x (8 x 2 + 2) bytes, its stacked
+        # run's 8 x 2 x (2 x 4 + 1 x (4 x 1 + 4)), its Observed's 160 and its
+        # constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
+        ("privacy", 1, 75 * (576 + 256 + 160 + 6656), [75, 25]),
         # a trial's 3 uploads of 8 x 4 x (8 x 2 + 2) bytes each: over the budget,
         # yet never split over blocks
         ("tradeoff-general", 3, 2 * 576, [3] * 100),
@@ -174,25 +177,48 @@ class TestLockstepBlocks:
         assert verify.verify_bound(bound, sc, 100).to_dict() == default
         assert rows == want_rows
 
+    @pytest.mark.parametrize("bound, scenario", [
+        # the privacy-verify and utility-verify benchmark scenarios
+        ("privacy", dict(dataset=datagen.DatasetSpec(num_clients=1, per_client_size=16,
+                                                     input_dim=2),
+                         attack=attack.AttackConfig(iters=250, optimizer="adam",
+                                                    step_size=0.15, init="gaussian"),
+                         sigma=0.6, num_pairs=150, quantile=0.1)),
+        ("utility", dict(dataset=datagen.DatasetSpec(num_clients=1, per_client_size=32,
+                                                     input_dim=2),
+                         attack=attack.AttackConfig(iters=20, optimizer="adam",
+                                                    step_size=0.05),
+                         sigma=0.3, fl_rounds=3, learning_rate=0.2, n_eval=400,
+                         num_pairs=120, quantile=0.05)),
+    ], ids=["privacy-verify", "utility-verify"])
+    def test_benchmark_scenarios_keep_two_blocks(self, bound, scenario):
+        # each trial's stacked simulation is charged too, and 100 trials still
+        # take two blocks of the 1 MiB budget
+        config = tiny_scenario(**scenario).experiment_config(bound)
+        inverted = experiment.attacked_client if bound == "privacy" else lambda config: ()
+        assert experiment._BLOCK_BUDGET == 1 << 20
+        blocks = experiment._lockstep_blocks([(config, i, {}) for i in range(100)], inverted)
+        assert len(blocks) == 2
+
     def test_first_failing_seed_raises_whatever_stage_it_fails_in(self, monkeypatch):
         # seed 2 fails when scored, seed 5 when simulated; all share one block,
         # and a serial run meets seed 2's error first
         sc = tiny_scenario(sigma=0.4)
         seeds = [rngmod.trial_seed(0, 0, i) for i in range(100)]
-        estimate, simulate = datagen.estimate_constants_batch, experiment.simulate
+        estimate, simulate = datagen.estimate_constants_batch, experiment.simulate_batch
 
         def failing_estimate(spec, probes):
             # seed 2's row fails, and only that row
             return [NumericError("estimate failed at seed 2") if probe.seed == seeds[2]
                     else row for probe, row in zip(probes, estimate(spec, probes))]
 
-        def failing_simulate(config, seed):
-            if seed == seeds[5]:
+        def failing_simulate(trials):
+            if any(seed == seeds[5] for _, seed in trials):
                 raise NumericError("run aborted at seed 5")
-            return simulate(config, seed)
+            return simulate(trials)
 
         monkeypatch.setattr(datagen, "estimate_constants_batch", failing_estimate)
-        monkeypatch.setattr(experiment, "simulate", failing_simulate)
+        monkeypatch.setattr(experiment, "simulate_batch", failing_simulate)
         rows = record_block_rows(monkeypatch)
         with pytest.raises(NumericError, match="estimate failed at seed 2"):
             verify.verify_bound("privacy", sc, 100)
