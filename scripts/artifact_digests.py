@@ -55,6 +55,9 @@ COMMANDS = [
     # seven equal clients, whose size weights sum to 0.9999999999999998
     ["train", "--mech", "he", "--clients", "7", "--rounds", "3", "--seed", "5",
      "--out", "runs/he-k7"],
+    # its last client's upload in its last round, through phase 2
+    ["attack", "--run-dir", "runs/he-k7", "--out", "runs/he-k7-attack", "--round", "2",
+     "--client", "6", "--phase2"],
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",
      "--phase2", "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],

@@ -21,13 +21,11 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
 from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, run_sweep,
-                         run_trials, score_trial, simulate, trial_probe)
+                         run_trials, score_block, score_trial, simulate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -102,26 +100,19 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     seed = config.master_seed
     datasets, result = simulate(config, seed)
 
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, "manifest.json"),
                      {"schemas": iomod.SCHEMAS, "config": config.to_dict(), "master_seed": seed})
     iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"), result.records)
     iomod.write_datasets(os.path.join(args.out, "datasets.csv"), datasets)
-    iomod.write_vector(os.path.join(args.out, "model_final_decoded.csv"),
-                       result.theta_final_decoded)
-    iomod.write_vector(os.path.join(args.out, "model_final_protected.csv"),
-                       result.theta_final_protected)
-    iomod.write_vector(os.path.join(args.out, "model_final_shadow.csv"),
-                       result.theta_final_shadow)
+    for view in ("decoded", "protected", "shadow"):
+        iomod.write_vector(os.path.join(args.out, f"model_final_{view}.csv"),
+                           getattr(result, f"theta_final_{view}"))
     print(f"train: wrote {len(result.records)} rounds to {args.out}")
     return EXIT_OK
 
@@ -137,18 +128,28 @@ def cmd_attack(args) -> int:
     config = ExperimentConfig.from_dict(manifest["config"])
     seed = manifest["master_seed"]
     datasets = iomod.read_datasets(os.path.join(run_dir, "datasets.csv"))
-    rounds = iomod.read_round_log(os.path.join(run_dir, "rounds.jsonl"))
+    log = os.path.join(run_dir, "rounds.jsonl")
+    rounds = iomod.read_round_log(log)
     if not (0 <= args.round < len(rounds)):
         raise ConfigurationError(f"round {args.round} not in log (have {len(rounds)})")
     if not (0 <= args.client < len(datasets)):
         raise ConfigurationError(f"client {args.client} not in artifacts")
-    rec = rounds[args.round]
+    try:
+        rec = iomod.round_record_from_dict(rounds[args.round])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"bad round log {log}, round {args.round}: {exc}") from exc
     target = datasets[args.client]
-    observed = Observed(
-        datasets, np.array(rec["theta_decoded"]), np.array(rec["wires"]),
-        rec["delta_up_grad"], rec["delta_up_param"], rec["delta_two_grad"],
-        rec["delta_two_param"], iomod.read_vector(os.path.join(run_dir, "model_final_shadow.csv")),
-        iomod.read_vector(os.path.join(run_dir, "model_final_decoded.csv")))
+    shadow, decoded = (iomod.read_vector(os.path.join(run_dir, f"model_final_{view}.csv"))
+                       for view in ("shadow", "decoded"))
+    k, d = len(datasets), config.model.param_dim
+    if (rec.wires.shape, shadow.shape, decoded.shape) != ((k, d), (d,), (d,)):
+        raise ConfigurationError(
+            f"run artifacts in {run_dir} do not match: {k} clients in datasets.csv and {d} "
+            f"model parameters, uploads {rec.wires.shape} in rounds.jsonl, final models "
+            f"{shadow.shape} in model_final_shadow.csv, {decoded.shape} in model_final_decoded.csv")
+    observed = Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
+                        rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
+                        shadow, decoded)
 
     atk = replace(config.attack, seed=seed)
     if args.iters is not None:
@@ -157,13 +158,11 @@ def cmd_attack(args) -> int:
     trace = attackmod.invert_gradient(config.model, observed.theta_round,
                                       observed.wires[args.client], target.y, target.size, atk)
     wall = time.perf_counter() - t0
-    # the row keeps the manifest config's experiment_id, even with --iters
+    # scored as a trial of run_trials is; the row keeps the manifest config's
+    # experiment_id, even with --iters
     scored = replace(config, attack=atk, attack_client=args.client)
-    probe = trial_probe(scored, seed, observed, [trace])
-    row = score_trial(scored, seed, observed, [trace],
-                      functools.partial(datagen.estimate_constants, config.model,
-                                        **probe._asdict()),
-                      sweep_axis="attack", experiment_id=config.experiment_id())
+    row, = score_block(score_trial, [(scored, seed, dict(
+        sweep_axis="attack", experiment_id=config.experiment_id()))], [observed], [[trace]])
     rep = None
     if args.phase2:         # before the first write: a phase-2 error leaves --out as it was
         recovered = datagen.ClientDataset(client_id=target.client_id,
@@ -175,7 +174,7 @@ def cmd_attack(args) -> int:
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
             c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)
 
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     iomod.write_results(os.path.join(args.out, "results.csv"), [row], append=args.append)
     iomod.write_timings(os.path.join(args.out, "timings.csv"),
                         [("attack", 0.0, 0, wall)])
@@ -204,7 +203,7 @@ def cmd_verify(args) -> int:
         **{name: value for name, value in optional.items() if value is not None})
     report = verifymod.verify_bound(args.bound, scenario, args.trials,
                                     master_seed=args.seed)
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, f"report_{args.bound}.json"), report.to_dict())
     line = (f"verify {args.bound}: fraction_holding={report.fraction_holding:.4f} "
             f"confidence={report.confidence:.4f} slack={report.slack:.4f} "
@@ -225,7 +224,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     rows, summary = run_sweep(config, args.axis, values, args.trials)
     wall = time.perf_counter() - t0
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     iomod.write_results(os.path.join(args.out, "results.csv"), rows)
     iomod.write_json(os.path.join(args.out, "summary.json"), summary)
     iomod.write_curves(os.path.join(args.out, "curves.csv"), summary)
@@ -243,13 +242,12 @@ def cmd_estimate_constants(args) -> int:
     pilot = replace(config, fl=replace(config.fl, rounds=1), mechanism=MechanismSpec(),
                     attack_round=0, attack_client=0)
     est, = run_trials([(pilot, config.master_seed, {})],
-                      lambda config, seed, observed, traces, estimate: estimate())
-    _ensure_dir(args.out)
+                      lambda config, seed, observed, traces, est: datagen.constants_of(est))
+    os.makedirs(args.out, exist_ok=True)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}
     iomod.write_json(os.path.join(args.out, "constants.json"), doc)
-    print(f"constants: c_a={est.c_a:.4g} c_b={est.c_b:.4g} C={est.big_c:.4g} "
-          f"M={est.big_m:.4g} D={est.cap_d:.4g} c_0={est.c_0:.4g} c_2={est.c_2:.4g}")
+    print("constants: " + " ".join(f"{k}={v:.4g}" for k, v in doc.items() if k != "meta"))
     return EXIT_OK
 
 

@@ -328,8 +328,10 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
     return constants_of(row)
 
 
-def constants_of(row: ConstantsEstimate | FedTradeoffError) -> ConstantsEstimate:
-    """A row of ``estimate_constants_batch``: its estimate, or its error raised."""
+def constants_of(row: ConstantsEstimate | FedTradeoffError | None
+                 ) -> ConstantsEstimate | None:
+    """A row of ``estimate_constants_batch``: its estimate, or its error raised;
+    None (no estimate, NaN bound columns) passes through."""
     if isinstance(row, FedTradeoffError):
         raise row
     return row

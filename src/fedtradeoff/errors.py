@@ -25,6 +25,6 @@ class EstimationError(NumericError):
 
 def require_int(name: str, value, least: int) -> None:
     """Raise ``ConfigurationError`` unless ``value`` is an integer >= ``least``;
-    a float from a config file, 2.0 or NaN, is not."""
-    if not isinstance(value, numbers.Integral) or not value >= least:
+    a float from a config file, 2.0 or NaN, is not, nor is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= least:
         raise ConfigurationError(f"{name} must be an integer >= {least}")

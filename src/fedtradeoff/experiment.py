@@ -4,10 +4,10 @@ One trial = generate data, run the protocol (``simulate``), keep what scoring
 reads of the run (``observe``), invert the uploads the trial lists, estimate
 its constants at ``trial_probe``, and score it. ``run_trials`` runs trials
 stage-wise in lockstep blocks, with one ``simulate_batch``, one
-``attack.invert_batch`` and one ``datagen.estimate_constants_batch`` per
-block, and is the only inverter of simulated uploads. Sweeps and
-``run_trial`` score with ``score_trial`` (one ``TrialRow``), the bound
-verifier with each bound's outcome function.
+``attack.invert_batch`` and one ``score_block`` (the one scoring stage, the
+CLI ``attack``'s too) per block, and is the only inverter of simulated
+uploads. Sweeps, ``run_trial`` and ``attack`` score with ``score_trial`` (one
+``TrialRow``), the bound verifier with each bound's outcome function.
 
 ``privacy_outcome`` and ``utility_outcome`` compute each bound side once, and
 every bound reads C, c_a and c_b from the one estimate at ``trial_probe``.
@@ -23,8 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, asdict, field, fields, replace
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from . import attack as attackmod
 from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
-from .errors import ConfigurationError, EstimationError, NumericError, require_int
+from .errors import (ConfigurationError, EstimationError, FedTradeoffError, NumericError,
+                     require_int)
 from .protocol import MechanismSpec
 
 
@@ -138,16 +138,6 @@ def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarr
     return max(1e-12, float(np.max(np.abs(per))))   # 1e-12 first: a NaN maximum gives 1e-12
 
 
-def try_estimate(estimate: Callable[[], datagen.ConstantsEstimate]
-                 ) -> datagen.ConstantsEstimate | None:
-    """``estimate()``, or None when the data admits no usable pair (e.g.
-    single-sample clients); callers emit NaN bound columns then."""
-    try:
-        return estimate()
-    except EstimationError:
-        return None
-
-
 def simulate(config: ExperimentConfig, seed: int):
     """Seeded datasets and the protocol run over them; ``(datasets, result)``.
     The one-trial ``simulate_batch``.
@@ -215,14 +205,18 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def privacy_outcome(config: ExperimentConfig, observed: Observed,
-                    trace: attackmod.AttackTrace,
-                    est: datagen.ConstantsEstimate | None) -> TrialOutcome:
-    """The attacked client's leakage vs the privacy bound at constants ``est``.
+def privacy_outcome(config: ExperimentConfig, seed: int, observed: Observed,
+                    traces: list[attackmod.AttackTrace],
+                    est: datagen.ConstantsEstimate | FedTradeoffError | None) -> TrialOutcome:
+    """The attacked client's leakage vs the privacy bound at constants ``est``;
+    the privacy bound's scorer.
 
-    ``trace`` inverted that client's upload in the observed round. With ``est``
-    None (no usable pair) the threshold, rhs and constants are NaN and the
+    ``traces`` holds the one inversion of that client's upload in the observed
+    round. An error ``est`` is raised before the leakage is scored. With
+    ``est`` None the threshold, rhs and constants are NaN and the
     precondition fails."""
+    trace, = traces
+    est = datagen.constants_of(est)
     client = config.attack_client
     target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
     cap_d = config.dataset.diameter_cap
@@ -249,15 +243,16 @@ def two_way_distortion(observed: Observed) -> float:
 
 
 def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
-                    big_c: Callable[[], float]) -> tuple[TrialOutcome, float]:
+                    est: datagen.ConstantsEstimate | FedTradeoffError | None
+                    ) -> tuple[TrialOutcome, float]:
     """The attacked client's utility loss vs the utility bound at the minimizing
     lambda; ``(outcome, halfwidth of the loss)``.
 
     The loss is that of the final decoded model against the final shadow, on
-    fresh draws. ``big_c()`` gives the bound's C (at ``trial_probe``), asked
-    for once the loss and the two-way distortion ||delta|| are taken. M is
-    exact at the final decoded model; D is the configured cap. A NaN C gives
-    NaN lambda and rhs; an infinite ||delta|| raises ``NumericError``."""
+    fresh draws. The bound's C is ``est``'s; an error ``est`` is raised once
+    the loss and the two-way distortion ||delta|| are taken. M is exact at
+    the final decoded model; D is the configured cap. A NaN C (``est`` None)
+    gives NaN lambda and rhs; an infinite ||delta|| raises ``NumericError``."""
     target = observed.datasets[config.attack_client]
     theta = observed.theta_shadow
     delta_model = observed.theta_decoded - theta
@@ -268,7 +263,8 @@ def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
     delta_two = two_way_distortion(observed)
     if not np.isfinite(delta_two):
         raise NumericError("non-finite two-way distortion")
-    c = big_c()
+    est = datagen.constants_of(est)
+    c = float("nan") if est is None else est.big_c
     big_m = exact_big_m(config.model, theta, delta_model, target)
     cap_d = config.dataset.diameter_cap
     if np.isnan(c):
@@ -298,24 +294,24 @@ def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
 
 def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
                 traces: list[attackmod.AttackTrace],
-                estimate: Callable[[], datagen.ConstantsEstimate], *,
+                est: datagen.ConstantsEstimate | FedTradeoffError | None, *,
                 sweep_axis: str = "none", sweep_value: float = 0.0,
                 trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
     """Score one inverted upload: leakage, utility loss, constants, bounds.
 
     ``traces`` holds the one inversion of ``config.attack_client``'s upload in
     the observed round, with ``config.attack.iters`` iterations. Both bounds
-    take their constants from ``estimate()``, the estimate at ``trial_probe``
-    (``try_estimate``: NaN bound columns when it fails). ``experiment_id``
-    defaults to this config's digest; sweeps stamp their base config's digest
-    on every row so one sweep stays one experiment.
+    take their constants from ``est``: an ``EstimationError`` (no usable
+    pair, e.g. single-sample clients) gives NaN bound columns, any other error
+    is raised. ``experiment_id`` defaults to this config's digest; sweeps
+    stamp their base config's digest on every row so one sweep stays one
+    experiment.
     """
-    trace, = traces
+    if isinstance(est, EstimationError):
+        est = None
+    privacy = privacy_outcome(config, seed, observed, traces, est)
+    utility, half = utility_outcome(config, seed, observed, est)
     client = config.attack_client
-    est = try_estimate(estimate)
-    privacy = privacy_outcome(config, observed, trace, est)
-    big_c = float("nan") if est is None else est.big_c
-    utility, half = utility_outcome(config, seed, observed, lambda: big_c)
     target = observed.datasets[client]
     consts = privacy.extras
     cap_d, c_0 = (float("nan"),) * 2 if est is None else (est.cap_d, est.c_0)
@@ -324,7 +320,7 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
         seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
         eps_p=privacy.measured,
-        eps_p_final=attackmod.privacy_leakage_final(trace, target.x,
+        eps_p_final=attackmod.privacy_leakage_final(traces[0], target.x,
                                                     config.dataset.diameter_cap),
         eps_u=utility.measured, eps_u_halfwidth=half, eps_e=target.size,
         delta_up_grad=observed.delta_up_grad[client],
@@ -334,7 +330,8 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
         privacy_holds=bool(privacy.precondition_ok and privacy.measured <= privacy.rhs),
         utility_rhs=utility.rhs, utility_lambda=utility.extras["lambda"],
         utility_holds=bool(not np.isnan(utility.rhs) and utility.measured <= utility.rhs),
-        c_a=consts["c_a"], c_b=consts["c_b"], big_c=big_c, big_m=utility.extras["big_m"],
+        c_a=consts["c_a"], c_b=consts["c_b"], big_c=utility.extras["big_c"],
+        big_m=utility.extras["big_m"],
         cap_d=cap_d, c_0=c_0, c_2=consts["c_2"], pair_skip_rate=consts["pair_skip_rate"],
     )
 
@@ -361,7 +358,7 @@ _LOOP_ARRAYS = 8
 
 def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
     """Consecutive slices of ``trials``, one ``simulate_batch``, one
-    ``invert_batch`` and one ``datagen.estimate_constants_batch`` call each.
+    ``invert_batch`` and one ``score_block`` call each.
 
     A block holds trials of one shape (equal model, attack config, dataset spec
     and FL config, and mechanism kind and noise sharing) and takes as many as
@@ -393,27 +390,24 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
 
 
 def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
-    """``score(config, seed, observed, traces, estimate, **kw)`` of each
+    """``score(config, seed, observed, traces, est, **kw)`` of each
     ``(config, seed, kw)`` trial, in order.
 
     ``inverted(config)`` lists the clients whose uploads in the attacked round
     a trial inverts: by default the attacked client, none for the utility
-    bounds, every client for the trade-offs. ``estimate()`` returns the
-    trial's estimate at ``trial_probe`` or raises its error.
+    bounds, every client for the trade-offs.
 
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
     (trials of one shape within the block budget): observe them in one
-    ``simulate_batch``, invert
-    every listed upload of the block in one ``attack.invert_batch`` (a trial's
-    j-th upload with attack seed ``seed + j``, its leakage streamed against
-    that client's data at the trial's ``diameter_cap``, which alone its trace
-    then scores), estimate every probe of the block in one
-    ``datagen.estimate_constants_batch``, then score each trial with its traces
-    in listed order; the traces and estimates die with the block. A row whose
-    estimate fails fails where its scorer asks for it, and a block that raises
-    reruns one trial at a time, so the error raised is the one a serial run
-    meets first: that of the first failing trial, whatever stage it fails in.
-    This is the only place a simulated upload is inverted."""
+    ``simulate_batch``, invert every listed upload of the block in one
+    ``attack.invert_batch`` (a trial's j-th upload with attack seed
+    ``seed + j``, its leakage streamed against that client's data at the
+    trial's ``diameter_cap``, which alone its trace then scores), then score
+    them, traces in listed order, in one ``score_block``; the traces and
+    estimates die with the block. A block that raises reruns one trial at a
+    time, so the error raised is the one a serial run meets first: that of
+    the first failing trial, whatever stage it fails in. This is the only
+    place a simulated upload is inverted."""
     rows = []
     for block in _lockstep_blocks(trials, inverted):
         try:
@@ -440,10 +434,19 @@ def _run_block(score, inverted, block: list[tuple]) -> list:
         originals=np.stack([o.datasets[k].x for _, o, k, _ in uploads]),
         cap_d=[cfg.dataset.diameter_cap for cfg, _, _, _ in uploads]) if uploads else ())
     traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
+    return score_block(score, block, seen, traces)
+
+
+def score_block(score, block: list[tuple], seen: list[Observed], traces: list[list]) -> list:
+    """``score(config, seed, observed, traces, est, **kw)`` of each observed
+    ``(config, seed, kw)`` trial of ``block`` with its traces, ``est`` its
+    ``trial_probe``'s row of one ``datagen.estimate_constants_batch`` (the
+    estimate, or the error it raised); the scoring stage of ``run_trials``
+    and of the CLI's ``attack``."""
     rows = datagen.estimate_constants_batch(block[0][0].model, [
         trial_probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
-    return [score(cfg, seed, o, ts, partial(datagen.constants_of, row), **kw)
-            for (cfg, seed, kw), o, ts, row in zip(block, seen, traces, rows)]
+    return [score(cfg, seed, o, ts, est, **kw)
+            for (cfg, seed, kw), o, ts, est in zip(block, seen, traces, rows)]
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")

@@ -27,7 +27,7 @@ from typing import Iterable, get_type_hints
 import numpy as np
 
 from .datagen import ClientDataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .experiment import TrialRow
 from .protocol import RoundRecord
 
@@ -67,24 +67,42 @@ def read_manifest(path: str) -> dict:
     if not isinstance(doc, dict) or not {"config", "master_seed"} <= doc.keys():
         raise ConfigurationError(f"bad manifest {path}: not an object with "
                                  f"'config' and 'master_seed'")
+    require_int(f"master_seed of {path}", doc["master_seed"], 0)
     return doc
 
 
+# each roundlog/v1 value after "round", keyed by its RoundRecord field: the
+# shape of its numbers in the round's K clients and d parameters ("" one number)
+_ROUND_SHAPES = dict(eta="", theta_decoded="d", theta_next_protected="d",
+                     theta_next_decoded="d", grads="Kd", wires="Kd", delta_up_grad="K",
+                     delta_up_param="K", delta_two_grad="", delta_two_param="", shadow_gap="")
+
+
 def round_record_to_dict(rec: RoundRecord) -> dict:
-    return {
-        "round": rec.round_index,
-        "eta": rec.eta,
-        "theta_decoded": _floats(rec.theta_decoded),
-        "theta_next_protected": _floats(rec.theta_next_protected),
-        "theta_next_decoded": _floats(rec.theta_next_decoded),
-        "grads": _floats(rec.grads),
-        "wires": _floats(rec.wires),
-        "delta_up_grad": rec.delta_up_grad,
-        "delta_up_param": rec.delta_up_param,
-        "delta_two_grad": rec.delta_two_grad,
-        "delta_two_param": rec.delta_two_param,
-        "shadow_gap": rec.shadow_gap,
-    }
+    return {"round": rec.round_index,
+            **{k: _floats(getattr(rec, k)) if "d" in shape else getattr(rec, k)
+               for k, shape in _ROUND_SHAPES.items()}}
+
+
+def round_record_from_dict(doc) -> RoundRecord:
+    """Inverse of ``round_record_to_dict``; ``ConfigurationError`` unless ``doc``
+    has exactly its keys, an integer round >= 0 and numbers of one K and d."""
+    if not isinstance(doc, dict) or doc.keys() != {"round", *_ROUND_SHAPES}:
+        raise ConfigurationError("not an object with the keys round, " + ", ".join(_ROUND_SHAPES))
+    require_int("round", doc["round"], 0)
+    fields, sizes = {}, {}
+    for key, shape in _ROUND_SHAPES.items():
+        try:
+            value = np.array(doc[key])
+        except ValueError:                 # ragged rows
+            value = np.array(None)
+        if value.dtype.kind not in "iuf" or value.ndim != len(shape) or any(
+                sizes.setdefault(axis, n) != n for axis, n in zip(shape, value.shape)):
+            raise ConfigurationError(f"{key} must be numbers of shape ({', '.join(shape)}), "
+                                     f"with one K and d throughout")
+        value = value.astype(np.float64, copy=False)
+        fields[key] = value if "d" in shape else value.tolist()
+    return RoundRecord(doc["round"], **fields)
 
 
 def write_round_log(path: str, records: Iterable[RoundRecord]) -> None:
@@ -133,6 +151,11 @@ def write_datasets(path: str, datasets: list[ClientDataset]) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
+def _csv_rows(fh):
+    """The cells of each non-blank line left in ``fh``."""
+    return (line.split(",") for line in map(str.strip, fh) if line)
+
+
 def read_datasets(path: str) -> list[ClientDataset]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -140,11 +163,7 @@ def read_datasets(path: str) -> list[ClientDataset]:
             raise ConfigurationError(f"bad datasets header in {path}")
         p = len(header) - 2
         rows: dict[int, list[tuple[list[float], int]]] = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
+        for cells in _csv_rows(fh):
             if len(cells) != p + 2:
                 raise ConfigurationError(f"bad datasets row in {path}")
             try:
@@ -169,11 +188,17 @@ def _cell(v) -> str:
 
 
 def write_results(path: str, rows: list[TrialRow], append: bool = False) -> None:
-    exists = os.path.exists(path)
-    mode = "a" if append and exists else "w"
+    """``rows`` under the ``results/v1`` header, or with ``append`` after those
+    of an existing file, which must start with that header."""
+    header = ",".join(TrialRow.FIELDS) + "\n"
+    mode = "a" if append and os.path.exists(path) else "w"
+    if mode == "a":
+        with open(path, "rb") as fh:
+            if fh.readline() != header.encode():
+                raise ConfigurationError(f"results header mismatch in {path}; not appended")
     with open(path, mode) as fh:
         if mode == "w":
-            fh.write(",".join(TrialRow.FIELDS) + "\n")
+            fh.write(header)
         for row in rows:
             fh.write(",".join(_cell(v) for v in row.as_list()) + "\n")
 
@@ -191,11 +216,7 @@ def read_results(path: str) -> list[TrialRow]:
         if tuple(header) != TrialRow.FIELDS:
             raise ConfigurationError(f"results header mismatch in {path}")
         rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
+        for cells in _csv_rows(fh):
             if len(cells) != len(parsers):
                 raise ConfigurationError(f"results row has {len(cells)} cells, header "
                                          f"{len(parsers)}, in {path}")

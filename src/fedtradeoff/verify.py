@@ -4,9 +4,10 @@ A bound's trials are ``experiment`` trials: ``VerifyScenario.experiment_config``
 gives the config they run, and ``trial_outcomes`` runs one per seed through
 ``experiment.run_trials``, with the bound's outcome function as the scorer.
 Privacy trials invert client 0's round-0 upload, trade-off trials every
-client's, utility trials none. Each outcome scores its bound with
-``experiment.privacy_outcome`` / ``utility_outcome``, the sides ``score_trial``
-uses too, at the trial's one estimate at ``experiment.trial_probe``.
+client's, utility trials none. The privacy scorer is
+``experiment.privacy_outcome`` and the others score with
+``experiment.utility_outcome``, the sides ``score_trial`` uses too, at the
+trial's one estimate at ``experiment.trial_probe``, which each takes as a value.
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -77,17 +78,10 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
-def _privacy_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
-    """Client 0's leakage vs the privacy bound."""
-    trace, = traces
-    return privacy_outcome(config, obs, trace, estimate())
-
-
 def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     traces: list, estimate) -> TrialOutcome:
+                     traces: list, est) -> TrialOutcome:
     """Measured utility loss vs the utility bound."""
-    out, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
+    out, _ = utility_outcome(config, seed, obs, est)
     if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
         raise ConfigurationError("HE run produced nonzero two-way distortion")
     return out
@@ -95,15 +89,15 @@ def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
 
 def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
                       config: ExperimentConfig, seed: int, obs: Observed,
-                      traces: list[attackmod.AttackTrace], estimate) -> TrialOutcome:
+                      traces: list[attackmod.AttackTrace], est) -> TrialOutcome:
     """Client 0's utility loss vs a trade-off bound, from every client's
     round-0 leakage (``traces[k]`` inverted client k)."""
     eps_p = [attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
              for trace, ds in zip(traces, obs.datasets)]
-    util, _ = utility_outcome(config, seed, obs, lambda: estimate().big_c)
+    util, _ = utility_outcome(config, seed, obs, est)
     lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
     inputs = boundsmod.BoundInputs(
-        constants=replace(estimate(), big_m=util.extras["big_m"],
+        constants=replace(est, big_m=util.extras["big_m"],
                           cap_d=util.extras["cap_d"]),
         eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(eps_p),
         eps_e=np.array([float(d.size) for d in obs.datasets]),
@@ -127,7 +121,7 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
     trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, _privacy_outcome)
+        return run_trials(trials, privacy_outcome)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
         return run_trials(trials, score,
@@ -148,9 +142,7 @@ def verify_bound(bound_name: str, scenario: VerifyScenario, trials: int,
                  master_seed: int = 0) -> boundsmod.BoundReport:
     """Run the bound's pipeline `trials` times and score the violation rate."""
     require_int("master_seed", master_seed, 0)
-    if trials < 100:
-        raise ConfigurationError("trials must be >= 100")
-    require_int("trials", trials, 100)              # 100.0 and NaN fail here
+    require_int("trials", trials, 100)              # 100.0 and NaN fail too
     seeds = rngmod.trial_seeds(master_seed, 0, trials)
 
     outcomes = trial_outcomes(bound_name, scenario, seeds)

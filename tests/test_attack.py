@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
-from fedtradeoff.errors import ConfigurationError, NumericError
+from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
 LINEAR = models.ModelSpec("linear", 2)
 LOGISTIC = models.ModelSpec("logistic", 2)
@@ -701,7 +701,8 @@ class TestPacFormulas:
         run_dir, out = str(tmp_path / "run"), str(tmp_path / "atk")
         assert cli.main(["train", "--mech", "rand", "--sigma", "0.1", "--seed", "2",
                          "--samples", "6", "--rounds", "2", "--out", run_dir]) == 0
-        monkeypatch.setattr(experiment, "try_estimate", lambda *a, **kw: None)
+        monkeypatch.setattr(datagen, "estimate_constants_batch", lambda spec, probes: [
+            EstimationError("no usable pair") for _ in probes])
         assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
                          "--phase2", "--pac-eps", "0.1", "--pac-delta", "0.9"]) == 0
         with open(os.path.join(out, "phase2.json")) as fh:

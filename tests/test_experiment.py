@@ -446,7 +446,7 @@ class TestRunTrialsInverter:
         config = three_client_config()
         seen = []
 
-        def score(cfg, seed, observed, traces, estimate):
+        def score(cfg, seed, observed, traces, est):
             seen.append((seed, observed, traces))
             return seed
 
@@ -473,7 +473,7 @@ class TestRunTrialsInverter:
 
         monkeypatch.setattr(attack, "invert_batch", no_invert)
         got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
-                                    lambda cfg, seed, observed, traces, estimate: len(traces),
+                                    lambda cfg, seed, observed, traces, est: len(traces),
                                     inverted=lambda cfg: ())
         assert got == [0, 0]
 
@@ -496,7 +496,7 @@ class TestBoundSides:
     def test_privacy_without_estimate_is_nan_and_fails_precondition(self):
         config = base_config()
         observed, trace = self.observed_and_trace(config, 5)
-        got = experiment.privacy_outcome(config, observed, trace, None)
+        got = experiment.privacy_outcome(config, 5, observed, [trace], None)
         target = observed.datasets[0]
         assert got.measured == attack.privacy_leakage(trace, target.x,
                                                       config.dataset.diameter_cap)
@@ -508,22 +508,39 @@ class TestBoundSides:
     def test_utility_with_nan_c_keeps_the_measured_loss(self):
         config = base_config()
         observed, _ = self.observed_and_trace(config, 5)
-        asked = []
-
-        def nan_c():
-            asked.append("C")
-            return float("nan")
-
-        got, half = experiment.utility_outcome(config, 5, observed, nan_c)
+        got, half = experiment.utility_outcome(config, 5, observed, None)
         row = experiment.run_trial(config, 5)
-        # the loss and its halfwidth do not depend on C, asked for once
+        # the loss and its halfwidth do not depend on C
         assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
-        assert asked == ["C"]
         assert got.extras["delta_two"] == float(
             np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
         assert got.extras["big_m"] == row.big_m
         assert np.isnan(got.rhs) and np.isnan(got.extras["lambda"])
         assert not got.precondition_ok
+
+    def test_an_estimate_error_is_raised_in_each_sides_order(self, monkeypatch):
+        # privacy raises it before scoring the leakage; utility after the loss
+        # and the ||delta|| checks
+        config = base_config()
+        observed, trace = self.observed_and_trace(config, 5)
+        failed = NumericError("estimate failed")
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "privacy_leakage", lambda *a: pytest.fail("leakage scored"))
+            with pytest.raises(NumericError, match="estimate failed"):
+                experiment.privacy_outcome(config, 5, observed, [trace], failed)
+        with pytest.raises(NumericError, match="estimate failed"):
+            experiment.utility_outcome(config, 5, observed, failed)
+        # a logistic loss stays finite at 1e160, ||delta||^2 does not
+        diverged = observed._replace(theta_decoded=observed.theta_shadow + 1e160)
+        with pytest.raises(NumericError, match="non-finite two-way distortion"):
+            experiment.utility_outcome(config, 5, diverged, failed)
+
+        def no_loss(*args):
+            raise ConfigurationError("loss failed")
+
+        monkeypatch.setattr(protocol, "measure_utility_loss", no_loss)
+        with pytest.raises(ConfigurationError, match="loss failed"):
+            experiment.utility_outcome(config, 5, observed, failed)
 
 
 class TestOneProbe:

@@ -79,6 +79,10 @@ class TestIO:
             assert np.array_equal(np.array(row["theta_decoded"]), rec.theta_decoded)
             assert row["delta_two_grad"] == rec.delta_two_grad
             assert np.array_equal(np.array(row["wires"][1]), rec.wires[1])
+            # and back to the record, bit for bit
+            again = iomod.round_record_from_dict(row)
+            assert iomod.round_record_to_dict(again) == iomod.round_record_to_dict(rec)
+            assert again.wires.tobytes() == rec.wires.tobytes()
 
     def test_round_log_supports_update_audit(self, tmp_path):
         # the emitted log carries enough to re-derive the server update exactly
@@ -275,8 +279,23 @@ class TestAttackCLI:
         ("rounds.jsonl", lambda text: text.replace("\n", "\n{\"round\": \n", 1)),
         ("model_final_shadow.csv", lambda text: text.replace("\n", "\nnot-a-number\n", 1)),
         ("datasets.csv", lambda text: text.replace("\n0,", "\nzero,", 1)),
+        *[("manifest.json", lambda text, seed=seed: json.dumps(
+            {**json.loads(text), "master_seed": seed})) for seed in (-1, None, 1.5, "7", True)],
+        # the attacked round's line is not a round record
+        ("rounds.jsonl", lambda text: '{"round": 0}\n' + text.split("\n", 1)[1]),
+        ("rounds.jsonl", lambda text: '[1, 2]\n' + text.split("\n", 1)[1]),
+        ("rounds.jsonl", lambda text: json.dumps(
+            {**json.loads(text.split("\n", 1)[0]), "wires": [[1.0]]}) + text[text.index("\n"):]),
+        # files that parse, but whose sizes do not fit the others
+        ("datasets.csv", lambda text: "".join(
+            line for line in text.splitlines(True) if not line.startswith("1,"))),
+        ("model_final_shadow.csv", lambda text: text.split("\n", 1)[1]),
+        ("model_final_decoded.csv", lambda text: text + "0.5\n"),
     ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
-            "vector-non-numeric", "datasets-non-numeric"])
+            "vector-non-numeric", "datasets-non-numeric", "master-seed-negative",
+            "master-seed-null", "master-seed-float", "master-seed-string", "master-seed-bool",
+            "round-log-without-keys", "round-log-not-an-object", "round-log-misshapen-wires",
+            "datasets-one-client-short", "shadow-one-short", "decoded-one-long"])
     def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
         path = os.path.join(run_dir, name)
         with open(path) as fh:
@@ -288,6 +307,17 @@ class TestAttackCLI:
         assert r.returncode == 1
         assert "config error" in r.stderr and name in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_append_under_another_header_exit_1(self, run_dir, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        results = out / "results.csv"
+        results.write_text("a,b\n1,2\n")
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", str(out), "--iters", "5",
+                     "--append"])
+        assert r.returncode == 1
+        assert "config error: results header mismatch" in r.stderr
+        assert results.read_text() == "a,b\n1,2\n"
 
     def test_pac_delta_half_precondition_exit_1(self, run_dir, tmp_path):
         r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),

@@ -232,7 +232,7 @@ class TestVerifyBound:
             verify.verify_bound("no-such-bound", tiny_scenario(), 100)
 
     def test_min_trials_enforced(self):
-        with pytest.raises(ConfigurationError, match="trials must be >= 100"):
+        with pytest.raises(ConfigurationError, match="trials must be an integer >= 100"):
             verify.verify_bound("privacy", tiny_scenario(), 50)
 
     @pytest.mark.parametrize("trials, master_seed", [(100, -1), (100, 0.5), (100.0, 0),
