@@ -61,7 +61,8 @@ COMMANDS = [
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",
      "--phase2", "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
-    # every bound at the least trial count verify accepts
+    # every bound at the least trial count verify accepts; the utility bound's
+    # blocks (60 and 40 trials) each take their utility side in two chunks
     ["verify", "--bound", "privacy", "--trials", "100", "--sigma", "0.6", "--iters", "250",
      "--step-size", "0.15", "--out", "runs/verify"],
     # the privacy bound at K > 1, estimated on every client's data

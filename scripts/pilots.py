@@ -115,10 +115,9 @@ def pilot_utility_monotone():
             th = th - 0.5 * models.grad_params(spec, th, ds.x, ds.y)
         u = rngmod.stream(seed, 63).standard_normal(2)
         big = 10.0 * u / np.linalg.norm(u)
-        e0, _ = protocol.measure_utility_loss(spec, th, np.zeros(2), ds,
-                                              datagen.fresh_sampler(dss, seed + 100), 400)
-        e1, _ = protocol.measure_utility_loss(spec, th, big, ds,
-                                              datagen.fresh_sampler(dss, seed + 100), 400)
+        xs, ys = datagen.fresh_sampler(dss, seed + 100)(400)
+        e0, _ = protocol.measure_utility_loss(spec, th, np.zeros(2), ds.x, ds.y, xs, ys)
+        e1, _ = protocol.measure_utility_loss(spec, th, big, ds.x, ds.y, xs, ys)
         wins += (e1 >= e0)
     print(f"pilot 5: {wins}/50 -> locked >= 45/50")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field
-from typing import Callable
 
 import numpy as np
 
@@ -57,12 +56,10 @@ def privacy_upper_bound(gamma: float, m: int, c_a: float, cap_d: float,
     return 1.0 + math.sqrt(math.log(2.0 / gamma) / (2.0 * m)) - (c_a / (2.0 * cap_d)) * delta_up
 
 
-def _m_term_of(big_m: float, d: int, cap_d: float, eta: float,
-               m: float) -> Callable[[float], float]:
-    """lambda -> M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain.
-
-    The arguments are checked and the lambda-free logs taken once, so a search
-    over lambda pays only for the lambda-dependent part."""
+def _m_term_row(big_m: float, d: float, cap_d: float, eta: float, m: float) -> tuple:
+    """One row's arguments of the M term, checked, and its lambda-free logs,
+    taken with libm: log M, log m, log 2d, 2D and log(2 ln(1/eta)) (-inf at
+    eta = 1, where logaddexp leaves the covering term as it is)."""
     if big_m <= 0:
         raise ConfigurationError("M must be > 0")
     if m <= 0:
@@ -73,43 +70,62 @@ def _m_term_of(big_m: float, d: int, cap_d: float, eta: float,
         raise ConfigurationError("d must be >= 1")
     if cap_d < 0:
         raise ConfigurationError("D must be >= 0")
-    log_2d, log_2ln2 = math.log(2 * d), math.log(2.0 * math.log(2.0))
-    b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else None
-    log_m_term, log_m = math.log(big_m), math.log(m)
-
-    def term(lam: float) -> float:
-        # log N as in datagen.log_covering_number
-        a = log_2ln2 + (2.0 * cap_d / (lam * lam) + 1.0) * log_2d
-        val_log = log_m_term + 0.5 * ((a if b is None else _logaddexp(a, b)) - log_m)
-        if val_log > 700.0:
-            return math.inf
-        return math.exp(val_log)
-    return term
+    b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else -math.inf
+    return math.log(big_m), math.log(m), math.log(2 * d), 2.0 * cap_d, b
 
 
-_LN2 = math.log(2.0)
+def _rows(*args) -> list[np.ndarray]:
+    """The arguments as float arrays of their broadcast shape, the rows' shape."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in args))
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """``np.logaddexp`` of two floats in numpy's own operations, without the
-    ufunc call: log1p and exp of libm, as numpy's scalar loop takes them."""
-    if x == y:
-        return x + _LN2
-    if x > y:
-        return x + math.log1p(math.exp(y - x))
-    return y + math.log1p(math.exp(x - y))
+def _m_term_logs(big_m, d, cap_d, eta, m) -> np.ndarray:
+    """The (5, *rows) lambda-free logs of the M term (``_m_term_row``) for rows
+    of arguments, each a float or an array of the rows' shape; every row is
+    checked, in row order."""
+    args = _rows(big_m, d, cap_d, eta, m)
+    logs = [_m_term_row(*row) for row in zip(*(a.ravel().tolist() for a in args))]
+    return np.array(logs, dtype=np.float64).reshape(-1, 5).T.reshape(5, *args[0].shape)
 
 
-def _utility_bound_of(big_c: float, delta_two: float, big_m: float, d: int, cap_d: float,
-                      eta: float, m: float) -> Callable[[float], float]:
-    """lambda -> C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m), its
-    lambda-free arguments checked once."""
-    if big_c <= 0:
-        raise ConfigurationError("C must be > 0")
-    if delta_two < 0:
-        raise ConfigurationError("delta_two must be >= 0")
-    m_term = _m_term_of(big_m, d, cap_d, eta, m)
-    return lambda lam: (big_c * lam + big_c * delta_two) + m_term(lam)
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of libm (a ``math`` function) at each element of x. numpy's SIMD
+    exp and log1p need not round as libm does, and the bounds keep libm's bits."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _m_term(logs: np.ndarray, lam) -> np.ndarray:
+    """M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain at lam, for
+    the rows of ``logs`` (``_m_term_logs``, shaped to broadcast against lam).
+    Each value is the one-row scalar formula's bit for bit: numpy's arithmetic
+    rounds as Python's does, and the exponentials are libm's."""
+    log_m_term, log_m, log_2d, cap2, b = logs
+    # log N as in datagen.log_covering_number
+    a = math.log(2.0 * math.log(2.0)) + (cap2 / (lam * lam) + 1.0) * log_2d
+    # np.logaddexp(a, b) as numpy's scalar loop takes it, with libm's log1p and exp
+    a = np.maximum(a, b) + _libm(math.log1p, _libm(math.exp, -np.abs(a - b)))
+    val_log = log_m_term + 0.5 * (a - log_m)
+    return np.where(val_log > 700.0, math.inf, _libm(math.exp, np.minimum(val_log, 700.0)))
+
+
+def _utility_consts(big_c, delta_two, big_m, d, cap_d, eta, m) -> np.ndarray:
+    """The (7, *rows) lambda-free values of the utility bound for rows of
+    arguments as in ``_m_term_logs``: C, C*delta_two, then the M term's logs.
+    Every row is checked, C and delta_two first."""
+    args = _rows(big_c, delta_two, big_m, d, cap_d, eta, m)
+    big_c, delta_two = args[:2]
+    for c, two in zip(big_c.ravel().tolist(), delta_two.ravel().tolist()):
+        if c <= 0:
+            raise ConfigurationError("C must be > 0")
+        if two < 0:
+            raise ConfigurationError("delta_two must be >= 0")
+    return np.concatenate([big_c[None], (big_c * delta_two)[None], _m_term_logs(*args[2:])])
+
+
+def _utility_bound(consts: np.ndarray, lam) -> np.ndarray:
+    """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m) at lam, for the
+    rows of ``consts`` (``_utility_consts``, shaped to broadcast against lam)."""
+    return (consts[0] * lam + consts[1]) + _m_term(consts[2:], lam)
 
 
 def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float,
@@ -117,7 +133,7 @@ def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float
     """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m)."""
     if lam <= delta_two:
         raise ConfigurationError("lambda must exceed delta_two")
-    return _utility_bound_of(big_c, delta_two, big_m, d, cap_d, eta, m)(lam)
+    return float(_utility_bound(_utility_consts(big_c, delta_two, big_m, d, cap_d, eta, m), lam))
 
 
 def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
@@ -125,48 +141,67 @@ def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
     """HE mechanism bound: C*lambda + M*sqrt(...), i.e. zero two-way distortion."""
     if lam <= 0:
         raise ConfigurationError("lambda must be > 0")
-    return _utility_bound_of(big_c, 0.0, big_m, d, cap_d, eta, m)(lam)
+    return float(_utility_bound(_utility_consts(big_c, 0.0, big_m, d, cap_d, eta, m), lam))
 
 
-def minimize_utility_lambda(big_c: float, delta_two: float, big_m: float, d: int,
-                            cap_d: float, eta: float, m: int) -> tuple[float, float]:
-    """(lambda*, rhs*) minimizing the utility bound over lambda > delta_two.
+def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda*, rhs*) minimizing the utility bound over lambda > delta_two, for
+    rows of arguments searched in lockstep: each argument a float or an array
+    of the rows' shape, and lambda* and rhs* arrays of that shape.
 
-    Coarse log grid to bracket the minimum, then golden-section refinement.
+    Each row takes a coarse 64-point log grid from just above its delta_two,
+    whose top is quadrupled until the grid minimum is interior (at most 20
+    grids), then golden-section refinement of the minimum's bracket, frozen
+    once the bracket is 1e-12 relative (at most 120 steps). Rows expand and
+    converge at their own counts, and each equals its one-row search bit for
+    bit: numpy's arithmetic rounds as Python's does, and the exponentials are
+    libm's (``_m_term``).
     """
-    lo = delta_two + max(1e-9, 1e-9 * delta_two)
-    lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
-    # every lambda tried exceeds delta_two
-    f = _utility_bound_of(big_c, delta_two, big_m, d, cap_d, eta, m)
+    args = _rows(big_c, delta_two, big_m, d, cap_d, eta, m)
+    consts = _utility_consts(*args).reshape(7, -1)
+    delta_two, cap_d = args[1].ravel(), args[4].ravel()
+    # every lambda tried exceeds delta_two; Python's max(x, y) is y only when y > x
+    lo = delta_two + np.where(1e-9 * delta_two > 1e-9, 1e-9 * delta_two, 1e-9)
+    top, alt = 10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0
+    lam_hi = np.where(alt > top, alt, top)
 
-    # expand hi until the grid minimum is interior
+    # expand each row's top until its grid minimum is interior
+    a, b = np.empty_like(lo), np.empty_like(lo)
+    todo = np.arange(lo.size)
     for _ in range(20):
-        grid = np.geomspace(lo, lam_hi, 64).tolist()
-        vals = [f(lam) for lam in grid]
-        i = int(np.argmin(vals))
-        if i < len(grid) - 1:
+        grid = np.geomspace(lo[todo], lam_hi[todo], 64, axis=-1)
+        i = np.argmin(_utility_bound(consts[:, todo, None], grid), axis=-1)
+        at = np.arange(todo.size)
+        a[todo], b[todo] = grid[at, np.maximum(i - 1, 0)], grid[at, np.minimum(i + 1, 63)]
+        todo = todo[i == 63]
+        if not todo.size:
             break
-        lam_hi *= 4.0
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
+        lam_hi[todo] *= 4.0
+
+    # golden section; a row leaves (rows, k and its state) once its bracket converges
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    e = a + phi * (b - a)
-    fc, fe = f(c), f(e)
+    lam, rows, k = np.empty_like(lo), np.arange(lo.size), consts
+    c, e = b - phi * (b - a), a + phi * (b - a)
+    fc, fe = _utility_bound(k[..., None], np.stack([c, e], axis=-1)).T
     for _ in range(120):
-        if fc <= fe:
-            b, e, fe = e, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + phi * (b - a)
-            fe = f(e)
-        if b - a < 1e-12 * max(1.0, b):
-            break
-    lam_best = c if fc <= fe else e
-    lam_best = max(lam_best, lo)
-    return float(lam_best), float(f(lam_best))
+        keep = fc <= fe                # the minimum lies in [a, e]: step c down
+        a, b = np.where(keep, a, c), np.where(keep, e, b)
+        step = phi * (b - a)
+        x = np.where(keep, b - step, a + step)
+        fx = _utility_bound(k, x)
+        c, e, fc, fe = (np.where(keep, x, e), np.where(keep, c, x),
+                        np.where(keep, fx, fe), np.where(keep, fc, fx))
+        done = b - a < 1e-12 * np.maximum(1.0, b)
+        if np.count_nonzero(done):
+            lam[rows[done]] = np.where(fc <= fe, c, e)[done]
+            left = ~done
+            rows, k, a, b, c, e, fc, fe = (v[..., left] for v in (rows, k, a, b, c, e, fc, fe))
+            if not rows.size:
+                break
+    lam[rows] = np.where(fc <= fe, c, e)
+    lam = np.where(lo > lam, lo, lam)
+    return lam.reshape(args[0].shape), _utility_bound(consts, lam).reshape(args[0].shape)
 
 
 @dataclass
@@ -232,10 +267,10 @@ def _tradeoff(inputs: BoundInputs, client: int, coefficient: float) -> float:
         raise ConfigurationError("eps_e must be positive")
     c = inputs.constants
     head = coefficient * _client_average_term(inputs)
-    tail = _m_term_of(c.big_m, inputs.d, c.cap_d, inputs.eta, float(inputs.eps_e[client]))
+    logs = _m_term_logs(c.big_m, inputs.d, c.cap_d, inputs.eta, float(inputs.eps_e[client]))
     if inputs.lam <= 0:
         raise ConfigurationError("lambda must be > 0")
-    return head + tail(inputs.lam)
+    return head + float(_m_term(logs, inputs.lam))
 
 
 def tradeoff_general(inputs: BoundInputs, client: int = 0) -> float:

@@ -25,7 +25,7 @@ from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
 from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, run_sweep,
-                         run_trials, score_block, score_trial, simulate)
+                         run_trials, score_block, score_trials, simulate, two_way_distortion)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,7 +149,7 @@ def cmd_attack(args) -> int:
             f"{shadow.shape} in model_final_shadow.csv, {decoded.shape} in model_final_decoded.csv")
     observed = Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
                         rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
-                        shadow, decoded)
+                        shadow, decoded, two_way_distortion(decoded, shadow))
 
     atk = replace(config.attack, seed=seed)
     if args.iters is not None:
@@ -161,7 +161,7 @@ def cmd_attack(args) -> int:
     # scored as a trial of run_trials is; the row keeps the manifest config's
     # experiment_id, even with --iters
     scored = replace(config, attack=atk, attack_client=args.client)
-    row, = score_block(score_trial, [(scored, seed, dict(
+    row, = score_block(score_trials, [(scored, seed, dict(
         sweep_axis="attack", experiment_id=config.experiment_id()))], [observed], [[trace]])
     rep = None
     if args.phase2:         # before the first write: a phase-2 error leaves --out as it was
@@ -242,7 +242,7 @@ def cmd_estimate_constants(args) -> int:
     pilot = replace(config, fl=replace(config.fl, rounds=1), mechanism=MechanismSpec(),
                     attack_round=0, attack_client=0)
     est, = run_trials([(pilot, config.master_seed, {})],
-                      lambda config, seed, observed, traces, est: datagen.constants_of(est))
+                      lambda block, seen, traces, ests: [datagen.constants_of(e) for e in ests])
     os.makedirs(args.out, exist_ok=True)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -189,6 +189,17 @@ def fresh_sampler(spec: DatasetSpec, seed: int, centers: np.ndarray | None = Non
         return _draw_examples(spec, centers, g, n)
 
     return draw
+
+
+def fresh_draws(spec: DatasetSpec, seeds: list[int], centers: list, n: int):
+    """Yield ``fresh_sampler(replace(spec, seed=s), s, c)(n)`` for each seed s and
+    its centers c in turn, bit for bit: every ``(s, STREAM_EVAL, 0)`` stream is
+    seeded at once (``rng.streams``). A None c is spec's class centers at s,
+    from its own stream ``(s, DATA, 0, 0)``."""
+    gens = rngmod.streams(seeds, [(rngmod.STREAM_EVAL, 0)] * len(seeds))
+    for seed, c, g in zip(seeds, centers, gens):
+        yield _draw_examples(spec, _class_centers(replace(spec, seed=seed)) if c is None else c,
+                             g, n)
 
 
 def diameter(x: np.ndarray) -> float:

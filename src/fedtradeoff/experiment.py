@@ -6,11 +6,13 @@ its constants at ``trial_probe``, and score it. ``run_trials`` runs trials
 stage-wise in lockstep blocks, with one ``simulate_batch``, one
 ``attack.invert_batch`` and one ``score_block`` (the one scoring stage, the
 CLI ``attack``'s too) per block, and is the only inverter of simulated
-uploads. Sweeps, ``run_trial`` and ``attack`` score with ``score_trial`` (one
-``TrialRow``), the bound verifier with each bound's outcome function.
+uploads. A scorer takes a whole block: sweeps, ``run_trial`` and ``attack``
+score with ``score_trials`` (one ``TrialRow`` per trial), the bound verifier
+with each bound's outcome function.
 
-``privacy_outcome`` and ``utility_outcome`` compute each bound side once, and
-every bound reads C, c_a and c_b from the one estimate at ``trial_probe``.
+``privacy_outcome`` (per trial) and ``utility_outcomes`` (stacked over a
+block) compute each bound side once, and every bound reads C, c_a and c_b
+from the one estimate at ``trial_probe``.
 
 Per-trial seeds are derived splittably from the master seed, so trials are
 independent and appending trials never changes existing ones.
@@ -57,6 +59,8 @@ class ExperimentConfig:
                             ("n_eval", 1), ("num_pairs", 1)):
             require_int(name, getattr(self, name), least)
         # the scorers' own checks, made when the config is built; NaN fails each
+        if self.n_eval < 100:
+            raise ConfigurationError("n_eval must be >= 100")
         if not 0 <= self.quantile <= 0.5:
             raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
         if not 0 < self.gamma <= 2:
@@ -132,10 +136,12 @@ TrialRow.FIELDS = tuple(f.name for f in fields(TrialRow))
 
 
 def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarray,
-                target: datagen.ClientDataset) -> float:
-    """max_Z |loss(theta + delta, Z)| over the protected client's training points."""
-    per = models.per_example_losses(model_spec, theta + delta, target.x, target.y)
-    return max(1e-12, float(np.max(np.abs(per))))   # 1e-12 first: a NaN maximum gives 1e-12
+                x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_Z |loss(theta + delta, Z)| over the protected client's training points
+    (x, y), at least 1e-12 (a NaN maximum gives 1e-12). Leading trial axes as
+    in ``models.per_example_losses`` give one M per trial."""
+    top = np.abs(models.per_example_losses(model_spec, theta + delta, x, y)).max(axis=-1)
+    return np.where(top > 1e-12, top, 1e-12)
 
 
 def simulate(config: ExperimentConfig, seed: int):
@@ -176,11 +182,19 @@ class Observed(NamedTuple):
     delta_two_param: float
     theta_shadow: np.ndarray       # final shadow model
     theta_decoded: np.ndarray      # final decoded model
+    two_way: float                 # ||delta||: two_way_distortion of the final models
 
 
 def observe(config: ExperimentConfig, seed: int) -> Observed:
     """Simulate one trial; the run's other rounds are dropped."""
     return _observed(config, *simulate(config, seed))
+
+
+def two_way_distortion(theta_decoded: np.ndarray, theta_shadow: np.ndarray) -> float:
+    """||delta||, the final decoded model's distance from the final shadow;
+    inf when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(theta_decoded - theta_shadow))
 
 
 def _observed(config: ExperimentConfig, datasets: list[datagen.ClientDataset],
@@ -190,9 +204,10 @@ def _observed(config: ExperimentConfig, datasets: list[datagen.ClientDataset],
     if not (0 <= config.attack_client < len(datasets)):
         raise ConfigurationError(f"attack_client {config.attack_client} out of range")
     rec = result.records[config.attack_round]
+    shadow, decoded = result.theta_final_shadow, result.theta_final_decoded
     return Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
                     rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
-                    result.theta_final_shadow, result.theta_final_decoded)
+                    shadow, decoded, two_way_distortion(decoded, shadow))
 
 
 @dataclass
@@ -235,46 +250,65 @@ def privacy_outcome(config: ExperimentConfig, seed: int, observed: Observed,
                                 "c_b": c_b, "c_2": c_2, "pair_skip_rate": skip_rate})
 
 
-def two_way_distortion(observed: Observed) -> float:
-    """||delta||, the final decoded model's distance from the final shadow;
-    inf when it overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
-
-
-def utility_outcome(config: ExperimentConfig, seed: int, observed: Observed,
-                    est: datagen.ConstantsEstimate | FedTradeoffError | None
-                    ) -> tuple[TrialOutcome, float]:
+def utility_outcomes(block: list[tuple], seen: list[Observed],
+                     ests: list[datagen.ConstantsEstimate | FedTradeoffError | None]
+                     ) -> list[tuple[TrialOutcome, float]]:
     """The attacked client's utility loss vs the utility bound at the minimizing
-    lambda; ``(outcome, halfwidth of the loss)``.
+    lambda, ``(outcome, halfwidth of the loss)``, for each observed
+    ``(config, seed, kw)`` trial of ``block`` at its constants ``ests[i]``.
 
     The loss is that of the final decoded model against the final shadow, on
-    fresh draws. The bound's C is ``est``'s; an error ``est`` is raised once
-    the loss and the two-way distortion ||delta|| are taken. M is exact at
-    the final decoded model; D is the configured cap. A NaN C (``est`` None)
-    gives NaN lambda and rhs; an infinite ||delta|| raises ``NumericError``."""
-    target = observed.datasets[config.attack_client]
-    theta = observed.theta_shadow
-    delta_model = observed.theta_decoded - theta
-    sampler = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed, target.centers)
-    eps_u, half = protocol.measure_utility_loss(
-        config.model, theta, delta_model, target, sampler, config.n_eval)
+    the trial's ``n_eval`` fresh draws (``datagen.fresh_draws``). The bound's C
+    is the estimate's; an error estimate is raised once the loss and the
+    two-way distortion ||delta|| are taken. M is exact at the final decoded
+    model; D is the configured cap. A NaN C (estimate None) gives NaN lambda
+    and rhs; an infinite ||delta|| raises ``NumericError``.
 
-    delta_two = two_way_distortion(observed)
-    if not np.isfinite(delta_two):
-        raise NumericError("non-finite two-way distortion")
-    est = datagen.constants_of(est)
-    c = float("nan") if est is None else est.big_c
-    big_m = exact_big_m(config.model, theta, delta_model, target)
+    The trials share their model, dataset spec and ``n_eval``, as a lockstep
+    block's do. Their draws, losses and M are taken in stacked calls over
+    chunks of at most ``datagen._BLOCK_BYTES``, and their lambdas in one
+    lockstep ``bounds.minimize_utility_lambda``; each row equals its one-trial
+    block bit for bit. A block of one raises its trial's first failing check
+    in the order above; a larger block raises some failing trial's error."""
+    config = block[0][0]
+    model, n = config.model, config.n_eval
+    targets = [o.datasets[cfg.attack_client] for (cfg, _, _), o in zip(block, seen)]
+    theta = np.array([o.theta_shadow for o in seen])
+    delta = np.array([o.theta_decoded for o in seen]) - theta
+    draws = datagen.fresh_draws(config.dataset, [seed for _, seed, _ in block],
+                                [t.centers for t in targets], n)
+    loss, half, big_m = (np.empty(len(block)) for _ in range(3))
+    # a trial's draws and rows, labels and forward values: about three copies of each layer
+    item = 8 * (n + targets[0].size) * (model.input_dim + 2
+                                        + 3 * (model.hidden_dim + model.num_classes))
+    for s in datagen._chunks(len(block), item):
+        x, y = (np.array([getattr(t, f) for t in targets[s]]) for f in "xy")
+        xs, ys = map(np.array, zip(*itertools.islice(draws, len(targets[s]))))
+        loss[s], half[s] = protocol.measure_utility_loss(model, theta[s], delta[s], x, y, xs, ys)
+        big_m[s] = exact_big_m(model, theta[s], delta[s], x, y)
+
+    big_c = np.full(len(block), np.nan)
+    for i, (o, est) in enumerate(zip(seen, ests)):
+        if not np.isfinite(o.two_way):
+            raise NumericError("non-finite two-way distortion")
+        est = datagen.constants_of(est)
+        if est is not None:
+            big_c[i] = est.big_c
+    two_way = np.array([o.two_way for o in seen])
     cap_d = config.dataset.diameter_cap
-    if np.isnan(c):
-        lam = rhs = float("nan")
-    else:
-        lam, rhs = boundsmod.minimize_utility_lambda(
-            c, delta_two, big_m, config.model.param_dim, cap_d, config.eta, target.size)
-    return TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
-                        extras={"lambda": lam, "delta_two": delta_two, "big_c": c,
-                                "big_m": big_m, "cap_d": cap_d}), half
+    lam, rhs = np.full(len(block), np.nan), np.full(len(block), np.nan)
+    rows = np.flatnonzero(~np.isnan(big_c))
+    if rows.size:
+        lam[rows], rhs[rows] = boundsmod.minimize_utility_lambda(
+            big_c[rows], two_way[rows], big_m[rows], model.param_dim, cap_d,
+            np.array([cfg.eta for cfg, _, _ in block])[rows],
+            np.array([t.size for t in targets])[rows])
+    return [(TrialOutcome(measured=eps_u, rhs=r, precondition_ok=lam_i > delta_two,
+                          extras={"lambda": lam_i, "delta_two": delta_two, "big_c": c,
+                                  "big_m": m, "cap_d": cap_d}), h)
+            for eps_u, h, r, lam_i, delta_two, c, m in zip(
+                loss.tolist(), half.tolist(), rhs.tolist(), lam.tolist(), two_way.tolist(),
+                big_c.tolist(), big_m.tolist())]
 
 
 def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
@@ -283,7 +317,7 @@ def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
     model over every client's data, C's parameter moves up to max(1, 2 ||delta||)
     (1 when ||delta|| is not finite, which its scorer raises on), and the first
     inversion's objectives when the trial inverts an upload."""
-    delta_two = two_way_distortion(observed)
+    delta_two = observed.two_way
     budget = max(1.0, 2.0 * delta_two) if math.isfinite(delta_two) else 1.0
     return datagen.Probe(observed.theta_round, observed.datasets,
                          num_pairs=config.num_pairs, quantile=config.quantile,
@@ -292,25 +326,35 @@ def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
                          seed=seed)
 
 
-def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
-                traces: list[attackmod.AttackTrace],
-                est: datagen.ConstantsEstimate | FedTradeoffError | None, *,
-                sweep_axis: str = "none", sweep_value: float = 0.0,
-                trial_index: int = 0, experiment_id: str | None = None) -> TrialRow:
-    """Score one inverted upload: leakage, utility loss, constants, bounds.
+def score_trials(block: list[tuple], seen: list[Observed], traces: list[list],
+                 ests: list[datagen.ConstantsEstimate | FedTradeoffError]) -> list[TrialRow]:
+    """Score each observed ``(config, seed, kw)`` trial of ``block`` to its
+    ``TrialRow``: leakage, utility loss, constants, bounds; ``kw`` holds the
+    row's ``sweep_axis``, ``sweep_value``, ``trial_index`` and
+    ``experiment_id``.
 
-    ``traces`` holds the one inversion of ``config.attack_client``'s upload in
-    the observed round, with ``config.attack.iters`` iterations. Both bounds
-    take their constants from ``est``: an ``EstimationError`` (no usable
-    pair, e.g. single-sample clients) gives NaN bound columns, any other error
-    is raised. ``experiment_id`` defaults to this config's digest; sweeps
-    stamp their base config's digest on every row so one sweep stays one
-    experiment.
-    """
-    if isinstance(est, EstimationError):
-        est = None
-    privacy = privacy_outcome(config, seed, observed, traces, est)
-    utility, half = utility_outcome(config, seed, observed, est)
+    ``traces[i]`` holds the one inversion of trial i's ``config.attack_client``
+    upload in the observed round, with ``config.attack.iters`` iterations.
+    Both bounds take their constants from ``ests[i]``: an ``EstimationError``
+    (no usable pair, e.g. single-sample clients) gives NaN bound columns, any
+    other error is raised. ``experiment_id`` defaults to the trial config's
+    digest; sweeps stamp their base config's digest on every row so one sweep
+    stays one experiment. Every trial's privacy side is scored before the
+    block's utility sides (``utility_outcomes``)."""
+    ests = [None if isinstance(est, EstimationError) else est for est in ests]
+    privacy = [privacy_outcome(cfg, seed, o, ts, est)
+               for (cfg, seed, _), o, ts, est in zip(block, seen, traces, ests)]
+    utility = utility_outcomes(block, seen, ests)
+    return [_trial_row(cfg, seed, o, ts[0], est, p, u, half, **kw)
+            for (cfg, seed, kw), o, ts, est, p, (u, half)
+            in zip(block, seen, traces, ests, privacy, utility)]
+
+
+def _trial_row(config: ExperimentConfig, seed: int, observed: Observed,
+               trace: attackmod.AttackTrace, est: datagen.ConstantsEstimate | None,
+               privacy: TrialOutcome, utility: TrialOutcome, half: float, *,
+               sweep_axis: str = "none", sweep_value: float = 0.0, trial_index: int = 0,
+               experiment_id: str | None = None) -> TrialRow:
     client = config.attack_client
     target = observed.datasets[client]
     consts = privacy.extras
@@ -320,7 +364,7 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
         seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
         eps_p=privacy.measured,
-        eps_p_final=attackmod.privacy_leakage_final(traces[0], target.x,
+        eps_p_final=attackmod.privacy_leakage_final(trace, target.x,
                                                     config.dataset.diameter_cap),
         eps_u=utility.measured, eps_u_halfwidth=half, eps_e=target.size,
         delta_up_grad=observed.delta_up_grad[client],
@@ -338,8 +382,8 @@ def score_trial(config: ExperimentConfig, seed: int, observed: Observed,
 
 def run_trial(config: ExperimentConfig, trial_seed: int, **row_fields) -> TrialRow:
     """Full pipeline for one seeded trial: observe, invert, estimate, and
-    ``score_trial`` with the row fields given."""
-    return run_trials([(config, trial_seed, row_fields)], score_trial)[0]
+    ``score_trials`` with the row fields given."""
+    return run_trials([(config, trial_seed, row_fields)], score_trials)[0]
 
 
 def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
@@ -360,8 +404,8 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
     """Consecutive slices of ``trials``, one ``simulate_batch``, one
     ``invert_batch`` and one ``score_block`` call each.
 
-    A block holds trials of one shape (equal model, attack config, dataset spec
-    and FL config, and mechanism kind and noise sharing) and takes as many as
+    A block holds trials of one shape (equal model, attack config, dataset spec,
+    FL config, mechanism kind and noise sharing, and ``n_eval``) and takes as many as
     fit ``_BLOCK_BUDGET``, at least one. Each trial is charged its own bytes:
     its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
     round (2 under randomization, whose shadow takes its own) and, per round,
@@ -376,7 +420,8 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
         model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
         p, d, mech = model.input_dim, model.param_dim, config.mechanism
         n = 2 if mech.kind == "randomization" else 1
-        shape = (model, config.attack, config.dataset, config.fl, mech.kind, mech.shared_noise)
+        shape = (model, config.attack, config.dataset, config.fl, mech.kind, mech.shared_noise,
+                 config.n_eval)
         cost = (8 * d * (n * k * m + config.fl.rounds * ((n + 2) * k + 4))
                 + len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
                 + 8 * (k * m * (p + 1) + (k + 3) * d)
@@ -390,8 +435,8 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
 
 
 def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
-    """``score(config, seed, observed, traces, est, **kw)`` of each
-    ``(config, seed, kw)`` trial, in order.
+    """The results of each ``(config, seed, kw)`` trial, in order: ``score(block,
+    seen, traces, ests)`` lists them for a block of such trials (``score_block``).
 
     ``inverted(config)`` lists the clients whose uploads in the attacked round
     a trial inverts: by default the attacked client, none for the utility
@@ -438,15 +483,14 @@ def _run_block(score, inverted, block: list[tuple]) -> list:
 
 
 def score_block(score, block: list[tuple], seen: list[Observed], traces: list[list]) -> list:
-    """``score(config, seed, observed, traces, est, **kw)`` of each observed
-    ``(config, seed, kw)`` trial of ``block`` with its traces, ``est`` its
-    ``trial_probe``'s row of one ``datagen.estimate_constants_batch`` (the
-    estimate, or the error it raised); the scoring stage of ``run_trials``
-    and of the CLI's ``attack``."""
-    rows = datagen.estimate_constants_batch(block[0][0].model, [
+    """``score(block, seen, traces, ests)`` of the observed ``(config, seed, kw)``
+    trials of ``block``, one result per trial in order, each trial's
+    ``ests[i]`` its ``trial_probe``'s row of one
+    ``datagen.estimate_constants_batch`` (the estimate, or the error it
+    raised); the scoring stage of ``run_trials`` and of the CLI's ``attack``."""
+    ests = datagen.estimate_constants_batch(block[0][0].model, [
         trial_probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
-    return [score(cfg, seed, o, ts, est, **kw)
-            for (cfg, seed, kw), o, ts, est in zip(block, seen, traces, rows)]
+    return score(block, seen, traces, ests)
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")
@@ -488,7 +532,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
                                  experiment_id=base_id))
         for si, value in enumerate(values)
         for ti, seed in enumerate(rngmod.trial_seeds(config.master_seed, si, trials))],
-        score_trial)
+        score_trials)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

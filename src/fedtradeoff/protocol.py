@@ -348,24 +348,31 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
             for i, trial in enumerate(records)]
 
 
-def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray,
-                         delta: np.ndarray, train: ClientDataset,
-                         eval_sampler, n_eval: int = 1000) -> tuple[float, float]:
+def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarray,
+                         train_x: np.ndarray, train_y: np.ndarray, eval_x: np.ndarray,
+                         eval_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Utility loss |L_exp(theta + delta) - L_emp(theta)| with a 95% halfwidth.
 
     L_exp is a Monte-Carlo mean of the per-example loss at theta + delta over
-    n_eval fresh draws; L_emp the empirical training loss at theta.
+    the n >= 100 fresh draws ``(eval_x, eval_y)``; L_emp the empirical loss at
+    theta on the client's rows ``(train_x, train_y)``. Leading trial axes are
+    allowed as in ``models.per_example_losses``: theta and delta (B, d),
+    train_x (B, m, p) and eval_x (B, n, p) give (B,) losses and halfwidths,
+    each one bit-identical to its own unbatched call, whose results are 0-d.
+
+    Raises ``NumericError`` when an L_emp is not finite.
     """
+    n_eval = np.shape(eval_x)[-2]
     if n_eval < 100:
         raise ConfigurationError("n_eval must be >= 100")
     theta = np.asarray(theta, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    l_emp = models.loss(model_spec, theta, train.x, train.y)
-    xs, ys = eval_sampler(n_eval)
-    if xs.shape[0] < n_eval:
-        raise ConfigurationError("eval sampler exhausted")
-    per = models.per_example_losses(model_spec, theta + delta, xs, ys)
-    l_exp = float(per.mean())
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean raises below
+        l_emp = models.per_example_losses(model_spec, theta, train_x, train_y).mean(axis=-1)
+    if not np.isfinite(l_emp).all():
+        raise NumericError("non-finite loss")
+    per = models.per_example_losses(model_spec, theta + delta, eval_x, eval_y)
+    l_exp = per.mean(axis=-1)
     with np.errstate(over="ignore"):          # huge finite losses give halfwidth inf
-        half = 1.96 * float(per.std(ddof=1)) / math.sqrt(n_eval)
-    return abs(l_exp - l_emp), half
+        half = 1.96 * per.std(ddof=1, axis=-1) / math.sqrt(n_eval)
+    return np.abs(l_exp - l_emp), half

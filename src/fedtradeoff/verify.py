@@ -4,10 +4,10 @@ A bound's trials are ``experiment`` trials: ``VerifyScenario.experiment_config``
 gives the config they run, and ``trial_outcomes`` runs one per seed through
 ``experiment.run_trials``, with the bound's outcome function as the scorer.
 Privacy trials invert client 0's round-0 upload, trade-off trials every
-client's, utility trials none. The privacy scorer is
-``experiment.privacy_outcome`` and the others score with
-``experiment.utility_outcome``, the sides ``score_trial`` uses too, at the
-trial's one estimate at ``experiment.trial_probe``, which each takes as a value.
+client's, utility trials none. Each scorer takes a lockstep block: the privacy
+scorer takes each trial's ``experiment.privacy_outcome``, the others the
+block's ``experiment.utility_outcomes``, the sides ``score_trials`` uses too,
+at each trial's one estimate at ``experiment.trial_probe``.
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -31,7 +31,7 @@ from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, require_int
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
-                         privacy_outcome, run_trials, utility_outcome)
+                         privacy_outcome, run_trials, utility_outcomes)
 
 
 @dataclass(frozen=True)
@@ -78,38 +78,49 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
-def _utility_outcome(config: ExperimentConfig, seed: int, obs: Observed,
-                     traces: list, est) -> TrialOutcome:
-    """Measured utility loss vs the utility bound."""
-    out, _ = utility_outcome(config, seed, obs, est)
-    if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
-        raise ConfigurationError("HE run produced nonzero two-way distortion")
-    return out
+def _privacy_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
+                      ests: list) -> list[TrialOutcome]:
+    """Each trial's leakage vs the privacy bound."""
+    return [privacy_outcome(cfg, seed, o, ts, est)
+            for (cfg, seed, _), o, ts, est in zip(block, seen, traces, ests)]
 
 
-def _tradeoff_outcome(scenario: VerifyScenario, randomized_formula: bool,
-                      config: ExperimentConfig, seed: int, obs: Observed,
-                      traces: list[attackmod.AttackTrace], est) -> TrialOutcome:
-    """Client 0's utility loss vs a trade-off bound, from every client's
-    round-0 leakage (``traces[k]`` inverted client k)."""
-    eps_p = [attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
-             for trace, ds in zip(traces, obs.datasets)]
-    util, _ = utility_outcome(config, seed, obs, est)
-    lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
-    inputs = boundsmod.BoundInputs(
-        constants=replace(est, big_m=util.extras["big_m"],
-                          cap_d=util.extras["cap_d"]),
-        eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(eps_p),
-        eps_e=np.array([float(d.size) for d in obs.datasets]),
-        delta_up=np.array(obs.delta_up_grad), delta_two=delta_two,
-        num_clients=len(obs.datasets), d=config.model.param_dim,
-        t_rounds=config.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
-    budget = inputs.probability_budget()
+def _utility_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
+                      ests: list) -> list[TrialOutcome]:
+    """Each trial's measured utility loss vs the utility bound."""
+    outs = [out for out, _ in utility_outcomes(block, seen, ests)]
+    for (config, _, _), out in zip(block, outs):
+        if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
+            raise ConfigurationError("HE run produced nonzero two-way distortion")
+    return outs
+
+
+def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,
+                       block: list[tuple], seen: list[Observed],
+                       traces: list[list[attackmod.AttackTrace]], ests: list) -> list[TrialOutcome]:
+    """Each trial's client-0 utility loss vs a trade-off bound, from every
+    client's round-0 leakage (``traces[i][k]`` inverted trial i's client k)."""
+    eps_p = [[attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
+              for trace, ds in zip(ts, obs.datasets)]
+             for (config, _, _), obs, ts in zip(block, seen, traces)]
     formula = (boundsmod.tradeoff_randomization if randomized_formula
                else boundsmod.tradeoff_general)
-    return TrialOutcome(measured=util.measured, rhs=formula(inputs, client=0),
-                        precondition_ok=budget > 0.0,
-                        extras={"probability_budget": budget, "lambda": lam})
+    outs = []
+    for (config, _, _), obs, est, leak, (util, _) in zip(
+            block, seen, ests, eps_p, utility_outcomes(block, seen, ests)):
+        lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
+        inputs = boundsmod.BoundInputs(
+            constants=replace(est, big_m=util.extras["big_m"], cap_d=util.extras["cap_d"]),
+            eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(leak),
+            eps_e=np.array([float(d.size) for d in obs.datasets]),
+            delta_up=np.array(obs.delta_up_grad), delta_two=delta_two,
+            num_clients=len(obs.datasets), d=config.model.param_dim,
+            t_rounds=config.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
+        budget = inputs.probability_budget()
+        outs.append(TrialOutcome(measured=util.measured, rhs=formula(inputs, client=0),
+                                 precondition_ok=budget > 0.0,
+                                 extras={"probability_budget": budget, "lambda": lam}))
+    return outs
 
 
 def trial_outcomes(bound_name: str, scenario: VerifyScenario,
@@ -121,12 +132,12 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
     trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, privacy_outcome)
+        return run_trials(trials, _privacy_outcomes)
     if bound_name.startswith("tradeoff"):
-        score = partial(_tradeoff_outcome, scenario, bound_name == "tradeoff-randomization")
+        score = partial(_tradeoff_outcomes, scenario, bound_name == "tradeoff-randomization")
         return run_trials(trials, score,
                           inverted=lambda config: range(config.dataset.num_clients))
-    return run_trials(trials, _utility_outcome, inverted=lambda config: ())
+    return run_trials(trials, _utility_outcomes, inverted=lambda config: ())
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:

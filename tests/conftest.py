@@ -64,3 +64,58 @@ def run_cli_in_process(args, env_extra=None, timeout=None):
         os.environ.clear()
         os.environ.update(env)
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, counts=None):
+    """The one-row lambda search the lockstep ``bounds.minimize_utility_lambda``
+    replaced, kept as its oracle: Python scalar steps over the bound's closed
+    form with libm's exponentials. ``counts``, a list, receives the row's grid
+    expansions and golden-section steps."""
+    import math
+
+    import numpy as np
+
+    log_2d, log_2ln2 = math.log(2 * d), math.log(2.0 * math.log(2.0))
+    b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else None
+    log_m_term, log_m = math.log(big_m), math.log(m)
+
+    def logaddexp(x, y):
+        if x == y:
+            return x + math.log(2.0)
+        if x > y:
+            return x + math.log1p(math.exp(y - x))
+        return y + math.log1p(math.exp(x - y))
+
+    def f(lam):
+        a = log_2ln2 + (2.0 * cap_d / (lam * lam) + 1.0) * log_2d
+        val_log = log_m_term + 0.5 * ((a if b is None else logaddexp(a, b)) - log_m)
+        return (big_c * lam + big_c * delta_two) + (
+            math.inf if val_log > 700.0 else math.exp(val_log))
+
+    lo = delta_two + max(1e-9, 1e-9 * delta_two)
+    lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
+    for grown in range(20):
+        grid = np.geomspace(lo, lam_hi, 64).tolist()
+        i = int(np.argmin([f(lam) for lam in grid]))
+        if i < len(grid) - 1:
+            break
+        lam_hi *= 4.0
+    a, b_ = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, e = b_ - phi * (b_ - a), a + phi * (b_ - a)
+    fc, fe = f(c), f(e)
+    for steps in range(1, 121):
+        if fc <= fe:
+            b_, e, fe = e, c, fc
+            c = b_ - phi * (b_ - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + phi * (b_ - a)
+            fe = f(e)
+        if b_ - a < 1e-12 * max(1.0, b_):
+            break
+    if counts is not None:
+        counts.append((grown, steps))
+    lam_best = max(c if fc <= fe else e, lo)
+    return float(lam_best), float(f(lam_best))

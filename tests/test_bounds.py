@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import scalar_minimize_utility_lambda
 from fedtradeoff import bounds, datagen
 from fedtradeoff.errors import ConfigurationError
 
@@ -183,6 +184,48 @@ class TestLambdaMinimizer:
     def test_pinned_minimum(self, args, want):
         assert bounds.minimize_utility_lambda(*args) == want
 
+    @staticmethod
+    def argument_rows(n=2400, seed=25):
+        """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (grids
+        that grow several times), ||delta|| = 0 in a fifth of them, eta = 1 in a
+        fifth, D = 0 and an infinite rhs (M = 1e305) now and then."""
+        rng = np.random.default_rng(seed)
+        big_m = 10.0 ** rng.uniform(-3, 3, n)
+        big_m[rng.random(n) < 0.02] = 1e305
+        return (10.0 ** rng.uniform(-10, 1, n),
+                np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-4, 1, n)),
+                big_m, rng.integers(1, 60, n),
+                np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0, 5, n)),
+                np.where(rng.random(n) < 0.2, 1.0, rng.uniform(0.01, 1, n)),
+                rng.integers(1, 2000, n))
+
+    def test_lockstep_rows_equal_the_scalar_search(self):
+        # the search of each row alone, as it was before the rows ran in lockstep
+        args = self.argument_rows()
+        counts = []
+        want = [scalar_minimize_utility_lambda(*row, counts=counts)
+                for row in zip(*(a.tolist() for a in args))]
+        grown, steps = zip(*counts)
+        assert set(grown) >= {0, 1, 2, 3} and len(set(steps)) >= 20
+        assert sum(math.isinf(rhs) for _, rhs in want) > 0
+        for block in (2400, 37):          # one block, and blocks that end mid-set
+            got = []
+            for s in range(0, len(want), block):
+                lam, rhs = bounds.minimize_utility_lambda(*(a[s:s + block] for a in args))
+                got += zip(lam.tolist(), rhs.tolist())
+            assert got == want, block
+        # one-row blocks, of floats and of one-element arrays
+        for i in range(0, len(want), 24):
+            row = [a[i] for a in args]
+            for lam, rhs in (bounds.minimize_utility_lambda(*map(float, row)),
+                             bounds.minimize_utility_lambda(*(a[i:i + 1] for a in args))):
+                assert (lam.shape, rhs.shape) in (((), ()), ((1,), (1,)))
+                assert (lam.item(), rhs.item()) == want[i], i
+
+    def test_a_row_of_bad_arguments_fails_the_block(self):
+        with pytest.raises(ConfigurationError, match="M must be > 0"):
+            bounds.minimize_utility_lambda([1.0, 1.0], 0.1, [1.0, 0.0], 2, 2.0, 0.1, 32)
+
     @pytest.mark.parametrize("args, message", [
         ((0.0, 0.1, 1.0, 2, 2.0, 0.1, 32), "C must be > 0"),
         ((1.0, -0.1, 1.0, 2, 2.0, 0.1, 32), "delta_two must be >= 0"),
@@ -212,7 +255,7 @@ def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,
 class TestTradeoffs:
     def test_head_vanishes_with_full_leakage_and_gamma_one(self):
         inp = make_inputs(k=1, gamma=1.0, eps_p=[1.0])
-        expected_tail = bounds._m_term_of(1.5, 4, 2.0, 0.1, 20.0)(1.0)
+        expected_tail = float(bounds._m_term(bounds._m_term_logs(1.5, 4, 2.0, 0.1, 20.0), 1.0))
         assert bounds.tradeoff_general(inp) == pytest.approx(expected_tail, rel=1e-12)
         assert bounds.tradeoff_randomization(inp) == pytest.approx(expected_tail, rel=1e-12)
 

@@ -363,7 +363,8 @@ class TestEstimateConstants:
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
         assert est.cap_d == datagen.diameter(ds.x)
         assert (est.c_0, est.c_2) == (1.0, 1.0)
-        assert est.big_m == experiment.exact_big_m(spec, theta, np.zeros(spec.param_dim), ds)
+        assert est.big_m == experiment.exact_big_m(spec, theta, np.zeros(spec.param_dim),
+                                                   ds.x, ds.y)
 
     def test_pinned_v2_estimate(self):
         # estimate stream v2 at logistic, seed 0, on data stream v3's data: a

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import scalar_minimize_utility_lambda
 from fedtradeoff import attack, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
-from fedtradeoff.errors import ConfigurationError, NumericError
+from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
 
 def base_config(**kw):
@@ -222,7 +223,7 @@ class TestSimulateBatch:
         with pytest.raises(NumericError) as stacked:
             experiment.simulate_batch([(c, s) for c, s, _ in trials])
         with pytest.raises(NumericError) as blocked:
-            experiment.run_trials(trials, experiment.score_trial)
+            experiment.run_trials(trials, experiment.score_trials)
         assert str(stacked.value) == str(blocked.value) == str(serial.value) == (
             "run aborted: non-finite update at round 0")
 
@@ -399,22 +400,22 @@ class TestLockstepSweep:
         # simulated; a serial run meets trial (0, 1)'s error first
         config = base_config()
         early = rngmod.trial_seed(config.master_seed, 0, 1)
-        invert, score = attack.invert_batch, experiment.score_trial
+        invert, score = attack.invert_batch, experiment.score_trials
 
         def failing_invert(spec, theta, g_obs, labels, cfg, seeds, **kw):
             if early in seeds:
                 raise ConfigurationError("invert failed")
             return invert(spec, theta, g_obs, labels, cfg, seeds, **kw)
 
-        def failing_score(config, seed, *args, **kw):
-            if seed == early:
+        def failing_score(block, *args):
+            if early in [seed for _, seed, _ in block]:
                 raise ConfigurationError("score failed")
-            return score(config, seed, *args, **kw)
+            return score(block, *args)
 
         if stage == "invert":
             monkeypatch.setattr(attack, "invert_batch", failing_invert)
         else:
-            monkeypatch.setattr(experiment, "score_trial", failing_score)
+            monkeypatch.setattr(experiment, "score_trials", failing_score)
         with pytest.raises(ConfigurationError, match=f"{stage} failed"):
             experiment.run_sweep(config, "sigma", [0.3, 1e308, 0.5], trials=3)
 
@@ -446,9 +447,9 @@ class TestRunTrialsInverter:
         config = three_client_config()
         seen = []
 
-        def score(cfg, seed, observed, traces, est):
-            seen.append((seed, observed, traces))
-            return seed
+        def score(block, observed, traces, ests):
+            seen.extend(zip([seed for _, seed, _ in block], observed, traces))
+            return [seed for _, seed, _ in block]
 
         seeds = [11, 12]
         assert experiment.run_trials([(config, s, {}) for s in seeds], score,
@@ -473,13 +474,13 @@ class TestRunTrialsInverter:
 
         monkeypatch.setattr(attack, "invert_batch", no_invert)
         got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
-                                    lambda cfg, seed, observed, traces, est: len(traces),
+                                    lambda block, seen, traces, ests: [len(t) for t in traces],
                                     inverted=lambda cfg: ())
         assert got == [0, 0]
 
 
 class TestBoundSides:
-    """The privacy and utility sides score_trial and verify share."""
+    """The privacy and utility sides score_trials and verify share."""
 
     @staticmethod
     def observed_and_trace(config, seed):
@@ -508,7 +509,7 @@ class TestBoundSides:
     def test_utility_with_nan_c_keeps_the_measured_loss(self):
         config = base_config()
         observed, _ = self.observed_and_trace(config, 5)
-        got, half = experiment.utility_outcome(config, 5, observed, None)
+        (got, half), = experiment.utility_outcomes([(config, 5, {})], [observed], [None])
         row = experiment.run_trial(config, 5)
         # the loss and its halfwidth do not depend on C
         assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
@@ -529,18 +530,144 @@ class TestBoundSides:
             with pytest.raises(NumericError, match="estimate failed"):
                 experiment.privacy_outcome(config, 5, observed, [trace], failed)
         with pytest.raises(NumericError, match="estimate failed"):
-            experiment.utility_outcome(config, 5, observed, failed)
+            experiment.utility_outcomes([(config, 5, {})], [observed], [failed])
         # a logistic loss stays finite at 1e160, ||delta||^2 does not
-        diverged = observed._replace(theta_decoded=observed.theta_shadow + 1e160)
+        decoded = observed.theta_shadow + 1e160
+        diverged = observed._replace(theta_decoded=decoded, two_way=experiment.two_way_distortion(
+            decoded, observed.theta_shadow))
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
-            experiment.utility_outcome(config, 5, diverged, failed)
+            experiment.utility_outcomes([(config, 5, {})], [diverged], [failed])
 
         def no_loss(*args):
             raise ConfigurationError("loss failed")
 
         monkeypatch.setattr(protocol, "measure_utility_loss", no_loss)
         with pytest.raises(ConfigurationError, match="loss failed"):
-            experiment.utility_outcome(config, 5, observed, failed)
+            experiment.utility_outcomes([(config, 5, {})], [observed], [failed])
+
+
+def reference_utility(config, seed, observed, est):
+    """One trial's utility side from its parts, as each trial was scored before
+    a block's trials were stacked: its own fresh sampler, loss Monte Carlo, M
+    and scalar lambda search."""
+    target = observed.datasets[config.attack_client]
+    theta = observed.theta_shadow
+    delta = observed.theta_decoded - theta
+    xs, ys = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed,
+                                   target.centers)(config.n_eval)
+    eps_u, half = map(float, protocol.measure_utility_loss(
+        config.model, theta, delta, target.x, target.y, xs, ys))
+    delta_two = float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
+    if not math.isfinite(delta_two):
+        raise NumericError("non-finite two-way distortion")
+    est = datagen.constants_of(est)
+    c = math.nan if est is None else est.big_c
+    big_m = float(experiment.exact_big_m(config.model, theta, delta, target.x, target.y))
+    cap_d = config.dataset.diameter_cap
+    lam, rhs = (math.nan, math.nan) if math.isnan(c) else scalar_minimize_utility_lambda(
+        c, delta_two, big_m, config.model.param_dim, cap_d, config.eta, target.size)
+    return experiment.TrialOutcome(
+        measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
+        extras={"lambda": lam, "delta_two": delta_two, "big_c": c, "big_m": big_m,
+                "cap_d": cap_d}), half
+
+
+class TestStackedUtilitySide:
+    """``utility_outcomes`` takes a block's utility sides stacked: each row is
+    its trial's own utility side, bit for bit."""
+
+    @staticmethod
+    def block(model, n=5, **kw):
+        """n observed trials of one shape, their sigma and eta varying, and their
+        estimates."""
+        dataset = replace(base_config().dataset, num_classes=model.num_classes)
+        block = [(base_config(model=model, dataset=dataset, eta=(0.1, 1.0, 0.05)[i % 3],
+                              mechanism=experiment.MechanismSpec("randomization",
+                                                                 0.1 + 0.2 * (i % 4)), **kw),
+                  rngmod.trial_seed(4, 0, i), {}) for i in range(n)]
+        seen = [experiment.observe(cfg, seed) for cfg, seed, _ in block]
+        ests = datagen.estimate_constants_batch(model, [
+            experiment.trial_probe(cfg, seed, o, []) for (cfg, seed, _), o in zip(block, seen)])
+        return block, seen, ests
+
+    @staticmethod
+    def assert_rows_equal_reference(block, seen, ests):
+        got = experiment.utility_outcomes(block, seen, ests)
+        want = [reference_utility(cfg, seed, o, est)
+                for (cfg, seed, _), o, est in zip(block, seen, ests)]
+        assert repr(got) == repr(want)          # NaN-aware
+        return got
+
+    @pytest.mark.parametrize("model", [
+        models.ModelSpec("linear", 2), models.ModelSpec("logistic", 2),
+        models.ModelSpec("logistic", 2, num_classes=3),
+        models.ModelSpec("mlp1", 2, hidden_dim=4)], ids=lambda m: f"{m.kind}-c{m.num_classes}")
+    def test_rows_equal_their_trials_alone(self, model):
+        block, seen, ests = self.block(model)
+        assert all(isinstance(est, datagen.ConstantsEstimate) for est in ests)
+        # a NaN C (no estimate) in mid-block: NaN lambda and rhs, the loss kept
+        ests[2] = None
+        got = self.assert_rows_equal_reference(block, seen, ests)
+        assert math.isnan(got[2][0].rhs) and not math.isnan(got[2][0].measured)
+        assert all(math.isfinite(out.rhs) for i, (out, _) in enumerate(got) if i != 2)
+
+    def test_datasets_without_centers_take_them_at_the_trial_seed(self):
+        # as a dataset read from a run directory, whose mixture centers are unknown
+        block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
+        seen = [o._replace(datasets=[replace(ds, centers=None) for ds in o.datasets])
+                for o in seen]
+        want = self.block(models.ModelSpec("logistic", 2), n=3)
+        assert repr(experiment.utility_outcomes(*want)) == repr(
+            self.assert_rows_equal_reference(block, seen, ests))
+
+    def test_a_block_that_spans_chunks(self, monkeypatch):
+        block, seen, ests = self.block(models.ModelSpec("mlp1", 2, hidden_dim=4), n=7)
+        spans = []
+        real = datagen._chunks
+
+        def recording(count, item_bytes):
+            spans.append(list(real(count, item_bytes)))
+            return spans[-1]
+
+        # room for three trials a chunk: chunks of 3, 3 and 1
+        monkeypatch.setattr(datagen, "_chunks", recording)
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", 3 * 8 * (200 + 8) * (2 + 2 + 3 * (4 + 2)))
+        self.assert_rows_equal_reference(block, seen, ests)
+        assert [(s.start, s.stop) for s in spans[-1]] == [(0, 3), (3, 6), (6, 9)]
+
+    def test_an_estimation_error_row_raises_it(self):
+        # verify's utility bound raises a row's estimation error (score_trials
+        # gives that row NaN columns), once the losses are taken
+        block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
+        ests[1] = EstimationError("all sampled pairs had identical gradients")
+        with pytest.raises(EstimationError, match="identical gradients"):
+            experiment.utility_outcomes(block, seen, ests)
+        rows = experiment.score_trials(
+            block, seen, [[attack.invert_gradient(
+                cfg.model, o.theta_round, o.wires[0], o.datasets[0].y, 8,
+                replace(cfg.attack, seed=seed))] for (cfg, seed, _), o in zip(block, seen)],
+            ests)
+        want = [reference_utility(cfg, seed, o, None if i == 1 else est)
+                for i, ((cfg, seed, _), o, est) in enumerate(zip(block, seen, ests))]
+        assert repr([(r.eps_u, r.eps_u_halfwidth, r.utility_rhs, r.utility_lambda, r.big_c,
+                      r.big_m) for r in rows]) == repr([
+            (u.measured, half, u.rhs, u.extras["lambda"], u.extras["big_c"], u.extras["big_m"])
+            for u, half in want])
+        assert math.isnan(rows[1].utility_rhs) and not math.isnan(rows[0].utility_rhs)
+
+    def test_an_infinite_distortion_mid_block_raises_the_serial_error(self):
+        # sigma 1e160 keeps every logistic loss finite, but ||delta||^2 overflows
+        config = base_config(mechanism=experiment.MechanismSpec("randomization", 0.3))
+        trials = [(replace(config, mechanism=experiment.MechanismSpec("randomization", sigma)),
+                   rngmod.trial_seed(5, 0, i), {}) for i, sigma in enumerate((0.3, 1e160, 0.3))]
+        assert len(experiment._lockstep_blocks(trials, lambda cfg: ())) == 1
+        with pytest.raises(NumericError) as serial:
+            experiment.run_trials(trials[1:2], verify._utility_outcomes, inverted=lambda c: ())
+        assert experiment.run_trials(trials[::2], verify._utility_outcomes,
+                                     inverted=lambda c: ())
+        with pytest.raises(NumericError) as blocked:
+            experiment.run_trials(trials, verify._utility_outcomes, inverted=lambda c: ())
+        assert str(blocked.value) == str(serial.value) == "non-finite two-way distortion"
 
 
 class TestOneProbe:
@@ -571,8 +698,10 @@ class TestOneProbe:
     def test_move_budget_is_twice_the_distortion_at_least_one(self, delta_two, budget):
         config = base_config()
         d = config.model.param_dim
+        shadow, decoded = np.zeros(d), np.r_[delta_two, np.zeros(d - 1)]
         observed = experiment.observe(config, 5)._replace(
-            theta_shadow=np.zeros(d), theta_decoded=np.r_[delta_two, np.zeros(d - 1)])
+            theta_shadow=shadow, theta_decoded=decoded,
+            two_way=experiment.two_way_distortion(decoded, shadow))
         assert experiment.trial_probe(config, 5, observed, []) == datagen.Probe(
             observed.theta_round, observed.datasets, num_pairs=80, quantile=0.1,
             delta_budget=budget, seed=5)

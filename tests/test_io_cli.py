@@ -538,6 +538,8 @@ class TestExitCodes:
         ("attack", "iters", float("nan"), "iters must be an integer >= 1"),
         (None, "n_eval", 400.0, "n_eval must be an integer >= 1"),
         (None, "n_eval", float("nan"), "n_eval must be an integer >= 1"),
+        (None, "n_eval", 0, "n_eval must be an integer >= 1"),
+        (None, "n_eval", 99, "n_eval must be >= 100"),
         (None, "num_pairs", 120.0, "num_pairs must be an integer >= 1"),
         (None, "num_pairs", float("nan"), "num_pairs must be an integer >= 1"),
         ("dataset", "num_clients", 2.0, "num_clients must be an integer >= 1"),
@@ -563,7 +565,8 @@ class TestExitCodes:
     ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
             "diameter-nan", "seed-negative", "seed-nan", "attack-round-float",
             "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
-            "iters-nan", "n-eval-float", "n-eval-nan", "num-pairs-float", "num-pairs-nan",
+            "iters-nan", "n-eval-float", "n-eval-nan", "n-eval-0", "n-eval-99",
+            "num-pairs-float", "num-pairs-nan",
             "num-clients-float", "per-client-size-float", "num-classes-float",
             "model-input-dim-float", "hidden-dim-float", "step-size-nan", "step-size-inf",
             "attack-init-scale-nan", "input-dim-60", "quantile-nan", "quantile-0.6",

@@ -424,21 +424,17 @@ class TestMeasureUtilityLoss:
         spec, datasets = make_datasets(m=8)
         ds = datasets[0]
         theta = np.array([0.2, -0.1, 0.4])
-        # replay sampler must present the full training set per draw
+        # the replayed draws present the full training set 100 times
         eps, half = protocol.measure_utility_loss(
-            MODEL, theta, np.zeros(3), ds,
-            lambda n: (np.tile(ds.x, (n // 8 + 1, 1))[:n],
-                       np.tile(ds.y, n // 8 + 1)[:n]),
-            n_eval=800)
+            MODEL, theta, np.zeros(3), ds.x, ds.y, np.tile(ds.x, (100, 1)), np.tile(ds.y, 100))
         assert eps == pytest.approx(0.0, abs=1e-12)
 
     def test_fresh_draws_match_brute_force_recomputation(self):
         spec, datasets = make_datasets(m=8)
         ds = datasets[0]
         theta = np.array([0.2, -0.1, 0.4])
-        eps, _ = protocol.measure_utility_loss(
-            MODEL, theta, np.zeros(3), ds, datagen.fresh_sampler(spec, 77), n_eval=300)
         xs, ys = datagen.fresh_sampler(spec, 77)(300)
+        eps, _ = protocol.measure_utility_loss(MODEL, theta, np.zeros(3), ds.x, ds.y, xs, ys)
         l_exp = np.mean([models.loss(MODEL, theta, xs[i][None, :], ys[i:i + 1])
                          for i in range(300)])
         l_emp = models.loss(MODEL, theta, ds.x, ds.y)
@@ -457,15 +453,14 @@ class TestMeasureUtilityLoss:
                 th = th - 0.5 * models.grad_params(spec2, th, ds1.x, ds1.y)
             u = rngmod.stream(seed, 63).standard_normal(2)
             big = 10.0 * u / np.linalg.norm(u)
-            s1 = datagen.fresh_sampler(dss, seed + 100)
-            s2 = datagen.fresh_sampler(dss, seed + 100)
-            e0, _ = protocol.measure_utility_loss(spec2, th, np.zeros(2), ds1, s1, 400)
-            e1, _ = protocol.measure_utility_loss(spec2, th, big, ds1, s2, 400)
+            xs, ys = datagen.fresh_sampler(dss, seed + 100)(400)
+            e0, _ = protocol.measure_utility_loss(spec2, th, np.zeros(2), ds1.x, ds1.y, xs, ys)
+            e1, _ = protocol.measure_utility_loss(spec2, th, big, ds1.x, ds1.y, xs, ys)
             wins += (e1 >= e0)
         assert wins >= 45
 
     def test_n_eval_minimum(self):
         _, datasets = make_datasets()
         with pytest.raises(ConfigurationError):
-            protocol.measure_utility_loss(MODEL, np.zeros(3), np.zeros(3), datasets[0],
-                                          lambda n: (np.zeros((n, 3)), np.zeros(n)), 50)
+            protocol.measure_utility_loss(MODEL, np.zeros(3), np.zeros(3), datasets[0].x,
+                                          datasets[0].y, np.zeros((50, 3)), np.zeros(50))

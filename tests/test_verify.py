@@ -83,18 +83,18 @@ def hand_built_utility_trial(scenario, trial_seed, mech):
     theta = result.theta_final_shadow
     delta_model = result.theta_final_decoded - theta
     delta_two = float(np.linalg.norm(delta_model))
-    eps_u, _ = protocol.measure_utility_loss(
-        scenario.model, theta, delta_model, target,
-        datagen.fresh_sampler(ds_spec, trial_seed), scenario.n_eval)
+    eps_u, _ = map(float, protocol.measure_utility_loss(
+        scenario.model, theta, delta_model, target.x, target.y,
+        *datagen.fresh_sampler(ds_spec, trial_seed)(scenario.n_eval)))
     theta0 = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     est = datagen.estimate_constants(
         scenario.model, theta0, datasets, num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)
     losses = models.per_example_losses(scenario.model, theta + delta_model, target.x, target.y)
     big_m = max(float(np.max(np.abs(losses))), 1e-12)
-    lam, rhs = bounds.minimize_utility_lambda(
+    lam, rhs = map(float, bounds.minimize_utility_lambda(
         est.big_c, delta_two, big_m, scenario.model.param_dim, ds_spec.diameter_cap,
-        scenario.eta, target.size)
+        scenario.eta, target.size))
     return verify.TrialOutcome(measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
                                extras={"lambda": lam, "delta_two": delta_two,
                                        "big_c": est.big_c, "big_m": big_m,
@@ -234,6 +234,15 @@ class TestVerifyBound:
     def test_min_trials_enforced(self):
         with pytest.raises(ConfigurationError, match="trials must be an integer >= 100"):
             verify.verify_bound("privacy", tiny_scenario(), 50)
+
+    @pytest.mark.parametrize("bound", ["utility", "privacy"])
+    def test_n_eval_below_100_is_refused_before_any_trial_runs(self, monkeypatch, bound):
+        # the utility loss needs 100 draws; the check once came after a whole
+        # block was simulated and estimated, and the privacy bound never made it
+        monkeypatch.setattr(experiment, "simulate_batch",
+                            lambda trials: pytest.fail("a trial was simulated"))
+        with pytest.raises(ConfigurationError, match="n_eval must be >= 100"):
+            verify.verify_bound(bound, tiny_scenario(n_eval=50), 100)
 
     @pytest.mark.parametrize("trials, master_seed", [(100, -1), (100, 0.5), (100.0, 0),
                                                      (float("nan"), 0)])
