@@ -61,8 +61,10 @@ COMMANDS = [
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",
      "--phase2", "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
-    # every bound at the least trial count verify accepts; the utility bound's
-    # blocks (60 and 40 trials) each take their utility side in two chunks
+    # every bound at the least trial count verify accepts, each as one lockstep
+    # block of 100 trials whose constants rows take two estimator chunks (73
+    # and 27 trials here, 70 and 30 at two clients); the utility bound's
+    # utility side takes four (31, 31, 31 and 7 trials)
     ["verify", "--bound", "privacy", "--trials", "100", "--sigma", "0.6", "--iters", "250",
      "--step-size", "0.15", "--out", "runs/verify"],
     # the privacy bound at K > 1, estimated on every client's data
@@ -74,6 +76,8 @@ COMMANDS = [
     ["verify", "--bound", "tradeoff-randomization", "--trials", "100", "--clients", "2",
      "--rho", "0.5", "--big-l", "2", "--gamma", "0.05", "--eta", "0.2",
      "--out", "runs/verify-flags"],
+    # 150 trials of one shape: the command that crosses a lockstep block cut
+    # (blocks of 79 and 71 trials)
     ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5", "--trials", "30",
      *SWEEP_MLP1, "--out", "runs/sweep-sigma"],
     ["sweep", "--axis", "m", "--values", "4,8,16", "--trials", "5", "--out", "runs/sweep-m"],

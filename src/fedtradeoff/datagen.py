@@ -37,9 +37,10 @@ _MAX_SEPARATION = 2 * (_RAW_RADIUS + 3.0)
 # (P = 8e-7); separation 14 keeps P >= 1e-4 up to input_dim 8.
 _MIN_INSIDE = 1e-4
 
-# Bytes a stacked temporary may take: the diameter scan's block of pairwise
-# differences, and one chunk of an estimate's pair gradients or of its
-# perturbed-model forward values.
+# The one byte budget: what a stacked temporary may take (the diameter scan's
+# block of pairwise differences; a chunk of estimate rows, of their pair
+# gradients or perturbed-model forward values, or of a utility side's draws),
+# and what a lockstep block of trials may hold (experiment._lockstep_blocks).
 _BLOCK_BYTES = 1 << 20
 
 # Parameter moves an estimate scores for C's parameter side; also the most
@@ -210,12 +211,11 @@ def diameter(x: np.ndarray) -> float:
     if x.shape[0] == 0:
         raise ConfigurationError("diameter of an empty dataset")
     m = x.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * m * x.shape[1]))
     best = 0.0
-    for i in range(0, m - 1, rows):
-        # the block's rows against every point after row i; a pair seen twice
-        # or a point against itself does not move the max
-        d = np.linalg.norm(x[None, i + 1:] - x[i:i + rows, None], axis=-1).max()
+    for s in _chunks(m - 1, 8 * m * x.shape[1]):
+        # the block's rows against every point after its first; a pair seen
+        # twice or a point against itself does not move the max
+        d = np.linalg.norm(x[None, s.start + 1:] - x[s, None], axis=-1).max()
         best = max(best, float(d))
     return best
 
@@ -348,11 +348,11 @@ def constants_of(row: ConstantsEstimate | FedTradeoffError | None
     return row
 
 
-def estimate_row_bytes(model_spec: models.ModelSpec, n: int, num_pairs: int) -> int:
-    """Bytes ``estimate_constants_batch`` holds per row of n data points until it
-    returns; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
-    p, d = model_spec.input_dim, model_spec.param_dim
-    return 8 * ((n + 2 * num_pairs) * (p + 3) + _NUM_DELTAS * (2 * d + 4))
+def _row_bytes(model_spec: models.ModelSpec, probe: Probe) -> int:
+    """Bytes ``estimate_constants_batch`` holds for a probe's row until its chunk
+    is scored; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
+    p, d, n = model_spec.input_dim, model_spec.param_dim, sum(ds.size for ds in probe.datasets)
+    return 8 * ((n + 2 * probe.num_pairs) * (p + 3) + _NUM_DELTAS * (2 * d + 4))
 
 
 class _Drawn(NamedTuple):
@@ -400,28 +400,30 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     bit, or the package error it raises, which fails that row alone.
 
     Each row draws from its own stream, all seeded at once (``rng.streams``),
-    in estimate stream v2's order. Rows of
-    one shape (data size and pair count) are scored together: their pair
-    gradients, point losses and perturbed-model losses in stacked model calls
-    of at most ``_BLOCK_BYTES`` each, their quantiles in one ``np.quantile``.
-    A model call's values of a row do not depend on the rows stacked with it
-    (``models.per_example_grads_and_vjp``)."""
+    in estimate stream v2's order. Rows are drawn and scored in probe order, in
+    chunks of at most ``_BLOCK_BYTES`` of the largest probe's rows, which no
+    row's draws outlive. A chunk's rows of one shape (data size and pair count)
+    are scored together: their pair gradients, point losses and perturbed-model
+    losses in stacked model calls of at most ``_BLOCK_BYTES`` each, their
+    quantiles in one ``np.quantile``. A model call's values of a row do not
+    depend on the rows stacked with it (``models.per_example_grads_and_vjp``)."""
     out: list = [None] * len(probes)
-    groups: dict[tuple, list[int]] = {}
-    drawn = {}
     gens = rngmod.streams([probe.seed for probe in probes],
                           [(rngmod.STREAM_ESTIMATE, 0)] * len(probes))
-    for i, (probe, g) in enumerate(zip(probes, gens)):
-        try:
-            drawn[i] = _draw(model_spec, probe, g)
-        except FedTradeoffError as exc:
-            out[i] = exc
-            continue
-        key = (drawn[i].x.shape, drawn[i].theta.shape, probe.num_pairs)
-        groups.setdefault(key, []).append(i)
-    for rows in groups.values():
-        for i, est in zip(rows, _estimate_group(model_spec, [drawn[i] for i in rows])):
-            out[i] = est
+    row = max((_row_bytes(model_spec, probe) for probe in probes), default=1)
+    for chunk in _chunks(len(probes), row):
+        groups: dict[tuple, dict[int, _Drawn]] = {}
+        # gens last: zip stops at the chunk's end without taking the next stream
+        for i, probe, g in zip(range(len(probes))[chunk], probes[chunk], gens):
+            try:
+                drawn = _draw(model_spec, probe, g)
+            except FedTradeoffError as exc:
+                out[i] = exc
+                continue
+            groups.setdefault((drawn.x.shape, drawn.theta.shape, probe.num_pairs), {})[i] = drawn
+        for group in groups.values():
+            for i, est in zip(group, _estimate_group(model_spec, list(group.values()))):
+                out[i] = est
     return out
 
 

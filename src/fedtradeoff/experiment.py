@@ -266,7 +266,8 @@ def utility_outcomes(block: list[tuple], seen: list[Observed],
 
     The trials share their model, dataset spec and ``n_eval``, as a lockstep
     block's do. Their draws, losses and M are taken in stacked calls over
-    chunks of at most ``datagen._BLOCK_BYTES``, and their lambdas in one
+    chunks of at most ``datagen._BLOCK_BYTES``, whatever the block's size
+    (``_lockstep_blocks`` does not charge them), and their lambdas in one
     lockstep ``bounds.minimize_utility_lambda``; each row equals its one-trial
     block bit for bit. A block of one raises its trial's first failing check
     in the order above; a larger block raises some failing trial's error."""
@@ -391,9 +392,6 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     return (config.attack_client,)
 
 
-# Bytes one lockstep block may hold: 52 trials of the privacy verify scenario
-# (a logistic model; 16 points in R^2; 150 constants pairs).
-_BLOCK_BUDGET = 1 << 20
 # (m, p) arrays a streamed inversion holds per upload whatever its iteration
 # count: the iterate, its candidate, the gradient, Adam's two moments, the
 # originals, the final iterate and the leakage sums
@@ -406,14 +404,14 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
 
     A block holds trials of one shape (equal model, attack config, dataset spec,
     FL config, mechanism kind and noise sharing, and ``n_eval``) and takes as many as
-    fit ``_BLOCK_BUDGET``, at least one. Each trial is charged its own bytes:
+    fit ``datagen._BLOCK_BYTES``, at least one. Each trial is charged its own bytes:
     its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
     round (2 under randomization, whose shadow takes its own) and, per round,
     its n gradient sets, wires, noise and 4 model vectors; for each listed
     upload the streamed inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its m
-    per-example gradients; its ``Observed``; and its constants row
-    (``datagen.estimate_row_bytes``). The inversion stores no trajectory, so
-    the charge does not grow with the attack's iterations."""
+    per-example gradients; and its ``Observed``. The inversion stores no
+    trajectory, and scoring chunks its own temporaries (constants rows, the
+    utility side) within the same budget, so neither is charged."""
     blocks, held, last = [], 0, None
     for trial in trials:
         config = trial[0]
@@ -424,9 +422,8 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
                  config.n_eval)
         cost = (8 * d * (n * k * m + config.fl.rounds * ((n + 2) * k + 4))
                 + len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
-                + 8 * (k * m * (p + 1) + (k + 3) * d)
-                + datagen.estimate_row_bytes(model, k * m, config.num_pairs))
-        if shape != last or held + cost > _BLOCK_BUDGET:
+                + 8 * (k * m * (p + 1) + (k + 3) * d))
+        if shape != last or held + cost > datagen._BLOCK_BYTES:
             blocks.append([])
             held, last = 0, shape
         blocks[-1].append(trial)
@@ -443,7 +440,7 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     bounds, every client for the trade-offs.
 
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
-    (trials of one shape within the block budget): observe them in one
+    (trials of one shape within ``datagen._BLOCK_BYTES``): observe them in one
     ``simulate_batch``, invert every listed upload of the block in one
     ``attack.invert_batch`` (a trial's j-th upload with attack seed
     ``seed + j``, its leakage streamed against that client's data at the

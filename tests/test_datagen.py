@@ -543,13 +543,25 @@ class TestEstimateConstantsBatch:
 
     def test_chunked_stages_equal_one_stack(self, monkeypatch):
         spec = models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3)
+        # two pair counts, so one chunk holds two shapes
         probes = [datagen.Probe(
             models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT)),
             datagen.generate(small_spec(seed=seed, per_client_size=10, num_classes=3)),
-            num_pairs=20, seed=seed) for seed in range(3)]
+            num_pairs=20 + 10 * (seed % 2), seed=seed) for seed in range(4)]
+        scored = []
+        real = datagen._estimate_group
+
+        def recording(model_spec, rows):
+            scored.append(len(rows))
+            return real(model_spec, rows)
+
+        monkeypatch.setattr(datagen, "_estimate_group", recording)
         want = datagen.estimate_constants_batch(spec, probes)
+        assert scored == [2, 2]                           # one call per shape
+        scored.clear()
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)   # one row, one model per call
         assert repr(datagen.estimate_constants_batch(spec, probes)) == repr(want)
+        assert scored == [1] * 4
 
 
 class TestInputDimBound:

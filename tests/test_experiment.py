@@ -294,45 +294,46 @@ class TestSweep:
 # a trial of lockstep_config holds, for each upload, 8 x m x (8 p + d)
 # = 8 x 4 x (8 x 2 + 2) bytes, the streamed inversion's 8 (m, p) arrays and its
 # per-example gradients; and what the runner keeps of it: its stacked run's
-# 8 d (n k m + rounds ((n + 2) k + 4)) = 8 x 2 x (2 x 4 + 8) = 256 bytes (n = 2
-# gradient sets under randomization), its Observed's
-# 8 x (k m (p + 1) + (k + 3) d) = 160 bytes and its constants row's
-# 8 x ((k m + 2 num_pairs) (p + 3) + 64 (2 d + 4)) bytes
+# 8 d (n k m + rounds ((n + 2) k + 4)) = 8 x 2 x (2 x 4 + 8 rounds) bytes (n = 2
+# gradient sets under randomization) and its Observed's
+# 8 x (k m (p + 1) + (k + 3) d) = 160 bytes. The constants estimator bounds its
+# own rows, so they are not charged.
 UPLOAD = 576
 
 
-def kept(num_pairs):
-    return 256 + 160 + 8 * ((4 + 2 * num_pairs) * 5 + 64 * 8)
+def kept(rounds=1):
+    return 16 * (8 + 8 * rounds) + 160
 
 
-def lockstep_config(index, num_pairs=30, iters=10):
+def lockstep_config(index, rounds=1, iters=10):
     return base_config(dataset=datagen.DatasetSpec(num_clients=1, per_client_size=4,
                                                    input_dim=2, num_classes=2,
                                                    class_separation=2.0, diameter_cap=2.0,
                                                    seed=0),
-                       attack=attack.AttackConfig(iters=iters), num_pairs=num_pairs,
+                       fl=protocol.FLRunConfig(rounds=rounds, learning_rate=0.2),
+                       attack=attack.AttackConfig(iters=iters), num_pairs=30,
                        master_seed=index)
 
 
 class TestLockstepBlocks:
-    @pytest.mark.parametrize("budget, uploads, pairs, want", [
-        (1, [1] * 5, [30] * 5, [[0], [1], [2], [3], [4]]),
-        (2 * (UPLOAD + kept(30)), [1] * 5, [30] * 5, [[0, 1], [2, 3], [4]]),
-        (3 * (UPLOAD + kept(30)) - 1, [1] * 5, [30] * 5, [[0, 1], [2, 3], [4]]),
-        # each trial is charged its own constants row
-        (2 * UPLOAD + kept(30) + kept(60), [1] * 5, [30, 60] * 2 + [30],
-         [[0, 1], [2, 3], [4]]),
-        (1 << 20, [1] * 5, [30] * 5, [[0, 1, 2, 3, 4]]),
+    @pytest.mark.parametrize("budget, uploads, rounds, want", [
+        (1, [1] * 5, 1, [[0], [1], [2], [3], [4]]),
+        (2 * (UPLOAD + kept()), [1] * 5, 1, [[0, 1], [2, 3], [4]]),
+        (3 * (UPLOAD + kept()) - 1, [1] * 5, 1, [[0, 1], [2, 3], [4]]),
+        # each trial is charged its own stacked run: three one-round trials
+        # fit, two three-round ones
+        (3 * (UPLOAD + kept()), [1] * 5, 3, [[0, 1], [2, 3], [4]]),
+        (1 << 20, [1] * 5, 1, [[0, 1, 2, 3, 4]]),
         # and its own upload count; a trial over the budget stands alone
-        (3 * UPLOAD + 2 * kept(30), [2, 1, 3, 0, 1], [30] * 5, [[0, 1], [2, 3], [4]]),
+        (3 * UPLOAD + 2 * kept(), [2, 1, 3, 0, 1], 1, [[0, 1], [2, 3], [4]]),
         # trials without uploads are charged what the runner keeps of them
-        (5 * kept(30), [0] * 5, [30] * 5, [[0, 1, 2, 3, 4]]),
+        (5 * kept(), [0] * 5, 1, [[0, 1, 2, 3, 4]]),
     ], ids=["one-byte", "two-trials", "two-trials-and-a-byte-short-of-three",
-            "own-constants-row", "default-budget", "own-upload-count", "no-uploads"])
-    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, pairs,
+            "own-stacked-run", "default-budget", "own-upload-count", "no-uploads"])
+    def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, rounds,
                                                   want):
-        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", budget)
-        trials = [(lockstep_config(i, n), i, {}) for i, n in enumerate(pairs)]
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
+        trials = [(lockstep_config(i, rounds), i, {}) for i in range(5)]
         blocks = experiment._lockstep_blocks(
             trials, inverted=lambda config: range(uploads[config.master_seed]))
         assert [[seed for _, seed, _ in block] for block in blocks] == want
@@ -344,7 +345,7 @@ class TestLockstepBlocks:
 
     def test_plan_does_not_grow_with_the_iterations(self, monkeypatch):
         # no trajectory is stored, so a 1000-step inversion costs a 10-step one's bytes
-        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", 2 * (UPLOAD + kept(30)))
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", 2 * (UPLOAD + kept()))
         plans = [[[seed for _, seed, _ in block] for block in experiment._lockstep_blocks(
                      [(lockstep_config(i, iters=iters), i, {}) for i in range(5)])]
                  for iters in (10, 1000)]
@@ -374,7 +375,7 @@ class TestLockstepSweep:
         # after the first value's trials ran in the same block
         config = base_config()
         if one_row_blocks:
-            monkeypatch.setattr(experiment, "_BLOCK_BUDGET", 1)
+            monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)
         assert len(experiment._lockstep_blocks(
             [(config, 0, {})] * 6)) == (6 if one_row_blocks else 1)
         calls = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -823,3 +824,40 @@ class TestEstimateConstantsCLI:
         assert 0 < doc["c_a"] <= doc["c_b"]
         assert doc["c_0"] <= doc["c_2"]
         assert "skip_rate" in doc["meta"]
+
+    def test_every_numeric_config_value_runs_or_exits_cleanly(self, tmp_path, capsys):
+        # each numeric leaf of the default config, set to each value below: the
+        # pilot runs, exits 1 with a config error or 2 with a numeric error, and
+        # a failing run leaves no --out; never an uncaught exception. The pilot
+        # replaces the mechanism, so one kind stands for them all
+        base = cli.default_config().to_dict()
+
+        def numeric(section):
+            return [name for name, v in section.items()
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        leaves = [(None, name) for name in numeric(base)] + [
+            (key, name) for key, section in base.items() if isinstance(section, dict)
+            for name in numeric(section)]
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        bad = []
+        for section, name in leaves:
+            for value in (float("nan"), float("inf"), -float("inf"), -1, 0, 2.5):
+                config = json.loads(json.dumps(base))
+                (config[section] if section else config)[name] = value
+                path.write_text(json.dumps(config))
+                case = (section, name, value)
+                try:
+                    rc = cli.main(["estimate-constants", "--config", str(path),
+                                   "--out", str(out)])
+                except Exception as exc:      # noqa: BLE001 -- the case under test
+                    bad.append((*case, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                clean = ((rc == 1 and err.startswith("config error:"))
+                         or (rc == 2 and err.startswith("numeric error:")))
+                if rc == 0:
+                    shutil.rmtree(out)
+                elif not clean or out.exists():
+                    bad.append((*case, rc, err, out.exists()))
+        assert len(leaves) == 28
+        assert bad == []

@@ -155,9 +155,8 @@ class TestLockstepBlocks:
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
         # a trial's streamed upload of 8 x 4 x (8 x 2 + 2) bytes, its stacked
-        # run's 8 x 2 x (2 x 4 + 1 x (4 x 1 + 4)), its Observed's 160 and its
-        # constants row's 8 x ((4 + 2 x 30) x 5 + 64 x 8)
-        ("privacy", 1, 75 * (576 + 256 + 160 + 6656), [75, 25]),
+        # run's 8 x 2 x (2 x 4 + 1 x (4 x 1 + 4)) and its Observed's 160
+        ("privacy", 1, 75 * (576 + 256 + 160), [75, 25]),
         # a trial's 3 uploads of 8 x 4 x (8 x 2 + 2) bytes each: over the budget,
         # yet never split over blocks
         ("tradeoff-general", 3, 2 * 576, [3] * 100),
@@ -173,7 +172,7 @@ class TestLockstepBlocks:
         default = verify.verify_bound(bound, sc, 100).to_dict()
         assert rows == ([100] if bound == "privacy" else [300])
         rows.clear()
-        monkeypatch.setattr(experiment, "_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
         assert verify.verify_bound(bound, sc, 100).to_dict() == default
         assert rows == want_rows
 
@@ -191,14 +190,14 @@ class TestLockstepBlocks:
                          sigma=0.3, fl_rounds=3, learning_rate=0.2, n_eval=400,
                          num_pairs=120, quantile=0.05)),
     ], ids=["privacy-verify", "utility-verify"])
-    def test_benchmark_scenarios_keep_two_blocks(self, bound, scenario):
-        # each trial's stacked simulation is charged too, and 100 trials still
-        # take two blocks of the 1 MiB budget
+    def test_benchmark_scenarios_run_as_one_block(self, bound, scenario):
+        # the constants estimator bounds its own rows, so 100 trials' stacked
+        # runs, uploads and Observed fit one block of the 1 MiB budget
         config = tiny_scenario(**scenario).experiment_config(bound)
         inverted = experiment.attacked_client if bound == "privacy" else lambda config: ()
-        assert experiment._BLOCK_BUDGET == 1 << 20
+        assert datagen._BLOCK_BYTES == 1 << 20
         blocks = experiment._lockstep_blocks([(config, i, {}) for i in range(100)], inverted)
-        assert len(blocks) == 2
+        assert [len(block) for block in blocks] == [100]
 
     def test_first_failing_seed_raises_whatever_stage_it_fails_in(self, monkeypatch):
         # seed 2 fails when scored, seed 5 when simulated; all share one block,
