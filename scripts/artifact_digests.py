@@ -13,7 +13,8 @@ they are outside the reproducibility contract.
 ``--compare`` runs the command list against two source trees (say, a change
 and an unpacked ``git archive`` of its parent), each in a fresh temporary
 directory, and prints only the files whose digests differ (or that only one
-tree wrote), then the counts of differing and identical files. Under each
+tree wrote), then the counts of differing and identical files. It exits 1
+when any file differs or a command fails, so it can gate a script. Under each
 ``.json``, ``.jsonl`` or ``.csv`` file both trees wrote, it names what differs:
 the dotted keys of the JSON leaves (a list index or JSONL line shows as ``*``)
 or the CSV columns.
@@ -105,6 +106,16 @@ COMMANDS = [
     # equal axis values: a constant input to the rank correlation, NaN rho and p
     ["sweep", "--axis", "sigma", "--values", "0,0", "--trials", "2", "--samples", "4",
      "--iters", "5", "--rounds", "1", "--out", "runs/sweep-constant"],
+    # both sides of the inversion step's short-axis kernels, for the binary
+    # logistic and the linear VJP, each over a block of at least 512 rows
+    # (1,600 in the verifies, exactly 512 in the sweeps): one feature (numpy's
+    # mean over examples sums pairwise there), three (the widest the kernels
+    # walk column by column), four (the narrowest they leave to numpy) and
+    # eight (numpy's own pairwise sums from 8 columns on)
+    *[["verify", "--bound", "privacy", "--trials", "100", "--iters", "40", "--input-dim", dim,
+       "--out", f"runs/verify-dim{dim}"] for dim in ("1", "3", "4", "8")],
+    *[["sweep", "--axis", "sigma", "--values", "0,0.5", "--trials", "16", "--model", "linear",
+       "--input-dim", dim, "--out", f"runs/sweep-linear-dim{dim}"] for dim in ("1", "3", "4", "8")],
 ]
 
 EXIT_BOUND_FAILED = 4      # a verify report is still written
@@ -201,7 +212,7 @@ def compare(src_a: str, src_b: str) -> int:
             if keys:
                 print("    differ in: " + ", ".join(keys))
     print(f"{len(differ)} differ, {len(a.keys() | b.keys()) - len(differ)} identical")
-    return 0
+    return 1 if differ else 0
 
 
 def main(argv: list[str]) -> int:

@@ -79,9 +79,22 @@ def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarr
            g_obs: np.ndarray):
     """F(x), its residual v and the input VJP, all from one forward pass.
 
-    Any leading (trial) axes of the arguments are kept: F has their shape."""
+    Any leading (trial) axes of the arguments are kept: F has their shape.
+    v is ``grads.mean(axis=-2) - g_obs`` bit for bit. For a gradient length
+    P >= 2, numpy's mean adds the m examples' rows one after another, starting
+    from +0.0, then divides by m. An ordered accumulation adds them in the
+    same order, and one added 0.0 turns a sum of -0.0 alone into numpy's
+    +0.0; it runs no inner loop over the short P axis. At P = 1 numpy folds
+    the example axis into its inner loop and sums it pairwise from 8 examples
+    on, so the accumulation needs P >= 2. Any P >= 2 keeps the bits, but only
+    below ``models._NARROW`` is it the cheaper one: measured at 1 to 256
+    trials of 16 examples, it wins at 2 to 4 entries and loses at 6 and 7, so
+    both ends keep ``mean``."""
     grads, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
-    v = grads.mean(axis=-2) - g_obs
+    if 2 <= grads.shape[-1] < models._NARROW:
+        v = (np.add.accumulate(grads, axis=-2)[..., -1, :] + 0.0) / grads.shape[-2] - g_obs
+    else:
+        v = grads.mean(axis=-2) - g_obs
     with np.errstate(over="ignore"):      # F = inf truncates the row
         f = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
     return f, v, vjp
@@ -186,17 +199,12 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     step = cfg.step_size
     mom1 = np.zeros_like(x)
     mom2 = np.zeros_like(x)
-    b1, b2, eps = 0.9, 0.999, 1e-8
 
     for t in range(1, cfg.iters + 1 if len(live) else 1):
         grad = (2.0 / m) * vjp(v)
         stale = False
         if cfg.optimizer == "adam":
-            mom1 = b1 * mom1 + (1 - b1) * grad
-            mom2 = b2 * mom2 + (1 - b2) * grad * grad
-            mhat = mom1 / (1 - b1 ** t)
-            vhat = mom2 / (1 - b2 ** t)
-            x_new = x - step * mhat / (np.sqrt(vhat) + eps)
+            x_new = _adam_step(x, grad, mom1, mom2, t, step)
         else:
             x_new = x - step * grad
         f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
@@ -215,7 +223,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             x_new[worse], f_new[worse] = x[worse], f[worse]
             stale = tries > 0                 # v_new, vjp_new are of the first candidates
 
-        ok = np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(f_new)
+        ok = np.isfinite(x_new.reshape(len(x_new), -1)).all(axis=1) & np.isfinite(f_new)
         if not ok.all():
             truncated[live[~ok]] = True
             final[live[~ok]] = x[~ok]
@@ -246,11 +254,52 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             for b, n in enumerate(iters_run)]
 
 
+def _adam_step(x, grad, mom1, mom2, t: int, step: float) -> np.ndarray:
+    """Adam's step t (Kingma & Ba 2015) from x: updates the moments in place
+    and returns the new iterate, bit for bit as
+        mom1 = b1 * mom1 + (1 - b1) * grad
+        mom2 = b2 * mom2 + (1 - b2) * grad * grad
+        x - step * (mom1 / (1 - b1 ** t)) / (np.sqrt(mom2 / (1 - b2 ** t)) + eps)
+    give it: each operation in that order, over reused temporaries."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    mom1 *= b1
+    tmp = (1 - b1) * grad
+    mom1 += tmp
+    mom2 *= b2
+    np.multiply(grad, 1 - b2, out=tmp)
+    tmp *= grad
+    mom2 += tmp
+    np.divide(mom2, 1 - b2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    x_new = mom1 / (1 - b1 ** t)
+    x_new *= step
+    x_new /= tmp
+    return np.subtract(x, x_new, out=x_new)
+
+
 def _clamped_distances(x: np.ndarray, originals: np.ndarray, cap_d) -> np.ndarray:
     """min(||x_i - originals_i||, D) / D over the last axis; the norm is
-    ``np.linalg.norm``'s own sum of squares, without its per-call checks."""
+    ``np.linalg.norm``'s own sum of squares, ``np.add.reduce(d * d, axis=-1)``,
+    without its per-call checks. numpy's pairwise summation adds a run of
+    fewer than 8 elements in order, from +0.0, so a last axis that short can
+    be summed column by column with its bits; a square is never -0.0, so the
+    +0.0 start changes nothing. That walk is taken where
+    ``models._by_column`` finds it the cheaper one (it needs its column bound
+    to stay at most 8); otherwise numpy's own order is kept by calling it."""
     d = x - originals
-    return np.minimum(np.sqrt(np.add.reduce(d * d, axis=-1)), cap_d) / cap_d
+    d *= d
+    p = d.shape[-1]
+    if models._by_column(d.size // p, p):
+        s = d[..., 0].copy()
+        for j in range(1, p):
+            s += d[..., j]
+    else:
+        s = np.add.reduce(d, axis=-1)
+    np.sqrt(s, out=s)
+    np.minimum(s, cap_d, out=s)
+    s /= cap_d
+    return s
 
 
 def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:

@@ -108,6 +108,38 @@ def _mt(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+# A last axis shorter than _NARROW, over at least _ROWS rows, is walked column
+# by column: each numpy call then runs its inner loop down a column, not over
+# a few elements per row. Both bounds are measured crossovers (numpy 2.4 on
+# 2 cores, blocks of 1 to 256 trials of 16 rows): at 2 and 3 columns the
+# column-by-column distance sum wins from 256 rows on and the outer product
+# from 512 (it ties at 256 rows with 2 columns and loses with 3); at 4
+# columns the outer product wins only from about 1,024 rows, and at 5 to 7
+# it ties or loses even at 1,600. They do not decide any bit:
+# a product is the same in any loop, and numpy's pairwise summation adds a
+# run of fewer than 8 elements in order, so a column-by-column sum keeps its
+# bits while _NARROW <= 8.
+_NARROW = 4
+_ROWS = 512
+
+
+def _by_column(rows: int, n: int) -> bool:
+    return n < _NARROW and rows >= _ROWS
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[..., None] * b[..., None, :]``, bit for bit, one multiply per column
+    where ``_by_column`` says so; b's leading axes broadcast to a's shape.
+    (``einsum`` would not do: it turns a -0.0 product into +0.0.)"""
+    n = b.shape[-1]
+    if not _by_column(a.size, n):
+        return a[..., None] * b[..., None, :]
+    out = np.empty(a.shape + (n,))
+    for j in range(n):
+        np.multiply(a, b[..., j, None], out=out[..., j])
+    return out
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -122,7 +154,7 @@ def _softmax_residual(logits: np.ndarray, yi: np.ndarray) -> tuple[np.ndarray, n
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))      # in [0, 1]: never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -209,7 +241,8 @@ def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
         return r[..., None] * x, _linear_vjp, (r, x, theta)
     if spec.kind == "logistic" and spec.num_classes == 2:
         s = _sigmoid(z)
-        return (s - y)[..., None] * x, _binary_vjp, (s, y, x, theta)
+        r = s - y
+        return r[..., None] * x, _binary_vjp, (r, s, x, theta)
     probs, dlogits = _softmax_residual(z, y.astype(np.int64))
     if spec.kind == "logistic":
         w, = saved
@@ -228,13 +261,16 @@ def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 def _linear_vjp(r, x, theta, v):
     # g = r x with r = theta.x - y
-    return r[..., None] * v[..., None, :] + _mv(x, v)[..., None] * theta[..., None, :]
+    out = _outer(r, v)
+    out += _outer(_mv(x, v), theta)
+    return out
 
 
-def _binary_vjp(s, y, x, theta, v):
-    # g = (s - y) x with s = sigmoid(theta.x)
-    return ((s - y)[..., None] * v[..., None, :]
-            + (s * (1.0 - s) * _mv(x, v))[..., None] * theta[..., None, :])
+def _binary_vjp(r, s, x, theta, v):
+    # g = r x with r = s - y, s = sigmoid(theta.x)
+    out = _outer(r, v)
+    out += _outer(s * (1.0 - s) * _mv(x, v), theta)
+    return out
 
 
 def _softmax_vjp(x, w, probs, d, v):

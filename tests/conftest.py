@@ -5,6 +5,8 @@ import signal
 import subprocess
 import traceback
 
+import numpy as np
+import pytest
 from hypothesis import settings, HealthCheck
 
 settings.register_profile(
@@ -119,3 +121,42 @@ def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, co
         counts.append((grown, steps))
     lam_best = max(c if fc <= fe else e, lo)
     return float(lam_best), float(f(lam_best))
+
+
+def spread_values(rng, shape, decades, share=0.25):
+    """Normal draws scaled over +-``decades`` decades, a ``share`` of them
+    replaced by +-0.0, +-inf, NaN, subnormals and the smallest normals."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        -1e-310, 2.2250738585072014e-308])
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(special, int(mask.sum()))
+    return x
+
+
+def assert_same_bits(got, want):
+    """Equal shapes, NaN at the same places, and every other value equal bit
+    for bit (so +0.0 and -0.0 differ)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# numpy's pairwise summation adds a run of fewer than this many elements in
+# order: the widest last axis a column-by-column sum may walk with its bits
+PAIRWISE_BLOCK = 8
+
+
+@pytest.fixture(params=["gated", "by-column"])
+def column_gate(request, monkeypatch):
+    """Runs a test twice: with ``models._NARROW`` and ``models._ROWS`` as they
+    are, which send small arrays to numpy's own call, and with the gate open
+    to every last axis shorter than ``PAIRWISE_BLOCK``, over any row count,
+    so every width whose bits a column walk keeps is checked."""
+    from fedtradeoff import models
+
+    if request.param == "by-column":
+        monkeypatch.setattr(models, "_NARROW", PAIRWISE_BLOCK)
+        monkeypatch.setattr(models, "_ROWS", 0)

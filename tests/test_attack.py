@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import PAIRWISE_BLOCK, assert_same_bits, spread_values
 from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -521,6 +523,102 @@ class TestInvertBatch:
             with pytest.raises(ConfigurationError):
                 attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0],
                                     originals=originals, cap_d=cap_d)
+
+
+def textbook_adam(x, grad, mom1, mom2, t, step):
+    # the Adam update as the textbook lines write it, with fresh temporaries
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    mom1 = b1 * mom1 + (1 - b1) * grad
+    mom2 = b2 * mom2 + (1 - b2) * grad * grad
+    mhat = mom1 / (1 - b1 ** t)
+    vhat = mom2 / (1 - b2 ** t)
+    return x - step * mhat / (np.sqrt(vhat) + eps), mom1, mom2
+
+
+def reduce_clamped_distances(x, originals, cap_d):
+    # the clamped distances through numpy's own sum over the last axis
+    d = x - originals
+    return np.minimum(np.sqrt(np.add.reduce(d * d, axis=-1)), cap_d) / cap_d
+
+
+def score_residual(grads, g_obs, monkeypatch):
+    """``attack._score``'s residual v for the given per-example gradients."""
+    monkeypatch.setattr(models, "per_example_grads_and_vjp", lambda *args: (grads, None))
+    x = np.empty(grads.shape[:-1] + (1,))         # only its example count is read
+    with np.errstate(all="ignore"):
+        return attack._score(None, None, x, None, g_obs)[1]
+
+
+# both sides of models._NARROW and of numpy's 8-element pairwise block
+SHORT_AXES = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+LEADS = [(1,), (5,), (2, 3)]                   # B = 1, B = 5, two trial axes
+# (decades, share of special values): finite draws show a summation order
+SPREADS = [(1, 0.0), (1, 0.25), (300, 0.0), (300, 0.25)]
+
+
+@pytest.mark.usefixtures("column_gate")
+class TestStepKernels:
+    """Each rewritten part of an inversion step gives the bits of the numpy
+    expression it replaces, on either side of each threshold, with values
+    over +-300 decades, signed zeros, infinities, NaN and subnormals."""
+
+    @pytest.mark.parametrize("n", SHORT_AXES)
+    def test_residual_equals_numpy_mean(self, monkeypatch, n):
+        # at n = 1 numpy sums 8 or more examples pairwise, not in order
+        rng = np.random.default_rng([n, 1])
+        for m, lead, (decades, share) in itertools.product([1, 3, 16], LEADS, SPREADS):
+            grads = spread_values(rng, lead + (m, n), decades, share)
+            g_obs = spread_values(rng, lead + (n,), decades, share)
+            with np.errstate(all="ignore"):
+                want = grads.mean(axis=-2) - g_obs
+            assert_same_bits(score_residual(grads, g_obs, monkeypatch), want)
+
+    @pytest.mark.parametrize("n", SHORT_AXES)
+    def test_a_column_of_negative_zeros_sums_to_positive_zero(self, monkeypatch, n):
+        # numpy's sum starts from +0.0, so -0.0 alone sums to +0.0; so does v
+        for lead in [(), *LEADS]:
+            grads = np.full(lead + (4, n), -0.0)
+            v = score_residual(grads, np.zeros(lead + (n,)), monkeypatch)
+            assert_same_bits(v, np.zeros(lead + (n,)))
+            assert_same_bits(v, grads.mean(axis=-2) - 0.0)
+
+    @pytest.mark.parametrize("p", SHORT_AXES)
+    def test_clamped_distances_equal_numpy_reduce(self, p):
+        rng = np.random.default_rng([p, 2])
+        for lead, (decades, share) in itertools.product([(), *LEADS], SPREADS):
+            x, originals = (spread_values(rng, lead + (7, p), decades, share)
+                            for _ in range(2))
+            caps = [CAP_D, 1e-300, 1e300, np.inf]     # 1e300 clamps no finite sum
+            if lead:
+                caps.append(10.0 ** rng.uniform(0, 3, lead + (1,)))   # one D per row
+            for cap_d in caps:
+                with np.errstate(all="ignore"):
+                    assert_same_bits(attack._clamped_distances(x, originals, cap_d),
+                                     reduce_clamped_distances(x, originals, cap_d))
+
+    @pytest.mark.parametrize("p", SHORT_AXES)
+    def test_adam_step_equals_the_textbook_lines(self, p):
+        rng = np.random.default_rng([p, 3])
+        for lead, decades in itertools.product(LEADS, [1, 300]):
+            shape = lead + (4, p)
+            x = spread_values(rng, shape, decades)
+            mom1, mom2 = np.zeros(shape), np.zeros(shape)
+            want1, want2 = mom1.copy(), mom2.copy()
+            for t, step, share in [(1, 0.15, 0.0), (2, 0.15, 0.25), (3, 1e-300, 0.0),
+                                   (250, 12.0, 0.25)]:
+                grad = spread_values(rng, shape, decades, share)
+                with np.errstate(all="ignore"):
+                    got = attack._adam_step(x, grad, mom1, mom2, t, step)
+                    want, want1, want2 = textbook_adam(x, grad, want1, want2, t, step)
+                assert_same_bits(got, want)
+                assert_same_bits(mom1, want1)
+                assert_same_bits(mom2, want2)
+                x = np.where(np.isfinite(got), got, x)    # keep later steps informative
+
+
+def test_column_gate_stays_inside_numpys_pairwise_block():
+    # a wider column-by-column distance sum would change its bits
+    assert 2 <= models._NARROW <= PAIRWISE_BLOCK
 
 
 def make_trace(points_over_time, final):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits, spread_values
 from fedtradeoff import models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError
 
@@ -286,3 +289,66 @@ class TestSigmoid:
                             np.random.default_rng(0).normal(scale=30.0, size=5000)])
         got = models._sigmoid(z)
         assert np.array_equal(got.view(np.uint64), _sigmoid_two_branch(z).view(np.uint64))
+
+
+def broadcast_linear_vjp(r, x, theta, v):
+    # the linear VJP as one broadcast expression
+    return r[..., None] * v[..., None, :] + models._mv(x, v)[..., None] * theta[..., None, :]
+
+
+def broadcast_binary_vjp(s, y, x, theta, v):
+    # the binary VJP as one broadcast expression, recomputing s - y
+    return ((s - y)[..., None] * v[..., None, :]
+            + (s * (1.0 - s) * models._mv(x, v))[..., None] * theta[..., None, :])
+
+
+# both sides of models._NARROW and of numpy's 8-element pairwise block
+SHORT_AXES = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+# unbatched, B = 1, B = 4, two trial axes; values over 1 and 300 decades
+LEADS_AND_DECADES = list(itertools.product([(), (1,), (4,), (2, 3)], [1, 300]))
+
+
+@pytest.mark.usefixtures("column_gate")
+class TestShortAxisKernels:
+    """The column-by-column kernels give the bits of the broadcast products
+    they replace, on either side of ``models._NARROW``."""
+
+    @pytest.mark.parametrize("n", SHORT_AXES)
+    def test_outer_equals_the_broadcast_product(self, n):
+        rng = np.random.default_rng([n, 0])
+        for lead, decades in LEADS_AND_DECADES:
+            a = spread_values(rng, lead + (5,), decades)
+            b = spread_values(rng, lead + (n,), decades)
+            a[..., 0], b[..., 0] = -0.0, 3.0     # -0.0 products, kept as -0.0
+            b_row = b[(0,) * len(lead)]          # one b row broadcast over a's lead
+            with np.errstate(all="ignore"):
+                assert_same_bits(models._outer(a, b), a[..., None] * b[..., None, :])
+                assert_same_bits(models._outer(a, b_row), a[..., None] * b_row[..., None, :])
+
+    @pytest.mark.parametrize("p", SHORT_AXES)
+    def test_vjps_equal_their_broadcast_formulas(self, p):
+        rng = np.random.default_rng([p, 1])
+        m = 6
+        for lead, decades in LEADS_AND_DECADES:
+            x, theta, v = (spread_values(rng, lead + shape, decades)
+                           for shape in [(m, p), (p,), (p,)])
+            r, s = spread_values(rng, lead + (m,), decades), rng.random(lead + (m,))
+            s[..., :2] = [0.0, 1.0]
+            y = rng.integers(0, 2, lead + (m,)).astype(float)
+            with np.errstate(all="ignore"):
+                assert_same_bits(models._linear_vjp(r, x, theta, v),
+                                 broadcast_linear_vjp(r, x, theta, v))
+                assert_same_bits(models._binary_vjp(s - y, s, x, theta, v),
+                                 broadcast_binary_vjp(s, y, x, theta, v))
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("p", SHORT_AXES)
+    def test_vjp_of_a_forward_pass_equals_the_broadcast_formula(self, kind, p):
+        spec = models.ModelSpec(kind, p)
+        theta, x, y = draw_batch(spec, p, m=5, theta_scale=2.0)
+        v = rngmod.stream(p, 998).standard_normal(p)
+        _, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+        z = models._mv(x, theta)
+        want = (broadcast_linear_vjp(z - y, x, theta, v) if kind == "linear"
+                else broadcast_binary_vjp(models._sigmoid(z), y, x, theta, v))
+        assert_same_bits(vjp(v), want)

@@ -1,0 +1,47 @@
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+A = {"runs/a/report.json": "1" * 64, "runs/a/model.bin": "2" * 64}
+
+
+class TestArtifactDigestsCompare:
+    """``--compare`` gates a script: exit 0 only when both trees wrote the same
+    files with the same digests. ``digests`` is replaced, so no command runs."""
+
+    @pytest.mark.parametrize("b, code", [
+        (dict(A), 0),
+        ({**A, "runs/a/model.bin": "3" * 64}, 1),
+        ({"runs/a/report.json": "1" * 64}, 1),                  # only the first tree wrote it
+        ({**A, "runs/b/extra.csv": "4" * 64}, 1),               # only the second tree wrote it
+        (None, 1),                                              # a command failed
+    ], ids=["identical", "differs", "only-first", "only-second", "failed"])
+    def test_exit_code(self, monkeypatch, capsys, b, code):
+        script = load_script("artifact_digests")
+        sides = iter([A, b])
+
+        def fake_digests(out, src):
+            found = next(sides)
+            for rel, digest in (found or {}).items():
+                os.makedirs(os.path.dirname(os.path.join(out, rel)), exist_ok=True)
+                with open(os.path.join(out, rel), "w") as fh:
+                    fh.write(digest)
+            return found
+
+        monkeypatch.setattr(script, "digests", fake_digests)
+        assert script.main(["--compare", "tree-a", "tree-b"]) == code
+        if b is not None:
+            differ = len(A.keys() ^ b.keys()) + sum(A[k] != b[k] for k in A.keys() & b.keys())
+            assert capsys.readouterr().out.splitlines()[-1].startswith(f"{differ} differ, ")
