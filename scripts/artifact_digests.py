@@ -61,6 +61,12 @@ COMMANDS = [
      "--client", "6", "--phase2"],
     ["attack", "--run-dir", "runs/he", "--out", "runs/he-attack", "--iters", "50",
      "--phase2", "--dump-trajectory"],
+    # a kept trajectory that truncates: plain SGD on the linear model
+    # overflows after 6 of its 80 steps
+    ["train", "--model", "linear", "--optimizer", "sgd", "--step-size", "50", "--seed", "13",
+     "--out", "runs/linear-sgd"],
+    ["attack", "--run-dir", "runs/linear-sgd", "--out", "runs/linear-sgd-attack",
+     "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
     # every bound at the least trial count verify accepts, each as one lockstep
     # block of 100 trials whose constants rows take two estimator chunks (73

@@ -42,9 +42,9 @@ def pilot_single_sample_inversion():
         g_true = models.grad_params(spec, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg)
-        finals.append(attack.privacy_leakage_final(tr, x[None, :], 2.0))
-        trajs.append(attack.privacy_leakage(tr, x[None, :], 2.0))
+        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg, x[None, :], 2.0)
+        finals.append(attack.privacy_leakage_final(tr))
+        trajs.append(attack.privacy_leakage(tr))
     print(f"pilot 1: eps_p_final min {min(finals):.4f}, "
           f"traj-avg q10 {np.quantile(trajs, 0.1):.4f} -> thresholds 0.95 / 0.95")
 
@@ -83,7 +83,7 @@ def pilot_noise_floor():
             rngmod.stream(seed, 61).standard_normal((1, g_true.shape[0])))
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)
-        tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg)
+        tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg, x[None, :], 2.0)
         atk_err.append(np.linalg.norm(tr.final_x[0] - x))
         base_err.append(np.linalg.norm(0.5 * rngmod.stream(seed, 62).standard_normal(2) - x))
     p = stats.mannwhitneyu(atk_err, base_err, alternative="less").pvalue

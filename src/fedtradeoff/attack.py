@@ -16,12 +16,12 @@ accepted candidate's VJP gives the next step's gradient, and a rejected
 backtracking candidate never pays for its VJP. ``invert_batch`` runs several
 equal-shape inversions in lockstep over a leading trial axis, one stacked
 forward pass per step for all of them, and returns one trace per upload;
-``invert_gradient`` is its one-row case. Each accepted iterate is either
-stored in the trace's trajectory or, when ``invert_batch`` is given the
-uploads' originals and D, scored as it comes: the loop then adds each sample's
-clamped distance into a running sum and keeps no trajectory.
-``privacy_leakage`` scores either trace, a stored one by walking its
-trajectory, a streamed one only against the originals and D it streamed.
+``invert_gradient`` is its one-row case. The loop scores each accepted
+iterate as it comes: it adds each sample's clamped distance to the original
+into a running sum, and once it ends it takes the final iterates' distances,
+so a trace carries both of its leakages. It keeps the iterates themselves only
+when asked to (``--dump-trajectory``). ``privacy_leakage`` and
+``privacy_leakage_final`` read them off the trace alone.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -63,16 +63,18 @@ class AttackConfig:
 
 @dataclass
 class AttackTrace:
-    # X_t for t = 0..iters_run, shape (iters_run + 1, m, p), or None for a
-    # streamed trace; the traces of one invert_batch call are views of one array
-    trajectory: np.ndarray | None
     objectives: np.ndarray                   # F at t = 0..iters_run
     final_x: np.ndarray
     iters_run: int
+    # sums[i] adds min(||X_{t,i} - x_i||, D) / D over t = 1..iters_run, in t
+    # order, and final[i] is min(||final_x_i - x_i||, D) / D, against the
+    # originals x and the D the inversion was given
+    sums: np.ndarray
+    final: np.ndarray
     truncated: bool = False
-    # a streamed trace's (originals, D, sums): sums[i] adds
-    # min(||X_{t,i} - originals[i]||, D) / D over t = 1..iters_run, in t order
-    streamed: tuple | None = None
+    # X_t for t = 0..iters_run, shape (iters_run + 1, m, p), when kept; the
+    # traces of one invert_batch call are views of one array
+    trajectory: np.ndarray | None = None
 
 
 def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -113,12 +115,14 @@ def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
 
 
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
-                    labels: np.ndarray, m: int, cfg: AttackConfig,
-                    x0: np.ndarray | None = None) -> AttackTrace:
-    """Reconstruct the m feature vectors behind an observed batch gradient.
+                    labels: np.ndarray, m: int, cfg: AttackConfig, originals: np.ndarray,
+                    cap_d: float, *, x0: np.ndarray | None = None,
+                    keep_trajectory: bool = False) -> AttackTrace:
+    """Reconstruct the m feature vectors behind an observed batch gradient,
+    its leakage scored against the (m, p) ``originals`` at D = ``cap_d``.
 
-    Every accepted iterate is stored, so leakage is scored afterwards from the
-    trace alone. ``x0`` overrides the configured init (diagnostics). This is a
+    ``x0`` overrides the configured init (diagnostics); ``keep_trajectory``
+    keeps every accepted iterate (``attack --dump-trajectory``). This is a
     one-row ``invert_batch``.
     """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
@@ -130,13 +134,14 @@ def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64).reshape(1, m, spec.input_dim)
     return invert_batch(spec, np.asarray(theta, dtype=np.float64)[None], g_obs[None],
-                        labels[None], cfg, [cfg.seed], x0=x0)[0]
+                        labels[None], cfg, [cfg.seed], np.asarray(originals)[None], [cap_d],
+                        x0=x0, keep_trajectory=keep_trajectory)[0]
 
 
 def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
-                 labels: np.ndarray, cfg: AttackConfig, seeds,
-                 x0: np.ndarray | None = None, originals: np.ndarray | None = None,
-                 cap_d=None) -> list[AttackTrace]:
+                 labels: np.ndarray, cfg: AttackConfig, seeds, originals: np.ndarray,
+                 cap_d, *, x0: np.ndarray | None = None,
+                 keep_trajectory: bool = False) -> list[AttackTrace]:
     """``invert_gradient`` for B uploads in lockstep, one trace per row.
 
     Row b inverts ``g_obs[b]`` (shape (B, param_dim)) observed at ``theta[b]``
@@ -148,10 +153,10 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     backtracking halves the step of each row that has not yet improved. Row
     b's trace is bit-identical to that of a one-row run.
 
-    Given ``originals`` (B, m, p) and ``cap_d`` (B,), each row's D, the traces
-    are streamed: no trajectory is stored, and row b's leakage sums are taken
-    against ``originals[b]`` and ``cap_d[b]`` at each accepted step, the sums
-    ``privacy_leakage`` would add over a stored trajectory.
+    Row b's leakage is scored against ``originals[b]`` ((B, m, p)) at
+    ``cap_d[b]``, its D: each accepted iterate's clamped distances go into the
+    trace's ``sums`` at its step, and the final iterates' into its ``final``
+    once the loop ends. ``keep_trajectory`` also keeps every accepted iterate.
     """
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -171,19 +176,18 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         x = np.stack([cfg.init_scale * g.standard_normal((m, p)) for g in rngmod.streams(
             seeds, [(rngmod.STREAM_ATTACK, 0)] * n_rows)])
 
-    # each accepted iterate goes to the stored trajectory (by step then row)
-    # or, streamed, into its row's leakage sums; a row's trace reads only its
-    # steps 0..iters_run
-    if originals is None:
+    originals = np.asarray(originals, dtype=np.float64)
+    caps = np.asarray(cap_d, dtype=np.float64)
+    if originals.shape != x.shape or caps.shape != (n_rows,) or not np.all(caps > 0):
+        raise ConfigurationError("invert_batch needs one (m, p) originals and one "
+                                 "D > 0 per upload")
+    # each accepted iterate goes into its row's leakage sums and, kept, into
+    # the trajectory (by step then row); a row's trace reads only its steps
+    # 0..iters_run
+    sums = np.zeros((n_rows, m))
+    if keep_trajectory:
         traj = np.empty((cfg.iters + 1, n_rows, m, p))
         traj[0] = x
-    else:
-        originals = np.asarray(originals, dtype=np.float64)
-        caps = np.asarray(cap_d, dtype=np.float64)
-        if originals.shape != x.shape or caps.shape != (n_rows,) or not np.all(caps > 0):
-            raise ConfigurationError("invert_batch needs one (m, p) originals and one "
-                                     "D > 0 per upload")
-        sums = np.zeros((n_rows, m))
     final = x.copy()                              # each row's last accepted iterate
     objectives = np.empty((cfg.iters + 1, n_rows))
     iters_run = np.zeros(n_rows, dtype=np.int64)
@@ -240,17 +244,16 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
         x, f, v, vjp = x_new, f_new, v_new, vjp_new
         iters_run[rows] = t
         objectives[t, rows] = f
-        if originals is None:
+        sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
+        if keep_trajectory:
             traj[t, rows] = x
-        else:
-            sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
     final[rows] = x
+    last = _clamped_distances(final, originals, caps[:, None])
 
-    return [AttackTrace(trajectory=traj[:n + 1, b] if originals is None else None,
-                        objectives=objectives[:n + 1, b].copy(), final_x=final[b],
-                        iters_run=int(n), truncated=bool(truncated[b]),
-                        streamed=None if originals is None
-                        else (originals[b], float(caps[b]), sums[b]))
+    return [AttackTrace(objectives=objectives[:n + 1, b].copy(), final_x=final[b],
+                        iters_run=int(n), sums=sums[b], final=last[b],
+                        truncated=bool(truncated[b]),
+                        trajectory=traj[:n + 1, b] if keep_trajectory else None)
             for b, n in enumerate(iters_run)]
 
 
@@ -302,43 +305,20 @@ def _clamped_distances(x: np.ndarray, originals: np.ndarray, cap_d) -> np.ndarra
     return s
 
 
-def _checked_originals(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> np.ndarray:
-    if cap_d <= 0:
-        raise ConfigurationError("D must be > 0")
-    originals = np.asarray(originals, dtype=np.float64)
-    if originals.shape != trace.final_x.shape:
-        raise ConfigurationError(f"originals shape {originals.shape} != "
-                                 f"trace shape {trace.final_x.shape}")
-    return originals
-
-
-def privacy_leakage(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
+def privacy_leakage(trace: AttackTrace) -> float:
     """Trajectory-averaged leakage: 1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D
-    over t = 1..iters_run. The cumulative sum adds in t order, as a streamed
-    trace's sums do; numpy's pairwise ``sum`` would not, and moves the result
-    by ulps when m == 1. A streamed trace is scored only against the originals
-    and D it streamed."""
-    originals = _checked_originals(trace, originals, cap_d)
+    over t = 1..iters_run, from the trace's step-ordered sums."""
     n = trace.iters_run
     if n < 1:
         if trace.truncated:
             raise NumericError("attack diverged at its first step: no iterate to score")
         raise ConfigurationError("trace has no iterations")
-    if trace.trajectory is None:
-        streamed_x, streamed_d, acc = trace.streamed
-        if streamed_d != cap_d or not np.array_equal(streamed_x, originals):
-            raise ConfigurationError("a streamed trace scores only the originals and D "
-                                     "it streamed")
-    else:
-        acc = np.cumsum(_clamped_distances(trace.trajectory[1:n + 1], originals, cap_d),
-                        axis=0)[-1]
-    return float(1.0 - np.mean(acc / n))
+    return float(1.0 - np.mean(trace.sums / n))
 
 
-def privacy_leakage_final(trace: AttackTrace, originals: np.ndarray, cap_d: float) -> float:
+def privacy_leakage_final(trace: AttackTrace) -> float:
     """Final-iterate leakage: 1 - mean_i min(||X_{T,i}-X_i||, D)/D."""
-    originals = _checked_originals(trace, originals, cap_d)
-    return float(1.0 - np.mean(_clamped_distances(trace.final_x, originals, cap_d)))
+    return float(1.0 - np.mean(trace.final))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,9 @@ def cmd_attack(args) -> int:
         atk = replace(atk, iters=args.iters)
     t0 = time.perf_counter()
     trace = attackmod.invert_gradient(config.model, observed.theta_round,
-                                      observed.wires[args.client], target.y, target.size, atk)
+                                      observed.wires[args.client], target.y, target.size, atk,
+                                      target.x, config.dataset.diameter_cap,
+                                      keep_trajectory=args.dump_trajectory)
     wall = time.perf_counter() - t0
     # scored as a trial of run_trials is; the row keeps the manifest config's
     # experiment_id, even with --iters

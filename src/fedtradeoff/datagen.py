@@ -30,6 +30,11 @@ _RAW_RADIUS = 4.0
 # dimensions took 7 s at separation 16 and over 20 s at 20.
 _MAX_SEPARATION = 2 * (_RAW_RADIUS + 3.0)
 
+# Largest diameter cap D: the bounds and the clamped distances square D or
+# distances up to it, and D^2 <= 1e300 stays finite. At 1e154 the utility
+# bound's constants overflowed.
+_MAX_DIAMETER = 1e150
+
 # Least probability that a drawn row lands inside _RAW_RADIUS. A redraw pass
 # keeps about 1 - P of the rows still outside, so n rows take about ln(n) / P
 # passes: at 1e-4, 60,000 for 400 rows. Generating 2 clients of 16 rows at
@@ -65,8 +70,9 @@ class DatasetSpec:
         if not 0 <= self.class_separation <= _MAX_SEPARATION:     # NaN fails too
             raise ConfigurationError(
                 f"class_separation must be between 0 and {_MAX_SEPARATION:g}")
-        if not 0 < self.diameter_cap < math.inf:
-            raise ConfigurationError("diameter_cap must be finite and > 0")
+        if not 0 < self.diameter_cap <= _MAX_DIAMETER:
+            raise ConfigurationError(
+                f"diameter_cap must be finite and > 0, at most {_MAX_DIAMETER:g}")
         inside = _inside_probability(self.input_dim, self.class_separation)
         if not inside >= _MIN_INSIDE:
             raise ConfigurationError(

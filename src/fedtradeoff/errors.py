@@ -5,6 +5,7 @@ IO errors -> 3, failed bound check -> 4.
 """
 
 import numbers
+import sys
 
 
 class FedTradeoffError(Exception):
@@ -24,7 +25,9 @@ class EstimationError(NumericError):
 
 
 def require_int(name: str, value, least: int) -> None:
-    """Raise ``ConfigurationError`` unless ``value`` is an integer >= ``least``;
-    a float from a config file, 2.0 or NaN, is not, nor is a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}")
+    """Raise ``ConfigurationError`` unless ``value`` is an integer from ``least``
+    to ``sys.maxsize``, numpy's index range; a float from a config file, 2.0 or
+    NaN, is not, nor is a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not least <= value <= sys.maxsize):
+        raise ConfigurationError(f"{name} must be an integer >= {least} and <= {sys.maxsize}")

@@ -235,7 +235,7 @@ def privacy_outcome(config: ExperimentConfig, seed: int, observed: Observed,
     client = config.attack_client
     target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
     cap_d = config.dataset.diameter_cap
-    eps_p = attackmod.privacy_leakage(trace, target.x, cap_d)
+    eps_p = attackmod.privacy_leakage(trace)
     if est is None:
         nan = float("nan")
         threshold = rhs = c_a = c_b = c_2 = skip_rate = nan
@@ -365,8 +365,7 @@ def _trial_row(config: ExperimentConfig, seed: int, observed: Observed,
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
         seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
         eps_p=privacy.measured,
-        eps_p_final=attackmod.privacy_leakage_final(trace, target.x,
-                                                    config.dataset.diameter_cap),
+        eps_p_final=attackmod.privacy_leakage_final(trace),
         eps_u=utility.measured, eps_u_halfwidth=half, eps_e=target.size,
         delta_up_grad=observed.delta_up_grad[client],
         delta_up_param=observed.delta_up_param[client],
@@ -392,9 +391,10 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
     return (config.attack_client,)
 
 
-# (m, p) arrays a streamed inversion holds per upload whatever its iteration
-# count: the iterate, its candidate, the gradient, Adam's two moments, the
-# originals, the final iterate and the leakage sums
+# (m, p) arrays an inversion that keeps no trajectory holds per upload
+# whatever its iteration count: the iterate, its candidate, the gradient,
+# Adam's two moments, the originals, the final iterate, and one for the
+# (m,) leakage sums and final distances
 _LOOP_ARRAYS = 8
 
 
@@ -408,8 +408,8 @@ def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list
     its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
     round (2 under randomization, whose shadow takes its own) and, per round,
     its n gradient sets, wires, noise and 4 model vectors; for each listed
-    upload the streamed inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its m
-    per-example gradients; and its ``Observed``. The inversion stores no
+    upload the inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its m
+    per-example gradients; and its ``Observed``. The inversion keeps no
     trajectory, and scoring chunks its own temporaries (constants rows, the
     utility side) within the same budget, so neither is charged."""
     blocks, held, last = [], 0, None
@@ -443,8 +443,8 @@ def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
     (trials of one shape within ``datagen._BLOCK_BYTES``): observe them in one
     ``simulate_batch``, invert every listed upload of the block in one
     ``attack.invert_batch`` (a trial's j-th upload with attack seed
-    ``seed + j``, its leakage streamed against that client's data at the
-    trial's ``diameter_cap``, which alone its trace then scores), then score
+    ``seed + j``, its leakage summed as it runs against that client's data
+    at the trial's ``diameter_cap``, so its trace scores itself), then score
     them, traces in listed order, in one ``score_block``; the traces and
     estimates die with the block. A block that raises reruns one trial at a
     time, so the error raised is the one a serial run meets first: that of
@@ -473,8 +473,8 @@ def _run_block(score, inverted, block: list[tuple]) -> list:
         np.stack([o.wires[k] for _, o, k, _ in uploads]),
         np.stack([o.datasets[k].y for _, o, k, _ in uploads]),
         block[0][0].attack, [s for _, _, _, s in uploads],
-        originals=np.stack([o.datasets[k].x for _, o, k, _ in uploads]),
-        cap_d=[cfg.dataset.diameter_cap for cfg, _, _, _ in uploads]) if uploads else ())
+        np.stack([o.datasets[k].x for _, o, k, _ in uploads]),
+        [cfg.dataset.diameter_cap for cfg, _, _, _ in uploads]) if uploads else ())
     traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
     return score_block(score, block, seen, traces)
 
@@ -519,8 +519,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
         raise ConfigurationError(f"unknown sweep axis: {axis!r}")
     if len(values) < 2:
         raise ConfigurationError("need at least 2 axis values")
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+    require_int("trials", trials, 1)
 
     base_id = config.experiment_id()
     configs = [_config_for_sweep_value(config, axis, value) for value in values]

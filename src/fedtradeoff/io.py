@@ -235,8 +235,8 @@ def write_timings(path: str, entries: list[tuple[str, float, int, float]]) -> No
 def write_attack_summary(path: str, trace) -> None:
     """JSON-lines: a head record, then one record per iterate t = 0..iters_run.
 
-    Every iterate is stored, so the head's ``"stride"`` is always 1; it is
-    still written so that ``attacklog/v1`` files stay byte-identical.
+    Every iterate's objective is written, so the head's ``"stride"`` is always
+    1; it is still written so that ``attacklog/v1`` files stay byte-identical.
     """
     objectives = trace.objectives
     with open(path, "w") as fh:
@@ -252,7 +252,8 @@ def write_attack_summary(path: str, trace) -> None:
 
 
 def write_trajectory(path: str, trace) -> None:
-    """Full stored trajectory as CSV: iteration, sample, x0..x{p-1}."""
+    """A trace's kept trajectory (``attack --dump-trajectory``) as CSV:
+    iteration, sample, x0..x{p-1}."""
     m, p = trace.final_x.shape
     with open(path, "w") as fh:
         fh.write("iteration,sample," + ",".join(f"x{i}" for i in range(p)) + "\n")

@@ -100,9 +100,7 @@ def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,
                        traces: list[list[attackmod.AttackTrace]], ests: list) -> list[TrialOutcome]:
     """Each trial's client-0 utility loss vs a trade-off bound, from every
     client's round-0 leakage (``traces[i][k]`` inverted trial i's client k)."""
-    eps_p = [[attackmod.privacy_leakage(trace, ds.x, config.dataset.diameter_cap)
-              for trace, ds in zip(ts, obs.datasets)]
-             for (config, _, _), obs, ts in zip(block, seen, traces)]
+    eps_p = [[attackmod.privacy_leakage(trace) for trace in ts] for ts in traces]
     formula = (boundsmod.tradeoff_randomization if randomized_formula
                else boundsmod.tradeoff_general)
     outs = []

@@ -144,6 +144,17 @@ def assert_same_bits(got, want):
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+def rewalk_leakage(trajectory, originals, cap_d):
+    """(eps_p, eps_p_final) of a kept trajectory X_0..X_n, walked test-side:
+    1 - mean_i mean_t min(||X_{t,i} - x_i||, D) / D over t = 1..n, summed in t
+    order, and the same at X_n alone."""
+    acc = np.zeros(len(originals))
+    for x_t in trajectory[1:]:
+        acc += np.minimum(np.linalg.norm(x_t - originals, axis=1), cap_d) / cap_d
+    last = np.minimum(np.linalg.norm(trajectory[-1] - originals, axis=1), cap_d) / cap_d
+    return float(1.0 - np.mean(acc / (len(trajectory) - 1))), float(1.0 - np.mean(last))
+
+
 # numpy's pairwise summation adds a run of fewer than this many elements in
 # order: the widest last axis a column-by-column sum may walk with its bits
 PAIRWISE_BLOCK = 8

@@ -174,8 +174,8 @@ def test_criterion_07_attack_efficacy_floor():
         g_true = models.grad_params(spec, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg)
-        hits += attack.privacy_leakage_final(tr, x[None, :], cap_d) >= 0.95
+        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg, x[None, :], cap_d)
+        hits += attack.privacy_leakage_final(tr) >= 0.95
     elapsed = time.perf_counter() - t0
     gate(7, hits >= 27 and elapsed < 300.0,
          "unprotected single-sample linear inversion reaches eps_p_final >= 0.95 "
@@ -248,14 +248,16 @@ def test_criterion_09_formula_unit_suite():
     checks.append(np.allclose(
         protocol.aggregate([gsingle], [5], np.ones(2), 0.1),
         np.ones(2) - 0.1 * gsingle, rtol=0, atol=0))
-    # eps_p edge cases via synthetic traces
+    # eps_p edge cases: an inversion started at the target, observing the
+    # target's own gradient, stays there
     x0 = np.array([[0.0, 0.0]])
+    spec1, theta1, y1 = models.ModelSpec("linear", 2), np.array([0.3, -0.2]), np.array([1.0])
     for target, expected in ((x0, 1.0), (np.array([[2.0, 0.0]]), 0.0),
                              (np.array([[1.0, 0.0]]), 0.5)):
-        tr = attack.AttackTrace(trajectory=np.stack([x0 * 0, target, target]),
-                                objectives=np.zeros(3), final_x=target,
-                                iters_run=2)
-        checks.append(attack.privacy_leakage(tr, x0, 2.0) == expected)
+        tr = attack.invert_gradient(
+            spec1, theta1, models.grad_params(spec1, theta1, target, y1), y1, 1,
+            attack.AttackConfig(iters=2, optimizer="sgd", step_size=0.1), x0, 2.0, x0=target)
+        checks.append(attack.privacy_leakage(tr) == expected)
     # AdvRisk(0) == Risk
     ds = datagen.generate(datagen.DatasetSpec(
         num_clients=1, per_client_size=20, input_dim=2, num_classes=2,

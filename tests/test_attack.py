@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import PAIRWISE_BLOCK, assert_same_bits, spread_values
+from conftest import PAIRWISE_BLOCK, assert_same_bits, rewalk_leakage, spread_values
 from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -39,9 +39,9 @@ def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
 def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_d, x0=None):
     """Reference copy of the optimizer loop before the forward pass was shared:
     every step recomputes v with _grad_objective and scores each candidate with
-    matching_objective. It also streams the per-sample leakage sums in the loop,
-    as the attack's streamed traces do. Returns the trace, how often
-    backtracking stayed put, and the streamed (sums, last) over t = 1..iters_run."""
+    matching_objective. It also adds the per-sample leakage sums in the loop and
+    takes the final iterate's distances after it, as the attack does. Returns
+    the trace, with every iterate, and how often backtracking stayed put."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     p = spec.input_dim
     g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
@@ -51,7 +51,7 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
         x = np.zeros((m, p))
     else:
         x = cfg.init_scale * g.standard_normal((m, p))
-    sums, last = np.zeros(m), np.zeros(m)
+    sums = np.zeros(m)
     objectives = [attack.matching_objective(spec, theta, x, labels, g_obs)]
     iterates = [(0, x.copy())]
     truncated, stays, iters_run = False, 0, 0
@@ -86,47 +86,45 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
         x = x_new
         iters_run = t
         objectives.append(f_new)
-        dist = np.linalg.norm(x - originals, axis=1)
-        last = np.minimum(dist, cap_d) / cap_d
-        sums += last
+        sums += np.minimum(np.linalg.norm(x - originals, axis=1), cap_d) / cap_d
         iterates.append((t, x.copy()))
+    final = np.minimum(np.linalg.norm(x - originals, axis=1), cap_d) / cap_d
     trace = attack.AttackTrace(trajectory=np.stack([x_t for _, x_t in iterates]),
-                               objectives=np.asarray(objectives),
-                               final_x=x.copy(), iters_run=iters_run, truncated=truncated)
-    return trace, stays, (sums, last)
+                               objectives=np.asarray(objectives), final_x=x.copy(),
+                               iters_run=iters_run, sums=sums, final=final,
+                               truncated=truncated)
+    return trace, stays
 
 
 def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
-    """invert_gradient equals the two-pass loop bit for bit, every iterate
-    included, and its stored trajectory scores the leakage the loop streamed.
-    Returns the trace and the oracle's stay-put count."""
+    """invert_gradient equals the two-pass loop bit for bit, every kept iterate
+    and both leakage sums included. Returns the trace and the oracle's
+    stay-put count."""
     # the huge steps overflow exp() in the sigmoid branch np.where discards
     with np.errstate(over="ignore", invalid="ignore"):
-        got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, x0=x0)
-        want, stays, (sums, last) = two_pass_invert_gradient(
+        got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, CAP_D,
+                                     x0=x0, keep_trajectory=True)
+        want, stays = two_pass_invert_gradient(
             spec, theta, g_obs, labels, m, cfg, originals, CAP_D, x0)
     assert len(got.trajectory) == got.iters_run + 1
     assert_same_trace(got, want)
-    assert (attack.privacy_leakage(got, originals, CAP_D)
-            == float(1.0 - np.mean(sums / got.iters_run)))
-    assert attack.privacy_leakage_final(got, originals, CAP_D) == float(1.0 - np.mean(last))
+    assert (attack.privacy_leakage(got)
+            == float(1.0 - np.mean(want.sums / got.iters_run)))
+    assert attack.privacy_leakage_final(got) == float(1.0 - np.mean(want.final))
     return got, stays
 
 
 def assert_same_trace(got, want):
-    """Bit-identical traces: every iterate, objective and final_x, iters_run, truncated."""
-    assert np.array_equal(got.trajectory, want.trajectory)
+    """Bit-identical traces: every kept iterate, objective, final_x, both
+    leakage sums, iters_run and truncated."""
+    assert (got.trajectory is None) == (want.trajectory is None)
+    if got.trajectory is not None:
+        assert np.array_equal(got.trajectory, want.trajectory)
     assert np.array_equal(got.objectives, want.objectives)
     assert np.array_equal(got.final_x, want.final_x)
+    assert np.array_equal(got.sums, want.sums)
+    assert np.array_equal(got.final, want.final)
     assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
-
-
-def rewalk_leakage(trace, originals, cap_d):
-    """1 - mean_i mean_t min(||X_{t,i}-X_i||, D)/D over the stored trajectory."""
-    acc = np.zeros(originals.shape[0])
-    for x_t in trace.trajectory[1:trace.iters_run + 1]:
-        acc += np.minimum(np.linalg.norm(x_t - originals, axis=1), cap_d) / cap_d
-    return float(1.0 - np.mean(acc / trace.iters_run))
 
 
 def attack_instance(spec, seed, m=3):
@@ -154,7 +152,8 @@ class TestInvertGradient:
         theta, x, y = single_sample_instance(3)
         g_true = models.grad_params(LINEAR, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=20, optimizer="sgd", step_size=0.1, seed=0)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x0=x[None, :])
+        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D,
+                                    x0=x[None, :])
         assert tr.objectives[0] == 0.0
         assert np.array_equal(tr.final_x, x[None, :])
         assert np.all(tr.objectives == 0.0)
@@ -166,8 +165,8 @@ class TestInvertGradient:
         g_true = models.grad_params(LINEAR, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
                                   init="zeros", seed=seed)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg)
-        assert attack.privacy_leakage_final(tr, x[None, :], CAP_D) >= 0.95
+        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D)
+        assert attack.privacy_leakage_final(tr) >= 0.95
 
     def test_closed_form_linear_gradient_matches_finite_differences(self):
         # dual-route check: analytic dF/dX vs central differences on F
@@ -210,7 +209,8 @@ class TestInvertGradient:
         g_true = models.grad_params(LOGISTIC, theta, x[None, :], np.array([1]))
         cfg = attack.AttackConfig(iters=60, optimizer="sgd", step_size=0.5,
                                   init="gaussian", backtracking=True, seed=9)
-        tr = attack.invert_gradient(LOGISTIC, theta, g_true, np.array([1]), 1, cfg)
+        tr = attack.invert_gradient(LOGISTIC, theta, g_true, np.array([1]), 1, cfg,
+                                    x[None, :], CAP_D)
         assert np.all(np.diff(tr.objectives) <= 1e-15)
 
     def test_heavy_noise_no_better_than_baseline(self):
@@ -225,7 +225,7 @@ class TestInvertGradient:
                 rngmod.stream(seed, 61).standard_normal((1, g_true.shape[0])))
             cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                       init="gaussian", seed=seed)
-            tr = attack.invert_gradient(LOGISTIC, theta, wire, y, 1, cfg)
+            tr = attack.invert_gradient(LOGISTIC, theta, wire, y, 1, cfg, x[None, :], CAP_D)
             atk_err.append(np.linalg.norm(tr.final_x[0] - x))
             guess = 0.5 * rngmod.stream(seed, 62).standard_normal(2)
             base_err.append(np.linalg.norm(guess - x))
@@ -289,7 +289,8 @@ class TestInvertGradient:
                                   seed=5, backtracking=optimizer == "sgd")
         x0 = x + 0.01 * rngmod.stream(5, 54).standard_normal(x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, x0=x0)
+            tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, x, CAP_D, x0=x0,
+                                        keep_trajectory=True)
         # one VJP per step, taken from the pass of the iterate the step starts at
         assert len(vjp_points) == tr.iters_run == cfg.iters
         for x_t, point in zip(tr.trajectory, vjp_points):
@@ -314,19 +315,20 @@ class TestInvertGradient:
             g_true = models.grad_params(spec, theta, x, y)
         cfg = attack.AttackConfig(iters=40, optimizer=optimizer, step_size=step_size,
                                   init="gaussian", seed=2)
-        with np.errstate(over="ignore"):
-            tr = attack.invert_gradient(spec, theta, g_true, y, m, cfg)
-        assert tr.truncated == (step_size > 1.0)
-        assert 1 <= tr.iters_run and len(tr.trajectory) == tr.iters_run + 1
         for originals in (x, x + 0.25):
             for cap_d in (CAP_D, 0.7):
-                assert (attack.privacy_leakage(tr, originals, cap_d)
-                        == rewalk_leakage(tr, originals, cap_d))
+                with np.errstate(over="ignore"):
+                    tr = attack.invert_gradient(spec, theta, g_true, y, m, cfg, originals,
+                                                cap_d, keep_trajectory=True)
+                assert tr.truncated == (step_size > 1.0)
+                assert 1 <= tr.iters_run and len(tr.trajectory) == tr.iters_run + 1
+                assert (attack.privacy_leakage(tr), attack.privacy_leakage_final(tr)) \
+                    == rewalk_leakage(tr.trajectory, originals, cap_d)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ConfigurationError):
             attack.invert_gradient(LINEAR, np.zeros(2), np.zeros(2), np.zeros(3), 1,
-                                   attack.AttackConfig(iters=1))
+                                   attack.AttackConfig(iters=1), np.zeros((1, 2)), CAP_D)
 
 
 def scaled_linear_row(seed, scale, m=3):
@@ -336,33 +338,24 @@ def scaled_linear_row(seed, scale, m=3):
     return theta, x, y, models.grad_params(LINEAR, theta, x, y), seed
 
 
-def leakage_or_error(trace, originals, cap_d):
-    """privacy_leakage, or the NumericError of a trace without iterates."""
-    try:
-        return attack.privacy_leakage(trace, originals, cap_d)
-    except NumericError as exc:
-        return repr(exc)
-
-
-def assert_streams_as_stored(spec, cfg, rows, x0=None):
-    """Invert ``(theta, x, y, g_obs, seed)`` rows twice in lockstep, storing the
-    trajectory and streaming the leakage against each row's x at its own D;
-    every row scores and ends bit for bit alike. Returns the streamed traces."""
+def assert_kept_as_not_kept(spec, cfg, rows, x0=None):
+    """Invert ``(theta, x, y, g_obs, seed)`` rows twice in lockstep, each
+    against its x at its own D, keeping the trajectory once: every row ends
+    and scores bit for bit alike, and the kept trajectory, walked test-side,
+    scores what the loop summed. Returns the kept traces."""
     thetas, xs, ys, gs, seeds = map(np.stack, zip(*rows))
     caps = np.resize([CAP_D, 0.7, 1.3], len(rows))
-    args = (spec, thetas, gs, ys, cfg, seeds)
+    args = (spec, thetas, gs, ys, cfg, seeds, xs, caps)
     with np.errstate(over="ignore", invalid="ignore"):
-        stored = attack.invert_batch(*args, x0=x0)
-        streamed = attack.invert_batch(*args, x0=x0, originals=xs, cap_d=caps)
-    for got, want, x, cap_d in zip(streamed, stored, xs, caps):
-        assert got.trajectory is None and want.streamed is None
-        assert np.array_equal(got.objectives, want.objectives)
-        assert np.array_equal(got.final_x, want.final_x)
-        assert (got.iters_run, got.truncated) == (want.iters_run, want.truncated)
-        assert leakage_or_error(got, x, cap_d) == leakage_or_error(want, x, cap_d)
-        assert (attack.privacy_leakage_final(got, x, cap_d)
-                == attack.privacy_leakage_final(want, x, cap_d))
-    return streamed
+        kept = attack.invert_batch(*args, x0=x0, keep_trajectory=True)
+        not_kept = attack.invert_batch(*args, x0=x0)
+    for got, want, x, cap_d in zip(not_kept, kept, xs, caps):
+        assert got.trajectory is None and len(want.trajectory) == want.iters_run + 1
+        assert_same_trace(got, replace(want, trajectory=None))
+        if got.iters_run:
+            assert (attack.privacy_leakage(got), attack.privacy_leakage_final(got)) \
+                == rewalk_leakage(want.trajectory, x, cap_d)
+    return kept
 
 
 def count_fp_errors(fn):
@@ -386,21 +379,17 @@ class TestInvertBatch:
         against its one-row run and, through that, the two-pass loop."""
         thetas, xs, ys, gs, seeds = zip(*rows)
         traces = attack.invert_batch(spec, np.stack(thetas), np.stack(gs), np.stack(ys), cfg,
-                                     seeds, x0=x0)
+                                     seeds, np.stack(xs), [CAP_D] * len(rows), x0=x0)
         m = len(ys[0])
         for b, got in enumerate(traces):
             row_cfg = replace(cfg, seed=seeds[b])
             row_x0 = None if x0 is None else x0[b]
             with np.errstate(over="ignore"):     # a truncating row overflows alone too
                 one = attack.invert_gradient(spec, thetas[b], gs[b], ys[b], m, row_cfg,
-                                             x0=row_x0)
+                                             xs[b], CAP_D, x0=row_x0)
             assert_same_trace(got, one)
-            assert (attack.privacy_leakage(got, xs[b], CAP_D)
-                    == attack.privacy_leakage(one, xs[b], CAP_D))
-            assert (attack.privacy_leakage_final(got, xs[b], CAP_D)
-                    == attack.privacy_leakage_final(one, xs[b], CAP_D))
             assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
-        assert_streams_as_stored(spec, cfg, rows, x0)
+        assert_kept_as_not_kept(spec, cfg, rows, x0)
         return traces
 
     @pytest.mark.parametrize("spec", [
@@ -442,24 +431,12 @@ class TestInvertBatch:
         ("sgd", 1e16, True),
     ], ids=["adam", "sgd", "sgd-backtracking", "sgd-backtracking-stay-put"])
     @pytest.mark.parametrize("m", [1, 3])
-    def test_streamed_rows_equal_their_stored_runs(self, spec, optimizer, step_size,
-                                                   backtracking, m):
+    def test_keeping_the_trajectory_changes_nothing_else(self, spec, optimizer, step_size,
+                                                         backtracking, m):
         rows = [(*attack_instance(spec, seed=s, m=m), s) for s in (3, 7, 11)]
         cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
                                   init="gaussian", backtracking=backtracking)
-        assert_streams_as_stored(spec, cfg, rows)
-
-    def test_streamed_trace_scores_only_its_originals_and_cap(self):
-        rows = [(*attack_instance(LOGISTIC, seed=s), s) for s in (3, 7)]
-        cfg = attack.AttackConfig(iters=10, init="gaussian")
-        traces = assert_streams_as_stored(LOGISTIC, cfg, rows)
-        x_a, x_b = rows[0][1], rows[1][1]
-        # bound by value: an equal copy of the originals scores alike
-        assert attack.privacy_leakage(traces[1], x_b, 0.7) == attack.privacy_leakage(
-            traces[1], x_b.copy(), 0.7)
-        for originals, cap_d in ((x_a + 0.25, CAP_D), (x_b, CAP_D), (x_a, 0.7), (x_a, 1.0)):
-            with pytest.raises(ConfigurationError, match="streamed"):
-                attack.privacy_leakage(traces[0], originals, cap_d)
+        assert_kept_as_not_kept(spec, cfg, rows)
 
     def test_truncated_rows_freeze_while_the_others_run(self):
         # plain SGD at step 1e4 on a linear model: two rows overflow (after 3 and
@@ -476,10 +453,11 @@ class TestInvertBatch:
         # floating-point errors of the truncating rows' own runs
         _, in_batch = count_fp_errors(lambda: attack.invert_batch(
             LINEAR, np.stack([r[0] for r in rows]), np.stack([r[3] for r in rows]),
-            np.stack([r[2] for r in rows]), cfg, [r[4] for r in rows]))
+            np.stack([r[2] for r in rows]), cfg, [r[4] for r in rows],
+            np.stack([r[1] for r in rows]), [CAP_D] * len(rows)))
         alone = [count_fp_errors(lambda: attack.invert_gradient(
-            LINEAR, theta, g, y, 3, replace(cfg, seed=seed)))[1]
-            for theta, _, y, g, seed in rows]
+            LINEAR, theta, g, y, 3, replace(cfg, seed=seed), x, CAP_D))[1]
+            for theta, x, y, g, seed in rows]
         assert in_batch == sum(alone) and alone[0] > 0 and alone[1] == 0
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -493,36 +471,37 @@ class TestInvertBatch:
         cfg = attack.AttackConfig(iters=20, optimizer=optimizer, step_size=0.1,
                                   init="gaussian")
         traces = attack.invert_batch(LOGISTIC, np.stack(thetas), np.stack(gs), np.stack(ys),
-                                     cfg, seeds)
+                                     cfg, seeds, np.stack(xs), [CAP_D] * 3)
         bad = traces[1]
         assert (bad.iters_run, bad.truncated, bad.objectives.tolist()) == (0, True, [math.inf])
         for b in (0, 2):
             one = attack.invert_gradient(LOGISTIC, thetas[b], gs[b], ys[b], 3,
-                                         replace(cfg, seed=seeds[b]))
+                                         replace(cfg, seed=seeds[b]), xs[b], CAP_D)
             assert_same_trace(traces[b], one)
             assert one.iters_run == cfg.iters
         # a trace without iterates is a divergence when it truncated, else malformed
         with pytest.raises(NumericError, match="diverged at its first step"):
-            attack.privacy_leakage(bad, xs[1], CAP_D)
-        streamed = assert_streams_as_stored(LOGISTIC, cfg, rows)
+            attack.privacy_leakage(bad)
+        kept = assert_kept_as_not_kept(LOGISTIC, cfg, rows)
+        assert len(kept[1].trajectory) == 1
         with pytest.raises(NumericError, match="diverged at its first step"):
-            attack.privacy_leakage(streamed[1], xs[1], streamed[1].streamed[1])
+            attack.privacy_leakage(kept[1])
         with pytest.raises(ConfigurationError, match="no iterations"):
-            attack.privacy_leakage(replace(bad, truncated=False), xs[1], CAP_D)
+            attack.privacy_leakage(replace(bad, truncated=False))
 
     def test_mismatched_rows_rejected(self):
-        theta, _, y, g = attack_instance(LINEAR, seed=1)
+        theta, x, y, g = attack_instance(LINEAR, seed=1)
         cfg = attack.AttackConfig(iters=2)
         with pytest.raises(ConfigurationError):
-            attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1])
+            attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1], x[None],
+                                [CAP_D])
         with pytest.raises(ConfigurationError):
-            attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0])
-        x = attack_instance(LINEAR, seed=1)[1]
+            attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0], x[None], [CAP_D])
         for originals, cap_d in ((x, [CAP_D]), (x[None], CAP_D), (x[None], [0.0]),
                                  (x[None, :2], [CAP_D])):
             with pytest.raises(ConfigurationError):
                 attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0],
-                                    originals=originals, cap_d=cap_d)
+                                    originals, cap_d)
 
 
 def textbook_adam(x, grad, mom1, mom2, t, step):
@@ -621,64 +600,69 @@ def test_column_gate_stays_inside_numpys_pairwise_block():
     assert 2 <= models._NARROW <= PAIRWISE_BLOCK
 
 
-def make_trace(points_over_time, final):
-    """Synthetic trace: points_over_time[t] is the (m, p) iterate at step t+1."""
-    return attack.AttackTrace(
-        trajectory=np.stack([points_over_time[0] * 0.0, *points_over_time]),
-        objectives=np.zeros(len(points_over_time) + 1),
-        final_x=final, iters_run=len(points_over_time))
+def stationary_trace(point, originals, cap_d, iters=2):
+    """A one-sample linear inversion started at ``point`` that observes the
+    point's own gradient: the objective and its gradient are 0 there, so every
+    iterate is ``point``, scored against ``originals`` at ``cap_d``."""
+    theta, y = np.array([0.3, -0.2]), np.array([1.0])
+    g_obs = models.grad_params(LINEAR, theta, point, y)
+    cfg = attack.AttackConfig(iters=iters, optimizer="sgd", step_size=0.1)
+    tr = attack.invert_gradient(LINEAR, theta, g_obs, y, 1, cfg, originals, cap_d, x0=point,
+                                keep_trajectory=True)
+    assert np.all(tr.trajectory == point) and tr.iters_run == iters
+    return tr
 
 
 class TestPrivacyLeakage:
     def test_exact_recovery_gives_one(self):
         x = np.array([[0.3, 0.4]])
-        tr = make_trace([x.copy(), x.copy(), x.copy()], x.copy())
-        assert attack.privacy_leakage(tr, x, CAP_D) == 1.0
+        tr = stationary_trace(x.copy(), x, CAP_D, iters=3)
+        assert attack.privacy_leakage(tr) == 1.0
 
     def test_distance_cap_gives_zero(self):
         x = np.array([[0.0, 0.0]])
         far = np.array([[CAP_D, 0.0]])
-        tr = make_trace([far, far], far)
-        assert attack.privacy_leakage(tr, x, CAP_D) == 0.0
+        tr = stationary_trace(far, x, CAP_D)
+        assert attack.privacy_leakage(tr) == 0.0
 
     def test_half_distance_gives_half(self):
         x = np.array([[0.0, 0.0]])
         mid = np.array([[CAP_D / 2, 0.0]])
-        tr = make_trace([mid, mid], mid)
-        assert attack.privacy_leakage(tr, x, CAP_D) == 0.5
+        tr = stationary_trace(mid, x, CAP_D)
+        assert attack.privacy_leakage(tr) == 0.5
 
     def test_clamped_into_unit_interval(self):
         x = np.array([[0.0, 0.0]])
         vfar = np.array([[100.0, 0.0]])
-        tr = make_trace([vfar], vfar)
-        assert attack.privacy_leakage(tr, x, CAP_D) == 0.0
-        assert 0.0 <= attack.privacy_leakage_final(tr, x, CAP_D) <= 1.0
+        tr = stationary_trace(vfar, x, CAP_D, iters=1)
+        assert attack.privacy_leakage(tr) == 0.0
+        assert 0.0 <= attack.privacy_leakage_final(tr) <= 1.0
 
     def test_bad_cap_rejected(self):
         x = np.array([[0.0, 0.0]])
-        tr = make_trace([x], x)
         with pytest.raises(ConfigurationError):
-            attack.privacy_leakage(tr, x, 0.0)
+            stationary_trace(x, x, 0.0)
 
     @pytest.mark.parametrize("shape", ["columns", "rows", "transposed"])
-    @pytest.mark.parametrize("score", [attack.privacy_leakage, attack.privacy_leakage_final],
-                             ids=["trajectory", "final"])
-    def test_wrongly_shaped_originals_rejected(self, shape, score):
-        # an (m, 2) trace must not broadcast against (m, 1), (m - 1, 2) or (2, m) originals
-        x = np.array([[0.3, 0.4], [1.0, -0.5], [0.0, 0.2]])
-        tr = make_trace([x + 0.1, x + 0.05], x + 0.05)
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "not-kept"])
+    def test_wrongly_shaped_originals_rejected(self, shape, keep):
+        # an (m, 2) inversion must not broadcast against (m, 1), (m - 1, 2) or
+        # (2, m) originals
+        theta, x, y, g = attack_instance(LINEAR, seed=1)
         bad = {"columns": x[:, :1], "rows": x[:2], "transposed": x.T}[shape]
         with pytest.raises(ConfigurationError):
-            score(tr, bad, CAP_D)
+            attack.invert_gradient(LINEAR, theta, g, y, 3, attack.AttackConfig(iters=2), bad,
+                                   CAP_D, keep_trajectory=keep)
 
     def test_t1_matches_hand_recomputation(self):
         theta, x, y = single_sample_instance(8)
         g_true = models.grad_params(LINEAR, theta, x[None, :], y)
         cfg = attack.AttackConfig(iters=1, optimizer="adam", step_size=0.05, seed=8)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg)
+        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D,
+                                    keep_trajectory=True)
         x1 = tr.trajectory[1]
         expected = 1.0 - min(np.linalg.norm(x1[0] - x), CAP_D) / CAP_D
-        assert attack.privacy_leakage(tr, x[None, :], CAP_D) == pytest.approx(expected)
+        assert attack.privacy_leakage(tr) == pytest.approx(expected)
 
 
 def separable_dataset(seed=3, m=40):

@@ -292,7 +292,7 @@ class TestSweep:
 
 
 # a trial of lockstep_config holds, for each upload, 8 x m x (8 p + d)
-# = 8 x 4 x (8 x 2 + 2) bytes, the streamed inversion's 8 (m, p) arrays and its
+# = 8 x 4 x (8 x 2 + 2) bytes, the inversion's 8 (m, p) arrays and its
 # per-example gradients; and what the runner keeps of it: its stacked run's
 # 8 d (n k m + rounds ((n + 2) k + 4)) = 8 x 2 x (2 x 4 + 8 rounds) bytes (n = 2
 # gradient sets under randomization) and its Observed's
@@ -403,10 +403,10 @@ class TestLockstepSweep:
         early = rngmod.trial_seed(config.master_seed, 0, 1)
         invert, score = attack.invert_batch, experiment.score_trials
 
-        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, **kw):
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, *args, **kw):
             if early in seeds:
                 raise ConfigurationError("invert failed")
-            return invert(spec, theta, g_obs, labels, cfg, seeds, **kw)
+            return invert(spec, theta, g_obs, labels, cfg, seeds, *args, **kw)
 
         def failing_score(block, *args):
             if early in [seed for _, seed, _ in block]:
@@ -424,10 +424,10 @@ class TestLockstepSweep:
     def test_a_block_that_fails_only_in_lockstep_raises(self, monkeypatch):
         invert = attack.invert_batch
 
-        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, **kw):
+        def failing_invert(spec, theta, g_obs, labels, cfg, seeds, *args, **kw):
             if len(seeds) > 1:
                 raise ConfigurationError("lockstep failed")
-            return invert(spec, theta, g_obs, labels, cfg, seeds, **kw)
+            return invert(spec, theta, g_obs, labels, cfg, seeds, *args, **kw)
 
         monkeypatch.setattr(attack, "invert_batch", failing_invert)
         with pytest.raises(ConfigurationError, match="lockstep failed"):
@@ -442,7 +442,7 @@ def three_client_config():
 
 class TestRunTrialsInverter:
     """run_trials inverts exactly the uploads ``inverted`` lists, each as its own
-    one-upload inversion would, its leakage streamed against that client's data."""
+    one-upload inversion would, its leakage summed against that client's data."""
 
     def test_listed_uploads_inverted_in_order_with_seed_plus_j(self):
         config = three_client_config()
@@ -461,13 +461,13 @@ class TestRunTrialsInverter:
             for j, (k, got) in enumerate(zip((2, 0), traces)):
                 want = attack.invert_gradient(
                     config.model, observed.theta_round, observed.wires[k],
-                    observed.datasets[k].y, m, replace(config.attack, seed=seed + j))
+                    observed.datasets[k].y, m, replace(config.attack, seed=seed + j),
+                    observed.datasets[k].x, config.dataset.diameter_cap)
                 assert got.trajectory is None
                 assert np.array_equal(got.objectives, want.objectives)
                 assert np.array_equal(got.final_x, want.final_x)
-                x, cap_d = observed.datasets[k].x, config.dataset.diameter_cap
-                assert (attack.privacy_leakage(got, x, cap_d)
-                        == attack.privacy_leakage(want, x, cap_d))
+                assert np.array_equal(got.sums, want.sums)
+                assert np.array_equal(got.final, want.final)
 
     def test_no_listed_upload_inverts_nothing(self, monkeypatch):
         def no_invert(*args, **kw):
@@ -489,7 +489,8 @@ class TestBoundSides:
         k = config.attack_client
         trace = attack.invert_gradient(
             config.model, observed.theta_round, observed.wires[k], observed.datasets[k].y,
-            config.dataset.per_client_size, replace(config.attack, seed=seed))
+            config.dataset.per_client_size, replace(config.attack, seed=seed),
+            observed.datasets[k].x, config.dataset.diameter_cap)
         return observed, trace
 
     def test_verify_outcome_is_the_shared_one(self):
@@ -499,9 +500,7 @@ class TestBoundSides:
         config = base_config()
         observed, trace = self.observed_and_trace(config, 5)
         got = experiment.privacy_outcome(config, 5, observed, [trace], None)
-        target = observed.datasets[0]
-        assert got.measured == attack.privacy_leakage(trace, target.x,
-                                                      config.dataset.diameter_cap)
+        assert got.measured == attack.privacy_leakage(trace)
         assert got.extras["delta_up"] == observed.delta_up_grad[0] > 0.0
         assert np.isnan(got.rhs) and not got.precondition_ok
         for key in ("threshold", "c_a", "c_b", "c_2", "pair_skip_rate"):
@@ -646,7 +645,8 @@ class TestStackedUtilitySide:
         rows = experiment.score_trials(
             block, seen, [[attack.invert_gradient(
                 cfg.model, o.theta_round, o.wires[0], o.datasets[0].y, 8,
-                replace(cfg.attack, seed=seed))] for (cfg, seed, _), o in zip(block, seen)],
+                replace(cfg.attack, seed=seed), o.datasets[0].x, cfg.dataset.diameter_cap)]
+                for (cfg, seed, _), o in zip(block, seen)],
             ests)
         want = [reference_utility(cfg, seed, o, None if i == 1 else est)
                 for i, ((cfg, seed, _), o, est) in enumerate(zip(block, seen, ests))]

@@ -13,7 +13,7 @@ from fedtradeoff import cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import ExperimentConfig, MechanismSpec, TrialRow, run_trial
 
-from conftest import run_cli_in_process as run_cli
+from conftest import rewalk_leakage, run_cli_in_process as run_cli
 
 
 def run_cli_process(args, env_extra=None):
@@ -393,6 +393,18 @@ class TestAttackMatchesRunTrial:
                 continue
             a, b = getattr(got, name), getattr(want, name)
             assert a == b or (np.isnan(a) and np.isnan(b)), name
+        if "--dump-trajectory" in extra:
+            # the dumped iterates, walked against the client's rows, score the row
+            with open(os.path.join(out, "trajectory.csv")) as fh:
+                rows = [[float(cell) for cell in line.split(",")] for line in fh.readlines()[1:]]
+            originals = iomod.read_datasets(os.path.join(run_dir, "datasets.csv"))[client].x
+            m = len(originals)
+            trajectory = np.array([row[2:] for row in rows]).reshape(-1, *originals.shape)
+            assert len(trajectory) == config.attack.iters + 1
+            assert [row[:2] for row in rows] == [[t, i] for t in range(len(trajectory))
+                                                 for i in range(m)]
+            assert rewalk_leakage(trajectory, originals, config.dataset.diameter_cap) == (
+                got.eps_p, got.eps_p_final)
 
     def test_iters_keeps_manifest_experiment_id(self, trained, tmp_path):
         run_dir, config, _ = trained
@@ -405,6 +417,27 @@ class TestAttackMatchesRunTrial:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["attack", "--run-dir", "run", "--iters", str(10 ** 21)],
+        ["verify", "--bound", "privacy", "--trials", "100", "--iters", str(10 ** 21)],
+        ["verify", "--bound", "privacy", "--trials", "100", "--samples", str(10 ** 21)],
+        ["train", "--rounds", str(10 ** 21)],
+        ["sweep", "--axis", "T", "--values", "1,1e300"],
+        ["sweep", "--axis", "m", "--values", "1,1e300"],
+        ["sweep", "--axis", "sigma", "--values", "0,1", "--trials", str(10 ** 21)],
+    ], ids=["attack-iters", "verify-iters", "verify-samples", "train-rounds", "sweep-T",
+            "sweep-m", "sweep-trials"])
+    def test_count_beyond_numpys_index_range_exit_1(self, tmp_path, monkeypatch, args):
+        # once an uncaught ValueError or OverflowError from numpy; no count
+        # between about 1e7 and 2**63 is tried, as it would allocate that much
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "attack":
+            assert cli.main(["train", "--samples", "4", "--rounds", "1", "--out", "run"]) == 0
+        r = run_cli([*args, "--out", "o"])
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_divergence_exit_2(self, tmp_path):
         r = run_cli_process(["train", "--model", "linear", "--lr", "1e8", "--rounds", "80",
                              "--seed", "1", "--out", str(tmp_path / "div")])
@@ -528,6 +561,8 @@ class TestExitCodes:
          "class_separation must be between 0 and 14"),
         ("dataset", "class_separation", -1.0, "class_separation must be between 0 and 14"),
         ("dataset", "diameter_cap", float("nan"), "diameter_cap must be finite and > 0"),
+        # D^2 overflowed in the bounds and the clamped distances
+        ("dataset", "diameter_cap", 1e154, "diameter_cap must be finite and > 0, at most 1e+150"),
         (None, "master_seed", -1, "master_seed must be an integer >= 0"),
         (None, "master_seed", float("nan"), "master_seed must be an integer >= 0"),
         (None, "attack_round", 0.0, "attack_round must be an integer >= 0"),
@@ -564,7 +599,7 @@ class TestExitCodes:
         (None, "eta", float("nan"), "eta must be in (0, 1]"),
         (None, "eta", 1.5, "eta must be in (0, 1]"),
     ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
-            "diameter-nan", "seed-negative", "seed-nan", "attack-round-float",
+            "diameter-nan", "diameter-1e154", "seed-negative", "seed-nan", "attack-round-float",
             "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
             "iters-nan", "n-eval-float", "n-eval-nan", "n-eval-0", "n-eval-99",
             "num-pairs-float", "num-pairs-nan",
@@ -599,7 +634,8 @@ class TestExitCodes:
         bad = []
         for kind in protocol.MECH_KINDS:
             for section, name in leaves:
-                for value in (float("nan"), float("inf"), -float("inf"), -1, 0, 2.5):
+                for value in (float("nan"), float("inf"), -float("inf"), -1, 0, 2.5,
+                              datagen._MAX_DIAMETER):
                     config = json.loads(json.dumps(base))
                     config["mechanism"]["kind"] = kind
                     (config[section] if section else config)[name] = value
@@ -781,13 +817,12 @@ class TestVerifyCLI:
         assert rc == 4
 
     @pytest.mark.parametrize("flag, value", [
-        pytest.param(flag, value, id=f"{flag}-{value}", marks=[pytest.mark.xfail(
-            strict=True, reason="the squared distances overflow and the RuntimeWarning "
-                                "escapes as a traceback (FOUND in CHANGES.md)")]
-                     if (flag, value) == ("diameter", "1e300") else [])
+        (flag, value)
         for flag in ["sigma", "gamma", "eta", "rho", "big-l", "samples", "input-dim", "iters",
                      "step-size", "rounds", "n-eval", "diameter", "clients"]
-        for value in ["0", "-1", "nan", "inf", "1e300"]])
+        for value in ["0", "-1", "nan", "inf", "1e300"]]
+        # the largest diameter cap, and where the utility bound once overflowed
+        + [("diameter", f"{datagen._MAX_DIAMETER:g}"), ("diameter", "1e154")])
     def test_numeric_flag_value_runs_or_exits_cleanly(self, tmp_path, flag, value):
         # each numeric verify flag, set to each value, on a small trade-off
         # verify (it reads every one of them): the run exits 0 or 4, 1 with a

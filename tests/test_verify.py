@@ -38,8 +38,8 @@ def hand_built_privacy_trial(scenario, trial_seed):
         g[None], protocol.MechanismSpec("randomization", scenario.sigma), z)
     trace = attack.invert_gradient(
         scenario.model, theta, wire, ds.y, ds.size,
-        replace(scenario.attack, seed=trial_seed))
-    eps_p = attack.privacy_leakage(trace, ds.x, ds_spec.diameter_cap)
+        replace(scenario.attack, seed=trial_seed), ds.x, ds_spec.diameter_cap)
+    eps_p = attack.privacy_leakage(trace)
     est = datagen.estimate_constants(
         scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
         quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
@@ -154,7 +154,7 @@ class TestLockstepBlocks:
 
     @pytest.mark.parametrize("bound, clients, budget, want_rows", [
         ("privacy", 1, 1, [1] * 100),
-        # a trial's streamed upload of 8 x 4 x (8 x 2 + 2) bytes, its stacked
+        # a trial's inverted upload of 8 x 4 x (8 x 2 + 2) bytes, its stacked
         # run's 8 x 2 x (2 x 4 + 1 x (4 x 1 + 4)) and its Observed's 160
         ("privacy", 1, 75 * (576 + 256 + 160), [75, 25]),
         # a trial's 3 uploads of 8 x 4 x (8 x 2 + 2) bytes each: over the budget,
