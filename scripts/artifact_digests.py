@@ -4,11 +4,12 @@
 Usage: python scripts/artifact_digests.py OUT_DIR [SRC]
        python scripts/artifact_digests.py --compare SRC_A SRC_B
 
-Runs the commands below with the package under SRC (default: this checkout's
-``src/``), each one a fresh ``python -m fedtradeoff.cli`` process with working
-directory OUT_DIR, then prints ``sha256  relative/path`` for every file they
-wrote, sorted by path. The wall-clock ``timings.csv`` sidecars are skipped:
-they are outside the reproducibility contract.
+Writes the config files below into OUT_DIR, then runs the commands below with
+the package under SRC (default: this checkout's ``src/``), each one a fresh
+``python -m fedtradeoff.cli`` process with working directory OUT_DIR, and
+prints ``sha256  relative/path`` for every file they wrote, sorted by path.
+The wall-clock ``timings.csv`` sidecars are skipped: they are outside the
+reproducibility contract.
 
 ``--compare`` runs the command list against two source trees (say, a change
 and an unpacked ``git archive`` of its parent), each in a fresh temporary
@@ -34,6 +35,26 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 SWEEP_MLP1 = ["--model", "mlp1", "--hidden", "8", "--input-dim", "2", "--samples", "4",
               "--rounds", "1", "--iters", "300", "--step-size", "0.1"]
+
+# the config files the commands read, written under OUT_DIR before they run
+# and not digested. Five classes over three clients of six rows: at master
+# seed 0 label 0 has one example, and the labels first appear in the order
+# 4, 2, 1, 3, 0, which the estimator's label pools keep
+CONFIGS = {
+    "configs/five-classes.json": {
+        "dataset": {"num_clients": 3, "per_client_size": 6, "input_dim": 3, "num_classes": 5,
+                    "class_separation": 2.0, "diameter_cap": 2.0, "seed": 0},
+        "model": {"kind": "logistic", "input_dim": 3, "hidden_dim": 0, "num_classes": 5},
+        "fl": {"rounds": 1, "learning_rate": 0.2, "lr_schedule": "constant", "seed": 0,
+               "init_scale": 0.5},
+        "mechanism": {"kind": "none", "sigma": 0.0, "shared_noise": False,
+                      "offset_scale": 1.0, "exact_norm": None},
+        "attack": {"iters": 40, "optimizer": "adam", "step_size": 0.05, "init": "gaussian",
+                   "init_scale": 0.5, "seed": 0, "backtracking": False},
+        "master_seed": 0, "n_eval": 400, "num_pairs": 120, "quantile": 0.05, "gamma": 0.1,
+        "eta": 0.1, "attack_round": 0, "attack_client": 0,
+    },
+}
 
 COMMANDS = [
     # the README's train / attack examples, then an appended second attack row
@@ -68,6 +89,8 @@ COMMANDS = [
     ["attack", "--run-dir", "runs/linear-sgd", "--out", "runs/linear-sgd-attack",
      "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
+    ["estimate-constants", "--config", "configs/five-classes.json",
+     "--out", "runs/constants-five-classes"],
     # every bound at the least trial count verify accepts, each as one lockstep
     # block of 100 trials whose constants rows take two estimator chunks (73
     # and 27 trials here, 70 and 30 at two clients); the utility bound's
@@ -135,7 +158,10 @@ def sha256(path: str) -> str:
 def digests(out: str, src: str) -> dict[str, str] | None:
     """{relative path: sha256} of every file the commands write under ``out``
     with the package under ``src``; None (and a message) when one fails."""
-    os.makedirs(out, exist_ok=True)
+    for rel, doc in CONFIGS.items():
+        os.makedirs(os.path.dirname(os.path.join(out, rel)), exist_ok=True)
+        with open(os.path.join(out, rel), "w") as fh:
+            json.dump(doc, fh)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cmd in COMMANDS:
@@ -147,7 +173,8 @@ def digests(out: str, src: str) -> dict[str, str] | None:
             return None
     paths = sorted(os.path.relpath(os.path.join(root, name), out)
                    for root, _, names in os.walk(out) for name in names
-                   if name != "timings.csv")
+                   if name != "timings.csv"
+                   and os.path.relpath(os.path.join(root, name), out) not in CONFIGS)
     return {rel: sha256(os.path.join(out, rel)) for rel in paths}
 
 

@@ -204,51 +204,55 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     mom1 = np.zeros_like(x)
     mom2 = np.zeros_like(x)
 
-    for t in range(1, cfg.iters + 1 if len(live) else 1):
-        grad = (2.0 / m) * vjp(v)
-        stale = False
-        if cfg.optimizer == "adam":
-            x_new = _adam_step(x, grad, mom1, mom2, t, step)
-        else:
-            x_new = x - step * grad
-        f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
-        if cfg.optimizer == "sgd" and cfg.backtracking:
-            trial = np.full(len(live), step)
-            tries = 0
-            worse = f_new > f
-            while worse.any() and tries < 40:
-                trial[worse] *= 0.5
-                x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
-                f_new[worse] = _score(spec, theta[worse], x_new[worse],
-                                      labels[worse], g_obs[worse])[0]
-                tries += 1
+    # no overflow warnings: a candidate that overflows truncates its row, and
+    # an accepted or final iterate's distances are clamped at D even when they
+    # square to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.iters + 1 if len(live) else 1):
+            grad = (2.0 / m) * vjp(v)
+            stale = False
+            if cfg.optimizer == "adam":
+                x_new = _adam_step(x, grad, mom1, mom2, t, step)
+            else:
+                x_new = x - step * grad
+            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
+            if cfg.optimizer == "sgd" and cfg.backtracking:
+                trial = np.full(len(live), step)
+                tries = 0
                 worse = f_new > f
-            # stay put, keep monotone
-            x_new[worse], f_new[worse] = x[worse], f[worse]
-            stale = tries > 0                 # v_new, vjp_new are of the first candidates
+                while worse.any() and tries < 40:
+                    trial[worse] *= 0.5
+                    x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
+                    f_new[worse] = _score(spec, theta[worse], x_new[worse],
+                                          labels[worse], g_obs[worse])[0]
+                    tries += 1
+                    worse = f_new > f
+                # stay put, keep monotone
+                x_new[worse], f_new[worse] = x[worse], f[worse]
+                stale = tries > 0             # v_new, vjp_new are of the first candidates
 
-        ok = np.isfinite(x_new.reshape(len(x_new), -1)).all(axis=1) & np.isfinite(f_new)
-        if not ok.all():
-            truncated[live[~ok]] = True
-            final[live[~ok]] = x[~ok]
-            live, theta, g_obs, labels = live[ok], theta[ok], g_obs[ok], labels[ok]
-            x, x_new, f_new, mom1, mom2 = x[ok], x_new[ok], f_new[ok], mom1[ok], mom2[ok]
-            rows = live
-            if len(live) == 0:
-                break
-            stale = True
-        if stale:
-            # one pass over the accepted candidates, for their residuals and VJP
-            v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)[1:]
+            ok = np.isfinite(x_new.reshape(len(x_new), -1)).all(axis=1) & np.isfinite(f_new)
+            if not ok.all():
+                truncated[live[~ok]] = True
+                final[live[~ok]] = x[~ok]
+                live, theta, g_obs, labels = live[ok], theta[ok], g_obs[ok], labels[ok]
+                x, x_new, f_new, mom1, mom2 = x[ok], x_new[ok], f_new[ok], mom1[ok], mom2[ok]
+                rows = live
+                if len(live) == 0:
+                    break
+                stale = True
+            if stale:
+                # one pass over the accepted candidates, for their residuals and VJP
+                v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)[1:]
 
-        x, f, v, vjp = x_new, f_new, v_new, vjp_new
-        iters_run[rows] = t
-        objectives[t, rows] = f
-        sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
-        if keep_trajectory:
-            traj[t, rows] = x
-    final[rows] = x
-    last = _clamped_distances(final, originals, caps[:, None])
+            x, f, v, vjp = x_new, f_new, v_new, vjp_new
+            iters_run[rows] = t
+            objectives[t, rows] = f
+            sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
+            if keep_trajectory:
+                traj[t, rows] = x
+        final[rows] = x
+        last = _clamped_distances(final, originals, caps[:, None])
 
     return [AttackTrace(objectives=objectives[:n + 1, b].copy(), final_x=final[b],
                         iters_run=int(n), sums=sums[b], final=last[b],

@@ -210,20 +210,48 @@ def fresh_draws(spec: DatasetSpec, seeds: list[int], centers: list, n: int):
 
 
 def diameter(x: np.ndarray) -> float:
-    """Exact max pairwise Euclidean distance (O(m^2) scan in row blocks)."""
+    """Exact max pairwise Euclidean distance: the one-row ``_diameters``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[0] == 0:
         raise ConfigurationError("diameter of an empty dataset")
-    m = x.shape[0]
-    best = 0.0
-    for s in _chunks(m - 1, 8 * m * x.shape[1]):
-        # the block's rows against every point after its first; a pair seen
-        # twice or a point against itself does not move the max
-        d = np.linalg.norm(x[None, s.start + 1:] - x[s, None], axis=-1).max()
-        best = max(best, float(d))
-    return best
+    return float(_diameters(x[None])[0])
+
+
+def _diameters(x: np.ndarray) -> np.ndarray:
+    """Each row's exact max pairwise Euclidean distance, for (B, n, p) points.
+
+    Every point is scanned against every point of its row, in tiles of at most
+    ``_BLOCK_BYTES`` of differences and sums: whole rows, or one row's points
+    in blocks when a row does not fit. A pair seen twice or a finite point
+    against itself does not move the max, as (a - b)^2 == (b - a)^2; a NaN
+    coordinate makes its row's diameter NaN. The squared
+    distance is ``np.linalg.norm``'s sum of squares, ``np.add.reduce(d * d,
+    axis=-1)``, summed column by column below 8 coordinates, where numpy's
+    pairwise sum adds in order (``attack._clamped_distances``); its max is
+    taken before the one sqrt, which is monotone and correctly rounded, so
+    the bits are those of the max of the norms."""
+    b, n, p = x.shape
+    best = np.zeros(b)
+    point = 8 * n * (p + 1)                      # one point against its row
+    for rows in _chunks(b, n * point):
+        xr = x[rows]
+        for pts in _chunks(n, len(xr) * point):
+            if p < 8:                            # (c, q, n) squares, column by column
+                s = np.subtract(xr[:, pts, None, 0], xr[:, None, :, 0])
+                s *= s
+                d = np.empty_like(s)
+                for j in range(1, p):
+                    np.subtract(xr[:, pts, None, j], xr[:, None, :, j], out=d)
+                    d *= d
+                    s += d
+            else:
+                d = xr[:, pts, None, :] - xr[:, None, :, :]      # (c, q, n, p)
+                d *= d
+                s = np.add.reduce(d, axis=-1)
+            best[rows] = np.maximum(best[rows], s.max(axis=(1, 2)))
+    return np.sqrt(best)
 
 
 def log_covering_number(d: int, cap_d: float, lam: float) -> float:
@@ -274,44 +302,58 @@ class ConstantsEstimate:
             raise EstimationError("need c_0 <= c_2")
 
 
-def _sample_pairs(y: np.ndarray, num_pairs: int,
-                  g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (first, second) of ``num_pairs`` same-label pairs of rows.
-
-    A pair takes a label uniformly among those with two or more rows (in order
-    of first appearance in ``y``), then an ordered pair of distinct rows of
-    that label uniformly: the first index uniform, the second uniform over the
-    others. Draws all labels, then all first, then all second indices.
-    """
-    labels, seen_at = np.unique(y, return_index=True)
-    pools = [np.flatnonzero(y == lab) for lab in labels[np.argsort(seen_at)]]
-    pools = [pool for pool in pools if len(pool) >= 2]
-    if not pools:
-        raise EstimationError("no label class has two examples")
-    sizes = np.array([len(pool) for pool in pools])
-    starts = np.cumsum(sizes) - sizes
-    members = np.concatenate(pools)
-    k = g.integers(0, len(pools), num_pairs)
-    i = g.integers(0, sizes[k])
-    j = g.integers(0, sizes[k] - 1)
-    j += j >= i                                    # skip the first point
-    return members[starts[k] + i], members[starts[k] + j]
+class _Pools(NamedTuple):
+    """Each row's same-label pools: its labels with two or more points, in order
+    of first appearance in the row, each pool its points in order."""
+    count: np.ndarray       # (B,) pools of each row
+    sizes: np.ndarray       # (B, P) points of each pool; P the most pools of a row
+    starts: np.ndarray      # (B, P) where each pool starts in its row's members
+    members: np.ndarray     # (B, n) the row's pools one after another
+    # a row's unused pool slots and members are 0
 
 
-def attack_mismatch_envelope(objectives: np.ndarray) -> tuple[float, float, float]:
-    """(c_0, c_2, c_fit) from an attack's per-iteration objective series.
+def _label_pools(y: np.ndarray) -> _Pools:
+    """The pools of every row of (B, n) labels, from one stable argsort."""
+    b, n = y.shape
+    order = np.argsort(y, axis=-1, kind="stable")
+    ys = np.take_along_axis(y, order, axis=-1)
+    head = np.ones((b, n), dtype=bool)
+    head[:, 1:] = ys[:, 1:] != ys[:, :-1]
+    start = np.flatnonzero(head)                 # each label's first slot in order, flat
+    size = np.diff(start, append=b * n)
+    keep = size >= 2
+    start, size = start[keep], size[keep]
+    row = start // n
+    by = np.argsort(row * n + order.ravel()[start])   # by row, then first appearance
+    start, size, row = start[by], size[by], row[by]
+    count = np.bincount(row, minlength=b)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    sizes = np.zeros((b, count.max(initial=0)), dtype=np.int64)
+    sizes[row, slot] = size
+    starts = np.cumsum(sizes, axis=-1) - sizes
+    pool = np.repeat(np.arange(len(size)), size)    # each pooled point's pool
+    step = np.arange(len(pool)) - np.repeat(np.cumsum(size) - size, size)
+    members = np.zeros((b, n), dtype=np.int64)
+    members[row[pool], starts[row, slot][pool] + step] = order.ravel()[start[pool] + step]
+    return _Pools(count, sizes, starts, members)
+
+
+def attack_mismatch_envelope(objectives: np.ndarray):
+    """(c_0, c_2, c_fit), each an (R,) array, from an (R, T) stack of attacks'
+    per-iteration objective series of one length; row r's values are those
+    of series r alone, bit for bit.
 
     The mismatch at iterate t is sqrt(objective_t); the envelope constants are
     the extremes of S_t / sqrt(t) over prefix sums S_t, and c_fit is the
     least-squares constant of S_t ~ c * sqrt(t).
     """
     mism = np.sqrt(np.maximum(np.asarray(objectives, dtype=np.float64), 0.0))
-    s = np.cumsum(mism)
-    t = np.arange(1, len(s) + 1, dtype=np.float64)
+    s = np.cumsum(mism, axis=-1)
+    t = np.arange(1, s.shape[-1] + 1, dtype=np.float64)
     ratio = s / np.sqrt(t)
-    denom = float(np.sum(t))
-    c_fit = float(np.sum(np.sqrt(t) * s) / denom) if denom > 0 else 0.0
-    return float(ratio.min()), float(ratio.max()), c_fit
+    c_0, c_2 = ratio.min(axis=-1), ratio.max(axis=-1)
+    c_fit = np.sum(np.sqrt(t) * s, axis=-1) / float(np.sum(t))
+    return c_0, c_2, c_fit
 
 
 class Probe(NamedTuple):
@@ -336,10 +378,14 @@ def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
 
     Every sample comes from the stream ``(seed, STREAM_ESTIMATE, 0)``, drawn
     as whole arrays in this order (estimate stream v2): the ``num_pairs``
-    pair labels, their first indices, their second indices (``_sample_pairs``);
-    the ``_NUM_DELTAS`` x param_dim parameter-move normals, then their
+    pair labels, their first indices, their second indices; the
+    ``_NUM_DELTAS`` x param_dim parameter-move normals, then their
     ``_NUM_DELTAS`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
-    index pairs of the data side of C.
+    index pairs of the data side of C. A pair takes a label uniformly among
+    those with two or more points, in order of first appearance in the
+    data, then an ordered pair of distinct points of that label uniformly:
+    the first index uniform over the label's points, the second uniform over
+    the others (``_draw_chunk``).
     """
     row, = estimate_constants_batch(model_spec, [Probe(theta_probe, datasets, **options)])
     return constants_of(row)
@@ -362,35 +408,27 @@ def _row_bytes(model_spec: models.ModelSpec, probe: Probe) -> int:
 
 
 class _Drawn(NamedTuple):
-    """A probe's validated inputs and every draw of its estimate stream."""
-    probe: Probe
-    theta: np.ndarray       # (d,)
-    x: np.ndarray           # (n, p): every client's rows
-    y: np.ndarray           # (n,)
-    pairs: np.ndarray       # (2 num_pairs,): first rows, then second rows
-    moves: np.ndarray       # (_NUM_DELTAS, d) parameter-move normals
-    scales: np.ndarray      # (_NUM_DELTAS,)
-    ij: np.ndarray          # (k, 2) point pairs of C's data side
+    """A shape group's rows, stacked: their batch indices and probes, validated
+    inputs, and every draw of their estimate streams."""
+    index: list[int]
+    probes: list[Probe]
+    theta: np.ndarray       # (B, d)
+    x: np.ndarray           # (B, n, p): each row's clients' rows
+    y: np.ndarray           # (B, n)
+    pairs: np.ndarray       # (B, 2 num_pairs): first rows, then second rows
+    moves: np.ndarray       # (B, _NUM_DELTAS, d) parameter-move normals
+    scales: np.ndarray      # (B, _NUM_DELTAS)
+    ij: np.ndarray          # (B, k, 2) point pairs of C's data side
 
 
-def _draw(model_spec: models.ModelSpec, probe: Probe, g: np.random.Generator) -> _Drawn:
-    """The probe's inputs, checked, and its draws from g, its stream
-    ``(seed, ESTIMATE, 0)``."""
+def _check(probe: Probe) -> None:
+    """Raise ``ConfigurationError`` for a probe's setting out of range."""
     if probe.num_pairs < 2:
         raise ConfigurationError("num_pairs must be >= 2")
     if not (0 <= probe.quantile <= 0.5):
         raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
     if not probe.delta_budget > 0:                  # NaN fails too
         raise ConfigurationError("delta_budget must be > 0")
-    x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
-    y = np.concatenate([ds.y for ds in probe.datasets], axis=0)
-    pairs = np.concatenate(_sample_pairs(y, probe.num_pairs, g))
-    moves = g.standard_normal((_NUM_DELTAS, model_spec.param_dim))
-    scales = g.uniform(0.05, 1.0, _NUM_DELTAS)
-    n = x.shape[0]
-    ij = g.integers(0, n, size=(min(_NUM_DELTAS, n * (n - 1) // 2) or 1, 2))
-    return _Drawn(probe, np.asarray(probe.theta_probe, dtype=np.float64), x, y, pairs,
-                  moves, scales, ij)
 
 
 def _chunks(count: int, item_bytes: int):
@@ -409,46 +447,114 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     in estimate stream v2's order. Rows are drawn and scored in probe order, in
     chunks of at most ``_BLOCK_BYTES`` of the largest probe's rows, which no
     row's draws outlive. A chunk's rows of one shape (data size and pair count)
-    are scored together: their pair gradients, point losses and perturbed-model
-    losses in stacked model calls of at most ``_BLOCK_BYTES`` each, their
-    quantiles in one ``np.quantile``. A model call's values of a row do not
-    depend on the rows stacked with it (``models.per_example_grads_and_vjp``)."""
+    are drawn and scored together (``_draw_chunk``): only each row's generator
+    calls run per row. Their pair gradients, point losses and perturbed-model
+    losses run in stacked model calls of at most ``_BLOCK_BYTES`` each, their
+    quantiles in one ``np.quantile``, their diameters in one scan
+    (``_diameters``) and their attack envelopes in one call per series length.
+    A model call's values of a row do not depend on the rows stacked with it
+    (``models.per_example_grads_and_vjp``)."""
     out: list = [None] * len(probes)
     gens = rngmod.streams([probe.seed for probe in probes],
                           [(rngmod.STREAM_ESTIMATE, 0)] * len(probes))
     row = max((_row_bytes(model_spec, probe) for probe in probes), default=1)
     for chunk in _chunks(len(probes), row):
-        groups: dict[tuple, dict[int, _Drawn]] = {}
-        # gens last: zip stops at the chunk's end without taking the next stream
-        for i, probe, g in zip(range(len(probes))[chunk], probes[chunk], gens):
-            try:
-                drawn = _draw(model_spec, probe, g)
-            except FedTradeoffError as exc:
-                out[i] = exc
-                continue
-            groups.setdefault((drawn.x.shape, drawn.theta.shape, probe.num_pairs), {})[i] = drawn
-        for group in groups.values():
-            for i, est in zip(group, _estimate_group(model_spec, list(group.values()))):
+        groups, failed = _draw_chunk(
+            model_spec, dict(zip(range(len(probes))[chunk], probes[chunk])), gens)
+        for i, exc in failed.items():
+            out[i] = exc
+        for group in groups:
+            for i, est in zip(group.index, _estimate_group(model_spec, group)):
                 out[i] = est
     return out
 
 
-def _estimate_group(spec: models.ModelSpec,
-                    rows: list[_Drawn]) -> list[ConstantsEstimate | FedTradeoffError]:
-    """The estimates of drawn rows of one shape. Every row is scored, silently
-    (a stage may overflow on a row that fails anyway); each row then takes the
-    first error its one-row call would raise, in that order."""
-    theta = np.array([r.theta for r in rows])                    # (B, d)
-    x, y = np.array([r.x for r in rows]), np.array([r.y for r in rows])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        used, ratios, brackets = _pair_ratios(spec, rows, theta, x, y)
-        point, base, norms, moved_loss, c_theta, c_data = _loss_sides(spec, rows, theta, x, y)
-    checks = zip(used.any(axis=-1), np.isfinite(point).all(axis=-1) & np.isfinite(base),
-                 np.isfinite(norms).all(axis=-1), np.isfinite(moved_loss).all(axis=-1))
-    big_m = np.abs(point).max(axis=-1).tolist()                  # M: exact, at the probe
+def _draw_chunk(model_spec: models.ModelSpec, probes: dict[int, Probe], gens
+                ) -> tuple[list[_Drawn], dict[int, FedTradeoffError]]:
+    """A chunk's rows (``probes``, by batch index), checked, grouped by shape and
+    drawn, each from its stream, the next of ``gens`` in probe order.
+
+    Each group's label pools are built at once (``_label_pools``). Then each row
+    takes estimate stream v2's six draws, in probe order: its pairs' labels,
+    first and second indices, the parameter-move normals and scales, and C's
+    data-side index pairs. After the draws, each pair's second index skips its
+    first and both are looked up in the pools, for the whole group. Returns the
+    drawn groups and the error of each row that failed: a bad setting, or no
+    label with two points (that row takes no draw)."""
+    failed: dict[int, FedTradeoffError] = {}
+    shapes: dict[tuple, list] = {}
+    for i, probe in probes.items():
+        try:
+            _check(probe)
+        except ConfigurationError as exc:
+            failed[i] = exc
+            continue
+        x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
+        theta = np.asarray(probe.theta_probe, dtype=np.float64)
+        shapes.setdefault((x.shape, theta.shape, probe.num_pairs), []).append(
+            (i, theta, x, np.concatenate([ds.y for ds in probe.datasets], axis=0)))
+    groups, at = [], {}
+    for (_, _, num_pairs), rows in shapes.items():
+        y = np.array([row[-1] for row in rows])
+        pools = _label_pools(y)
+        for (i, *_), count in zip(rows, pools.count.tolist()):
+            if not count:
+                failed[i] = EstimationError("no label class has two examples")
+        keep = np.flatnonzero(pools.count)
+        if not len(keep):
+            continue
+        if len(keep) < len(rows):
+            rows, y, pools = [rows[b] for b in keep], y[keep], _Pools(*(a[keep] for a in pools))
+        index, theta, x, _ = (list(a) for a in zip(*rows))
+        b, n = y.shape
+        drawn = _Drawn(index, [probes[i] for i in index], np.array(theta), np.array(x), y,
+                       None, np.empty((b, _NUM_DELTAS, model_spec.param_dim)),
+                       np.empty((b, _NUM_DELTAS)),
+                       np.empty((b, min(_NUM_DELTAS, n * (n - 1) // 2) or 1, 2), dtype=np.int64))
+        picks = np.empty((3, b, num_pairs), dtype=np.int64)      # labels, first, second
+        groups.append((drawn, picks, pools))
+        at.update((i, (groups[-1], k)) for k, i in enumerate(index))
+    # gens last: zip stops at the chunk's end without taking the next stream
+    for i, g in zip(probes, gens):
+        if i not in at:
+            continue
+        (drawn, picks, pools), b = at[i]
+        k = picks[0, b] = g.integers(0, pools.count[b], picks.shape[-1])
+        high = pools.sizes[b, k]
+        picks[1, b] = g.integers(0, high)
+        picks[2, b] = g.integers(0, high - 1)
+        g.standard_normal(out=drawn.moves[b])
+        drawn.scales[b] = g.uniform(0.05, 1.0, _NUM_DELTAS)
+        drawn.ij[b] = g.integers(0, drawn.x.shape[1], size=drawn.ij.shape[1:])
     out = []
-    for k, (row, (any_used, finite_point, finite_move, finite_moved)) in enumerate(
-            zip(rows, checks)):
+    for drawn, (k, first, second), pools in groups:
+        second += second >= first                   # skip the first point
+        row = np.arange(len(k))[:, None]
+        start = pools.starts[row, k]
+        out.append(drawn._replace(pairs=pools.members[
+            row, np.concatenate([start + first, start + second], axis=1)]))
+    return out, failed
+
+
+def _estimate_group(spec: models.ModelSpec,
+                    rows: _Drawn) -> list[ConstantsEstimate | FedTradeoffError]:
+    """The estimates of a drawn shape group's rows. Every row is scored,
+    silently (a stage may overflow on a row that fails anyway); each row then
+    takes the first error its one-row call would raise, in that order. The
+    diameters are taken of the rows that pass the checks before them."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        used, ratios, brackets = _pair_ratios(spec, rows)
+        point, base, norms, moved_loss, c_theta, c_data = _loss_sides(spec, rows)
+    checks = np.array([used.any(axis=-1), np.isfinite(point).all(axis=-1) & np.isfinite(base),
+                       np.isfinite(norms).all(axis=-1), np.isfinite(moved_loss).all(axis=-1)])
+    passed = checks.all(axis=0)
+    cap_d = np.zeros(len(passed))
+    cap_d[passed] = _diameters(rows.x[passed])
+    big_m = np.abs(point).max(axis=-1).tolist()                  # M: exact, at the probe
+    envelopes = _envelopes(rows.probes)
+    out = []
+    for k, (probe, (any_used, finite_point, finite_move, finite_moved)) in enumerate(
+            zip(rows.probes, checks.T.tolist())):
         try:
             if not any_used:
                 raise EstimationError("all sampled pairs had identical gradients")
@@ -458,26 +564,40 @@ def _estimate_group(spec: models.ModelSpec,
                 raise NumericError("non-finite parameter move")
             if not finite_moved:
                 raise NumericError("non-finite loss")
-            out.append(_assemble(row, ratios[k], brackets[k], diameter(row.x),
+            out.append(_assemble(probe, ratios[k], brackets[k], envelopes[k], float(cap_d[k]),
                                  float(c_theta[k]), float(c_data[k]), big_m[k]))
         except FedTradeoffError as exc:
             out.append(exc)
     return out
 
 
-def _pair_ratios(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
-                 x: np.ndarray, y: np.ndarray):
+def _envelopes(probes: list[Probe]) -> list[tuple[float, float, float] | None]:
+    """Each probe's ``attack_mismatch_envelope``, one call per series length;
+    None for a probe without a series."""
+    by_length: dict[int, list[int]] = {}
+    for k, probe in enumerate(probes):
+        if probe.attack_objectives is not None and len(probe.attack_objectives) > 0:
+            by_length.setdefault(len(probe.attack_objectives), []).append(k)
+    out: list = [None] * len(probes)
+    for ks in by_length.values():
+        series = np.array([probes[k].attack_objectives for k in ks], dtype=np.float64)
+        for k, env in zip(ks, zip(*(a.tolist() for a in attack_mismatch_envelope(series)))):
+            out[k] = env
+    return out
+
+
+def _pair_ratios(spec: models.ModelSpec, rows: _Drawn):
     """Each row's used-pair mask, ratios r = ||x1 - x2|| / ||grad1 - grad2|| over
     its same-label pairs, and (c_a, c_b, median) of the rows with a ratio."""
-    b, num_pairs = len(rows), rows[0].probe.num_pairs
-    pairs = np.array([r.pairs for r in rows])                    # (B, 2 num_pairs)
+    x, y, pairs = rows.x, rows.y, rows.pairs
+    b, num_pairs = pairs.shape[0], pairs.shape[1] // 2
     dg, dx = np.empty((b, num_pairs)), np.empty((b, num_pairs))
     # a pair's two rows, labels and gradients, and the gradients' temporaries
     item = 8 * 2 * num_pairs * (spec.input_dim + 2 * spec.param_dim + 4)
     at = np.arange(b)[:, None]
     for s in _chunks(b, item):
         x12 = x[at[s], pairs[s]]
-        grads = models.per_example_grads(spec, theta[s], x12, y[at[s], pairs[s]])
+        grads = models.per_example_grads(spec, rows.theta[s], x12, y[at[s], pairs[s]])
         dg[s] = np.linalg.norm(grads[:, :num_pairs] - grads[:, num_pairs:], axis=-1)
         dx[s] = np.linalg.norm(x12[:, :num_pairs] - x12[:, num_pairs:], axis=-1)
     used = dg != 0.0
@@ -485,7 +605,7 @@ def _pair_ratios(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
     by_shape: dict[tuple, list[int]] = {}
     for j, r in enumerate(ratios):
         if r.size:
-            by_shape.setdefault((r.size, rows[j].probe.quantile), []).append(j)
+            by_shape.setdefault((r.size, rows.probes[j].quantile), []).append(j)
     brackets = {}
     for (_, q), js in by_shape.items():
         r = np.array([ratios[j] for j in js])
@@ -496,18 +616,17 @@ def _pair_ratios(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
     return used, ratios, brackets
 
 
-def _loss_sides(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
-                x: np.ndarray, y: np.ndarray):
+def _loss_sides(spec: models.ModelSpec, rows: _Drawn):
     """Each row's point losses, their mean, parameter-move norms, perturbed-model
     losses, and the parameter and data sides of C: max |loss diff| per unit
     movement."""
-    b, n, d = len(rows), x.shape[1], spec.param_dim
+    theta, x, y = rows.theta, rows.x, rows.y
+    b, n, d = len(x), x.shape[1], spec.param_dim
     point = models.per_example_losses(spec, theta, x, y)          # (B, n)
     base = point.mean(axis=-1)
-    moves = np.array([r.moves for r in rows])                     # (B, _NUM_DELTAS, d)
-    budget = np.array([r.probe.delta_budget for r in rows])[:, None]
-    moves *= (budget * np.array([r.scales for r in rows])
-              / np.linalg.norm(moves, axis=-1))[..., None]
+    budget = np.array([probe.delta_budget for probe in rows.probes])[:, None]
+    moves = rows.moves * (budget * rows.scales
+                          / np.linalg.norm(rows.moves, axis=-1))[..., None]
     norms = np.linalg.norm(moves, axis=-1)
     moved = (theta[:, None, :] + moves).reshape(-1, d)
     owner = np.repeat(np.arange(b), moves.shape[1])
@@ -520,7 +639,7 @@ def _loss_sides(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
     moved_loss = moved_loss.reshape(moves.shape[:2])
     c_theta = (np.abs(moved_loss - base[:, None]) / norms).max(axis=-1, initial=0.0)
     at = np.arange(b)[:, None]
-    i, j = np.array([r.ij for r in rows]).transpose(2, 0, 1)     # (B, k) each
+    i, j = rows.ij.transpose(2, 0, 1)                             # (B, k) each
     gap = np.linalg.norm(x[at, i] - x[at, j], axis=-1)
     dl = np.abs(point[at, i] - point[at, j])
     # gap 0 also drops the i == j draws
@@ -529,18 +648,17 @@ def _loss_sides(spec: models.ModelSpec, rows: list[_Drawn], theta: np.ndarray,
     return point, base, norms, moved_loss, c_theta, c_data
 
 
-def _assemble(row: _Drawn, ratios: np.ndarray, bracket: tuple[float, float, float],
-              cap_d: float, c_theta: float, c_data: float, big_m: float) -> ConstantsEstimate:
+def _assemble(probe: Probe, ratios: np.ndarray, bracket: tuple[float, float, float],
+              envelope: tuple[float, float, float] | None, cap_d: float, c_theta: float,
+              c_data: float, big_m: float) -> ConstantsEstimate:
     """A row's validated estimate from its scored parts."""
-    probe = row.probe
     c_a, c_b, median = bracket
     skipped = probe.num_pairs - len(ratios)
-    objectives = probe.attack_objectives
-    if objectives is not None and len(objectives) > 0:
-        c_0, c_2, c_fit = attack_mismatch_envelope(objectives)
+    if envelope is not None:
+        c_0, c_2, c_fit = envelope
         c_0 = max(c_0, 1e-12)
         c_2 = max(c_2, c_0)
-        pilot_note = {"c_fit": c_fit, "pilot_iters": int(len(objectives))}
+        pilot_note = {"c_fit": c_fit, "pilot_iters": int(len(probe.attack_objectives))}
     else:
         c_0, c_2 = 1.0, 1.0
         pilot_note = {"c_fit": None, "pilot_iters": 0}

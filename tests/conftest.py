@@ -155,6 +155,45 @@ def rewalk_leakage(trajectory, originals, cap_d):
     return float(1.0 - np.mean(acc / (len(trajectory) - 1))), float(1.0 - np.mean(last))
 
 
+
+def sample_pairs(y, num_pairs, g):
+    """Index arrays (first, second) of ``num_pairs`` same-label pairs of rows,
+    drawn from g per row: the estimator's own per-row pair sampler before its
+    label pools were stacked, kept as the oracle of estimate stream v2's first
+    three draws.
+
+    A pair takes a label uniformly among those with two or more rows (in order
+    of first appearance in ``y``), then an ordered pair of distinct rows of
+    that label uniformly: the first index uniform, the second uniform over the
+    others. Draws all labels, then all first, then all second indices.
+    """
+    from fedtradeoff.errors import EstimationError
+
+    labels, seen_at = np.unique(y, return_index=True)
+    pools = [np.flatnonzero(y == lab) for lab in labels[np.argsort(seen_at)]]
+    pools = [pool for pool in pools if len(pool) >= 2]
+    if not pools:
+        raise EstimationError("no label class has two examples")
+    sizes = np.array([len(pool) for pool in pools])
+    starts = np.cumsum(sizes) - sizes
+    members = np.concatenate(pools)
+    k = g.integers(0, len(pools), num_pairs)
+    i = g.integers(0, sizes[k])
+    j = g.integers(0, sizes[k] - 1)
+    j += j >= i                                    # skip the first point
+    return members[starts[k] + i], members[starts[k] + j]
+
+
+def row_scan_diameter(x):
+    """The max pairwise distance of (m, p) points, one point at a time against
+    every point after it, ``np.linalg.norm`` over the differences: the
+    per-point loop the estimator's stacked diameter scan replaced."""
+    best = 0.0
+    for i in range(x.shape[0] - 1):
+        best = max(best, float(np.linalg.norm(x[i + 1:] - x[i], axis=1).max()))
+    return best
+
+
 # numpy's pairwise summation adds a run of fewer than this many elements in
 # order: the widest last axis a column-by-column sum may walk with its bits
 PAIRWISE_BLOCK = 8

@@ -438,7 +438,7 @@ class TestInvertBatch:
                                   init="gaussian", backtracking=backtracking)
         assert_kept_as_not_kept(spec, cfg, rows)
 
-    def test_truncated_rows_freeze_while_the_others_run(self):
+    def test_truncated_rows_freeze_while_the_others_run(self, monkeypatch):
         # plain SGD at step 1e4 on a linear model: two rows overflow (after 3 and
         # 4 steps), the two with the smallest theta keep moving to the end
         rows = [scaled_linear_row(seed, scale)
@@ -449,16 +449,34 @@ class TestInvertBatch:
         assert [tr.truncated for tr in traces] == [True, False, True, False]
         assert len({tr.iters_run for tr in traces}) == 3
         assert all(tr.objectives[-1] != tr.objectives[1] for tr in traces[1::2])
-        # a frozen row computes nothing more: the batch raises exactly the
-        # floating-point errors of the truncating rows' own runs
-        _, in_batch = count_fp_errors(lambda: attack.invert_batch(
+        # a frozen row computes nothing more. Each row is scored at its init,
+        # at its candidate of each step it runs (for a truncated row, up to
+        # and including the one that overflowed, its last score), and once
+        # more at each step where another row truncated while it ran on (the
+        # stale re-score of the rows left). The candidates are scored
+        # silently: no floating-point error escapes the loop, though two rows
+        # overflow
+        scored = []
+        real = attack._score
+
+        def recording(spec, theta, x, labels, g_obs):
+            out = real(spec, theta, x, labels, g_obs)
+            scored.append((theta, np.array(out[0])))
+            return out
+
+        monkeypatch.setattr(attack, "_score", recording)
+        _, errors = count_fp_errors(lambda: attack.invert_batch(
             LINEAR, np.stack([r[0] for r in rows]), np.stack([r[3] for r in rows]),
             np.stack([r[2] for r in rows]), cfg, [r[4] for r in rows],
             np.stack([r[1] for r in rows]), [CAP_D] * len(rows)))
-        alone = [count_fp_errors(lambda: attack.invert_gradient(
-            LINEAR, theta, g, y, 3, replace(cfg, seed=seed), x, CAP_D))[1]
-            for theta, x, y, g, seed in rows]
-        assert in_batch == sum(alone) and alone[0] > 0 and alone[1] == 0
+        assert errors == 0
+        cuts = [tr.iters_run + 1 for tr in traces if tr.truncated]
+        for (theta, *_), tr in zip(rows, traces):
+            mine = [f[(t == theta).all(axis=1)] for t, f in scored
+                    if (t == theta).all(axis=1).any()]
+            steps = tr.iters_run + tr.truncated
+            assert len(mine) == 1 + steps + sum(cut <= tr.iters_run for cut in cuts)
+            assert np.isfinite(mine[-1]).all() != tr.truncated
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_a_row_overflowing_at_its_init_truncates_before_step_1(self, optimizer):
@@ -637,6 +655,13 @@ class TestPrivacyLeakage:
         tr = stationary_trace(vfar, x, CAP_D, iters=1)
         assert attack.privacy_leakage(tr) == 0.0
         assert 0.0 <= attack.privacy_leakage_final(tr) <= 1.0
+
+    def test_distance_that_squares_to_inf_clamps_without_a_warning(self):
+        # ||x - x'||^2 = 1e320 overflows; the distance is clamped at D, at
+        # every accepted iterate and at the final one
+        x = np.array([[1e160, 0.0]])
+        tr = stationary_trace(np.array([[0.0, 0.0]]), x, CAP_D)
+        assert attack.privacy_leakage(tr) == attack.privacy_leakage_final(tr) == 0.0
 
     def test_bad_cap_rejected(self):
         x = np.array([[0.0, 0.0]])

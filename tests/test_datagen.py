@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import assert_same_bits, row_scan_diameter, sample_pairs
 from fedtradeoff import datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -148,15 +149,10 @@ class TestDiameter:
     @pytest.mark.parametrize("m", [1, 2, 17, 300])
     @pytest.mark.parametrize("p", [1, 3, 12])
     def test_bit_identical_to_the_row_scan(self, m, p):
-        def row_scan(x):                   # the per-row loop the block scan replaced
-            best = 0.0
-            for i in range(x.shape[0] - 1):
-                best = max(best, float(np.linalg.norm(x[i + 1:] - x[i], axis=1).max()))
-            return best
         x = rngmod.stream(m, p, 124).standard_normal((m, p)) * 10.0 ** np.arange(-3, p - 3)
-        assert datagen.diameter(x) == row_scan(x)
+        assert datagen.diameter(x) == row_scan_diameter(x)
         dup = np.concatenate([x, x[::-1]])               # every point twice
-        assert datagen.diameter(dup) == row_scan(dup) == row_scan(x)
+        assert datagen.diameter(dup) == row_scan_diameter(dup) == row_scan_diameter(x)
         assert datagen.diameter(np.repeat(x[:1], 5, axis=0)) == 0.0
 
     def test_blocks_cover_every_pair(self, monkeypatch):
@@ -431,7 +427,7 @@ class TestEstimateConstants:
 
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])
-        c0, c2, cfit = datagen.attack_mismatch_envelope(objectives)
+        (c0,), (c2,), (cfit,) = datagen.attack_mismatch_envelope(objectives[None])
         s = np.cumsum(np.sqrt(objectives))
         ratios = s / np.sqrt(np.arange(1, 5))
         assert c0 == pytest.approx(ratios.min())
@@ -439,29 +435,176 @@ class TestEstimateConstants:
         assert c0 <= cfit <= c2
 
 
+def draw_rows(labels, num_pairs, seeds, separate=False, **options):
+    """``datagen._draw_chunk`` on one-client rows of the given labels (a linear
+    model on one feature, every point at 0), row r at seed ``seeds[r]`` with
+    ``options[key][r]`` for each probe option given. Returns the drawn groups,
+    the failed rows' errors, every row's (group, slot) and the streams; with
+    ``separate``, each stream is a Generator of its own (``rng.stream``), not
+    ``rng.streams``' shared one, so a stream's state after the draws shows
+    what was drawn from it."""
+    spec = models.ModelSpec("linear", 1)
+    probes = {r: datagen.Probe(np.zeros(spec.param_dim),
+                               [datagen.ClientDataset(0, np.zeros((len(y), 1)), np.array(y))],
+                               num_pairs=num_pairs, seed=seed,
+                               **{key: values[r] for key, values in options.items()})
+              for r, (y, seed) in enumerate(zip(labels, seeds))}
+    keys = [(rngmod.STREAM_ESTIMATE, 0)] * len(seeds)
+    gens = ([rngmod.stream(seed, *key) for seed, key in zip(seeds, keys)] if separate
+            else rngmod.streams(seeds, keys))
+    groups, failed = datagen._draw_chunk(spec, probes, iter(gens))
+    at = {i: (group, b) for group in groups for b, i in enumerate(group.index)}
+    return groups, failed, at, gens
+
+
+def oracle_draws(y, num_pairs, seed, d):
+    """Estimate stream v2's draws of one row, taken per row: the pairs (first
+    rows, then second rows), the parameter-move normals and scales, and C's
+    data-side index pairs, for d parameters."""
+    g = rngmod.stream(seed, rngmod.STREAM_ESTIMATE, 0)
+    pairs = np.concatenate(sample_pairs(np.asarray(y), num_pairs, g))
+    n = len(y)
+    return (pairs, g.standard_normal((datagen._NUM_DELTAS, d)),
+            g.uniform(0.05, 1.0, datagen._NUM_DELTAS),
+            g.integers(0, n, size=(min(datagen._NUM_DELTAS, n * (n - 1) // 2) or 1, 2)))
+
+
 class TestSamplePairs:
-    @given(labels=st.lists(st.integers(0, 4), min_size=2, max_size=40),
-           num_pairs=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-    def test_pairs_share_a_label_and_are_distinct(self, labels, num_pairs, seed):
-        y = np.array(labels)
-        counts = np.bincount(y)
-        if counts.max() < 2:
-            with pytest.raises(EstimationError):
-                datagen._sample_pairs(y, num_pairs, rngmod.stream(seed, 126))
-            return
-        first, second = datagen._sample_pairs(y, num_pairs, rngmod.stream(seed, 126))
-        assert first.shape == second.shape == (num_pairs,)
-        assert np.all(y[first] == y[second])
-        assert np.all(first != second)
-        assert np.all(counts[y[first]] >= 2)
+    """The stacked pair draws (``_label_pools`` and ``_draw_chunk``) against
+    the per-row sampler they replaced (``conftest.sample_pairs``)."""
+
+    @given(rows=st.integers(2, 40).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=7)),
+           num_pairs=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_pairs_share_a_label_and_are_distinct(self, rows, num_pairs, seed):
+        seeds = [seed + r for r in range(len(rows))]
+        _, failed, at, _ = draw_rows(rows, num_pairs, seeds)
+        for r, labels in enumerate(rows):
+            y = np.array(labels)
+            counts = np.bincount(y)
+            if counts.max() < 2:
+                assert r not in at
+                assert str(failed[r]) == "no label class has two examples"
+                continue
+            group, b = at[r]
+            first, second = np.split(group.pairs[b], 2)
+            assert first.shape == second.shape == (num_pairs,)
+            assert np.all(y[first] == y[second])
+            assert np.all(first != second)
+            assert np.all(counts[y[first]] >= 2)
+            assert np.array_equal(group.pairs[b], oracle_draws(y, num_pairs, seeds[r], 1)[0])
 
     def test_ordered_pairs_are_uniform(self):
         # one label of 3 points: the 6 ordered pairs come up equally often
-        first, second = datagen._sample_pairs(np.zeros(3, dtype=np.int64), 60000,
-                                              rngmod.stream(0, 127))
+        (group,), _, _, _ = draw_rows([[0, 0, 0]], 60000, [127])
+        first, second = np.split(group.pairs[0], 2)
         counts = np.bincount(3 * first + second, minlength=9)
         assert list(np.flatnonzero(counts)) == [1, 2, 3, 5, 6, 7]
         assert np.all(np.abs(counts[counts > 0] - 10000) < 400)   # > 4 sd
+
+
+class TestStackedPools:
+    # rows of one shape; the two bad rows sit mid-chunk
+    LABELS = [
+        [3, 0, 7, 0, 3, 7, 7, 3],    # first-appearance order 3, 0, 7: not sorted
+        [1, 1, 1, 1, 1, 1, 2, 2],    # ragged label counts
+        [0, 1, 2, 3, 4, 5, 6, 7],    # no label with two points
+        [5, 2, 2, 9, 2, 5, 4, 2],    # labels 9 and 4 with one point each
+        [6, 6, 0, 0, 0, 0, 0, 0],    # a bad setting (quantile 0.7)
+        [2, 1, 0, 2, 1, 0, 0, 1],
+        [4, 4, 4, 4, 4, 4, 4, 4],
+    ]
+    QUANTILE = [0.05, 0.05, 0.05, 0.05, 0.7, 0.05, 0.05]
+    SEEDS = [11, 12, 13, 14, 15, 16, 17]
+
+    def test_pools_in_order_of_first_appearance(self):
+        count, sizes, starts, members = datagen._label_pools(np.array(self.LABELS))
+        assert count.tolist() == [3, 2, 0, 2, 2, 3, 1]
+        assert sizes.tolist()[0] == [3, 2, 3] and members[0].tolist() == [0, 4, 7, 1, 3, 2, 5, 6]
+        assert sizes.tolist()[3] == [2, 4, 0] and members[3, :6].tolist() == [0, 5, 1, 2, 4, 7]
+        assert sizes.tolist()[1] == [6, 2, 0] and starts.tolist()[1] == [0, 6, 8]
+        assert members[6].tolist() == list(range(8))
+
+    @pytest.mark.parametrize("separate", [False, True], ids=["shared-stream", "own-streams"])
+    def test_draws_equal_the_per_row_oracle(self, separate):
+        groups, failed, at, gens = draw_rows(self.LABELS, 40, self.SEEDS, separate,
+                                             quantile=self.QUANTILE)
+        assert len(groups) == 1 and groups[0].index == [0, 1, 3, 5, 6]
+        assert {i: str(e) for i, e in failed.items()} == {
+            2: "no label class has two examples",
+            4: "quantile must be in [0, 0.5]; 0 = min/max mode"}
+        for r in groups[0].index:
+            group, b = at[r]
+            want = oracle_draws(self.LABELS[r], 40, self.SEEDS[r], 1)
+            for got, expected in zip((group.pairs[b], group.moves[b], group.scales[b],
+                                      group.ij[b]), want):
+                assert_same_bits(got, expected)
+        if separate:
+            # a failed row takes no draw from its stream, a drawn row some
+            for r, g in enumerate(gens):
+                untouched = rngmod.stream(self.SEEDS[r], rngmod.STREAM_ESTIMATE, 0)
+                assert (g.bit_generator.state == untouched.bit_generator.state) == (r in failed)
+
+    def test_groups_split_by_shape_and_keep_probe_order(self):
+        labels = [[0, 0, 1, 1], [0, 1, 0, 1, 0, 1], [1, 1, 0, 0]]
+        groups, failed, at, _ = draw_rows(labels, 5, [1, 2, 3])
+        assert not failed and [g.index for g in groups] == [[0, 2], [1]]
+        for r, y in enumerate(labels):
+            group, b = at[r]
+            assert_same_bits(group.pairs[b], oracle_draws(y, 5, r + 1, 1)[0])
+
+
+class TestStackedDiameters:
+    """``_diameters`` against the per-row block scan it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 12])
+    def test_rows_equal_the_row_scan(self, p, monkeypatch):
+        g = rngmod.stream(p, 128)
+        x = g.standard_normal((6, 9, p)) * 10.0 ** g.uniform(-3, 3, (6, 9, p))
+        x[1, 5:] = x[1, :4]                          # duplicate points
+        x[2] = x[2, 0]                               # one point, nine times
+        x[3] = np.where(x[3] < 0, -1e150, 1e150) * g.uniform(0.5, 1.0, (9, p))
+        x[4, :, 0] = 1e150
+        want = [row_scan_diameter(row) for row in x]
+        assert want[2] == 0.0 and want[3] > 1e150
+        assert_same_bits(datagen._diameters(x), want)
+        assert_same_bits(datagen._diameters(x[:, :1]), np.zeros(6))     # single points
+        # budgets that cut the rows into chunks, and one row's points into blocks
+        point = 8 * 9 * (p + 1)
+        for budget in (1, 4 * point, 9 * point, 2 * 9 * point + 1, 5 * 9 * point):
+            monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
+            assert_same_bits(datagen._diameters(x), want)
+            assert datagen.diameter(x[5]) == want[5]
+
+
+class TestStackedEnvelopes:
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 64, 251])
+    def test_each_row_equals_its_own_series(self, length):
+        def one_series(objectives):        # the envelope of one 1-D series, as once taken
+            s = np.cumsum(np.sqrt(np.maximum(objectives, 0.0)))
+            t = np.arange(1, len(s) + 1, dtype=np.float64)
+            ratio = s / np.sqrt(t)
+            return ratio.min(), ratio.max(), np.sum(np.sqrt(t) * s) / float(np.sum(t))
+        g = rngmod.stream(length, 129)
+        series = g.standard_normal((6, length)) ** 2 * 10.0 ** g.uniform(-8, 8, (6, length))
+        series[0, ::3] = -1.0                        # clipped to 0
+        series[1] = 0.0
+        stacked = datagen.attack_mismatch_envelope(series)
+        for r, row in enumerate(series):
+            alone = datagen.attack_mismatch_envelope(row[None])
+            assert_same_bits([a[r] for a in stacked], [a[0] for a in alone])
+            assert_same_bits([a[r] for a in stacked], one_series(row))
+
+    def test_rows_of_each_length_stacked(self):
+        probes = [datagen.Probe(None, [], attack_objectives=obj) for obj in (
+            np.linspace(4.0, 1.0, 8), None, np.linspace(3.0, 0.5, 5), np.array([]),
+            np.linspace(2.0, 1.0, 8))]
+        got = datagen._envelopes(probes)
+        assert got[1] is None and got[3] is None
+        for probe, env in zip(probes, got):
+            if env is not None:
+                alone = datagen.attack_mismatch_envelope(probe.attack_objectives[None])
+                assert env == tuple(a[0] for a in alone)
 
 
 def row_or_error(spec, probe):
@@ -551,9 +694,9 @@ class TestEstimateConstantsBatch:
         scored = []
         real = datagen._estimate_group
 
-        def recording(model_spec, rows):
-            scored.append(len(rows))
-            return real(model_spec, rows)
+        def recording(model_spec, group):
+            scored.append(len(group.index))
+            return real(model_spec, group)
 
         monkeypatch.setattr(datagen, "_estimate_group", recording)
         want = datagen.estimate_constants_batch(spec, probes)

@@ -244,6 +244,21 @@ class TestAttackCLI:
         assert len(rows) == 1
         assert 0.0 <= rows[0].eps_p <= 1.0
 
+    def test_inversion_that_overflows_truncates_without_a_warning(self, tmp_path):
+        # plain SGD on the linear model: its seventh candidate overflows, which
+        # truncates the run after six steps. Under the suite's
+        # error::RuntimeWarning filter the overflow once escaped as a
+        # traceback (exit 1) and wrote no --out
+        run_dir, out = str(tmp_path / "run"), str(tmp_path / "atk")
+        r = run_cli(["train", "--model", "linear", "--optimizer", "sgd", "--step-size", "50",
+                     "--seed", "13", "--out", run_dir])
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", out])
+        assert r.returncode == 0, r.stderr
+        with open(os.path.join(out, "attack.jsonl")) as fh:
+            head = json.loads(fh.readline())
+        assert head["truncated"] is True and head["iters_run"] == 6
+
     def test_missing_artifacts_exit_1(self, tmp_path):
         r = run_cli(["attack", "--run-dir", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")])

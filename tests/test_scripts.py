@@ -45,3 +45,15 @@ class TestArtifactDigestsCompare:
         if b is not None:
             differ = len(A.keys() ^ b.keys()) + sum(A[k] != b[k] for k in A.keys() & b.keys())
             assert capsys.readouterr().out.splitlines()[-1].startswith(f"{differ} differ, ")
+
+
+def test_config_files_are_written_but_not_digested(monkeypatch, tmp_path):
+    # the five-class estimate reads its config from OUT_DIR; only what the
+    # command wrote is digested
+    script = load_script("artifact_digests")
+    command = [cmd for cmd in script.COMMANDS if "--config" in cmd]
+    assert len(command) == 1 and command[0][0] == "estimate-constants"
+    monkeypatch.setattr(script, "COMMANDS", command)
+    found = script.digests(str(tmp_path), os.path.join(ROOT, "src"))
+    assert list(found) == ["runs/constants-five-classes/constants.json"]
+    assert os.path.exists(tmp_path / "configs" / "five-classes.json")
