@@ -78,9 +78,9 @@ def pilot_noise_floor():
                 break
         y = np.array([1])
         g_true = models.grad_params(spec, theta, x[None, :], y)
-        (wire,), _ = protocol.protect(
-            g_true[None], protocol.MechanismSpec("randomization", 20.0),
-            rngmod.stream(seed, 61).standard_normal((1, g_true.shape[0])))
+        ((wire,),), _ = protocol.protect_batch(
+            g_true[None, None], [protocol.MechanismSpec("randomization", 20.0)],
+            rngmod.stream(seed, 61).standard_normal((1, 1, g_true.shape[0])))
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)
         tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg, x[None, :], 2.0)
@@ -94,9 +94,9 @@ def pilot_phase2_accuracy():
     spec = models.ModelSpec("logistic", 2)
     accs = []
     for seed in range(20):
-        ds = datagen.generate(datagen.DatasetSpec(
+        (ds,), = datagen.generate_batch(datagen.DatasetSpec(
             num_clients=1, per_client_size=40, input_dim=2, num_classes=2,
-            class_separation=6.0, diameter_cap=4.0, seed=seed))[0]
+            class_separation=6.0, diameter_cap=4.0), [seed])
         h = attack.train_phase2(ds, spec, epochs=400, lr=0.5, seed=0)
         accs.append(1.0 - attack.risk(h, ds.x, ds.y))
     print(f"pilot 4: min accuracy {min(accs):.4f} -> locked 0.95")
@@ -107,15 +107,14 @@ def pilot_utility_monotone():
     wins = 0
     for seed in range(50):
         dss = datagen.DatasetSpec(num_clients=1, per_client_size=24, input_dim=2,
-                                  num_classes=2, class_separation=4.0,
-                                  diameter_cap=3.0, seed=seed)
-        ds = datagen.generate(dss)[0]
+                                  num_classes=2, class_separation=4.0, diameter_cap=3.0)
+        (ds,), = datagen.generate_batch(dss, [seed])
         th = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT), 0.3)
         for _ in range(20):
             th = th - 0.5 * models.grad_params(spec, th, ds.x, ds.y)
         u = rngmod.stream(seed, 63).standard_normal(2)
         big = 10.0 * u / np.linalg.norm(u)
-        xs, ys = datagen.fresh_sampler(dss, seed + 100)(400)
+        xs, ys = next(datagen.fresh_draws(dss, [seed + 100], [ds.centers], 400))
         e0, _ = protocol.measure_utility_loss(spec, th, np.zeros(2), ds.x, ds.y, xs, ys)
         e1, _ = protocol.measure_utility_loss(spec, th, big, ds.x, ds.y, xs, ys)
         wins += (e1 >= e0)

@@ -102,18 +102,6 @@ def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarr
     return f, v, vjp
 
 
-def matching_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
-                       y: np.ndarray, g_obs: np.ndarray) -> float:
-    return float(_score(spec, theta, x, y, g_obs)[0])
-
-
-def _grad_objective(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray,
-                    y: np.ndarray, g_obs: np.ndarray) -> np.ndarray:
-    """dF/dX, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
-    _, v, vjp = _score(spec, theta, x, y, g_obs)
-    return (2.0 / x.shape[-2]) * vjp(v)
-
-
 def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                     labels: np.ndarray, m: int, cfg: AttackConfig, originals: np.ndarray,
                     cap_d: float, *, x0: np.ndarray | None = None,
@@ -151,7 +139,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     truncates leaves the batch at its last accepted iterate (a row whose
     objective at the init is not finite truncates before step 1); SGD
     backtracking halves the step of each row that has not yet improved. Row
-    b's trace is bit-identical to that of a one-row run.
+    b's trace equals that of row b run as a batch of one, bit for bit.
 
     Row b's leakage is scored against ``originals[b]`` ((B, m, p)) at
     ``cap_d[b]``, its D: each accepted iterate's clamped distances go into the

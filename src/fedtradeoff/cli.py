@@ -25,7 +25,7 @@ from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
 from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, run_sweep,
-                         run_trials, score_block, score_trials, simulate, two_way_distortion)
+                         run_trials, score_block, score_trials, simulate_batch)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -103,7 +103,7 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     config = _load_config(args)
     seed = config.master_seed
-    datasets, result = simulate(config, seed)
+    (datasets, result), = simulate_batch([(config, seed)])
 
     os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, "manifest.json"),
@@ -147,9 +147,7 @@ def cmd_attack(args) -> int:
             f"run artifacts in {run_dir} do not match: {k} clients in datasets.csv and {d} "
             f"model parameters, uploads {rec.wires.shape} in rounds.jsonl, final models "
             f"{shadow.shape} in model_final_shadow.csv, {decoded.shape} in model_final_decoded.csv")
-    observed = Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
-                        rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
-                        shadow, decoded, two_way_distortion(decoded, shadow))
+    observed = Observed.from_round(rec, datasets, shadow, decoded)
 
     atk = replace(config.attack, seed=seed)
     if args.iters is not None:

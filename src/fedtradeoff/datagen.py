@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -140,11 +140,6 @@ def _class_centers_batch(spec: DatasetSpec, gens) -> np.ndarray:
     return (spec.class_separation / 2.0) * centers
 
 
-def _class_centers(spec: DatasetSpec) -> np.ndarray:
-    """spec's class centers, from its stream ``(seed, DATA, 0, 0)``."""
-    return _class_centers_batch(spec, [rngmod.stream(spec.seed, rngmod.STREAM_DATA, 0, 0)])[0]
-
-
 def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generator,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """n examples in data stream v3's order: n labels, an (n, p) normal array, then
@@ -158,14 +153,10 @@ def _draw_examples(spec: DatasetSpec, centers: np.ndarray, g: np.random.Generato
     return raw * ((spec.diameter_cap / 2.0) / _RAW_RADIUS), y
 
 
-def generate(spec: DatasetSpec) -> list[ClientDataset]:
-    """K client datasets, fully determined by spec.seed; each carries the
-    mixture's class centers. The one-seed ``generate_batch``."""
-    return generate_batch(spec, [spec.seed])[0]
-
-
 def generate_batch(spec: DatasetSpec, seeds: list[int]) -> list[list[ClientDataset]]:
-    """``generate(replace(spec, seed=s))`` for each seed s, bit for bit.
+    """K client datasets for each seed, fully determined by it; each carries the
+    mixture's class centers. Row b equals ``seeds[b]`` run as a batch of one,
+    bit for bit; ``spec.seed`` is not read.
 
     Every stream is seeded at once (``rng.streams``): each seed's class
     centers from ``(seed, DATA, 0, 0)``, their QRs stacked, then client k's
@@ -179,44 +170,18 @@ def generate_batch(spec: DatasetSpec, seeds: list[int]) -> list[list[ClientDatas
             for centers in _class_centers_batch(spec, itertools.islice(gens, len(seeds)))]
 
 
-def fresh_sampler(spec: DatasetSpec, seed: int, centers: np.ndarray | None = None):
-    """Sampler of fresh i.i.d. draws from the same distribution as generate().
-
-    Returns a callable ``f(n) -> (x, y)``; successive calls continue the stream
-    ``(seed, STREAM_EVAL, 0)``, each as one data stream v3 batch of n rows, so
-    ``f(200)`` twice does not give the rows of ``f(400)``. ``centers`` are
-    spec's class centers when the caller has them (``ClientDataset.centers``
-    of a dataset generated from spec).
-    """
-    g = rngmod.stream(seed, rngmod.STREAM_EVAL, 0)
-    if centers is None:
-        centers = _class_centers(spec)
-
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        return _draw_examples(spec, centers, g, n)
-
-    return draw
-
-
 def fresh_draws(spec: DatasetSpec, seeds: list[int], centers: list, n: int):
-    """Yield ``fresh_sampler(replace(spec, seed=s), s, c)(n)`` for each seed s and
-    its centers c in turn, bit for bit: every ``(s, STREAM_EVAL, 0)`` stream is
-    seeded at once (``rng.streams``). A None c is spec's class centers at s,
-    from its own stream ``(s, DATA, 0, 0)``."""
+    """Yield n fresh i.i.d. draws ``(x, y)`` from spec's mixture with class
+    centers c, for each seed s and its centers c in turn: one data stream v3
+    batch from the stream ``(s, STREAM_EVAL, 0)``. Draw b equals seed b's as a
+    batch of one, bit for bit; every stream is seeded at once (``rng.streams``).
+    A None c is spec's class centers at s (``generate_batch``'s at s), from
+    its own stream ``(s, DATA, 0, 0)``."""
     gens = rngmod.streams(seeds, [(rngmod.STREAM_EVAL, 0)] * len(seeds))
     for seed, c, g in zip(seeds, centers, gens):
-        yield _draw_examples(spec, _class_centers(replace(spec, seed=seed)) if c is None else c,
-                             g, n)
-
-
-def diameter(x: np.ndarray) -> float:
-    """Exact max pairwise Euclidean distance: the one-row ``_diameters``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ConfigurationError("diameter of an empty dataset")
-    return float(_diameters(x[None])[0])
+        if c is None:
+            c = _class_centers_batch(spec, [rngmod.stream(seed, rngmod.STREAM_DATA, 0, 0)])[0]
+        yield _draw_examples(spec, c, g, n)
 
 
 def _diameters(x: np.ndarray) -> np.ndarray:
@@ -357,8 +322,8 @@ def attack_mismatch_envelope(objectives: np.ndarray):
 
 
 class Probe(NamedTuple):
-    """One row of ``estimate_constants_batch``: the arguments of an
-    ``estimate_constants`` call after its model spec, with its defaults."""
+    """One row of ``estimate_constants_batch``: the model and client data the
+    constants are estimated at, and the estimate's settings."""
     theta_probe: np.ndarray
     datasets: list[ClientDataset]
     num_pairs: int = 200
@@ -366,29 +331,6 @@ class Probe(NamedTuple):
     delta_budget: float = 1.0
     attack_objectives: np.ndarray | None = None
     seed: int = 0
-
-
-def estimate_constants(model_spec: models.ModelSpec, theta_probe: np.ndarray,
-                       datasets: list[ClientDataset], **options) -> ConstantsEstimate:
-    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) on the given data: the
-    one-row ``estimate_constants_batch``, ``options`` the rest of its ``Probe``.
-
-    ``attack_objectives`` is the per-iteration objective series of a pilot
-    attack run; when absent, c_0 = c_2 = 1 placeholders are recorded as such.
-
-    Every sample comes from the stream ``(seed, STREAM_ESTIMATE, 0)``, drawn
-    as whole arrays in this order (estimate stream v2): the ``num_pairs``
-    pair labels, their first indices, their second indices; the
-    ``_NUM_DELTAS`` x param_dim parameter-move normals, then their
-    ``_NUM_DELTAS`` scales in [0.05, 1) of ``delta_budget``; then the (k, 2)
-    index pairs of the data side of C. A pair takes a label uniformly among
-    those with two or more points, in order of first appearance in the
-    data, then an ordered pair of distinct points of that label uniformly:
-    the first index uniform over the label's points, the second uniform over
-    the others (``_draw_chunk``).
-    """
-    row, = estimate_constants_batch(model_spec, [Probe(theta_probe, datasets, **options)])
-    return constants_of(row)
 
 
 def constants_of(row: ConstantsEstimate | FedTradeoffError | None
@@ -439,14 +381,28 @@ def _chunks(count: int, item_bytes: int):
 
 def estimate_constants_batch(model_spec: models.ModelSpec,
                              probes: list[Probe]) -> list[ConstantsEstimate | FedTradeoffError]:
-    """``estimate_constants`` at each probe: row i is the estimate that
-    ``estimate_constants(model_spec, **probes[i]._asdict())`` returns, bit for
-    bit, or the package error it raises, which fails that row alone.
+    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) at each probe: row i is
+    its estimate or the package error it meets, which fails that row alone.
+    Row i equals ``probes[i]`` run as a batch of one, bit for bit.
 
-    Each row draws from its own stream, all seeded at once (``rng.streams``),
-    in estimate stream v2's order. Rows are drawn and scored in probe order, in
-    chunks of at most ``_BLOCK_BYTES`` of the largest probe's rows, which no
-    row's draws outlive. A chunk's rows of one shape (data size and pair count)
+    A probe's ``attack_objectives`` is the per-iteration objective series of
+    a pilot attack run; when absent, c_0 = c_2 = 1 placeholders are recorded
+    as such.
+
+    Each row draws every sample from its own stream ``(seed,
+    STREAM_ESTIMATE, 0)``, all seeded at once (``rng.streams``), as whole
+    arrays in this order (estimate stream v2): the ``num_pairs`` pair labels,
+    their first indices, their second indices; the ``_NUM_DELTAS`` x
+    param_dim parameter-move normals, then their ``_NUM_DELTAS`` scales in
+    [0.05, 1) of ``delta_budget``; then the (k, 2) index pairs of the data
+    side of C. A pair takes a label uniformly among those with two or more
+    points, in order of first appearance in the data, then an ordered pair
+    of distinct points of that label uniformly: the first index uniform over
+    the label's points, the second uniform over the others (``_draw_chunk``).
+
+    Rows are drawn and scored in probe order, in chunks of at most
+    ``_BLOCK_BYTES`` of the largest probe's rows, which no row's draws
+    outlive. A chunk's rows of one shape (data size and pair count)
     are drawn and scored together (``_draw_chunk``): only each row's generator
     calls run per row. Their pair gradients, point losses and perturbed-model
     losses run in stacked model calls of at most ``_BLOCK_BYTES`` each, their
@@ -540,7 +496,7 @@ def _estimate_group(spec: models.ModelSpec,
                     rows: _Drawn) -> list[ConstantsEstimate | FedTradeoffError]:
     """The estimates of a drawn shape group's rows. Every row is scored,
     silently (a stage may overflow on a row that fails anyway); each row then
-    takes the first error its one-row call would raise, in that order. The
+    takes the first error it would meet as a batch of one, in that order. The
     diameters are taken of the rows that pass the checks before them."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         used, ratios, brackets = _pair_ratios(spec, rows)

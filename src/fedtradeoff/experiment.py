@@ -1,18 +1,18 @@
 """Experiment configuration, the one trial runner and the bound sides.
 
-One trial = generate data, run the protocol (``simulate``), keep what scoring
-reads of the run (``observe``), invert the uploads the trial lists, estimate
-its constants at ``trial_probe``, and score it. ``run_trials`` runs trials
-stage-wise in lockstep blocks, with one ``simulate_batch``, one
+One trial = generate data and run the protocol (``simulate_batch``), keep what
+scoring reads of the run (``Observed``), invert the uploads the trial lists,
+estimate its constants at ``trial_probe``, and score it. ``run_trials`` runs
+trials stage-wise in lockstep blocks, with one ``simulate_batch``, one
 ``attack.invert_batch`` and one ``score_block`` (the one scoring stage, the
 CLI ``attack``'s too) per block, and is the only inverter of simulated
-uploads. A scorer takes a whole block: sweeps, ``run_trial`` and ``attack``
-score with ``score_trials`` (one ``TrialRow`` per trial), the bound verifier
-with each bound's outcome function.
+uploads. A scorer takes a whole block: sweeps and ``attack`` score with
+``score_trials`` (one ``TrialRow`` per trial), the bound verifier with each
+bound's outcome function.
 
-``privacy_outcome`` (per trial) and ``utility_outcomes`` (stacked over a
-block) compute each bound side once, and every bound reads C, c_a and c_b
-from the one estimate at ``trial_probe``.
+``privacy_outcomes`` and ``utility_outcomes`` score a block's bound sides,
+each once, and every bound reads C, c_a and c_b from the one estimate at
+``trial_probe``.
 
 Per-trial seeds are derived splittably from the master seed, so trials are
 independent and appending trials never changes existing ones.
@@ -144,20 +144,14 @@ def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarr
     return np.where(top > 1e-12, top, 1e-12)
 
 
-def simulate(config: ExperimentConfig, seed: int):
-    """Seeded datasets and the protocol run over them; ``(datasets, result)``.
-    The one-trial ``simulate_batch``.
-
-    ``protocol.run`` raises ``NumericError`` when the run diverges."""
-    return simulate_batch([(config, seed)])[0]
-
-
 def simulate_batch(trials: list[tuple[ExperimentConfig, int]]) -> list[tuple]:
-    """``simulate(config, seed)`` of each trial, bit for bit: every trial's data
-    in one ``datagen.generate_batch`` and every run in one stacked
-    ``protocol.run_batch``. The trials share their model, dataset spec and FL
-    config, and their mechanisms share kind and noise sharing
-    (``_lockstep_blocks`` puts only such trials in one block).
+    """Each ``(config, seed)`` trial's seeded datasets and the protocol run over
+    them, ``(datasets, result)``; row b equals trial b run as a batch of one,
+    bit for bit. Every trial's data comes from one ``datagen.generate_batch``
+    and every run from one stacked ``protocol.run_batch``. The trials share
+    their model, dataset spec and FL config, and their mechanisms share kind
+    and noise sharing (``_lockstep_blocks`` puts only such trials in one
+    block).
 
     Raises ``NumericError`` when a trial's run diverges."""
     config, seeds = trials[0][0], [seed for _, seed in trials]
@@ -172,7 +166,7 @@ def simulate_batch(trials: list[tuple[ExperimentConfig, int]]) -> list[tuple]:
 
 class Observed(NamedTuple):
     """What scoring reads of one trial's simulation: its data, every client's
-    upload in the attacked round, and the final models."""
+    upload in the attacked round, and the final models (``from_round``)."""
     datasets: list[datagen.ClientDataset]
     theta_round: np.ndarray        # decoded model of the attacked round
     wires: np.ndarray              # (K, d): each client's upload in that round
@@ -184,10 +178,13 @@ class Observed(NamedTuple):
     theta_decoded: np.ndarray      # final decoded model
     two_way: float                 # ||delta||: two_way_distortion of the final models
 
-
-def observe(config: ExperimentConfig, seed: int) -> Observed:
-    """Simulate one trial; the run's other rounds are dropped."""
-    return _observed(config, *simulate(config, seed))
+    @classmethod
+    def from_round(cls, rec: protocol.RoundRecord, datasets: list[datagen.ClientDataset],
+                   theta_shadow: np.ndarray, theta_decoded: np.ndarray) -> "Observed":
+        """The attacked round's record ``rec``, the data and the final models."""
+        return cls(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
+                   rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
+                   theta_shadow, theta_decoded, two_way_distortion(theta_decoded, theta_shadow))
 
 
 def two_way_distortion(theta_decoded: np.ndarray, theta_shadow: np.ndarray) -> float:
@@ -203,11 +200,8 @@ def _observed(config: ExperimentConfig, datasets: list[datagen.ClientDataset],
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not (0 <= config.attack_client < len(datasets)):
         raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    rec = result.records[config.attack_round]
-    shadow, decoded = result.theta_final_shadow, result.theta_final_decoded
-    return Observed(datasets, rec.theta_decoded, rec.wires, rec.delta_up_grad,
-                    rec.delta_up_param, rec.delta_two_grad, rec.delta_two_param,
-                    shadow, decoded, two_way_distortion(decoded, shadow))
+    return Observed.from_round(result.records[config.attack_round], datasets,
+                               result.theta_final_shadow, result.theta_final_decoded)
 
 
 @dataclass
@@ -220,34 +214,36 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def privacy_outcome(config: ExperimentConfig, seed: int, observed: Observed,
-                    traces: list[attackmod.AttackTrace],
-                    est: datagen.ConstantsEstimate | FedTradeoffError | None) -> TrialOutcome:
-    """The attacked client's leakage vs the privacy bound at constants ``est``;
+def privacy_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
+                     ests: list[datagen.ConstantsEstimate | FedTradeoffError | None]
+                     ) -> list[TrialOutcome]:
+    """The attacked client's leakage vs the privacy bound, for each observed
+    ``(config, seed, kw)`` trial of ``block`` at its constants ``ests[i]``;
     the privacy bound's scorer.
 
-    ``traces`` holds the one inversion of that client's upload in the observed
-    round. An error ``est`` is raised before the leakage is scored. With
-    ``est`` None the threshold, rhs and constants are NaN and the
-    precondition fails."""
-    trace, = traces
-    est = datagen.constants_of(est)
-    client = config.attack_client
-    target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
-    cap_d = config.dataset.diameter_cap
-    eps_p = attackmod.privacy_leakage(trace)
-    if est is None:
-        nan = float("nan")
-        threshold = rhs = c_a = c_b = c_2 = skip_rate = nan
-    else:
-        threshold = boundsmod.privacy_precondition_threshold(
-            est.c_2, est.c_b, est.c_a, config.attack.iters)
-        rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a, cap_d,
-                                            delta_up)
-        c_a, c_b, c_2, skip_rate = est.c_a, est.c_b, est.c_2, est.meta["skip_rate"]
-    return TrialOutcome(measured=eps_p, rhs=rhs, precondition_ok=bool(delta_up >= threshold),
-                        extras={"delta_up": delta_up, "threshold": threshold, "c_a": c_a,
-                                "c_b": c_b, "c_2": c_2, "pair_skip_rate": skip_rate})
+    ``traces[i]`` holds the one inversion of that client's upload in the
+    observed round. Trials are scored in order, and an error ``ests[i]`` is
+    raised before trial i's leakage is scored. With ``ests[i]`` None the
+    threshold, rhs and constants are NaN and the precondition fails."""
+    out = []
+    for (config, _, _), observed, (trace,), est in zip(block, seen, traces, ests):
+        est = datagen.constants_of(est)
+        client = config.attack_client
+        target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
+        eps_p = attackmod.privacy_leakage(trace)
+        if est is None:
+            threshold = rhs = c_a = c_b = c_2 = skip_rate = float("nan")
+        else:
+            threshold = boundsmod.privacy_precondition_threshold(
+                est.c_2, est.c_b, est.c_a, config.attack.iters)
+            rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
+                                                config.dataset.diameter_cap, delta_up)
+            c_a, c_b, c_2, skip_rate = est.c_a, est.c_b, est.c_2, est.meta["skip_rate"]
+        out.append(TrialOutcome(
+            measured=eps_p, rhs=rhs, precondition_ok=bool(delta_up >= threshold),
+            extras={"delta_up": delta_up, "threshold": threshold, "c_a": c_a, "c_b": c_b,
+                    "c_2": c_2, "pair_skip_rate": skip_rate}))
+    return out
 
 
 def utility_outcomes(block: list[tuple], seen: list[Observed],
@@ -343,8 +339,7 @@ def score_trials(block: list[tuple], seen: list[Observed], traces: list[list],
     stays one experiment. Every trial's privacy side is scored before the
     block's utility sides (``utility_outcomes``)."""
     ests = [None if isinstance(est, EstimationError) else est for est in ests]
-    privacy = [privacy_outcome(cfg, seed, o, ts, est)
-               for (cfg, seed, _), o, ts, est in zip(block, seen, traces, ests)]
+    privacy = privacy_outcomes(block, seen, traces, ests)
     utility = utility_outcomes(block, seen, ests)
     return [_trial_row(cfg, seed, o, ts[0], est, p, u, half, **kw)
             for (cfg, seed, kw), o, ts, est, p, (u, half)
@@ -378,12 +373,6 @@ def _trial_row(config: ExperimentConfig, seed: int, observed: Observed,
         big_m=utility.extras["big_m"],
         cap_d=cap_d, c_0=c_0, c_2=consts["c_2"], pair_skip_rate=consts["pair_skip_rate"],
     )
-
-
-def run_trial(config: ExperimentConfig, trial_seed: int, **row_fields) -> TrialRow:
-    """Full pipeline for one seeded trial: observe, invert, estimate, and
-    ``score_trials`` with the row fields given."""
-    return run_trials([(config, trial_seed, row_fields)], score_trials)[0]
 
 
 def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:

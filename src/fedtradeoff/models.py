@@ -20,8 +20,9 @@ Parameter flattening order (fixed, relied on by distortion injection):
 parameter gradients together with a deferred input VJP that reuses that pass's
 cached values; ``per_example_grads`` is its first half.
 
-All losses are mean-reduced over the batch. Everything is float64 and pure:
-identical inputs give bit-identical outputs.
+Losses are per example, and a batch's loss is their mean (``grad_params``
+is its gradient). Everything is float64 and pure: identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
         np.take_along_axis(logp, y.astype(np.int64)[..., None], axis=-1)[..., 0])
 
 
-def loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-example loss of the batch."""
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean raises below
-        out = float(per_example_losses(spec, theta, x, y).mean())
-    if not np.isfinite(out):
-        raise NumericError("non-finite loss")
-    return out
-
-
 def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example parameter gradients, shape (m, param_dim)."""
     return _forward(spec, theta, x, y)[0]
@@ -314,22 +306,3 @@ def predict(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (z >= 0.0).astype(np.int64)
     return np.argmax(z, axis=-1).astype(np.int64)
 
-
-def finite_diff_check(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Error per coordinate: |analytic - central| / (|analytic| + step).
-    """
-    if step <= 0:
-        raise ConfigurationError("step must be > 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    analytic = grad_params(spec, theta, x, y)
-    worst = 0.0
-    for j in range(theta.shape[0]):
-        tp = theta.copy(); tp[j] += step
-        tm = theta.copy(); tm[j] -= step
-        num = (loss(spec, tp, x, y) - loss(spec, tm, x, y)) / (2.0 * step)
-        err = abs(analytic[j] - num) / (abs(analytic[j]) + step)
-        worst = max(worst, err)
-    return worst

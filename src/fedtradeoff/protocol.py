@@ -1,11 +1,10 @@
 """Four-step distorted-aggregation protocol over an in-memory channel.
 
 Per round: clients decode the downloaded model, compute one full-batch local
-gradient each, upload a protected version (one ``protect`` call maps the
-round's (K, d) gradients to its (K, d) uploads), and the server takes a
+gradient each, upload a protected version (one ``protect_batch`` call maps
+every trial's (K, d) gradients to its (K, d) uploads), and the server takes a
 weighted aggregation step. ``run_batch`` runs many trials' rounds at once on a
-leading trial axis, each trial on its own seed, and ``run`` is its one-trial
-case. Bookkeeping per round:
+leading trial axis, each trial on its own seed. Bookkeeping per round:
 
 * ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space, row k's 1-D norm) and
   ``delta_up_param[k] = eta_t * delta_up_grad[k]`` (parameter space).
@@ -17,10 +16,10 @@ case. Bookkeeping per round:
   at the start of the round (diagnostic; zero for none and HE).
 
 ``MechanismSpec`` is the one mechanism type: configs serialize it, and
-``protect`` and ``run`` take it as it is. Its kinds are ``none``,
+``protect_batch`` and ``run_batch`` take it as it is. Its kinds are ``none``,
 ``randomization`` and ``he_codec``. Randomization adds Gaussian noise drawn
 on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
-``(seed, PROTECT, t, 0)`` for every client when the noise is shared; ``run``
+``(seed, PROTECT, t, 0)`` for every client when the noise is shared; a run
 draws all rounds' noise before round 0, from those same streams.
 
 The HE mechanism is a simulated additively-homomorphic codec under a key
@@ -29,7 +28,7 @@ exact, so the server keeps no ciphertext: it steps on the true aggregate, the
 decoded trajectory is bit-equal to the unprotected one, and the wire view of
 the model is ``theta[perm] + units * offset``, where ``units`` starts at 1 and
 loses ``eta_t`` times the size-weighted sum of the clients' unit offsets each
-round. ``run`` draws the key once per run, from the run's seed on stream
+round. A run draws its key once, from its seed on stream
 ``(seed, MECH)``. A model, gradient or update that is not finite ends the run
 with ``NumericError``.
 """
@@ -54,7 +53,7 @@ class MechanismSpec:
 
     ``sigma``, ``shared_noise`` (one delta for all clients) and ``exact_norm``
     (rescale delta to this norm) set randomization; ``offset_scale`` sets the
-    he_codec offset, whose key ``run`` draws once per run from its seed."""
+    he_codec offset, whose key a run draws once from its seed."""
     kind: str = "none"
     sigma: float = 0.0
     shared_noise: bool = False
@@ -90,23 +89,13 @@ def _he_key(dim: int, g: np.random.Generator,
     return perm, off
 
 
-def protect(grads: np.ndarray, mech: MechanismSpec, noise: np.ndarray | None = None,
-            key: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, list[float]]:
-    """Apply the mechanism to a round's (K, d) gradients: the (K, d) wires and each
-    row's ``||wire - grad||``. The one-trial ``protect_batch``."""
-    grads = np.asarray(grads, dtype=np.float64)
-    wires, (delta_up,) = protect_batch(
-        grads[None], [mech], None if noise is None else np.asarray(noise)[None],
-        None if key is None else (key[0][None], key[1][None]))
-    return wires[0], delta_up
-
-
 def protect_batch(grads: np.ndarray, mechs: list[MechanismSpec], noise: np.ndarray | None = None,
                   keys: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, list[list[float]]]:
     """Apply trial b's mechanism to its round's (K, d) gradients ``grads[b]``, for
     mechanisms of one kind: the (B, K, d) wires and each trial's list of
-    ``||wire - grad||`` per row. Randomization adds ``sigma * noise[b]`` for (B, K, d)
+    ``||wire - grad||`` per row. Row b equals trial b as a batch of one, bit
+    for bit. Randomization adds ``sigma * noise[b]`` for (B, K, d)
     standard normals, each row rescaled to its trial's ``exact_norm`` when set;
     he_codec encrypts each row of trial b under key ``(perms[b], offsets[b])``
     (``_he_key``) to ``g[perm] + offset``."""
@@ -236,25 +225,19 @@ def _gradients(model_spec: models.ModelSpec, datasets: list[list[ClientDataset]]
     return grads
 
 
-def run(model_spec: models.ModelSpec, config: FLRunConfig, mech: MechanismSpec,
-        datasets: list[ClientDataset]) -> RunResult:
-    """Execute the protocol; protected and shadow trajectories share the seed,
-    and an he_codec run draws its key from it once. The one-trial ``run_batch``.
-
-    Raises ``NumericError`` when the model, a gradient or an update is not
-    finite."""
-    return run_batch(model_spec, config, [mech], [datasets], [config.seed])[0]
-
-
 def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[MechanismSpec],
               datasets: list[list[ClientDataset]], seeds: list[int]) -> list[RunResult]:
-    """``run(model_spec, replace(config, seed=seeds[b]), mechs[b], datasets[b])``
-    for each trial b, bit for bit, the B trials stacked on a leading axis: one
-    ``_gradients`` call and one ``protect_batch`` call per round for all of them.
-    The mechanisms share their kind and noise sharing, and the trials their
-    client sizes; sigma, ``exact_norm`` and ``offset_scale`` may differ. Every
-    trial's init, he_codec key and noise streams are seeded at once
-    (``rng.streams``).
+    """Execute the protocol for each trial b: mechanism ``mechs[b]`` over the
+    client data ``datasets[b]``, its protected and shadow trajectories seeded
+    by ``seeds[b]``, and an he_codec run's key drawn from it once. Row b equals
+    trial b run as a batch of one, bit for bit.
+
+    The B trials are stacked on a leading axis: one ``_gradients`` call and one
+    ``protect_batch`` call per round for all of them. The mechanisms share
+    their kind and noise sharing, and the trials their client sizes; sigma,
+    ``exact_norm`` and ``offset_scale`` may differ. Every trial's init,
+    he_codec key and noise streams are seeded at once (``rng.streams``).
+    ``config.seed`` is not read.
 
     Raises ``NumericError`` when a trial's model, gradient or update is not
     finite, in the first round where one is."""

@@ -5,9 +5,9 @@ gives the config they run, and ``trial_outcomes`` runs one per seed through
 ``experiment.run_trials``, with the bound's outcome function as the scorer.
 Privacy trials invert client 0's round-0 upload, trade-off trials every
 client's, utility trials none. Each scorer takes a lockstep block: the privacy
-scorer takes each trial's ``experiment.privacy_outcome``, the others the
-block's ``experiment.utility_outcomes``, the sides ``score_trials`` uses too,
-at each trial's one estimate at ``experiment.trial_probe``.
+scorer is ``experiment.privacy_outcomes``, the others take the block's
+``experiment.utility_outcomes``, the sides ``score_trials`` uses too, at each
+trial's one estimate at ``experiment.trial_probe``.
 
 Accounting: trials whose precondition fails are vacuous -- the bound claims
 nothing there -- so they are counted separately and never count as violations.
@@ -31,7 +31,7 @@ from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import ConfigurationError, require_int
 from .experiment import (ExperimentConfig, MechanismSpec, Observed, TrialOutcome,
-                         privacy_outcome, run_trials, utility_outcomes)
+                         privacy_outcomes, run_trials, utility_outcomes)
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,6 @@ class VerifyScenario:
             fl=protocol.FLRunConfig(rounds, self.learning_rate), mechanism=mech,
             attack=self.attack, n_eval=self.n_eval, num_pairs=self.num_pairs,
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
-
-
-def _privacy_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
-                      ests: list) -> list[TrialOutcome]:
-    """Each trial's leakage vs the privacy bound."""
-    return [privacy_outcome(cfg, seed, o, ts, est)
-            for (cfg, seed, _), o, ts, est in zip(block, seen, traces, ests)]
 
 
 def _utility_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
@@ -130,7 +123,7 @@ def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
     trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, _privacy_outcomes)
+        return run_trials(trials, privacy_outcomes)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcomes, scenario, bound_name == "tradeoff-randomization")
         return run_trials(trials, score,

@@ -155,6 +155,61 @@ def rewalk_leakage(trajectory, originals, cap_d):
     return float(1.0 - np.mean(acc / (len(trajectory) - 1))), float(1.0 - np.mean(last))
 
 
+def mean_loss(spec, theta, x, y):
+    """Mean per-example loss of one batch, as a float."""
+    from fedtradeoff import models
+
+    return float(models.per_example_losses(spec, theta, x, y).mean())
+
+
+def finite_diff_check(spec, theta, x, y, step=1e-5):
+    """Max relative error between the analytic parameter gradient
+    (``models.grad_params``) and central differences of ``mean_loss``, per
+    coordinate |analytic - central| / (|analytic| + step)."""
+    from fedtradeoff import models
+
+    theta = np.asarray(theta, dtype=np.float64)
+    analytic = models.grad_params(spec, theta, x, y)
+    worst = 0.0
+    for j in range(theta.shape[0]):
+        tp = theta.copy(); tp[j] += step
+        tm = theta.copy(); tm[j] -= step
+        num = (mean_loss(spec, tp, x, y) - mean_loss(spec, tm, x, y)) / (2.0 * step)
+        worst = max(worst, abs(analytic[j] - num) / (abs(analytic[j]) + step))
+    return worst
+
+
+def matching_objective(spec, theta, x, y, g_obs):
+    """The attack's matching objective at one upload, F(x) = ||(1/m) sum_i
+    grad_theta L(theta, x_i, y_i) - g_obs||^2, from ``attack._score``'s one
+    forward pass."""
+    from fedtradeoff import attack
+
+    return float(attack._score(spec, theta, x, y, g_obs)[0])
+
+
+def grad_objective(spec, theta, x, y, g_obs):
+    """dF/dX of ``matching_objective``, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
+    from fedtradeoff import attack
+
+    _, v, vjp = attack._score(spec, theta, x, y, g_obs)
+    return (2.0 / x.shape[-2]) * vjp(v)
+
+
+def fresh_sampler(spec, seed, centers=None):
+    """A sampler ``f(n) -> (x, y)`` of fresh draws from spec's mixture with
+    class ``centers`` (None: its centers at ``seed``, from the stream ``(seed,
+    DATA, 0, 0)``): successive calls continue the one stream ``(seed,
+    STREAM_EVAL, 0)``, each as one data stream v3 batch of n rows, so
+    ``f(200)`` twice does not give the rows of ``f(400)``. Its first call is
+    ``datagen.fresh_draws``' draw at that seed."""
+    from fedtradeoff import datagen, rng
+
+    if centers is None:
+        centers = datagen._class_centers_batch(spec, [rng.stream(seed, rng.STREAM_DATA, 0, 0)])[0]
+    g = rng.stream(seed, rng.STREAM_EVAL, 0)
+    return lambda n: datagen._draw_examples(spec, centers, g, n)
+
 
 def sample_pairs(y, num_pairs, g):
     """Index arrays (first, second) of ``num_pairs`` same-label pairs of rows,

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import finite_diff_check
 from fedtradeoff import (attack, bounds, datagen, experiment, models, protocol,
                          rng as rngmod, verify)
 
@@ -53,7 +54,7 @@ def test_criterion_01_gradient_correctness():
             x = g.standard_normal((8, 4))
             y = (g.standard_normal(8) if spec.kind == "linear"
                  else g.integers(0, spec.num_classes, 8))
-            worst = max(worst, models.finite_diff_check(spec, theta, x, y, 1e-5))
+            worst = max(worst, finite_diff_check(spec, theta, x, y, 1e-5))
     elapsed = time.perf_counter() - t0
     gate(1, worst <= 1e-5 and elapsed < 10.0,
          "analytic gradients match central finite differences (3 kinds x 20 draws)",
@@ -80,13 +81,12 @@ def test_criterion_03_he_fidelity():
     t0 = time.perf_counter()
     model = models.ModelSpec("logistic", 3)
     ok = True
-    for seed in range(50):
-        ds_spec = datagen.DatasetSpec(num_clients=3, per_client_size=8, input_dim=3,
-                                      num_classes=2, class_separation=2.0,
-                                      diameter_cap=2.0, seed=seed)
-        datasets = datagen.generate(ds_spec)
-        cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3, seed=seed)
-        res = protocol.run(model, cfg, protocol.MechanismSpec("he_codec"), datasets)
+    seeds = list(range(50))
+    ds_spec = datagen.DatasetSpec(num_clients=3, per_client_size=8, input_dim=3,
+                                  num_classes=2, class_separation=2.0, diameter_cap=2.0)
+    cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3)
+    for res in protocol.run_batch(model, cfg, [protocol.MechanismSpec("he_codec")] * 50,
+                                  datagen.generate_batch(ds_spec, seeds), seeds):
         for rec in res.records:
             ok &= rec.delta_two_grad == 0.0 and rec.delta_two_param == 0.0
             ok &= rec.shadow_gap == 0.0
@@ -101,15 +101,13 @@ def test_criterion_03_he_fidelity():
 def test_criterion_04_randomization_equality():
     model = models.ModelSpec("logistic", 3)
     worst = 0.0
-    for seed in range(20):
-        ds_spec = datagen.DatasetSpec(num_clients=3, per_client_size=8, input_dim=3,
-                                      num_classes=2, class_separation=2.0,
-                                      diameter_cap=2.0, seed=seed)
-        datasets = datagen.generate(ds_spec)
-        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.25, seed=seed)
-        res = protocol.run(model, cfg,
-                           protocol.MechanismSpec("randomization", 0.3, shared_noise=True),
-                           datasets)
+    seeds = list(range(20))
+    ds_spec = datagen.DatasetSpec(num_clients=3, per_client_size=8, input_dim=3,
+                                  num_classes=2, class_separation=2.0, diameter_cap=2.0)
+    cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.25)
+    mech = protocol.MechanismSpec("randomization", 0.3, shared_noise=True)
+    for res in protocol.run_batch(model, cfg, [mech] * 20,
+                                  datagen.generate_batch(ds_spec, seeds), seeds):
         for rec in res.records:
             for k in range(3):
                 worst = max(worst, abs(rec.delta_two_grad - rec.delta_up_grad[k]))
@@ -259,9 +257,9 @@ def test_criterion_09_formula_unit_suite():
             attack.AttackConfig(iters=2, optimizer="sgd", step_size=0.1), x0, 2.0, x0=target)
         checks.append(attack.privacy_leakage(tr) == expected)
     # AdvRisk(0) == Risk
-    ds = datagen.generate(datagen.DatasetSpec(
+    (ds,), = datagen.generate_batch(datagen.DatasetSpec(
         num_clients=1, per_client_size=20, input_dim=2, num_classes=2,
-        class_separation=6.0, diameter_cap=4.0, seed=6))[0]
+        class_separation=6.0, diameter_cap=4.0), [6])
     spec2 = models.ModelSpec("logistic", 2)
     h = attack.train_phase2(ds, spec2, epochs=150, lr=0.5, seed=0)
     checks.append(attack.adv_risk(h, ds.x, ds.y, 0.0, seed=1)

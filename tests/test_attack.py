@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import PAIRWISE_BLOCK, assert_same_bits, rewalk_leakage, spread_values
+from conftest import (PAIRWISE_BLOCK, assert_same_bits, grad_objective, matching_objective,
+                      rewalk_leakage, spread_values)
 from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -18,7 +19,7 @@ CAP_D = 2.0
 
 
 def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
-    """Oracle for attack._grad_objective: central differences of each sample's
+    """Oracle for ``grad_objective``: central differences of each sample's
     parameter gradient over its input coordinates, contracted with v."""
     m, p = x.shape
     v = models.per_example_grads(spec, theta, x, y).mean(axis=0) - g_obs
@@ -38,10 +39,11 @@ def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
 
 def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_d, x0=None):
     """Reference copy of the optimizer loop before the forward pass was shared:
-    every step recomputes v with _grad_objective and scores each candidate with
-    matching_objective. It also adds the per-sample leakage sums in the loop and
-    takes the final iterate's distances after it, as the attack does. Returns
-    the trace, with every iterate, and how often backtracking stayed put."""
+    every step recomputes v with ``grad_objective`` and scores each candidate
+    with ``matching_objective``. It also adds the per-sample leakage sums in
+    the loop and takes the final iterate's distances after it, as the attack
+    does. Returns the trace, with every iterate, and how often backtracking
+    stayed put."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     p = spec.input_dim
     g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
@@ -52,30 +54,30 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
     else:
         x = cfg.init_scale * g.standard_normal((m, p))
     sums = np.zeros(m)
-    objectives = [attack.matching_objective(spec, theta, x, labels, g_obs)]
+    objectives = [matching_objective(spec, theta, x, labels, g_obs)]
     iterates = [(0, x.copy())]
     truncated, stays, iters_run = False, 0, 0
     mom1, mom2 = np.zeros_like(x), np.zeros_like(x)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, cfg.iters + 1):
-        grad = attack._grad_objective(spec, theta, x, labels, g_obs)
+        grad = grad_objective(spec, theta, x, labels, g_obs)
         if cfg.optimizer == "adam":
             mom1 = b1 * mom1 + (1 - b1) * grad
             mom2 = b2 * mom2 + (1 - b2) * grad * grad
             mhat = mom1 / (1 - b1 ** t)
             vhat = mom2 / (1 - b2 ** t)
             x_new = x - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
-            f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+            f_new = matching_objective(spec, theta, x_new, labels, g_obs)
         else:
             trial = cfg.step_size
             x_new = x - trial * grad
-            f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+            f_new = matching_objective(spec, theta, x_new, labels, g_obs)
             if cfg.backtracking:
                 tries = 0
                 while f_new > objectives[-1] and tries < 40:
                     trial *= 0.5
                     x_new = x - trial * grad
-                    f_new = attack.matching_objective(spec, theta, x_new, labels, g_obs)
+                    f_new = matching_objective(spec, theta, x_new, labels, g_obs)
                     tries += 1
                 if f_new > objectives[-1]:
                     x_new, f_new = x, objectives[-1]
@@ -175,14 +177,14 @@ class TestInvertGradient:
         x = g.standard_normal((3, 2))
         y = g.standard_normal(3)
         g_obs = g.standard_normal(2)
-        analytic = attack._grad_objective(LINEAR, theta, x, y, g_obs)
+        analytic = grad_objective(LINEAR, theta, x, y, g_obs)
         h = 1e-6
         for i in range(3):
             for j in range(2):
                 xp = x.copy(); xp[i, j] += h
                 xm = x.copy(); xm[i, j] -= h
-                num = (attack.matching_objective(LINEAR, theta, xp, y, g_obs)
-                       - attack.matching_objective(LINEAR, theta, xm, y, g_obs)) / (2 * h)
+                num = (matching_objective(LINEAR, theta, xp, y, g_obs)
+                       - matching_objective(LINEAR, theta, xm, y, g_obs)) / (2 * h)
                 assert analytic[i, j] == pytest.approx(num, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("spec", [
@@ -200,7 +202,7 @@ class TestInvertGradient:
         x = g.standard_normal((5, spec.input_dim))
         y = g.integers(0, spec.num_classes, 5).astype(np.float64)
         g_obs = g.standard_normal(spec.param_dim)
-        exact = attack._grad_objective(spec, theta, x, y, g_obs)
+        exact = grad_objective(spec, theta, x, y, g_obs)
         oracle = fd_grad_objective(spec, theta, x, y, g_obs)
         assert np.max(np.abs(exact - oracle)) <= 1e-7 * np.max(np.abs(oracle))
 
@@ -220,9 +222,9 @@ class TestInvertGradient:
             theta, x, _ = single_sample_instance(seed, theta_scale=0.5)
             y = np.array([1])
             g_true = models.grad_params(LOGISTIC, theta, x[None, :], y)
-            (wire,), _ = protocol.protect(
-                g_true[None], protocol.MechanismSpec("randomization", 20.0),
-                rngmod.stream(seed, 61).standard_normal((1, g_true.shape[0])))
+            ((wire,),), _ = protocol.protect_batch(
+                g_true[None, None], [protocol.MechanismSpec("randomization", 20.0)],
+                rngmod.stream(seed, 61).standard_normal((1, 1, g_true.shape[0])))
             cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                       init="gaussian", seed=seed)
             tr = attack.invert_gradient(LOGISTIC, theta, wire, y, 1, cfg, x[None, :], CAP_D)
@@ -692,9 +694,9 @@ class TestPrivacyLeakage:
 
 def separable_dataset(seed=3, m=40):
     spec = datagen.DatasetSpec(num_clients=1, per_client_size=m, input_dim=2,
-                               num_classes=2, class_separation=6.0, diameter_cap=4.0,
-                               seed=seed)
-    return datagen.generate(spec)[0]
+                               num_classes=2, class_separation=6.0, diameter_cap=4.0)
+    (ds,), = datagen.generate_batch(spec, [seed])
+    return ds
 
 
 class TestPhase2:
@@ -750,7 +752,7 @@ class TestAdvRisk:
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
     def test_diameter_budget_approaches_one(self):
-        big = datagen.diameter(self.ds.x) + 1.0
+        big = datagen._diameters(self.ds.x[None])[0] + 1.0
         ar = attack.adv_risk(self.h, self.ds.x, self.ds.y, big, n_probe=400, seed=4)
         assert ar >= 0.95
 

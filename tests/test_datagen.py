@@ -5,59 +5,56 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_same_bits, row_scan_diameter, sample_pairs
+from conftest import assert_same_bits, fresh_sampler, mean_loss, row_scan_diameter, sample_pairs
 from fedtradeoff import datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
 
-def small_spec(seed=0, **kw):
+def small_spec(**kw):
     base = dict(num_clients=1, per_client_size=4, input_dim=2, num_classes=2,
-                class_separation=2.0, diameter_cap=2.0, seed=seed)
+                class_separation=2.0, diameter_cap=2.0)
     base.update(kw)
     return datagen.DatasetSpec(**base)
 
 
 class TestGenerate:
     def test_deterministic(self):
-        a = datagen.generate(small_spec(seed=7))
-        b = datagen.generate(small_spec(seed=7))
+        a, = datagen.generate_batch(small_spec(), [7])
+        b, = datagen.generate_batch(small_spec(), [7])
         for da, db in zip(a, b):
             assert np.array_equal(da.x, db.x) and np.array_equal(da.y, db.y)
 
     def test_distinct_seeds_differ(self):
-        a = datagen.generate(small_spec(seed=7))[0]
-        b = datagen.generate(small_spec(seed=8))[0]
+        (a,), (b,) = datagen.generate_batch(small_spec(), [7, 8])
         assert not np.array_equal(a.x, b.x)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_diameter_capped(self, seed):
-        spec = small_spec(seed=seed, num_clients=3, per_client_size=20, diameter_cap=1.5)
-        datasets = datagen.generate(spec)
+        spec = small_spec(num_clients=3, per_client_size=20, diameter_cap=1.5)
+        datasets, = datagen.generate_batch(spec, [seed])
         allx = np.concatenate([d.x for d in datasets])
-        assert datagen.diameter(allx) <= spec.diameter_cap
+        assert datagen._diameters(allx[None])[0] <= spec.diameter_cap
 
     def test_label_marginal_balanced_when_unseparated(self):
-        spec = small_spec(seed=11, per_client_size=10000, class_separation=0.0)
-        ds = datagen.generate(spec)[0]
+        spec = small_spec(per_client_size=10000, class_separation=0.0)
+        (ds,), = datagen.generate_batch(spec, [11])
         assert abs(np.mean(ds.y == 0) - 0.5) <= 0.02
 
     def test_client_count_and_sizes(self):
-        datasets = datagen.generate(small_spec(num_clients=4, per_client_size=6))
+        datasets, = datagen.generate_batch(small_spec(num_clients=4, per_client_size=6), [0])
         assert [d.client_id for d in datasets] == [0, 1, 2, 3]
         assert all(d.size == 6 for d in datasets)
 
-    def test_fresh_sampler_same_distribution_support(self):
-        spec = small_spec(seed=3, per_client_size=50)
-        draw = datagen.fresh_sampler(spec, seed=3)
-        x, y = draw(200)
+    def test_fresh_draws_same_distribution_support(self):
+        spec = small_spec(per_client_size=50)
+        x, y = next(datagen.fresh_draws(spec, [3], [None], 200))
         assert x.shape == (200, 2)
         assert np.all(np.linalg.norm(x, axis=1) <= spec.diameter_cap / 2 + 1e-12)
 
 
-def per_example_draws(spec, g, n):
+def per_example_draws(spec, centers, g, n):
     """The per-example rejection loop data stream v3 replaced: a label, then
     normal vectors around its center until one lies inside the raw radius."""
-    centers = datagen._class_centers(spec)
     xs = np.empty((n, spec.input_dim))
     ys = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -83,13 +80,13 @@ class TestDataStreamV3:
     # p = 3, 4 classes at separation 5: about 12% of first normal draws fall
     # outside the raw radius and are redrawn
     SPEC = datagen.DatasetSpec(num_clients=1, per_client_size=20000, input_dim=3,
-                               num_classes=4, class_separation=5.0, seed=0)
+                               num_classes=4, class_separation=5.0)
 
     def test_same_law_as_the_per_example_loop(self):
         n = self.SPEC.per_client_size
-        ds = datagen.generate(self.SPEC)[0]
+        (ds,), = datagen.generate_batch(self.SPEC, [0])
         x, y = ds.x, ds.y
-        ox, oy = per_example_draws(self.SPEC, rngmod.stream(1, 999), n)
+        ox, oy = per_example_draws(self.SPEC, ds.centers, rngmod.stream(1, 999), n)
         for c in range(self.SPEC.num_classes):
             f, of = np.mean(y == c), np.mean(oy == c)
             pooled = (f + of) / 2
@@ -101,7 +98,9 @@ class TestDataStreamV3:
     def test_redraws_happen_at_this_separation(self):
         g = rngmod.stream(2, 999)
         y = g.integers(0, self.SPEC.num_classes, self.SPEC.per_client_size)
-        raw = datagen._class_centers(self.SPEC)[y] + g.standard_normal((len(y), self.SPEC.input_dim))
+        centers = datagen._class_centers_batch(
+            self.SPEC, [rngmod.stream(0, rngmod.STREAM_DATA, 0, 0)])[0]
+        raw = centers[y] + g.standard_normal((len(y), self.SPEC.input_dim))
         assert 0.10 < np.mean(np.linalg.norm(raw, axis=1) > datagen._RAW_RADIUS) < 0.14
 
     @pytest.mark.parametrize("cap", [2.0, 0.5])      # raw-to-ball scales 1/4 and 1/16 are exact
@@ -110,28 +109,34 @@ class TestDataStreamV3:
     def test_every_row_inside_the_ball(self, cap, separation, seed):
         spec = datagen.DatasetSpec(num_clients=3, per_client_size=500, input_dim=3,
                                    num_classes=4, class_separation=separation,
-                                   diameter_cap=cap, seed=seed)
-        draw = datagen.fresh_sampler(spec, seed)
-        xs = [ds.x for ds in datagen.generate(spec)] + [draw(n)[0] for n in (1, 700)]
+                                   diameter_cap=cap)
+        xs = [ds.x for ds in datagen.generate_batch(spec, [seed])[0]] + [
+            next(datagen.fresh_draws(spec, [seed], [None], n))[0] for n in (1, 700)]
         for x in xs:
             assert np.all(np.linalg.norm(x, axis=1) <= cap / 2)
 
     def test_pinned_draws(self):
         # a silent change of the draw order moves these digests
         spec = datagen.DatasetSpec(num_clients=2, per_client_size=32, input_dim=3,
-                                   num_classes=4, class_separation=5.0, seed=0)
-        assert digest(*[a for ds in datagen.generate(spec) for a in (ds.x, ds.y)]) == (
+                                   num_classes=4, class_separation=5.0)
+        datasets, = datagen.generate_batch(spec, [0])
+        assert digest(*[a for ds in datasets for a in (ds.x, ds.y)]) == (
             "44cec56a8f4ccbcdfc0ca7b5906c67cf7224927e368e2e70e36def73148a17dc")
-        assert digest(*datagen.fresh_sampler(spec, 0)(400)) == (
+        assert digest(*next(datagen.fresh_draws(spec, [0], [None], 400))) == (
             "3474649d2adca4123ad2dabf266bfcbd156519429a2b53ac744401dd0410311d")
+
+
+def diameter(x):
+    """The max pairwise distance of one row of (m, p) points, as a batch of one."""
+    return datagen._diameters(np.asarray(x, dtype=np.float64)[None])[0]
 
 
 class TestDiameter:
     def test_single_point(self):
-        assert datagen.diameter(np.array([[1.0, 2.0]])) == 0.0
+        assert diameter([[1.0, 2.0]]) == 0.0
 
     def test_three_four_five(self):
-        assert datagen.diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == 5.0
+        assert diameter([[0.0, 0.0], [3.0, 4.0]]) == 5.0
 
     def test_matches_brute_force(self):
         g = rngmod.stream(5, 123)
@@ -140,27 +145,23 @@ class TestDiameter:
         for i in range(100):           # independent double loop
             for j in range(100):
                 best = max(best, float(np.sqrt(np.sum((x[i] - x[j]) ** 2))))
-        assert datagen.diameter(x) == pytest.approx(best, rel=0, abs=0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            datagen.diameter(np.empty((0, 2)))
+        assert diameter(x) == pytest.approx(best, rel=0, abs=0)
 
     @pytest.mark.parametrize("m", [1, 2, 17, 300])
     @pytest.mark.parametrize("p", [1, 3, 12])
     def test_bit_identical_to_the_row_scan(self, m, p):
         x = rngmod.stream(m, p, 124).standard_normal((m, p)) * 10.0 ** np.arange(-3, p - 3)
-        assert datagen.diameter(x) == row_scan_diameter(x)
+        assert diameter(x) == row_scan_diameter(x)
         dup = np.concatenate([x, x[::-1]])               # every point twice
-        assert datagen.diameter(dup) == row_scan_diameter(dup) == row_scan_diameter(x)
-        assert datagen.diameter(np.repeat(x[:1], 5, axis=0)) == 0.0
+        assert diameter(dup) == row_scan_diameter(dup) == row_scan_diameter(x)
+        assert diameter(np.repeat(x[:1], 5, axis=0)) == 0.0
 
     def test_blocks_cover_every_pair(self, monkeypatch):
         x = rngmod.stream(5, 125).standard_normal((40, 3))
-        want = datagen.diameter(x)
+        want = diameter(x)
         for budget in (1, 8 * 40 * 3, 8 * 40 * 3 * 7):   # 1, 1 and 7 rows per block
             monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
-            assert datagen.diameter(x) == want
+            assert diameter(x) == want
 
 
 class TestCoveringNumber:
@@ -205,9 +206,16 @@ class TestCoveringNumber:
                 <= datagen.log_covering_number(d, hi, lam) + 1e-12)
 
 
+def estimate(model_spec, theta, datasets, **options):
+    """The estimate at one probe, a batch of one; its error raised."""
+    row, = datagen.estimate_constants_batch(model_spec,
+                                            [datagen.Probe(theta, datasets, **options)])
+    return datagen.constants_of(row)
+
+
 def scalar_estimate(model_spec, theta, datasets, num_pairs, quantile, delta_budget,
                     num_deltas, seed):
-    """Oracle for estimate_constants: its scoring loops, one point at a time,
+    """Oracle for an estimate row: its scoring loops, one point at a time,
     over the same array draws from the generator (estimate stream v2)."""
     g = rngmod.stream(seed, rngmod.STREAM_ESTIMATE, 0)
     by_label = {}
@@ -234,12 +242,12 @@ def scalar_estimate(model_spec, theta, datasets, num_pairs, quantile, delta_budg
     all_x = np.concatenate([ds.x for ds in datasets])
     all_y = np.concatenate([ds.y for ds in datasets])
     c_theta = 0.0
-    base = models.loss(model_spec, theta, all_x, all_y)
+    base = mean_loss(model_spec, theta, all_x, all_y)
     normals = g.standard_normal((num_deltas, model_spec.param_dim))
     scales = g.uniform(0.05, 1.0, num_deltas)
     for d1, u in zip(normals, scales):
         d1 = d1 * (delta_budget * u / np.linalg.norm(d1))
-        l1 = models.loss(model_spec, theta + d1, all_x, all_y)
+        l1 = mean_loss(model_spec, theta + d1, all_x, all_y)
         c_theta = max(c_theta, abs(l1 - base) / float(np.linalg.norm(d1)))
     c_data = 0.0
     n = all_x.shape[0]
@@ -249,10 +257,10 @@ def scalar_estimate(model_spec, theta, datasets, num_pairs, quantile, delta_budg
         dx = float(np.linalg.norm(all_x[i] - all_x[j]))
         if dx == 0.0:
             continue
-        li = models.loss(model_spec, theta, all_x[i][None, :], all_y[i:i + 1])
-        lj = models.loss(model_spec, theta, all_x[j][None, :], all_y[j:j + 1])
+        li = mean_loss(model_spec, theta, all_x[i][None, :], all_y[i:i + 1])
+        lj = mean_loss(model_spec, theta, all_x[j][None, :], all_y[j:j + 1])
         c_data = max(c_data, abs(li - lj) / dx)
-    big_m = max(abs(models.loss(model_spec, theta, xi[None, :], np.array([yi])))
+    big_m = max(abs(mean_loss(model_spec, theta, xi[None, :], np.array([yi])))
                 for xi, yi in zip(all_x, all_y))
     ratios = np.asarray(ratios)
     return {
@@ -268,7 +276,7 @@ def scalar_estimate(model_spec, theta, datasets, num_pairs, quantile, delta_budg
 class TestEstimateConstants:
     def _spec_and_data(self, seed=0, m=24):
         spec = models.ModelSpec("logistic", 2)
-        datasets = datagen.generate(small_spec(seed=seed, per_client_size=m))
+        datasets, = datagen.generate_batch(small_spec(per_client_size=m), [seed])
         theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
         return spec, theta, datasets
 
@@ -277,26 +285,23 @@ class TestEstimateConstants:
         x = np.array([[0.5, 0.5], [0.5, 0.5]])
         ds = datagen.ClientDataset(client_id=0, x=x, y=np.array([1, 1]))
         with pytest.raises(EstimationError):
-            datagen.estimate_constants(spec, np.array([0.3, -0.2]), [ds], num_pairs=10)
+            estimate(spec, np.array([0.3, -0.2]), [ds], num_pairs=10)
 
     def test_bracket_property_minmax_mode(self):
         # quantile 0 = min/max: every sampled ratio lies in [c_a, c_b]
         spec, theta, datasets = self._spec_and_data(seed=2)
-        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=100,
-                                         quantile=0.0, seed=2)
+        est = estimate(spec, theta, datasets, num_pairs=100, quantile=0.0, seed=2)
         assert 0 < est.c_a <= est.meta["ratio_median"] <= est.c_b
 
     def test_quantile_bracket_contains_median(self):
         spec, theta, datasets = self._spec_and_data(seed=3)
-        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=200,
-                                         quantile=0.05, seed=3)
+        est = estimate(spec, theta, datasets, num_pairs=200, quantile=0.05, seed=3)
         assert est.c_a <= est.meta["ratio_median"] <= est.c_b
 
     def test_median_ratio_matches_brute_force_loop(self):
         # recompute the ratio set with an independently coded loop
         spec, theta, datasets = self._spec_and_data(seed=4)
-        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=50,
-                                         quantile=0.05, seed=4)
+        est = estimate(spec, theta, datasets, num_pairs=50, quantile=0.05, seed=4)
         by_label = {}
         for xi, yi in zip(datasets[0].x, datasets[0].y):
             by_label.setdefault(int(yi), []).append(xi)
@@ -313,23 +318,21 @@ class TestEstimateConstants:
 
     def test_widening_bracket_with_more_pairs(self):
         spec, theta, datasets = self._spec_and_data(seed=5)
-        small = datagen.estimate_constants(spec, theta, datasets, num_pairs=20,
-                                           quantile=0.0, seed=5)
-        large = datagen.estimate_constants(spec, theta, datasets, num_pairs=400,
-                                           quantile=0.0, seed=5)
+        small = estimate(spec, theta, datasets, num_pairs=20, quantile=0.0, seed=5)
+        large = estimate(spec, theta, datasets, num_pairs=400, quantile=0.0, seed=5)
         assert large.c_a <= small.c_a + 1e-12
         assert large.c_b >= small.c_b - 1e-12
 
     def test_invariant_ordering(self):
         spec, theta, datasets = self._spec_and_data(seed=6)
-        est = datagen.estimate_constants(spec, theta, datasets, seed=6)
+        est = estimate(spec, theta, datasets, seed=6)
         assert 0 < est.c_a <= est.c_b
         assert est.big_c > 0 and est.big_m > 0 and est.cap_d > 0
         assert est.c_0 <= est.c_2
 
     def test_skip_rate_recorded(self):
         spec, theta, datasets = self._spec_and_data(seed=7)
-        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=40, seed=7)
+        est = estimate(spec, theta, datasets, num_pairs=40, seed=7)
         assert 0.0 <= est.meta["skip_rate"] < 1.0
         assert est.meta["pairs_used"] + est.meta["pairs_skipped_degenerate"] == 40
 
@@ -342,13 +345,13 @@ class TestEstimateConstants:
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_matches_scalar_loops(self, spec, seed):
         # every point appears twice, so some pairs are degenerate and skipped
-        ds = datagen.generate(small_spec(seed=seed, per_client_size=6,
-                                         num_classes=spec.num_classes))[0]
+        (ds,), = datagen.generate_batch(
+            small_spec(per_client_size=6, num_classes=spec.num_classes), [seed])
         ds = datagen.ClientDataset(0, np.concatenate([ds.x, ds.x]),
                                    np.concatenate([ds.y, ds.y]))
         theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
         kw = dict(num_pairs=60, quantile=0.1, delta_budget=1.5, seed=seed)
-        est = datagen.estimate_constants(spec, theta, [ds], **kw)
+        est = estimate(spec, theta, [ds], **kw)
         want = scalar_estimate(spec, theta, [ds], num_deltas=datagen._NUM_DELTAS, **kw)
         assert want["pairs_skipped_degenerate"] > 0
         got = {"c_a": est.c_a, "c_b": est.c_b, "big_c": est.big_c, "big_m": est.big_m,
@@ -357,7 +360,7 @@ class TestEstimateConstants:
                                            "pairs_skipped_degenerate")}}
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
-        assert est.cap_d == datagen.diameter(ds.x)
+        assert est.cap_d == diameter(ds.x)
         assert (est.c_0, est.c_2) == (1.0, 1.0)
         assert est.big_m == experiment.exact_big_m(spec, theta, np.zeros(spec.param_dim),
                                                    ds.x, ds.y)
@@ -366,7 +369,7 @@ class TestEstimateConstants:
         # estimate stream v2 at logistic, seed 0, on data stream v3's data: a
         # silent change of the draw order or of the scoring arithmetic moves this repr
         spec, theta, datasets = self._spec_and_data(seed=0)
-        est = datagen.estimate_constants(spec, theta, datasets, seed=0)
+        est = estimate(spec, theta, datasets, seed=0)
         assert repr(est) == (
             "ConstantsEstimate(c_a=1.9730635063329232, c_b=2.8886442424914773, "
             "big_c=4.947852398304605, big_m=0.8136677050466931, "
@@ -381,12 +384,12 @@ class TestEstimateConstants:
         models.ModelSpec("mlp1", 2, hidden_dim=4),
     ], ids=lambda s: s.kind)
     def test_chunked_parameter_side_equals_one_stack(self, spec, monkeypatch):
-        ds = datagen.generate(small_spec(seed=1, per_client_size=10,
-                                         num_classes=spec.num_classes))
+        ds, = datagen.generate_batch(
+            small_spec(per_client_size=10, num_classes=spec.num_classes), [1])
         theta = models.init_params(spec, rngmod.stream(1, rngmod.STREAM_INIT))
-        want = datagen.estimate_constants(spec, theta, ds, num_pairs=20, seed=1)
+        want = estimate(spec, theta, ds, num_pairs=20, seed=1)
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)   # one perturbed model per chunk
-        got = datagen.estimate_constants(spec, theta, ds, num_pairs=20, seed=1)
+        got = estimate(spec, theta, ds, num_pairs=20, seed=1)
         assert repr(got) == repr(want)
 
     def test_non_finite_perturbed_loss_raises(self):
@@ -395,35 +398,20 @@ class TestEstimateConstants:
         ds = datagen.ClientDataset(0, 1e10 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                                    np.array([1, 1, 0]))
         with pytest.raises(NumericError, match="non-finite loss"):
-            datagen.estimate_constants(spec, np.array([0.3, -0.2]), [ds], delta_budget=1e150)
+            estimate(spec, np.array([0.3, -0.2]), [ds], delta_budget=1e150)
 
     @pytest.mark.parametrize("budget", [1e308, math.inf])
     def test_overflowing_parameter_move_raises(self, budget):
         # the moves' scales overflow: no RuntimeWarning, a NumericError
         spec, theta, datasets = self._spec_and_data()
         with pytest.raises(NumericError, match="non-finite parameter move"):
-            datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
+            estimate(spec, theta, datasets, delta_budget=budget)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
     def test_budget_not_positive_rejected(self, budget):
         spec, theta, datasets = self._spec_and_data()
         with pytest.raises(ConfigurationError, match="delta_budget must be > 0"):
-            datagen.estimate_constants(spec, theta, datasets, delta_budget=budget)
-
-    def test_one_row_call_is_the_batch_row(self, monkeypatch):
-        spec, theta, datasets = self._spec_and_data(seed=3)
-        seen = []
-        batch = datagen.estimate_constants_batch
-
-        def recording(model_spec, probes):
-            seen.append(probes)
-            return batch(model_spec, probes)
-
-        monkeypatch.setattr(datagen, "estimate_constants_batch", recording)
-        est = datagen.estimate_constants(spec, theta, datasets, num_pairs=30, seed=3)
-        probe, = seen[0]
-        assert probe == datagen.Probe(theta, datasets, num_pairs=30, seed=3)
-        assert repr(est) == repr(batch(spec, [probe])[0])
+            estimate(spec, theta, datasets, delta_budget=budget)
 
     def test_envelope_constants_from_series(self):
         objectives = np.array([4.0, 1.0, 0.25, 0.04])
@@ -574,7 +562,7 @@ class TestStackedDiameters:
         for budget in (1, 4 * point, 9 * point, 2 * 9 * point + 1, 5 * 9 * point):
             monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
             assert_same_bits(datagen._diameters(x), want)
-            assert datagen.diameter(x[5]) == want[5]
+            assert diameter(x[5]) == want[5]
 
 
 class TestStackedEnvelopes:
@@ -607,24 +595,16 @@ class TestStackedEnvelopes:
                 assert env == tuple(a[0] for a in alone)
 
 
-def row_or_error(spec, probe):
-    """``estimate_constants`` at ``probe``, or the package error it raises."""
-    try:
-        return datagen.estimate_constants(spec, **probe._asdict())
-    except (ConfigurationError, NumericError) as exc:
-        return exc
-
-
 class TestEstimateConstantsBatch:
-    """Every row of a stacked estimate is the estimate its own one-row call gives,
-    and a row that fails fails alone."""
+    """Every row of a stacked estimate is the estimate its probe gives as a batch
+    of one, and a row that fails fails alone."""
 
     @staticmethod
     def check_rows(spec, probes):
         rows = datagen.estimate_constants_batch(spec, probes)
         assert len(rows) == len(probes)
         for probe, got in zip(probes, rows):
-            want = row_or_error(spec, probe)
+            want, = datagen.estimate_constants_batch(spec, [probe])
             assert type(got) is type(want)
             # repr is exact for floats and NaN-aware; an error's repr is its message
             assert repr(got) == repr(want)
@@ -641,9 +621,9 @@ class TestEstimateConstantsBatch:
     def test_rows_equal_their_one_row_runs(self, spec, clients, quantile):
         probes = []
         for seed, budget in enumerate([1.0, 0.3, 2.5, 7.0]):
-            datasets = datagen.generate(small_spec(seed=seed, num_clients=clients,
-                                                   per_client_size=6,
-                                                   num_classes=spec.num_classes))
+            datasets, = datagen.generate_batch(
+                small_spec(num_clients=clients, per_client_size=6, num_classes=spec.num_classes),
+                [seed])
             theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
             probes.append(datagen.Probe(
                 theta, datasets, num_pairs=20, quantile=quantile, delta_budget=budget,
@@ -663,7 +643,7 @@ class TestEstimateConstantsBatch:
 
     def test_each_failing_row_fails_alone(self):
         spec = models.ModelSpec("logistic", 2)
-        datasets = datagen.generate(small_spec(seed=1, per_client_size=12))
+        datasets, = datagen.generate_batch(small_spec(per_client_size=12), [1])
         theta = models.init_params(spec, rngmod.stream(1, rngmod.STREAM_INIT))
         good = datagen.Probe(theta, datasets, num_pairs=30, seed=1)
         lone = datagen.ClientDataset(0, np.array([[0.1, 0.2], [0.3, -0.1]]), np.array([0, 1]))
@@ -689,7 +669,7 @@ class TestEstimateConstantsBatch:
         # two pair counts, so one chunk holds two shapes
         probes = [datagen.Probe(
             models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT)),
-            datagen.generate(small_spec(seed=seed, per_client_size=10, num_classes=3)),
+            datagen.generate_batch(small_spec(per_client_size=10, num_classes=3), [seed])[0],
             num_pairs=20 + 10 * (seed % 2), seed=seed) for seed in range(4)]
         scored = []
         real = datagen._estimate_group
@@ -720,7 +700,8 @@ class TestInputDimBound:
     @pytest.mark.parametrize("input_dim, separation", [(40, 2.0), (8, 14.0), (3, 14.0),
                                                        (1, 0.0)])
     def test_accepted(self, input_dim, separation):
-        ds, = datagen.generate(small_spec(input_dim=input_dim, class_separation=separation))
+        (ds,), = datagen.generate_batch(
+            small_spec(input_dim=input_dim, class_separation=separation), [0])
         assert np.all(np.linalg.norm(ds.x, axis=1) <= 1.0)
 
     def test_inside_probability_is_the_noncentral_chi_square_cdf(self):
@@ -731,10 +712,23 @@ class TestInputDimBound:
 
 
 def test_generated_datasets_carry_the_centers_a_sampler_reuses(monkeypatch):
-    spec = small_spec(seed=4, num_clients=2, num_classes=4)
-    datasets = datagen.generate(spec)
+    spec = small_spec(num_clients=2, num_classes=4)
+    datasets, = datagen.generate_batch(spec, [4])
     assert all(ds.centers is datasets[0].centers for ds in datasets)
-    want = datagen.fresh_sampler(spec, 4)(300)
-    monkeypatch.setattr(datagen, "_class_centers", None)     # no second QR
-    got = datagen.fresh_sampler(spec, 4, datasets[0].centers)(300)
+    want = next(datagen.fresh_draws(spec, [4], [None], 300))
+    monkeypatch.setattr(datagen, "_class_centers_batch", None)     # no second QR
+    got = next(datagen.fresh_draws(spec, [4], [datasets[0].centers], 300))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_fresh_draws_rows_equal_the_sampler_oracle():
+    # a seed's draws are those of its own sampler; without centers, at the
+    # centers its data was generated with
+    spec = small_spec(num_classes=3)
+    seeds = [3, 4, 5]
+    centers = [ds[0].centers for ds in datagen.generate_batch(spec, seeds)]
+    given = [centers[0], None, centers[2]]
+    for (x, y), seed, c in zip(datagen.fresh_draws(spec, seeds, given, 150), seeds, centers):
+        want = fresh_sampler(spec, seed, c)(150)
+        assert_same_bits(x, want[0])
+        assert np.array_equal(y, want[1])

@@ -6,10 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import scalar_minimize_utility_lambda
+from conftest import fresh_sampler, scalar_minimize_utility_lambda
 from fedtradeoff import attack, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
+
+
+def observe(config, seed):
+    """A trial's ``Observed``, simulated as a batch of one."""
+    sim, = experiment.simulate_batch([(config, seed)])
+    return experiment._observed(config, *sim)
 
 
 def base_config(**kw):
@@ -54,24 +60,25 @@ class TestOverflowIsWarningClean:
         cfg = base_config(mechanism=experiment.MechanismSpec(kind="randomization",
                                                              sigma=1e200))
         seed = rngmod.trial_seed(3, 0, 0)
-        _, result = experiment.simulate(cfg, seed)
+        (_, result), = experiment.simulate_batch([(cfg, seed)])
         assert result.records[0].delta_up_grad == [math.inf]
         # the attack objective overflows at its init, so the trial cannot be scored
         with pytest.raises(NumericError, match="attack diverged at its first step"):
-            experiment.run_trial(cfg, seed)
+            experiment.run_trials([(cfg, seed, {})], experiment.score_trials)
 
     def test_huge_final_model_records_infinite_halfwidth(self):
         # learning rate 40 on a linear model: the final model is huge but finite
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=250, learning_rate=40.0))
-        row = experiment.run_trial(cfg, rngmod.trial_seed(3, 0, 0))
+        row, = experiment.run_trials([(cfg, rngmod.trial_seed(3, 0, 0), {})],
+                                     experiment.score_trials)
         assert math.isfinite(row.eps_u) and row.eps_u > 1e180
         assert row.eps_u_halfwidth == math.inf
 
 
 class TestRunTrial:
     def test_row_fields_sane(self):
-        row = experiment.run_trial(base_config(), trial_seed=5)
+        row, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
         assert 0.0 <= row.eps_p <= 1.0
         assert 0.0 <= row.eps_p_final <= 1.0
         assert row.eps_u >= 0.0
@@ -80,15 +87,15 @@ class TestRunTrial:
         assert row.utility_lambda > 0.0
 
     def test_reproducible(self):
-        a = experiment.run_trial(base_config(), trial_seed=5)
-        b = experiment.run_trial(base_config(), trial_seed=5)
+        a, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
+        b, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
         assert a == b
 
     def test_single_sample_degrades_to_nan_bounds(self):
         cfg = base_config(dataset=datagen.DatasetSpec(
             num_clients=1, per_client_size=1, input_dim=2, num_classes=2,
             class_separation=2.0, diameter_cap=2.0, seed=0))
-        row = experiment.run_trial(cfg, trial_seed=9)
+        row, = experiment.run_trials([(cfg, 9, {})], experiment.score_trials)
         assert 0.0 <= row.eps_p <= 1.0
         assert np.isnan(row.privacy_rhs) and not row.privacy_precond_ok
         assert not row.privacy_holds and not row.utility_holds
@@ -97,11 +104,11 @@ class TestRunTrial:
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
-            experiment.run_trial(cfg, trial_seed=1)
+            experiment.run_trials([(cfg, 1, {})], experiment.score_trials)
 
     def test_holds_implies_precondition(self):
         for seed in range(6):
-            row = experiment.run_trial(base_config(), trial_seed=seed)
+            row, = experiment.run_trials([(base_config(), seed, {})], experiment.score_trials)
             if row.privacy_holds:
                 assert row.privacy_precond_ok
 
@@ -112,22 +119,22 @@ class TestSimulate:
                           mechanism=experiment.MechanismSpec("randomization", 0.3))
 
         def run(ds_seed, fl_seed):
-            datasets, result = experiment.simulate(
-                replace(cfg, dataset=replace(cfg.dataset, seed=ds_seed),
-                        fl=replace(cfg.fl, seed=fl_seed)), seed=5)
+            (datasets, result), = experiment.simulate_batch([
+                (replace(cfg, dataset=replace(cfg.dataset, seed=ds_seed),
+                         fl=replace(cfg.fl, seed=fl_seed)), 5)])
             return ([(d.x.tolist(), d.y.tolist()) for d in datasets],
                     result.theta_final_decoded.tolist(),
                     result.theta_final_shadow.tolist())
 
         assert run(0, 0) == run(11, 12)
-        assert run(0, 0)[1] != experiment.simulate(
-            cfg, seed=6)[1].theta_final_decoded.tolist()
+        (_, other), = experiment.simulate_batch([(cfg, 6)])
+        assert run(0, 0)[1] != other.theta_final_decoded.tolist()
 
     def test_diverged_run_raises(self):
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
-            experiment.simulate(replace(cfg, mechanism=experiment.MechanismSpec()), seed=1)
+            experiment.simulate_batch([(replace(cfg, mechanism=experiment.MechanismSpec()), 1)])
 
 
 def stacked_config(model, mechanism, clients, schedule, sigma=None):
@@ -144,7 +151,7 @@ def stacked_config(model, mechanism, clients, schedule, sigma=None):
 
 
 def assert_same_simulation(got, want):
-    """Two ``simulate`` results bit for bit: data, every round record, final models."""
+    """Two ``simulate_batch`` rows bit for bit: data, every round record, final models."""
     (got_ds, got_run), (want_ds, want_run) = got, want
     for a, b in zip(got_ds, want_ds, strict=True):
         assert (a.client_id, a.x.tobytes(), a.y.tobytes(), a.centers.tobytes()) == (
@@ -173,7 +180,8 @@ STACKED_MECHS = {
 
 
 class TestSimulateBatch:
-    """A lockstep block's stacked simulation gives each trial its one-trial run."""
+    """A lockstep block's stacked simulation gives each trial its run as a batch of
+    one."""
 
     @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
     @pytest.mark.parametrize("clients", [1, 3])
@@ -185,7 +193,7 @@ class TestSimulateBatch:
         seeds = [rngmod.trial_seed(3, 0, i) for i in range(7)]
         got = experiment.simulate_batch([(config, seed) for seed in seeds])
         for sim, seed in zip(got, seeds, strict=True):
-            assert_same_simulation(sim, experiment.simulate(config, seed))
+            assert_same_simulation(sim, experiment.simulate_batch([(config, seed)])[0])
 
     @pytest.mark.parametrize("mech_name", ["rand", "shared", "exact-norm"])
     def test_mixed_sigmas_in_one_block(self, mech_name):
@@ -200,7 +208,7 @@ class TestSimulateBatch:
         trials = [(c, rngmod.trial_seed(3, 0, i)) for i, c in enumerate(configs)]
         assert len(experiment._lockstep_blocks([(c, s, {}) for c, s in trials])) == 1
         for sim, (config, seed) in zip(experiment.simulate_batch(trials), trials, strict=True):
-            assert_same_simulation(sim, experiment.simulate(config, seed))
+            assert_same_simulation(sim, experiment.simulate_batch([(config, seed)])[0])
 
     def test_trials_of_another_shape_are_refused(self):
         config = base_config()
@@ -219,7 +227,7 @@ class TestSimulateBatch:
         trials = [(c, rngmod.trial_seed(3, 1, i), {}) for i, c in enumerate(configs)]
         assert len(experiment._lockstep_blocks(trials)) == 1
         with pytest.raises(NumericError) as serial:
-            experiment.simulate(configs[1], trials[1][1])
+            experiment.simulate_batch([trials[1][:2]])
         with pytest.raises(NumericError) as stacked:
             experiment.simulate_batch([(c, s) for c, s, _ in trials])
         with pytest.raises(NumericError) as blocked:
@@ -353,17 +361,19 @@ class TestLockstepBlocks:
 
 
 class TestLockstepSweep:
-    """Sweeps invert equal-shape trials in lockstep; rows stay those of run_trial."""
+    """Sweeps invert equal-shape trials in lockstep; each row stays that of its
+    trial run alone."""
 
     @pytest.mark.parametrize("axis, values", [("sigma", [0.0, 0.3]), ("m", [4, 8]),
                                               ("T", [10, 25])])
     def test_rows_equal_per_trial_runs(self, axis, values):
         config = base_config()
         rows, _ = experiment.run_sweep(config, axis, values, trials=3)
-        want = [experiment.run_trial(
+        want = [experiment.run_trials([(
                     experiment._config_for_sweep_value(config, axis, v),
-                    rngmod.trial_seed(config.master_seed, si, ti), sweep_axis=axis,
-                    sweep_value=float(v), trial_index=ti, experiment_id=config.experiment_id())
+                    rngmod.trial_seed(config.master_seed, si, ti),
+                    dict(sweep_axis=axis, sweep_value=float(v), trial_index=ti,
+                         experiment_id=config.experiment_id()))], experiment.score_trials)[0]
                 for si, v in enumerate(values) for ti in range(3)]
         # repr is NaN-aware, so equal reprs mean equal cells
         assert [repr(r.as_list()) for r in rows] == [repr(r.as_list()) for r in want]
@@ -485,7 +495,7 @@ class TestBoundSides:
 
     @staticmethod
     def observed_and_trace(config, seed):
-        observed = experiment.observe(config, seed)
+        observed = observe(config, seed)
         k = config.attack_client
         trace = attack.invert_gradient(
             config.model, observed.theta_round, observed.wires[k], observed.datasets[k].y,
@@ -499,18 +509,30 @@ class TestBoundSides:
     def test_privacy_without_estimate_is_nan_and_fails_precondition(self):
         config = base_config()
         observed, trace = self.observed_and_trace(config, 5)
-        got = experiment.privacy_outcome(config, 5, observed, [trace], None)
+        got, = experiment.privacy_outcomes([(config, 5, {})], [observed], [[trace]], [None])
         assert got.measured == attack.privacy_leakage(trace)
         assert got.extras["delta_up"] == observed.delta_up_grad[0] > 0.0
         assert np.isnan(got.rhs) and not got.precondition_ok
         for key in ("threshold", "c_a", "c_b", "c_2", "pair_skip_rate"):
             assert np.isnan(got.extras[key]), key
 
+    def test_privacy_scores_trials_in_order_up_to_an_estimate_error(self, monkeypatch):
+        # trial 0's leakage is scored; trial 1's error is raised before its leakage
+        config = base_config()
+        observed, trace = self.observed_and_trace(config, 5)
+        scored = []
+        real = attack.privacy_leakage
+        monkeypatch.setattr(attack, "privacy_leakage", lambda t: scored.append(t) or real(t))
+        with pytest.raises(NumericError, match="estimate failed"):
+            experiment.privacy_outcomes([(config, 5, {})] * 3, [observed] * 3, [[trace]] * 3,
+                                        [None, NumericError("estimate failed"), None])
+        assert len(scored) == 1
+
     def test_utility_with_nan_c_keeps_the_measured_loss(self):
         config = base_config()
         observed, _ = self.observed_and_trace(config, 5)
         (got, half), = experiment.utility_outcomes([(config, 5, {})], [observed], [None])
-        row = experiment.run_trial(config, 5)
+        row, = experiment.run_trials([(config, 5, {})], experiment.score_trials)
         # the loss and its halfwidth do not depend on C
         assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
         assert got.extras["delta_two"] == float(
@@ -528,7 +550,7 @@ class TestBoundSides:
         with monkeypatch.context() as patch:
             patch.setattr(attack, "privacy_leakage", lambda *a: pytest.fail("leakage scored"))
             with pytest.raises(NumericError, match="estimate failed"):
-                experiment.privacy_outcome(config, 5, observed, [trace], failed)
+                experiment.privacy_outcomes([(config, 5, {})], [observed], [[trace]], [failed])
         with pytest.raises(NumericError, match="estimate failed"):
             experiment.utility_outcomes([(config, 5, {})], [observed], [failed])
         # a logistic loss stays finite at 1e160, ||delta||^2 does not
@@ -553,8 +575,7 @@ def reference_utility(config, seed, observed, est):
     target = observed.datasets[config.attack_client]
     theta = observed.theta_shadow
     delta = observed.theta_decoded - theta
-    xs, ys = datagen.fresh_sampler(replace(config.dataset, seed=seed), seed,
-                                   target.centers)(config.n_eval)
+    xs, ys = fresh_sampler(config.dataset, seed, target.centers)(config.n_eval)
     eps_u, half = map(float, protocol.measure_utility_loss(
         config.model, theta, delta, target.x, target.y, xs, ys))
     delta_two = float(np.linalg.norm(observed.theta_decoded - observed.theta_shadow))
@@ -585,7 +606,7 @@ class TestStackedUtilitySide:
                               mechanism=experiment.MechanismSpec("randomization",
                                                                  0.1 + 0.2 * (i % 4)), **kw),
                   rngmod.trial_seed(4, 0, i), {}) for i in range(n)]
-        seen = [experiment.observe(cfg, seed) for cfg, seed, _ in block]
+        seen = [observe(cfg, seed) for cfg, seed, _ in block]
         ests = datagen.estimate_constants_batch(model, [
             experiment.trial_probe(cfg, seed, o, []) for (cfg, seed, _), o in zip(block, seen)])
         return block, seen, ests
@@ -685,7 +706,7 @@ class TestOneProbe:
             sigma=0.3, fl_rounds=1, n_eval=200, num_pairs=80, quantile=0.1)
         config = scenario.experiment_config("privacy")
         assert config == scenario.experiment_config("utility")
-        row = experiment.run_trial(config, 7)
+        row, = experiment.run_trials([(config, 7, {})], experiment.score_trials)
         privacy, = verify.trial_outcomes("privacy", scenario, [7])
         utility, = verify.trial_outcomes("utility", scenario, [7])
         assert (row.c_a, row.c_b, row.privacy_rhs) == (
@@ -700,7 +721,7 @@ class TestOneProbe:
         config = base_config()
         d = config.model.param_dim
         shadow, decoded = np.zeros(d), np.r_[delta_two, np.zeros(d - 1)]
-        observed = experiment.observe(config, 5)._replace(
+        observed = observe(config, 5)._replace(
             theta_shadow=shadow, theta_decoded=decoded,
             two_way=experiment.two_way_distortion(decoded, shadow))
         assert experiment.trial_probe(config, 5, observed, []) == datagen.Probe(

@@ -11,7 +11,8 @@ import pytest
 
 from fedtradeoff import cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
-from fedtradeoff.experiment import ExperimentConfig, MechanismSpec, TrialRow, run_trial
+from fedtradeoff.experiment import (ExperimentConfig, MechanismSpec, TrialRow, run_trials,
+                                   score_trials)
 
 from conftest import rewalk_leakage, run_cli_in_process as run_cli
 
@@ -50,8 +51,8 @@ def sample_row():
 
 class TestIO:
     def test_dataset_csv_roundtrip(self, tmp_path):
-        spec = datagen.DatasetSpec(num_clients=2, per_client_size=5, input_dim=3, seed=3)
-        datasets = datagen.generate(spec)
+        spec = datagen.DatasetSpec(num_clients=2, per_client_size=5, input_dim=3)
+        datasets, = datagen.generate_batch(spec, [3])
         path = str(tmp_path / "d.csv")
         iomod.write_datasets(path, datasets)
         back = iomod.read_datasets(path)
@@ -67,11 +68,12 @@ class TestIO:
         assert np.array_equal(iomod.read_vector(path), v)
 
     def test_round_log_roundtrip(self, tmp_path):
-        spec = datagen.DatasetSpec(num_clients=2, per_client_size=4, input_dim=2, seed=1)
-        datasets = datagen.generate(spec)
+        spec = datagen.DatasetSpec(num_clients=2, per_client_size=4, input_dim=2)
+        datasets, = datagen.generate_batch(spec, [1])
         model = models.ModelSpec("logistic", 2)
-        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.2, seed=1)
-        res = protocol.run(model, cfg, MechanismSpec("randomization", 0.1), datasets)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.2)
+        res, = protocol.run_batch(model, cfg, [MechanismSpec("randomization", 0.1)], [datasets],
+                                  [1])
         path = str(tmp_path / "r.jsonl")
         iomod.write_round_log(path, res.records)
         back = iomod.read_round_log(path)
@@ -88,11 +90,11 @@ class TestIO:
     def test_round_log_supports_update_audit(self, tmp_path):
         # the emitted log carries enough to re-derive the server update exactly
         from fedtradeoff import protocol as proto
-        spec = datagen.DatasetSpec(num_clients=3, per_client_size=4, input_dim=2, seed=2)
-        datasets = datagen.generate(spec)
+        spec = datagen.DatasetSpec(num_clients=3, per_client_size=4, input_dim=2)
+        datasets, = datagen.generate_batch(spec, [2])
         model = models.ModelSpec("logistic", 2)
-        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=2)
-        res = protocol.run(model, cfg, MechanismSpec(), datasets)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3)
+        res, = protocol.run_batch(model, cfg, [MechanismSpec()], [datasets], [2])
         path = str(tmp_path / "r.jsonl")
         iomod.write_round_log(path, res.records)
         sizes = [d.size for d in datasets]
@@ -379,7 +381,8 @@ class TestAttackCLI:
 
 
 class TestAttackMatchesRunTrial:
-    """``attack`` on a trained run scores the upload as ``run_trial`` does."""
+    """``attack`` on a trained run scores the upload as a trial of ``run_trials``
+    does."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -397,7 +400,8 @@ class TestAttackMatchesRunTrial:
         assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--round", str(rnd),
                          "--client", str(client), *extra]) == 0
         got = iomod.read_results(os.path.join(out, "results.csv"))[0]
-        want = run_trial(replace(config, attack_round=rnd, attack_client=client), seed)
+        want, = run_trials([(replace(config, attack_round=rnd, attack_client=client), seed, {})],
+                           score_trials)
         # the attack row keys on the manifest config, whose attacked (round, client)
         # is (0, 0)
         assert got.sweep_axis == "attack"

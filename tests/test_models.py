@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, spread_values
+from conftest import assert_same_bits, finite_diff_check, mean_loss, spread_values
 from fedtradeoff import models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError
 
@@ -46,8 +46,8 @@ class TestLinearClosedForm:
     # L = 0.5 (theta.x - y)^2 with theta=(1,1), x=(1,2), y=0: residual 3
     def test_loss(self):
         spec = models.ModelSpec("linear", 2)
-        assert models.loss(spec, np.array([1.0, 1.0]),
-                           np.array([[1.0, 2.0]]), np.array([0.0])) == 4.5
+        assert mean_loss(spec, np.array([1.0, 1.0]),
+                         np.array([[1.0, 2.0]]), np.array([0.0])) == 4.5
 
     def test_grad_params(self):
         spec = models.ModelSpec("linear", 2)
@@ -61,12 +61,12 @@ class TestLogisticClosedForm:
         spec = models.ModelSpec("logistic", 3)
         x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0], [0.0, 0.1, -4.0]])
         y = np.array([0, 1, 1])
-        assert models.loss(spec, np.zeros(3), x, y) == pytest.approx(np.log(2), abs=1e-15)
+        assert mean_loss(spec, np.zeros(3), x, y) == pytest.approx(np.log(2), abs=1e-15)
 
     def test_zero_weights_multiclass_gives_lnc(self):
         spec = models.ModelSpec("logistic", 2, num_classes=5)
         x = np.array([[1.0, -1.0]])
-        assert models.loss(spec, np.zeros(10), x, np.array([3])) == pytest.approx(np.log(5))
+        assert mean_loss(spec, np.zeros(10), x, np.array([3])) == pytest.approx(np.log(5))
 
     def test_binary_grad_at_zero(self):
         # (sigmoid(0) - 1) * x = -0.5 x
@@ -90,18 +90,13 @@ class TestFiniteDifferences:
         worst = 0.0
         for seed in range(20):
             theta, x, y = draw_batch(spec, seed)
-            worst = max(worst, models.finite_diff_check(spec, theta, x, y, 1e-5))
+            worst = max(worst, finite_diff_check(spec, theta, x, y, 1e-5))
         assert worst <= 1e-5
 
     def test_linear_is_exact_to_rounding(self):
         spec = models.ModelSpec("linear", 3)
         theta, x, y = draw_batch(spec, 0)
-        assert models.finite_diff_check(spec, theta, x, y, 1e-5) <= 1e-8
-
-    def test_zero_step_rejected(self):
-        spec = models.ModelSpec("linear", 2)
-        with pytest.raises(ConfigurationError):
-            models.finite_diff_check(spec, np.zeros(2), np.ones((1, 2)), np.zeros(1), 0.0)
+        assert finite_diff_check(spec, theta, x, y, 1e-5) <= 1e-8
 
 
 def mlp1_loss_straight_line(theta, x, y, p, h, c):
@@ -130,7 +125,7 @@ class TestMlpReferenceOracle:
         for seed in range(5):
             theta, x, y = draw_batch(spec, seed, m=8)
             ref = mlp1_loss_straight_line(theta, x, y, 4, 6, 3)
-            assert models.loss(spec, theta, x, y) == pytest.approx(ref, rel=1e-12)
+            assert mean_loss(spec, theta, x, y) == pytest.approx(ref, rel=1e-12)
 
 
 class TestBatchSemantics:
@@ -138,8 +133,8 @@ class TestBatchSemantics:
     def test_loss_permutation_invariant(self, spec):
         theta, x, y = draw_batch(spec, 3)
         perm = rngmod.stream(1, 1).permutation(x.shape[0])
-        assert models.loss(spec, theta, x, y) == pytest.approx(
-            models.loss(spec, theta, x[perm], y[perm]), rel=1e-12)
+        assert mean_loss(spec, theta, x, y) == pytest.approx(
+            mean_loss(spec, theta, x[perm], y[perm]), rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_batch_grad_is_mean_of_singles(self, spec):
@@ -171,25 +166,25 @@ class TestBatchSemantics:
             assert np.array_equal(own[b], models.per_example_losses(spec, theta, x, y))
             assert np.array_equal(shared[b], models.per_example_losses(spec, theta, x0, y0))
             # row means too: each row is summed in the order of an unbatched call
-            assert own_means[b] == models.loss(spec, theta, x, y)
-            assert shared_means[b] == models.loss(spec, theta, x0, y0)
+            assert own_means[b] == mean_loss(spec, theta, x, y)
+            assert shared_means[b] == mean_loss(spec, theta, x0, y0)
 
     def test_dimension_mismatch_rejected(self):
         spec = models.ModelSpec("linear", 3)
         with pytest.raises(ConfigurationError):
-            models.loss(spec, np.zeros(3), np.ones((2, 4)), np.zeros(2))
+            models.per_example_losses(spec, np.zeros(3), np.ones((2, 4)), np.zeros(2))
         with pytest.raises(ConfigurationError):
-            models.loss(spec, np.zeros(4), np.ones((2, 3)), np.zeros(2))
+            models.per_example_losses(spec, np.zeros(4), np.ones((2, 3)), np.zeros(2))
 
     def test_empty_batch_rejected(self):
         spec = models.ModelSpec("linear", 3)
         with pytest.raises(ConfigurationError):
-            models.loss(spec, np.zeros(3), np.empty((0, 3)), np.empty(0))
+            models.per_example_losses(spec, np.zeros(3), np.empty((0, 3)), np.empty(0))
 
     @pytest.mark.parametrize("spec", ALL_SPECS[1:], ids=lambda s: s.kind)
     def test_losses_nonnegative(self, spec):
         theta, x, y = draw_batch(spec, 11)
-        assert models.loss(spec, theta, x, y) >= 0.0
+        assert mean_loss(spec, theta, x, y) >= 0.0
 
 
 def earlier_losses(spec, theta, x, y):

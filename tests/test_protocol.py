@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mean_loss
 from fedtradeoff import datagen, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
@@ -12,15 +13,15 @@ MODEL = models.ModelSpec("logistic", 3)
 
 def make_datasets(seed=42, num_clients=3, m=8):
     spec = datagen.DatasetSpec(num_clients=num_clients, per_client_size=m, input_dim=3,
-                               num_classes=2, class_separation=2.0, diameter_cap=2.0,
-                               seed=seed)
-    return spec, datagen.generate(spec)
+                               num_classes=2, class_separation=2.0, diameter_cap=2.0)
+    return spec, datagen.generate_batch(spec, [seed])[0]
 
 
 def round_zero(datasets, model=MODEL):
     """Record of round 0 of a one-round unprotected run over ``datasets``."""
-    cfg = protocol.FLRunConfig(rounds=1, seed=3)
-    return protocol.run(model, cfg, protocol.MechanismSpec(), datasets).records[0]
+    res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=1), [protocol.MechanismSpec()],
+                              [datasets], [3])
+    return res.records[0]
 
 
 class TestClientLocalUpdate:
@@ -61,36 +62,38 @@ class TestClientLocalUpdate:
 class TestProtect:
     def test_none_and_sigma_zero(self):
         g = np.array([[1.0, -2.0, 0.5]])
-        wires, delta_up = protocol.protect(g, protocol.MechanismSpec())
+        (wires,), (delta_up,) = protocol.protect_batch(g[None], [protocol.MechanismSpec()])
         assert delta_up == [0.0] and np.array_equal(wires, g)
-        wires, delta_up = protocol.protect(g, protocol.MechanismSpec("randomization", 0.0),
-                                           rngmod.stream(0, 1).standard_normal((1, 3)))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            g[None], [protocol.MechanismSpec("randomization", 0.0)],
+            rngmod.stream(0, 1).standard_normal((1, 1, 3)))
         assert delta_up == [0.0] and np.array_equal(wires, g)
 
     def test_he_identity_perm_unit_offset(self):
         g = np.array([[1.0, -2.0, 0.5]])
-        wires, delta_up = protocol.protect(g, protocol.MechanismSpec("he_codec"),
-                                           key=(np.arange(3), np.array([1.0, 0.0, 0.0])))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            g[None], [protocol.MechanismSpec("he_codec")],
+            keys=(np.arange(3)[None], np.array([[1.0, 0.0, 0.0]])))
         assert delta_up == [1.0]
         assert np.array_equal(wires, g + np.array([1.0, 0.0, 0.0]))
 
     def test_he_without_key_is_a_config_error(self):
         with pytest.raises(ConfigurationError, match="^he_codec requires a key$"):
-            protocol.protect(np.zeros((2, 3)), protocol.MechanismSpec("he_codec"))
+            protocol.protect_batch(np.zeros((1, 2, 3)), [protocol.MechanismSpec("he_codec")])
 
     def test_randomization_chi_square(self):
         # E ||delta||^2 = d sigma^2 = 1.0 for sigma=0.1, d=100
         g = rngmod.stream(1, 99)
         mech = protocol.MechanismSpec("randomization", 0.1)
-        _, delta_up = protocol.protect(np.zeros((10000, 100)), mech,
-                                       g.standard_normal((10000, 100)))
+        _, (delta_up,) = protocol.protect_batch(np.zeros((1, 10000, 100)), [mech],
+                                                g.standard_normal((1, 10000, 100)))
         mean_sq = np.mean([u ** 2 for u in delta_up])
         assert abs(mean_sq - 1.0) <= 0.03
 
     def test_exact_norm(self):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1.0, exact_norm=0.7)
-        wires, delta_up = protocol.protect(np.zeros((1, 5)), mech,
-                                           rngmod.stream(3, 4).standard_normal((1, 5)))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            np.zeros((1, 1, 5)), [mech], rngmod.stream(3, 4).standard_normal((1, 1, 5)))
         assert delta_up[0] == pytest.approx(0.7, rel=1e-12)
         # a finite norm rescales the draw itself
         z = rngmod.stream(3, 4).standard_normal(5)
@@ -115,7 +118,7 @@ class TestProtect:
         d = sigma * z[2]
         deltas += [d * (target / np.linalg.norm(d)), sigma * z[3]]
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=target)
-        wires, delta_up = protocol.protect(g, mech, z)
+        (wires,), (delta_up,) = protocol.protect_batch(g[None], [mech], z[None])
         assert np.array_equal(wires, np.array([gk + dk for gk, dk in zip(g, deltas)]))
         assert delta_up == [float(np.linalg.norm(dk)) for dk in deltas]
         assert delta_up[:3] == pytest.approx([target] * 3, rel=1e-15) and delta_up[3] == 0.0
@@ -124,8 +127,8 @@ class TestProtect:
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1e200,
                                       exact_norm=exact_norm)
-        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
-                                           rngmod.stream(0, 1).standard_normal((1, 4)))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
         assert np.all(np.isfinite(wires))
         if exact_norm is None:
             assert delta_up[0] == math.inf
@@ -134,8 +137,8 @@ class TestProtect:
     def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
         # ||delta|| is inf at these sigmas; the rescale keeps the direction
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=2.0)
-        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
-                                           rngmod.stream(0, 1).standard_normal((1, 4)))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
         assert delta_up[0] == pytest.approx(2.0, rel=1e-15)
         assert np.all(np.isfinite(wires))
 
@@ -148,8 +151,8 @@ class TestProtect:
             assert not np.all(np.isfinite(sigma * z))
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma,
                                       exact_norm=exact_norm)
-        wires, delta_up = protocol.protect(np.ones((1, 4)), mech,
-                                           rngmod.stream(0, 1).standard_normal((1, 4)))
+        (wires,), (delta_up,) = protocol.protect_batch(
+            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
         if exact_norm is None:
             assert delta_up[0] == math.inf
         else:
@@ -190,8 +193,8 @@ class TestAggregate:
 class TestRun:
     def test_none_mechanism_shadow_identical(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3, seed=1)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3)
+        res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [1])
         for rec in res.records:
             assert rec.delta_two_grad == 0.0
             assert rec.shadow_gap == 0.0
@@ -200,8 +203,9 @@ class TestRun:
 
     def test_he_zero_two_way_and_bit_equal_shadow(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3, seed=1)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
+        cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3)
+        he = protocol.MechanismSpec("he_codec")
+        res, = protocol.run_batch(MODEL, cfg, [he], [datasets], [1])
         for rec in res.records:
             assert rec.delta_two_grad == 0.0
             assert rec.delta_two_param == 0.0
@@ -211,26 +215,28 @@ class TestRun:
 
     def test_he_single_round_k1_eta1_reproduces_unprotected(self):
         _, datasets = make_datasets(num_clients=1)
-        cfg = protocol.FLRunConfig(rounds=1, learning_rate=1.0, seed=2)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
-        plain = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        cfg = protocol.FLRunConfig(rounds=1, learning_rate=1.0)
+        res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec("he_codec")], [datasets],
+                                  [2])
+        plain, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [2])
         assert np.array_equal(res.theta_final_decoded, plain.theta_final_decoded)
         assert res.records[0].delta_two_grad == 0.0
 
     def test_protected_final_view(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=1)
-        plain = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3)
+        plain, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [1])
         assert np.array_equal(plain.theta_final_protected, plain.theta_final_decoded)
-        he = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec"), datasets)
+        he, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec("he_codec")], [datasets],
+                                 [1])
         assert np.all(np.isfinite(he.theta_final_protected))
         assert not np.allclose(he.theta_final_protected, he.theta_final_decoded)
 
     def test_shared_noise_delta_two_equals_delta_up(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.25, seed=4)
+        cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.25)
         mech = protocol.MechanismSpec("randomization", 0.2, shared_noise=True)
-        res = protocol.run(MODEL, cfg, mech, datasets)
+        res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [4])
         for rec in res.records:
             for k in range(len(datasets)):
                 assert rec.delta_two_grad == pytest.approx(rec.delta_up_grad[k], abs=1e-12)
@@ -238,8 +244,9 @@ class TestRun:
 
     def test_randomization_delta_two_is_aggregate_delta_norm(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.25, seed=12)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.25)
+        mech = protocol.MechanismSpec("randomization", 0.3)
+        res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [12])
         sizes = [d.size for d in datasets]
         for rec in res.records:
             agg_delta = protocol.weighted_sum(rec.wires - rec.grads, sizes)
@@ -248,8 +255,9 @@ class TestRun:
 
     def test_delta_up_is_wire_minus_grad_norm(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.25, seed=5)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.4), datasets)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.25)
+        mech = protocol.MechanismSpec("randomization", 0.4)
+        res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [5])
         for rec in res.records:
             for k in range(len(datasets)):
                 direct = float(np.linalg.norm(rec.wires[k] - rec.grads[k]))
@@ -258,9 +266,10 @@ class TestRun:
 
     def test_sigma_zero_identical_to_none(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3, seed=6)
-        a = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
-        b = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.0), datasets)
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3)
+        a, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [6])
+        b, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec("randomization", 0.0)],
+                                [datasets], [6])
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
             assert ra.delta_two_grad == rb.delta_two_grad == 0.0
@@ -269,9 +278,10 @@ class TestRun:
 
     def test_bit_reproducible(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3, seed=7)
-        a = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
-        b = protocol.run(MODEL, cfg, protocol.MechanismSpec("randomization", 0.3), datasets)
+        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3)
+        mech = protocol.MechanismSpec("randomization", 0.3)
+        a, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [7])
+        b, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [7])
         assert np.array_equal(a.theta_final_decoded, b.theta_final_decoded)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
@@ -288,15 +298,14 @@ class TestRun:
     def test_divergence_raises(self, x, fl, message):
         spec = models.ModelSpec("linear", 2)
         ds = datagen.ClientDataset(client_id=0, x=np.array(x), y=np.array([0.0]))
-        cfg = protocol.FLRunConfig(rounds=2, seed=1, **fl)
+        cfg = protocol.FLRunConfig(rounds=2, **fl)
         with pytest.raises(NumericError, match=f"^run aborted: {message}$"):
-            protocol.run(spec, cfg, protocol.MechanismSpec(), [ds])
+            protocol.run_batch(spec, cfg, [protocol.MechanismSpec()], [[ds]], [1])
 
     def test_inv_sqrt_schedule(self):
         _, datasets = make_datasets()
-        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.4, lr_schedule="inv_sqrt",
-                                   seed=8)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.4, lr_schedule="inv_sqrt")
+        res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [8])
         etas = [rec.eta for rec in res.records]
         assert etas == pytest.approx([0.4 / np.sqrt(t + 1) for t in range(4)])
 
@@ -318,7 +327,7 @@ class TestFLRunConfig:
     def test_zero_init_scale_starts_at_the_origin(self):
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=1, init_scale=0.0)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec(), datasets)
+        res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [0])
         assert np.array_equal(res.records[0].theta_decoded, np.zeros(3))
 
 
@@ -335,7 +344,7 @@ RUN_MECHS = {
 
 
 class TestRoundsMatchPerClientReference:
-    """Every round of ``run`` equals the per-client computation bit for bit:
+    """Every round of ``run_batch`` equals the per-client computation bit for bit:
     one ``grad_params`` call per client and trajectory, and the noise of
     client k in round t drawn from its own ``rng.stream``."""
 
@@ -347,17 +356,19 @@ class TestRoundsMatchPerClientReference:
         mech = RUN_MECHS[mech_name]
         spec = datagen.DatasetSpec(num_clients=num_clients, per_client_size=9, input_dim=3,
                                    num_classes=model.num_classes, class_separation=2.0,
-                                   diameter_cap=2.0, seed=21)
-        datasets = datagen.generate(spec)
+                                   diameter_cap=2.0)
+        datasets, = datagen.generate_batch(spec, [21])
         if sizes == "unequal":
             datasets = [datagen.ClientDataset(ds.client_id, ds.x[:9 - k], ds.y[:9 - k])
                         for k, ds in enumerate(datasets)]
-        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3, seed=17)
-        res = protocol.run(model, cfg, mech, datasets)
-        key = None
+        seed = 17
+        res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=4, learning_rate=0.3),
+                                  [mech], [datasets], [seed])
+        keys = None
         if mech_name == "he":
-            key = protocol._he_key(model.param_dim,
-                                   rngmod.stream(cfg.seed, rngmod.STREAM_MECH), 0.5)
+            perm, offset = protocol._he_key(model.param_dim,
+                                            rngmod.stream(seed, rngmod.STREAM_MECH), 0.5)
+            keys = perm[None], offset[None]
         sizes = [ds.size for ds in datasets]
         shadow = res.records[0].theta_decoded
         for t, rec in enumerate(res.records):
@@ -368,11 +379,11 @@ class TestRoundsMatchPerClientReference:
                 z = None
                 if mech.kind == "randomization":
                     client = 0 if mech.shared_noise else k + 1
-                    z = rngmod.stream(cfg.seed, rngmod.STREAM_PROTECT, t, client).standard_normal(
+                    z = rngmod.stream(seed, rngmod.STREAM_PROTECT, t, client).standard_normal(
                         model.param_dim)
-                # a one-row block: a row must not depend on the rest of its block
-                (wire,), (delta_up,) = protocol.protect(
-                    g[None], mech, None if z is None else z[None], key)
+                # a block of one: a row must not depend on the rest of its block
+                ((wire,),), ((delta_up,),) = protocol.protect_batch(
+                    g[None, None], [mech], None if z is None else z[None, None], keys)
                 assert np.array_equal(rec.grads[k], g)
                 assert np.array_equal(rec.wires[k], wire)
                 assert rec.delta_up_grad[k] == delta_up
@@ -401,9 +412,9 @@ class TestHEKey:
     @pytest.mark.parametrize("seed", [4, 2024])
     def test_run_key_is_the_old_codec_at_the_run_seed(self, seed, num_clients):
         _, datasets = make_datasets(num_clients=num_clients)
-        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3, seed=seed)
-        res = protocol.run(MODEL, cfg, protocol.MechanismSpec("he_codec", offset_scale=0.5),
-                           datasets)
+        cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3)
+        mech = protocol.MechanismSpec("he_codec", offset_scale=0.5)
+        res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [seed])
         perm, offset = old_codec_key(MODEL.param_dim, seed, 0.5)
         # the old ciphertext view of each round's server state: payload + units * offset,
         # the units tracked through each round's size-weighted aggregation
@@ -433,11 +444,11 @@ class TestMeasureUtilityLoss:
         spec, datasets = make_datasets(m=8)
         ds = datasets[0]
         theta = np.array([0.2, -0.1, 0.4])
-        xs, ys = datagen.fresh_sampler(spec, 77)(300)
+        xs, ys = next(datagen.fresh_draws(spec, [77], [ds.centers], 300))
         eps, _ = protocol.measure_utility_loss(MODEL, theta, np.zeros(3), ds.x, ds.y, xs, ys)
-        l_exp = np.mean([models.loss(MODEL, theta, xs[i][None, :], ys[i:i + 1])
+        l_exp = np.mean([mean_loss(MODEL, theta, xs[i][None, :], ys[i:i + 1])
                          for i in range(300)])
-        l_emp = models.loss(MODEL, theta, ds.x, ds.y)
+        l_emp = mean_loss(MODEL, theta, ds.x, ds.y)
         assert eps == pytest.approx(abs(l_exp - l_emp), rel=1e-10)
 
     def test_distortion_grows_utility_loss(self):
@@ -446,14 +457,14 @@ class TestMeasureUtilityLoss:
         wins = 0
         for seed in range(50):
             dss = datagen.DatasetSpec(num_clients=1, per_client_size=24, input_dim=2,
-                                      class_separation=4.0, diameter_cap=3.0, seed=seed)
-            ds1 = datagen.generate(dss)[0]
+                                      class_separation=4.0, diameter_cap=3.0)
+            (ds1,), = datagen.generate_batch(dss, [seed])
             th = models.init_params(spec2, rngmod.stream(seed, rngmod.STREAM_INIT), 0.3)
             for _ in range(20):
                 th = th - 0.5 * models.grad_params(spec2, th, ds1.x, ds1.y)
             u = rngmod.stream(seed, 63).standard_normal(2)
             big = 10.0 * u / np.linalg.norm(u)
-            xs, ys = datagen.fresh_sampler(dss, seed + 100)(400)
+            xs, ys = next(datagen.fresh_draws(dss, [seed + 100], [ds1.centers], 400))
             e0, _ = protocol.measure_utility_loss(spec2, th, np.zeros(2), ds1.x, ds1.y, xs, ys)
             e1, _ = protocol.measure_utility_loss(spec2, th, big, ds1.x, ds1.y, xs, ys)
             wins += (e1 >= e0)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import os
 
@@ -57,3 +59,38 @@ def test_config_files_are_written_but_not_digested(monkeypatch, tmp_path):
     found = script.digests(str(tmp_path), os.path.join(ROOT, "src"))
     assert list(found) == ["runs/constants-five-classes/constants.json"]
     assert os.path.exists(tmp_path / "configs" / "five-classes.json")
+
+
+def package_references(path):
+    """Every ``(layer, name)`` the script at ``path`` reads off the package,
+    found by parsing it, not running it: ``<layer>.<name>`` for a layer module
+    it imports from ``fedtradeoff`` (under any alias), and ``ft.<layer>.<name>``
+    for the package handed in as ``ft``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fedtradeoff"
+               for alias in node.names}
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in aliases:
+            found.add((aliases[owner.id], node.attr))
+        elif isinstance(owner, ast.Attribute) and (
+                getattr(owner.value, "id", None) == "ft"
+                or getattr(owner.value, "attr", None) == "ft"):
+            found.add((owner.attr, node.attr))
+    return found
+
+
+@pytest.mark.parametrize("script", ["scripts/pilots.py", "perfbench/workloads.py"])
+def test_scripts_read_only_names_the_package_has(script):
+    # nothing else in the suite runs these scripts, so a name the package
+    # dropped would otherwise surface only when someone runs them
+    found = package_references(os.path.join(ROOT, script))
+    assert len(found) >= 5
+    missing = sorted(f"{layer}.{name}" for layer, name in found
+                     if not hasattr(importlib.import_module(f"fedtradeoff.{layer}"), name))
+    assert not missing

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import fresh_sampler
 from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
@@ -28,22 +29,22 @@ def hand_built_privacy_trial(scenario, trial_seed):
     hand (data, init, gradient, protection on its stream), outside the protocol.
     The constants pool every client's data; C's move budget enters no privacy
     extra, so the default stands."""
-    ds_spec = replace(scenario.dataset, seed=trial_seed)
-    datasets = datagen.generate(ds_spec)
+    ds_spec = scenario.dataset
+    datasets, = datagen.generate_batch(ds_spec, [trial_seed])
     ds = datasets[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
-    z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, g.shape[0]))
-    (wire,), (delta_up,) = protocol.protect(
-        g[None], protocol.MechanismSpec("randomization", scenario.sigma), z)
+    z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, 1, g.shape[0]))
+    ((wire,),), ((delta_up,),) = protocol.protect_batch(
+        g[None, None], [protocol.MechanismSpec("randomization", scenario.sigma)], z)
     trace = attack.invert_gradient(
         scenario.model, theta, wire, ds.y, ds.size,
         replace(scenario.attack, seed=trial_seed), ds.x, ds_spec.diameter_cap)
     eps_p = attack.privacy_leakage(trace)
-    est = datagen.estimate_constants(
-        scenario.model, theta, datasets, num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, attack_objectives=trace.objectives[1:],
-        seed=trial_seed)
+    row, = datagen.estimate_constants_batch(scenario.model, [datagen.Probe(
+        theta, datasets, num_pairs=scenario.num_pairs, quantile=scenario.quantile,
+        attack_objectives=trace.objectives[1:], seed=trial_seed)])
+    est = datagen.constants_of(row)
     threshold = bounds.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
     rhs = bounds.privacy_upper_bound(scenario.gamma, ds.size, est.c_a,
@@ -74,22 +75,22 @@ def hand_built_utility_trial(scenario, trial_seed, mech):
     """Oracle: the utility pipeline on a protocol run whose data, mechanism and
     run config are built here, with M computed here from its definition and C
     estimated at the round-0 model, without attack objectives."""
-    ds_spec = replace(scenario.dataset, seed=trial_seed)
-    datasets = datagen.generate(ds_spec)
-    fl = protocol.FLRunConfig(rounds=scenario.fl_rounds, learning_rate=scenario.learning_rate,
-                              seed=trial_seed)
-    result = protocol.run(scenario.model, fl, mech, datasets)
+    ds_spec = scenario.dataset
+    datasets, = datagen.generate_batch(ds_spec, [trial_seed])
+    fl = protocol.FLRunConfig(rounds=scenario.fl_rounds, learning_rate=scenario.learning_rate)
+    result, = protocol.run_batch(scenario.model, fl, [mech], [datasets], [trial_seed])
     target = datasets[0]
     theta = result.theta_final_shadow
     delta_model = result.theta_final_decoded - theta
     delta_two = float(np.linalg.norm(delta_model))
     eps_u, _ = map(float, protocol.measure_utility_loss(
         scenario.model, theta, delta_model, target.x, target.y,
-        *datagen.fresh_sampler(ds_spec, trial_seed)(scenario.n_eval)))
+        *fresh_sampler(ds_spec, trial_seed, target.centers)(scenario.n_eval)))
     theta0 = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
-    est = datagen.estimate_constants(
-        scenario.model, theta0, datasets, num_pairs=scenario.num_pairs,
-        quantile=scenario.quantile, delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)
+    row, = datagen.estimate_constants_batch(scenario.model, [datagen.Probe(
+        theta0, datasets, num_pairs=scenario.num_pairs, quantile=scenario.quantile,
+        delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)])
+    est = datagen.constants_of(row)
     losses = models.per_example_losses(scenario.model, theta + delta_model, target.x, target.y)
     big_m = max(float(np.max(np.abs(losses))), 1e-12)
     lam, rhs = map(float, bounds.minimize_utility_lambda(
@@ -274,7 +275,8 @@ class TestVerifyBound:
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
             verify.trial_outcomes("utility", scenario, [0])
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
-            experiment.run_trial(scenario.experiment_config("utility"), 0)
+            experiment.run_trials([(scenario.experiment_config("utility"), 0, {})],
+                                  experiment.score_trials)
 
     def test_privacy_bound_sigma_zero_always_holds(self):
         # delta_up = 0 -> rhs >= 1 >= eps_p; vacuous trials count as non-violations
