@@ -54,6 +54,21 @@ CONFIGS = {
         "master_seed": 0, "n_eval": 400, "num_pairs": 120, "quantile": 0.05, "gamma": 0.1,
         "eta": 0.1, "attack_round": 0, "attack_client": 0,
     },
+    # an mlp1 whose attack runs plain SGD with backtracking, at a step its
+    # 60 steps halve 85 times
+    "configs/mlp1-backtracking.json": {
+        "dataset": {"num_clients": 2, "per_client_size": 6, "input_dim": 3, "num_classes": 3,
+                    "class_separation": 2.0, "diameter_cap": 2.0, "seed": 0},
+        "model": {"kind": "mlp1", "input_dim": 3, "hidden_dim": 5, "num_classes": 3},
+        "fl": {"rounds": 2, "learning_rate": 0.2, "lr_schedule": "constant", "seed": 0,
+               "init_scale": 0.5},
+        "mechanism": {"kind": "none", "sigma": 0.0, "shared_noise": False,
+                      "offset_scale": 1.0, "exact_norm": None},
+        "attack": {"iters": 60, "optimizer": "sgd", "step_size": 20.0, "init": "gaussian",
+                   "init_scale": 0.5, "seed": 0, "backtracking": True},
+        "master_seed": 3, "n_eval": 400, "num_pairs": 120, "quantile": 0.05, "gamma": 0.1,
+        "eta": 0.1, "attack_round": 0, "attack_client": 0,
+    },
 }
 
 COMMANDS = [
@@ -87,6 +102,15 @@ COMMANDS = [
     ["train", "--model", "linear", "--optimizer", "sgd", "--step-size", "50", "--seed", "13",
      "--out", "runs/linear-sgd"],
     ["attack", "--run-dir", "runs/linear-sgd", "--out", "runs/linear-sgd-attack",
+     "--dump-trajectory"],
+    # the mlp1 inversion's backtracking re-scores, then an mlp1 inversion that
+    # truncates mid-run: Adam at step 3e307 overflows after 61 of its 80 steps
+    ["train", "--config", "configs/mlp1-backtracking.json", "--out", "runs/mlp1-sgd"],
+    ["attack", "--run-dir", "runs/mlp1-sgd", "--out", "runs/mlp1-sgd-attack",
+     "--dump-trajectory"],
+    ["train", "--model", "mlp1", "--hidden", "5", "--input-dim", "3", "--step-size", "3e307",
+     "--seed", "2", "--out", "runs/mlp1-truncated"],
+    ["attack", "--run-dir", "runs/mlp1-truncated", "--out", "runs/mlp1-truncated-attack",
      "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
     ["estimate-constants", "--config", "configs/five-classes.json",

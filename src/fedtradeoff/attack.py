@@ -9,9 +9,10 @@ minimizes the matching objective
 over the candidate features ``X``. Its gradient is exact and batched over the
 samples: with v = (1/m) sum_i grad_theta L(theta, X_i, Y_i) - g_obs,
 dF/dX_i = (2/m) J_i^T v, where J_i is the Jacobian of sample i's parameter
-gradient w.r.t. X_i. ``models.per_example_grads_and_vjp`` scores a candidate
-with one forward pass and returns every J_i^T v as a deferred VJP over that
-pass, so the optimizer runs one forward pass per evaluated candidate: an
+gradient w.r.t. X_i. An inversion prepares its model and labels once
+(``models.prepare``); the prepared pass scores a candidate with one forward
+pass and returns every J_i^T v as a deferred VJP over that pass, so the
+optimizer runs one forward pass per evaluated candidate: an
 accepted candidate's VJP gives the next step's gradient, and a rejected
 backtracking candidate never pays for its VJP. ``invert_batch`` runs several
 equal-shape inversions in lockstep over a leading trial axis, one stacked
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import models, rng as rngmod
 from .datagen import ClientDataset
-from .errors import ConfigurationError, NumericError, require_int
+from .errors import ConfigurationError, NumericError, require_bool, require_int, require_number
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,9 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         require_int("iters", self.iters, 1)
+        require_number("step_size", self.step_size)
+        require_number("init_scale", self.init_scale)
+        require_bool("backtracking", self.backtracking)
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer: {self.optimizer!r}")
         if not 0 < self.step_size < math.inf:         # NaN fails too
@@ -77,26 +81,32 @@ class AttackTrace:
     trajectory: np.ndarray | None = None
 
 
-def _score(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
-           g_obs: np.ndarray):
-    """F(x), its residual v and the input VJP, all from one forward pass.
+def _score(prep: models.Prepared, x: np.ndarray, g_obs: np.ndarray):
+    """F(x), its residual v and the input VJP, all from one run of the
+    prepared pass ``prep`` (``models.prepare``) at x.
 
     Any leading (trial) axes of the arguments are kept: F has their shape.
-    v is ``grads.mean(axis=-2) - g_obs`` bit for bit. For a gradient length
-    P >= 2, numpy's mean adds the m examples' rows one after another, starting
-    from +0.0, then divides by m. An ordered accumulation adds them in the
-    same order, and one added 0.0 turns a sum of -0.0 alone into numpy's
+    v is ``grads.mean(axis=-2) - g_obs`` bit for bit. numpy's mean is
+    ``np.add.reduce`` over the example axis, then a division by m; the
+    residual takes those two steps itself, in place, without the wrapper.
+    For a gradient length 2 <= P < ``models._NARROW`` it takes the sum by an
+    ordered accumulation instead. There numpy's reduce adds the m examples'
+    rows one after another, starting from +0.0; the accumulation adds them in
+    the same order, and one added 0.0 turns a sum of -0.0 alone into numpy's
     +0.0; it runs no inner loop over the short P axis. At P = 1 numpy folds
     the example axis into its inner loop and sums it pairwise from 8 examples
     on, so the accumulation needs P >= 2. Any P >= 2 keeps the bits, but only
     below ``models._NARROW`` is it the cheaper one: measured at 1 to 256
     trials of 16 examples, it wins at 2 to 4 entries and loses at 6 and 7, so
-    both ends keep ``mean``."""
-    grads, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+    both ends keep the reduce."""
+    grads, vjp = prep(x)
+    m = grads.shape[-2]
     if 2 <= grads.shape[-1] < models._NARROW:
-        v = (np.add.accumulate(grads, axis=-2)[..., -1, :] + 0.0) / grads.shape[-2] - g_obs
+        v = (np.add.accumulate(grads, axis=-2)[..., -1, :] + 0.0) / m - g_obs
     else:
-        v = grads.mean(axis=-2) - g_obs
+        v = np.add.reduce(grads, axis=-2)
+        v /= m
+        v -= g_obs
     with np.errstate(over="ignore"):      # F = inf truncates the row
         f = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
     return f, v, vjp
@@ -134,8 +144,11 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
 
     Row b inverts ``g_obs[b]`` (shape (B, param_dim)) observed at ``theta[b]``
     with labels ``labels[b]`` (shape (B, m)), under ``cfg`` with its seed
-    replaced by ``seeds[b]``; ``x0`` (B, m, p) overrides the init. Every step
-    runs one stacked forward pass for the rows still running. A row that
+    replaced by ``seeds[b]``; ``x0`` (B, m, p) overrides the init. The model
+    and labels are prepared once (``models.prepare``), and every step runs
+    one stacked forward pass of that pass for the rows still running; those
+    rows, and the rows a backtracking step re-scores, run on its ``take`` of
+    them. A row that
     truncates leaves the batch at its last accepted iterate (a row whose
     objective at the init is not finite truncates before step 1); SGD
     backtracking halves the step of each row that has not yet improved. Row
@@ -179,15 +192,16 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
     final = x.copy()                              # each row's last accepted iterate
     objectives = np.empty((cfg.iters + 1, n_rows))
     iters_run = np.zeros(n_rows, dtype=np.int64)
-    f, v, vjp = _score(spec, theta, x, labels, g_obs)
+    prep = models.prepare(spec, theta, labels)   # the model and labels, once
+    f, v, vjp = _score(prep, x, g_obs)
     objectives[0] = f
     truncated = ~np.isfinite(f)                   # no step starts from F = inf
     live = np.flatnonzero(~truncated)             # rows still running
     rows = slice(None)                            # live, as a view while every row runs
     if truncated.any():
         rows = live
-        theta, g_obs, labels, x = theta[live], g_obs[live], labels[live], x[live]
-        f, v, vjp = _score(spec, theta, x, labels, g_obs)
+        prep, g_obs, x = prep.take(live), g_obs[live], x[live]
+        f, v, vjp = _score(prep, x, g_obs)
     step = cfg.step_size
     mom1 = np.zeros_like(x)
     mom2 = np.zeros_like(x)
@@ -203,7 +217,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                 x_new = _adam_step(x, grad, mom1, mom2, t, step)
             else:
                 x_new = x - step * grad
-            f_new, v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)
+            f_new, v_new, vjp_new = _score(prep, x_new, g_obs)
             if cfg.optimizer == "sgd" and cfg.backtracking:
                 trial = np.full(len(live), step)
                 tries = 0
@@ -211,8 +225,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                 while worse.any() and tries < 40:
                     trial[worse] *= 0.5
                     x_new[worse] = x[worse] - trial[worse, None, None] * grad[worse]
-                    f_new[worse] = _score(spec, theta[worse], x_new[worse],
-                                          labels[worse], g_obs[worse])[0]
+                    f_new[worse] = _score(prep.take(worse), x_new[worse], g_obs[worse])[0]
                     tries += 1
                     worse = f_new > f
                 # stay put, keep monotone
@@ -223,7 +236,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             if not ok.all():
                 truncated[live[~ok]] = True
                 final[live[~ok]] = x[~ok]
-                live, theta, g_obs, labels = live[ok], theta[ok], g_obs[ok], labels[ok]
+                live, prep, g_obs = live[ok], prep.take(ok), g_obs[ok]
                 x, x_new, f_new, mom1, mom2 = x[ok], x_new[ok], f_new[ok], mom1[ok], mom2[ok]
                 rows = live
                 if len(live) == 0:
@@ -231,7 +244,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                 stale = True
             if stale:
                 # one pass over the accepted candidates, for their residuals and VJP
-                v_new, vjp_new = _score(spec, theta, x_new, labels, g_obs)[1:]
+                v_new, vjp_new = _score(prep, x_new, g_obs)[1:]
 
             x, f, v, vjp = x_new, f_new, v_new, vjp_new
             iters_run[rows] = t

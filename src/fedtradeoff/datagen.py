@@ -20,7 +20,7 @@ import numpy as np
 
 from . import models, rng as rngmod
 from .errors import (ConfigurationError, EstimationError, FedTradeoffError, NumericError,
-                     require_int)
+                     require_int, require_number)
 
 # Raw mixture lives inside radius _RAW_RADIUS with probability ~1; rejection
 # beyond it makes the bound exact.
@@ -67,6 +67,8 @@ class DatasetSpec:
         for name, least in (("num_clients", 1), ("per_client_size", 1), ("input_dim", 1),
                             ("num_classes", 2)):
             require_int(name, getattr(self, name), least)
+        for name in ("class_separation", "diameter_cap"):
+            require_number(name, getattr(self, name))
         if not 0 <= self.class_separation <= _MAX_SEPARATION:     # NaN fails too
             raise ConfigurationError(
                 f"class_separation must be between 0 and {_MAX_SEPARATION:g}")

@@ -31,3 +31,17 @@ def require_int(name: str, value, least: int) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or not least <= value <= sys.maxsize):
         raise ConfigurationError(f"{name} must be an integer >= {least} and <= {sys.maxsize}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a bool: JSON true or
+    false, not a string such as "false", a number or null."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, not {value!r}")
+
+
+def require_number(name: str, value) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a real number; an int
+    is one, a bool (JSON true) is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, not {value!r}")

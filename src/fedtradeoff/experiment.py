@@ -34,7 +34,7 @@ from . import bounds as boundsmod
 from . import datagen, models, protocol
 from . import rng as rngmod
 from .errors import (ConfigurationError, EstimationError, FedTradeoffError, NumericError,
-                     require_int)
+                     require_int, require_number)
 from .protocol import MechanismSpec
 
 
@@ -58,6 +58,8 @@ class ExperimentConfig:
         for name, least in (("master_seed", 0), ("attack_round", 0), ("attack_client", 0),
                             ("n_eval", 1), ("num_pairs", 1)):
             require_int(name, getattr(self, name), least)
+        for name in ("quantile", "gamma", "eta"):
+            require_number(name, getattr(self, name))
         # the scorers' own checks, made when the config is built; NaN fails each
         if self.n_eval < 100:
             raise ConfigurationError("n_eval must be >= 100")

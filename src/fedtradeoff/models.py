@@ -16,9 +16,17 @@ Parameter flattening order (fixed, relied on by distortion injection):
 * mlp1:     ``W1`` (hidden x input, row-major), ``b1``, ``W2`` (classes x hidden,
   row-major), ``b2`` -- concatenated in that order.
 
-``per_example_grads_and_vjp`` runs one forward pass and returns the per-example
-parameter gradients together with a deferred input VJP that reuses that pass's
-cached values; ``per_example_grads`` is its first half.
+A gradient pass comes in two parts. ``prepare(spec, theta, y)`` validates
+theta and the labels once and takes what they alone fix: the kind's views of
+theta, with the transposes and broadcast biases its products take, and the
+softmax kinds' one-hot labels. The ``Prepared`` pass it returns then runs on
+any x: a call gives the per-example parameter gradients and a deferred input
+VJP that reuses that call's forward values. ``per_example_grads_and_vjp`` is
+prepare-then-run and ``per_example_grads`` its first half, so every caller
+goes through the one forward pass and the one VJP of each kind. A pass
+prepared once and called on many x (an inversion's steps) gives at each x,
+bit for bit, what a fresh ``per_example_grads_and_vjp`` gives there: a call
+runs the same operations in the same order and writes only arrays of its own.
 
 Losses are per example, and a batch's loss is their mean (``grad_params``
 is its gradient). Everything is float64 and pure: identical inputs give
@@ -78,27 +86,6 @@ def _unpack_mlp(spec: ModelSpec, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _check_batch(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated float64 ``(theta, x, y)``: theta (..., param_dim), x (..., m, p),
-    y (..., m), with the same leading (trial) axes on all three."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape[-2] == 0:
-        raise ConfigurationError("batch must be non-empty")
-    if x.shape[-1] != spec.input_dim:
-        raise ConfigurationError(f"feature dim {x.shape[-1]} != input_dim {spec.input_dim}")
-    if y.shape != x.shape[:-1]:
-        raise ConfigurationError("feature/label count mismatch")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != x.shape[:-2] + (spec.param_dim,):
-        raise ConfigurationError(f"param vector shape {theta.shape} != "
-                                 f"{x.shape[:-2] + (spec.param_dim,)}")
-    return theta, x, y
-
-
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector product ``a @ v`` over any leading axes."""
     return np.matmul(a, v[..., None])[..., 0]
@@ -142,15 +129,11 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_residual(logits: np.ndarray, yi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities P and the cross-entropy logit gradient P - e_y."""
-    probs = _softmax(logits)
-    return probs, probs - (yi[..., None] == np.arange(logits.shape[-1]))
+    """Softmax over the last axis, computed in z's own memory."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -163,19 +146,156 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _scores(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
-    """The kind's one forward pass over x (..., m, p): its scores and what the
-    gradient pass reuses. theta . x and () for linear and binary logistic; the
-    logits W x and (W,) for softmax; W2 a + b2 and (W1, W2, a) with
-    a = tanh(W1 x + b1) for mlp1."""
-    if spec.kind == "linear" or (spec.kind == "logistic" and spec.num_classes == 2):
-        return _mv(x, theta), ()
-    if spec.kind == "logistic":
-        w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
-        return x @ _mt(w), (w,)
-    w1, b1, w2, b2 = _unpack_mlp(spec, theta)
-    a = np.tanh(x @ _mt(w1) + b1[..., None, :])      # (..., m, h)
-    return a @ _mt(w2) + b2[..., None, :], (w1, w2, a)
+def _checked(spec: ModelSpec, theta: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float64 ``(theta, y)``: theta (..., param_dim) and a non-empty
+    y (..., m) with the same leading (trial) axes."""
+    theta = np.asarray(theta, dtype=np.float64)
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.shape[-1] == 0:
+        raise ConfigurationError("batch must be non-empty")
+    if theta.shape != y.shape[:-1] + (spec.param_dim,):
+        raise ConfigurationError(f"param vector shape {theta.shape} != "
+                                 f"{y.shape[:-1] + (spec.param_dim,)}")
+    return theta, y
+
+
+def _features(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x as validated float64 (..., m, input_dim), one row per label of y."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[-1] != spec.input_dim:
+        raise ConfigurationError(f"feature dim {x.shape[-1]} != input_dim {spec.input_dim}")
+    if x.shape[:-1] != y.shape:
+        raise ConfigurationError("feature/label count mismatch")
+    return x
+
+
+def prepare(spec: ModelSpec, theta: np.ndarray, y: np.ndarray) -> "Prepared":
+    """The part of a forward pass that theta (..., param_dim) and the labels
+    y (..., m) fix, validated once; the returned pass runs on any x
+    (..., m, input_dim) with the same leading axes."""
+    return Prepared(spec, *_checked(spec, theta, y))
+
+
+class Prepared:
+    """One model at theta, and with labels y the gradient pass at any x.
+
+    Taken once: the kind's views of theta (the softmax weights, or mlp1's W1,
+    b1, W2 and b2, with the transposes and broadcast biases its products
+    take) and the softmax kinds' one-hot labels. ``scores(x)`` and a call on
+    x run the rest of the forward pass. ``prepare`` validates theta and y;
+    ``per_example_losses`` and ``predict`` build one without labels, for its
+    scores alone."""
+
+    def __init__(self, spec: ModelSpec, theta: np.ndarray, y: np.ndarray | None = None):
+        self.spec, self.theta, self.y = spec, theta, y
+        self.kind = ("binary" if spec.kind == "logistic" and spec.num_classes == 2
+                     else spec.kind)
+        if self.kind == "logistic":
+            self.w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
+            self.wt = _mt(self.w)
+        elif self.kind == "mlp1":
+            self.w1, b1, self.w2, b2 = _unpack_mlp(spec, theta)
+            self.w1t, self.w2t = _mt(self.w1), _mt(self.w2)
+            self.b1, self.b2 = b1[..., None, :], b2[..., None, :]
+        if y is not None and self.kind in ("logistic", "mlp1"):
+            self.onehot = (y.astype(np.int64)[..., None]
+                           == np.arange(spec.num_classes)).astype(np.float64)
+
+    def take(self, rows) -> "Prepared":
+        """The pass of the trials ``rows`` (an index or mask on the leading
+        axis), built from ``theta[rows]`` and ``y[rows]`` as ``prepare``
+        builds it, so its views have the layout, and its products the BLAS
+        calls, of a fresh pass over those rows."""
+        return Prepared(self.spec, self.theta[rows], self.y[rows])
+
+    def scores(self, x: np.ndarray):
+        """The kind's one forward pass over x (..., m, p): its scores, and for
+        mlp1 the hidden activations a = tanh(W1 x + b1) (else None). The
+        scores are theta . x for linear and binary logistic, the logits W x
+        for softmax and W2 a + b2 for mlp1."""
+        if self.kind == "logistic":
+            return x @ self.wt, None
+        if self.kind != "mlp1":
+            return _mv(x, self.theta), None
+        a = x @ self.w1t                                 # (..., m, h)
+        a += self.b1
+        np.tanh(a, out=a)
+        z = a @ self.w2t
+        z += self.b2
+        return z, a
+
+    def __call__(self, x: np.ndarray):
+        """Per-example parameter gradients and the deferred input VJP at x, as
+        ``per_example_grads_and_vjp`` returns them."""
+        x = _features(self.spec, x, self.y)
+        z, a = self.scores(x)
+        if self.kind == "linear":
+            r = z - self.y
+            return r[..., None] * x, partial(_linear_vjp, r, x, self.theta)
+        if self.kind == "binary":
+            s = _sigmoid(z)
+            r = s - self.y
+            return r[..., None] * x, partial(_binary_vjp, r, s, x, self.theta)
+        probs = _softmax(z)
+        dlogits = probs - self.onehot                    # the logit gradient P - e_y
+        if self.kind == "logistic":
+            grads = (dlogits[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], -1)
+            return grads, partial(_softmax_vjp, x, self.w, probs, dlogits)
+        # mlp1: each parameter block's gradient goes straight into its columns
+        spec, lead = self.spec, x.shape[:-1]             # (..., m)
+        p, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+        grads = np.empty(lead + (spec.param_dim,))
+        w1_end, b1_end = h * p, h * p + h
+        w2_end = b1_end + c * h
+        np.multiply(dlogits[..., :, None], a[..., None, :],
+                    out=grads[..., b1_end:w2_end].reshape(*lead, c, h))
+        da = dlogits @ self.w2                           # (..., m, h)
+        ga = a * a
+        np.subtract(1.0, ga, out=ga)                     # 1 - a^2
+        dz = da * ga                                     # the b1 gradient; dlogits is b2's
+        if p < _NARROW:
+            # one product per input s, whose W1 entries lie p apart: into this
+            # strided block it wins from the sweep's 40 rows on, with no _ROWS
+            for s in range(p):
+                np.multiply(dz, x[..., s, None], out=grads[..., s:w1_end:p])
+        else:
+            np.multiply(dz[..., :, None], x[..., None, :],
+                        out=grads[..., :w1_end].reshape(*lead, h, p))
+        grads[..., w1_end:b1_end] = dz
+        grads[..., w2_end:] = dlogits
+        return grads, partial(self._mlp1_vjp, x, a, probs, dlogits, da, ga, dz)
+
+    def _mlp1_vjp(self, x, a, probs, dlogits, da, ga, dz, v):
+        # s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
+        # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it:
+        #   r = q2 + (q1 ga) W2^T                    (ds/d dlogits)
+        #   glogits = P r - P (P.r)
+        #   abar = dl V2 + glogits W2 - 2 a da q1
+        #   vjp = dz V1 + (abar ga) W1
+        # each in that order, in place over its own temporaries
+        v1, vb1, v2, vb2 = _unpack_mlp(self.spec, v)
+        q1 = x @ _mt(v1)                                 # (..., m, h)
+        q1 += vb1[..., None, :]
+        q2 = a @ _mt(v2)                                 # (..., m, c)
+        q2 += vb2[..., None, :]
+        r = (q1 * ga) @ self.w2t
+        np.add(q2, r, out=r)
+        pr = np.multiply(probs, r, out=r)
+        glogits = probs * pr.sum(axis=-1, keepdims=True)
+        np.subtract(pr, glogits, out=glogits)
+        abar = dlogits @ v2
+        abar += glogits @ self.w2
+        t = np.multiply(2.0, a)
+        t *= da
+        t *= q1
+        abar -= t
+        abar *= ga
+        out = dz @ v1
+        out += abar @ self.w1
+        return out
 
 
 def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -185,8 +305,8 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
     theta (B, param_dim), x (B, m, p) and y (B, m) give (B, m), each row
     bit-identical to its own unbatched call.
     """
-    theta, x, y = _check_batch(spec, theta, x, y)
-    z, _ = _scores(spec, theta, x)
+    theta, y = _checked(spec, theta, y)
+    z, _ = Prepared(spec, theta).scores(_features(spec, x, y))
     if spec.kind == "linear":
         r = z - y
         return 0.5 * r * r
@@ -201,7 +321,7 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
 
 def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example parameter gradients, shape (m, param_dim)."""
-    return _forward(spec, theta, x, y)[0]
+    return prepare(spec, theta, y)(x)[0]
 
 
 def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
@@ -218,37 +338,13 @@ def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
     contraction is a stacked ``np.matmul`` that runs the same BLAS call per
     trial as the unbatched product, so each trial's values do not depend on
     the batch it is in.
+
+    This is ``prepare(spec, theta, y)(x)``. A caller that runs one model and
+    one label set on many x (an inversion) prepares once and calls the pass
+    per x: each call gives this function's values at that x, gradients and
+    VJP bit for bit, however many calls came before it.
     """
-    grads, vjp, saved = _forward(spec, theta, x, y)
-    return grads, partial(vjp, *saved)
-
-
-def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Per-example gradients, the kind's input VJP and the forward values it reuses."""
-    theta, x, y = _check_batch(spec, theta, x, y)
-    z, saved = _scores(spec, theta, x)
-    lead = x.shape[:-1]                              # (..., m)
-    if spec.kind == "linear":
-        r = z - y
-        return r[..., None] * x, _linear_vjp, (r, x, theta)
-    if spec.kind == "logistic" and spec.num_classes == 2:
-        s = _sigmoid(z)
-        r = s - y
-        return r[..., None] * x, _binary_vjp, (r, s, x, theta)
-    probs, dlogits = _softmax_residual(z, y.astype(np.int64))
-    if spec.kind == "logistic":
-        w, = saved
-        grads = (dlogits[..., :, None] * x[..., None, :]).reshape(*lead, -1)
-        return grads, _softmax_vjp, (x, w, probs, dlogits)
-    w1, w2, a = saved
-    gw2 = dlogits[..., :, None] * a[..., None, :]    # (..., m, c, h)
-    da = dlogits @ w2                                # (..., m, h)
-    ga = 1.0 - a * a
-    dz = da * ga                                     # the b1 gradient; dlogits is b2's
-    gw1 = dz[..., :, None] * x[..., None, :]         # (..., m, h, p)
-    grads = np.concatenate([gw1.reshape(*lead, -1), dz, gw2.reshape(*lead, -1), dlogits],
-                           axis=-1)
-    return grads, _mlp1_vjp, (spec, x, w1, w2, a, probs, dlogits, da, ga, dz)
+    return prepare(spec, theta, y)(x)
 
 
 def _linear_vjp(r, x, theta, v):
@@ -273,19 +369,6 @@ def _softmax_vjp(x, w, probs, d, v):
     return d @ vm + (pu - probs * pu.sum(axis=-1, keepdims=True)) @ w
 
 
-def _mlp1_vjp(spec, x, w1, w2, a, probs, dlogits, da, ga, dz, v):
-    # s = dz.q1 + dl.q2 with q1 = V1 x + vb1, q2 = V2 a + vb2, where
-    # (V1, vb1, V2, vb2) is v in the parameter layout; reverse through it.
-    v1, vb1, v2, vb2 = _unpack_mlp(spec, v)
-    q1 = x @ _mt(v1) + vb1[..., None, :]             # (..., m, h)
-    q2 = a @ _mt(v2) + vb2[..., None, :]             # (..., m, c)
-    r = q2 + (q1 * ga) @ _mt(w2)                     # ds/d dlogits
-    pr = probs * r
-    glogits = pr - probs * pr.sum(axis=-1, keepdims=True)
-    abar = dlogits @ v2 + glogits @ w2 - 2.0 * a * da * q1
-    return dz @ v1 + (abar * ga) @ w1
-
-
 def grad_params(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean batch loss w.r.t. the flattened parameters."""
     g = per_example_grads(spec, theta, x, y).mean(axis=0)
@@ -299,7 +382,7 @@ def predict(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    z, _ = _scores(spec, theta, x)
+    z, _ = Prepared(spec, np.asarray(theta, dtype=np.float64)).scores(x)
     if spec.kind == "linear":
         return np.clip(np.rint(z), 0, spec.num_classes - 1).astype(np.int64)
     if spec.kind == "logistic" and spec.num_classes == 2:

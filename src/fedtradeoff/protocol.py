@@ -42,7 +42,7 @@ import numpy as np
 
 from . import models, rng as rngmod
 from .datagen import ClientDataset
-from .errors import ConfigurationError, NumericError, require_int
+from .errors import ConfigurationError, NumericError, require_bool, require_int, require_number
 
 MECH_KINDS = ("none", "randomization", "he_codec")
 
@@ -63,6 +63,11 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.kind not in MECH_KINDS:
             raise ConfigurationError(f"unknown mechanism kind: {self.kind!r}")
+        for name in ("sigma", "offset_scale"):
+            require_number(name, getattr(self, name))
+        if self.exact_norm is not None:
+            require_number("exact_norm", self.exact_norm)
+        require_bool("shared_noise", self.shared_noise)
         if self.kind == "randomization" and not 0 <= self.sigma < math.inf:   # NaN fails too
             raise ConfigurationError("sigma must be >= 0 and finite")
         # every kind writes both into the manifest, which must stay strict JSON
@@ -184,6 +189,8 @@ class FLRunConfig:
 
     def __post_init__(self) -> None:
         require_int("rounds", self.rounds, 1)
+        require_number("learning_rate", self.learning_rate)
+        require_number("init_scale", self.init_scale)
         if not 0 < self.learning_rate < math.inf:     # NaN fails too
             raise ConfigurationError("learning rate must be finite and > 0")
         if not 0 <= self.init_scale < math.inf:

@@ -183,16 +183,16 @@ def matching_objective(spec, theta, x, y, g_obs):
     """The attack's matching objective at one upload, F(x) = ||(1/m) sum_i
     grad_theta L(theta, x_i, y_i) - g_obs||^2, from ``attack._score``'s one
     forward pass."""
-    from fedtradeoff import attack
+    from fedtradeoff import attack, models
 
-    return float(attack._score(spec, theta, x, y, g_obs)[0])
+    return float(attack._score(models.prepare(spec, theta, y), x, g_obs)[0])
 
 
 def grad_objective(spec, theta, x, y, g_obs):
     """dF/dX of ``matching_objective``, shape (m, p): dF/dx_i = (2/m) J_i^T v."""
-    from fedtradeoff import attack
+    from fedtradeoff import attack, models
 
-    _, v, vjp = attack._score(spec, theta, x, y, g_obs)
+    _, v, vjp = attack._score(models.prepare(spec, theta, y), x, g_obs)
     return (2.0 / x.shape[-2]) * vjp(v)
 
 

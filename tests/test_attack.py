@@ -273,12 +273,12 @@ class TestInvertGradient:
                                                                   optimizer, step_size):
         spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=3)
         theta, x, y, g_true = attack_instance(spec, seed=5)
-        fused = models.per_example_grads_and_vjp
+        fused = models.Prepared.__call__
         passes, vjp_points = [], []
 
-        def recording(*args):
-            grads, vjp = fused(*args)
-            point = np.array(args[2]).reshape(x.shape)    # a one-row batch
+        def recording(prep, x_run):
+            grads, vjp = fused(prep, x_run)
+            point = np.array(x_run).reshape(x.shape)      # a one-row batch
             passes.append(point)
 
             def recorded_vjp(v):
@@ -286,7 +286,7 @@ class TestInvertGradient:
                 return vjp(v)
             return grads, recorded_vjp
 
-        monkeypatch.setattr(models, "per_example_grads_and_vjp", recording)
+        monkeypatch.setattr(models.Prepared, "__call__", recording)
         cfg = attack.AttackConfig(iters=12, optimizer=optimizer, step_size=step_size,
                                   seed=5, backtracking=optimizer == "sgd")
         x0 = x + 0.01 * rngmod.stream(5, 54).standard_normal(x.shape)
@@ -461,9 +461,9 @@ class TestInvertBatch:
         scored = []
         real = attack._score
 
-        def recording(spec, theta, x, labels, g_obs):
-            out = real(spec, theta, x, labels, g_obs)
-            scored.append((theta, np.array(out[0])))
+        def recording(prep, x, g_obs):
+            out = real(prep, x, g_obs)
+            scored.append((prep.theta, np.array(out[0])))
             return out
 
         monkeypatch.setattr(attack, "_score", recording)
@@ -479,6 +479,41 @@ class TestInvertBatch:
             steps = tr.iters_run + tr.truncated
             assert len(mine) == 1 + steps + sum(cut <= tr.iters_run for cut in cuts)
             assert np.isfinite(mine[-1]).all() != tr.truncated
+
+    @pytest.mark.parametrize("c, seeds, cuts", [
+        (2, (0, 1, 6, 7), [None, 16, 4, 18]),
+        (3, (3, 4, 5, 7), [None, 4, 12, None]),
+    ], ids=["mlp1-c2", "mlp1-c3"])
+    def test_mlp1_rows_truncating_mid_run_equal_their_one_row_runs(self, c, seeds, cuts):
+        # Adam at step 1e307 carries some rows' iterates past the float range,
+        # each at its own step, while the others run to the end: the rows left
+        # run on the prepared pass's take of them
+        spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=c)
+        rows = [(*attack_instance(spec, seed=s), s) for s in seeds]
+        cfg = attack.AttackConfig(iters=30, optimizer="adam", step_size=1e307, init="gaussian")
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = self.check_rows(spec, cfg, rows)
+        assert [tr.iters_run if tr.truncated else None for tr in traces] == cuts
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_mlp1_backtracking_rescores_some_rows_as_run_alone(self, c, monkeypatch):
+        spec = models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=c)
+        rows = [(*attack_instance(spec, seed=s), s) for s in (3, 7, 11, 13)]
+        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=2.0, init="gaussian",
+                                  backtracking=True)
+        taken = []
+        real = models.Prepared.take
+
+        def recording(prep, which):
+            part = real(prep, which)
+            taken.append((len(prep.theta), len(part.theta)))
+            return part
+
+        monkeypatch.setattr(models.Prepared, "take", recording)
+        traces = self.check_rows(spec, cfg, rows)
+        assert not any(tr.truncated for tr in traces)
+        # in the four-row batch, backtracking re-scored some rows but not all
+        assert any(0 < n < 4 for live, n in taken if live == 4)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_a_row_overflowing_at_its_init_truncates_before_step_1(self, optimizer):
@@ -540,12 +575,10 @@ def reduce_clamped_distances(x, originals, cap_d):
     return np.minimum(np.sqrt(np.add.reduce(d * d, axis=-1)), cap_d) / cap_d
 
 
-def score_residual(grads, g_obs, monkeypatch):
+def score_residual(grads, g_obs):
     """``attack._score``'s residual v for the given per-example gradients."""
-    monkeypatch.setattr(models, "per_example_grads_and_vjp", lambda *args: (grads, None))
-    x = np.empty(grads.shape[:-1] + (1,))         # only its example count is read
     with np.errstate(all="ignore"):
-        return attack._score(None, None, x, None, g_obs)[1]
+        return attack._score(lambda _: (grads, None), None, g_obs)[1]
 
 
 # both sides of models._NARROW and of numpy's 8-element pairwise block
@@ -562,7 +595,7 @@ class TestStepKernels:
     over +-300 decades, signed zeros, infinities, NaN and subnormals."""
 
     @pytest.mark.parametrize("n", SHORT_AXES)
-    def test_residual_equals_numpy_mean(self, monkeypatch, n):
+    def test_residual_equals_numpy_mean(self, n):
         # at n = 1 numpy sums 8 or more examples pairwise, not in order
         rng = np.random.default_rng([n, 1])
         for m, lead, (decades, share) in itertools.product([1, 3, 16], LEADS, SPREADS):
@@ -570,14 +603,14 @@ class TestStepKernels:
             g_obs = spread_values(rng, lead + (n,), decades, share)
             with np.errstate(all="ignore"):
                 want = grads.mean(axis=-2) - g_obs
-            assert_same_bits(score_residual(grads, g_obs, monkeypatch), want)
+            assert_same_bits(score_residual(grads, g_obs), want)
 
     @pytest.mark.parametrize("n", SHORT_AXES)
-    def test_a_column_of_negative_zeros_sums_to_positive_zero(self, monkeypatch, n):
+    def test_a_column_of_negative_zeros_sums_to_positive_zero(self, n):
         # numpy's sum starts from +0.0, so -0.0 alone sums to +0.0; so does v
         for lead in [(), *LEADS]:
             grads = np.full(lead + (4, n), -0.0)
-            v = score_residual(grads, np.zeros(lead + (n,)), monkeypatch)
+            v = score_residual(grads, np.zeros(lead + (n,)))
             assert_same_bits(v, np.zeros(lead + (n,)))
             assert_same_bits(v, grads.mean(axis=-2) - 0.0)
 

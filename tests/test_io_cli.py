@@ -637,6 +637,68 @@ class TestExitCodes:
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("section, field, value", [
+        # once read by truthiness: "false" ran with every client's noise row equal
+        ("mechanism", "shared_noise", "false"),
+        ("mechanism", "shared_noise", 0),
+        ("mechanism", "shared_noise", None),
+        ("attack", "backtracking", "x"),
+        ("attack", "backtracking", []),
+        ("attack", "backtracking", {}),
+        ("attack", "backtracking", None),
+    ], ids=["shared-noise-string", "shared-noise-0", "shared-noise-null", "backtracking-x",
+            "backtracking-list", "backtracking-dict", "backtracking-null"])
+    def test_bool_leaf_not_a_json_bool_exit_1(self, tmp_path, section, field, value):
+        config = cli.default_config().to_dict()
+        config[section][field] = value
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", "--config", str(path), "--out", str(out)])
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(f"config error: {field} must be true or false")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, field", [
+        ("dataset", "class_separation"), ("dataset", "diameter_cap"),
+        ("fl", "learning_rate"), ("fl", "init_scale"),
+        ("mechanism", "sigma"), ("mechanism", "offset_scale"), ("mechanism", "exact_norm"),
+        ("attack", "step_size"), ("attack", "init_scale"),
+        (None, "quantile"), (None, "gamma"), (None, "eta"),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_number_leaf_set_to_a_bool_exit_1(self, tmp_path, section, field, value):
+        # once taken as 1.0 or 0.0
+        config = cli.default_config().to_dict()
+        (config[section] if section else config)[field] = value
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", "--config", str(path), "--out", str(out)])
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(f"config error: {field} must be a number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, field, good, bad", [
+        ("mechanism", "shared_noise", True, "true"),
+        ("attack", "backtracking", True, 1),
+        ("attack", "step_size", 1, True),            # an int is a number, a bool is not
+        ("mechanism", "exact_norm", None, True),     # null: no rescaling
+    ], ids=["shared-noise", "backtracking", "step-size", "exact-norm"])
+    def test_leaf_takes_its_json_type_only(self, tmp_path, section, field, good, bad):
+        config = cli.default_config().to_dict()
+        config["mechanism"]["kind"] = "randomization"
+        config["attack"]["optimizer"] = "sgd"
+        path = tmp_path / "config.json"
+        for value, code in ((good, 0), (bad, 1)):
+            config[section][field] = value
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"o-{code}"
+            r = run_cli(["train", "--config", str(path), "--out", str(out)])
+            assert r.returncode == code, r.stderr
+            assert out.exists() == (code == 0)
+        manifest = json.loads((tmp_path / "o-0" / "manifest.json").read_text())
+        echoed = manifest["config"][section][field]
+        assert echoed == good and type(echoed) is type(good)
+
     def test_every_numeric_config_value_runs_or_exits_1(self, tmp_path, capsys):
         # each numeric leaf of the default config, under each mechanism kind, set
         # to each value below: train runs, or exits 1 with a config error; never

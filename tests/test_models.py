@@ -347,3 +347,143 @@ class TestShortAxisKernels:
         want = (broadcast_linear_vjp(z - y, x, theta, v) if kind == "linear"
                 else broadcast_binary_vjp(models._sigmoid(z), y, x, theta, v))
         assert_same_bits(vjp(v), want)
+
+
+def earlier_grads_and_vjp(spec, theta, x, y):
+    """``per_example_grads_and_vjp`` as it was written before the pass was
+    prepared: every temporary fresh, and mlp1's four gradient blocks
+    concatenated."""
+    mt = lambda a: a.swapaxes(-1, -2)
+    if spec.kind == "linear":
+        r = models._mv(x, theta) - y
+        return r[..., None] * x, lambda v: broadcast_linear_vjp(r, x, theta, v)
+    if spec.kind == "logistic" and spec.num_classes == 2:
+        s = models._sigmoid(models._mv(x, theta))
+        return (s - y)[..., None] * x, lambda v: broadcast_binary_vjp(s, y, x, theta, v)
+    lead = x.shape[:-1]
+    if spec.kind == "logistic":
+        w = theta.reshape(*theta.shape[:-1], spec.num_classes, spec.input_dim)
+        z = x @ mt(w)
+    else:
+        w1, b1, w2, b2 = unpack_mlp1(spec, theta)
+        a = np.tanh(x @ mt(w1) + b1[..., None, :])
+        z = a @ mt(w2) + b2[..., None, :]
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    d = probs - (y.astype(np.int64)[..., None] == np.arange(spec.num_classes))
+    if spec.kind == "logistic":
+        def softmax_vjp(v):
+            vm = v.reshape(w.shape)
+            pu = probs * (x @ mt(vm))
+            return d @ vm + (pu - probs * pu.sum(axis=-1, keepdims=True)) @ w
+        return (d[..., :, None] * x[..., None, :]).reshape(*lead, -1), softmax_vjp
+    gw2 = d[..., :, None] * a[..., None, :]
+    da = d @ w2
+    ga = 1.0 - a * a
+    dz = da * ga
+    gw1 = dz[..., :, None] * x[..., None, :]
+    grads = np.concatenate([gw1.reshape(*lead, -1), dz, gw2.reshape(*lead, -1), d], axis=-1)
+
+    def mlp1_vjp(v):
+        v1, vb1, v2, vb2 = unpack_mlp1(spec, v)
+        q1 = x @ mt(v1) + vb1[..., None, :]
+        q2 = a @ mt(v2) + vb2[..., None, :]
+        r = q2 + (q1 * ga) @ mt(w2)
+        pr = probs * r
+        glogits = pr - probs * pr.sum(axis=-1, keepdims=True)
+        abar = d @ v2 + glogits @ w2 - 2.0 * a * da * q1
+        return dz @ v1 + (abar * ga) @ w1
+    return grads, mlp1_vjp
+
+
+def assert_bitwise(got, want):
+    """Equal shapes and every bit equal, NaN payloads and signed zeros too."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+PREPARED_SPECS = [
+    models.ModelSpec("linear", 3),
+    models.ModelSpec("logistic", 3),
+    models.ModelSpec("logistic", 2, num_classes=3),
+    models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=2),
+    models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3),
+    # four inputs: W1's block in one broadcast product unless the gate is open
+    models.ModelSpec("mlp1", 4, hidden_dim=3, num_classes=2),
+]
+
+
+def prepared_instance(spec, rng, lead, decades, m=6, n_x=3):
+    """theta, labels, ``n_x`` candidate x and two v over ``decades`` decades.
+    A tenth of the x entries are signed zeros, infinities, NaN or subnormals;
+    theta and v are finite, each with a -0.0 and a subnormal, so that most
+    examples stay finite through the pass."""
+    theta, *vs = (spread_values(rng, lead + (spec.param_dim,), decades, share=0.0)
+                  for _ in range(3))
+    for a in (theta, *vs):
+        a[..., :2] = [-0.0, 5e-324]
+    y = (spread_values(rng, lead + (m,), decades) if spec.kind == "linear"
+         else rng.integers(0, spec.num_classes, lead + (m,)).astype(float))
+    xs = [spread_values(rng, lead + (m, spec.input_dim), decades, share=0.1)
+          for _ in range(n_x)]
+    return theta, y, xs, vs
+
+
+# unbatched, B = 1, B = 4, two trial axes; values over 1 and 20 decades
+PREPARED_LEADS_AND_DECADES = list(itertools.product([(), (1,), (4,), (2, 3)], [1, 20]))
+
+
+@pytest.mark.usefixtures("column_gate")
+class TestPreparedPass:
+    """A pass prepared once from (spec, theta, y) and run on many x gives at
+    each x what a fresh ``per_example_grads_and_vjp`` and the earlier,
+    out-of-place formulas give, bit for bit."""
+
+    @pytest.mark.parametrize("spec", PREPARED_SPECS,
+                             ids=lambda s: f"{s.kind}-p{s.input_dim}-c{s.num_classes}")
+    def test_one_pass_over_many_x_equals_fresh_calls(self, spec):
+        rng = np.random.default_rng([spec.param_dim, spec.num_classes, 5])
+        finite = []
+        for lead, decades in PREPARED_LEADS_AND_DECADES:
+            theta, y, xs, vs = prepared_instance(spec, rng, lead, decades)
+            prep = models.prepare(spec, theta, y)
+            with np.errstate(all="ignore"):
+                runs = [prep(x) for x in xs]      # every pass first, then the VJPs
+                for x, (grads, vjp) in zip(xs, runs):
+                    finite.append(np.isfinite(vjp(vs[0])).mean())
+                    fresh, fresh_vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+                    earlier, earlier_vjp = earlier_grads_and_vjp(spec, theta, x, y)
+                    assert_bitwise(grads, fresh)
+                    assert_bitwise(grads, earlier)
+                    for v in vs + vs:             # a VJP leaves its saved values as they were
+                        assert_bitwise(vjp(v), fresh_vjp(v))
+                        assert_bitwise(vjp(v), earlier_vjp(v))
+        assert np.median(finite) > 0.5            # the values keep most rounding visible
+
+    @pytest.mark.parametrize("spec", PREPARED_SPECS,
+                             ids=lambda s: f"{s.kind}-p{s.input_dim}-c{s.num_classes}")
+    def test_taken_rows_equal_those_rows_prepared(self, spec):
+        rng = np.random.default_rng([spec.param_dim, spec.num_classes, 6])
+        theta, y, (x,), (v, _) = prepared_instance(spec, rng, (5,), 1, n_x=1)
+        prep = models.prepare(spec, theta, y)
+        for rows in (np.array([0, 2, 3]), np.array([False, True, False, False, True])):
+            with np.errstate(all="ignore"):
+                grads, vjp = prep.take(rows)(x[rows])
+                want, want_vjp = models.per_example_grads_and_vjp(spec, theta[rows], x[rows],
+                                                                  y[rows])
+                assert_bitwise(grads, want)
+                assert_bitwise(vjp(v[rows]), want_vjp(v[rows]))
+
+    def test_shapes_checked_once_and_per_x(self):
+        spec = models.ModelSpec("mlp1", 2, hidden_dim=3)
+        theta, y = np.zeros((4, spec.param_dim)), np.zeros((4, 5))
+        with pytest.raises(ConfigurationError, match="param vector shape"):
+            models.prepare(spec, theta[:3], y)
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            models.prepare(spec, theta, y[:, :0])
+        prep = models.prepare(spec, theta, y)
+        with pytest.raises(ConfigurationError, match="feature dim"):
+            prep(np.zeros((4, 5, 3)))
+        with pytest.raises(ConfigurationError, match="count mismatch"):
+            prep(np.zeros((4, 6, 2)))

@@ -53,12 +53,14 @@ def test_config_files_are_written_but_not_digested(monkeypatch, tmp_path):
     # the five-class estimate reads its config from OUT_DIR; only what the
     # command wrote is digested
     script = load_script("artifact_digests")
-    command = [cmd for cmd in script.COMMANDS if "--config" in cmd]
+    command = [cmd for cmd in script.COMMANDS if "configs/five-classes.json" in cmd]
     assert len(command) == 1 and command[0][0] == "estimate-constants"
     monkeypatch.setattr(script, "COMMANDS", command)
     found = script.digests(str(tmp_path), os.path.join(ROOT, "src"))
     assert list(found) == ["runs/constants-five-classes/constants.json"]
-    assert os.path.exists(tmp_path / "configs" / "five-classes.json")
+    assert len(script.CONFIGS) == 2
+    for rel in script.CONFIGS:
+        assert os.path.exists(tmp_path / rel)
 
 
 def package_references(path):
