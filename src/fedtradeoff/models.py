@@ -256,14 +256,8 @@ class Prepared:
         ga = a * a
         np.subtract(1.0, ga, out=ga)                     # 1 - a^2
         dz = da * ga                                     # the b1 gradient; dlogits is b2's
-        if p < _NARROW:
-            # one product per input s, whose W1 entries lie p apart: into this
-            # strided block it wins from the sweep's 40 rows on, with no _ROWS
-            for s in range(p):
-                np.multiply(dz, x[..., s, None], out=grads[..., s:w1_end:p])
-        else:
-            np.multiply(dz[..., :, None], x[..., None, :],
-                        out=grads[..., :w1_end].reshape(*lead, h, p))
+        np.multiply(dz[..., :, None], x[..., None, :],
+                    out=grads[..., :w1_end].reshape(*lead, h, p))
         grads[..., w1_end:b1_end] = dz
         grads[..., w2_end:] = dlogits
         return grads, partial(self._mlp1_vjp, x, a, probs, dlogits, da, ga, dz)

@@ -435,6 +435,16 @@ class TestAttackMatchesRunTrial:
             config, attack=replace(config.attack, iters=7)).experiment_id()
 
 
+# the config's float leaves, each of which takes an int but not a bool
+NUMBER_LEAVES = [
+    ("dataset", "class_separation"), ("dataset", "diameter_cap"),
+    ("fl", "learning_rate"), ("fl", "init_scale"),
+    ("mechanism", "sigma"), ("mechanism", "offset_scale"), ("mechanism", "exact_norm"),
+    ("attack", "step_size"), ("attack", "init_scale"),
+    (None, "quantile"), (None, "gamma"), (None, "eta"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["attack", "--run-dir", "run", "--iters", str(10 ** 21)],
@@ -617,6 +627,18 @@ class TestExitCodes:
         (None, "gamma", 0.0, "gamma must be in (0, 2]"),
         (None, "eta", float("nan"), "eta must be in (0, 1]"),
         (None, "eta", 1.5, "eta must be in (0, 1]"),
+        # once read by truthiness: "false" ran with every client's noise row equal
+        ("mechanism", "shared_noise", "false", "shared_noise must be true or false"),
+        ("mechanism", "shared_noise", 0, "shared_noise must be true or false"),
+        ("mechanism", "shared_noise", None, "shared_noise must be true or false"),
+        ("attack", "backtracking", "x", "backtracking must be true or false"),
+        ("attack", "backtracking", [], "backtracking must be true or false"),
+        ("attack", "backtracking", {}, "backtracking must be true or false"),
+        ("attack", "backtracking", None, "backtracking must be true or false"),
+    ] + [
+        # once taken as 1.0 or 0.0
+        (section, field, value, f"{field} must be a number")
+        for section, field in NUMBER_LEAVES for value in (True, False)
     ], ids=["separation-20", "separation-inf", "separation-nan", "separation-negative",
             "diameter-nan", "diameter-1e154", "seed-negative", "seed-nan", "attack-round-float",
             "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
@@ -625,56 +647,20 @@ class TestExitCodes:
             "num-clients-float", "per-client-size-float", "num-classes-float",
             "model-input-dim-float", "hidden-dim-float", "step-size-nan", "step-size-inf",
             "attack-init-scale-nan", "input-dim-60", "quantile-nan", "quantile-0.6",
-            "gamma-nan", "gamma-0", "eta-nan", "eta-1.5"])
+            "gamma-nan", "gamma-0", "eta-nan", "eta-1.5",
+            "shared-noise-string", "shared-noise-0", "shared-noise-null", "backtracking-x",
+            "backtracking-list", "backtracking-dict", "backtracking-null",
+            ] + [f"{section or 'top'}-{field}-{value}".replace("_", "-").lower()
+                 for section, field in NUMBER_LEAVES for value in (True, False)])
     def test_bad_config_value_exit_1(self, tmp_path, section, field, value, message):
         config = cli.default_config().to_dict()
         (config[section] if section else config)[field] = value
-        path = tmp_path / "config.json"
+        path, out = tmp_path / "config.json", tmp_path / "o"
         path.write_text(json.dumps(config))
-        r = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "o")],
-                    timeout=10)
+        r = run_cli(["train", "--config", str(path), "--out", str(out)], timeout=10)
         assert r.returncode == 1, r.stderr
         assert f"config error: {message}" in r.stderr
         assert "Traceback" not in r.stderr
-
-    @pytest.mark.parametrize("section, field, value", [
-        # once read by truthiness: "false" ran with every client's noise row equal
-        ("mechanism", "shared_noise", "false"),
-        ("mechanism", "shared_noise", 0),
-        ("mechanism", "shared_noise", None),
-        ("attack", "backtracking", "x"),
-        ("attack", "backtracking", []),
-        ("attack", "backtracking", {}),
-        ("attack", "backtracking", None),
-    ], ids=["shared-noise-string", "shared-noise-0", "shared-noise-null", "backtracking-x",
-            "backtracking-list", "backtracking-dict", "backtracking-null"])
-    def test_bool_leaf_not_a_json_bool_exit_1(self, tmp_path, section, field, value):
-        config = cli.default_config().to_dict()
-        config[section][field] = value
-        path, out = tmp_path / "config.json", tmp_path / "o"
-        path.write_text(json.dumps(config))
-        r = run_cli(["train", "--config", str(path), "--out", str(out)])
-        assert r.returncode == 1, r.stderr
-        assert r.stderr.startswith(f"config error: {field} must be true or false")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("section, field", [
-        ("dataset", "class_separation"), ("dataset", "diameter_cap"),
-        ("fl", "learning_rate"), ("fl", "init_scale"),
-        ("mechanism", "sigma"), ("mechanism", "offset_scale"), ("mechanism", "exact_norm"),
-        ("attack", "step_size"), ("attack", "init_scale"),
-        (None, "quantile"), (None, "gamma"), (None, "eta"),
-    ])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_number_leaf_set_to_a_bool_exit_1(self, tmp_path, section, field, value):
-        # once taken as 1.0 or 0.0
-        config = cli.default_config().to_dict()
-        (config[section] if section else config)[field] = value
-        path, out = tmp_path / "config.json", tmp_path / "o"
-        path.write_text(json.dumps(config))
-        r = run_cli(["train", "--config", str(path), "--out", str(out)])
-        assert r.returncode == 1, r.stderr
-        assert r.stderr.startswith(f"config error: {field} must be a number")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, field, good, bad", [

@@ -409,7 +409,7 @@ PREPARED_SPECS = [
     models.ModelSpec("logistic", 2, num_classes=3),
     models.ModelSpec("mlp1", 3, hidden_dim=5, num_classes=2),
     models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3),
-    # four inputs: W1's block in one broadcast product unless the gate is open
+    # more inputs than hidden units
     models.ModelSpec("mlp1", 4, hidden_dim=3, num_classes=2),
 ]
 
