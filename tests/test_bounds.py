@@ -1,10 +1,15 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import scalar_minimize_utility_lambda
+from conftest import (assert_same_bits, golden_minimize_utility_lambda, he_utility_upper_bound,
+                      utility_upper_bound)
 from fedtradeoff import bounds, datagen
 from fedtradeoff.errors import ConfigurationError
 
@@ -55,31 +60,31 @@ class TestUtilityUpperBound:
     def test_spec_substitution(self):
         # d=1, D=2, lam=2 -> N=4; eta=1 kills the ln term
         c_const, m_const, m = 1.3, 2.0, 50
-        v = bounds.utility_upper_bound(c_const, 2.0, 0.0, m_const, 1, 2.0, 1.0, m)
+        v = utility_upper_bound(c_const, 2.0, 0.0, m_const, 1, 2.0, 1.0, m)
         assert v == pytest.approx(2 * c_const + m_const * math.sqrt(8 * math.log(2) / m),
                                   rel=1e-12)
 
     def test_large_m_limit_is_linear_part(self):
-        v = bounds.utility_upper_bound(2.0, 1.0, 0.5, 1.0, 2, 1.0, 0.5, 10**12)
+        v = utility_upper_bound(2.0, 1.0, 0.5, 1.0, 2, 1.0, 0.5, 10**12)
         assert v == pytest.approx(2.0 * 1.0 + 2.0 * 0.5, rel=1e-4)
 
     def test_lambda_must_exceed_delta_two(self):
         with pytest.raises(ConfigurationError):
-            bounds.utility_upper_bound(1.0, 0.5, 0.5, 1.0, 2, 1.0, 0.5, 10)
+            utility_upper_bound(1.0, 0.5, 0.5, 1.0, 2, 1.0, 0.5, 10)
 
     def test_monotone_decreasing_in_m(self):
-        vals = [bounds.utility_upper_bound(1.0, 1.0, 0.2, 1.0, 3, 2.0, 0.1, m)
+        vals = [utility_upper_bound(1.0, 1.0, 0.2, 1.0, 3, 2.0, 0.1, m)
                 for m in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_monotone_increasing_in_delta_two(self):
-        vals = [bounds.utility_upper_bound(1.0, 1.0, d2, 1.0, 3, 2.0, 0.1, 100)
+        vals = [utility_upper_bound(1.0, 1.0, d2, 1.0, 3, 2.0, 0.1, 100)
                 for d2 in (0.0, 0.3, 0.6)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_overflow_safe(self):
         # tiny lambda -> astronomically large covering number -> inf, no crash
-        v = bounds.utility_upper_bound(1.0, 1e-3, 0.0, 1.0, 10, 10.0, 0.1, 100)
+        v = utility_upper_bound(1.0, 1e-3, 0.0, 1.0, 10, 10.0, 0.1, 100)
         assert v == math.inf
 
     def test_he_equals_general_at_zero_bitwise_sampled(self):
@@ -92,8 +97,8 @@ class TestUtilityUpperBound:
             cap = float(g.uniform(0.1, 5.0))
             eta = float(g.uniform(0.01, 1.0))
             m = int(g.integers(1, 10**6))
-            a = bounds.utility_upper_bound(c_const, lam, 0.0, m_const, d, cap, eta, m)
-            b = bounds.he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m)
+            a = utility_upper_bound(c_const, lam, 0.0, m_const, d, cap, eta, m)
+            b = he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m)
             assert a == b  # bit-for-bit
 
     # (C, lambda, ||delta||, M, d, D, eta, m) and the bounds at those arguments
@@ -112,8 +117,8 @@ class TestUtilityUpperBound:
     @pytest.mark.parametrize("args, general, he", PINNED)
     def test_pinned_values(self, args, general, he):
         c_const, lam, _, m_const, d, cap, eta, m = args
-        assert bounds.utility_upper_bound(*args) == general
-        assert bounds.he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m) == he
+        assert utility_upper_bound(*args) == general
+        assert he_utility_upper_bound(c_const, lam, m_const, d, cap, eta, m) == he
 
     @pytest.mark.parametrize("args, message", [
         ((1.0, 0.1, 0.1, 1.0, 2, 2.0, 0.1, 32), "lambda must exceed delta_two"),
@@ -132,7 +137,7 @@ class TestUtilityUpperBound:
     ])
     def test_error_messages(self, args, message):
         with pytest.raises(ConfigurationError) as exc:
-            bounds.utility_upper_bound(*args)
+            utility_upper_bound(*args)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("args, message", [
@@ -149,7 +154,7 @@ class TestUtilityUpperBound:
     ])
     def test_he_error_messages(self, args, message):
         with pytest.raises(ConfigurationError) as exc:
-            bounds.he_utility_upper_bound(*args)
+            he_utility_upper_bound(*args)
         assert str(exc.value) == message
 
 
@@ -159,7 +164,7 @@ class TestLambdaMinimizer:
         lam, rhs = bounds.minimize_utility_lambda(c_const, d2, m_const, d, cap, eta, m)
         assert lam > d2
         for probe in np.geomspace(d2 + 1e-6, 50.0, 200):
-            assert rhs <= bounds.utility_upper_bound(
+            assert rhs <= utility_upper_bound(
                 c_const, float(probe), d2, m_const, d, cap, eta, m) + 1e-9
 
     def test_zero_distortion_case(self):
@@ -167,27 +172,28 @@ class TestLambdaMinimizer:
         assert lam > 0 and np.isfinite(rhs)
 
     @pytest.mark.parametrize("args, want", [
-        # (C, ||delta||, M, d, D, eta, m): results of the search that called
-        # utility_upper_bound at every lambda, which these must equal bit for bit
-        ((1.0, 0.0, 1.0, 2, 2.0, 0.1, 32), (1.7497685039327529, 2.847032872206904)),
-        ((0.5, 0.3, 0.8, 2, 2.0, 1.0, 32), (1.96416363890655, 1.8153442947143916)),
-        # the grid grows 3 and 2 times before its minimum is interior
-        ((1e-9, 0.1, 1.0, 2, 2.0, 0.1, 32), (1194.917945287861, 0.5632054532026993)),
-        ((1e-6, 0.0, 5.0, 10, 1.0, 0.05, 100), (242.75197851540824, 2.903696337737563)),
-        # log of the M term above 700 at every lambda: an infinite rhs
-        ((2.0, 0.1, 1e305, 2, 2.0, 0.1, 32), (0.10000000100033671, math.inf)),
-        ((1.1, 0.05, 0.7, 2, 2.0, 0.1, 32), (1.6036245032254344, 2.715687383510874)),
-        ((0.3, 5.0, 2.5, 42, 4.0, 0.5, 1000), (5.610951692728832, 4.68411325189661)),
-        ((4.0, 0.0, 0.01, 1, 0.0, 1.0, 1), (1.0003234746037885e-09, 0.01665109622444786)),
-        ((0.02, 0.001, 3.0, 8, 3.0, 0.9, 7), (16.580258236264804, 5.860458847229151)),
+        # (C, ||delta||, M, d, D, eta, m): results of the root search
+        ((1.0, 0.0, 1.0, 2, 2.0, 0.1, 32), (1.7497685152159927, 2.847032872206904)),
+        ((0.5, 0.3, 0.8, 2, 2.0, 1.0, 32), (1.9641636517622618, 1.8153442947143916)),
+        # the bracket's top is quadrupled 3 and 2 times
+        ((1e-9, 0.1, 1.0, 2, 2.0, 0.1, 32), (1194.92016883862, 0.5632054532026994)),
+        ((1e-6, 0.0, 5.0, 10, 1.0, 0.05, 100), (242.75186458448667, 2.9036963377375633)),
+        # log of the M term above 700 at every lambda: f falls over all 20
+        # quadruplings of the top, 30 * 4^20, and the rhs is infinite
+        ((2.0, 0.1, 1e305, 2, 2.0, 0.1, 32), (32985348833280.0, math.inf)),
+        ((1.1, 0.05, 0.7, 2, 2.0, 0.1, 32), (1.6036245110552965, 2.7156873835108737)),
+        ((0.3, 5.0, 2.5, 42, 4.0, 0.5, 1000), (5.610951756603774, 4.68411325189661)),
+        # D = 0: the slope is C > 0 everywhere, and lambda is lo
+        ((4.0, 0.0, 0.01, 1, 0.0, 1.0, 1), (1e-09, 0.016651096223153965)),
+        ((0.02, 0.001, 3.0, 8, 3.0, 0.9, 7), (16.58025836177593, 5.860458847229151)),
     ])
     def test_pinned_minimum(self, args, want):
         assert bounds.minimize_utility_lambda(*args) == want
 
     @staticmethod
     def argument_rows(n=2400, seed=25):
-        """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (grids
-        that grow several times), ||delta|| = 0 in a fifth of them, eta = 1 in a
+        """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (tops
+        quadrupled several times), ||delta|| = 0 in a fifth of them, eta = 1 in a
         fifth, D = 0 and an infinite rhs (M = 1e305) now and then."""
         rng = np.random.default_rng(seed)
         big_m = 10.0 ** rng.uniform(-3, 3, n)
@@ -199,14 +205,21 @@ class TestLambdaMinimizer:
                 np.where(rng.random(n) < 0.2, 1.0, rng.uniform(0.01, 1, n)),
                 rng.integers(1, 2000, n))
 
+    # rows far outside any scenario's: C and M down to 1e-300 with M/C up to
+    # 1e110, ||delta|| up to 1e100 and D up to the largest diameter cap, so
+    # brackets up to 160 decades wide in lambda
+    EXTREME = tuple(np.array(c, dtype=np.float64) for c in zip(*(
+        (c, delta_two, m_term, d, cap_d, eta, m)
+        for (c, m_term), delta_two, d, cap_d, eta, m in itertools.product(
+            ((1e-300, 1e-300), (1e-300, 1e-190), (1e-10, 1e100), (1e10, 1e-300)),
+            (0.0, 1e-300, 1e50, 1e100), (1, 1000), (1e-300, 1.0, 1e60, datagen._MAX_DIAMETER),
+            (1e-300, 1.0), (1, 10**9)))))
+
     def test_lockstep_rows_equal_the_scalar_search(self):
-        # the search of each row alone, as it was before the rows ran in lockstep
+        # the search of each row alone
         args = self.argument_rows()
-        counts = []
-        want = [scalar_minimize_utility_lambda(*row, counts=counts)
+        want = [tuple(map(float, bounds.minimize_utility_lambda(*row)))
                 for row in zip(*(a.tolist() for a in args))]
-        grown, steps = zip(*counts)
-        assert set(grown) >= {0, 1, 2, 3} and len(set(steps)) >= 20
         assert sum(math.isinf(rhs) for _, rhs in want) > 0
         for block in (2400, 37):          # one block, and blocks that end mid-set
             got = []
@@ -221,6 +234,71 @@ class TestLambdaMinimizer:
                              bounds.minimize_utility_lambda(*(a[i:i + 1] for a in args))):
                 assert (lam.shape, rhs.shape) in (((), ()), ((1,), (1,)))
                 assert (lam.item(), rhs.item()) == want[i], i
+
+    def test_no_worse_than_the_golden_section(self):
+        args = self.argument_rows()
+        lam, rhs = bounds.minimize_utility_lambda(*args)
+        want = np.array([golden_minimize_utility_lambda(*row)[1]
+                         for row in zip(*(a.tolist() for a in args))])
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(rhs), finite) and (~finite).sum() == 53
+        assert np.all(rhs[finite] <= want[finite] * (1.0 + 1e-14))
+        assert np.all(lam > args[1])
+
+    @staticmethod
+    def log_h_over_c(big_c, delta_two, big_m, d, cap_d, eta, m, lam):
+        """log(h / C) at lam, test-side in closed form: the bound's slope is
+        C - h with h = T s 2D log(2d) / lam^3, T its M term and s the weight
+        of log N in logaddexp(log(2 N ln 2), log(2 ln(1/eta))). -inf at D = 0."""
+        if cap_d == 0:
+            return -math.inf
+        a = math.log(2.0 * math.log(2.0)) + (2.0 * cap_d / lam ** 2 + 1.0) * math.log(2 * d)
+        b = math.log(2.0 * math.log(1.0 / eta)) if eta < 1.0 else -math.inf
+        lae = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        log_t = math.log(big_m) + 0.5 * (lae - math.log(m))
+        return (log_t + (a - lae) + math.log(2.0 * cap_d * math.log(2 * d))
+                - 3.0 * math.log(lam) - math.log(big_c))
+
+    def test_slope_changes_sign_across_lambda(self):
+        args = [np.concatenate(pair) for pair in zip(self.argument_rows(), self.EXTREME)]
+        lam, _ = bounds.minimize_utility_lambda(*args)
+        kinds = {"root": 0, "lo": 0, "top": 0}
+        for row, got in zip(zip(*(a.tolist() for a in args)), lam.tolist()):
+            delta_two, cap_d = row[1], row[4]
+            lo = delta_two + max(1e-9, 1e-9 * delta_two)
+            top = max(10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0) * 4.0 ** 20
+            if got == lo and self.log_h_over_c(*row, lo) <= 0:
+                kinds["lo"] += 1           # f' >= 0 at lo
+            elif got == top and self.log_h_over_c(*row, top) >= 0:
+                kinds["top"] += 1          # f' <= 0 over all the search tried
+            else:
+                assert (self.log_h_over_c(*row, got * (1 - 1e-9)) >= 0
+                        >= self.log_h_over_c(*row, got * (1 + 1e-9))), row
+                kinds["root"] += 1
+        assert min(kinds.values()) > 50, kinds
+
+    def test_expansions_and_newton_steps(self, monkeypatch):
+        # every 6th row alone, its _slope calls counted: one at lo and the
+        # first top, one per quadrupled top, then one per Newton step but the last
+        calls, slope = [], bounds._slope
+        monkeypatch.setattr(bounds, "_slope", lambda k, u: calls.append(1) or slope(k, u))
+        grown, steps = set(), set()
+        for row in zip(*(a[::6].tolist() for a in self.argument_rows())):
+            calls.clear()
+            bounds.minimize_utility_lambda(*row)
+            lo = row[1] + max(1e-9, 1e-9 * row[1])
+            if self.log_h_over_c(*row, lo) <= 0:
+                assert len(calls) == 1     # lambda at lo
+                continue
+            top = max(10.0 * (row[4] + 1.0), 4.0 * row[1] + 1.0)
+            g = next((g for g in range(21) if self.log_h_over_c(*row, top * 4.0 ** g) < 0), None)
+            grown.add(g)
+            if g is None:
+                assert len(calls) == 21    # every top tried, and no Newton step
+            else:
+                steps.add(len(calls) - g)
+        assert grown >= {0, 1, 2, 3, None}
+        assert min(steps) >= 2 and max(steps) <= 12 and len(steps) >= 5, steps
 
     def test_a_row_of_bad_arguments_fails_the_block(self):
         with pytest.raises(ConfigurationError, match="M must be > 0"):
@@ -238,6 +316,40 @@ class TestLambdaMinimizer:
     def test_arguments_checked_as_the_bound_checks_them(self, args, message):
         with pytest.raises(ConfigurationError, match=message):
             bounds.minimize_utility_lambda(*args)
+
+
+# numpy's dispatch targets above X86_V3, switched off for a second process
+ABOVE_X86_V3 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+DISPATCH_CHILD = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from fedtradeoff import bounds
+args = np.load(sys.argv[1])
+lam, rhs = bounds.minimize_utility_lambda(*(args[f"arr_{i}"] for i in range(7)))
+np.savez(sys.argv[2], lam=lam, rhs=rhs, x86_v4=__cpu_features__["X86_V4"])
+"""
+
+
+def test_search_keeps_its_bits_at_a_lower_numpy_dispatch(tmp_path):
+    # numpy's SIMD exp and log round differently at X86_V4 and at X86_V3; the
+    # search takes only libm's and correctly rounded arithmetic
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatched
+
+    if "X86_V4" not in dispatched:
+        pytest.skip(f"numpy does not dispatch X86_V4 here ({' '.join(dispatched)})")
+    args = TestLambdaMinimizer.argument_rows()
+    np.savez(tmp_path / "args.npz", *args)
+    off = " ".join(target for target in ABOVE_X86_V3 if target in dispatched)
+    subprocess.run([sys.executable, "-c", DISPATCH_CHILD, str(tmp_path / "args.npz"),
+                    str(tmp_path / "out.npz")], check=True, timeout=120,
+                   env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=off))
+    got = np.load(tmp_path / "out.npz")
+    assert not got["x86_v4"]
+    lam, rhs = bounds.minimize_utility_lambda(*args)
+    assert_same_bits(got["lam"], lam)
+    assert_same_bits(got["rhs"], rhs)
 
 
 def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_same_bits, fresh_sampler, mean_loss, row_scan_diameter, sample_pairs
+from conftest import (assert_same_bits, covering_number, fresh_sampler, log_covering_number,
+                      mean_loss, row_scan_diameter, sample_pairs)
 from fedtradeoff import datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -166,44 +167,44 @@ class TestDiameter:
 
 class TestCoveringNumber:
     def test_examples(self):
-        assert datagen.covering_number(1, 2.0, 2.0) == 4.0
-        assert datagen.covering_number(2, 2.0, 1.0) == 1024.0
-        assert datagen.covering_number(3, 0.0, 1.5) == 6.0
+        assert covering_number(1, 2.0, 2.0) == 4.0
+        assert covering_number(2, 2.0, 1.0) == 1024.0
+        assert covering_number(3, 0.0, 1.5) == 6.0
 
     def test_bad_lambda(self):
         with pytest.raises(ConfigurationError):
-            datagen.covering_number(2, 1.0, 0.0)
+            covering_number(2, 1.0, 0.0)
         with pytest.raises(ConfigurationError):
-            datagen.covering_number(2, 1.0, -1.0)
+            covering_number(2, 1.0, -1.0)
 
     def test_log_variant_consistent(self):
-        v = datagen.covering_number(3, 1.7, 0.8)
-        assert math.log(v) == pytest.approx(datagen.log_covering_number(3, 1.7, 0.8), rel=1e-12)
+        v = covering_number(3, 1.7, 0.8)
+        assert math.log(v) == pytest.approx(log_covering_number(3, 1.7, 0.8), rel=1e-12)
 
     def test_overflow_goes_inf(self):
-        assert datagen.covering_number(10, 50.0, 0.01) == math.inf
-        assert np.isfinite(datagen.log_covering_number(10, 50.0, 0.01))
+        assert covering_number(10, 50.0, 0.01) == math.inf
+        assert np.isfinite(log_covering_number(10, 50.0, 0.01))
 
     @given(d=st.integers(1, 50), cap=st.floats(0.0, 20.0), lam=st.floats(0.05, 10.0),
            lam2=st.floats(0.05, 10.0))
     def test_monotone_in_lambda(self, d, cap, lam, lam2):
         lo, hi = min(lam, lam2), max(lam, lam2)
-        assert (datagen.log_covering_number(d, cap, hi)
-                <= datagen.log_covering_number(d, cap, lo) + 1e-12)
+        assert (log_covering_number(d, cap, hi)
+                <= log_covering_number(d, cap, lo) + 1e-12)
 
     @given(d=st.integers(1, 50), d2=st.integers(1, 50), cap=st.floats(0.0, 20.0),
            lam=st.floats(0.05, 10.0))
     def test_monotone_in_dim(self, d, d2, cap, lam):
         lo, hi = min(d, d2), max(d, d2)
-        assert (datagen.log_covering_number(lo, cap, lam)
-                <= datagen.log_covering_number(hi, cap, lam) + 1e-12)
+        assert (log_covering_number(lo, cap, lam)
+                <= log_covering_number(hi, cap, lam) + 1e-12)
 
     @given(cap=st.floats(0.0, 20.0), cap2=st.floats(0.0, 20.0), d=st.integers(1, 50),
            lam=st.floats(0.05, 10.0))
     def test_monotone_in_cap(self, cap, cap2, d, lam):
         lo, hi = min(cap, cap2), max(cap, cap2)
-        assert (datagen.log_covering_number(d, lo, lam)
-                <= datagen.log_covering_number(d, hi, lam) + 1e-12)
+        assert (log_covering_number(d, lo, lam)
+                <= log_covering_number(d, hi, lam) + 1e-12)
 
 
 def estimate(model_spec, theta, datasets, **options):

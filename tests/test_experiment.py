@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_sampler, scalar_minimize_utility_lambda
-from fedtradeoff import attack, datagen, experiment, models, protocol, verify
+from conftest import fresh_sampler
+from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -571,7 +571,7 @@ class TestBoundSides:
 def reference_utility(config, seed, observed, est):
     """One trial's utility side from its parts, as each trial was scored before
     a block's trials were stacked: its own fresh sampler, loss Monte Carlo, M
-    and scalar lambda search."""
+    and one-row lambda search."""
     target = observed.datasets[config.attack_client]
     theta = observed.theta_shadow
     delta = observed.theta_decoded - theta
@@ -585,8 +585,9 @@ def reference_utility(config, seed, observed, est):
     c = math.nan if est is None else est.big_c
     big_m = float(experiment.exact_big_m(config.model, theta, delta, target.x, target.y))
     cap_d = config.dataset.diameter_cap
-    lam, rhs = (math.nan, math.nan) if math.isnan(c) else scalar_minimize_utility_lambda(
-        c, delta_two, big_m, config.model.param_dim, cap_d, config.eta, target.size)
+    lam, rhs = (math.nan, math.nan) if math.isnan(c) else map(
+        float, bounds.minimize_utility_lambda(c, delta_two, big_m, config.model.param_dim,
+                                              cap_d, config.eta, target.size))
     return experiment.TrialOutcome(
         measured=eps_u, rhs=rhs, precondition_ok=lam > delta_two,
         extras={"lambda": lam, "delta_two": delta_two, "big_c": c, "big_m": big_m,

@@ -370,6 +370,41 @@ class TestAttackCLI:
         assert r.returncode == 1 and "config error:" in r.stderr, r.stderr
         assert dir_hashes(earlier) == before
 
+    @pytest.fixture(scope="class")
+    def fuzz_run(self, tmp_path_factory):
+        """A two-client, two-round run and one attack's --out on it."""
+        root = tmp_path_factory.mktemp("fuzz")
+        run, earlier = str(root / "run"), str(root / "earlier")
+        assert run_cli(["train", "--mech", "rand", "--sigma", "0.1", "--seed", "2",
+                        "--samples", "6", "--rounds", "2", "--clients", "2",
+                        "--out", run]).returncode == 0
+        assert run_cli(["attack", "--run-dir", run, "--out", earlier, "--iters", "2",
+                        "--phase2"]).returncode == 0
+        return run, earlier
+
+    @pytest.mark.parametrize("flag, value", [
+        (flag, value) for flag in ["round", "client", "iters", "pac-eps", "pac-delta", "adv-budget"]
+        for value in ["0", "-1", "nan", "inf", "1e300", "1", "3"]])
+    def test_numeric_flag_value_runs_or_exits_cleanly(self, fuzz_run, tmp_path, flag, value):
+        # each numeric attack flag, set to each value, with phase 2 (which
+        # reads the last three): the run exits 0, or 1 with a config error (or
+        # the parser's usage error), with no traceback. A run that fails
+        # leaves a fresh --out absent, and an earlier --out as it was
+        run, earlier = fuzz_run
+        args = ["attack", "--run-dir", run, "--iters", "2", "--phase2", f"--{flag}={value}"]
+        out = tmp_path / "fresh"
+        r = run_cli([*args, "--out", str(out)])
+        last = r.stderr.strip().splitlines()[-1] if r.stderr.strip() else ""
+        assert "Traceback" not in r.stderr
+        assert r.returncode == 0 or (r.returncode == 1 and last.startswith(
+            ("config error:", f"error: argument --{flag}"))), r.stderr
+        if r.returncode:
+            assert not out.exists()
+            shutil.copytree(earlier, tmp_path / "earlier")
+            before = dir_hashes(tmp_path / "earlier")
+            assert run_cli([*args, "--out", str(tmp_path / "earlier"), "--append"]).returncode == 1
+            assert dir_hashes(tmp_path / "earlier") == before
+
     def test_phase2_report_written(self, run_dir, tmp_path):
         out = str(tmp_path / "p2")
         r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
@@ -719,6 +754,26 @@ class TestExitCodes:
         assert len(leaves) == 28
         assert bad == []
 
+    def test_every_exact_norm_runs_or_exits_1(self, tmp_path, capsys):
+        # exact_norm is null by default, so the test above never sets it: null
+        # and each value below, under each mechanism kind, on a one-round run
+        config = cli.default_config().to_dict()
+        config["fl"]["rounds"] = 1
+        path, out = tmp_path / "config.json", str(tmp_path / "o")
+        codes = {}
+        for kind in protocol.MECH_KINDS:
+            config["mechanism"]["kind"] = kind
+            for value in (None, float("nan"), float("inf"), -float("inf"), -1, 0, 2.5,
+                          datagen._MAX_DIAMETER):
+                config["mechanism"]["exact_norm"] = value
+                path.write_text(json.dumps(config))
+                codes[kind, value] = cli.main(["train", "--config", str(path), "--out", out])
+                err = capsys.readouterr().err
+                assert codes[kind, value] == 0 or (
+                    codes[kind, value] == 1 and err.startswith("config error:")), err
+        assert all(codes[kind, None] == 0 for kind in protocol.MECH_KINDS)
+        assert codes["randomization", 2.5] == 0 and codes["randomization", -1] == 1
+
     def test_malformed_config_json_exit_1(self, tmp_path):
         bad = tmp_path / "config.json"
         bad.write_text('{"dataset": {')
@@ -806,6 +861,38 @@ class TestSweepCLI:
         assert f"config error: {axis} sweep values must be whole numbers" in r.stderr
         assert "Traceback" not in r.stderr
         assert not os.path.exists(out)
+
+    FUZZ_ARGS = ["--trials", "1", "--samples", "4", "--iters", "2", "--rounds", "1"]
+
+    @pytest.fixture(scope="class")
+    def earlier_sweep(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("sweep") / "earlier")
+        assert run_cli(["sweep", "--axis", "sigma", "--values", "0,0.1", *self.FUZZ_ARGS,
+                        "--out", out]).returncode == 0
+        return out
+
+    @pytest.mark.parametrize("axis", ["sigma", "m", "T", "delta_up"])
+    @pytest.mark.parametrize("values", ["", "1", "nan,1", "inf,1", "-1,1", "1e300,1", "0,3",
+                                        "a,b"])
+    def test_bad_values_run_or_exit_cleanly(self, earlier_sweep, tmp_path, axis, values):
+        # each axis over each value list: the sweep exits 0, 1 with a config
+        # error, or 2 with a numeric error (a first attack step that is not
+        # finite, at sigma or delta_up 1e300), with no traceback. A run that
+        # fails leaves a fresh --out absent, and an earlier --out as it was
+        args = ["sweep", "--axis", axis, f"--values={values}", *self.FUZZ_ARGS]
+        out = tmp_path / "fresh"
+        r = run_cli([*args, "--out", str(out)])
+        last = r.stderr.strip().splitlines()[-1] if r.stderr.strip() else ""
+        assert "Traceback" not in r.stderr
+        assert (r.returncode == 0
+                or (r.returncode == 1 and last.startswith("config error:"))
+                or (r.returncode == 2 and last.startswith("numeric error:"))), r.stderr
+        if r.returncode:
+            assert not out.exists()
+            shutil.copytree(earlier_sweep, tmp_path / "earlier")
+            before = dir_hashes(tmp_path / "earlier")
+            assert run_cli([*args, "--out", str(tmp_path / "earlier")]).returncode == r.returncode
+            assert dir_hashes(tmp_path / "earlier") == before
 
     def test_small_sweep_runs_and_roundtrips(self, tmp_path):
         out = str(tmp_path / "s")

@@ -23,18 +23,19 @@ class TestArtifactDigestsCompare:
     """``--compare`` gates a script: exit 0 only when both trees wrote the same
     files with the same digests. ``digests`` is replaced, so no command runs."""
 
-    @pytest.mark.parametrize("b, code", [
-        (dict(A), 0),
-        ({**A, "runs/a/model.bin": "3" * 64}, 1),
-        ({"runs/a/report.json": "1" * 64}, 1),                  # only the first tree wrote it
-        ({**A, "runs/b/extra.csv": "4" * 64}, 1),               # only the second tree wrote it
-        (None, 1),                                              # a command failed
-    ], ids=["identical", "differs", "only-first", "only-second", "failed"])
-    def test_exit_code(self, monkeypatch, capsys, b, code):
+    @pytest.mark.parametrize("a, b, code", [
+        (A, dict(A), 0),
+        (A, {**A, "runs/a/model.bin": "3" * 64}, 1),
+        (A, {"runs/a/report.json": "1" * 64}, 1),               # only the first tree wrote it
+        (A, {**A, "runs/b/extra.csv": "4" * 64}, 1),            # only the second tree wrote it
+        (A, None, 1),                                           # a command failed
+        ({}, A, 1),                                             # the first tree wrote nothing
+    ], ids=["identical", "differs", "only-first", "only-second", "failed", "first-empty"])
+    def test_exit_code(self, monkeypatch, capsys, a, b, code):
         script = load_script("artifact_digests")
-        sides = iter([A, b])
+        sides = iter([a, b])
 
-        def fake_digests(out, src):
+        def fake_digests(out, src, env_extra=None):
             found = next(sides)
             for rel, digest in (found or {}).items():
                 os.makedirs(os.path.dirname(os.path.join(out, rel)), exist_ok=True)
@@ -45,8 +46,36 @@ class TestArtifactDigestsCompare:
         monkeypatch.setattr(script, "digests", fake_digests)
         assert script.main(["--compare", "tree-a", "tree-b"]) == code
         if b is not None:
-            differ = len(A.keys() ^ b.keys()) + sum(A[k] != b[k] for k in A.keys() & b.keys())
+            differ = len(a.keys() ^ b.keys()) + sum(a[k] != b[k] for k in a.keys() & b.keys())
             assert capsys.readouterr().out.splitlines()[-1].startswith(f"{differ} differ, ")
+
+
+class TestArtifactDigestsDispatchCompare:
+    """``--dispatch-compare`` digests one tree twice, the second time with
+    numpy's dispatch above X86_V3 switched off, or skips when numpy does not
+    dispatch X86_V4. ``digests`` is replaced, so no command runs."""
+
+    def run(self, monkeypatch, dispatched):
+        import numpy._core._multiarray_umath as umath
+
+        script = load_script("artifact_digests")
+        runs = []
+        monkeypatch.setattr(umath, "__cpu_dispatch__", dispatched)
+        monkeypatch.setattr(script, "digests",
+                            lambda out, src, env_extra=None: runs.append((src, env_extra)) or A)
+        return script.main(["--dispatch-compare", "tree"]), runs
+
+    def test_second_run_switches_the_targets_off(self, monkeypatch, capsys):
+        code, runs = self.run(monkeypatch, ["X86_V3", "X86_V4", "AVX512_ICL"])
+        tree = os.path.abspath("tree")
+        assert code == 0 and runs == [
+            (tree, None), (tree, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL"})]
+        assert capsys.readouterr().out.splitlines()[-1] == "0 differ, 2 identical"
+
+    def test_skips_without_x86_v4(self, monkeypatch, capsys):
+        code, runs = self.run(monkeypatch, ["X86_V2", "X86_V3"])
+        assert code == 0 and runs == []
+        assert capsys.readouterr().out.startswith("skipped: numpy does not dispatch X86_V4")
 
 
 def test_config_files_are_written_but_not_digested(monkeypatch, tmp_path):
