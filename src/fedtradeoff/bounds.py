@@ -152,6 +152,10 @@ def _slope(k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             k[5] * (1.0 - 0.5 * s) + 1.5 / u)
 
 
+# the bracket tops below which quadrupling keeps the top's square finite
+_TOP_CAP = 2.0 ** 510
+
+
 def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
                             ) -> tuple[np.ndarray, np.ndarray]:
     """(lambda*, rhs*) minimizing the utility bound f over lambda > delta_two, for
@@ -161,10 +165,11 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     f is convex, so lambda* is ``lo`` (just above delta_two) where f' >= 0 there
     and otherwise the root of f' (``_slope``), found by safeguarded Newton steps
     in u = 1/lambda^2 (Numerical Recipes' rtsafe) in a bracket whose top is
-    quadrupled until f' > 0 there (at most 20 times; a row still unbracketed
-    takes that top). Each row is frozen once its step is 1e-14 relative (at
-    most 60 steps) and equals its one-row search bit for bit, on any numpy
-    dispatch: the arithmetic is correctly rounded and the logs and exps libm's.
+    quadrupled until f' > 0 there (at most 20 times, and not past 2^512, where
+    its square overflows; a row still unbracketed takes that top). Each row is
+    frozen once its step is 1e-14 relative (at most 60 steps) and equals its
+    one-row search bit for bit, on any numpy dispatch: the arithmetic is
+    correctly rounded and the logs and exps libm's.
     """
     args = _rows(big_c, delta_two, big_m, d, cap_d, eta, m)
     consts = _utility_consts(*args).reshape(7, -1)
@@ -184,11 +189,12 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     rows = np.flatnonzero(f_lo > 0)
     grow = rows[~(f[rows] < 0)]
     for _ in range(20):
-        if not grow.size:
+        move = grow[top[grow] < _TOP_CAP]
+        if not move.size:
             break
-        top[grow] *= 4.0
-        u[grow] = 1.0 / np.square(top[grow])
-        f[grow], df[grow] = _slope(k[:, grow], u[grow])
+        top[move] *= 4.0
+        u[move] = 1.0 / np.square(top[move])
+        f[move], df[move] = _slope(k[:, move], u[move])
         grow = grow[~(f[grow] < 0)]
     lam[grow] = top[grow]
     rows = rows[np.isin(rows, grow, invert=True)]

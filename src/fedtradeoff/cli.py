@@ -103,7 +103,7 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     config = _load_config(args)
     seed = config.master_seed
-    (datasets, result), = simulate_batch([(config, seed)])
+    (datasets, result), = simulate_batch(config, [seed], [config.mechanism])
 
     os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, "manifest.json"),
@@ -161,7 +161,7 @@ def cmd_attack(args) -> int:
     # scored as a trial of run_trials is; the row keeps the manifest config's
     # experiment_id, even with --iters
     scored = replace(config, attack=atk, attack_client=args.client)
-    row, = score_block(score_trials, [(scored, seed, dict(
+    row, = score_block(score_trials, scored, [(seed, config.mechanism, dict(
         sweep_axis="attack", experiment_id=config.experiment_id()))], [observed], [[trace]])
     rep = None
     if args.phase2:         # before the first write: a phase-2 error leaves --out as it was
@@ -241,8 +241,9 @@ def cmd_estimate_constants(args) -> int:
     # are estimated at that round's model over every client's data
     pilot = replace(config, fl=replace(config.fl, rounds=1), mechanism=MechanismSpec(),
                     attack_round=0, attack_client=0)
-    est, = run_trials([(pilot, config.master_seed, {})],
-                      lambda block, seen, traces, ests: [datagen.constants_of(e) for e in ests])
+    est, = run_trials(pilot, [(config.master_seed, pilot.mechanism, {})],
+                      lambda config, block, seen, traces, ests:
+                      [datagen.constants_of(e) for e in ests])
     os.makedirs(args.out, exist_ok=True)
     doc = {"c_a": est.c_a, "c_b": est.c_b, "C": est.big_c, "M": est.big_m,
            "D": est.cap_d, "c_0": est.c_0, "c_2": est.c_2, "meta": est.meta}

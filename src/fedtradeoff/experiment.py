@@ -3,12 +3,13 @@
 One trial = generate data and run the protocol (``simulate_batch``), keep what
 scoring reads of the run (``Observed``), invert the uploads the trial lists,
 estimate its constants at ``trial_probe``, and score it. ``run_trials`` runs
-trials stage-wise in lockstep blocks, with one ``simulate_batch``, one
-``attack.invert_batch`` and one ``score_block`` (the one scoring stage, the
-CLI ``attack``'s too) per block, and is the only inverter of simulated
-uploads. A scorer takes a whole block: sweeps and ``attack`` score with
-``score_trials`` (one ``TrialRow`` per trial), the bound verifier with each
-bound's outcome function.
+the trials of one config, each a ``(seed, mechanism, kw)``, stage-wise in
+lockstep blocks, with one ``simulate_batch``, one ``attack.invert_batch`` and
+one ``score_block`` (the one scoring stage, the CLI ``attack``'s too) per
+block, and is the only inverter of simulated uploads. A scorer takes the
+config and a whole block: sweeps and ``attack`` score with ``score_trials``
+(one ``TrialRow`` per trial), the bound verifier with each bound's outcome
+function.
 
 ``privacy_outcomes`` and ``utility_outcomes`` score a block's bound sides,
 each once, and every bound reads C, c_a and c_b from the one estimate at
@@ -146,24 +147,18 @@ def exact_big_m(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarr
     return np.where(top > 1e-12, top, 1e-12)
 
 
-def simulate_batch(trials: list[tuple[ExperimentConfig, int]]) -> list[tuple]:
-    """Each ``(config, seed)`` trial's seeded datasets and the protocol run over
-    them, ``(datasets, result)``; row b equals trial b run as a batch of one,
-    bit for bit. Every trial's data comes from one ``datagen.generate_batch``
-    and every run from one stacked ``protocol.run_batch``. The trials share
-    their model, dataset spec and FL config, and their mechanisms share kind
-    and noise sharing (``_lockstep_blocks`` puts only such trials in one
-    block).
+def simulate_batch(config: ExperimentConfig, seeds: list[int],
+                   mechs: list[MechanismSpec]) -> list[tuple]:
+    """Each trial's seeded datasets and the protocol run over them, ``(datasets,
+    result)``, for trial b run at ``seeds[b]`` under ``mechs[b]`` and the
+    config's model, dataset spec and FL config; row b equals trial b run as a
+    batch of one, bit for bit. Every trial's data comes from one
+    ``datagen.generate_batch`` and every run from one stacked
+    ``protocol.run_batch``, whose mechanisms share kind and noise sharing.
 
     Raises ``NumericError`` when a trial's run diverges."""
-    config, seeds = trials[0][0], [seed for _, seed in trials]
-    shared = (config.model, config.dataset, config.fl)
-    if any((cfg.model, cfg.dataset, cfg.fl) != shared for cfg, _ in trials):
-        raise ConfigurationError("stacked trials need one model, dataset spec and FL config")
     datasets = datagen.generate_batch(config.dataset, seeds)
-    results = protocol.run_batch(config.model, config.fl, [cfg.mechanism for cfg, _ in trials],
-                                 datasets, seeds)
-    return list(zip(datasets, results))
+    return list(zip(datasets, protocol.run_batch(config.model, config.fl, mechs, datasets, seeds)))
 
 
 class Observed(NamedTuple):
@@ -196,14 +191,15 @@ def two_way_distortion(theta_decoded: np.ndarray, theta_shadow: np.ndarray) -> f
         return float(np.linalg.norm(theta_decoded - theta_shadow))
 
 
-def _observed(config: ExperimentConfig, datasets: list[datagen.ClientDataset],
-              result: protocol.RunResult) -> Observed:
-    if not (0 <= config.attack_round < len(result.records)):
+def _observed(config: ExperimentConfig, sims: list[tuple]) -> list[Observed]:
+    """The ``Observed`` of each ``simulate_batch`` row of ``config``'s trials."""
+    if not 0 <= config.attack_round < config.fl.rounds:
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
-    if not (0 <= config.attack_client < len(datasets)):
+    if not 0 <= config.attack_client < config.dataset.num_clients:
         raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    return Observed.from_round(result.records[config.attack_round], datasets,
-                               result.theta_final_shadow, result.theta_final_decoded)
+    return [Observed.from_round(result.records[config.attack_round], datasets,
+                                result.theta_final_shadow, result.theta_final_decoded)
+            for datasets, result in sims]
 
 
 @dataclass
@@ -216,30 +212,30 @@ class TrialOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def privacy_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
+def privacy_outcomes(config: ExperimentConfig, block: list[tuple], seen: list[Observed],
+                     traces: list[list],
                      ests: list[datagen.ConstantsEstimate | FedTradeoffError | None]
                      ) -> list[TrialOutcome]:
     """The attacked client's leakage vs the privacy bound, for each observed
-    ``(config, seed, kw)`` trial of ``block`` at its constants ``ests[i]``;
-    the privacy bound's scorer.
+    ``(seed, mechanism, kw)`` trial of ``config`` in ``block`` at its constants
+    ``ests[i]``; the privacy bound's scorer.
 
     ``traces[i]`` holds the one inversion of that client's upload in the
     observed round. Trials are scored in order, and an error ``ests[i]`` is
     raised before trial i's leakage is scored. With ``ests[i]`` None the
     threshold, rhs and constants are NaN and the precondition fails."""
+    client, iters, gamma = config.attack_client, config.attack.iters, config.gamma
+    cap_d = config.dataset.diameter_cap
     out = []
-    for (config, _, _), observed, (trace,), est in zip(block, seen, traces, ests):
+    for observed, (trace,), est in zip(seen, traces, ests):
         est = datagen.constants_of(est)
-        client = config.attack_client
         target, delta_up = observed.datasets[client], observed.delta_up_grad[client]
         eps_p = attackmod.privacy_leakage(trace)
         if est is None:
             threshold = rhs = c_a = c_b = c_2 = skip_rate = float("nan")
         else:
-            threshold = boundsmod.privacy_precondition_threshold(
-                est.c_2, est.c_b, est.c_a, config.attack.iters)
-            rhs = boundsmod.privacy_upper_bound(config.gamma, target.size, est.c_a,
-                                                config.dataset.diameter_cap, delta_up)
+            threshold = boundsmod.privacy_precondition_threshold(est.c_2, est.c_b, est.c_a, iters)
+            rhs = boundsmod.privacy_upper_bound(gamma, target.size, est.c_a, cap_d, delta_up)
             c_a, c_b, c_2, skip_rate = est.c_a, est.c_b, est.c_2, est.meta["skip_rate"]
         out.append(TrialOutcome(
             measured=eps_p, rhs=rhs, precondition_ok=bool(delta_up >= threshold),
@@ -248,12 +244,13 @@ def privacy_outcomes(block: list[tuple], seen: list[Observed], traces: list[list
     return out
 
 
-def utility_outcomes(block: list[tuple], seen: list[Observed],
+def utility_outcomes(config: ExperimentConfig, block: list[tuple], seen: list[Observed],
                      ests: list[datagen.ConstantsEstimate | FedTradeoffError | None]
                      ) -> list[tuple[TrialOutcome, float]]:
     """The attacked client's utility loss vs the utility bound at the minimizing
     lambda, ``(outcome, halfwidth of the loss)``, for each observed
-    ``(config, seed, kw)`` trial of ``block`` at its constants ``ests[i]``.
+    ``(seed, mechanism, kw)`` trial of ``config`` in ``block`` at its constants
+    ``ests[i]``.
 
     The loss is that of the final decoded model against the final shadow, on
     the trial's ``n_eval`` fresh draws (``datagen.fresh_draws``). The bound's C
@@ -262,19 +259,17 @@ def utility_outcomes(block: list[tuple], seen: list[Observed],
     model; D is the configured cap. A NaN C (estimate None) gives NaN lambda
     and rhs; an infinite ||delta|| raises ``NumericError``.
 
-    The trials share their model, dataset spec and ``n_eval``, as a lockstep
-    block's do. Their draws, losses and M are taken in stacked calls over
-    chunks of at most ``datagen._BLOCK_BYTES``, whatever the block's size
+    The trials' draws, losses and M are taken in stacked calls over chunks of
+    at most ``datagen._BLOCK_BYTES``, whatever the block's size
     (``_lockstep_blocks`` does not charge them), and their lambdas in one
     lockstep ``bounds.minimize_utility_lambda``; each row equals its one-trial
     block bit for bit. A block of one raises its trial's first failing check
     in the order above; a larger block raises some failing trial's error."""
-    config = block[0][0]
-    model, n = config.model, config.n_eval
-    targets = [o.datasets[cfg.attack_client] for (cfg, _, _), o in zip(block, seen)]
+    model, n, cap_d = config.model, config.n_eval, config.dataset.diameter_cap
+    targets = [o.datasets[config.attack_client] for o in seen]
     theta = np.array([o.theta_shadow for o in seen])
     delta = np.array([o.theta_decoded for o in seen]) - theta
-    draws = datagen.fresh_draws(config.dataset, [seed for _, seed, _ in block],
+    draws = datagen.fresh_draws(config.dataset, [seed for seed, _, _ in block],
                                 [t.centers for t in targets], n)
     loss, half, big_m = (np.empty(len(block)) for _ in range(3))
     # a trial's draws and rows, labels and forward values: about three copies of each layer
@@ -294,13 +289,11 @@ def utility_outcomes(block: list[tuple], seen: list[Observed],
         if est is not None:
             big_c[i] = est.big_c
     two_way = np.array([o.two_way for o in seen])
-    cap_d = config.dataset.diameter_cap
     lam, rhs = np.full(len(block), np.nan), np.full(len(block), np.nan)
     rows = np.flatnonzero(~np.isnan(big_c))
     if rows.size:
         lam[rows], rhs[rows] = boundsmod.minimize_utility_lambda(
-            big_c[rows], two_way[rows], big_m[rows], model.param_dim, cap_d,
-            np.array([cfg.eta for cfg, _, _ in block])[rows],
+            big_c[rows], two_way[rows], big_m[rows], model.param_dim, cap_d, config.eta,
             np.array([t.size for t in targets])[rows])
     return [(TrialOutcome(measured=eps_u, rhs=r, precondition_ok=lam_i > delta_two,
                           extras={"lambda": lam_i, "delta_two": delta_two, "big_c": c,
@@ -325,42 +318,44 @@ def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
                          seed=seed)
 
 
-def score_trials(block: list[tuple], seen: list[Observed], traces: list[list],
-                 ests: list[datagen.ConstantsEstimate | FedTradeoffError]) -> list[TrialRow]:
-    """Score each observed ``(config, seed, kw)`` trial of ``block`` to its
-    ``TrialRow``: leakage, utility loss, constants, bounds; ``kw`` holds the
-    row's ``sweep_axis``, ``sweep_value``, ``trial_index`` and
+def score_trials(config: ExperimentConfig, block: list[tuple], seen: list[Observed],
+                 traces: list[list], ests: list[datagen.ConstantsEstimate | FedTradeoffError]
+                 ) -> list[TrialRow]:
+    """Score each observed ``(seed, mechanism, kw)`` trial of ``config`` in
+    ``block`` to its ``TrialRow``: leakage, utility loss, constants, bounds;
+    ``kw`` holds the row's ``sweep_axis``, ``sweep_value``, ``trial_index`` and
     ``experiment_id``.
 
     ``traces[i]`` holds the one inversion of trial i's ``config.attack_client``
     upload in the observed round, with ``config.attack.iters`` iterations.
     Both bounds take their constants from ``ests[i]``: an ``EstimationError``
     (no usable pair, e.g. single-sample clients) gives NaN bound columns, any
-    other error is raised. ``experiment_id`` defaults to the trial config's
-    digest; sweeps stamp their base config's digest on every row so one sweep
-    stays one experiment. Every trial's privacy side is scored before the
-    block's utility sides (``utility_outcomes``)."""
+    other error is raised. ``experiment_id`` defaults to the config's digest;
+    sweeps stamp their base config's digest on every row so one sweep stays
+    one experiment. Every trial's privacy side is scored before the block's
+    utility sides (``utility_outcomes``)."""
     ests = [None if isinstance(est, EstimationError) else est for est in ests]
-    privacy = privacy_outcomes(block, seen, traces, ests)
-    utility = utility_outcomes(block, seen, ests)
-    return [_trial_row(cfg, seed, o, ts[0], est, p, u, half, **kw)
-            for (cfg, seed, kw), o, ts, est, p, (u, half)
+    privacy = privacy_outcomes(config, block, seen, traces, ests)
+    utility = utility_outcomes(config, block, seen, ests)
+    client, default_id = config.attack_client, config.experiment_id()
+    return [_trial_row(client, seed, mech, o, ts[0], est, p, u, half,
+                       **{"experiment_id": default_id, **kw})
+            for (seed, mech, kw), o, ts, est, p, (u, half)
             in zip(block, seen, traces, ests, privacy, utility)]
 
 
-def _trial_row(config: ExperimentConfig, seed: int, observed: Observed,
+def _trial_row(client: int, seed: int, mech: MechanismSpec, observed: Observed,
                trace: attackmod.AttackTrace, est: datagen.ConstantsEstimate | None,
                privacy: TrialOutcome, utility: TrialOutcome, half: float, *,
-               sweep_axis: str = "none", sweep_value: float = 0.0, trial_index: int = 0,
-               experiment_id: str | None = None) -> TrialRow:
-    client = config.attack_client
+               experiment_id: str, sweep_axis: str = "none", sweep_value: float = 0.0,
+               trial_index: int = 0) -> TrialRow:
     target = observed.datasets[client]
     consts = privacy.extras
     cap_d, c_0 = (float("nan"),) * 2 if est is None else (est.cap_d, est.c_0)
     return TrialRow(
-        experiment_id=experiment_id or config.experiment_id(),
+        experiment_id=experiment_id,
         sweep_axis=sweep_axis, sweep_value=sweep_value, trial_index=trial_index,
-        seed=seed, mechanism=config.mechanism.kind, sigma=config.mechanism.sigma,
+        seed=seed, mechanism=mech.kind, sigma=mech.sigma,
         eps_p=privacy.measured,
         eps_p_final=attackmod.privacy_leakage_final(trace),
         eps_u=utility.measured, eps_u_halfwidth=half, eps_e=target.size,
@@ -377,11 +372,6 @@ def _trial_row(config: ExperimentConfig, seed: int, observed: Observed,
     )
 
 
-def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
-    """The uploads a trial inverts by default: the attacked client's."""
-    return (config.attack_client,)
-
-
 # (m, p) arrays an inversion that keeps no trajectory holds per upload
 # whatever its iteration count: the iterate, its candidate, the gradient,
 # Adam's two moments, the originals, the final iterate, and one for the
@@ -389,96 +379,90 @@ def attacked_client(config: ExperimentConfig) -> tuple[int, ...]:
 _LOOP_ARRAYS = 8
 
 
-def _lockstep_blocks(trials: list[tuple], inverted=attacked_client) -> list[list[tuple]]:
-    """Consecutive slices of ``trials``, one ``simulate_batch``, one
-    ``invert_batch`` and one ``score_block`` call each.
-
-    A block holds trials of one shape (equal model, attack config, dataset spec,
-    FL config, mechanism kind and noise sharing, and ``n_eval``) and takes as many as
-    fit ``datagen._BLOCK_BYTES``, at least one. Each trial is charged its own bytes:
+def _lockstep_blocks(config: ExperimentConfig, trials: list[tuple],
+                     inverted: tuple[int, ...]) -> list[list[tuple]]:
+    """Consecutive slices of ``config``'s ``trials``, one ``simulate_batch``, one
+    ``invert_batch`` and one ``score_block`` call each: as many trials as fit
+    ``datagen._BLOCK_BYTES``, at least one. Every trial costs the same bytes:
     its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
     round (2 under randomization, whose shadow takes its own) and, per round,
-    its n gradient sets, wires, noise and 4 model vectors; for each listed
-    upload the inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its m
-    per-example gradients; and its ``Observed``. The inversion keeps no
+    its n gradient sets, wires, noise and 4 model vectors; for each
+    ``inverted`` upload the inversion's ``_LOOP_ARRAYS`` (m, p) arrays and its
+    m per-example gradients; and its ``Observed``. The inversion keeps no
     trajectory, and scoring chunks its own temporaries (constants rows, the
     utility side) within the same budget, so neither is charged."""
-    blocks, held, last = [], 0, None
-    for trial in trials:
-        config = trial[0]
-        model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
-        p, d, mech = model.input_dim, model.param_dim, config.mechanism
-        n = 2 if mech.kind == "randomization" else 1
-        shape = (model, config.attack, config.dataset, config.fl, mech.kind, mech.shared_noise,
-                 config.n_eval)
-        cost = (8 * d * (n * k * m + config.fl.rounds * ((n + 2) * k + 4))
-                + len(inverted(config)) * 8 * m * (_LOOP_ARRAYS * p + d)
-                + 8 * (k * m * (p + 1) + (k + 3) * d))
-        if shape != last or held + cost > datagen._BLOCK_BYTES:
-            blocks.append([])
-            held, last = 0, shape
-        blocks[-1].append(trial)
-        held += cost
-    return blocks
+    model, k, m = config.model, config.dataset.num_clients, config.dataset.per_client_size
+    p, d = model.input_dim, model.param_dim
+    n = 2 if trials[0][1].kind == "randomization" else 1
+    cost = (8 * d * (n * k * m + config.fl.rounds * ((n + 2) * k + 4))
+            + len(inverted) * 8 * m * (_LOOP_ARRAYS * p + d)
+            + 8 * (k * m * (p + 1) + (k + 3) * d))
+    size = max(1, datagen._BLOCK_BYTES // cost)
+    return [trials[i:i + size] for i in range(0, len(trials), size)]
 
 
-def run_trials(trials: list[tuple], score, *, inverted=attacked_client) -> list:
-    """The results of each ``(config, seed, kw)`` trial, in order: ``score(block,
-    seen, traces, ests)`` lists them for a block of such trials (``score_block``).
+def run_trials(config: ExperimentConfig, trials: list[tuple], score, *,
+               inverted: tuple[int, ...] | None = None) -> list:
+    """The results of each ``(seed, mechanism, kw)`` trial of ``config``, in
+    order: ``score(config, block, seen, traces, ests)`` lists them for a block
+    of such trials (``score_block``). A trial runs under its own mechanism,
+    which shares its kind and noise sharing with every other trial's; the
+    config's own mechanism is not read.
 
-    ``inverted(config)`` lists the clients whose uploads in the attacked round
-    a trial inverts: by default the attacked client, none for the utility
-    bounds, every client for the trade-offs.
+    ``inverted`` lists the clients whose uploads in the attacked round every
+    trial inverts: by default ``(config.attack_client,)``, ``()`` for the
+    utility bounds, every client for the trade-offs.
 
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
-    (trials of one shape within ``datagen._BLOCK_BYTES``): observe them in one
+    (fixed slices within ``datagen._BLOCK_BYTES``): observe them in one
     ``simulate_batch``, invert every listed upload of the block in one
     ``attack.invert_batch`` (a trial's j-th upload with attack seed
     ``seed + j``, its leakage summed as it runs against that client's data
-    at the trial's ``diameter_cap``, so its trace scores itself), then score
+    at the config's ``diameter_cap``, so its trace scores itself), then score
     them, traces in listed order, in one ``score_block``; the traces and
     estimates die with the block. A block that raises reruns one trial at a
     time, so the error raised is the one a serial run meets first: that of
     the first failing trial, whatever stage it fails in. This is the only
     place a simulated upload is inverted."""
+    inverted = (config.attack_client,) if inverted is None else tuple(inverted)
     rows = []
-    for block in _lockstep_blocks(trials, inverted):
+    for block in _lockstep_blocks(config, trials, inverted):
         try:
-            rows += _run_block(score, inverted, block)
+            rows += _run_block(config, score, inverted, block)
         except Exception:
             if len(block) > 1:
                 for trial in block:
-                    _run_block(score, inverted, [trial])
+                    _run_block(config, score, inverted, [trial])
             raise
     return rows
 
 
-def _run_block(score, inverted, block: list[tuple]) -> list:
-    seen = [_observed(cfg, *sim) for (cfg, _, _), sim in
-            zip(block, simulate_batch([(cfg, seed) for cfg, seed, _ in block]))]
-    clients = [tuple(inverted(cfg)) for cfg, _, _ in block]
-    uploads = [(cfg, o, k, seed + j) for (cfg, seed, _), o, ks in zip(block, seen, clients)
-               for j, k in enumerate(ks)]
-    inversions = iter(attackmod.invert_batch(
-        block[0][0].model, np.stack([o.theta_round for _, o, _, _ in uploads]),
-        np.stack([o.wires[k] for _, o, k, _ in uploads]),
-        np.stack([o.datasets[k].y for _, o, k, _ in uploads]),
-        block[0][0].attack, [s for _, _, _, s in uploads],
-        np.stack([o.datasets[k].x for _, o, k, _ in uploads]),
-        [cfg.dataset.diameter_cap for cfg, _, _, _ in uploads]) if uploads else ())
-    traces = [list(itertools.islice(inversions, len(ks))) for ks in clients]
-    return score_block(score, block, seen, traces)
+def _run_block(config: ExperimentConfig, score, inverted: tuple[int, ...],
+               block: list[tuple]) -> list:
+    seeds, n = [seed for seed, _, _ in block], len(inverted)
+    seen = _observed(config, simulate_batch(config, seeds, [mech for _, mech, _ in block]))
+    uploads = [(o, k) for o in seen for k in inverted]
+    inversions = attackmod.invert_batch(
+        config.model, np.stack([o.theta_round for o, _ in uploads]),
+        np.stack([o.wires[k] for o, k in uploads]),
+        np.stack([o.datasets[k].y for o, k in uploads]), config.attack,
+        [seed + j for seed in seeds for j in range(n)],
+        np.stack([o.datasets[k].x for o, k in uploads]),
+        [config.dataset.diameter_cap] * len(uploads)) if uploads else []
+    return score_block(score, config, block, seen,
+                       [inversions[i * n:(i + 1) * n] for i in range(len(block))])
 
 
-def score_block(score, block: list[tuple], seen: list[Observed], traces: list[list]) -> list:
-    """``score(block, seen, traces, ests)`` of the observed ``(config, seed, kw)``
-    trials of ``block``, one result per trial in order, each trial's
-    ``ests[i]`` its ``trial_probe``'s row of one
+def score_block(score, config: ExperimentConfig, block: list[tuple], seen: list[Observed],
+                traces: list[list]) -> list:
+    """``score(config, block, seen, traces, ests)`` of the observed ``(seed,
+    mechanism, kw)`` trials of ``config`` in ``block``, one result per trial in
+    order, each trial's ``ests[i]`` its ``trial_probe``'s row of one
     ``datagen.estimate_constants_batch`` (the estimate, or the error it
     raised); the scoring stage of ``run_trials`` and of the CLI's ``attack``."""
-    ests = datagen.estimate_constants_batch(block[0][0].model, [
-        trial_probe(cfg, seed, o, ts) for (cfg, seed, _), o, ts in zip(block, seen, traces)])
-    return score(block, seen, traces, ests)
+    ests = datagen.estimate_constants_batch(config.model, [
+        trial_probe(config, seed, o, ts) for (seed, _, _), o, ts in zip(block, seen, traces)])
+    return score(config, block, seen, traces, ests)
 
 
 SWEEP_AXES = ("sigma", "m", "T", "delta_up")
@@ -514,12 +498,16 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
 
     base_id = config.experiment_id()
     configs = [_config_for_sweep_value(config, axis, value) for value in values]
-    rows = run_trials([
-        (configs[si], seed, dict(sweep_axis=axis, sweep_value=float(value), trial_index=ti,
-                                 experiment_id=base_id))
-        for si, value in enumerate(values)
-        for ti, seed in enumerate(rngmod.trial_seeds(config.master_seed, si, trials))],
-        score_trials)
+    runs = [[(seed, configs[si].mechanism, dict(sweep_axis=axis, sweep_value=float(value),
+                                                trial_index=ti, experiment_id=base_id))
+             for ti, seed in enumerate(rngmod.trial_seeds(config.master_seed, si, trials))]
+            for si, value in enumerate(values)]
+    # one run_trials call per run of consecutive values whose configs differ
+    # only in the mechanism: a whole sigma or delta_up sweep, one m or T value
+    rows = []
+    for shared, group in itertools.groupby(
+            zip(configs, runs), lambda c_r: replace(c_r[0], mechanism=configs[0].mechanism)):
+        rows += run_trials(shared, [trial for _, run in group for trial in run], score_trials)
 
     summary = summarize_sweep(axis, values, rows)
     return rows, summary

@@ -157,12 +157,6 @@ def weighted_sum(vectors: np.ndarray | list, sizes: list[int]) -> np.ndarray:
     return acc
 
 
-def aggregate(vectors: list[np.ndarray], sizes: list[int], theta: np.ndarray,
-              eta: float) -> np.ndarray:
-    """theta - eta * sum_k (m_k / sum_j m_j) * v_k, summed in client order."""
-    return np.asarray(theta, dtype=np.float64) - eta * weighted_sum(vectors, sizes)
-
-
 @dataclass
 class RoundRecord:
     round_index: int

@@ -1,11 +1,12 @@
 """Monte-Carlo verification of the probabilistic bounds.
 
-A bound's trials are ``experiment`` trials: ``VerifyScenario.experiment_config``
-gives the config they run, and ``trial_outcomes`` runs one per seed through
-``experiment.run_trials``, with the bound's outcome function as the scorer.
-Privacy trials invert client 0's round-0 upload, trade-off trials every
-client's, utility trials none. Each scorer takes a lockstep block: the privacy
-scorer is ``experiment.privacy_outcomes``, the others take the block's
+A bound's trials are ``experiment`` trials of one config:
+``VerifyScenario.experiment_config`` gives it, and ``trial_outcomes`` runs
+one trial per seed under its mechanism in one ``experiment.run_trials`` call,
+with the bound's outcome function as the scorer. Privacy trials invert client
+0's round-0 upload, trade-off trials every client's, utility trials none.
+Each scorer takes the config and a lockstep block: the privacy scorer is
+``experiment.privacy_outcomes``, the others take the block's
 ``experiment.utility_outcomes``, the sides ``score_trials`` uses too, at each
 trial's one estimate at ``experiment.trial_probe``.
 
@@ -78,35 +79,36 @@ class VerifyScenario:
             quantile=self.quantile, gamma=self.gamma, eta=self.eta)
 
 
-def _utility_outcomes(block: list[tuple], seen: list[Observed], traces: list[list],
-                      ests: list) -> list[TrialOutcome]:
+def _utility_outcomes(config: ExperimentConfig, block: list[tuple], seen: list[Observed],
+                      traces: list[list], ests: list) -> list[TrialOutcome]:
     """Each trial's measured utility loss vs the utility bound."""
-    outs = [out for out, _ in utility_outcomes(block, seen, ests)]
-    for (config, _, _), out in zip(block, outs):
-        if config.mechanism.kind == "he_codec" and out.extras["delta_two"] != 0.0:
+    outs = [out for out, _ in utility_outcomes(config, block, seen, ests)]
+    for (_, mech, _), out in zip(block, outs):
+        if mech.kind == "he_codec" and out.extras["delta_two"] != 0.0:
             raise ConfigurationError("HE run produced nonzero two-way distortion")
     return outs
 
 
 def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,
-                       block: list[tuple], seen: list[Observed],
+                       config: ExperimentConfig, block: list[tuple], seen: list[Observed],
                        traces: list[list[attackmod.AttackTrace]], ests: list) -> list[TrialOutcome]:
     """Each trial's client-0 utility loss vs a trade-off bound, from every
     client's round-0 leakage (``traces[i][k]`` inverted trial i's client k)."""
     eps_p = [[attackmod.privacy_leakage(trace) for trace in ts] for ts in traces]
     formula = (boundsmod.tradeoff_randomization if randomized_formula
                else boundsmod.tradeoff_general)
+    eta, gamma, iters, dim = config.eta, config.gamma, config.attack.iters, config.model.param_dim
     outs = []
-    for (config, _, _), obs, est, leak, (util, _) in zip(
-            block, seen, ests, eps_p, utility_outcomes(block, seen, ests)):
+    for obs, est, leak, (util, _) in zip(seen, ests, eps_p,
+                                         utility_outcomes(config, block, seen, ests)):
         lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
         inputs = boundsmod.BoundInputs(
             constants=replace(est, big_m=util.extras["big_m"], cap_d=util.extras["cap_d"]),
-            eta=config.eta, lam=lam, gamma=config.gamma, eps_p=np.array(leak),
+            eta=eta, lam=lam, gamma=gamma, eps_p=np.array(leak),
             eps_e=np.array([float(d.size) for d in obs.datasets]),
             delta_up=np.array(obs.delta_up_grad), delta_two=delta_two,
-            num_clients=len(obs.datasets), d=config.model.param_dim,
-            t_rounds=config.attack.iters, rho=scenario.rho, big_l=scenario.big_l)
+            num_clients=len(obs.datasets), d=dim, t_rounds=iters, rho=scenario.rho,
+            big_l=scenario.big_l)
         budget = inputs.probability_budget()
         outs.append(TrialOutcome(measured=util.measured, rhs=formula(inputs, client=0),
                                  precondition_ok=budget > 0.0,
@@ -116,19 +118,19 @@ def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,
 
 def trial_outcomes(bound_name: str, scenario: VerifyScenario,
                    seeds: list[int]) -> list[TrialOutcome]:
-    """One trial of ``bound_name`` per seed, run through ``experiment.run_trials``;
-    their outcomes in seed order."""
+    """One trial of ``bound_name`` per seed, all of one config, run through
+    ``experiment.run_trials``; their outcomes in seed order."""
     if bound_name not in boundsmod.BOUND_NAMES:
         raise ConfigurationError(f"unknown bound name: {bound_name!r}; "
                                  f"expected one of {sorted(boundsmod.BOUND_NAMES)}")
-    trials = [(scenario.experiment_config(bound_name), seed, {}) for seed in seeds]
+    config = scenario.experiment_config(bound_name)
+    trials = [(seed, config.mechanism, {}) for seed in seeds]
     if bound_name == "privacy":
-        return run_trials(trials, privacy_outcomes)
+        return run_trials(config, trials, privacy_outcomes)
     if bound_name.startswith("tradeoff"):
         score = partial(_tradeoff_outcomes, scenario, bound_name == "tradeoff-randomization")
-        return run_trials(trials, score,
-                          inverted=lambda config: range(config.dataset.num_clients))
-    return run_trials(trials, _utility_outcomes, inverted=lambda config: ())
+        return run_trials(config, trials, score, inverted=range(config.dataset.num_clients))
+    return run_trials(config, trials, _utility_outcomes, inverted=())
 
 
 def stated_confidence(bound_name: str, scenario: VerifyScenario) -> float:

@@ -239,13 +239,13 @@ def test_criterion_09_formula_unit_suite():
         checks.append(False)
     except Exception:
         checks.append(True)
-    # aggregation
-    agg = protocol.aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-                             [3, 3], np.zeros(2), 1.0)
+    # aggregation: the server's step, theta - eta * weighted_sum(uploads, sizes)
+    agg = np.zeros(2) - 1.0 * protocol.weighted_sum([np.array([1.0, 0.0]),
+                                                     np.array([0.0, 1.0])], [3, 3])
     checks.append(np.array_equal(agg, np.array([-0.5, -0.5])))
     gsingle = np.array([2.0, -1.0])
     checks.append(np.allclose(
-        protocol.aggregate([gsingle], [5], np.ones(2), 0.1),
+        np.ones(2) - 0.1 * protocol.weighted_sum([gsingle], [5]),
         np.ones(2) - 0.1 * gsingle, rtol=0, atol=0))
     # eps_p edge cases: an inversion started at the target, observing the
     # target's own gradient, stays there

@@ -190,6 +190,19 @@ class TestLambdaMinimizer:
     def test_pinned_minimum(self, args, want):
         assert bounds.minimize_utility_lambda(*args) == want
 
+    def test_top_stops_growing_before_its_square_overflows(self):
+        # the top, 1e151 at D = 1e150, is quadrupled 5 times to 1.024e154 and
+        # taken as lambda: a sixth time its square would overflow (a
+        # RuntimeWarning, which the suite's filter raises), and its slope at
+        # lambda = inf would be NaN
+        lam, rhs = bounds.minimize_utility_lambda(1e-10, 0.0, 1e300, 1000, 1e150, 1.0, 1)
+        assert lam == 1e151 * 4.0 ** 5
+        assert math.isfinite(rhs)
+        # beside it, a row whose top never nears the cap keeps its one-row result
+        lam, rhs = bounds.minimize_utility_lambda([1e-10, 1e-9], [0.0, 0.1], [1e300, 1.0],
+                                                  [1000, 2], [1e150, 2.0], [1.0, 0.1], [1, 32])
+        assert (lam[1], rhs[1]) == (1194.92016883862, 0.5632054532026994)
+
     @staticmethod
     def argument_rows(n=2400, seed=25):
         """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (tops

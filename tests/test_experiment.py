@@ -7,15 +7,27 @@ import numpy as np
 import pytest
 
 from conftest import fresh_sampler
-from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
+from fedtradeoff import attack, bounds, cli, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
 
+def simulate(config, *seeds):
+    """``simulate_batch`` of ``config``'s trials at ``seeds``, each under the
+    config's own mechanism."""
+    return experiment.simulate_batch(config, list(seeds), [config.mechanism] * len(seeds))
+
+
 def observe(config, seed):
     """A trial's ``Observed``, simulated as a batch of one."""
-    sim, = experiment.simulate_batch([(config, seed)])
-    return experiment._observed(config, *sim)
+    return experiment._observed(config, simulate(config, seed))[0]
+
+
+def run_one(config, seed, score=None, **kw):
+    """``run_trials`` of the one trial of ``config`` at ``seed`` under the
+    config's own mechanism, scored by ``score_trials`` unless ``score`` is given."""
+    return experiment.run_trials(config, [(seed, config.mechanism, {})],
+                                 score or experiment.score_trials, **kw)
 
 
 def base_config(**kw):
@@ -60,25 +72,24 @@ class TestOverflowIsWarningClean:
         cfg = base_config(mechanism=experiment.MechanismSpec(kind="randomization",
                                                              sigma=1e200))
         seed = rngmod.trial_seed(3, 0, 0)
-        (_, result), = experiment.simulate_batch([(cfg, seed)])
+        (_, result), = simulate(cfg, seed)
         assert result.records[0].delta_up_grad == [math.inf]
         # the attack objective overflows at its init, so the trial cannot be scored
         with pytest.raises(NumericError, match="attack diverged at its first step"):
-            experiment.run_trials([(cfg, seed, {})], experiment.score_trials)
+            run_one(cfg, seed)
 
     def test_huge_final_model_records_infinite_halfwidth(self):
         # learning rate 40 on a linear model: the final model is huge but finite
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=250, learning_rate=40.0))
-        row, = experiment.run_trials([(cfg, rngmod.trial_seed(3, 0, 0), {})],
-                                     experiment.score_trials)
+        row, = run_one(cfg, rngmod.trial_seed(3, 0, 0))
         assert math.isfinite(row.eps_u) and row.eps_u > 1e180
         assert row.eps_u_halfwidth == math.inf
 
 
 class TestRunTrial:
     def test_row_fields_sane(self):
-        row, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
+        row, = run_one(base_config(), 5)
         assert 0.0 <= row.eps_p <= 1.0
         assert 0.0 <= row.eps_p_final <= 1.0
         assert row.eps_u >= 0.0
@@ -87,15 +98,15 @@ class TestRunTrial:
         assert row.utility_lambda > 0.0
 
     def test_reproducible(self):
-        a, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
-        b, = experiment.run_trials([(base_config(), 5, {})], experiment.score_trials)
+        a, = run_one(base_config(), 5)
+        b, = run_one(base_config(), 5)
         assert a == b
 
     def test_single_sample_degrades_to_nan_bounds(self):
         cfg = base_config(dataset=datagen.DatasetSpec(
             num_clients=1, per_client_size=1, input_dim=2, num_classes=2,
             class_separation=2.0, diameter_cap=2.0, seed=0))
-        row, = experiment.run_trials([(cfg, 9, {})], experiment.score_trials)
+        row, = run_one(cfg, 9)
         assert 0.0 <= row.eps_p <= 1.0
         assert np.isnan(row.privacy_rhs) and not row.privacy_precond_ok
         assert not row.privacy_holds and not row.utility_holds
@@ -104,11 +115,11 @@ class TestRunTrial:
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
-            experiment.run_trials([(cfg, 1, {})], experiment.score_trials)
+            run_one(cfg, 1)
 
     def test_holds_implies_precondition(self):
         for seed in range(6):
-            row, = experiment.run_trials([(base_config(), seed, {})], experiment.score_trials)
+            row, = run_one(base_config(), seed)
             if row.privacy_holds:
                 assert row.privacy_precond_ok
 
@@ -119,22 +130,22 @@ class TestSimulate:
                           mechanism=experiment.MechanismSpec("randomization", 0.3))
 
         def run(ds_seed, fl_seed):
-            (datasets, result), = experiment.simulate_batch([
-                (replace(cfg, dataset=replace(cfg.dataset, seed=ds_seed),
-                         fl=replace(cfg.fl, seed=fl_seed)), 5)])
+            (datasets, result), = simulate(
+                replace(cfg, dataset=replace(cfg.dataset, seed=ds_seed),
+                        fl=replace(cfg.fl, seed=fl_seed)), 5)
             return ([(d.x.tolist(), d.y.tolist()) for d in datasets],
                     result.theta_final_decoded.tolist(),
                     result.theta_final_shadow.tolist())
 
         assert run(0, 0) == run(11, 12)
-        (_, other), = experiment.simulate_batch([(cfg, 6)])
+        (_, other), = simulate(cfg, 6)
         assert run(0, 0)[1] != other.theta_final_decoded.tolist()
 
     def test_diverged_run_raises(self):
         cfg = base_config(model=models.ModelSpec(kind="linear", input_dim=2),
                           fl=protocol.FLRunConfig(rounds=80, learning_rate=1e8))
         with pytest.raises(NumericError, match="run aborted"):
-            experiment.simulate_batch([(replace(cfg, mechanism=experiment.MechanismSpec()), 1)])
+            simulate(replace(cfg, mechanism=experiment.MechanismSpec()), 1)
 
 
 def stacked_config(model, mechanism, clients, schedule, sigma=None):
@@ -191,47 +202,47 @@ class TestSimulateBatch:
         config = stacked_config(model, STACKED_MECHS[mech_name], clients, schedule)
         # seven trials: enough streams to take the batched seeding
         seeds = [rngmod.trial_seed(3, 0, i) for i in range(7)]
-        got = experiment.simulate_batch([(config, seed) for seed in seeds])
+        got = simulate(config, *seeds)
         for sim, seed in zip(got, seeds, strict=True):
-            assert_same_simulation(sim, experiment.simulate_batch([(config, seed)])[0])
+            assert_same_simulation(sim, simulate(config, seed)[0])
 
     @pytest.mark.parametrize("mech_name", ["rand", "shared", "exact-norm"])
     def test_mixed_sigmas_in_one_block(self, mech_name):
         # the sigma sweep's trials differ in sigma (and the delta_up sweep's in
         # exact_norm) yet share one block
-        model = models.ModelSpec("logistic", 3)
-        configs = [stacked_config(model, STACKED_MECHS[mech_name], 3, "constant", sigma)
-                   for sigma in (0.0, 0.05, 0.3, 2.0, 0.0, 1.0)]
+        config = stacked_config(models.ModelSpec("logistic", 3), STACKED_MECHS[mech_name], 3,
+                                "constant")
+        mechs = [replace(config.mechanism, sigma=sigma)
+                 for sigma in (0.0, 0.05, 0.3, 2.0, 0.0, 1.0)]
         if mech_name == "exact-norm":
-            configs = [replace(c, mechanism=replace(c.mechanism, exact_norm=0.2 * i))
-                       for i, c in enumerate(configs)]
-        trials = [(c, rngmod.trial_seed(3, 0, i)) for i, c in enumerate(configs)]
-        assert len(experiment._lockstep_blocks([(c, s, {}) for c, s in trials])) == 1
-        for sim, (config, seed) in zip(experiment.simulate_batch(trials), trials, strict=True):
-            assert_same_simulation(sim, experiment.simulate_batch([(config, seed)])[0])
+            mechs = [replace(mech, exact_norm=0.2 * i) for i, mech in enumerate(mechs)]
+        seeds = [rngmod.trial_seed(3, 0, i) for i in range(len(mechs))]
+        assert len(experiment._lockstep_blocks(
+            config, [(seed, mech, {}) for seed, mech in zip(seeds, mechs)], (0,))) == 1
+        for sim, seed, mech in zip(experiment.simulate_batch(config, seeds, mechs), seeds, mechs,
+                                   strict=True):
+            assert_same_simulation(sim, simulate(replace(config, mechanism=mech), seed)[0])
 
     def test_trials_of_another_shape_are_refused(self):
         config = base_config()
-        other = replace(config, fl=replace(config.fl, rounds=2))
-        with pytest.raises(ConfigurationError, match="one model, dataset spec and FL config"):
-            experiment.simulate_batch([(config, 1), (other, 2)])
         with pytest.raises(ConfigurationError, match="one mechanism kind"):
-            experiment.simulate_batch([(config, 1),
-                                       (replace(config, mechanism=experiment.MechanismSpec()), 2)])
+            experiment.simulate_batch(config, [1, 2],
+                                      [config.mechanism, experiment.MechanismSpec()])
 
     def test_diverging_trial_mid_block_raises_the_serial_message(self):
         # the middle trial's sigma overflows its first update at this seed (as
         # in the sweep test above); its neighbours run in the same block
-        configs = [base_config(mechanism=experiment.MechanismSpec("randomization", sigma))
-                   for sigma in (0.3, 1e308, 0.3)]
-        trials = [(c, rngmod.trial_seed(3, 1, i), {}) for i, c in enumerate(configs)]
-        assert len(experiment._lockstep_blocks(trials)) == 1
+        config = base_config()
+        seeds = [rngmod.trial_seed(3, 1, i) for i in range(3)]
+        mechs = [experiment.MechanismSpec("randomization", sigma) for sigma in (0.3, 1e308, 0.3)]
+        trials = [(seed, mech, {}) for seed, mech in zip(seeds, mechs)]
+        assert len(experiment._lockstep_blocks(config, trials, (0,))) == 1
         with pytest.raises(NumericError) as serial:
-            experiment.simulate_batch([trials[1][:2]])
+            experiment.simulate_batch(config, seeds[1:2], mechs[1:2])
         with pytest.raises(NumericError) as stacked:
-            experiment.simulate_batch([(c, s) for c, s, _ in trials])
+            experiment.simulate_batch(config, seeds, mechs)
         with pytest.raises(NumericError) as blocked:
-            experiment.run_trials(trials, experiment.score_trials)
+            experiment.run_trials(config, trials, experiment.score_trials)
         assert str(stacked.value) == str(blocked.value) == str(serial.value) == (
             "run aborted: non-finite update at round 0")
 
@@ -313,51 +324,101 @@ def kept(rounds=1):
     return 16 * (8 + 8 * rounds) + 160
 
 
-def lockstep_config(index, rounds=1, iters=10):
+def lockstep_config(rounds=1, iters=10):
     return base_config(dataset=datagen.DatasetSpec(num_clients=1, per_client_size=4,
                                                    input_dim=2, num_classes=2,
                                                    class_separation=2.0, diameter_cap=2.0,
                                                    seed=0),
                        fl=protocol.FLRunConfig(rounds=rounds, learning_rate=0.2),
-                       attack=attack.AttackConfig(iters=iters), num_pairs=30,
-                       master_seed=index)
+                       attack=attack.AttackConfig(iters=iters), num_pairs=30)
+
+
+def planned(config, inverted=(0,), n=5):
+    """The seeds of each block ``_lockstep_blocks`` plans for n trials of
+    ``config`` at seeds 0..n-1."""
+    return [[seed for seed, _, _ in block] for block in experiment._lockstep_blocks(
+        config, [(i, config.mechanism, {}) for i in range(n)], inverted)]
 
 
 class TestLockstepBlocks:
     @pytest.mark.parametrize("budget, uploads, rounds, want", [
-        (1, [1] * 5, 1, [[0], [1], [2], [3], [4]]),
-        (2 * (UPLOAD + kept()), [1] * 5, 1, [[0, 1], [2, 3], [4]]),
-        (3 * (UPLOAD + kept()) - 1, [1] * 5, 1, [[0, 1], [2, 3], [4]]),
-        # each trial is charged its own stacked run: three one-round trials
-        # fit, two three-round ones
-        (3 * (UPLOAD + kept()), [1] * 5, 3, [[0, 1], [2, 3], [4]]),
-        (1 << 20, [1] * 5, 1, [[0, 1, 2, 3, 4]]),
-        # and its own upload count; a trial over the budget stands alone
-        (3 * UPLOAD + 2 * kept(), [2, 1, 3, 0, 1], 1, [[0, 1], [2, 3], [4]]),
+        (1, 1, 1, [[0], [1], [2], [3], [4]]),
+        (2 * (UPLOAD + kept()), 1, 1, [[0, 1], [2, 3], [4]]),
+        (3 * (UPLOAD + kept()) - 1, 1, 1, [[0, 1], [2, 3], [4]]),
+        # each trial is charged its stacked run: three one-round trials fit,
+        # two three-round ones
+        (3 * (UPLOAD + kept()), 1, 3, [[0, 1], [2, 3], [4]]),
+        (1 << 20, 1, 1, [[0, 1, 2, 3, 4]]),
+        # and each upload it inverts
+        (3 * (2 * UPLOAD + kept()) - 1, 2, 1, [[0, 1], [2, 3], [4]]),
         # trials without uploads are charged what the runner keeps of them
-        (5 * kept(), [0] * 5, 1, [[0, 1, 2, 3, 4]]),
+        (5 * kept(), 0, 1, [[0, 1, 2, 3, 4]]),
     ], ids=["one-byte", "two-trials", "two-trials-and-a-byte-short-of-three",
-            "own-stacked-run", "default-budget", "own-upload-count", "no-uploads"])
+            "own-stacked-run", "default-budget", "two-uploads", "no-uploads"])
     def test_consecutive_slices_within_the_budget(self, monkeypatch, budget, uploads, rounds,
                                                   want):
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
-        trials = [(lockstep_config(i, rounds), i, {}) for i in range(5)]
-        blocks = experiment._lockstep_blocks(
-            trials, inverted=lambda config: range(uploads[config.master_seed]))
-        assert [[seed for _, seed, _ in block] for block in blocks] == want
-
-    def test_a_new_shape_starts_a_block(self):
-        trials = [(lockstep_config(i, iters=10 + i // 2), i, {}) for i in range(5)]
-        blocks = experiment._lockstep_blocks(trials)
-        assert [[seed for _, seed, _ in block] for block in blocks] == [[0, 1], [2, 3], [4]]
+        assert planned(lockstep_config(rounds), tuple(range(uploads))) == want
 
     def test_plan_does_not_grow_with_the_iterations(self, monkeypatch):
         # no trajectory is stored, so a 1000-step inversion costs a 10-step one's bytes
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", 2 * (UPLOAD + kept()))
-        plans = [[[seed for _, seed, _ in block] for block in experiment._lockstep_blocks(
-                     [(lockstep_config(i, iters=iters), i, {}) for i in range(5)])]
-                 for iters in (10, 1000)]
-        assert plans == [[[0, 1], [2, 3], [4]]] * 2
+        assert [planned(lockstep_config(iters=iters)) for iters in (10, 1000)] == [
+            [[0, 1], [2, 3], [4]]] * 2
+
+    def test_one_gradient_set_a_round_without_noise(self, monkeypatch):
+        # the shadow takes its own gradient set only under randomization: without
+        # noise a trial holds 8 d k m = 64 bytes less, and 8 d k = 16 less a round
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", 2 * (UPLOAD + kept() - 80))
+        config = lockstep_config()
+        assert planned(config) == [[0], [1], [2], [3], [4]]
+        assert planned(replace(config, mechanism=experiment.MechanismSpec())) == [
+            [0, 1], [2, 3], [4]]
+
+
+MLP1_SWEEP = ["--model", "mlp1", "--hidden", "8", "--input-dim", "2", "--samples", "4",
+              "--rounds", "1", "--iters", "5", "--step-size", "0.1"]
+
+
+class TestBlockPlans:
+    """Each sweep axis and a 150-trial verify simulate the blocks they did when
+    a block was the consecutive trials of one shape that fit the budget."""
+
+    @pytest.mark.parametrize("budget, argv, sizes", [
+        # scripts/artifact_digests.py's 150-trial sigma sweep, at 5 steps an inversion
+        (1 << 20, ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5",
+                   "--trials", "30", *MLP1_SWEEP], [79, 71]),
+        # an m or T sweep cuts at each value; an m value's trials cost their own bytes
+        (6000, ["sweep", "--axis", "m", "--values", "4,8,16", "--trials", "5", "--iters", "5",
+                "--rounds", "1"], [3, 2, 2, 2, 1, 1, 1, 1, 1, 1]),
+        (12000, ["sweep", "--axis", "T", "--values", "5,10", "--trials", "5", "--rounds", "1"],
+         [2, 2, 1, 2, 2, 1]),
+        # a delta_up sweep's blocks, like a sigma sweep's, run across its values
+        (20000, ["sweep", "--axis", "delta_up", "--values", "0.5,2", "--trials", "5",
+                 "--iters", "5", "--rounds", "1"], [3, 3, 3, 1]),
+        (1 << 20, ["verify", "--bound", "privacy", "--trials", "150", "--iters", "5",
+                   "--samples", "8"], [150]),
+        (100000, ["verify", "--bound", "utility", "--trials", "150", "--samples", "8"],
+         [111, 39]),
+    ], ids=["sigma-mlp1", "m", "T", "delta-up", "verify-privacy", "verify-utility"])
+    def test_simulated_seeds_per_block(self, monkeypatch, tmp_path, budget, argv, sizes):
+        calls = []
+        real = experiment.simulate_batch
+
+        def recording(config, seeds, mechs):
+            calls.append(list(seeds))
+            return real(config, seeds, mechs)
+
+        monkeypatch.setattr(experiment, "simulate_batch", recording)
+        monkeypatch.setattr(datagen, "_BLOCK_BYTES", budget)
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+        if argv[0] == "sweep":
+            seeds = [seed for si in range(len(argv[4].split(","))) for seed in
+                     rngmod.trial_seeds(cli.default_config().master_seed, si, int(argv[6]))]
+        else:
+            seeds = rngmod.trial_seeds(0, 0, 150)
+        ends = np.cumsum([0] + sizes)
+        assert calls == [seeds[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 class TestLockstepSweep:
@@ -369,12 +430,14 @@ class TestLockstepSweep:
     def test_rows_equal_per_trial_runs(self, axis, values):
         config = base_config()
         rows, _ = experiment.run_sweep(config, axis, values, trials=3)
-        want = [experiment.run_trials([(
-                    experiment._config_for_sweep_value(config, axis, v),
-                    rngmod.trial_seed(config.master_seed, si, ti),
-                    dict(sweep_axis=axis, sweep_value=float(v), trial_index=ti,
-                         experiment_id=config.experiment_id()))], experiment.score_trials)[0]
-                for si, v in enumerate(values) for ti in range(3)]
+        want = []
+        for si, v in enumerate(values):
+            value_config = experiment._config_for_sweep_value(config, axis, v)
+            want += [experiment.run_trials(value_config, [(
+                rngmod.trial_seed(config.master_seed, si, ti), value_config.mechanism,
+                dict(sweep_axis=axis, sweep_value=float(v), trial_index=ti,
+                     experiment_id=config.experiment_id()))], experiment.score_trials)[0]
+                for ti in range(3)]
         # repr is NaN-aware, so equal reprs mean equal cells
         assert [repr(r.as_list()) for r in rows] == [repr(r.as_list()) for r in want]
 
@@ -386,14 +449,13 @@ class TestLockstepSweep:
         config = base_config()
         if one_row_blocks:
             monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)
-        assert len(experiment._lockstep_blocks(
-            [(config, 0, {})] * 6)) == (6 if one_row_blocks else 1)
+        assert len(planned(config, n=6)) == (6 if one_row_blocks else 1)
         calls = []
         real = experiment.simulate_batch
 
-        def recording(trials):
-            calls.append([seed for _, seed in trials])
-            return real(trials)
+        def recording(config, seeds, mechs):
+            calls.append(list(seeds))
+            return real(config, seeds, mechs)
 
         monkeypatch.setattr(experiment, "simulate_batch", recording)
         with pytest.raises(NumericError, match="run aborted: non-finite update at round 0"):
@@ -418,10 +480,10 @@ class TestLockstepSweep:
                 raise ConfigurationError("invert failed")
             return invert(spec, theta, g_obs, labels, cfg, seeds, *args, **kw)
 
-        def failing_score(block, *args):
-            if early in [seed for _, seed, _ in block]:
+        def failing_score(config, block, *args):
+            if early in [seed for seed, _, _ in block]:
                 raise ConfigurationError("score failed")
-            return score(block, *args)
+            return score(config, block, *args)
 
         if stage == "invert":
             monkeypatch.setattr(attack, "invert_batch", failing_invert)
@@ -458,13 +520,13 @@ class TestRunTrialsInverter:
         config = three_client_config()
         seen = []
 
-        def score(block, observed, traces, ests):
-            seen.extend(zip([seed for _, seed, _ in block], observed, traces))
-            return [seed for _, seed, _ in block]
+        def score(config, block, observed, traces, ests):
+            seen.extend(zip([seed for seed, _, _ in block], observed, traces))
+            return [seed for seed, _, _ in block]
 
         seeds = [11, 12]
-        assert experiment.run_trials([(config, s, {}) for s in seeds], score,
-                                     inverted=lambda cfg: (2, 0)) == seeds
+        assert experiment.run_trials(config, [(s, config.mechanism, {}) for s in seeds], score,
+                                     inverted=(2, 0)) == seeds
         m = config.dataset.per_client_size
         for seed, observed, traces in seen:
             assert len(traces) == 2
@@ -484,9 +546,10 @@ class TestRunTrialsInverter:
             raise AssertionError("an upload was inverted")
 
         monkeypatch.setattr(attack, "invert_batch", no_invert)
-        got = experiment.run_trials([(three_client_config(), s, {}) for s in (1, 2)],
-                                    lambda block, seen, traces, ests: [len(t) for t in traces],
-                                    inverted=lambda cfg: ())
+        config = three_client_config()
+        got = experiment.run_trials(config, [(s, config.mechanism, {}) for s in (1, 2)],
+                                    lambda config, block, seen, traces, ests:
+                                    [len(t) for t in traces], inverted=())
         assert got == [0, 0]
 
 
@@ -509,7 +572,8 @@ class TestBoundSides:
     def test_privacy_without_estimate_is_nan_and_fails_precondition(self):
         config = base_config()
         observed, trace = self.observed_and_trace(config, 5)
-        got, = experiment.privacy_outcomes([(config, 5, {})], [observed], [[trace]], [None])
+        got, = experiment.privacy_outcomes(config, [(5, config.mechanism, {})], [observed],
+                                           [[trace]], [None])
         assert got.measured == attack.privacy_leakage(trace)
         assert got.extras["delta_up"] == observed.delta_up_grad[0] > 0.0
         assert np.isnan(got.rhs) and not got.precondition_ok
@@ -524,15 +588,17 @@ class TestBoundSides:
         real = attack.privacy_leakage
         monkeypatch.setattr(attack, "privacy_leakage", lambda t: scored.append(t) or real(t))
         with pytest.raises(NumericError, match="estimate failed"):
-            experiment.privacy_outcomes([(config, 5, {})] * 3, [observed] * 3, [[trace]] * 3,
+            experiment.privacy_outcomes(config, [(5, config.mechanism, {})] * 3, [observed] * 3,
+                                        [[trace]] * 3,
                                         [None, NumericError("estimate failed"), None])
         assert len(scored) == 1
 
     def test_utility_with_nan_c_keeps_the_measured_loss(self):
         config = base_config()
         observed, _ = self.observed_and_trace(config, 5)
-        (got, half), = experiment.utility_outcomes([(config, 5, {})], [observed], [None])
-        row, = experiment.run_trials([(config, 5, {})], experiment.score_trials)
+        (got, half), = experiment.utility_outcomes(config, [(5, config.mechanism, {})],
+                                                   [observed], [None])
+        row, = run_one(config, 5)
         # the loss and its halfwidth do not depend on C
         assert (got.measured, half) == (row.eps_u, row.eps_u_halfwidth)
         assert got.extras["delta_two"] == float(
@@ -550,22 +616,25 @@ class TestBoundSides:
         with monkeypatch.context() as patch:
             patch.setattr(attack, "privacy_leakage", lambda *a: pytest.fail("leakage scored"))
             with pytest.raises(NumericError, match="estimate failed"):
-                experiment.privacy_outcomes([(config, 5, {})], [observed], [[trace]], [failed])
+                experiment.privacy_outcomes(config, [(5, config.mechanism, {})], [observed],
+                                            [[trace]], [failed])
         with pytest.raises(NumericError, match="estimate failed"):
-            experiment.utility_outcomes([(config, 5, {})], [observed], [failed])
+            experiment.utility_outcomes(config, [(5, config.mechanism, {})], [observed],
+                                        [failed])
         # a logistic loss stays finite at 1e160, ||delta||^2 does not
         decoded = observed.theta_shadow + 1e160
         diverged = observed._replace(theta_decoded=decoded, two_way=experiment.two_way_distortion(
             decoded, observed.theta_shadow))
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
-            experiment.utility_outcomes([(config, 5, {})], [diverged], [failed])
+            experiment.utility_outcomes(config, [(5, config.mechanism, {})], [diverged], [failed])
 
         def no_loss(*args):
             raise ConfigurationError("loss failed")
 
         monkeypatch.setattr(protocol, "measure_utility_loss", no_loss)
         with pytest.raises(ConfigurationError, match="loss failed"):
-            experiment.utility_outcomes([(config, 5, {})], [observed], [failed])
+            experiment.utility_outcomes(config, [(5, config.mechanism, {})], [observed],
+                                        [failed])
 
 
 def reference_utility(config, seed, observed, est):
@@ -600,23 +669,24 @@ class TestStackedUtilitySide:
 
     @staticmethod
     def block(model, n=5, **kw):
-        """n observed trials of one shape, their sigma and eta varying, and their
+        """A config, n observed trials of it, their sigma varying, and their
         estimates."""
         dataset = replace(base_config().dataset, num_classes=model.num_classes)
-        block = [(base_config(model=model, dataset=dataset, eta=(0.1, 1.0, 0.05)[i % 3],
-                              mechanism=experiment.MechanismSpec("randomization",
-                                                                 0.1 + 0.2 * (i % 4)), **kw),
-                  rngmod.trial_seed(4, 0, i), {}) for i in range(n)]
-        seen = [observe(cfg, seed) for cfg, seed, _ in block]
+        config = base_config(model=model, dataset=dataset, **kw)
+        block = [(rngmod.trial_seed(4, 0, i),
+                  experiment.MechanismSpec("randomization", 0.1 + 0.2 * (i % 4)), {})
+                 for i in range(n)]
+        seen = experiment._observed(config, experiment.simulate_batch(
+            config, [seed for seed, _, _ in block], [mech for _, mech, _ in block]))
         ests = datagen.estimate_constants_batch(model, [
-            experiment.trial_probe(cfg, seed, o, []) for (cfg, seed, _), o in zip(block, seen)])
-        return block, seen, ests
+            experiment.trial_probe(config, seed, o, []) for (seed, _, _), o in zip(block, seen)])
+        return config, block, seen, ests
 
     @staticmethod
-    def assert_rows_equal_reference(block, seen, ests):
-        got = experiment.utility_outcomes(block, seen, ests)
-        want = [reference_utility(cfg, seed, o, est)
-                for (cfg, seed, _), o, est in zip(block, seen, ests)]
+    def assert_rows_equal_reference(config, block, seen, ests):
+        got = experiment.utility_outcomes(config, block, seen, ests)
+        want = [reference_utility(config, seed, o, est)
+                for (seed, _, _), o, est in zip(block, seen, ests)]
         assert repr(got) == repr(want)          # NaN-aware
         return got
 
@@ -625,25 +695,32 @@ class TestStackedUtilitySide:
         models.ModelSpec("logistic", 2, num_classes=3),
         models.ModelSpec("mlp1", 2, hidden_dim=4)], ids=lambda m: f"{m.kind}-c{m.num_classes}")
     def test_rows_equal_their_trials_alone(self, model):
-        block, seen, ests = self.block(model)
+        config, block, seen, ests = self.block(model)
         assert all(isinstance(est, datagen.ConstantsEstimate) for est in ests)
         # a NaN C (no estimate) in mid-block: NaN lambda and rhs, the loss kept
         ests[2] = None
-        got = self.assert_rows_equal_reference(block, seen, ests)
+        got = self.assert_rows_equal_reference(config, block, seen, ests)
         assert math.isnan(got[2][0].rhs) and not math.isnan(got[2][0].measured)
         assert all(math.isfinite(out.rhs) for i, (out, _) in enumerate(got) if i != 2)
 
+    @pytest.mark.parametrize("eta", [0.05, 1.0])
+    def test_rows_at_the_configs_eta(self, eta):
+        # eta = 1 drops the confidence term from the bound's M term
+        config, block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3, eta=eta)
+        got = self.assert_rows_equal_reference(config, block, seen, ests)
+        assert all(math.isfinite(out.rhs) for out, _ in got)
+
     def test_datasets_without_centers_take_them_at_the_trial_seed(self):
         # as a dataset read from a run directory, whose mixture centers are unknown
-        block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
+        config, block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
         seen = [o._replace(datasets=[replace(ds, centers=None) for ds in o.datasets])
                 for o in seen]
         want = self.block(models.ModelSpec("logistic", 2), n=3)
         assert repr(experiment.utility_outcomes(*want)) == repr(
-            self.assert_rows_equal_reference(block, seen, ests))
+            self.assert_rows_equal_reference(config, block, seen, ests))
 
     def test_a_block_that_spans_chunks(self, monkeypatch):
-        block, seen, ests = self.block(models.ModelSpec("mlp1", 2, hidden_dim=4), n=7)
+        config, block, seen, ests = self.block(models.ModelSpec("mlp1", 2, hidden_dim=4), n=7)
         spans = []
         real = datagen._chunks
 
@@ -654,24 +731,24 @@ class TestStackedUtilitySide:
         # room for three trials a chunk: chunks of 3, 3 and 1
         monkeypatch.setattr(datagen, "_chunks", recording)
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", 3 * 8 * (200 + 8) * (2 + 2 + 3 * (4 + 2)))
-        self.assert_rows_equal_reference(block, seen, ests)
+        self.assert_rows_equal_reference(config, block, seen, ests)
         assert [(s.start, s.stop) for s in spans[-1]] == [(0, 3), (3, 6), (6, 9)]
 
     def test_an_estimation_error_row_raises_it(self):
         # verify's utility bound raises a row's estimation error (score_trials
         # gives that row NaN columns), once the losses are taken
-        block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
+        config, block, seen, ests = self.block(models.ModelSpec("logistic", 2), n=3)
         ests[1] = EstimationError("all sampled pairs had identical gradients")
         with pytest.raises(EstimationError, match="identical gradients"):
-            experiment.utility_outcomes(block, seen, ests)
+            experiment.utility_outcomes(config, block, seen, ests)
         rows = experiment.score_trials(
-            block, seen, [[attack.invert_gradient(
-                cfg.model, o.theta_round, o.wires[0], o.datasets[0].y, 8,
-                replace(cfg.attack, seed=seed), o.datasets[0].x, cfg.dataset.diameter_cap)]
-                for (cfg, seed, _), o in zip(block, seen)],
+            config, block, seen, [[attack.invert_gradient(
+                config.model, o.theta_round, o.wires[0], o.datasets[0].y, 8,
+                replace(config.attack, seed=seed), o.datasets[0].x, config.dataset.diameter_cap)]
+                for (seed, _, _), o in zip(block, seen)],
             ests)
-        want = [reference_utility(cfg, seed, o, None if i == 1 else est)
-                for i, ((cfg, seed, _), o, est) in enumerate(zip(block, seen, ests))]
+        want = [reference_utility(config, seed, o, None if i == 1 else est)
+                for i, ((seed, _, _), o, est) in enumerate(zip(block, seen, ests))]
         assert repr([(r.eps_u, r.eps_u_halfwidth, r.utility_rhs, r.utility_lambda, r.big_c,
                       r.big_m) for r in rows]) == repr([
             (u.measured, half, u.rhs, u.extras["lambda"], u.extras["big_c"], u.extras["big_m"])
@@ -681,15 +758,15 @@ class TestStackedUtilitySide:
     def test_an_infinite_distortion_mid_block_raises_the_serial_error(self):
         # sigma 1e160 keeps every logistic loss finite, but ||delta||^2 overflows
         config = base_config(mechanism=experiment.MechanismSpec("randomization", 0.3))
-        trials = [(replace(config, mechanism=experiment.MechanismSpec("randomization", sigma)),
-                   rngmod.trial_seed(5, 0, i), {}) for i, sigma in enumerate((0.3, 1e160, 0.3))]
-        assert len(experiment._lockstep_blocks(trials, lambda cfg: ())) == 1
+        trials = [(rngmod.trial_seed(5, 0, i), experiment.MechanismSpec("randomization", sigma),
+                   {}) for i, sigma in enumerate((0.3, 1e160, 0.3))]
+        assert len(experiment._lockstep_blocks(config, trials, ())) == 1
         with pytest.raises(NumericError) as serial:
-            experiment.run_trials(trials[1:2], verify._utility_outcomes, inverted=lambda c: ())
-        assert experiment.run_trials(trials[::2], verify._utility_outcomes,
-                                     inverted=lambda c: ())
+            experiment.run_trials(config, trials[1:2], verify._utility_outcomes, inverted=())
+        assert experiment.run_trials(config, trials[::2], verify._utility_outcomes,
+                                     inverted=())
         with pytest.raises(NumericError) as blocked:
-            experiment.run_trials(trials, verify._utility_outcomes, inverted=lambda c: ())
+            experiment.run_trials(config, trials, verify._utility_outcomes, inverted=())
         assert str(blocked.value) == str(serial.value) == "non-finite two-way distortion"
 
 
@@ -707,7 +784,7 @@ class TestOneProbe:
             sigma=0.3, fl_rounds=1, n_eval=200, num_pairs=80, quantile=0.1)
         config = scenario.experiment_config("privacy")
         assert config == scenario.experiment_config("utility")
-        row, = experiment.run_trials([(config, 7, {})], experiment.score_trials)
+        row, = run_one(config, 7)
         privacy, = verify.trial_outcomes("privacy", scenario, [7])
         utility, = verify.trial_outcomes("utility", scenario, [7])
         assert (row.c_a, row.c_b, row.privacy_rhs) == (

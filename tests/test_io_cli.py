@@ -89,7 +89,6 @@ class TestIO:
 
     def test_round_log_supports_update_audit(self, tmp_path):
         # the emitted log carries enough to re-derive the server update exactly
-        from fedtradeoff import protocol as proto
         spec = datagen.DatasetSpec(num_clients=3, per_client_size=4, input_dim=2)
         datasets, = datagen.generate_batch(spec, [2])
         model = models.ModelSpec("logistic", 2)
@@ -99,8 +98,8 @@ class TestIO:
         iomod.write_round_log(path, res.records)
         sizes = [d.size for d in datasets]
         for row in iomod.read_round_log(path):
-            rebuilt = proto.aggregate([np.array(w) for w in row["wires"]], sizes,
-                                      np.array(row["theta_decoded"]), row["eta"])
+            rebuilt = np.array(row["theta_decoded"]) - row["eta"] * protocol.weighted_sum(
+                [np.array(w) for w in row["wires"]], sizes)
             assert np.array_equal(rebuilt, np.array(row["theta_next_decoded"]))
 
     def test_results_csv_roundtrip(self, tmp_path):
@@ -435,8 +434,8 @@ class TestAttackMatchesRunTrial:
         assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--round", str(rnd),
                          "--client", str(client), *extra]) == 0
         got = iomod.read_results(os.path.join(out, "results.csv"))[0]
-        want, = run_trials([(replace(config, attack_round=rnd, attack_client=client), seed, {})],
-                           score_trials)
+        want, = run_trials(replace(config, attack_round=rnd, attack_client=client),
+                           [(seed, config.mechanism, {})], score_trials)
         # the attack row keys on the manifest config, whose attacked (round, client)
         # is (0, 0)
         assert got.sweep_axis == "attack"
@@ -773,6 +772,43 @@ class TestExitCodes:
                     codes[kind, value] == 1 and err.startswith("config error:")), err
         assert all(codes[kind, None] == 0 for kind in protocol.MECH_KINDS)
         assert codes["randomization", 2.5] == 0 and codes["randomization", -1] == 1
+
+    def test_every_config_leaf_at_a_non_numeric_value_exits_1(self, tmp_path, capsys):
+        # each leaf of the default config set to each JSON value below: train
+        # exits 1 with a config error and leaves no --out, except where the
+        # value is one the leaf takes (a bool leaf at a bool, exact_norm at
+        # null) or the leaf is a seed that train does not read
+        base = cli.default_config().to_dict()
+        leaves = [(None, name) for name, v in base.items() if not isinstance(v, dict)] + [
+            (key, name) for key, section in base.items() if isinstance(section, dict)
+            for name in section]
+        values = ["x", None, [], {}, "1", True, False, [1]]
+        path = tmp_path / "config.json"
+        ran, bad = set(), []
+        for i, (section, name) in enumerate(leaves):
+            for j, value in enumerate(values):
+                config = json.loads(json.dumps(base))
+                (config[section] if section else config)[name] = value
+                path.write_text(json.dumps(config))
+                out = tmp_path / f"o-{i}-{j}"
+                case = (section, name, json.dumps(value))
+                try:
+                    rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+                except Exception as exc:      # noqa: BLE001 -- the case under test
+                    bad.append((*case, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if rc == 0:
+                    ran.add(case)
+                elif not (rc == 1 and err.startswith("config error:") and not out.exists()):
+                    bad.append((*case, rc, err))
+        assert len(leaves) == 36
+        assert bad == []
+        assert ran == {(section, "seed", json.dumps(value))
+                       for section in ("dataset", "fl", "attack") for value in values} | {
+            ("mechanism", "shared_noise", "true"), ("mechanism", "shared_noise", "false"),
+            ("attack", "backtracking", "true"), ("attack", "backtracking", "false"),
+            ("mechanism", "exact_norm", "null")}
 
     def test_malformed_config_json_exit_1(self, tmp_path):
         bad = tmp_path / "config.json"

@@ -162,21 +162,24 @@ class TestProtect:
 
 
 class TestAggregate:
+    """The server's step, theta - eta * weighted_sum(uploads, sizes), as
+    ``run_batch`` takes it."""
+
     def test_equal_sizes_unweighted_mean(self):
-        out = protocol.aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-                                 [3, 3], np.zeros(2), 1.0)
+        out = np.zeros(2) - 1.0 * protocol.weighted_sum(
+            [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [3, 3])
         assert np.array_equal(out, np.array([-0.5, -0.5]))
 
     def test_single_client_plain_sgd(self):
         g = np.array([2.0, -1.0])
-        out = protocol.aggregate([g], [5], np.array([1.0, 1.0]), 0.1)
+        out = np.array([1.0, 1.0]) - 0.1 * protocol.weighted_sum([g], [5])
         assert np.allclose(out, np.array([1.0, 1.0]) - 0.1 * g, rtol=0, atol=0)
 
     def test_matches_weighted_mean_loop(self):
         g = rngmod.stream(8, 1)
         vecs = [g.standard_normal(4) for _ in range(3)]
         sizes = [1, 2, 3]
-        out = protocol.aggregate(vecs, sizes, np.zeros(4), 1.0)
+        out = np.zeros(4) - 1.0 * protocol.weighted_sum(vecs, sizes)
         expected = -sum((m / 6.0) * v for v, m in zip(vecs, sizes))
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-15)
 
@@ -187,7 +190,7 @@ class TestAggregate:
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            protocol.aggregate([np.zeros(2)], [1, 2], np.zeros(2), 0.1)
+            protocol.weighted_sum([np.zeros(2)], [1, 2])
 
 
 class TestRun:

@@ -195,9 +195,10 @@ class TestLockstepBlocks:
         # the constants estimator bounds its own rows, so 100 trials' stacked
         # runs, uploads and Observed fit one block of the 1 MiB budget
         config = tiny_scenario(**scenario).experiment_config(bound)
-        inverted = experiment.attacked_client if bound == "privacy" else lambda config: ()
+        inverted = (config.attack_client,) if bound == "privacy" else ()
         assert datagen._BLOCK_BYTES == 1 << 20
-        blocks = experiment._lockstep_blocks([(config, i, {}) for i in range(100)], inverted)
+        blocks = experiment._lockstep_blocks(
+            config, [(i, config.mechanism, {}) for i in range(100)], inverted)
         assert [len(block) for block in blocks] == [100]
 
     def test_first_failing_seed_raises_whatever_stage_it_fails_in(self, monkeypatch):
@@ -212,10 +213,10 @@ class TestLockstepBlocks:
             return [NumericError("estimate failed at seed 2") if probe.seed == seeds[2]
                     else row for probe, row in zip(probes, estimate(spec, probes))]
 
-        def failing_simulate(trials):
-            if any(seed == seeds[5] for _, seed in trials):
+        def failing_simulate(config, trial_seeds, mechs):
+            if seeds[5] in trial_seeds:
                 raise NumericError("run aborted at seed 5")
-            return simulate(trials)
+            return simulate(config, trial_seeds, mechs)
 
         monkeypatch.setattr(datagen, "estimate_constants_batch", failing_estimate)
         monkeypatch.setattr(experiment, "simulate_batch", failing_simulate)
@@ -240,7 +241,7 @@ class TestVerifyBound:
         # the utility loss needs 100 draws; the check once came after a whole
         # block was simulated and estimated, and the privacy bound never made it
         monkeypatch.setattr(experiment, "simulate_batch",
-                            lambda trials: pytest.fail("a trial was simulated"))
+                            lambda *args: pytest.fail("a trial was simulated"))
         with pytest.raises(ConfigurationError, match="n_eval must be >= 100"):
             verify.verify_bound(bound, tiny_scenario(n_eval=50), 100)
 
@@ -275,8 +276,8 @@ class TestVerifyBound:
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
             verify.trial_outcomes("utility", scenario, [0])
         with pytest.raises(NumericError, match="non-finite two-way distortion"):
-            experiment.run_trials([(scenario.experiment_config("utility"), 0, {})],
-                                  experiment.score_trials)
+            config = scenario.experiment_config("utility")
+            experiment.run_trials(config, [(0, config.mechanism, {})], experiment.score_trials)
 
     def test_privacy_bound_sigma_zero_always_holds(self):
         # delta_up = 0 -> rhs >= 1 >= eps_p; vacuous trials count as non-violations
