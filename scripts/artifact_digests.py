@@ -77,6 +77,20 @@ CONFIGS = {
         "master_seed": 3, "n_eval": 400, "num_pairs": 120, "quantile": 0.05, "gamma": 0.1,
         "eta": 0.1, "attack_round": 0, "attack_client": 0,
     },
+    # the estimator's min/max mode (quantile 0) at the fewest pairs it takes
+    "configs/min-max.json": {
+        "dataset": {"num_clients": 2, "per_client_size": 6, "input_dim": 2, "num_classes": 2,
+                    "class_separation": 2.0, "diameter_cap": 2.0, "seed": 0},
+        "model": {"kind": "logistic", "input_dim": 2, "hidden_dim": 0, "num_classes": 2},
+        "fl": {"rounds": 2, "learning_rate": 0.2, "lr_schedule": "constant", "seed": 0,
+               "init_scale": 0.5},
+        "mechanism": {"kind": "none", "sigma": 0.0, "shared_noise": False,
+                      "offset_scale": 1.0, "exact_norm": None},
+        "attack": {"iters": 40, "optimizer": "adam", "step_size": 0.05, "init": "gaussian",
+                   "init_scale": 0.5, "seed": 0, "backtracking": False},
+        "master_seed": 1, "n_eval": 400, "num_pairs": 2, "quantile": 0.0, "gamma": 0.1,
+        "eta": 0.1, "attack_round": 0, "attack_client": 0,
+    },
 }
 
 COMMANDS = [
@@ -123,6 +137,9 @@ COMMANDS = [
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
     ["estimate-constants", "--config", "configs/five-classes.json",
      "--out", "runs/constants-five-classes"],
+    ["estimate-constants", "--config", "configs/min-max.json", "--out", "runs/constants-min-max"],
+    ["sweep", "--config", "configs/min-max.json", "--axis", "sigma", "--values", "0,0.5",
+     "--trials", "3", "--out", "runs/sweep-min-max"],
     # every bound at the least trial count verify accepts, each as one lockstep
     # block of 100 trials whose constants rows take two estimator chunks (73
     # and 27 trials here, 70 and 30 at two clients); the utility bound's

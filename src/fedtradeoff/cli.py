@@ -128,6 +128,12 @@ def cmd_attack(args) -> int:
     config = ExperimentConfig.from_dict(manifest["config"])
     seed = manifest["master_seed"]
     datasets = iomod.read_datasets(os.path.join(run_dir, "datasets.csv"))
+    spec = config.dataset
+    if ([ds.client_id for ds in datasets] != list(range(spec.num_clients))
+            or any(ds.x.shape != (spec.per_client_size, spec.input_dim)
+                   or ds.y.min() < 0 or ds.y.max() >= spec.num_classes for ds in datasets)):
+        raise ConfigurationError(f"datasets.csv in {run_dir} does not match its manifest's "
+                                 f"{spec}")
     log = os.path.join(run_dir, "rounds.jsonl")
     rounds = iomod.read_round_log(log)
     if not (0 <= args.round < len(rounds)):

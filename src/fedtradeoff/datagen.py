@@ -305,12 +305,11 @@ def attack_mismatch_envelope(objectives: np.ndarray):
 
 
 class Probe(NamedTuple):
-    """One row of ``estimate_constants_batch``: the model and client data the
-    constants are estimated at, and the estimate's settings."""
+    """One row of ``estimate_constants_batch``, what varies per trial: the model
+    and client data the constants are estimated at, C's parameter-move budget,
+    the pilot attack's objectives and the estimate stream's seed."""
     theta_probe: np.ndarray
     datasets: list[ClientDataset]
-    num_pairs: int = 200
-    quantile: float = 0.05
     delta_budget: float = 1.0
     attack_objectives: np.ndarray | None = None
     seed: int = 0
@@ -325,16 +324,16 @@ def constants_of(row: ConstantsEstimate | FedTradeoffError | None
     return row
 
 
-def _row_bytes(model_spec: models.ModelSpec, probe: Probe) -> int:
-    """Bytes ``estimate_constants_batch`` holds for a probe's row until its chunk
-    is scored; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
-    p, d, n = model_spec.input_dim, model_spec.param_dim, sum(ds.size for ds in probe.datasets)
-    return 8 * ((n + 2 * probe.num_pairs) * (p + 3) + _NUM_DELTAS * (2 * d + 4))
+def _row_bytes(model_spec: models.ModelSpec, n: int, num_pairs: int) -> int:
+    """Bytes ``estimate_constants_batch`` holds for a row of n points until its
+    chunk is scored; its stacked model calls take at most ``_BLOCK_BYTES`` more."""
+    p, d = model_spec.input_dim, model_spec.param_dim
+    return 8 * ((n + 2 * num_pairs) * (p + 3) + _NUM_DELTAS * (2 * d + 4))
 
 
 class _Drawn(NamedTuple):
-    """A shape group's rows, stacked: their batch indices and probes, validated
-    inputs, and every draw of their estimate streams."""
+    """A chunk's drawn rows, stacked: their batch indices and probes, inputs,
+    and every draw of their estimate streams."""
     index: list[int]
     probes: list[Probe]
     theta: np.ndarray       # (B, d)
@@ -346,27 +345,21 @@ class _Drawn(NamedTuple):
     ij: np.ndarray          # (B, k, 2) point pairs of C's data side
 
 
-def _check(probe: Probe) -> None:
-    """Raise ``ConfigurationError`` for a probe's setting out of range."""
-    if probe.num_pairs < 2:
-        raise ConfigurationError("num_pairs must be >= 2")
-    if not (0 <= probe.quantile <= 0.5):
-        raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
-    if not probe.delta_budget > 0:                  # NaN fails too
-        raise ConfigurationError("delta_budget must be > 0")
-
-
 def _chunks(count: int, item_bytes: int):
     """Slices of ``range(count)`` of at most ``_BLOCK_BYTES`` of items each."""
     step = max(1, _BLOCK_BYTES // item_bytes)
     return (slice(s, s + step) for s in range(0, count, step))
 
 
-def estimate_constants_batch(model_spec: models.ModelSpec,
-                             probes: list[Probe]) -> list[ConstantsEstimate | FedTradeoffError]:
-    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) at each probe: row i is
-    its estimate or the package error it meets, which fails that row alone.
-    Row i equals ``probes[i]`` run as a batch of one, bit for bit.
+def estimate_constants_batch(model_spec: models.ModelSpec, probes: list[Probe],
+                             num_pairs: int, quantile: float
+                             ) -> list[ConstantsEstimate | FedTradeoffError]:
+    """Sample-estimate (c_a, c_b, C, M, D, c_0, c_2) at each probe of one
+    config, from ``num_pairs`` pairs and the ratios' ``quantile`` (0 = min/max
+    mode): row i is its estimate or the package error it meets, which fails
+    that row alone. Row i equals ``probes[i]`` run as a batch of one, bit for
+    bit. A pair count below 2, a quantile outside [0, 0.5], or probes of more
+    than one data size raise ``ConfigurationError`` before any stream is drawn.
 
     A probe's ``attack_objectives`` is the per-iteration objective series of
     a pilot attack run; when absent, c_0 = c_2 = 1 placeholders are recorded
@@ -384,105 +377,101 @@ def estimate_constants_batch(model_spec: models.ModelSpec,
     the label's points, the second uniform over the others (``_draw_chunk``).
 
     Rows are drawn and scored in probe order, in chunks of at most
-    ``_BLOCK_BYTES`` of the largest probe's rows, which no row's draws
-    outlive. A chunk's rows of one shape (data size and pair count)
-    are drawn and scored together (``_draw_chunk``): only each row's generator
+    ``_BLOCK_BYTES`` of rows, which no row's draws outlive. A chunk's rows are
+    drawn and scored together (``_draw_chunk``): only each row's generator
     calls run per row. Their pair gradients, point losses and perturbed-model
     losses run in stacked model calls of at most ``_BLOCK_BYTES`` each, their
-    quantiles in one ``np.quantile``, their diameters in one scan
-    (``_diameters``) and their attack envelopes in one call per series length.
-    A model call's values of a row do not depend on the rows stacked with it
-    (``models.per_example_grads_and_vjp``)."""
+    quantiles in one ``np.quantile`` per used-pair count, their diameters in
+    one scan (``_diameters``) and their attack envelopes in one call per
+    series length. A model call's values of a row do not depend on the rows
+    stacked with it (``models.per_example_grads_and_vjp``)."""
+    require_int("num_pairs", num_pairs, 2)
+    if not 0 <= quantile <= 0.5:                    # NaN fails too
+        raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")
+    sizes = {sum(ds.size for ds in probe.datasets) for probe in probes}
+    if len(sizes) > 1:
+        raise ConfigurationError(
+            f"the probes of one estimate hold one data size, not {sorted(sizes)}")
     out: list = [None] * len(probes)
     gens = rngmod.streams([probe.seed for probe in probes],
                           [(rngmod.STREAM_ESTIMATE, 0)] * len(probes))
-    row = max((_row_bytes(model_spec, probe) for probe in probes), default=1)
+    row = _row_bytes(model_spec, max(sizes, default=0), num_pairs)
     for chunk in _chunks(len(probes), row):
-        groups, failed = _draw_chunk(
-            model_spec, dict(zip(range(len(probes))[chunk], probes[chunk])), gens)
+        drawn, failed = _draw_chunk(
+            model_spec, dict(zip(range(len(probes))[chunk], probes[chunk])), num_pairs, gens)
         for i, exc in failed.items():
             out[i] = exc
-        for group in groups:
-            for i, est in zip(group.index, _estimate_group(model_spec, group)):
+        if drawn is not None:
+            for i, est in zip(drawn.index,
+                              _estimate_chunk(model_spec, drawn, num_pairs, quantile)):
                 out[i] = est
     return out
 
 
-def _draw_chunk(model_spec: models.ModelSpec, probes: dict[int, Probe], gens
-                ) -> tuple[list[_Drawn], dict[int, FedTradeoffError]]:
-    """A chunk's rows (``probes``, by batch index), checked, grouped by shape and
-    drawn, each from its stream, the next of ``gens`` in probe order.
+def _draw_chunk(model_spec: models.ModelSpec, probes: dict[int, Probe], num_pairs: int, gens
+                ) -> tuple[_Drawn | None, dict[int, FedTradeoffError]]:
+    """A chunk's rows (``probes``, by batch index), stacked and drawn, each from
+    its stream, the next of ``gens`` in probe order.
 
-    Each group's label pools are built at once (``_label_pools``). Then each row
+    The rows' label pools are built at once (``_label_pools``). Then each row
     takes estimate stream v2's six draws, in probe order: its pairs' labels,
     first and second indices, the parameter-move normals and scales, and C's
     data-side index pairs. After the draws, each pair's second index skips its
-    first and both are looked up in the pools, for the whole group. Returns the
-    drawn groups and the error of each row that failed: a bad setting, or no
-    label with two points (that row takes no draw)."""
+    first and both are looked up in the pools, for every row at once. Returns
+    the drawn rows (None when every row failed) and the error of each row that
+    failed, which takes no draw: a move budget not > 0, or no label with two
+    points."""
+    ids = list(probes)
+    y = np.array([np.concatenate([ds.y for ds in probes[i].datasets], axis=0) for i in ids])
+    pools = _label_pools(y)
     failed: dict[int, FedTradeoffError] = {}
-    shapes: dict[tuple, list] = {}
-    for i, probe in probes.items():
-        try:
-            _check(probe)
-        except ConfigurationError as exc:
-            failed[i] = exc
-            continue
-        x = np.concatenate([ds.x for ds in probe.datasets], axis=0)
-        theta = np.asarray(probe.theta_probe, dtype=np.float64)
-        shapes.setdefault((x.shape, theta.shape, probe.num_pairs), []).append(
-            (i, theta, x, np.concatenate([ds.y for ds in probe.datasets], axis=0)))
-    groups, at = [], {}
-    for (_, _, num_pairs), rows in shapes.items():
-        y = np.array([row[-1] for row in rows])
-        pools = _label_pools(y)
-        for (i, *_), count in zip(rows, pools.count.tolist()):
-            if not count:
-                failed[i] = EstimationError("no label class has two examples")
-        keep = np.flatnonzero(pools.count)
-        if not len(keep):
-            continue
-        if len(keep) < len(rows):
-            rows, y, pools = [rows[b] for b in keep], y[keep], _Pools(*(a[keep] for a in pools))
-        index, theta, x, _ = (list(a) for a in zip(*rows))
-        b, n = y.shape
-        drawn = _Drawn(index, [probes[i] for i in index], np.array(theta), np.array(x), y,
-                       None, np.empty((b, _NUM_DELTAS, model_spec.param_dim)),
-                       np.empty((b, _NUM_DELTAS)),
-                       np.empty((b, min(_NUM_DELTAS, n * (n - 1) // 2) or 1, 2), dtype=np.int64))
-        picks = np.empty((3, b, num_pairs), dtype=np.int64)      # labels, first, second
-        groups.append((drawn, picks, pools))
-        at.update((i, (groups[-1], k)) for k, i in enumerate(index))
+    for i, count in zip(ids, pools.count.tolist()):
+        if not probes[i].delta_budget > 0:              # NaN fails too
+            failed[i] = ConfigurationError("delta_budget must be > 0")
+        elif not count:
+            failed[i] = EstimationError("no label class has two examples")
+    keep = [b for b, i in enumerate(ids) if i not in failed]
+    if not keep:
+        return None, failed
+    y, pools, index = y[keep], _Pools(*(a[keep] for a in pools)), [ids[b] for b in keep]
+    rows = [probes[i] for i in index]
+    b, n = y.shape
+    drawn = _Drawn(index, rows,
+                   np.array([np.asarray(probe.theta_probe, dtype=np.float64) for probe in rows]),
+                   np.array([np.concatenate([ds.x for ds in probe.datasets], axis=0)
+                             for probe in rows]), y,
+                   None, np.empty((b, _NUM_DELTAS, model_spec.param_dim)),
+                   np.empty((b, _NUM_DELTAS)),
+                   np.empty((b, min(_NUM_DELTAS, n * (n - 1) // 2) or 1, 2), dtype=np.int64))
+    k, first, second = np.empty((3, b, num_pairs), dtype=np.int64)
+    at = dict(zip(index, range(b)))
     # gens last: zip stops at the chunk's end without taking the next stream
-    for i, g in zip(probes, gens):
+    for i, g in zip(ids, gens):
         if i not in at:
             continue
-        (drawn, picks, pools), b = at[i]
-        k = picks[0, b] = g.integers(0, pools.count[b], picks.shape[-1])
-        high = pools.sizes[b, k]
-        picks[1, b] = g.integers(0, high)
-        picks[2, b] = g.integers(0, high - 1)
-        g.standard_normal(out=drawn.moves[b])
-        drawn.scales[b] = g.uniform(0.05, 1.0, _NUM_DELTAS)
-        drawn.ij[b] = g.integers(0, drawn.x.shape[1], size=drawn.ij.shape[1:])
-    out = []
-    for drawn, (k, first, second), pools in groups:
-        second += second >= first                   # skip the first point
-        row = np.arange(len(k))[:, None]
-        start = pools.starts[row, k]
-        out.append(drawn._replace(pairs=pools.members[
-            row, np.concatenate([start + first, start + second], axis=1)]))
-    return out, failed
+        r = at[i]
+        k[r] = g.integers(0, pools.count[r], num_pairs)
+        high = pools.sizes[r, k[r]]
+        first[r] = g.integers(0, high)
+        second[r] = g.integers(0, high - 1)
+        g.standard_normal(out=drawn.moves[r])
+        drawn.scales[r] = g.uniform(0.05, 1.0, _NUM_DELTAS)
+        drawn.ij[r] = g.integers(0, n, size=drawn.ij.shape[1:])
+    second += second >= first                       # skip the first point
+    row = np.arange(b)[:, None]
+    start = pools.starts[row, k]
+    return drawn._replace(pairs=pools.members[
+        row, np.concatenate([start + first, start + second], axis=1)]), failed
 
 
-def _estimate_group(spec: models.ModelSpec,
-                    rows: _Drawn) -> list[ConstantsEstimate | FedTradeoffError]:
-    """The estimates of a drawn shape group's rows. Every row is scored,
-    silently (a stage may overflow on a row that fails anyway); each row then
-    takes the first error it would meet as a batch of one, in that order. The
-    diameters are taken of the rows that pass the checks before them."""
+def _estimate_chunk(spec: models.ModelSpec, rows: _Drawn, num_pairs: int,
+                    quantile: float) -> list[ConstantsEstimate | FedTradeoffError]:
+    """The estimates of a chunk's drawn rows. Every row is scored, silently (a
+    stage may overflow on a row that fails anyway); each row then takes the
+    first error it would meet as a batch of one, in that order. The diameters
+    are taken of the rows that pass the checks before them."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        used, ratios, brackets = _pair_ratios(spec, rows)
+        used, ratios, brackets = _pair_ratios(spec, rows, quantile)
         point, base, norms, moved_loss, c_theta, c_data = _loss_sides(spec, rows)
     checks = np.array([used.any(axis=-1), np.isfinite(point).all(axis=-1) & np.isfinite(base),
                        np.isfinite(norms).all(axis=-1), np.isfinite(moved_loss).all(axis=-1)])
@@ -503,8 +492,8 @@ def _estimate_group(spec: models.ModelSpec,
                 raise NumericError("non-finite parameter move")
             if not finite_moved:
                 raise NumericError("non-finite loss")
-            out.append(_assemble(probe, ratios[k], brackets[k], envelopes[k], float(cap_d[k]),
-                                 float(c_theta[k]), float(c_data[k]), big_m[k]))
+            out.append(_assemble(probe, num_pairs, quantile, ratios[k], brackets[k], envelopes[k],
+                                 float(cap_d[k]), float(c_theta[k]), float(c_data[k]), big_m[k]))
         except FedTradeoffError as exc:
             out.append(exc)
     return out
@@ -525,7 +514,7 @@ def _envelopes(probes: list[Probe]) -> list[tuple[float, float, float] | None]:
     return out
 
 
-def _pair_ratios(spec: models.ModelSpec, rows: _Drawn):
+def _pair_ratios(spec: models.ModelSpec, rows: _Drawn, quantile: float):
     """Each row's used-pair mask, ratios r = ||x1 - x2|| / ||grad1 - grad2|| over
     its same-label pairs, and (c_a, c_b, median) of the rows with a ratio."""
     x, y, pairs = rows.x, rows.y, rows.pairs
@@ -541,15 +530,15 @@ def _pair_ratios(spec: models.ModelSpec, rows: _Drawn):
         dx[s] = np.linalg.norm(x12[:, :num_pairs] - x12[:, num_pairs:], axis=-1)
     used = dg != 0.0
     ratios = [dx[j][used[j]] / dg[j][used[j]] for j in range(b)]
-    by_shape: dict[tuple, list[int]] = {}
+    by_count: dict[int, list[int]] = {}
     for j, r in enumerate(ratios):
         if r.size:
-            by_shape.setdefault((r.size, rows.probes[j].quantile), []).append(j)
+            by_count.setdefault(r.size, []).append(j)
     brackets = {}
-    for (_, q), js in by_shape.items():
+    for js in by_count.values():
         r = np.array([ratios[j] for j in js])
-        lo, hi = ((r.min(axis=-1), r.max(axis=-1)) if q == 0.0
-                  else np.quantile(r, [q, 1.0 - q], axis=-1))
+        lo, hi = ((r.min(axis=-1), r.max(axis=-1)) if quantile == 0.0
+                  else np.quantile(r, [quantile, 1.0 - quantile], axis=-1))
         brackets.update(zip(js, zip(lo.tolist(), hi.tolist(),
                                     np.median(r, axis=-1).tolist())))
     return used, ratios, brackets
@@ -587,12 +576,12 @@ def _loss_sides(spec: models.ModelSpec, rows: _Drawn):
     return point, base, norms, moved_loss, c_theta, c_data
 
 
-def _assemble(probe: Probe, ratios: np.ndarray, bracket: tuple[float, float, float],
-              envelope: tuple[float, float, float] | None, cap_d: float, c_theta: float,
-              c_data: float, big_m: float) -> ConstantsEstimate:
+def _assemble(probe: Probe, num_pairs: int, quantile: float, ratios: np.ndarray,
+              bracket: tuple[float, float, float], envelope: tuple[float, float, float] | None,
+              cap_d: float, c_theta: float, c_data: float, big_m: float) -> ConstantsEstimate:
     """A row's validated estimate from its scored parts."""
     c_a, c_b, median = bracket
-    skipped = probe.num_pairs - len(ratios)
+    skipped = num_pairs - len(ratios)
     if envelope is not None:
         c_0, c_2, c_fit = envelope
         c_0 = max(c_0, 1e-12)
@@ -606,11 +595,11 @@ def _assemble(probe: Probe, ratios: np.ndarray, bracket: tuple[float, float, flo
         cap_d=cap_d or 1.0,   # 0 for single-point degenerate data; keep D usable
         c_0=c_0, c_2=c_2,
         meta={
-            "num_pairs": probe.num_pairs,
+            "num_pairs": num_pairs,
             "pairs_used": int(len(ratios)),
             "pairs_skipped_degenerate": skipped,
-            "skip_rate": skipped / probe.num_pairs,
-            "quantile": probe.quantile,
+            "skip_rate": skipped / num_pairs,
+            "quantile": quantile,
             "ratio_median": median,
             "c_theta_side": c_theta,
             "c_data_side": c_data,

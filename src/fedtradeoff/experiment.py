@@ -57,7 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("master_seed", 0), ("attack_round", 0), ("attack_client", 0),
-                            ("n_eval", 1), ("num_pairs", 1)):
+                            ("n_eval", 1), ("num_pairs", 2)):
             require_int(name, getattr(self, name), least)
         for name in ("quantile", "gamma", "eta"):
             require_number(name, getattr(self, name))
@@ -303,7 +303,7 @@ def utility_outcomes(config: ExperimentConfig, block: list[tuple], seen: list[Ob
                 big_c.tolist(), big_m.tolist())]
 
 
-def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
+def trial_probe(seed: int, observed: Observed,
                 traces: list[attackmod.AttackTrace]) -> datagen.Probe:
     """A trial's one constants probe, for every bound: the attacked round's
     model over every client's data, C's parameter moves up to max(1, 2 ||delta||)
@@ -311,9 +311,7 @@ def trial_probe(config: ExperimentConfig, seed: int, observed: Observed,
     inversion's objectives when the trial inverts an upload."""
     delta_two = observed.two_way
     budget = max(1.0, 2.0 * delta_two) if math.isfinite(delta_two) else 1.0
-    return datagen.Probe(observed.theta_round, observed.datasets,
-                         num_pairs=config.num_pairs, quantile=config.quantile,
-                         delta_budget=budget,
+    return datagen.Probe(observed.theta_round, observed.datasets, delta_budget=budget,
                          attack_objectives=traces[0].objectives[1:] if traces else None,
                          seed=seed)
 
@@ -458,10 +456,12 @@ def score_block(score, config: ExperimentConfig, block: list[tuple], seen: list[
     """``score(config, block, seen, traces, ests)`` of the observed ``(seed,
     mechanism, kw)`` trials of ``config`` in ``block``, one result per trial in
     order, each trial's ``ests[i]`` its ``trial_probe``'s row of one
-    ``datagen.estimate_constants_batch`` (the estimate, or the error it
-    raised); the scoring stage of ``run_trials`` and of the CLI's ``attack``."""
+    ``datagen.estimate_constants_batch`` at the config's pair count and
+    quantile (the estimate, or the error it raised); the scoring stage of
+    ``run_trials`` and of the CLI's ``attack``."""
     ests = datagen.estimate_constants_batch(config.model, [
-        trial_probe(config, seed, o, ts) for (seed, _, _), o, ts in zip(block, seen, traces)])
+        trial_probe(seed, o, ts) for (seed, _, _), o, ts in zip(block, seen, traces)],
+        config.num_pairs, config.quantile)
     return score(config, block, seen, traces, ests)
 
 

@@ -843,7 +843,7 @@ class TestPacFormulas:
         run_dir, out = str(tmp_path / "run"), str(tmp_path / "atk")
         assert cli.main(["train", "--mech", "rand", "--sigma", "0.1", "--seed", "2",
                          "--samples", "6", "--rounds", "2", "--out", run_dir]) == 0
-        monkeypatch.setattr(datagen, "estimate_constants_batch", lambda spec, probes: [
+        monkeypatch.setattr(datagen, "estimate_constants_batch", lambda spec, probes, *_: [
             EstimationError("no usable pair") for _ in probes])
         assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--iters", "10",
                          "--phase2", "--pac-eps", "0.1", "--pac-delta", "0.9"]) == 0

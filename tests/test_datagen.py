@@ -207,10 +207,10 @@ class TestCoveringNumber:
                 <= log_covering_number(d, hi, lam) + 1e-12)
 
 
-def estimate(model_spec, theta, datasets, **options):
+def estimate(model_spec, theta, datasets, num_pairs=200, quantile=0.05, **options):
     """The estimate at one probe, a batch of one; its error raised."""
-    row, = datagen.estimate_constants_batch(model_spec,
-                                            [datagen.Probe(theta, datasets, **options)])
+    row, = datagen.estimate_constants_batch(
+        model_spec, [datagen.Probe(theta, datasets, **options)], num_pairs, quantile)
     return datagen.constants_of(row)
 
 
@@ -427,23 +427,22 @@ class TestEstimateConstants:
 def draw_rows(labels, num_pairs, seeds, separate=False, **options):
     """``datagen._draw_chunk`` on one-client rows of the given labels (a linear
     model on one feature, every point at 0), row r at seed ``seeds[r]`` with
-    ``options[key][r]`` for each probe option given. Returns the drawn groups,
-    the failed rows' errors, every row's (group, slot) and the streams; with
+    ``options[key][r]`` for each probe option given. Returns the drawn rows,
+    the failed rows' errors, every drawn row's (rows, slot) and the streams; with
     ``separate``, each stream is a Generator of its own (``rng.stream``), not
     ``rng.streams``' shared one, so a stream's state after the draws shows
     what was drawn from it."""
     spec = models.ModelSpec("linear", 1)
     probes = {r: datagen.Probe(np.zeros(spec.param_dim),
                                [datagen.ClientDataset(0, np.zeros((len(y), 1)), np.array(y))],
-                               num_pairs=num_pairs, seed=seed,
-                               **{key: values[r] for key, values in options.items()})
+                               seed=seed, **{key: values[r] for key, values in options.items()})
               for r, (y, seed) in enumerate(zip(labels, seeds))}
     keys = [(rngmod.STREAM_ESTIMATE, 0)] * len(seeds)
     gens = ([rngmod.stream(seed, *key) for seed, key in zip(seeds, keys)] if separate
             else rngmod.streams(seeds, keys))
-    groups, failed = datagen._draw_chunk(spec, probes, iter(gens))
-    at = {i: (group, b) for group in groups for b, i in enumerate(group.index)}
-    return groups, failed, at, gens
+    drawn, failed = datagen._draw_chunk(spec, probes, num_pairs, iter(gens))
+    at = {i: (drawn, b) for b, i in enumerate(drawn.index)} if drawn else {}
+    return drawn, failed, at, gens
 
 
 def oracle_draws(y, num_pairs, seed, d):
@@ -485,7 +484,7 @@ class TestSamplePairs:
 
     def test_ordered_pairs_are_uniform(self):
         # one label of 3 points: the 6 ordered pairs come up equally often
-        (group,), _, _, _ = draw_rows([[0, 0, 0]], 60000, [127])
+        group, _, _, _ = draw_rows([[0, 0, 0]], 60000, [127])
         first, second = np.split(group.pairs[0], 2)
         counts = np.bincount(3 * first + second, minlength=9)
         assert list(np.flatnonzero(counts)) == [1, 2, 3, 5, 6, 7]
@@ -499,11 +498,11 @@ class TestStackedPools:
         [1, 1, 1, 1, 1, 1, 2, 2],    # ragged label counts
         [0, 1, 2, 3, 4, 5, 6, 7],    # no label with two points
         [5, 2, 2, 9, 2, 5, 4, 2],    # labels 9 and 4 with one point each
-        [6, 6, 0, 0, 0, 0, 0, 0],    # a bad setting (quantile 0.7)
+        [6, 6, 0, 0, 0, 0, 0, 0],    # a move budget not > 0
         [2, 1, 0, 2, 1, 0, 0, 1],
         [4, 4, 4, 4, 4, 4, 4, 4],
     ]
-    QUANTILE = [0.05, 0.05, 0.05, 0.05, 0.7, 0.05, 0.05]
+    BUDGET = [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
     SEEDS = [11, 12, 13, 14, 15, 16, 17]
 
     def test_pools_in_order_of_first_appearance(self):
@@ -516,13 +515,12 @@ class TestStackedPools:
 
     @pytest.mark.parametrize("separate", [False, True], ids=["shared-stream", "own-streams"])
     def test_draws_equal_the_per_row_oracle(self, separate):
-        groups, failed, at, gens = draw_rows(self.LABELS, 40, self.SEEDS, separate,
-                                             quantile=self.QUANTILE)
-        assert len(groups) == 1 and groups[0].index == [0, 1, 3, 5, 6]
+        drawn, failed, at, gens = draw_rows(self.LABELS, 40, self.SEEDS, separate,
+                                            delta_budget=self.BUDGET)
+        assert drawn.index == [0, 1, 3, 5, 6]
         assert {i: str(e) for i, e in failed.items()} == {
-            2: "no label class has two examples",
-            4: "quantile must be in [0, 0.5]; 0 = min/max mode"}
-        for r in groups[0].index:
+            2: "no label class has two examples", 4: "delta_budget must be > 0"}
+        for r in drawn.index:
             group, b = at[r]
             want = oracle_draws(self.LABELS[r], 40, self.SEEDS[r], 1)
             for got, expected in zip((group.pairs[b], group.moves[b], group.scales[b],
@@ -533,14 +531,6 @@ class TestStackedPools:
             for r, g in enumerate(gens):
                 untouched = rngmod.stream(self.SEEDS[r], rngmod.STREAM_ESTIMATE, 0)
                 assert (g.bit_generator.state == untouched.bit_generator.state) == (r in failed)
-
-    def test_groups_split_by_shape_and_keep_probe_order(self):
-        labels = [[0, 0, 1, 1], [0, 1, 0, 1, 0, 1], [1, 1, 0, 0]]
-        groups, failed, at, _ = draw_rows(labels, 5, [1, 2, 3])
-        assert not failed and [g.index for g in groups] == [[0, 2], [1]]
-        for r, y in enumerate(labels):
-            group, b = at[r]
-            assert_same_bits(group.pairs[b], oracle_draws(y, 5, r + 1, 1)[0])
 
 
 class TestStackedDiameters:
@@ -601,11 +591,11 @@ class TestEstimateConstantsBatch:
     of one, and a row that fails fails alone."""
 
     @staticmethod
-    def check_rows(spec, probes):
-        rows = datagen.estimate_constants_batch(spec, probes)
+    def check_rows(spec, probes, num_pairs, quantile=0.05):
+        rows = datagen.estimate_constants_batch(spec, probes, num_pairs, quantile)
         assert len(rows) == len(probes)
         for probe, got in zip(probes, rows):
-            want, = datagen.estimate_constants_batch(spec, [probe])
+            want, = datagen.estimate_constants_batch(spec, [probe], num_pairs, quantile)
             assert type(got) is type(want)
             # repr is exact for floats and NaN-aware; an error's repr is its message
             assert repr(got) == repr(want)
@@ -627,65 +617,89 @@ class TestEstimateConstantsBatch:
                 [seed])
             theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT))
             probes.append(datagen.Probe(
-                theta, datasets, num_pairs=20, quantile=quantile, delta_budget=budget,
-                seed=seed,
+                theta, datasets, delta_budget=budget, seed=seed,
                 attack_objectives=np.linspace(4.0, 1.0, 8) if seed % 2 else None))
-        # mid-block, a row of one shape with the others whose points all
-        # coincide: every pair's gradients are equal
+        # mid-block, a row whose points all coincide: every pair's gradients
+        # are equal
         same = [datagen.ClientDataset(ds.client_id, np.full_like(ds.x, 0.3), ds.y)
                 for ds in probes[0].datasets]
         probes.insert(2, probes[0]._replace(datasets=same, seed=9))
-        # and one row of another pair count, in a group of its own
-        probes.append(probes[1]._replace(num_pairs=7))
-        rows = self.check_rows(spec, probes)
+        rows = self.check_rows(spec, probes, 20, quantile)
         assert [type(r).__name__ for r in rows] == (
-            ["ConstantsEstimate"] * 2 + ["EstimationError"] + ["ConstantsEstimate"] * 3)
+            ["ConstantsEstimate"] * 2 + ["EstimationError"] + ["ConstantsEstimate"] * 2)
         assert str(rows[2]) == "all sampled pairs had identical gradients"
 
     def test_each_failing_row_fails_alone(self):
         spec = models.ModelSpec("logistic", 2)
         datasets, = datagen.generate_batch(small_spec(per_client_size=12), [1])
         theta = models.init_params(spec, rngmod.stream(1, rngmod.STREAM_INIT))
-        good = datagen.Probe(theta, datasets, num_pairs=30, seed=1)
-        lone = datagen.ClientDataset(0, np.array([[0.1, 0.2], [0.3, -0.1]]), np.array([0, 1]))
+        good = datagen.Probe(theta, datasets, seed=1)
+        # twelve points, as the others, each of a label of its own
+        lone = datagen.ClientDataset(0, np.arange(24.0).reshape(12, 2) / 24, np.arange(12))
         probes = [
             good,
             good._replace(delta_budget=math.inf),         # its moves overflow
-            good._replace(quantile=0.7),                   # a bad setting
+            good._replace(delta_budget=0.0),               # a bad setting
             good._replace(datasets=[lone]),                # no label with two points
             good._replace(theta_probe=np.full(2, np.nan)),  # its losses are NaN
             good._replace(seed=2),
         ]
-        rows = self.check_rows(spec, probes)
+        rows = self.check_rows(spec, probes, 30)
         assert [type(r).__name__ for r in rows] == [
             "ConstantsEstimate", "NumericError", "ConfigurationError", "EstimationError",
             "NumericError", "ConstantsEstimate"]
         assert [str(r) for r in rows[1:5]] == [
-            "non-finite parameter move",
-            "quantile must be in [0, 0.5]; 0 = min/max mode",
+            "non-finite parameter move", "delta_budget must be > 0",
             "no label class has two examples", "non-finite loss"]
 
     def test_chunked_stages_equal_one_stack(self, monkeypatch):
         spec = models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3)
-        # two pair counts, so one chunk holds two shapes
         probes = [datagen.Probe(
             models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT)),
             datagen.generate_batch(small_spec(per_client_size=10, num_classes=3), [seed])[0],
-            num_pairs=20 + 10 * (seed % 2), seed=seed) for seed in range(4)]
+            seed=seed) for seed in range(4)]
         scored = []
-        real = datagen._estimate_group
+        real = datagen._estimate_chunk
 
-        def recording(model_spec, group):
-            scored.append(len(group.index))
-            return real(model_spec, group)
+        def recording(model_spec, rows, num_pairs, quantile):
+            scored.append(len(rows.index))
+            return real(model_spec, rows, num_pairs, quantile)
 
-        monkeypatch.setattr(datagen, "_estimate_group", recording)
-        want = datagen.estimate_constants_batch(spec, probes)
-        assert scored == [2, 2]                           # one call per shape
+        monkeypatch.setattr(datagen, "_estimate_chunk", recording)
+        want = datagen.estimate_constants_batch(spec, probes, 20, 0.05)
+        assert scored == [4]                              # one chunk
         scored.clear()
         monkeypatch.setattr(datagen, "_BLOCK_BYTES", 1)   # one row, one model per call
-        assert repr(datagen.estimate_constants_batch(spec, probes)) == repr(want)
+        assert repr(datagen.estimate_constants_batch(spec, probes, 20, 0.05)) == repr(want)
         assert scored == [1] * 4
+
+
+class TestOneConfigPerCall:
+    """A call's settings and data size are checked once, before any stream is
+    seeded or drawn: a bad one raises for the whole call."""
+
+    @pytest.mark.parametrize("sizes, num_pairs, quantile, message", [
+        ([6, 6, 8, 6], 20, 0.05, r"one data size, not \[6, 8\]"),
+        ([6, 6], 1, 0.05, "num_pairs must be an integer >= 2"),
+        ([6, 6], 20.0, 0.05, "num_pairs must be an integer >= 2"),
+        ([6, 6], 20, 0.7, r"quantile must be in \[0, 0.5\]"),
+        ([6, 6], 20, -0.1, r"quantile must be in \[0, 0.5\]"),
+        ([6, 6], 20, math.nan, r"quantile must be in \[0, 0.5\]"),
+    ], ids=["two-sizes", "one-pair", "float-pairs", "quantile-0.7", "quantile-negative",
+            "quantile-nan"])
+    def test_bad_call_raises_before_any_draw(self, monkeypatch, sizes, num_pairs, quantile,
+                                             message):
+        spec = models.ModelSpec("logistic", 2)
+        probes = [datagen.Probe(models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT)),
+                                datagen.generate_batch(small_spec(per_client_size=m), [seed])[0],
+                                seed=seed)
+                  for seed, m in enumerate(sizes)]
+        seeded = []
+        monkeypatch.setattr(rngmod, "streams", lambda *args: seeded.append(args))
+        monkeypatch.setattr(rngmod, "stream", lambda *args: seeded.append(args))
+        with pytest.raises(ConfigurationError, match=message):
+            datagen.estimate_constants_batch(spec, probes, num_pairs, quantile)
+        assert seeded == []
 
 
 class TestInputDimBound:

@@ -679,7 +679,8 @@ class TestStackedUtilitySide:
         seen = experiment._observed(config, experiment.simulate_batch(
             config, [seed for seed, _, _ in block], [mech for _, mech, _ in block]))
         ests = datagen.estimate_constants_batch(model, [
-            experiment.trial_probe(config, seed, o, []) for (seed, _, _), o in zip(block, seen)])
+            experiment.trial_probe(seed, o, []) for (seed, _, _), o in zip(block, seen)],
+            config.num_pairs, config.quantile)
         return config, block, seen, ests
 
     @staticmethod
@@ -802,9 +803,8 @@ class TestOneProbe:
         observed = observe(config, 5)._replace(
             theta_shadow=shadow, theta_decoded=decoded,
             two_way=experiment.two_way_distortion(decoded, shadow))
-        assert experiment.trial_probe(config, 5, observed, []) == datagen.Probe(
-            observed.theta_round, observed.datasets, num_pairs=80, quantile=0.1,
-            delta_budget=budget, seed=5)
+        assert experiment.trial_probe(5, observed, []) == datagen.Probe(
+            observed.theta_round, observed.datasets, delta_budget=budget, seed=5)
 
 
 class TestSerialTrials:

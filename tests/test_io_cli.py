@@ -308,22 +308,32 @@ class TestAttackCLI:
             line for line in text.splitlines(True) if not line.startswith("1,"))),
         ("model_final_shadow.csv", lambda text: text.split("\n", 1)[1]),
         ("model_final_decoded.csv", lambda text: text + "0.5\n"),
+        # datasets that parse and fit the uploads, but not the manifest: client
+        # 0's rows relabelled as client 7 (client 0's upload was once inverted
+        # against client 1's data), one of client 0's rows deleted, and a label
+        # outside the manifest's two classes
+        ("datasets.csv", lambda text: text.replace("\n0,", "\n7,")),
+        ("datasets.csv", lambda text: text.replace(
+            next(line for line in text.splitlines(True) if line.startswith("0,")), "", 1)),
+        ("datasets.csv", lambda text: text.replace(",0\n", ",5\n", 1)),
     ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
             "vector-non-numeric", "datasets-non-numeric", "master-seed-negative",
             "master-seed-null", "master-seed-float", "master-seed-string", "master-seed-bool",
             "round-log-without-keys", "round-log-not-an-object", "round-log-misshapen-wires",
-            "datasets-one-client-short", "shadow-one-short", "decoded-one-long"])
+            "datasets-one-client-short", "shadow-one-short", "decoded-one-long",
+            "datasets-client-relabelled", "datasets-one-row-short", "datasets-label-5"])
     def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
         path = os.path.join(run_dir, name)
         with open(path) as fh:
             text = fh.read()
         with open(path, "w") as fh:
             fh.write(damage(text))
-        r = run_cli(["attack", "--run-dir", run_dir, "--out", str(tmp_path / "o"),
-                     "--iters", "5"])
+        out = tmp_path / "o"
+        r = run_cli(["attack", "--run-dir", run_dir, "--out", str(out), "--iters", "5"])
         assert r.returncode == 1
         assert "config error" in r.stderr and name in r.stderr
         assert "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_append_under_another_header_exit_1(self, run_dir, tmp_path):
         out = tmp_path / "o"
@@ -639,8 +649,10 @@ class TestExitCodes:
         (None, "n_eval", float("nan"), "n_eval must be an integer >= 1"),
         (None, "n_eval", 0, "n_eval must be an integer >= 1"),
         (None, "n_eval", 99, "n_eval must be >= 100"),
-        (None, "num_pairs", 120.0, "num_pairs must be an integer >= 1"),
-        (None, "num_pairs", float("nan"), "num_pairs must be an integer >= 1"),
+        (None, "num_pairs", 120.0, "num_pairs must be an integer >= 2"),
+        (None, "num_pairs", float("nan"), "num_pairs must be an integer >= 2"),
+        # once checked only where a trial's constants are estimated, so train took it
+        (None, "num_pairs", 1, "num_pairs must be an integer >= 2"),
         ("dataset", "num_clients", 2.0, "num_clients must be an integer >= 1"),
         ("dataset", "per_client_size", 8.0, "per_client_size must be an integer >= 1"),
         ("dataset", "num_classes", 2.0, "num_classes must be an integer >= 2"),
@@ -677,7 +689,7 @@ class TestExitCodes:
             "diameter-nan", "diameter-1e154", "seed-negative", "seed-nan", "attack-round-float",
             "attack-client-negative", "rounds-float", "rounds-nan", "iters-float",
             "iters-nan", "n-eval-float", "n-eval-nan", "n-eval-0", "n-eval-99",
-            "num-pairs-float", "num-pairs-nan",
+            "num-pairs-float", "num-pairs-nan", "num-pairs-1",
             "num-clients-float", "per-client-size-float", "num-classes-float",
             "model-input-dim-float", "hidden-dim-float", "step-size-nan", "step-size-inf",
             "attack-init-scale-nan", "input-dim-60", "quantile-nan", "quantile-0.6",

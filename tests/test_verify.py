@@ -42,8 +42,8 @@ def hand_built_privacy_trial(scenario, trial_seed):
         replace(scenario.attack, seed=trial_seed), ds.x, ds_spec.diameter_cap)
     eps_p = attack.privacy_leakage(trace)
     row, = datagen.estimate_constants_batch(scenario.model, [datagen.Probe(
-        theta, datasets, num_pairs=scenario.num_pairs, quantile=scenario.quantile,
-        attack_objectives=trace.objectives[1:], seed=trial_seed)])
+        theta, datasets, attack_objectives=trace.objectives[1:], seed=trial_seed)],
+        scenario.num_pairs, scenario.quantile)
     est = datagen.constants_of(row)
     threshold = bounds.privacy_precondition_threshold(
         est.c_2, est.c_b, est.c_a, scenario.attack.iters)
@@ -88,8 +88,8 @@ def hand_built_utility_trial(scenario, trial_seed, mech):
         *fresh_sampler(ds_spec, trial_seed, target.centers)(scenario.n_eval)))
     theta0 = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     row, = datagen.estimate_constants_batch(scenario.model, [datagen.Probe(
-        theta0, datasets, num_pairs=scenario.num_pairs, quantile=scenario.quantile,
-        delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)])
+        theta0, datasets, delta_budget=max(1.0, 2.0 * delta_two), seed=trial_seed)],
+        scenario.num_pairs, scenario.quantile)
     est = datagen.constants_of(row)
     losses = models.per_example_losses(scenario.model, theta + delta_model, target.x, target.y)
     big_m = max(float(np.max(np.abs(losses))), 1e-12)
@@ -208,10 +208,11 @@ class TestLockstepBlocks:
         seeds = [rngmod.trial_seed(0, 0, i) for i in range(100)]
         estimate, simulate = datagen.estimate_constants_batch, experiment.simulate_batch
 
-        def failing_estimate(spec, probes):
+        def failing_estimate(spec, probes, num_pairs, quantile):
             # seed 2's row fails, and only that row
             return [NumericError("estimate failed at seed 2") if probe.seed == seeds[2]
-                    else row for probe, row in zip(probes, estimate(spec, probes))]
+                    else row
+                    for probe, row in zip(probes, estimate(spec, probes, num_pairs, quantile))]
 
         def failing_simulate(config, trial_seeds, mechs):
             if seeds[5] in trial_seeds:
