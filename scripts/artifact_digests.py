@@ -91,6 +91,22 @@ CONFIGS = {
         "master_seed": 1, "n_eval": 400, "num_pairs": 2, "quantile": 0.0, "gamma": 0.1,
         "eta": 0.1, "attack_round": 0, "attack_client": 0,
     },
+    # a step that shrinks as 1/sqrt(t + 1), under noise rescaled to an exact
+    # norm: at sigma 1e154 some rows' squared norms overflow and take the
+    # rescale of their direction, and the others scale their finite norm
+    "configs/inv-sqrt-exact-norm.json": {
+        "dataset": {"num_clients": 3, "per_client_size": 6, "input_dim": 3, "num_classes": 2,
+                    "class_separation": 2.0, "diameter_cap": 2.0, "seed": 0},
+        "model": {"kind": "logistic", "input_dim": 3, "hidden_dim": 0, "num_classes": 2},
+        "fl": {"rounds": 6, "learning_rate": 0.4, "lr_schedule": "inv_sqrt", "seed": 0,
+               "init_scale": 0.5},
+        "mechanism": {"kind": "randomization", "sigma": 1e154, "shared_noise": False,
+                      "offset_scale": 1.0, "exact_norm": 0.5},
+        "attack": {"iters": 60, "optimizer": "adam", "step_size": 0.05, "init": "gaussian",
+                   "init_scale": 0.5, "seed": 0, "backtracking": False},
+        "master_seed": 4, "n_eval": 400, "num_pairs": 120, "quantile": 0.05, "gamma": 0.1,
+        "eta": 0.1, "attack_round": 0, "attack_client": 0,
+    },
 }
 
 COMMANDS = [
@@ -134,6 +150,9 @@ COMMANDS = [
      "--seed", "2", "--out", "runs/mlp1-truncated"],
     ["attack", "--run-dir", "runs/mlp1-truncated", "--out", "runs/mlp1-truncated-attack",
      "--dump-trajectory"],
+    ["train", "--config", "configs/inv-sqrt-exact-norm.json", "--out", "runs/inv-sqrt-exact-norm"],
+    ["attack", "--run-dir", "runs/inv-sqrt-exact-norm", "--out",
+     "runs/inv-sqrt-exact-norm-attack", "--round", "5", "--client", "2", "--phase2"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
     ["estimate-constants", "--config", "configs/five-classes.json",
      "--out", "runs/constants-five-classes"],

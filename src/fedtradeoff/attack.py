@@ -341,14 +341,26 @@ class Classifier:
 
 def train_phase2(recovered: ClientDataset, spec: models.ModelSpec, *,
                  epochs: int = 200, lr: float = 0.5, seed: int = 0) -> Classifier:
-    """Deterministic full-batch gradient-descent training on recovered data."""
+    """Deterministic full-batch gradient-descent training on recovered data:
+    ``theta - lr * models.grad_params(...)`` per epoch, bit for bit. One pass
+    is prepared over the model's own memory, which each step updates in
+    place; the mean gradient is numpy's, its ``np.add.reduce`` then a
+    division by the row count. Raises ``NumericError`` when a gradient or
+    the model is not finite."""
     if recovered.size == 0:
         raise ConfigurationError("recovered dataset is empty")
     theta = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT), 0.1)
-    for _ in range(epochs):
-        theta = theta - lr * models.grad_params(spec, theta, recovered.x, recovered.y)
-        if not np.all(np.isfinite(theta)):
-            raise ConfigurationError("phase-2 training diverged")
+    prep = models.prepare(spec, theta, recovered.y)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value raises below
+        for _ in range(epochs):
+            g = np.add.reduce(prep(recovered.x)[0], axis=0)
+            g /= recovered.size
+            if not np.isfinite(g).all():
+                raise NumericError("phase-2 training diverged: non-finite parameter gradient")
+            g *= lr
+            theta -= g
+            if not np.isfinite(theta).all():
+                raise NumericError("phase-2 training diverged: non-finite model")
     return Classifier(spec=spec, theta=theta)
 
 

@@ -108,12 +108,13 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, "manifest.json"),
                      {"schemas": iomod.SCHEMAS, "config": config.to_dict(), "master_seed": seed})
-    iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"), result.records)
+    iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"),
+                          map(result.record, range(result.rounds)))
     iomod.write_datasets(os.path.join(args.out, "datasets.csv"), datasets)
     for view in ("decoded", "protected", "shadow"):
         iomod.write_vector(os.path.join(args.out, f"model_final_{view}.csv"),
                            getattr(result, f"theta_final_{view}"))
-    print(f"train: wrote {len(result.records)} rounds to {args.out}")
+    print(f"train: wrote {result.rounds} rounds to {args.out}")
     return EXIT_OK
 
 

@@ -197,7 +197,7 @@ def _observed(config: ExperimentConfig, sims: list[tuple]) -> list[Observed]:
         raise ConfigurationError(f"attack_round {config.attack_round} outside run")
     if not 0 <= config.attack_client < config.dataset.num_clients:
         raise ConfigurationError(f"attack_client {config.attack_client} out of range")
-    return [Observed.from_round(result.records[config.attack_round], datasets,
+    return [Observed.from_round(result.record(config.attack_round), datasets,
                                 result.theta_final_shadow, result.theta_final_decoded)
             for datasets, result in sims]
 

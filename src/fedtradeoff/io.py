@@ -113,14 +113,14 @@ def write_round_log(path: str, records: Iterable[RoundRecord]) -> None:
 
 def read_round_log(path: str) -> list[dict]:
     out = []
-    with open(path) as fh:
-        try:
-            for n, line in enumerate(fh, 1):
-                line = line.strip()
+    with open(path, "rb") as fh:           # decoded line by line, so a bad byte has a line
+        for n, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if line:
                     out.append(json.loads(line))
-        except ValueError as exc:          # malformed JSON or not UTF-8
-            raise ConfigurationError(f"bad round log {path}, line {n}: {exc}") from exc
+            except ValueError as exc:      # malformed JSON or not UTF-8
+                raise ConfigurationError(f"bad round log {path}, line {n}: {exc}") from exc
     return out
 
 
@@ -151,26 +151,30 @@ def write_datasets(path: str, datasets: list[ClientDataset]) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
-def _csv_rows(fh):
-    """The cells of each non-blank line left in ``fh``."""
-    return (line.split(",") for line in map(str.strip, fh) if line)
+def _csv_rows(lines):
+    """The cells of each non-blank line in ``lines``."""
+    return (line.split(",") for line in map(str.strip, lines) if line)
 
 
 def read_datasets(path: str) -> list[ClientDataset]:
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "client_id" or header[-1] != "label":
-            raise ConfigurationError(f"bad datasets header in {path}")
-        p = len(header) - 2
-        rows: dict[int, list[tuple[list[float], int]]] = {}
-        for cells in _csv_rows(fh):
-            if len(cells) != p + 2:
-                raise ConfigurationError(f"bad datasets row in {path}")
-            try:
-                cid, point = int(cells[0]), ([float(c) for c in cells[1:-1]], int(cells[-1]))
-            except ValueError as exc:      # a non-numeric cell
-                raise ConfigurationError(f"bad datasets row in {path}: {exc}") from exc
-            rows.setdefault(cid, []).append(point)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:  # not UTF-8
+            raise ConfigurationError(f"bad datasets file {path}: {exc}") from exc
+    header = "".join(lines[:1]).strip().split(",")
+    if header[0] != "client_id" or header[-1] != "label":
+        raise ConfigurationError(f"bad datasets header in {path}")
+    p = len(header) - 2
+    rows: dict[int, list[tuple[list[float], int]]] = {}
+    for cells in _csv_rows(lines[1:]):
+        if len(cells) != p + 2:
+            raise ConfigurationError(f"bad datasets row in {path}")
+        try:
+            cid, point = int(cells[0]), ([float(c) for c in cells[1:-1]], int(cells[-1]))
+        except ValueError as exc:          # a non-numeric cell
+            raise ConfigurationError(f"bad datasets row in {path}: {exc}") from exc
+        rows.setdefault(cid, []).append(point)
     out = []
     for cid in sorted(rows):
         xs = np.array([r[0] for r in rows[cid]])

@@ -185,9 +185,11 @@ class Prepared:
     Taken once: the kind's views of theta (the softmax weights, or mlp1's W1,
     b1, W2 and b2, with the transposes and broadcast biases its products
     take) and the softmax kinds' one-hot labels. ``scores(x)`` and a call on
-    x run the rest of the forward pass. ``prepare`` validates theta and y;
-    ``per_example_losses`` and ``predict`` build one without labels, for its
-    scores alone."""
+    x run the rest of the forward pass. The views share theta's memory, so
+    values written into that array later (a training step in place) are the
+    ones the next call runs on, bit for bit as a fresh pass over them.
+    ``prepare`` validates theta and y; ``per_example_losses`` and ``predict``
+    build one without labels, for its scores alone."""
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray, y: np.ndarray | None = None):
         self.spec, self.theta, self.y = spec, theta, y

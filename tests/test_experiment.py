@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_sampler
+from conftest import fresh_sampler, records
 from fedtradeoff import attack, bounds, cli, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
@@ -73,7 +73,7 @@ class TestOverflowIsWarningClean:
                                                              sigma=1e200))
         seed = rngmod.trial_seed(3, 0, 0)
         (_, result), = simulate(cfg, seed)
-        assert result.records[0].delta_up_grad == [math.inf]
+        assert result.record(0).delta_up_grad == [math.inf]
         # the attack objective overflows at its init, so the trial cannot be scored
         with pytest.raises(NumericError, match="attack diverged at its first step"):
             run_one(cfg, seed)
@@ -167,7 +167,7 @@ def assert_same_simulation(got, want):
     for a, b in zip(got_ds, want_ds, strict=True):
         assert (a.client_id, a.x.tobytes(), a.y.tobytes(), a.centers.tobytes()) == (
             b.client_id, b.x.tobytes(), b.y.tobytes(), b.centers.tobytes())
-    for a, b in zip(got_run.records, want_run.records, strict=True):
+    for a, b in zip(records(got_run), records(want_run), strict=True):
         for f in ("round_index", "eta", "delta_up_grad", "delta_up_param", "delta_two_grad",
                   "delta_two_param", "shadow_gap"):
             assert repr(getattr(a, f)) == repr(getattr(b, f)), f

@@ -14,7 +14,7 @@ from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import (ExperimentConfig, MechanismSpec, TrialRow, run_trials,
                                    score_trials)
 
-from conftest import rewalk_leakage, run_cli_in_process as run_cli
+from conftest import records, rewalk_leakage, run_cli_in_process as run_cli, weighted_sum
 
 
 def run_cli_process(args, env_extra=None):
@@ -75,10 +75,10 @@ class TestIO:
         res, = protocol.run_batch(model, cfg, [MechanismSpec("randomization", 0.1)], [datasets],
                                   [1])
         path = str(tmp_path / "r.jsonl")
-        iomod.write_round_log(path, res.records)
+        iomod.write_round_log(path, records(res))
         back = iomod.read_round_log(path)
         assert len(back) == 3
-        for rec, row in zip(res.records, back):
+        for rec, row in zip(records(res), back):
             assert np.array_equal(np.array(row["theta_decoded"]), rec.theta_decoded)
             assert row["delta_two_grad"] == rec.delta_two_grad
             assert np.array_equal(np.array(row["wires"][1]), rec.wires[1])
@@ -86,6 +86,12 @@ class TestIO:
             again = iomod.round_record_from_dict(row)
             assert iomod.round_record_to_dict(again) == iomod.round_record_to_dict(rec)
             assert again.wires.tobytes() == rec.wires.tobytes()
+
+    def test_round_log_names_the_line_of_a_bad_byte(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"round": 0}\n\xff\n{"round": 2}\n')
+        with pytest.raises(ConfigurationError, match=r"r\.jsonl, line 2: 'utf-8' codec"):
+            iomod.read_round_log(str(path))
 
     def test_round_log_supports_update_audit(self, tmp_path):
         # the emitted log carries enough to re-derive the server update exactly
@@ -95,10 +101,10 @@ class TestIO:
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3)
         res, = protocol.run_batch(model, cfg, [MechanismSpec()], [datasets], [2])
         path = str(tmp_path / "r.jsonl")
-        iomod.write_round_log(path, res.records)
+        iomod.write_round_log(path, records(res))
         sizes = [d.size for d in datasets]
         for row in iomod.read_round_log(path):
-            rebuilt = np.array(row["theta_decoded"]) - row["eta"] * protocol.weighted_sum(
+            rebuilt = np.array(row["theta_decoded"]) - row["eta"] * weighted_sum(
                 [np.array(w) for w in row["wires"]], sizes)
             assert np.array_equal(rebuilt, np.array(row["theta_next_decoded"]))
 
@@ -316,18 +322,29 @@ class TestAttackCLI:
         ("datasets.csv", lambda text: text.replace(
             next(line for line in text.splitlines(True) if line.startswith("0,")), "", 1)),
         ("datasets.csv", lambda text: text.replace(",0\n", ",5\n", 1)),
+        # bytes that are not UTF-8: a whole file, and one byte opening a line
+        # inside the first 8 KiB a text read decodes at once
+        ("rounds.jsonl", lambda text: b"\xff\xfe x\n"),
+        ("rounds.jsonl", lambda text: text.replace("\n", "\n\udcff", 1).encode(
+            "utf-8", "surrogateescape")),
+        ("datasets.csv", lambda text: b"\xff"),
+        ("datasets.csv", lambda text: text.replace("\n", "\n\udcff", 2).encode(
+            "utf-8", "surrogateescape")),
     ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
             "vector-non-numeric", "datasets-non-numeric", "master-seed-negative",
             "master-seed-null", "master-seed-float", "master-seed-string", "master-seed-bool",
             "round-log-without-keys", "round-log-not-an-object", "round-log-misshapen-wires",
             "datasets-one-client-short", "shadow-one-short", "decoded-one-long",
-            "datasets-client-relabelled", "datasets-one-row-short", "datasets-label-5"])
+            "datasets-client-relabelled", "datasets-one-row-short", "datasets-label-5",
+            "round-log-not-utf8", "round-log-bad-byte-line-2", "datasets-not-utf8",
+            "datasets-bad-byte-row-2"])
     def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
         path = os.path.join(run_dir, name)
         with open(path) as fh:
             text = fh.read()
-        with open(path, "w") as fh:
-            fh.write(damage(text))
+        damaged = damage(text)
+        with open(path, "wb" if isinstance(damaged, bytes) else "w") as fh:
+            fh.write(damaged)
         out = tmp_path / "o"
         r = run_cli(["attack", "--run-dir", run_dir, "--out", str(out), "--iters", "5"])
         assert r.returncode == 1

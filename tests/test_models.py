@@ -475,6 +475,23 @@ class TestPreparedPass:
                 assert_bitwise(grads, want)
                 assert_bitwise(vjp(v[rows]), want_vjp(v[rows]))
 
+    @pytest.mark.parametrize("spec", PREPARED_SPECS,
+                             ids=lambda s: f"{s.kind}-p{s.input_dim}-c{s.num_classes}")
+    def test_values_written_into_theta_are_the_next_calls(self, spec):
+        # a training loop prepares once and steps theta in place
+        rng = np.random.default_rng([spec.param_dim, spec.num_classes, 7])
+        for lead, decades in PREPARED_LEADS_AND_DECADES:
+            theta, y, xs, vs = prepared_instance(spec, rng, lead, decades)
+            buffer = theta.copy()
+            prep = models.prepare(spec, buffer, y)
+            for x, new in zip(xs, [theta, *vs]):
+                buffer[...] = new
+                with np.errstate(all="ignore"):
+                    grads, vjp = prep(x)
+                    fresh, fresh_vjp = models.per_example_grads_and_vjp(spec, new, x, y)
+                    assert_bitwise(grads, fresh)
+                    assert_bitwise(vjp(vs[0]), fresh_vjp(vs[0]))
+
     def test_shapes_checked_once_and_per_x(self):
         spec = models.ModelSpec("mlp1", 2, hidden_dim=3)
         theta, y = np.zeros((4, spec.param_dim)), np.zeros((4, 5))

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import mean_loss
+from conftest import assert_same_bits, mean_loss, records, run_rounds, weighted_sum
 from fedtradeoff import datagen, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
@@ -21,7 +22,7 @@ def round_zero(datasets, model=MODEL):
     """Record of round 0 of a one-round unprotected run over ``datasets``."""
     res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=1), [protocol.MechanismSpec()],
                               [datasets], [3])
-    return res.records[0]
+    return res.record(0)
 
 
 class TestClientLocalUpdate:
@@ -166,31 +167,31 @@ class TestAggregate:
     ``run_batch`` takes it."""
 
     def test_equal_sizes_unweighted_mean(self):
-        out = np.zeros(2) - 1.0 * protocol.weighted_sum(
+        out = np.zeros(2) - 1.0 * weighted_sum(
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [3, 3])
         assert np.array_equal(out, np.array([-0.5, -0.5]))
 
     def test_single_client_plain_sgd(self):
         g = np.array([2.0, -1.0])
-        out = np.array([1.0, 1.0]) - 0.1 * protocol.weighted_sum([g], [5])
+        out = np.array([1.0, 1.0]) - 0.1 * weighted_sum([g], [5])
         assert np.allclose(out, np.array([1.0, 1.0]) - 0.1 * g, rtol=0, atol=0)
 
     def test_matches_weighted_mean_loop(self):
         g = rngmod.stream(8, 1)
         vecs = [g.standard_normal(4) for _ in range(3)]
         sizes = [1, 2, 3]
-        out = np.zeros(4) - 1.0 * protocol.weighted_sum(vecs, sizes)
+        out = np.zeros(4) - 1.0 * weighted_sum(vecs, sizes)
         expected = -sum((m / 6.0) * v for v, m in zip(vecs, sizes))
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-15)
 
     def test_weights_sum_to_one(self):
         ones = [np.ones(3)] * 4
-        out = protocol.weighted_sum(ones, [2, 5, 1, 9])
+        out = weighted_sum(ones, [2, 5, 1, 9])
         assert np.allclose(out, np.ones(3), rtol=1e-12, atol=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            protocol.weighted_sum([np.zeros(2)], [1, 2])
+            weighted_sum([np.zeros(2)], [1, 2])
 
 
 class TestRun:
@@ -198,7 +199,7 @@ class TestRun:
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.3)
         res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [1])
-        for rec in res.records:
+        for rec in records(res):
             assert rec.delta_two_grad == 0.0
             assert rec.shadow_gap == 0.0
             assert all(d == 0.0 for d in rec.delta_up_grad)
@@ -209,7 +210,7 @@ class TestRun:
         cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.3)
         he = protocol.MechanismSpec("he_codec")
         res, = protocol.run_batch(MODEL, cfg, [he], [datasets], [1])
-        for rec in res.records:
+        for rec in records(res):
             assert rec.delta_two_grad == 0.0
             assert rec.delta_two_param == 0.0
             assert rec.shadow_gap == 0.0
@@ -223,7 +224,7 @@ class TestRun:
                                   [2])
         plain, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [2])
         assert np.array_equal(res.theta_final_decoded, plain.theta_final_decoded)
-        assert res.records[0].delta_two_grad == 0.0
+        assert res.record(0).delta_two_grad == 0.0
 
     def test_protected_final_view(self):
         _, datasets = make_datasets()
@@ -240,7 +241,7 @@ class TestRun:
         cfg = protocol.FLRunConfig(rounds=6, learning_rate=0.25)
         mech = protocol.MechanismSpec("randomization", 0.2, shared_noise=True)
         res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [4])
-        for rec in res.records:
+        for rec in records(res):
             for k in range(len(datasets)):
                 assert rec.delta_two_grad == pytest.approx(rec.delta_up_grad[k], abs=1e-12)
                 assert rec.delta_two_param == pytest.approx(rec.delta_up_param[k], abs=1e-12)
@@ -251,8 +252,8 @@ class TestRun:
         mech = protocol.MechanismSpec("randomization", 0.3)
         res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [12])
         sizes = [d.size for d in datasets]
-        for rec in res.records:
-            agg_delta = protocol.weighted_sum(rec.wires - rec.grads, sizes)
+        for rec in records(res):
+            agg_delta = weighted_sum(rec.wires - rec.grads, sizes)
             assert rec.delta_two_grad == pytest.approx(
                 float(np.linalg.norm(agg_delta)), abs=1e-12)
 
@@ -261,7 +262,7 @@ class TestRun:
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.25)
         mech = protocol.MechanismSpec("randomization", 0.4)
         res, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [5])
-        for rec in res.records:
+        for rec in records(res):
             for k in range(len(datasets)):
                 direct = float(np.linalg.norm(rec.wires[k] - rec.grads[k]))
                 assert rec.delta_up_grad[k] == pytest.approx(direct, rel=1e-12)
@@ -273,7 +274,7 @@ class TestRun:
         a, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [6])
         b, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec("randomization", 0.0)],
                                 [datasets], [6])
-        for ra, rb in zip(a.records, b.records):
+        for ra, rb in zip(records(a), records(b)):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
             assert ra.delta_two_grad == rb.delta_two_grad == 0.0
             for wa, wb in zip(ra.wires, rb.wires):
@@ -286,7 +287,7 @@ class TestRun:
         a, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [7])
         b, = protocol.run_batch(MODEL, cfg, [mech], [datasets], [7])
         assert np.array_equal(a.theta_final_decoded, b.theta_final_decoded)
-        for ra, rb in zip(a.records, b.records):
+        for ra, rb in zip(records(a), records(b)):
             assert np.array_equal(ra.theta_decoded, rb.theta_decoded)
 
     @pytest.mark.parametrize("x, fl, message", [
@@ -309,7 +310,7 @@ class TestRun:
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.4, lr_schedule="inv_sqrt")
         res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [8])
-        etas = [rec.eta for rec in res.records]
+        etas = [rec.eta for rec in records(res)]
         assert etas == pytest.approx([0.4 / np.sqrt(t + 1) for t in range(4)])
 
 
@@ -331,7 +332,7 @@ class TestFLRunConfig:
         _, datasets = make_datasets()
         cfg = protocol.FLRunConfig(rounds=1, init_scale=0.0)
         res, = protocol.run_batch(MODEL, cfg, [protocol.MechanismSpec()], [datasets], [0])
-        assert np.array_equal(res.records[0].theta_decoded, np.zeros(3))
+        assert np.array_equal(res.record(0).theta_decoded, np.zeros(3))
 
 
 RUN_MODELS = [models.ModelSpec("linear", 3), models.ModelSpec("logistic", 3),
@@ -373,8 +374,8 @@ class TestRoundsMatchPerClientReference:
                                             rngmod.stream(seed, rngmod.STREAM_MECH), 0.5)
             keys = perm[None], offset[None]
         sizes = [ds.size for ds in datasets]
-        shadow = res.records[0].theta_decoded
-        for t, rec in enumerate(res.records):
+        shadow = res.record(0).theta_decoded
+        for t, rec in enumerate(records(res)):
             assert rec.shadow_gap == float(np.linalg.norm(rec.theta_decoded - shadow))
             wires = []
             for k, ds in enumerate(datasets):
@@ -391,11 +392,88 @@ class TestRoundsMatchPerClientReference:
                 assert np.array_equal(rec.wires[k], wire)
                 assert rec.delta_up_grad[k] == delta_up
                 wires.append(wire if mech.kind == "randomization" else g)
-            step = rec.eta * protocol.weighted_sum(wires, sizes)
+            step = rec.eta * weighted_sum(wires, sizes)
             assert np.array_equal(rec.theta_next_decoded, rec.theta_decoded - step)
-            shadow = shadow - rec.eta * protocol.weighted_sum(
+            shadow = shadow - rec.eta * weighted_sum(
                 [models.grad_params(model, shadow, ds.x, ds.y) for ds in datasets], sizes)
         assert np.array_equal(res.theta_final_shadow, shadow)
+
+
+# three trials' mechanisms of each kind, a batch of one taking the first.
+# The exact-norm rows: sigma * z stays finite for the first trial, its norm
+# overflows for the second, and the product itself for the third, whose
+# mechanism sets no exact_norm beside two that do
+ORACLE_MECHS = {
+    "none": [protocol.MechanismSpec()] * 3,
+    "rand": [protocol.MechanismSpec("randomization", s) for s in (0.3, 0.0, 1.5)],
+    "shared": [protocol.MechanismSpec("randomization", s, shared_noise=True)
+               for s in (0.3, 0.7, 0.05)],
+    "exact-norm": [protocol.MechanismSpec("randomization", 0.3, exact_norm=0.8),
+                   protocol.MechanismSpec("randomization", 1e155, exact_norm=2.0),
+                   protocol.MechanismSpec("randomization", 0.2)],
+    "exact-norm-overflow": [protocol.MechanismSpec("randomization", 1.7e308, exact_norm=0.5),
+                            protocol.MechanismSpec("randomization", 0.3, exact_norm=0.8),
+                            protocol.MechanismSpec("randomization", 1e155, exact_norm=2.0)],
+    "he": [protocol.MechanismSpec("he_codec", offset_scale=s) for s in (0.5, 2.0, 0.0)],
+}
+
+
+def assert_same_record(got, want):
+    """Two ``RoundRecord``s field by field, bit for bit and of one type."""
+    for f in fields(protocol.RoundRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert_same_bits(a, b)
+
+
+class TestRunBatchEqualsTheRoundLoop:
+    """``run_batch``'s stacked per-round arrays give, through ``record(t)``,
+    the records of the per-round loop (``conftest.run_rounds``) bit for bit,
+    and the same final models."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
+    @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
+    @pytest.mark.parametrize("mech_name", list(ORACLE_MECHS))
+    @pytest.mark.parametrize("model", [MODEL, models.ModelSpec("mlp1", 3, hidden_dim=4,
+                                                               num_classes=3)],
+                             ids=lambda m: m.kind)
+    def test_records_equal_the_round_loop(self, model, mech_name, schedule, sizes, batch):
+        spec = datagen.DatasetSpec(num_clients=3, per_client_size=7, input_dim=3,
+                                   num_classes=model.num_classes, class_separation=2.0,
+                                   diameter_cap=2.0)
+        seeds = [31, 5, 2024][:batch]
+        datasets = datagen.generate_batch(spec, seeds)
+        if sizes == "unequal":
+            datasets = [[datagen.ClientDataset(ds.client_id, ds.x[:7 - 2 * k], ds.y[:7 - 2 * k])
+                         for k, ds in enumerate(trial)] for trial in datasets]
+        cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.4, lr_schedule=schedule)
+        mechs = ORACLE_MECHS[mech_name][:batch]
+        got = protocol.run_batch(model, cfg, mechs, datasets, seeds)
+        want = run_rounds(model, cfg, mechs, datasets, seeds)
+        for res, (recs, decoded, shadow, protected) in zip(got, want, strict=True):
+            assert res.rounds == len(recs)
+            for t, rec in enumerate(recs):
+                assert_same_record(res.record(t), rec)
+            assert_same_bits(res.theta_final_decoded, decoded)
+            assert_same_bits(res.theta_final_shadow, shadow)
+            assert_same_bits(res.theta_final_protected, protected)
+
+    @pytest.mark.parametrize("lr, message", [
+        (1.2e3, "non-finite update at round 57"),
+        (1e4, "non-finite gradient at round 49: non-finite parameter gradient"),
+    ], ids=["update", "gradient"])
+    def test_overflow_raises_in_the_loop_round(self, lr, message):
+        # the step's component along x grows by about 200 lr a round
+        spec = models.ModelSpec("linear", 2)
+        ds = datagen.ClientDataset(client_id=0, x=np.array([[10.0, 10.0]]), y=np.array([0.0]))
+        cfg = protocol.FLRunConfig(rounds=200, learning_rate=lr)
+        mech = [protocol.MechanismSpec("randomization", 0.1)]
+        with pytest.raises(NumericError) as want:
+            run_rounds(spec, cfg, mech, [[ds]], [1])
+        assert str(want.value) == f"run aborted: {message}"
+        with pytest.raises(NumericError, match=f"^{want.value}$"):
+            protocol.run_batch(spec, cfg, mech, [[ds]], [1])
 
 
 def old_codec_key(dim, seed, offset_scale):
@@ -423,11 +501,11 @@ class TestHEKey:
         # the units tracked through each round's size-weighted aggregation
         sizes = [ds.size for ds in datasets]
         units = 1.0
-        for rec in res.records:
+        for rec in records(res):
             for g, wire in zip(rec.grads, rec.wires):
                 assert np.array_equal(wire, g[perm] + offset)
             units = units - rec.eta * float(
-                protocol.weighted_sum([np.array([1.0])] * len(sizes), sizes)[0])
+                weighted_sum([np.array([1.0])] * len(sizes), sizes)[0])
             want = rec.theta_next_decoded[perm] + units * offset
             assert np.array_equal(rec.theta_next_protected, want)
         assert np.array_equal(res.theta_final_protected, want)

@@ -87,7 +87,7 @@ def test_config_files_are_written_but_not_digested(monkeypatch, tmp_path):
     monkeypatch.setattr(script, "COMMANDS", command)
     found = script.digests(str(tmp_path), os.path.join(ROOT, "src"))
     assert list(found) == ["runs/constants-five-classes/constants.json"]
-    assert len(script.CONFIGS) == 3
+    assert len(script.CONFIGS) == 4
     for rel in script.CONFIGS:
         assert os.path.exists(tmp_path / rel)
 
