@@ -78,9 +78,7 @@ def pilot_noise_floor():
                 break
         y = np.array([1])
         g_true = models.grad_params(spec, theta, x[None, :], y)
-        ((wire,),), _ = protocol.protect_batch(
-            g_true[None, None], [protocol.MechanismSpec("randomization", 20.0)],
-            rngmod.stream(seed, 61).standard_normal((1, 1, g_true.shape[0])))
+        wire = g_true + 20.0 * rngmod.stream(seed, 61).standard_normal(g_true.shape[0])
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                   init="gaussian", seed=seed)
         tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg, x[None, :], 2.0)

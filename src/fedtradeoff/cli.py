@@ -137,12 +137,17 @@ def cmd_attack(args) -> int:
                                  f"{spec}")
     log = os.path.join(run_dir, "rounds.jsonl")
     rounds = iomod.read_round_log(log)
+    if len(rounds) != config.fl.rounds:
+        raise ConfigurationError(f"bad round log {log}: {len(rounds)} rounds, not its "
+                                 f"manifest's fl.rounds {config.fl.rounds}")
     if not (0 <= args.round < len(rounds)):
         raise ConfigurationError(f"round {args.round} not in log (have {len(rounds)})")
     if not (0 <= args.client < len(datasets)):
         raise ConfigurationError(f"client {args.client} not in artifacts")
     try:
         rec = iomod.round_record_from_dict(rounds[args.round])
+        if rec.round_index != args.round:
+            raise ConfigurationError(f"its record is round {rec.round_index}")
     except ConfigurationError as exc:
         raise ConfigurationError(f"bad round log {log}, round {args.round}: {exc}") from exc
     target = datasets[args.client]

@@ -384,7 +384,7 @@ def estimate_constants_batch(model_spec: models.ModelSpec, probes: list[Probe],
     quantiles in one ``np.quantile`` per used-pair count, their diameters in
     one scan (``_diameters``) and their attack envelopes in one call per
     series length. A model call's values of a row do not depend on the rows
-    stacked with it (``models.per_example_grads_and_vjp``)."""
+    stacked with it (``models.Prepared``)."""
     require_int("num_pairs", num_pairs, 2)
     if not 0 <= quantile <= 0.5:                    # NaN fails too
         raise ConfigurationError("quantile must be in [0, 0.5]; 0 = min/max mode")

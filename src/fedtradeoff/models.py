@@ -21,12 +21,12 @@ theta and the labels once and takes what they alone fix: the kind's views of
 theta, with the transposes and broadcast biases its products take, and the
 softmax kinds' one-hot labels. The ``Prepared`` pass it returns then runs on
 any x: a call gives the per-example parameter gradients and a deferred input
-VJP that reuses that call's forward values. ``per_example_grads_and_vjp`` is
-prepare-then-run and ``per_example_grads`` its first half, so every caller
-goes through the one forward pass and the one VJP of each kind. A pass
-prepared once and called on many x (an inversion's steps) gives at each x,
-bit for bit, what a fresh ``per_example_grads_and_vjp`` gives there: a call
-runs the same operations in the same order and writes only arrays of its own.
+VJP that reuses that call's forward values. ``per_example_grads`` gives a
+fresh pass's gradients, so every caller goes through the one forward pass and
+the one VJP of each kind. A pass prepared once and called on many x (an
+inversion's steps) gives at each x, bit for bit, what a fresh pass gives
+there: a call runs the same operations in the same order and writes only
+arrays of its own.
 
 Losses are per example, and a batch's loss is their mean (``grad_params``
 is its gradient). Everything is float64 and pure: identical inputs give
@@ -230,8 +230,14 @@ class Prepared:
         return z, a
 
     def __call__(self, x: np.ndarray):
-        """Per-example parameter gradients and the deferred input VJP at x, as
-        ``per_example_grads_and_vjp`` returns them."""
+        """Per-example parameter gradients g (..., m, param_dim) at x, and
+        ``vjp``: row i of ``vjp(v)`` is (d g_i / d x_i)^T v, the mixed
+        derivative d/dx (g^T v) in closed form (Pearlmutter's R-operator), one
+        reverse pass through g_i . v over this call's forward values. Trial
+        axes: theta (B, param_dim), x (B, m, p) and y (B, m) give g (B, m,
+        param_dim) and take v (B, param_dim); every contraction is a stacked
+        ``np.matmul`` that runs the same BLAS call per trial as the unbatched
+        product, so no trial's values depend on the batch it is in."""
         x = _features(self.spec, x, self.y)
         z, a = self.scores(x)
         if self.kind == "linear":
@@ -297,7 +303,7 @@ class Prepared:
 def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example losses, shape (m,).
 
-    Leading trial axes are allowed as in ``per_example_grads_and_vjp``:
+    Leading trial axes are allowed as in a ``Prepared`` pass:
     theta (B, param_dim), x (B, m, p) and y (B, m) give (B, m), each row
     bit-identical to its own unbatched call.
     """
@@ -318,29 +324,6 @@ def per_example_losses(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.
 def per_example_grads(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example parameter gradients, shape (m, param_dim)."""
     return prepare(spec, theta, y)(x)[0]
-
-
-def per_example_grads_and_vjp(spec: ModelSpec, theta: np.ndarray, x: np.ndarray,
-                              y: np.ndarray):
-    """Per-example parameter gradients g, shape (m, param_dim), and ``vjp``.
-
-    ``vjp(v)`` has row i = (d g_i / d x_i)^T v, shape (m, input_dim): the
-    mixed derivative d/dx (g^T v) in closed form (Pearlmutter's R-operator),
-    one reverse pass through the scalar g_i . v over this call's forward
-    values, so a caller that needs both pays for one forward pass.
-
-    Leading trial axes are allowed: theta (B, param_dim), x (B, m, p) and
-    y (B, m) give g (B, m, param_dim) and take v (B, param_dim). Every
-    contraction is a stacked ``np.matmul`` that runs the same BLAS call per
-    trial as the unbatched product, so each trial's values do not depend on
-    the batch it is in.
-
-    This is ``prepare(spec, theta, y)(x)``. A caller that runs one model and
-    one label set on many x (an inversion) prepares once and calls the pass
-    per x: each call gives this function's values at that x, gradients and
-    VJP bit for bit, however many calls came before it.
-    """
-    return prepare(spec, theta, y)(x)
 
 
 def _linear_vjp(r, x, theta, v):

@@ -17,9 +17,9 @@ is round t's ``RoundRecord``. Bookkeeping per round:
   at the start of the round (diagnostic; zero for none and HE).
 
 ``MechanismSpec`` is the one mechanism type: configs serialize it, and
-``protect_batch`` and ``run_batch`` take it as it is. Its kinds are ``none``,
-``randomization`` and ``he_codec``. Randomization adds Gaussian noise drawn
-on stream ``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
+``run_batch`` takes it as it is. Its kinds are ``none``, ``randomization``
+and ``he_codec``. Randomization adds Gaussian noise drawn on stream
+``(seed, PROTECT, t, k + 1)`` for client k in round t, or on
 ``(seed, PROTECT, t, 0)`` for every client when the noise is shared; a run
 draws all rounds' noise before round 0, from those same streams, and takes
 every round's distortion and its norms from it there.
@@ -94,31 +94,6 @@ def _he_key(dim: int, g: np.random.Generator,
     if not np.all(np.isfinite(off)):
         raise ConfigurationError("offset must be finite")
     return perm, off
-
-
-def protect_batch(grads: np.ndarray, mechs: list[MechanismSpec], noise: np.ndarray | None = None,
-                  keys: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, list[list[float]]]:
-    """Apply trial b's mechanism to its round's (K, d) gradients ``grads[b]``, for
-    mechanisms of one kind: the (B, K, d) wires and each trial's list of
-    ``||wire - grad||`` per row. Row b equals trial b as a batch of one, bit
-    for bit. Randomization adds ``_distortion(mechs, noise)`` for (B, K, d)
-    standard normals; he_codec encrypts each row of trial b under key
-    ``(perms[b], offsets[b])`` (``_he_key``) to ``g[perm] + offset``."""
-    grads = np.asarray(grads, dtype=np.float64)
-    kind = mechs[0].kind
-    if kind == "none":
-        return grads.copy(), [[0.0] * grads.shape[1] for _ in grads]
-    if kind == "he_codec" and keys is None:
-        raise ConfigurationError("he_codec requires a key")
-    with np.errstate(over="ignore"):          # a huge sigma records ||delta|| = inf
-        if kind == "he_codec":
-            wires = _encrypt(grads, keys)
-            delta = wires - grads
-        else:
-            delta = _distortion(mechs, noise)
-            wires = grads + delta
-        return wires, _norms(delta).tolist()
 
 
 def _encrypt(grads: np.ndarray, keys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

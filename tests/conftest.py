@@ -335,9 +335,11 @@ def _row_norms(rows):
 
 
 def protect_rows(grads, mechs, noise=None, keys=None):
-    """``protocol.protect_batch`` as one round of the per-round loop took it,
-    each randomization row rescaled to ``exact_norm`` in its own loop pass:
-    the (B, K, d) wires and each trial's list of ``||wire - grad||``."""
+    """One round's protection of the (B, K, d) gradients ``grads``, trial b
+    under ``mechs[b]``, as the per-round loop took it: randomization adds
+    ``sigma * noise``, each row rescaled to ``exact_norm`` in its own loop
+    pass, and he_codec encrypts under ``keys``. Returns the (B, K, d) wires and
+    each trial's list of ``||wire - grad||``."""
     grads = np.asarray(grads, dtype=np.float64)
     kind = mechs[0].kind
     if kind == "none":

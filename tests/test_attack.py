@@ -10,7 +10,7 @@ from scipy import stats
 
 from conftest import (PAIRWISE_BLOCK, assert_same_bits, grad_objective, matching_objective,
                       rewalk_leakage, spread_values)
-from fedtradeoff import attack, cli, datagen, experiment, models, protocol, rng as rngmod
+from fedtradeoff import attack, cli, datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
 LINEAR = models.ModelSpec("linear", 2)
@@ -222,9 +222,7 @@ class TestInvertGradient:
             theta, x, _ = single_sample_instance(seed, theta_scale=0.5)
             y = np.array([1])
             g_true = models.grad_params(LOGISTIC, theta, x[None, :], y)
-            ((wire,),), _ = protocol.protect_batch(
-                g_true[None, None], [protocol.MechanismSpec("randomization", 20.0)],
-                rngmod.stream(seed, 61).standard_normal((1, 1, g_true.shape[0])))
+            wire = g_true + 20.0 * rngmod.stream(seed, 61).standard_normal(g_true.shape[0])
             cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
                                       init="gaussian", seed=seed)
             tr = attack.invert_gradient(LOGISTIC, theta, wire, y, 1, cfg, x[None, :], CAP_D)

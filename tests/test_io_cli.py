@@ -278,7 +278,8 @@ class TestAttackCLI:
         out = str(tmp_path / "o")
         r = run_cli(["attack", "--run-dir", run_dir, "--out", out, "--iters", "5", *index])
         assert r.returncode == 1
-        assert "not in" in r.stderr
+        where = "log (have 2)" if index[0] == "--round" else "artifacts"
+        assert r.stderr == f"config error: {index[0][2:]} {index[1]} not in {where}\n"
         assert not os.path.exists(os.path.join(out, "results.csv"))
 
     def test_manifest_with_keep_every_exit_1(self, run_dir, tmp_path):
@@ -330,6 +331,10 @@ class TestAttackCLI:
         ("datasets.csv", lambda text: b"\xff"),
         ("datasets.csv", lambda text: text.replace("\n", "\n\udcff", 2).encode(
             "utf-8", "surrogateescape")),
+        # a round log that parses but disagrees with its manifest: its lines
+        # out of order, and one round short
+        ("rounds.jsonl", lambda text: "".join(reversed(text.splitlines(True)))),
+        ("rounds.jsonl", lambda text: "".join(text.splitlines(True)[:-1])),
     ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
             "vector-non-numeric", "datasets-non-numeric", "master-seed-negative",
             "master-seed-null", "master-seed-float", "master-seed-string", "master-seed-bool",
@@ -337,7 +342,7 @@ class TestAttackCLI:
             "datasets-one-client-short", "shadow-one-short", "decoded-one-long",
             "datasets-client-relabelled", "datasets-one-row-short", "datasets-label-5",
             "round-log-not-utf8", "round-log-bad-byte-line-2", "datasets-not-utf8",
-            "datasets-bad-byte-row-2"])
+            "datasets-bad-byte-row-2", "round-log-reversed", "round-log-one-round-short"])
     def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
         path = os.path.join(run_dir, name)
         with open(path) as fh:

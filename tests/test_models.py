@@ -342,7 +342,7 @@ class TestShortAxisKernels:
         spec = models.ModelSpec(kind, p)
         theta, x, y = draw_batch(spec, p, m=5, theta_scale=2.0)
         v = rngmod.stream(p, 998).standard_normal(p)
-        _, vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+        _, vjp = models.prepare(spec, theta, y)(x)
         z = models._mv(x, theta)
         want = (broadcast_linear_vjp(z - y, x, theta, v) if kind == "linear"
                 else broadcast_binary_vjp(models._sigmoid(z), y, x, theta, v))
@@ -350,8 +350,8 @@ class TestShortAxisKernels:
 
 
 def earlier_grads_and_vjp(spec, theta, x, y):
-    """``per_example_grads_and_vjp`` as it was written before the pass was
-    prepared: every temporary fresh, and mlp1's four gradient blocks
+    """A ``Prepared`` pass's gradients and VJP as they were written before the
+    pass was prepared: every temporary fresh, and mlp1's four gradient blocks
     concatenated."""
     mt = lambda a: a.swapaxes(-1, -2)
     if spec.kind == "linear":
@@ -437,7 +437,7 @@ PREPARED_LEADS_AND_DECADES = list(itertools.product([(), (1,), (4,), (2, 3)], [1
 @pytest.mark.usefixtures("column_gate")
 class TestPreparedPass:
     """A pass prepared once from (spec, theta, y) and run on many x gives at
-    each x what a fresh ``per_example_grads_and_vjp`` and the earlier,
+    each x what a freshly prepared pass and the earlier,
     out-of-place formulas give, bit for bit."""
 
     @pytest.mark.parametrize("spec", PREPARED_SPECS,
@@ -452,7 +452,7 @@ class TestPreparedPass:
                 runs = [prep(x) for x in xs]      # every pass first, then the VJPs
                 for x, (grads, vjp) in zip(xs, runs):
                     finite.append(np.isfinite(vjp(vs[0])).mean())
-                    fresh, fresh_vjp = models.per_example_grads_and_vjp(spec, theta, x, y)
+                    fresh, fresh_vjp = models.prepare(spec, theta, y)(x)
                     earlier, earlier_vjp = earlier_grads_and_vjp(spec, theta, x, y)
                     assert_bitwise(grads, fresh)
                     assert_bitwise(grads, earlier)
@@ -470,8 +470,7 @@ class TestPreparedPass:
         for rows in (np.array([0, 2, 3]), np.array([False, True, False, False, True])):
             with np.errstate(all="ignore"):
                 grads, vjp = prep.take(rows)(x[rows])
-                want, want_vjp = models.per_example_grads_and_vjp(spec, theta[rows], x[rows],
-                                                                  y[rows])
+                want, want_vjp = models.prepare(spec, theta[rows], y[rows])(x[rows])
                 assert_bitwise(grads, want)
                 assert_bitwise(vjp(v[rows]), want_vjp(v[rows]))
 
@@ -488,7 +487,7 @@ class TestPreparedPass:
                 buffer[...] = new
                 with np.errstate(all="ignore"):
                     grads, vjp = prep(x)
-                    fresh, fresh_vjp = models.per_example_grads_and_vjp(spec, new, x, y)
+                    fresh, fresh_vjp = models.prepare(spec, new, y)(x)
                     assert_bitwise(grads, fresh)
                     assert_bitwise(vjp(vs[0]), fresh_vjp(vs[0]))
 

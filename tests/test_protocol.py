@@ -4,7 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, mean_loss, records, run_rounds, weighted_sum
+from conftest import (assert_same_bits, mean_loss, protect_rows, records, run_rounds,
+                      weighted_sum)
 from fedtradeoff import datagen, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
@@ -18,10 +19,10 @@ def make_datasets(seed=42, num_clients=3, m=8):
     return spec, datagen.generate_batch(spec, [seed])[0]
 
 
-def round_zero(datasets, model=MODEL):
-    """Record of round 0 of a one-round unprotected run over ``datasets``."""
-    res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=1), [protocol.MechanismSpec()],
-                              [datasets], [3])
+def round_zero(datasets, model=MODEL, mech=protocol.MechanismSpec()):
+    """Record of round 0 of a one-round run over ``datasets`` on seed 3,
+    unprotected unless ``mech`` is given."""
+    res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=1), [mech], [datasets], [3])
     return res.record(0)
 
 
@@ -61,44 +62,36 @@ class TestClientLocalUpdate:
 
 
 class TestProtect:
+    """Each mechanism's distortion, as ``run_batch`` takes it: ``_distortion``,
+    ``_encrypt`` and ``_norms`` on hand-built rows (their callers ignore
+    overflow), and one-round runs where overflow must pass without a warning."""
+
     def test_none_and_sigma_zero(self):
-        g = np.array([[1.0, -2.0, 0.5]])
-        (wires,), (delta_up,) = protocol.protect_batch(g[None], [protocol.MechanismSpec()])
-        assert delta_up == [0.0] and np.array_equal(wires, g)
-        (wires,), (delta_up,) = protocol.protect_batch(
-            g[None], [protocol.MechanismSpec("randomization", 0.0)],
-            rngmod.stream(0, 1).standard_normal((1, 1, 3)))
-        assert delta_up == [0.0] and np.array_equal(wires, g)
+        _, datasets = make_datasets()
+        for mech in (protocol.MechanismSpec(), protocol.MechanismSpec("randomization", 0.0)):
+            rec = round_zero(datasets, mech=mech)
+            assert rec.delta_up_grad == [0.0] * 3 and np.array_equal(rec.wires, rec.grads)
 
     def test_he_identity_perm_unit_offset(self):
         g = np.array([[1.0, -2.0, 0.5]])
-        (wires,), (delta_up,) = protocol.protect_batch(
-            g[None], [protocol.MechanismSpec("he_codec")],
-            keys=(np.arange(3)[None], np.array([[1.0, 0.0, 0.0]])))
-        assert delta_up == [1.0]
-        assert np.array_equal(wires, g + np.array([1.0, 0.0, 0.0]))
-
-    def test_he_without_key_is_a_config_error(self):
-        with pytest.raises(ConfigurationError, match="^he_codec requires a key$"):
-            protocol.protect_batch(np.zeros((1, 2, 3)), [protocol.MechanismSpec("he_codec")])
+        wires = protocol._encrypt(g[None], (np.arange(3)[None], np.array([[1.0, 0.0, 0.0]])))
+        assert protocol._norms(wires - g).tolist() == [[1.0]]
+        assert np.array_equal(wires[0], g + np.array([1.0, 0.0, 0.0]))
 
     def test_randomization_chi_square(self):
         # E ||delta||^2 = d sigma^2 = 1.0 for sigma=0.1, d=100
-        g = rngmod.stream(1, 99)
+        z = rngmod.stream(1, 99).standard_normal((1, 10000, 100))
         mech = protocol.MechanismSpec("randomization", 0.1)
-        _, (delta_up,) = protocol.protect_batch(np.zeros((1, 10000, 100)), [mech],
-                                                g.standard_normal((1, 10000, 100)))
-        mean_sq = np.mean([u ** 2 for u in delta_up])
-        assert abs(mean_sq - 1.0) <= 0.03
+        delta_up = protocol._norms(protocol._distortion([mech], z))
+        assert abs(np.mean(delta_up ** 2) - 1.0) <= 0.03
 
     def test_exact_norm(self):
         mech = protocol.MechanismSpec(kind="randomization", sigma=1.0, exact_norm=0.7)
-        (wires,), (delta_up,) = protocol.protect_batch(
-            np.zeros((1, 1, 5)), [mech], rngmod.stream(3, 4).standard_normal((1, 1, 5)))
-        assert delta_up[0] == pytest.approx(0.7, rel=1e-12)
-        # a finite norm rescales the draw itself
         z = rngmod.stream(3, 4).standard_normal(5)
-        assert np.array_equal(wires[0], 0.0 + z * (0.7 / np.linalg.norm(z)))
+        delta = protocol._distortion([mech], z[None, None])
+        assert protocol._norms(delta)[0, 0] == pytest.approx(0.7, rel=1e-12)
+        # a finite norm rescales the draw itself
+        assert np.array_equal(delta[0, 0], z * (0.7 / np.linalg.norm(z)))
 
     def test_exact_norm_rows_equal_hand_built_rows(self):
         # one block through every branch of the per-row rescale: sigma * z
@@ -108,7 +101,6 @@ class TestProtect:
                       [1.0, -0.5, 0.25, 1.5, 0.75],
                       [1e-200, -3e-200, 2e-200, 0.0, 5e-201],
                       [0.0, 0.0, 0.0, 0.0, 0.0]])
-        g = rngmod.stream(5, 6).standard_normal((4, 5))
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(sigma * z[0]))
             assert np.isinf(np.linalg.norm(sigma * z[1]))
@@ -119,47 +111,54 @@ class TestProtect:
         d = sigma * z[2]
         deltas += [d * (target / np.linalg.norm(d)), sigma * z[3]]
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=target)
-        (wires,), (delta_up,) = protocol.protect_batch(g[None], [mech], z[None])
-        assert np.array_equal(wires, np.array([gk + dk for gk, dk in zip(g, deltas)]))
+        with np.errstate(over="ignore"):
+            (delta,) = protocol._distortion([mech], z[None])
+            delta_up = protocol._norms(delta).tolist()
+        assert_same_bits(delta, np.array(deltas))
         assert delta_up == [float(np.linalg.norm(dk)) for dk in deltas]
         assert delta_up[:3] == pytest.approx([target] * 3, rel=1e-15) and delta_up[3] == 0.0
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     def test_huge_sigma_records_infinite_norm_without_warning(self, exact_norm):
+        _, datasets = make_datasets()
         mech = protocol.MechanismSpec(kind="randomization", sigma=1e200,
                                       exact_norm=exact_norm)
-        (wires,), (delta_up,) = protocol.protect_batch(
-            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
-        assert np.all(np.isfinite(wires))
+        rec = round_zero(datasets, mech=mech)
+        assert np.all(np.isfinite(rec.wires))
         if exact_norm is None:
-            assert delta_up[0] == math.inf
+            assert rec.delta_up_grad == [math.inf] * 3
 
     @pytest.mark.parametrize("sigma", [1e155, 1e300])
     def test_exact_norm_holds_when_the_raw_norm_overflows(self, sigma):
         # ||delta|| is inf at these sigmas; the rescale keeps the direction
+        _, datasets = make_datasets()
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma, exact_norm=2.0)
-        (wires,), (delta_up,) = protocol.protect_batch(
-            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
-        assert delta_up[0] == pytest.approx(2.0, rel=1e-15)
-        assert np.all(np.isfinite(wires))
+        rec = round_zero(datasets, mech=mech)
+        assert rec.delta_up_grad == pytest.approx([2.0] * 3, rel=1e-15)
+        assert np.all(np.isfinite(rec.wires))
 
     @pytest.mark.parametrize("exact_norm", [None, 2.0])
     @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
     def test_overflowing_draw_without_warning(self, sigma, exact_norm):
-        # sigma * z overflows some entries; the rescale takes z's direction
-        z = rngmod.stream(0, 1).standard_normal(4)
+        # sigma * z overflows some entries; the rescale takes z's direction,
+        # and without one the server's step is not finite
+        _, datasets = make_datasets()
+        z = rngmod.stream(3, rngmod.STREAM_PROTECT, 0, 1).standard_normal(3)   # client 0's
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(sigma * z))
         mech = protocol.MechanismSpec(kind="randomization", sigma=sigma,
                                       exact_norm=exact_norm)
-        (wires,), (delta_up,) = protocol.protect_batch(
-            np.ones((1, 1, 4)), [mech], rngmod.stream(0, 1).standard_normal((1, 1, 4)))
         if exact_norm is None:
-            assert delta_up[0] == math.inf
+            with np.errstate(over="ignore"):
+                assert protocol._norms(protocol._distortion([mech], z[None, None]))[0, 0] \
+                    == math.inf
+            with pytest.raises(NumericError, match="^run aborted: non-finite update at round 0$"):
+                round_zero(datasets, mech=mech)
         else:
-            assert np.all(np.isfinite(wires))
-            assert delta_up[0] == pytest.approx(2.0)
-            assert np.array_equal(wires[0], np.ones(4) + z * (2.0 / np.linalg.norm(z)))
+            rec = round_zero(datasets, mech=mech)
+            assert np.all(np.isfinite(rec.wires))
+            assert rec.delta_up_grad[0] == pytest.approx(2.0)
+            assert np.array_equal(rec.wires[0], rec.grads[0] + z * (2.0 / np.linalg.norm(z)))
 
 
 class TestAggregate:
@@ -386,7 +385,7 @@ class TestRoundsMatchPerClientReference:
                     z = rngmod.stream(seed, rngmod.STREAM_PROTECT, t, client).standard_normal(
                         model.param_dim)
                 # a block of one: a row must not depend on the rest of its block
-                ((wire,),), ((delta_up,),) = protocol.protect_batch(
+                ((wire,),), ((delta_up,),) = protect_rows(
                     g[None, None], [mech], None if z is None else z[None, None], keys)
                 assert np.array_equal(rec.grads[k], g)
                 assert np.array_equal(rec.wires[k], wire)

@@ -125,3 +125,48 @@ def test_scripts_read_only_names_the_package_has(script):
     missing = sorted(f"{layer}.{name}" for layer, name in found
                      if not hasattr(importlib.import_module(f"fedtradeoff.{layer}"), name))
     assert not missing
+
+
+# public functions of the package that no code in src/, scripts/ or perfbench/
+# calls, each kept for its reason
+UNREFERENCED = {
+    "bounds.private_pac_sample_size": "a paper evaluator the README lists",
+    "io.read_results": "the results/v1 reader behind 'parses back to identical rows'",
+    "rng.trial_seed": "the one-seed reference that trial_seeds is checked against",
+}
+
+
+def code_references(path):
+    """Names a file's code uses, as a name, an attribute or an import; a
+    function's uses of its own name inside its body do not count."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found.update(name for name in names if name != own)
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a second entry point that no pipeline calls leaves the package, unless
+    # UNREFERENCED keeps it for a stated reason
+    package = os.path.join(ROOT, "src", "fedtradeoff")
+    folders = (package, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"))
+    files = {folder: [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+                      if name.endswith(".py")] for folder in folders}
+    used = set().union(*map(code_references, sum(files.values(), [])))
+    unreferenced = set()
+    for path in files[package]:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        unreferenced.update(f"{module}.{node.name}" for node in tree.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_") and node.name not in used)
+    assert unreferenced == set(UNREFERENCED)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_sampler
+from conftest import fresh_sampler, protect_rows
 from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
@@ -35,7 +35,7 @@ def hand_built_privacy_trial(scenario, trial_seed):
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
     g = models.grad_params(scenario.model, theta, ds.x, ds.y)
     z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, 1, g.shape[0]))
-    ((wire,),), ((delta_up,),) = protocol.protect_batch(
+    ((wire,),), ((delta_up,),) = protect_rows(
         g[None, None], [protocol.MechanismSpec("randomization", scenario.sigma)], z)
     trace = attack.invert_gradient(
         scenario.model, theta, wire, ds.y, ds.size,
