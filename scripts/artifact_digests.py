@@ -200,9 +200,11 @@ COMMANDS = [
     # constants row fails in a block of estimates that succeed (NaN columns)
     ["sweep", "--axis", "sigma", "--values", "0,0.1", "--trials", "4", "--clients", "1",
      "--samples", "2", "--iters", "20", "--out", "runs/sweep-nan-row"],
-    # equal axis values: a constant input to the rank correlation, NaN rho and p
-    ["sweep", "--axis", "sigma", "--values", "0,0", "--trials", "2", "--samples", "4",
-     "--iters", "5", "--rounds", "1", "--out", "runs/sweep-constant"],
+    # distortions that throw every iterate of every row past D, so every
+    # eps_p is 0: a constant input to the rank correlation, NaN rho and p
+    ["sweep", "--axis", "delta_up", "--values", "1e3,1e4", "--trials", "2", "--samples", "4",
+     "--iters", "5", "--rounds", "1", "--optimizer", "sgd", "--step-size", "10",
+     "--out", "runs/sweep-constant"],
     # both sides of the inversion step's short-axis kernels, for the binary
     # logistic and the linear VJP, each over a block of at least 512 rows
     # (1,600 in the verifies, exactly 512 in the sweeps): one feature (numpy's

@@ -39,10 +39,10 @@ def pilot_single_sample_inversion():
             if np.linalg.norm(x) <= 1.0:
                 break
         y = np.array([1.0])
-        g_true = models.grad_params(spec, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
-                                  init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg, x[None, :], 2.0)
+        g_true = models.per_example_grads(spec, theta, x[None, :], y).mean(axis=0)
+        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05, init="zeros")
+        tr, = attack.invert_batch(spec, theta[None], g_true[None], y[None], cfg, [seed],
+                                  x[None, None, :], 2.0)
         finals.append(attack.privacy_leakage_final(tr))
         trajs.append(attack.privacy_leakage(tr))
     print(f"pilot 1: eps_p_final min {min(finals):.4f}, "
@@ -77,11 +77,12 @@ def pilot_noise_floor():
             if np.linalg.norm(x) <= 1.0:
                 break
         y = np.array([1])
-        g_true = models.grad_params(spec, theta, x[None, :], y)
+        g_true = models.per_example_grads(spec, theta, x[None, :], y).mean(axis=0)
         wire = g_true + 20.0 * rngmod.stream(seed, 61).standard_normal(g_true.shape[0])
         cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
-                                  init="gaussian", seed=seed)
-        tr = attack.invert_gradient(spec, theta, wire, y, 1, cfg, x[None, :], 2.0)
+                                  init="gaussian")
+        tr, = attack.invert_batch(spec, theta[None], wire[None], y[None], cfg, [seed],
+                                  x[None, None, :], 2.0)
         atk_err.append(np.linalg.norm(tr.final_x[0] - x))
         base_err.append(np.linalg.norm(0.5 * rngmod.stream(seed, 62).standard_normal(2) - x))
     p = stats.mannwhitneyu(atk_err, base_err, alternative="less").pvalue
@@ -95,8 +96,8 @@ def pilot_phase2_accuracy():
         (ds,), = datagen.generate_batch(datagen.DatasetSpec(
             num_clients=1, per_client_size=40, input_dim=2, num_classes=2,
             class_separation=6.0, diameter_cap=4.0), [seed])
-        h = attack.train_phase2(ds, spec, epochs=400, lr=0.5, seed=0)
-        accs.append(1.0 - attack.risk(h, ds.x, ds.y))
+        theta = attack.train_phase2(ds, spec, epochs=400, lr=0.5, seed=0)
+        accs.append(1.0 - attack.risk(spec, theta, ds.x, ds.y))
     print(f"pilot 4: min accuracy {min(accs):.4f} -> locked 0.95")
 
 
@@ -109,7 +110,7 @@ def pilot_utility_monotone():
         (ds,), = datagen.generate_batch(dss, [seed])
         th = models.init_params(spec, rngmod.stream(seed, rngmod.STREAM_INIT), 0.3)
         for _ in range(20):
-            th = th - 0.5 * models.grad_params(spec, th, ds.x, ds.y)
+            th = th - 0.5 * models.per_example_grads(spec, th, ds.x, ds.y).mean(axis=0)
         u = rngmod.stream(seed, 63).standard_normal(2)
         big = 10.0 * u / np.linalg.norm(u)
         xs, ys = next(datagen.fresh_draws(dss, [seed + 100], [ds.centers], 400))

@@ -16,13 +16,13 @@ optimizer runs one forward pass per evaluated candidate: an
 accepted candidate's VJP gives the next step's gradient, and a rejected
 backtracking candidate never pays for its VJP. ``invert_batch`` runs several
 equal-shape inversions in lockstep over a leading trial axis, one stacked
-forward pass per step for all of them, and returns one trace per upload;
-``invert_gradient`` is its one-row case. The loop scores each accepted
-iterate as it comes: it adds each sample's clamped distance to the original
-into a running sum, and once it ends it takes the final iterates' distances,
-so a trace carries both of its leakages. It keeps the iterates themselves only
-when asked to (``--dump-trajectory``). ``privacy_leakage`` and
-``privacy_leakage_final`` read them off the trace alone.
+forward pass per step for all of them, and returns one trace per upload.
+The loop scores each accepted iterate as it comes: it adds each sample's
+clamped distance to the original into a running sum, and once it ends it
+takes the final iterates' distances, so a trace carries both of its
+leakages. It keeps the iterates themselves only when asked to
+(``--dump-trajectory``). ``privacy_leakage`` and ``privacy_leakage_final``
+read them off the trace alone.
 
 Phase 2: the attacker trains a classifier on the recovered features with the
 true labels and scores Risk / AdvRisk plus the PAC sample-complexity formulas.
@@ -112,52 +112,29 @@ def _score(prep: models.Prepared, x: np.ndarray, g_obs: np.ndarray):
     return f, v, vjp
 
 
-def invert_gradient(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
-                    labels: np.ndarray, m: int, cfg: AttackConfig, originals: np.ndarray,
-                    cap_d: float, *, x0: np.ndarray | None = None,
-                    keep_trajectory: bool = False) -> AttackTrace:
-    """Reconstruct the m feature vectors behind an observed batch gradient,
-    its leakage scored against the (m, p) ``originals`` at D = ``cap_d``.
-
-    ``x0`` overrides the configured init (diagnostics); ``keep_trajectory``
-    keeps every accepted iterate (``attack --dump-trajectory``). This is a
-    one-row ``invert_batch``.
-    """
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    if labels.shape[0] != m:
-        raise ConfigurationError("label count != m")
-    g_obs = np.asarray(g_obs, dtype=np.float64)
-    if g_obs.shape != (spec.param_dim,):
-        raise ConfigurationError("observed gradient length != param_dim")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64).reshape(1, m, spec.input_dim)
-    return invert_batch(spec, np.asarray(theta, dtype=np.float64)[None], g_obs[None],
-                        labels[None], cfg, [cfg.seed], np.asarray(originals)[None], [cap_d],
-                        x0=x0, keep_trajectory=keep_trajectory)[0]
-
-
 def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
                  labels: np.ndarray, cfg: AttackConfig, seeds, originals: np.ndarray,
-                 cap_d, *, x0: np.ndarray | None = None,
+                 cap_d: float, *, x0: np.ndarray | None = None,
                  keep_trajectory: bool = False) -> list[AttackTrace]:
-    """``invert_gradient`` for B uploads in lockstep, one trace per row.
+    """Reconstruct the m feature vectors behind B uploads, in lockstep.
 
     Row b inverts ``g_obs[b]`` (shape (B, param_dim)) observed at ``theta[b]``
-    with labels ``labels[b]`` (shape (B, m)), under ``cfg`` with its seed
-    replaced by ``seeds[b]``; ``x0`` (B, m, p) overrides the init. The model
-    and labels are prepared once (``models.prepare``), and every step runs
-    one stacked forward pass of that pass for the rows still running; those
-    rows, and the rows a backtracking step re-scores, run on its ``take`` of
-    them. A row that
-    truncates leaves the batch at its last accepted iterate (a row whose
-    objective at the init is not finite truncates before step 1); SGD
-    backtracking halves the step of each row that has not yet improved. Row
-    b's trace equals that of row b run as a batch of one, bit for bit.
+    with labels ``labels[b]`` (shape (B, m)), under ``cfg`` with its init
+    drawn at attack seed ``seeds[b]``; ``x0`` (B, m, p) overrides the init.
+    The model and labels are prepared once (``models.prepare``), and every
+    step runs one stacked forward pass of that pass for the rows still
+    running; those rows, and the rows a backtracking step re-scores, run on
+    its ``take`` of them. A row that truncates leaves the batch at its last
+    accepted iterate (a row whose objective at the init is not finite
+    truncates before step 1); SGD backtracking halves the step of each row
+    that has not yet improved. Row b's trace equals that of row b run as a
+    batch of one, bit for bit.
 
-    Row b's leakage is scored against ``originals[b]`` ((B, m, p)) at
-    ``cap_d[b]``, its D: each accepted iterate's clamped distances go into the
-    trace's ``sums`` at its step, and the final iterates' into its ``final``
-    once the loop ends. ``keep_trajectory`` also keeps every accepted iterate.
+    Every row's leakage is scored at the one D ``cap_d``, row b's against
+    ``originals[b]`` ((B, m, p)): each accepted iterate's clamped distances
+    go into the trace's ``sums`` at its step, and the final iterates' into
+    its ``final`` once the loop ends. ``keep_trajectory`` also keeps every
+    accepted iterate (``attack --dump-trajectory``).
     """
     theta = np.asarray(theta, dtype=np.float64)
     g_obs = np.asarray(g_obs, dtype=np.float64)
@@ -178,10 +155,10 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             seeds, [(rngmod.STREAM_ATTACK, 0)] * n_rows)])
 
     originals = np.asarray(originals, dtype=np.float64)
-    caps = np.asarray(cap_d, dtype=np.float64)
-    if originals.shape != x.shape or caps.shape != (n_rows,) or not np.all(caps > 0):
-        raise ConfigurationError("invert_batch needs one (m, p) originals and one "
-                                 "D > 0 per upload")
+    require_number("D", cap_d)
+    if originals.shape != x.shape or not cap_d > 0:
+        raise ConfigurationError("invert_batch needs one (m, p) originals per upload "
+                                 "and a D > 0")
     # each accepted iterate goes into its row's leakage sums and, kept, into
     # the trajectory (by step then row); a row's trace reads only its steps
     # 0..iters_run
@@ -249,11 +226,11 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             x, f, v, vjp = x_new, f_new, v_new, vjp_new
             iters_run[rows] = t
             objectives[t, rows] = f
-            sums[rows] += _clamped_distances(x, originals[rows], caps[rows, None])
+            sums[rows] += _clamped_distances(x, originals[rows], cap_d)
             if keep_trajectory:
                 traj[t, rows] = x
         final[rows] = x
-        last = _clamped_distances(final, originals, caps[:, None])
+        last = _clamped_distances(final, originals, cap_d)
 
     return [AttackTrace(objectives=objectives[:n + 1, b].copy(), final_x=final[b],
                         iters_run=int(n), sums=sums[b], final=last[b],
@@ -330,22 +307,13 @@ def privacy_leakage_final(trace: AttackTrace) -> float:
 # Phase 2
 
 
-@dataclass
-class Classifier:
-    spec: models.ModelSpec
-    theta: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return models.predict(self.spec, self.theta, x)
-
-
 def train_phase2(recovered: ClientDataset, spec: models.ModelSpec, *,
-                 epochs: int = 200, lr: float = 0.5, seed: int = 0) -> Classifier:
-    """Deterministic full-batch gradient-descent training on recovered data:
-    ``theta - lr * models.grad_params(...)`` per epoch, bit for bit. One pass
-    is prepared over the model's own memory, which each step updates in
-    place; the mean gradient is numpy's, its ``np.add.reduce`` then a
-    division by the row count. Raises ``NumericError`` when a gradient or
+                 epochs: int = 200, lr: float = 0.5, seed: int = 0) -> np.ndarray:
+    """The parameters of a deterministic full-batch gradient-descent training
+    on recovered data: ``theta - lr * per_example_grads(...).mean(axis=0)``
+    per epoch, bit for bit. One pass is prepared over the model's own memory,
+    which each step updates in place; the mean gradient is numpy's, its
+    ``np.add.reduce`` then a division by the row count. Raises ``NumericError`` when a gradient or
     the model is not finite."""
     if recovered.size == 0:
         raise ConfigurationError("recovered dataset is empty")
@@ -361,30 +329,32 @@ def train_phase2(recovered: ClientDataset, spec: models.ModelSpec, *,
             theta -= g
             if not np.isfinite(theta).all():
                 raise NumericError("phase-2 training diverged: non-finite model")
-    return Classifier(spec=spec, theta=theta)
+    return theta
 
 
-def risk(h: Classifier, x: np.ndarray, y: np.ndarray) -> float:
-    """Misclassification rate of h on the labeled set (labels stand in for c)."""
+def risk(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Misclassification rate of the classifier ``theta`` on the labeled set
+    (labels stand in for c)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise ConfigurationError("empty test set")
-    pred = h.predict(x)
+    pred = models.predict(spec, theta, x)
     return float(np.mean(pred != np.asarray(y).astype(np.int64)))
 
 
 _N_PROBE = 64       # adv_risk's probes per point, as phase2_report runs it
 
 
-def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
-             n_probe: int = _N_PROBE, seed: int = 0) -> float:
-    """Lower estimate of the adversarial risk at perturbation budget ``budget``.
+def adv_risk(spec: models.ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
+             budget: float, *, n_probe: int = _N_PROBE, seed: int = 0) -> float:
+    """Lower estimate of the adversarial risk of the classifier ``theta`` at
+    perturbation budget ``budget``.
 
     Fraction of test points for which a random search finds X within the ball
-    with h(X) != label. The center point is always probed, so budget 0 reduces
-    exactly to risk(). Probes come from per-point substreams, so growing
-    n_probe only extends each point's probe sequence: the estimate is monotone
-    non-decreasing in n_probe. Probes scale radially with budget, so for
+    that ``theta`` labels otherwise. The center point is always probed, so
+    budget 0 reduces exactly to risk(). Probes come from per-point
+    substreams, so growing n_probe only extends each point's probe sequence:
+    the estimate is monotone non-decreasing in n_probe. Probes scale radially with budget, so for
     half-space classifiers it is monotone in budget as well. A budget whose
     probes overflow the classifier's scores is a ``ConfigurationError``.
     """
@@ -396,7 +366,7 @@ def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
     hits = 0
     try:
         for i in range(m):
-            if int(h.predict(x[i][None, :])[0]) != int(y[i]):
+            if int(models.predict(spec, theta, x[i][None, :])[0]) != int(y[i]):
                 hits += 1
                 continue
             if budget == 0.0:
@@ -410,7 +380,7 @@ def adv_risk(h: Classifier, x: np.ndarray, y: np.ndarray, budget: float, *,
                     if nu == 0:
                         continue
                     cand = x[i] + (budget * radius_frac) * u / nu
-                    if int(h.predict(cand[None, :])[0]) != int(y[i]):
+                    if int(models.predict(spec, theta, cand[None, :])[0]) != int(y[i]):
                         hits += 1
                         break
     except FloatingPointError as exc:
@@ -473,15 +443,15 @@ class Phase2Report:
 def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarray,
                   spec: models.ModelSpec, *, budget: float, pac_eps: float,
                   pac_delta: float, c_a: float, delta_up: float, m_prot: int,
-                  seed: int = 0) -> tuple[Classifier, Phase2Report]:
+                  seed: int = 0) -> Phase2Report:
     """Train the phase-2 classifier and assemble its scorecard.
 
     ``c_a`` is NaN when the constants could not be estimated; the sample lower
     bound is then NaN and ``constants_estimated`` is False.
     """
-    h = train_phase2(recovered, spec, seed=seed)
-    r = risk(h, test_x, test_y)
-    ar = adv_risk(h, test_x, test_y, budget, seed=seed)
+    theta = train_phase2(recovered, spec, seed=seed)
+    r = risk(spec, theta, test_x, test_y)
+    ar = adv_risk(spec, theta, test_x, test_y, budget, seed=seed)
     rep = Phase2Report(
         risk=r, adv_risk=ar, budget=budget, pac_eps=pac_eps, pac_delta=pac_delta,
         sample_lower_bound=sample_lower_bound(pac_eps, pac_delta, c_a, delta_up),
@@ -490,4 +460,4 @@ def phase2_report(recovered: ClientDataset, test_x: np.ndarray, test_y: np.ndarr
         search="random-ball", n_probe=_N_PROBE, constants_estimated=not math.isnan(c_a),
     )
     rep.validate()
-    return h, rep
+    return rep

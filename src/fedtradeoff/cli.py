@@ -24,8 +24,8 @@ from dataclasses import asdict, replace
 from . import attack as attackmod
 from . import datagen, io as iomod, models, protocol, verify as verifymod
 from .errors import ConfigurationError, FedTradeoffError, NumericError
-from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, run_sweep,
-                         run_trials, score_block, score_trials, simulate_batch)
+from .experiment import (SWEEP_AXES, ExperimentConfig, MechanismSpec, Observed, invert_block,
+                         run_sweep, run_trials, score_block, score_trials, simulate_batch)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -161,18 +161,15 @@ def cmd_attack(args) -> int:
             f"{shadow.shape} in model_final_shadow.csv, {decoded.shape} in model_final_decoded.csv")
     observed = Observed.from_round(rec, datasets, shadow, decoded)
 
-    atk = replace(config.attack, seed=seed)
+    # inverted and scored as a trial of run_trials is; the row keeps the
+    # manifest config's experiment_id, even with --iters
+    scored = replace(config, attack_client=args.client)
     if args.iters is not None:
-        atk = replace(atk, iters=args.iters)
+        scored = replace(scored, attack=replace(config.attack, iters=args.iters))
     t0 = time.perf_counter()
-    trace = attackmod.invert_gradient(config.model, observed.theta_round,
-                                      observed.wires[args.client], target.y, target.size, atk,
-                                      target.x, config.dataset.diameter_cap,
-                                      keep_trajectory=args.dump_trajectory)
+    (trace,), = invert_block(scored, [observed], [seed], (args.client,),
+                             keep_trajectory=args.dump_trajectory)
     wall = time.perf_counter() - t0
-    # scored as a trial of run_trials is; the row keeps the manifest config's
-    # experiment_id, even with --iters
-    scored = replace(config, attack=atk, attack_client=args.client)
     row, = score_block(score_trials, scored, [(seed, config.mechanism, dict(
         sweep_axis="attack", experiment_id=config.experiment_id()))], [observed], [[trace]])
     rep = None
@@ -181,7 +178,7 @@ def cmd_attack(args) -> int:
                                           x=trace.final_x, y=target.y)
         budget = (args.adv_budget if args.adv_budget is not None
                   else 0.25 * config.dataset.diameter_cap)
-        _, rep = attackmod.phase2_report(
+        rep = attackmod.phase2_report(
             recovered, target.x, target.y, config.model, budget=budget,
             pac_eps=args.pac_eps, pac_delta=args.pac_delta,
             c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)

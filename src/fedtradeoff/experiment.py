@@ -4,12 +4,12 @@ One trial = generate data and run the protocol (``simulate_batch``), keep what
 scoring reads of the run (``Observed``), invert the uploads the trial lists,
 estimate its constants at ``trial_probe``, and score it. ``run_trials`` runs
 the trials of one config, each a ``(seed, mechanism, kw)``, stage-wise in
-lockstep blocks, with one ``simulate_batch``, one ``attack.invert_batch`` and
-one ``score_block`` (the one scoring stage, the CLI ``attack``'s too) per
-block, and is the only inverter of simulated uploads. A scorer takes the
-config and a whole block: sweeps and ``attack`` score with ``score_trials``
-(one ``TrialRow`` per trial), the bound verifier with each bound's outcome
-function.
+lockstep blocks, with one ``simulate_batch``, one ``invert_block`` and one
+``score_block`` per block. The last two are the one inversion stage and the
+one scoring stage: the CLI ``attack`` runs its stored upload through both,
+as a trial of one. A scorer takes the config and a whole block: sweeps and
+``attack`` score with ``score_trials`` (one ``TrialRow`` per trial), the
+bound verifier with each bound's outcome function.
 
 ``privacy_outcomes`` and ``utility_outcomes`` score a block's bound sides,
 each once, and every bound reads C, c_a and c_b from the one estimate at
@@ -380,7 +380,7 @@ _LOOP_ARRAYS = 8
 def _lockstep_blocks(config: ExperimentConfig, trials: list[tuple],
                      inverted: tuple[int, ...]) -> list[list[tuple]]:
     """Consecutive slices of ``config``'s ``trials``, one ``simulate_batch``, one
-    ``invert_batch`` and one ``score_block`` call each: as many trials as fit
+    ``invert_block`` and one ``score_block`` call each: as many trials as fit
     ``datagen._BLOCK_BYTES``, at least one. Every trial costs the same bytes:
     its stacked run's (n, K, m, d) per-example gradients for n gradient sets a
     round (2 under randomization, whose shadow takes its own) and, per round,
@@ -414,14 +414,11 @@ def run_trials(config: ExperimentConfig, trials: list[tuple], score, *,
     Trials run stage-wise in the lockstep blocks ``_lockstep_blocks`` plans
     (fixed slices within ``datagen._BLOCK_BYTES``): observe them in one
     ``simulate_batch``, invert every listed upload of the block in one
-    ``attack.invert_batch`` (a trial's j-th upload with attack seed
-    ``seed + j``, its leakage summed as it runs against that client's data
-    at the config's ``diameter_cap``, so its trace scores itself), then score
-    them, traces in listed order, in one ``score_block``; the traces and
-    estimates die with the block. A block that raises reruns one trial at a
-    time, so the error raised is the one a serial run meets first: that of
-    the first failing trial, whatever stage it fails in. This is the only
-    place a simulated upload is inverted."""
+    ``invert_block``, then score them, traces in listed order, in one
+    ``score_block``; the traces and estimates die with the block. A block
+    that raises reruns one trial at a time, so the error raised is the one a
+    serial run meets first: that of the first failing trial, whatever stage
+    it fails in."""
     inverted = (config.attack_client,) if inverted is None else tuple(inverted)
     rows = []
     for block in _lockstep_blocks(config, trials, inverted):
@@ -437,18 +434,29 @@ def run_trials(config: ExperimentConfig, trials: list[tuple], score, *,
 
 def _run_block(config: ExperimentConfig, score, inverted: tuple[int, ...],
                block: list[tuple]) -> list:
-    seeds, n = [seed for seed, _, _ in block], len(inverted)
+    seeds = [seed for seed, _, _ in block]
     seen = _observed(config, simulate_batch(config, seeds, [mech for _, mech, _ in block]))
+    return score_block(score, config, block, seen, invert_block(config, seen, seeds, inverted))
+
+
+def invert_block(config: ExperimentConfig, seen: list[Observed], seeds: list[int],
+                 inverted: tuple[int, ...], keep_trajectory: bool = False) -> list[list]:
+    """Each observed trial's traces, one per upload in its attacked round
+    that ``inverted`` lists, in that order, from one ``attack.invert_batch``:
+    trial i's j-th upload is inverted under ``config.attack`` with attack
+    seed ``seeds[i] + j`` and scored as it runs against that client's data at
+    the config's ``diameter_cap``. The inversion stage of ``run_trials`` and
+    of the CLI's ``attack``; ``keep_trajectory`` keeps every accepted iterate."""
+    n = len(inverted)
     uploads = [(o, k) for o in seen for k in inverted]
-    inversions = attackmod.invert_batch(
+    traces = attackmod.invert_batch(
         config.model, np.stack([o.theta_round for o, _ in uploads]),
         np.stack([o.wires[k] for o, k in uploads]),
         np.stack([o.datasets[k].y for o, k in uploads]), config.attack,
         [seed + j for seed in seeds for j in range(n)],
-        np.stack([o.datasets[k].x for o, k in uploads]),
-        [config.dataset.diameter_cap] * len(uploads)) if uploads else []
-    return score_block(score, config, block, seen,
-                       [inversions[i * n:(i + 1) * n] for i in range(len(block))])
+        np.stack([o.datasets[k].x for o, k in uploads]), config.dataset.diameter_cap,
+        keep_trajectory=keep_trajectory) if uploads else []
+    return [traces[i * n:(i + 1) * n] for i in range(len(seen))]
 
 
 def score_block(score, config: ExperimentConfig, block: list[tuple], seen: list[Observed],
@@ -494,6 +502,8 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float],
         raise ConfigurationError(f"unknown sweep axis: {axis!r}")
     if len(values) < 2:
         raise ConfigurationError("need at least 2 axis values")
+    if len(set(map(float, values))) < len(values):        # -0.0 repeats 0.0
+        raise ConfigurationError(f"axis values must differ as floats, got {values}")
     require_int("trials", trials, 1)
 
     base_id = config.experiment_id()

@@ -28,9 +28,9 @@ inversion's steps) gives at each x, bit for bit, what a fresh pass gives
 there: a call runs the same operations in the same order and writes only
 arrays of its own.
 
-Losses are per example, and a batch's loss is their mean (``grad_params``
-is its gradient). Everything is float64 and pure: identical inputs give
-bit-identical outputs.
+Losses are per example, and a batch's loss is their mean, whose gradient is
+``per_example_grads(...).mean(axis=0)``. Everything is float64 and pure:
+identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, require_int
+from .errors import ConfigurationError, require_int
 
 VALID_KINDS = ("linear", "logistic", "mlp1")
 
@@ -346,14 +346,6 @@ def _softmax_vjp(x, w, probs, d, v):
     vm = v.reshape(w.shape)
     pu = probs * (x @ _mt(vm))
     return d @ vm + (pu - probs * pu.sum(axis=-1, keepdims=True)) @ w
-
-
-def grad_params(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean batch loss w.r.t. the flattened parameters."""
-    g = per_example_grads(spec, theta, x, y).mean(axis=0)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite parameter gradient")
-    return g
 
 
 def predict(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -205,14 +205,39 @@ def mean_loss(spec, theta, x, y):
     return float(models.per_example_losses(spec, theta, x, y).mean())
 
 
+def grad_params(spec, theta, x, y):
+    """Gradient of the mean batch loss w.r.t. the flattened parameters,
+    ``per_example_grads(...).mean(axis=0)``; raises ``NumericError`` when it
+    is not finite. The suite's oracle for a batch's gradient."""
+    from fedtradeoff import models
+    from fedtradeoff.errors import NumericError
+
+    g = models.per_example_grads(spec, theta, x, y).mean(axis=0)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite parameter gradient")
+    return g
+
+
+def invert_one(spec, theta, g_obs, labels, cfg, originals, cap_d, *, seed=0, x0=None,
+               keep_trajectory=False):
+    """The trace of one upload's inversion: ``attack.invert_batch`` on one
+    row, the gradient ``g_obs`` observed at ``theta`` with its (m,) ``labels``
+    and (m, p) ``originals``, at attack seed ``seed`` and, when given, from
+    the (m, p) init ``x0``."""
+    from fedtradeoff import attack
+
+    return attack.invert_batch(
+        spec, np.asarray(theta)[None], np.asarray(g_obs)[None], np.atleast_1d(labels)[None],
+        cfg, [seed], np.asarray(originals)[None], cap_d,
+        x0=None if x0 is None else np.asarray(x0)[None], keep_trajectory=keep_trajectory)[0]
+
+
 def finite_diff_check(spec, theta, x, y, step=1e-5):
     """Max relative error between the analytic parameter gradient
-    (``models.grad_params``) and central differences of ``mean_loss``, per
+    (``grad_params``) and central differences of ``mean_loss``, per
     coordinate |analytic - central| / (|analytic| + step)."""
-    from fedtradeoff import models
-
     theta = np.asarray(theta, dtype=np.float64)
-    analytic = models.grad_params(spec, theta, x, y)
+    analytic = grad_params(spec, theta, x, y)
     worst = 0.0
     for j in range(theta.shape[0]):
         tp = theta.copy(); tp[j] += step

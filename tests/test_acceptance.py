@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (covering_number, finite_diff_check, he_utility_upper_bound, records,
-                      utility_upper_bound, weighted_sum)
+from conftest import (covering_number, finite_diff_check, grad_params, he_utility_upper_bound,
+                      invert_one, records, utility_upper_bound, weighted_sum)
 from fedtradeoff import (attack, bounds, datagen, experiment, models, protocol,
                          rng as rngmod, verify)
 
@@ -170,10 +170,9 @@ def test_criterion_07_attack_efficacy_floor():
             if np.linalg.norm(x) <= 1.0:
                 break
         y = np.array([1.0])
-        g_true = models.grad_params(spec, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
-                                  init="zeros", seed=seed)
-        tr = attack.invert_gradient(spec, theta, g_true, y, 1, cfg, x[None, :], cap_d)
+        g_true = grad_params(spec, theta, x[None, :], y)
+        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05, init="zeros")
+        tr = invert_one(spec, theta, g_true, y, cfg, x[None, :], cap_d, seed=seed)
         hits += attack.privacy_leakage_final(tr) >= 0.95
     elapsed = time.perf_counter() - t0
     gate(7, hits >= 27 and elapsed < 300.0,
@@ -253,8 +252,8 @@ def test_criterion_09_formula_unit_suite():
     spec1, theta1, y1 = models.ModelSpec("linear", 2), np.array([0.3, -0.2]), np.array([1.0])
     for target, expected in ((x0, 1.0), (np.array([[2.0, 0.0]]), 0.0),
                              (np.array([[1.0, 0.0]]), 0.5)):
-        tr = attack.invert_gradient(
-            spec1, theta1, models.grad_params(spec1, theta1, target, y1), y1, 1,
+        tr = invert_one(
+            spec1, theta1, grad_params(spec1, theta1, target, y1), y1,
             attack.AttackConfig(iters=2, optimizer="sgd", step_size=0.1), x0, 2.0, x0=target)
         checks.append(attack.privacy_leakage(tr) == expected)
     # AdvRisk(0) == Risk
@@ -262,9 +261,9 @@ def test_criterion_09_formula_unit_suite():
         num_clients=1, per_client_size=20, input_dim=2, num_classes=2,
         class_separation=6.0, diameter_cap=4.0), [6])
     spec2 = models.ModelSpec("logistic", 2)
-    h = attack.train_phase2(ds, spec2, epochs=150, lr=0.5, seed=0)
-    checks.append(attack.adv_risk(h, ds.x, ds.y, 0.0, seed=1)
-                  == attack.risk(h, ds.x, ds.y))
+    theta2 = attack.train_phase2(ds, spec2, epochs=150, lr=0.5, seed=0)
+    checks.append(attack.adv_risk(spec2, theta2, ds.x, ds.y, 0.0, seed=1)
+                  == attack.risk(spec2, theta2, ds.x, ds.y))
     elapsed = time.perf_counter() - t0
     gate(9, all(checks) and elapsed < 5.0,
          "every closed-form example passes as a unit check",

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import (PAIRWISE_BLOCK, assert_same_bits, grad_objective, matching_objective,
-                      rewalk_leakage, spread_values)
+from conftest import (PAIRWISE_BLOCK, assert_same_bits, grad_objective, grad_params,
+                      invert_one, matching_objective, rewalk_leakage, spread_values)
 from fedtradeoff import attack, cli, datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -37,16 +37,16 @@ def fd_grad_objective(spec, theta, x, y, g_obs, fd_step=1e-5):
     return out
 
 
-def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_d, x0=None):
-    """Reference copy of the optimizer loop before the forward pass was shared:
-    every step recomputes v with ``grad_objective`` and scores each candidate
-    with ``matching_objective``. It also adds the per-sample leakage sums in
-    the loop and takes the final iterate's distances after it, as the attack
-    does. Returns the trace, with every iterate, and how often backtracking
-    stayed put."""
+def two_pass_invert(spec, theta, g_obs, labels, m, cfg, seed, originals, cap_d, x0=None):
+    """Reference copy of the optimizer loop before the forward pass was shared,
+    at attack seed ``seed``: every step recomputes v with ``grad_objective``
+    and scores each candidate with ``matching_objective``. It also adds the
+    per-sample leakage sums in the loop and takes the final iterate's
+    distances after it, as the attack does. Returns the trace, with every
+    iterate, and how often backtracking stayed put."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     p = spec.input_dim
-    g = rngmod.stream(cfg.seed, rngmod.STREAM_ATTACK, 0)
+    g = rngmod.stream(seed, rngmod.STREAM_ATTACK, 0)
     if x0 is not None:
         x = x0.copy()
     elif cfg.init == "zeros":
@@ -98,16 +98,16 @@ def two_pass_invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, cap_
     return trace, stays
 
 
-def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, x0):
-    """invert_gradient equals the two-pass loop bit for bit, every kept iterate
-    and both leakage sums included. Returns the trace and the oracle's
-    stay-put count."""
+def assert_matches_two_pass(spec, theta, g_obs, labels, originals, m, cfg, seed, x0):
+    """A one-row inversion at attack seed ``seed`` equals the two-pass loop
+    bit for bit, every kept iterate and both leakage sums included. Returns
+    the trace and the oracle's stay-put count."""
     # the huge steps overflow exp() in the sigmoid branch np.where discards
     with np.errstate(over="ignore", invalid="ignore"):
-        got = attack.invert_gradient(spec, theta, g_obs, labels, m, cfg, originals, CAP_D,
-                                     x0=x0, keep_trajectory=True)
-        want, stays = two_pass_invert_gradient(
-            spec, theta, g_obs, labels, m, cfg, originals, CAP_D, x0)
+        got = invert_one(spec, theta, g_obs, labels, cfg, originals, CAP_D, seed=seed,
+                         x0=x0, keep_trajectory=True)
+        want, stays = two_pass_invert(
+            spec, theta, g_obs, labels, m, cfg, seed, originals, CAP_D, x0)
     assert len(got.trajectory) == got.iters_run + 1
     assert_same_trace(got, want)
     assert (attack.privacy_leakage(got)
@@ -135,7 +135,7 @@ def attack_instance(spec, seed, m=3):
     theta = g.standard_normal(spec.param_dim)
     x = g.standard_normal((m, spec.input_dim))
     y = g.integers(0, spec.num_classes, m).astype(np.float64)
-    return theta, x, y, models.grad_params(spec, theta, x, y)
+    return theta, x, y, grad_params(spec, theta, x, y)
 
 
 def single_sample_instance(seed, label=1.0, theta_scale=0.4):
@@ -152,10 +152,9 @@ def single_sample_instance(seed, label=1.0, theta_scale=0.4):
 class TestInvertGradient:
     def test_true_init_is_stationary_with_zero_objective(self):
         theta, x, y = single_sample_instance(3)
-        g_true = models.grad_params(LINEAR, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=20, optimizer="sgd", step_size=0.1, seed=0)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D,
-                                    x0=x[None, :])
+        g_true = grad_params(LINEAR, theta, x[None, :], y)
+        cfg = attack.AttackConfig(iters=20, optimizer="sgd", step_size=0.1)
+        tr = invert_one(LINEAR, theta, g_true, y, cfg, x[None, :], CAP_D, x0=x[None, :])
         assert tr.objectives[0] == 0.0
         assert np.array_equal(tr.final_x, x[None, :])
         assert np.all(tr.objectives == 0.0)
@@ -164,10 +163,9 @@ class TestInvertGradient:
     def test_single_sample_linear_recovery(self, seed):
         # threshold locked from a 20-seed pilot: every seed reached 1.0
         theta, x, y = single_sample_instance(seed)
-        g_true = models.grad_params(LINEAR, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05,
-                                  init="zeros", seed=seed)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D)
+        g_true = grad_params(LINEAR, theta, x[None, :], y)
+        cfg = attack.AttackConfig(iters=400, optimizer="adam", step_size=0.05, init="zeros")
+        tr = invert_one(LINEAR, theta, g_true, y, cfg, x[None, :], CAP_D, seed=seed)
         assert attack.privacy_leakage_final(tr) >= 0.95
 
     def test_closed_form_linear_gradient_matches_finite_differences(self):
@@ -208,11 +206,10 @@ class TestInvertGradient:
 
     def test_sgd_backtracking_monotone(self):
         theta, x, y = single_sample_instance(9)
-        g_true = models.grad_params(LOGISTIC, theta, x[None, :], np.array([1]))
+        g_true = grad_params(LOGISTIC, theta, x[None, :], np.array([1]))
         cfg = attack.AttackConfig(iters=60, optimizer="sgd", step_size=0.5,
-                                  init="gaussian", backtracking=True, seed=9)
-        tr = attack.invert_gradient(LOGISTIC, theta, g_true, np.array([1]), 1, cfg,
-                                    x[None, :], CAP_D)
+                                  init="gaussian", backtracking=True)
+        tr = invert_one(LOGISTIC, theta, g_true, np.array([1]), cfg, x[None, :], CAP_D, seed=9)
         assert np.all(np.diff(tr.objectives) <= 1e-15)
 
     def test_heavy_noise_no_better_than_baseline(self):
@@ -221,11 +218,11 @@ class TestInvertGradient:
         for seed in range(30):
             theta, x, _ = single_sample_instance(seed, theta_scale=0.5)
             y = np.array([1])
-            g_true = models.grad_params(LOGISTIC, theta, x[None, :], y)
+            g_true = grad_params(LOGISTIC, theta, x[None, :], y)
             wire = g_true + 20.0 * rngmod.stream(seed, 61).standard_normal(g_true.shape[0])
             cfg = attack.AttackConfig(iters=100, optimizer="adam", step_size=0.05,
-                                      init="gaussian", seed=seed)
-            tr = attack.invert_gradient(LOGISTIC, theta, wire, y, 1, cfg, x[None, :], CAP_D)
+                                      init="gaussian")
+            tr = invert_one(LOGISTIC, theta, wire, y, cfg, x[None, :], CAP_D, seed=seed)
             atk_err.append(np.linalg.norm(tr.final_x[0] - x))
             guess = 0.5 * rngmod.stream(seed, 62).standard_normal(2)
             base_err.append(np.linalg.norm(guess - x))
@@ -250,10 +247,10 @@ class TestInvertGradient:
                                                        backtracking, m):
         theta, x, y, g_true = attack_instance(spec, seed=m, m=m)
         cfg = attack.AttackConfig(iters=30, optimizer=optimizer, step_size=step_size,
-                                  init="gaussian", seed=4, backtracking=backtracking)
+                                  init="gaussian", backtracking=backtracking)
         x0 = x + 0.01 * rngmod.stream(m, 54).standard_normal(x.shape) \
             if step_size > 1.0 else None
-        got, stays = assert_matches_two_pass(spec, theta, g_true, y, x, m, cfg, x0)
+        got, stays = assert_matches_two_pass(spec, theta, g_true, y, x, m, cfg, 4, x0)
         assert (stays > 0) == (step_size > 1.0)
         assert not got.truncated
 
@@ -261,9 +258,8 @@ class TestInvertGradient:
     def test_truncated_run_matches_two_pass_loop(self, m):
         # a linear model's plain-SGD iterates grow without bound and overflow
         theta, x, y, g_true = attack_instance(LINEAR, seed=m, m=m)
-        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4,
-                                  init="gaussian", seed=4)
-        got, _ = assert_matches_two_pass(LINEAR, theta, g_true, y, x, m, cfg, None)
+        cfg = attack.AttackConfig(iters=30, optimizer="sgd", step_size=1e4, init="gaussian")
+        got, _ = assert_matches_two_pass(LINEAR, theta, g_true, y, x, m, cfg, 4, None)
         assert got.truncated and 1 <= got.iters_run < cfg.iters
 
     @pytest.mark.parametrize("optimizer, step_size", [("adam", 0.1), ("sgd", 1e16)])
@@ -286,11 +282,11 @@ class TestInvertGradient:
 
         monkeypatch.setattr(models.Prepared, "__call__", recording)
         cfg = attack.AttackConfig(iters=12, optimizer=optimizer, step_size=step_size,
-                                  seed=5, backtracking=optimizer == "sgd")
+                                  backtracking=optimizer == "sgd")
         x0 = x + 0.01 * rngmod.stream(5, 54).standard_normal(x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            tr = attack.invert_gradient(spec, theta, g_true, y, 3, cfg, x, CAP_D, x0=x0,
-                                        keep_trajectory=True)
+            tr = invert_one(spec, theta, g_true, y, cfg, x, CAP_D, seed=5, x0=x0,
+                            keep_trajectory=True)
         # one VJP per step, taken from the pass of the iterate the step starts at
         assert len(vjp_points) == tr.iters_run == cfg.iters
         for x_t, point in zip(tr.trajectory, vjp_points):
@@ -312,49 +308,51 @@ class TestInvertGradient:
         theta, x, y, g_true = attack_instance(spec, seed=2, m=m)
         if step_size > 1.0:
             theta = 1e-3 * theta
-            g_true = models.grad_params(spec, theta, x, y)
+            g_true = grad_params(spec, theta, x, y)
         cfg = attack.AttackConfig(iters=40, optimizer=optimizer, step_size=step_size,
-                                  init="gaussian", seed=2)
+                                  init="gaussian")
         for originals in (x, x + 0.25):
             for cap_d in (CAP_D, 0.7):
                 with np.errstate(over="ignore"):
-                    tr = attack.invert_gradient(spec, theta, g_true, y, m, cfg, originals,
-                                                cap_d, keep_trajectory=True)
+                    tr = invert_one(spec, theta, g_true, y, cfg, originals, cap_d, seed=2,
+                                    keep_trajectory=True)
                 assert tr.truncated == (step_size > 1.0)
                 assert 1 <= tr.iters_run and len(tr.trajectory) == tr.iters_run + 1
                 assert (attack.privacy_leakage(tr), attack.privacy_leakage_final(tr)) \
                     == rewalk_leakage(tr.trajectory, originals, cap_d)
 
     def test_label_count_mismatch(self):
+        # three labels for one original
         with pytest.raises(ConfigurationError):
-            attack.invert_gradient(LINEAR, np.zeros(2), np.zeros(2), np.zeros(3), 1,
-                                   attack.AttackConfig(iters=1), np.zeros((1, 2)), CAP_D)
+            invert_one(LINEAR, np.zeros(2), np.zeros(2), np.zeros(3),
+                       attack.AttackConfig(iters=1), np.zeros((1, 2)), CAP_D)
 
 
 def scaled_linear_row(seed, scale, m=3):
     """A linear-model upload (theta, x, y, g_obs, seed) with theta scaled down."""
     theta, x, y, _ = attack_instance(LINEAR, seed=seed, m=m)
     theta = scale * theta
-    return theta, x, y, models.grad_params(LINEAR, theta, x, y), seed
+    return theta, x, y, grad_params(LINEAR, theta, x, y), seed
 
 
 def assert_kept_as_not_kept(spec, cfg, rows, x0=None):
     """Invert ``(theta, x, y, g_obs, seed)`` rows twice in lockstep, each
-    against its x at its own D, keeping the trajectory once: every row ends
-    and scores bit for bit alike, and the kept trajectory, walked test-side,
-    scores what the loop summed. Returns the kept traces."""
+    against its x, keeping the trajectory once, at each of three D: every row
+    ends and scores bit for bit alike, and the kept trajectory, walked
+    test-side, scores what the loop summed. Returns the kept traces at the
+    last D."""
     thetas, xs, ys, gs, seeds = map(np.stack, zip(*rows))
-    caps = np.resize([CAP_D, 0.7, 1.3], len(rows))
-    args = (spec, thetas, gs, ys, cfg, seeds, xs, caps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kept = attack.invert_batch(*args, x0=x0, keep_trajectory=True)
-        not_kept = attack.invert_batch(*args, x0=x0)
-    for got, want, x, cap_d in zip(not_kept, kept, xs, caps):
-        assert got.trajectory is None and len(want.trajectory) == want.iters_run + 1
-        assert_same_trace(got, replace(want, trajectory=None))
-        if got.iters_run:
-            assert (attack.privacy_leakage(got), attack.privacy_leakage_final(got)) \
-                == rewalk_leakage(want.trajectory, x, cap_d)
+    for cap_d in (0.7, 1.3, CAP_D):
+        args = (spec, thetas, gs, ys, cfg, seeds, xs, cap_d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = attack.invert_batch(*args, x0=x0, keep_trajectory=True)
+            not_kept = attack.invert_batch(*args, x0=x0)
+        for got, want, x in zip(not_kept, kept, xs):
+            assert got.trajectory is None and len(want.trajectory) == want.iters_run + 1
+            assert_same_trace(got, replace(want, trajectory=None))
+            if got.iters_run:
+                assert (attack.privacy_leakage(got), attack.privacy_leakage_final(got)) \
+                    == rewalk_leakage(want.trajectory, x, cap_d)
     return kept
 
 
@@ -379,16 +377,16 @@ class TestInvertBatch:
         against its one-row run and, through that, the two-pass loop."""
         thetas, xs, ys, gs, seeds = zip(*rows)
         traces = attack.invert_batch(spec, np.stack(thetas), np.stack(gs), np.stack(ys), cfg,
-                                     seeds, np.stack(xs), [CAP_D] * len(rows), x0=x0)
+                                     seeds, np.stack(xs), CAP_D, x0=x0)
         m = len(ys[0])
         for b, got in enumerate(traces):
-            row_cfg = replace(cfg, seed=seeds[b])
             row_x0 = None if x0 is None else x0[b]
             with np.errstate(over="ignore"):     # a truncating row overflows alone too
-                one = attack.invert_gradient(spec, thetas[b], gs[b], ys[b], m, row_cfg,
-                                             xs[b], CAP_D, x0=row_x0)
+                one = invert_one(spec, thetas[b], gs[b], ys[b], cfg, xs[b], CAP_D,
+                                 seed=seeds[b], x0=row_x0)
             assert_same_trace(got, one)
-            assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, row_cfg, row_x0)
+            assert_matches_two_pass(spec, thetas[b], gs[b], ys[b], xs[b], m, cfg, seeds[b],
+                                    row_x0)
         assert_kept_as_not_kept(spec, cfg, rows, x0)
         return traces
 
@@ -468,7 +466,7 @@ class TestInvertBatch:
         _, errors = count_fp_errors(lambda: attack.invert_batch(
             LINEAR, np.stack([r[0] for r in rows]), np.stack([r[3] for r in rows]),
             np.stack([r[2] for r in rows]), cfg, [r[4] for r in rows],
-            np.stack([r[1] for r in rows]), [CAP_D] * len(rows)))
+            np.stack([r[1] for r in rows]), CAP_D))
         assert errors == 0
         cuts = [tr.iters_run + 1 for tr in traces if tr.truncated]
         for (theta, *_), tr in zip(rows, traces):
@@ -524,12 +522,12 @@ class TestInvertBatch:
         cfg = attack.AttackConfig(iters=20, optimizer=optimizer, step_size=0.1,
                                   init="gaussian")
         traces = attack.invert_batch(LOGISTIC, np.stack(thetas), np.stack(gs), np.stack(ys),
-                                     cfg, seeds, np.stack(xs), [CAP_D] * 3)
+                                     cfg, seeds, np.stack(xs), CAP_D)
         bad = traces[1]
         assert (bad.iters_run, bad.truncated, bad.objectives.tolist()) == (0, True, [math.inf])
         for b in (0, 2):
-            one = attack.invert_gradient(LOGISTIC, thetas[b], gs[b], ys[b], 3,
-                                         replace(cfg, seed=seeds[b]), xs[b], CAP_D)
+            one = invert_one(LOGISTIC, thetas[b], gs[b], ys[b], cfg, xs[b], CAP_D,
+                             seed=seeds[b])
             assert_same_trace(traces[b], one)
             assert one.iters_run == cfg.iters
         # a trace without iterates is a divergence when it truncated, else malformed
@@ -547,11 +545,14 @@ class TestInvertBatch:
         cfg = attack.AttackConfig(iters=2)
         with pytest.raises(ConfigurationError):
             attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0, 1], x[None],
-                                [CAP_D])
+                                CAP_D)
         with pytest.raises(ConfigurationError):
-            attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0], x[None], [CAP_D])
-        for originals, cap_d in ((x, [CAP_D]), (x[None], CAP_D), (x[None], [0.0]),
-                                 (x[None, :2], [CAP_D])):
+            attack.invert_batch(LINEAR, theta[None], g[None], y, cfg, [0], x[None], CAP_D)
+        # one D for the batch: a list of them, 0, NaN or no number is rejected too
+        for originals, cap_d in ((x, CAP_D), (x[None, :2], CAP_D), (x[None], [CAP_D]),
+                                 (x[None], np.array([CAP_D])), (x[None], 0.0),
+                                 (x[None], -1.0), (x[None], math.nan), (x[None], True),
+                                 (x[None], "2.0")):
             with pytest.raises(ConfigurationError):
                 attack.invert_batch(LINEAR, theta[None], g[None], y[None], cfg, [0],
                                     originals, cap_d)
@@ -656,10 +657,10 @@ def stationary_trace(point, originals, cap_d, iters=2):
     point's own gradient: the objective and its gradient are 0 there, so every
     iterate is ``point``, scored against ``originals`` at ``cap_d``."""
     theta, y = np.array([0.3, -0.2]), np.array([1.0])
-    g_obs = models.grad_params(LINEAR, theta, point, y)
+    g_obs = grad_params(LINEAR, theta, point, y)
     cfg = attack.AttackConfig(iters=iters, optimizer="sgd", step_size=0.1)
-    tr = attack.invert_gradient(LINEAR, theta, g_obs, y, 1, cfg, originals, cap_d, x0=point,
-                                keep_trajectory=True)
+    tr = invert_one(LINEAR, theta, g_obs, y, cfg, originals, cap_d, x0=point,
+                    keep_trajectory=True)
     assert np.all(tr.trajectory == point) and tr.iters_run == iters
     return tr
 
@@ -709,15 +710,15 @@ class TestPrivacyLeakage:
         theta, x, y, g = attack_instance(LINEAR, seed=1)
         bad = {"columns": x[:, :1], "rows": x[:2], "transposed": x.T}[shape]
         with pytest.raises(ConfigurationError):
-            attack.invert_gradient(LINEAR, theta, g, y, 3, attack.AttackConfig(iters=2), bad,
-                                   CAP_D, keep_trajectory=keep)
+            invert_one(LINEAR, theta, g, y, attack.AttackConfig(iters=2), bad, CAP_D,
+                       keep_trajectory=keep)
 
     def test_t1_matches_hand_recomputation(self):
         theta, x, y = single_sample_instance(8)
-        g_true = models.grad_params(LINEAR, theta, x[None, :], y)
-        cfg = attack.AttackConfig(iters=1, optimizer="adam", step_size=0.05, seed=8)
-        tr = attack.invert_gradient(LINEAR, theta, g_true, y, 1, cfg, x[None, :], CAP_D,
-                                    keep_trajectory=True)
+        g_true = grad_params(LINEAR, theta, x[None, :], y)
+        cfg = attack.AttackConfig(iters=1, optimizer="adam", step_size=0.05)
+        tr = invert_one(LINEAR, theta, g_true, y, cfg, x[None, :], CAP_D, seed=8,
+                        keep_trajectory=True)
         x1 = tr.trajectory[1]
         expected = 1.0 - min(np.linalg.norm(x1[0] - x), CAP_D) / CAP_D
         assert attack.privacy_leakage(tr) == pytest.approx(expected)
@@ -734,20 +735,20 @@ class TestPhase2:
     def test_training_accuracy_on_originals(self):
         # locked from a 20-seed pilot: min accuracy 0.975
         ds = separable_dataset()
-        h = attack.train_phase2(ds, LOGISTIC, epochs=400, lr=0.5, seed=0)
-        assert attack.risk(h, ds.x, ds.y) <= 0.05
+        theta = attack.train_phase2(ds, LOGISTIC, epochs=400, lr=0.5, seed=0)
+        assert attack.risk(LOGISTIC, theta, ds.x, ds.y) <= 0.05
 
     def test_zero_epochs_is_initialization(self):
         ds = separable_dataset()
-        h = attack.train_phase2(ds, LOGISTIC, epochs=0, lr=0.5, seed=4)
+        theta = attack.train_phase2(ds, LOGISTIC, epochs=0, lr=0.5, seed=4)
         init = models.init_params(LOGISTIC, rngmod.stream(4, rngmod.STREAM_INIT), 0.1)
-        assert np.array_equal(h.theta, init)
+        assert np.array_equal(theta, init)
 
     def test_deterministic(self):
         ds = separable_dataset()
-        h1 = attack.train_phase2(ds, LOGISTIC, epochs=100, lr=0.5, seed=2)
-        h2 = attack.train_phase2(ds, LOGISTIC, epochs=100, lr=0.5, seed=2)
-        assert np.array_equal(h1.theta, h2.theta)
+        theta1 = attack.train_phase2(ds, LOGISTIC, epochs=100, lr=0.5, seed=2)
+        theta2 = attack.train_phase2(ds, LOGISTIC, epochs=100, lr=0.5, seed=2)
+        assert np.array_equal(theta1, theta2)
 
     @pytest.mark.parametrize("spec", [LINEAR, LOGISTIC, models.ModelSpec("logistic", 2, num_classes=3),
                                       models.ModelSpec("mlp1", 2, hidden_dim=4, num_classes=3)],
@@ -756,17 +757,15 @@ class TestPhase2:
         ds = separable_dataset(m=12)
         theta = models.init_params(spec, rngmod.stream(5, rngmod.STREAM_INIT), 0.1)
         for _ in range(60):
-            theta = theta - 0.3 * models.grad_params(spec, theta, ds.x, ds.y)
-        h = attack.train_phase2(ds, spec, epochs=60, lr=0.3, seed=5)
-        assert_same_bits(h.theta, theta)
+            theta = theta - 0.3 * grad_params(spec, theta, ds.x, ds.y)
+        assert_same_bits(attack.train_phase2(ds, spec, epochs=60, lr=0.3, seed=5), theta)
 
     def test_overflowing_scores_train_without_warning(self):
         # theta . x overflows from the second epoch on, but the sigmoid keeps
         # every gradient finite; the suite turns the warning into an error
         ds = separable_dataset()
         huge = datagen.ClientDataset(0, 1e160 * ds.x, ds.y[::-1].copy())   # not separable
-        h = attack.train_phase2(huge, LOGISTIC, epochs=20)
-        assert np.all(np.isfinite(h.theta))
+        assert np.all(np.isfinite(attack.train_phase2(huge, LOGISTIC, epochs=20)))
 
     @pytest.mark.parametrize("spec, scale, lr, message", [
         (LINEAR, 1e160, 0.5, "non-finite parameter gradient"),    # r * x overflows
@@ -779,51 +778,51 @@ class TestPhase2:
             attack.train_phase2(rows, spec, lr=lr)
 
     def test_risk_constant_classifier_balanced(self):
-        h = attack.Classifier(LOGISTIC, np.array([0.0, 0.0]))  # predicts class 1 always
+        theta = np.array([0.0, 0.0])       # predicts class 1 always
         x = np.ones((10, 2))
         y = np.array([0, 1] * 5)
-        assert attack.risk(h, x, y) == 0.5
+        assert attack.risk(LOGISTIC, theta, x, y) == 0.5
 
     def test_risk_zero_when_no_disagreement(self):
-        h = attack.Classifier(LOGISTIC, np.array([1.0, 0.0]))
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1, 0])
-        assert attack.risk(h, x, y) == 0.0
+        assert attack.risk(LOGISTIC, np.array([1.0, 0.0]), x, y) == 0.0
 
 
 class TestAdvRisk:
     def setup_method(self):
         self.ds = separable_dataset(seed=5)
-        self.h = attack.train_phase2(self.ds, LOGISTIC, epochs=400, lr=0.5, seed=0)
+        theta = attack.train_phase2(self.ds, LOGISTIC, epochs=400, lr=0.5, seed=0)
+        self.scored = (LOGISTIC, theta, self.ds.x, self.ds.y)   # the classifier and its test set
 
     def test_zero_budget_equals_risk_exactly(self):
-        r = attack.risk(self.h, self.ds.x, self.ds.y)
-        ar = attack.adv_risk(self.h, self.ds.x, self.ds.y, 0.0, seed=1)
+        r = attack.risk(*self.scored)
+        ar = attack.adv_risk(*self.scored, 0.0, seed=1)
         assert ar == r
 
     def test_monotone_in_n_probe(self):
-        vals = [attack.adv_risk(self.h, self.ds.x, self.ds.y, 1.0, n_probe=n, seed=2)
+        vals = [attack.adv_risk(*self.scored, 1.0, n_probe=n, seed=2)
                 for n in (4, 16, 64)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_monotone_in_budget_for_halfspace(self):
-        vals = [attack.adv_risk(self.h, self.ds.x, self.ds.y, b, n_probe=32, seed=3)
+        vals = [attack.adv_risk(*self.scored, b, n_probe=32, seed=3)
                 for b in (0.0, 0.5, 1.5, 4.0)]
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
     def test_diameter_budget_approaches_one(self):
         big = datagen._diameters(self.ds.x[None])[0] + 1.0
-        ar = attack.adv_risk(self.h, self.ds.x, self.ds.y, big, n_probe=400, seed=4)
+        ar = attack.adv_risk(*self.scored, big, n_probe=400, seed=4)
         assert ar >= 0.95
 
     def test_dominates_risk(self):
-        r = attack.risk(self.h, self.ds.x, self.ds.y)
-        ar = attack.adv_risk(self.h, self.ds.x, self.ds.y, 0.3, seed=5)
+        r = attack.risk(*self.scored)
+        ar = attack.adv_risk(*self.scored, 0.3, seed=5)
         assert ar >= r
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            attack.adv_risk(self.h, self.ds.x, self.ds.y, -0.1)
+            attack.adv_risk(*self.scored, -0.1)
 
     @pytest.mark.parametrize("budget, message", [
         (math.nan, "budget must be finite and >= 0"),
@@ -833,7 +832,7 @@ class TestAdvRisk:
     ])
     def test_non_finite_or_overflowing_budget_rejected(self, budget, message):
         with pytest.raises(ConfigurationError, match=message):
-            attack.adv_risk(self.h, self.ds.x, self.ds.y, budget)
+            attack.adv_risk(*self.scored, budget)
 
 
 class TestPacFormulas:
@@ -858,9 +857,8 @@ class TestPacFormulas:
 
     def test_phase2_report_assembles(self):
         ds = separable_dataset(seed=6, m=20)
-        h, rep = attack.phase2_report(ds, ds.x, ds.y, LOGISTIC, budget=0.5,
-                                      pac_eps=0.1, pac_delta=0.9, c_a=1.0,
-                                      delta_up=1.0, m_prot=20, seed=1)
+        rep = attack.phase2_report(ds, ds.x, ds.y, LOGISTIC, budget=0.5, pac_eps=0.1,
+                                   pac_delta=0.9, c_a=1.0, delta_up=1.0, m_prot=20, seed=1)
         assert 0.0 <= rep.risk <= rep.adv_risk <= 1.0
         assert rep.sample_lower_bound == pytest.approx(
             min(0.8, 0.9) * 2.0 ** 1.0)

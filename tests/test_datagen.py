@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (assert_same_bits, covering_number, fresh_sampler, log_covering_number,
-                      mean_loss, row_scan_diameter, sample_pairs)
+from conftest import (assert_same_bits, covering_number, fresh_sampler, grad_params,
+                      log_covering_number, mean_loss, row_scan_diameter, sample_pairs)
 from fedtradeoff import datagen, experiment, models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
 
@@ -310,8 +310,8 @@ class TestEstimateConstants:
         for lab, pts in by_label.items():
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    g1 = models.grad_params(spec, theta, pts[i][None, :], np.array([lab]))
-                    g2 = models.grad_params(spec, theta, pts[j][None, :], np.array([lab]))
+                    g1 = grad_params(spec, theta, pts[i][None, :], np.array([lab]))
+                    g2 = grad_params(spec, theta, pts[j][None, :], np.array([lab]))
                     dg = np.linalg.norm(g1 - g2)
                     if dg > 0:
                         ratios.append(np.linalg.norm(pts[i] - pts[j]) / dg)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fresh_sampler, records
+from conftest import fresh_sampler, invert_one, records
 from fedtradeoff import attack, bounds, cli, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, EstimationError, NumericError
@@ -309,6 +309,18 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             experiment.run_sweep(base_config(), "sigma", [0.1], trials=2)
 
+    @pytest.mark.parametrize("axis, values", [
+        ("sigma", [0.1, 0.1]), ("sigma", [-0.0, 0.0]), ("m", [4, 8, 4.0]), ("T", [3, 3]),
+        ("delta_up", [0.5, 0.2, 0.5])], ids=["sigma", "sigma-signed-zero", "m", "T", "delta_up"])
+    def test_repeated_value_rejected_before_any_trial(self, monkeypatch, axis, values):
+        # a repeated value's points share their sweep_value and trial indices,
+        # so its summary medians would pool both points' rows
+        seen = []
+        monkeypatch.setattr(experiment, "simulate_batch", lambda *args: seen.append(args))
+        with pytest.raises(ConfigurationError, match="axis values must differ as floats"):
+            experiment.run_sweep(base_config(), axis, values, trials=2)
+        assert seen == []
+
 
 # a trial of lockstep_config holds, for each upload, 8 x m x (8 p + d)
 # = 8 x 4 x (8 x 2 + 2) bytes, the inversion's 8 (m, p) arrays and its
@@ -527,14 +539,13 @@ class TestRunTrialsInverter:
         seeds = [11, 12]
         assert experiment.run_trials(config, [(s, config.mechanism, {}) for s in seeds], score,
                                      inverted=(2, 0)) == seeds
-        m = config.dataset.per_client_size
         for seed, observed, traces in seen:
             assert len(traces) == 2
             for j, (k, got) in enumerate(zip((2, 0), traces)):
-                want = attack.invert_gradient(
+                want = invert_one(
                     config.model, observed.theta_round, observed.wires[k],
-                    observed.datasets[k].y, m, replace(config.attack, seed=seed + j),
-                    observed.datasets[k].x, config.dataset.diameter_cap)
+                    observed.datasets[k].y, config.attack, observed.datasets[k].x,
+                    config.dataset.diameter_cap, seed=seed + j)
                 assert got.trajectory is None
                 assert np.array_equal(got.objectives, want.objectives)
                 assert np.array_equal(got.final_x, want.final_x)
@@ -560,10 +571,9 @@ class TestBoundSides:
     def observed_and_trace(config, seed):
         observed = observe(config, seed)
         k = config.attack_client
-        trace = attack.invert_gradient(
+        trace = invert_one(
             config.model, observed.theta_round, observed.wires[k], observed.datasets[k].y,
-            config.dataset.per_client_size, replace(config.attack, seed=seed),
-            observed.datasets[k].x, config.dataset.diameter_cap)
+            config.attack, observed.datasets[k].x, config.dataset.diameter_cap, seed=seed)
         return observed, trace
 
     def test_verify_outcome_is_the_shared_one(self):
@@ -743,9 +753,9 @@ class TestStackedUtilitySide:
         with pytest.raises(EstimationError, match="identical gradients"):
             experiment.utility_outcomes(config, block, seen, ests)
         rows = experiment.score_trials(
-            config, block, seen, [[attack.invert_gradient(
-                config.model, o.theta_round, o.wires[0], o.datasets[0].y, 8,
-                replace(config.attack, seed=seed), o.datasets[0].x, config.dataset.diameter_cap)]
+            config, block, seen, [[invert_one(
+                config.model, o.theta_round, o.wires[0], o.datasets[0].y, config.attack,
+                o.datasets[0].x, config.dataset.diameter_cap, seed=seed)]
                 for (seed, _, _), o in zip(block, seen)],
             ests)
         want = [reference_utility(config, seed, o, None if i == 1 else est)

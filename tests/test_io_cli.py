@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedtradeoff import cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
@@ -446,6 +449,40 @@ class TestAttackCLI:
         assert 0.0 <= rep["risk"] <= rep["adv_risk"] <= 1.0
 
 
+@st.composite
+def attacked_runs(draw):
+    """A small config of each model kind and mechanism, and the (round, client)
+    that ``attack`` inverts in its run."""
+    kind, classes = draw(st.sampled_from([("linear", 2), ("logistic", 2), ("logistic", 3),
+                                          ("mlp1", 2)]))
+    k, m, p, rounds = (draw(st.integers(*span)) for span in ((1, 3), (2, 5), (1, 3), (1, 3)))
+    optimizer, backtracking = draw(st.sampled_from([("adam", False), ("sgd", False),
+                                                    ("sgd", True)]))
+    base = cli.default_config()
+    config = replace(
+        base,
+        dataset=replace(base.dataset, num_clients=k, per_client_size=m, input_dim=p,
+                        num_classes=classes),
+        model=models.ModelSpec(kind, p, hidden_dim=3 if kind == "mlp1" else 0,
+                               num_classes=classes),
+        fl=replace(base.fl, rounds=rounds),
+        mechanism=MechanismSpec(kind=draw(st.sampled_from(["none", "randomization",
+                                                           "he_codec"])),
+                                sigma=draw(st.sampled_from([0.0, 0.1, 1.0])),
+                                shared_noise=draw(st.booleans())),
+        attack=replace(base.attack, iters=draw(st.integers(1, 6)), optimizer=optimizer,
+                       backtracking=backtracking, step_size=0.1,
+                       init=draw(st.sampled_from(["zeros", "gaussian"]))),
+        master_seed=draw(st.integers(0, 2**16)), num_pairs=20, n_eval=100)
+    return config, draw(st.integers(0, rounds - 1)), draw(st.integers(0, k - 1))
+
+
+def row_bits(row):
+    """A results row's fields, each float as its bits and NaN as "nan"."""
+    return [("nan" if math.isnan(v) else np.float64(v).view(np.uint64))
+            if isinstance(v, float) else v for v in row.as_list()]
+
+
 class TestAttackMatchesRunTrial:
     """``attack`` on a trained run scores the upload as a trial of ``run_trials``
     does."""
@@ -490,6 +527,26 @@ class TestAttackMatchesRunTrial:
                                                  for i in range(m)]
             assert rewalk_leakage(trajectory, originals, config.dataset.diameter_cap) == (
                 got.eps_p, got.eps_p_final)
+
+    @settings(derandomize=True)
+    @given(run=attacked_runs())
+    def test_attack_row_is_the_run_trials_row(self, run):
+        # over small drawn configs: the row ``attack`` writes is, bit for bit,
+        # the row run_trials scores for the attacked (round, client)
+        config, rnd, client = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path, run_dir, out = (os.path.join(tmp, name) for name in ("c.json", "run", "atk"))
+            with open(path, "w") as fh:
+                json.dump(config.to_dict(), fh)
+            assert cli.main(["train", "--config", path, "--out", run_dir]) == 0
+            assert cli.main(["attack", "--run-dir", run_dir, "--out", out, "--round", str(rnd),
+                             "--client", str(client)]) == 0
+            got, = iomod.read_results(os.path.join(out, "results.csv"))
+        want, = run_trials(replace(config, attack_round=rnd, attack_client=client),
+                           [(config.master_seed, config.mechanism, dict(
+                               sweep_axis="attack", experiment_id=config.experiment_id()))],
+                           score_trials)
+        assert row_bits(got) == row_bits(want)
 
     def test_iters_keeps_manifest_experiment_id(self, trained, tmp_path):
         run_dir, config, _ = trained
@@ -929,6 +986,20 @@ class TestSweepCLI:
                      "--samples", "4", "--iters", "5", "--rounds", "1", "--out", out])
         assert r.returncode == 1, r.stderr
         assert f"config error: {axis} sweep values must be whole numbers" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("sigma", "0.1,0.1"), ("sigma", "-0,0"), ("m", "4,4"), ("T", "3,2,3.0"),
+        ("delta_up", "0.5,0.5")], ids=["sigma", "sigma-signed-zero", "m", "T", "delta_up"])
+    def test_repeated_value_exit_1(self, tmp_path, axis, values):
+        # a repeated value once ran both points and pooled their rows in its
+        # medians; results.csv could not tell the rows apart
+        out = str(tmp_path / "s")
+        r = run_cli(["sweep", "--axis", axis, f"--values={values}", "--trials", "2",
+                     "--samples", "4", "--iters", "2", "--rounds", "1", "--out", out])
+        assert r.returncode == 1, r.stderr
+        assert "config error: axis values must differ as floats" in r.stderr
         assert "Traceback" not in r.stderr
         assert not os.path.exists(out)
 

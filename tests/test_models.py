@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, finite_diff_check, mean_loss, spread_values
+from conftest import (assert_same_bits, finite_diff_check, grad_params, mean_loss,
+                      spread_values)
 from fedtradeoff import models, rng as rngmod
 from fedtradeoff.errors import ConfigurationError
 
@@ -51,8 +52,7 @@ class TestLinearClosedForm:
 
     def test_grad_params(self):
         spec = models.ModelSpec("linear", 2)
-        g = models.grad_params(spec, np.array([1.0, 1.0]),
-                               np.array([[1.0, 2.0]]), np.array([0.0]))
+        g = grad_params(spec, np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([0.0]))
         assert np.array_equal(g, np.array([3.0, 6.0]))
 
 
@@ -72,7 +72,7 @@ class TestLogisticClosedForm:
         # (sigmoid(0) - 1) * x = -0.5 x
         spec = models.ModelSpec("logistic", 3)
         x = np.array([[2.0, 4.0, 6.0]])
-        g = models.grad_params(spec, np.zeros(3), x, np.array([1]))
+        g = grad_params(spec, np.zeros(3), x, np.array([1]))
         assert np.allclose(g, -0.5 * x[0], atol=0, rtol=0)
 
 
@@ -139,16 +139,16 @@ class TestBatchSemantics:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_batch_grad_is_mean_of_singles(self, spec):
         theta, x, y = draw_batch(spec, 5)
-        batch = models.grad_params(spec, theta, x, y)
-        singles = np.mean([models.grad_params(spec, theta, x[i][None, :], y[i:i + 1])
+        batch = grad_params(spec, theta, x, y)
+        singles = np.mean([grad_params(spec, theta, x[i][None, :], y[i:i + 1])
                            for i in range(x.shape[0])], axis=0)
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_bit_identical_recomputation(self, spec):
         theta, x, y = draw_batch(spec, 7)
-        a = models.grad_params(spec, theta, x, y)
-        b = models.grad_params(spec, theta, x, y)
+        a = grad_params(spec, theta, x, y)
+        b = grad_params(spec, theta, x, y)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)

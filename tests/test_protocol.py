@@ -4,8 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import (assert_same_bits, mean_loss, protect_rows, records, run_rounds,
-                      weighted_sum)
+from conftest import (assert_same_bits, grad_params, mean_loss, protect_rows, records,
+                      run_rounds, weighted_sum)
 from fedtradeoff import datagen, models, protocol, rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
 
@@ -32,7 +32,7 @@ class TestClientLocalUpdate:
         ds = datasets[0]
         rec = round_zero([ds])
         assert np.array_equal(rec.grads[0],
-                              models.grad_params(MODEL, rec.theta_decoded, ds.x, ds.y))
+                              grad_params(MODEL, rec.theta_decoded, ds.x, ds.y))
 
     def test_duplicated_dataset_same_gradient(self):
         _, datasets = make_datasets(m=4)
@@ -49,7 +49,7 @@ class TestClientLocalUpdate:
         rec = round_zero([ds])
         acc = np.zeros(3)
         for i in range(8):      # independent brute-force mean
-            acc += models.grad_params(MODEL, rec.theta_decoded, ds.x[i][None, :], ds.y[i:i + 1])
+            acc += grad_params(MODEL, rec.theta_decoded, ds.x[i][None, :], ds.y[i:i + 1])
         assert np.allclose(rec.grads[0], acc / 8, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("sizes", [[0], [4, 0]])
@@ -378,7 +378,7 @@ class TestRoundsMatchPerClientReference:
             assert rec.shadow_gap == float(np.linalg.norm(rec.theta_decoded - shadow))
             wires = []
             for k, ds in enumerate(datasets):
-                g = models.grad_params(model, rec.theta_decoded, ds.x, ds.y)
+                g = grad_params(model, rec.theta_decoded, ds.x, ds.y)
                 z = None
                 if mech.kind == "randomization":
                     client = 0 if mech.shared_noise else k + 1
@@ -394,7 +394,7 @@ class TestRoundsMatchPerClientReference:
             step = rec.eta * weighted_sum(wires, sizes)
             assert np.array_equal(rec.theta_next_decoded, rec.theta_decoded - step)
             shadow = shadow - rec.eta * weighted_sum(
-                [models.grad_params(model, shadow, ds.x, ds.y) for ds in datasets], sizes)
+                [grad_params(model, shadow, ds.x, ds.y) for ds in datasets], sizes)
         assert np.array_equal(res.theta_final_shadow, shadow)
 
 
@@ -541,7 +541,7 @@ class TestMeasureUtilityLoss:
             (ds1,), = datagen.generate_batch(dss, [seed])
             th = models.init_params(spec2, rngmod.stream(seed, rngmod.STREAM_INIT), 0.3)
             for _ in range(20):
-                th = th - 0.5 * models.grad_params(spec2, th, ds1.x, ds1.y)
+                th = th - 0.5 * grad_params(spec2, th, ds1.x, ds1.y)
             u = rngmod.stream(seed, 63).standard_normal(2)
             big = 10.0 * u / np.linalg.norm(u)
             xs, ys = next(datagen.fresh_draws(dss, [seed + 100], [ds1.centers], 400))

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -170,3 +171,31 @@ def test_every_public_function_has_a_caller():
                             if isinstance(node, ast.FunctionDef)
                             and not node.name.startswith("_") and node.name not in used)
     assert unreferenced == set(UNREFERENCED)
+
+
+def readme_config_keys():
+    """The backticked keys in the first column of the README's "Config file
+    fields" table."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("### Config file fields\n", 1)[1].split("\n#", 1)[0]
+    return {key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+
+
+def config_leaves(tree, prefix=""):
+    """The dotted paths of a nested dict's leaves."""
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def test_readme_config_table_names_every_leaf():
+    # a config file may set every leaf of ExperimentConfig.to_dict(): the table
+    # says what each one does, and names nothing else
+    from fedtradeoff import cli
+
+    leaves, keys = set(config_leaves(cli.default_config().to_dict())), readme_config_keys()
+    assert {"missing": sorted(leaves - keys), "unknown": sorted(keys - leaves)} == {
+        "missing": [], "unknown": []}

@@ -1,9 +1,8 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import fresh_sampler, protect_rows
+from conftest import fresh_sampler, grad_params, invert_one, protect_rows
 from fedtradeoff import attack, bounds, datagen, experiment, models, protocol, verify
 from fedtradeoff import rng as rngmod
 from fedtradeoff.errors import ConfigurationError, NumericError
@@ -33,13 +32,12 @@ def hand_built_privacy_trial(scenario, trial_seed):
     datasets, = datagen.generate_batch(ds_spec, [trial_seed])
     ds = datasets[0]
     theta = models.init_params(scenario.model, rngmod.stream(trial_seed, rngmod.STREAM_INIT))
-    g = models.grad_params(scenario.model, theta, ds.x, ds.y)
+    g = grad_params(scenario.model, theta, ds.x, ds.y)
     z = rngmod.stream(trial_seed, rngmod.STREAM_PROTECT, 0, 1).standard_normal((1, 1, g.shape[0]))
     ((wire,),), ((delta_up,),) = protect_rows(
         g[None, None], [protocol.MechanismSpec("randomization", scenario.sigma)], z)
-    trace = attack.invert_gradient(
-        scenario.model, theta, wire, ds.y, ds.size,
-        replace(scenario.attack, seed=trial_seed), ds.x, ds_spec.diameter_cap)
+    trace = invert_one(scenario.model, theta, wire, ds.y, scenario.attack, ds.x,
+                       ds_spec.diameter_cap, seed=trial_seed)
     eps_p = attack.privacy_leakage(trace)
     row, = datagen.estimate_constants_batch(scenario.model, [datagen.Probe(
         theta, datasets, attack_objectives=trace.objectives[1:], seed=trial_seed)],
