@@ -153,6 +153,13 @@ COMMANDS = [
     ["train", "--config", "configs/inv-sqrt-exact-norm.json", "--out", "runs/inv-sqrt-exact-norm"],
     ["attack", "--run-dir", "runs/inv-sqrt-exact-norm", "--out",
      "runs/inv-sqrt-exact-norm-attack", "--round", "5", "--client", "2", "--phase2"],
+    # noise whose uploads' norms overflow: json's Infinity in the round log,
+    # then an attack whose lambda search starts past 2^512 and whose sample
+    # lower bound is infinite
+    ["train", "--mech", "rand", "--sigma", "1e154", "--rounds", "3", "--seed", "1",
+     "--out", "runs/rand-overflow"],
+    ["attack", "--run-dir", "runs/rand-overflow", "--out", "runs/rand-overflow-attack",
+     "--phase2", "--dump-trajectory"],
     ["estimate-constants", "--samples", "24", "--out", "runs/constants"],
     ["estimate-constants", "--config", "configs/five-classes.json",
      "--out", "runs/constants-five-classes"],

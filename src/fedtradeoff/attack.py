@@ -407,7 +407,10 @@ def log2_sample_lower_bound(eps: float, delta: float, c_a: float, delta_up: floa
     if delta_up < 0:
         raise ConfigurationError("delta_up must be >= 0")
     front = min(2.0 * delta - 1.0, 1.0 - eps)
-    return math.log2(front) + (c_a * delta_up) ** 2
+    try:
+        return math.log2(front) + (c_a * delta_up) ** 2
+    except OverflowError:                  # the square past the largest float
+        return math.inf
 
 
 def not_pac_condition(delta_up: float, m_prot: int, eps: float) -> bool:

@@ -116,7 +116,11 @@ def _m_term(logs: np.ndarray, lam) -> np.ndarray:
     the rows of ``logs`` (``_m_term_logs``, shaped to broadcast against lam).
     Each value is the one-row scalar formula's bit for bit: numpy's arithmetic
     rounds as Python's does, and the exponentials are libm's."""
-    val_log = _m_term_log(logs, logs[3] / (lam * lam))[0]
+    # past lam = 2^512, lam^2 overflows and 2D / lam^2 is 0; beside the 1 it
+    # is added to, it is 0 anyway for any D below 2^970
+    with np.errstate(over="ignore"):
+        w = logs[3] / (lam * lam)
+    val_log = _m_term_log(logs, w)[0]
     return np.where(val_log > 700.0, math.inf, _libm(math.exp, np.minimum(val_log, 700.0)))
 
 
@@ -182,10 +186,14 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     k = np.concatenate([consts[2:], big_k[None],
                         (_libm(_log, big_k) - _libm(math.log, consts[0]))[None]])
 
-    # phi at lo and at the first top, then at the top's end of each bracket
+    # phi at lo and at the first top, then at the top's end of each bracket.
+    # Past 2^512 a square overflows to inf, its u to 0 and phi there to -inf.
+    # A row whose lo or first top is that large has phi(lo) < 0 (short of a
+    # huge M and D), so lambda* = lo and its overflows are silenced
     lam = lo.copy()
-    u_pos, u = 1.0 / np.square(np.stack([lo, top]))
-    (f_lo, f), (_, df) = _slope(k[:, None], np.stack([u_pos, u]))
+    with np.errstate(over="ignore", divide="ignore"):
+        u_pos, u = 1.0 / np.square(np.stack([lo, top]))
+        (f_lo, f), (_, df) = _slope(k[:, None], np.stack([u_pos, u]))
     rows = np.flatnonzero(f_lo > 0)
     grow = rows[~(f[rows] < 0)]
     for _ in range(20):

@@ -108,8 +108,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     iomod.write_json(os.path.join(args.out, "manifest.json"),
                      {"schemas": iomod.SCHEMAS, "config": config.to_dict(), "master_seed": seed})
-    iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"),
-                          map(result.record, range(result.rounds)))
+    iomod.write_round_log(os.path.join(args.out, "rounds.jsonl"), result)
     iomod.write_datasets(os.path.join(args.out, "datasets.csv"), datasets)
     for view in ("decoded", "protected", "shadow"):
         iomod.write_vector(os.path.join(args.out, f"model_final_{view}.csv"),
@@ -136,16 +135,16 @@ def cmd_attack(args) -> int:
         raise ConfigurationError(f"datasets.csv in {run_dir} does not match its manifest's "
                                  f"{spec}")
     log = os.path.join(run_dir, "rounds.jsonl")
-    rounds = iomod.read_round_log(log)
-    if len(rounds) != config.fl.rounds:
-        raise ConfigurationError(f"bad round log {log}: {len(rounds)} rounds, not its "
+    lines = iomod.read_round_log(log)     # every line checked, only --round's parsed
+    if len(lines) != config.fl.rounds:
+        raise ConfigurationError(f"bad round log {log}: {len(lines)} rounds, not its "
                                  f"manifest's fl.rounds {config.fl.rounds}")
-    if not (0 <= args.round < len(rounds)):
-        raise ConfigurationError(f"round {args.round} not in log (have {len(rounds)})")
+    if not (0 <= args.round < len(lines)):
+        raise ConfigurationError(f"round {args.round} not in log (have {len(lines)})")
     if not (0 <= args.client < len(datasets)):
         raise ConfigurationError(f"client {args.client} not in artifacts")
     try:
-        rec = iomod.round_record_from_dict(rounds[args.round])
+        rec = iomod.round_record_from_dict(json.loads(lines[args.round]))
         if rec.round_index != args.round:
             raise ConfigurationError(f"its record is round {rec.round_index}")
     except ConfigurationError as exc:

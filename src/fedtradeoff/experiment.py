@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise ConfigurationError("gamma must be in (0, 2] so ln(2/gamma) >= 0")
         if not 0 < self.eta <= 1:
             raise ConfigurationError("eta must be in (0, 1]")
+        # the model scores each of the data's labels as a class of its own
+        if self.dataset.num_classes != self.model.num_classes:
+            raise ConfigurationError(
+                f"dataset.num_classes {self.dataset.num_classes} differs from "
+                f"model.num_classes {self.model.num_classes}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -21,15 +21,16 @@ Schemas (versioned):
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import Iterable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .datagen import ClientDataset
 from .errors import ConfigurationError, require_int
 from .experiment import TrialRow
-from .protocol import RoundRecord
+from .protocol import RoundRecord, RunResult
 
 SCHEMAS = {
     "manifest": "manifest/v1",
@@ -46,10 +47,6 @@ SCHEMAS = {
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
-
-
-def _floats(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
 
 
 def write_json(path: str, doc) -> None:
@@ -77,16 +74,41 @@ _ROUND_SHAPES = dict(eta="", theta_decoded="d", theta_next_protected="d",
                      theta_next_decoded="d", grads="Kd", wires="Kd", delta_up_grad="K",
                      delta_up_param="K", delta_two_grad="", delta_two_param="", shadow_gap="")
 
+# one roundlog/v1 line: canonical_json of a round's object, its keys sorted
+# and "round" an integer
+_ROUND_KEYS = sorted(["round", *_ROUND_SHAPES])
+_ROUND_LINE = "{" + ",".join(f'"{key}":%{"d" if key == "round" else "s"}'
+                             for key in _ROUND_KEYS) + "}\n"
 
-def round_record_to_dict(rec: RoundRecord) -> dict:
-    return {"round": rec.round_index,
-            **{k: _floats(getattr(rec, k)) if "d" in shape else getattr(rec, k)
-               for k, shape in _ROUND_SHAPES.items()}}
+
+def _template(shape: tuple) -> str:
+    """A ``%s`` for each number of an array of ``shape``, in JSON's nested lists."""
+    return "%s" if not shape else "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+def _texts(a: np.ndarray, spell=float.__repr__, template=None) -> list[str]:
+    """Each ``a[i]`` as text: its floats spelled by ``spell``, each taken once
+    from one ``tolist()``, and placed in ``template`` (default: as JSON's
+    nested lists) for each row."""
+    a = np.asarray(a, dtype=np.float64)
+    texts = list(map(spell, a.ravel().tolist()))
+    if a.ndim == 1:
+        return texts
+    n, template = math.prod(a.shape[1:]), template or _template(a.shape[1:])
+    return [template % tuple(texts[i:i + n]) for i in range(0, len(texts), n)]
+
+
+def _json_texts(a: np.ndarray) -> list[str]:
+    """``canonical_json`` of each ``a[i]``: shortest-roundtrip ``repr`` floats,
+    except json's ``NaN``, ``Infinity`` and ``-Infinity`` where ``a`` holds a
+    non-finite value."""
+    return _texts(a, float.__repr__ if np.isfinite(a).all() else canonical_json)
 
 
 def round_record_from_dict(doc) -> RoundRecord:
-    """Inverse of ``round_record_to_dict``; ``ConfigurationError`` unless ``doc``
-    has exactly its keys, an integer round >= 0 and numbers of one K and d."""
+    """One roundlog/v1 line's object as its ``RoundRecord``;
+    ``ConfigurationError`` unless ``doc`` has exactly its keys, an integer
+    round >= 0 and numbers of one K and d."""
     if not isinstance(doc, dict) or doc.keys() != {"round", *_ROUND_SHAPES}:
         raise ConfigurationError("not an object with the keys round, " + ", ".join(_ROUND_SHAPES))
     require_int("round", doc["round"], 0)
@@ -105,29 +127,58 @@ def round_record_from_dict(doc) -> RoundRecord:
     return RoundRecord(doc["round"], **fields)
 
 
-def write_round_log(path: str, records: Iterable[RoundRecord]) -> None:
+def write_round_log(path: str, result: RunResult) -> None:
+    """roundlog/v1 of a run: line t is ``canonical_json`` of ``result.record(t)``
+    with its fields as keys and its round index as ``"round"``. Each float is
+    spelled once: row t + 1 of ``theta_decoded`` is also round t's
+    ``theta_next_decoded``, and its ``theta_next_protected`` where their bits
+    are equal."""
+    theta = _json_texts(result.theta_decoded)
+    decoded = np.asarray(result.theta_decoded[1:], dtype=np.float64)
+    wire = np.asarray(result.theta_protected, dtype=np.float64)
+    protected = theta[1:]
+    # bits, not ==: 0.0 == -0.0 and nan != nan
+    differ = np.flatnonzero((wire.view(np.uint64) != decoded.view(np.uint64)).any(axis=1))
+    for t, text in zip(differ.tolist(), _json_texts(wire[differ])):
+        protected[t] = text
+    columns = {key: _json_texts(getattr(result, key)) for key in _ROUND_SHAPES
+               if not key.startswith("theta")}
+    columns.update(round=range(result.rounds), theta_decoded=theta[:-1],
+                   theta_next_decoded=theta[1:], theta_next_protected=protected)
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(canonical_json(round_record_to_dict(rec)) + "\n")
+        fh.write("".join([_ROUND_LINE % line
+                          for line in zip(*(columns[key] for key in _ROUND_KEYS))]))
 
 
-def read_round_log(path: str) -> list[dict]:
+# accepts the texts json.loads accepts, but builds no floats: each float's
+# text becomes True (bool is the cheapest call, and the value is dropped)
+_CHECK_JSON = json.JSONDecoder(parse_float=bool).decode
+
+
+def read_round_log(path: str) -> list[str]:
+    """The non-blank lines of a round log, stripped, each checked to be UTF-8
+    and JSON; ``json.loads`` of line t is round t's object."""
     out = []
     with open(path, "rb") as fh:           # decoded line by line, so a bad byte has a line
         for n, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    out.append(json.loads(line))
+                    _CHECK_JSON(line)
+                    out.append(line)
             except ValueError as exc:      # malformed JSON or not UTF-8
                 raise ConfigurationError(f"bad round log {path}, line {n}: {exc}") from exc
     return out
 
 
+def _csv_texts(a: np.ndarray) -> list[str]:
+    """The CSV cells of each row of a 2-D float array, each float's ``repr``."""
+    return _texts(a, template=",".join(["%s"] * np.shape(a)[1]))
+
+
 def write_vector(path: str, vec: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for v in np.asarray(vec, dtype=np.float64):
-            fh.write(repr(float(v)) + "\n")
+        fh.write("".join([text + "\n" for text in _texts(np.ravel(vec))]))
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -146,9 +197,9 @@ def write_datasets(path: str, datasets: list[ClientDataset]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for ds in datasets:
-            for xi, yi in zip(ds.x, ds.y):
-                cells = [str(ds.client_id)] + [repr(float(v)) for v in xi] + [str(int(yi))]
-                fh.write(",".join(cells) + "\n")
+            labels = np.asarray(ds.y, dtype=np.int64).tolist()
+            fh.write("".join([f"{ds.client_id},{cells},{label}\n"
+                              for cells, label in zip(_csv_texts(ds.x), labels)]))
 
 
 def _csv_rows(lines):
@@ -259,12 +310,10 @@ def write_trajectory(path: str, trace) -> None:
     """A trace's kept trajectory (``attack --dump-trajectory``) as CSV:
     iteration, sample, x0..x{p-1}."""
     m, p = trace.final_x.shape
+    rows = _csv_texts(np.reshape(trace.trajectory, (-1, p)))
     with open(path, "w") as fh:
         fh.write("iteration,sample," + ",".join(f"x{i}" for i in range(p)) + "\n")
-        for t, x_t in enumerate(trace.trajectory):
-            for i in range(m):
-                cells = [str(t), str(i)] + [repr(float(v)) for v in x_t[i]]
-                fh.write(",".join(cells) + "\n")
+        fh.write("".join([f"{n // m},{n % m},{cells}\n" for n, cells in enumerate(rows)]))
 
 
 def write_curves(path: str, summary: dict) -> None:

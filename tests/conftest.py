@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import signal
@@ -472,3 +473,32 @@ def run_rounds(model_spec, config, mechs, datasets, seeds):
 def records(result):
     """Every round of a ``protocol.RunResult`` as its ``RoundRecord``."""
     return [result.record(t) for t in range(result.rounds)]
+
+
+def round_record_to_dict(rec):
+    """A ``RoundRecord`` as its roundlog/v1 object: ``"round"``, then each
+    field, arrays as lists of floats."""
+    from fedtradeoff import io as iomod
+
+    return {"round": rec.round_index,
+            **{k: np.asarray(getattr(rec, k), dtype=np.float64).tolist() if "d" in shape
+               else getattr(rec, k) for k, shape in iomod._ROUND_SHAPES.items()}}
+
+
+def write_round_log_by_record(path, result):
+    """The round log of a ``protocol.RunResult`` written record by record, as
+    ``canonical_json`` of each ``round_record_to_dict``: the byte oracle of
+    ``io.write_round_log``."""
+    from fedtradeoff import io as iomod
+
+    with open(path, "w") as fh:
+        for rec in records(result):
+            fh.write(iomod.canonical_json(round_record_to_dict(rec)) + "\n")
+
+
+def read_round_dicts(path):
+    """Each round's object of a round log: ``json.loads`` of each line that
+    ``io.read_round_log`` checked."""
+    from fedtradeoff import io as iomod
+
+    return [json.loads(line) for line in iomod.read_round_log(path)]

@@ -850,6 +850,13 @@ class TestPacFormulas:
         assert attack.sample_lower_bound(0.5, 0.75, 2.0, 100.0) == math.inf
         assert np.isfinite(attack.log2_sample_lower_bound(0.5, 0.75, 2.0, 100.0))
 
+    @pytest.mark.parametrize("delta_up", [1e154, 1e300, math.inf])
+    def test_overflowing_distortion_is_infinite(self, delta_up):
+        # (c_a delta_up)^2 past the largest float once raised OverflowError,
+        # a traceback from attack --phase2
+        assert attack.log2_sample_lower_bound(0.5, 0.75, 2.0, delta_up) == math.inf
+        assert attack.sample_lower_bound(0.5, 0.75, 2.0, delta_up) == math.inf
+
     def test_not_pac_condition_examples(self):
         assert attack.not_pac_condition(5.0, 10, 0.9) is True       # ln 100 ~ 4.605
         assert attack.not_pac_condition(0.0, 10, 0.5) is False

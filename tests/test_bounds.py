@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,23 @@ class TestLambdaMinimizer:
                                                   [1000, 2], [1e150, 2.0], [1.0, 0.1], [1, 32])
         assert (lam[1], rhs[1]) == (1194.92016883862, 0.5632054532026994)
 
+    @pytest.mark.parametrize("delta_two", [1e154, 1e300])
+    def test_distortion_past_the_square_root_of_the_largest_float(self, delta_two):
+        # the first top, 4 ||delta|| + 1, squares to inf (at 1e300 lo does
+        # too): the slope there once warned of an overflow and a division by
+        # zero, though phi(lo) < 0 makes lo the answer
+        args = (1.0, delta_two, 1.5, 3, 2.0, 0.1, 16)
+        lo = delta_two + 1e-9 * delta_two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, rhs = bounds.minimize_utility_lambda(*args)
+            assert lam == lo
+            assert rhs == utility_upper_bound(args[0], lo, *args[1:])
+        # beside a row that searches, each keeps its one-row result
+        both = bounds.minimize_utility_lambda(*zip(args, (1.1, 0.05, 0.7, 2, 2.0, 0.1, 32)))
+        assert [tuple(v.tolist()) for v in both] == [
+            (lo, 1.6036245110552965), (rhs, 2.7156873835108737)]
+
     @staticmethod
     def argument_rows(n=2400, seed=25):
         """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (tops
@@ -336,6 +354,7 @@ ABOVE_X86_V3 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 DISPATCH_CHILD = """
 import sys
+import warnings
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from fedtradeoff import bounds

@@ -11,13 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fedtradeoff import cli, datagen, io as iomod, models, protocol
+from fedtradeoff import attack as attackmod, cli, datagen, io as iomod, models, protocol
 from fedtradeoff.errors import ConfigurationError
 from fedtradeoff.experiment import (ExperimentConfig, MechanismSpec, TrialRow, run_trials,
                                    score_trials)
 
-from conftest import records, rewalk_leakage, run_cli_in_process as run_cli, weighted_sum
+from conftest import (read_round_dicts, records, rewalk_leakage, round_record_to_dict,
+                      run_cli_in_process as run_cli, weighted_sum, write_round_log_by_record)
 
 
 def run_cli_process(args, env_extra=None):
@@ -78,8 +80,8 @@ class TestIO:
         res, = protocol.run_batch(model, cfg, [MechanismSpec("randomization", 0.1)], [datasets],
                                   [1])
         path = str(tmp_path / "r.jsonl")
-        iomod.write_round_log(path, records(res))
-        back = iomod.read_round_log(path)
+        iomod.write_round_log(path, res)
+        back = read_round_dicts(path)
         assert len(back) == 3
         for rec, row in zip(records(res), back):
             assert np.array_equal(np.array(row["theta_decoded"]), rec.theta_decoded)
@@ -87,7 +89,7 @@ class TestIO:
             assert np.array_equal(np.array(row["wires"][1]), rec.wires[1])
             # and back to the record, bit for bit
             again = iomod.round_record_from_dict(row)
-            assert iomod.round_record_to_dict(again) == iomod.round_record_to_dict(rec)
+            assert round_record_to_dict(again) == round_record_to_dict(rec)
             assert again.wires.tobytes() == rec.wires.tobytes()
 
     def test_round_log_names_the_line_of_a_bad_byte(self, tmp_path):
@@ -104,9 +106,9 @@ class TestIO:
         cfg = protocol.FLRunConfig(rounds=3, learning_rate=0.3)
         res, = protocol.run_batch(model, cfg, [MechanismSpec()], [datasets], [2])
         path = str(tmp_path / "r.jsonl")
-        iomod.write_round_log(path, records(res))
+        iomod.write_round_log(path, res)
         sizes = [d.size for d in datasets]
-        for row in iomod.read_round_log(path):
+        for row in read_round_dicts(path):
             rebuilt = np.array(row["theta_decoded"]) - row["eta"] * weighted_sum(
                 [np.array(w) for w in row["wires"]], sizes)
             assert np.array_equal(rebuilt, np.array(row["theta_next_decoded"]))
@@ -164,6 +166,141 @@ class TestIO:
             iomod.read_results(str(path))
 
 
+# floats at the edges of the files' spelling: the non-finite (json's NaN and
+# Infinity, repr's nan and inf), both zeros, subnormals, and both sides of
+# repr's switches to exponent form at 1e16 and 1e-5
+EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0,
+               1.0000000000000002e16, 1e-05, 9.999999999999999e-06, 1.0000000000000001e-05,
+               0.0001, 1e22, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def run_results(draw):
+    """A ``protocol.RunResult`` of T <= 4 rounds, K <= 3 clients and d <= 3
+    parameters whose every number is drawn, its wire views those of the
+    decoded models, drawn, or the decoded models with one zero of the other
+    sign."""
+    t, k, d = (draw(st.integers(1, n)) for n in (4, 3, 3))
+
+    def drawn(*shape):
+        return draw(arrays(np.float64, shape, elements=FLOATS))
+    theta = drawn(t + 1, d)
+    views = draw(st.sampled_from(["decoded", "drawn", "zero-sign"]))
+    protected = drawn(t, d) if views == "drawn" else theta[1:].copy()
+    if views == "zero-sign":
+        r, c, sign = draw(st.integers(0, t - 1)), draw(st.integers(0, d - 1)), draw(st.booleans())
+        theta[r + 1, c], protected[r, c] = (0.0, -0.0) if sign else (-0.0, 0.0)
+    return protocol.RunResult(drawn(t), theta, drawn(t, k, d), drawn(t, k, d), drawn(t, k),
+                              drawn(t, k), drawn(t), drawn(t), drawn(t), protected, theta[-1],
+                              drawn(d), protected[-1])
+
+
+def assert_writes_the_records_bytes(result):
+    """``io.write_round_log`` writes the bytes of ``write_round_log_by_record``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
+        iomod.write_round_log(got, result)
+        write_round_log_by_record(want, result)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestRoundLogBytes:
+    """The round log written from a run's stacked arrays is, byte for byte,
+    the one written record by record."""
+
+    @settings(derandomize=True)
+    @given(result=run_results())
+    def test_drawn_runs(self, result):
+        assert_writes_the_records_bytes(result)
+
+    def test_a_zero_of_the_other_sign_is_spelled_as_its_own(self):
+        theta = np.array([[1.0, 0.0], [0.0, -0.0]])
+        protected = np.array([[-0.0, 0.0]])
+        ones = np.ones((1, 1, 2))
+        result = protocol.RunResult(np.ones(1), theta, ones, ones, np.ones((1, 1)),
+                                    np.ones((1, 1)), np.ones(1), np.ones(1), np.ones(1),
+                                    protected, theta[-1], theta[-1], protected[-1])
+        assert_writes_the_records_bytes(result)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.jsonl")
+            iomod.write_round_log(path, result)
+            row, = read_round_dicts(path)
+        assert [repr(v) for v in row["theta_next_protected"]] == ["-0.0", "0.0"]
+
+    @pytest.mark.parametrize("mech, schedule", [
+        (MechanismSpec(), "constant"),
+        (MechanismSpec("randomization", 0.3), "constant"),
+        (MechanismSpec("randomization", 0.3, shared_noise=True), "constant"),
+        (MechanismSpec("randomization", 1e154), "constant"),
+        (MechanismSpec("he_codec"), "constant"),
+        (MechanismSpec("he_codec"), "inv_sqrt"),
+        (MechanismSpec("randomization", 0.3), "inv_sqrt"),
+    ], ids=["none", "randomization", "shared-noise", "randomization-overflowing",
+            "he-codec", "he-codec-inv-sqrt", "randomization-inv-sqrt"])
+    @pytest.mark.parametrize("kind, classes", [("logistic", 2), ("mlp1", 3)])
+    def test_protocol_runs(self, mech, schedule, kind, classes):
+        spec = datagen.DatasetSpec(num_clients=3, per_client_size=4, input_dim=2,
+                                   num_classes=classes)
+        datasets, = datagen.generate_batch(spec, [5])
+        model = models.ModelSpec(kind, 2, hidden_dim=3 if kind == "mlp1" else 0,
+                                 num_classes=classes)
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.2, lr_schedule=schedule)
+        result, = protocol.run_batch(model, cfg, [mech], [datasets], [5])
+        assert_writes_the_records_bytes(result)
+
+
+class TestCsvBytes:
+    """The CSV writers spell each float as its ``repr``, one row of cells a line."""
+
+    @settings(derandomize=True)
+    @given(vec=arrays(np.float64, st.integers(0, 6), elements=FLOATS))
+    def test_vector(self, vec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.csv")
+            iomod.write_vector(path, vec)
+            with open(path) as fh:
+                assert fh.read() == "".join(repr(float(v)) + "\n" for v in vec)
+
+    @settings(derandomize=True)
+    @given(trajectory=st.tuples(*(st.integers(1, 3),) * 3).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=FLOATS)))
+    def test_trajectory(self, trajectory):
+        trace = attackmod.AttackTrace(objectives=np.zeros(len(trajectory)),
+                                      final_x=trajectory[-1], iters_run=len(trajectory) - 1,
+                                      sums=np.zeros(len(trajectory[0])),
+                                      final=np.zeros(len(trajectory[0])),
+                                      trajectory=trajectory)
+        m, p = trajectory.shape[1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            iomod.write_trajectory(path, trace)
+            with open(path) as fh:
+                assert fh.read() == "iteration,sample," + ",".join(
+                    f"x{j}" for j in range(p)) + "\n" + "".join(
+                    ",".join([str(t), str(i)] + [repr(float(v)) for v in x_t[i]]) + "\n"
+                    for t, x_t in enumerate(trajectory) for i in range(m))
+
+    @settings(derandomize=True)
+    @given(x=st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=FLOATS)))
+    def test_datasets(self, x):
+        y = np.arange(len(x)) % 2
+        datasets = [datagen.ClientDataset(client_id=0, x=x, y=y),
+                    datagen.ClientDataset(client_id=1, x=x[::-1], y=y)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            iomod.write_datasets(path, datasets)
+            with open(path) as fh:
+                assert fh.read() == "client_id," + "".join(
+                    f"x{j}," for j in range(x.shape[1])) + "label\n" + "".join(
+                    ",".join([str(ds.client_id)] + [repr(float(v)) for v in xi]
+                             + [str(int(yi))]) + "\n"
+                    for ds in datasets for xi, yi in zip(ds.x, ds.y))
+
+
 class TestTrainCLI:
     def test_deterministic_hash_and_thread_invariance(self, tmp_path):
         base = ["train", "--mech", "none", "--seed", "11", "--rounds", "3"]
@@ -180,7 +317,7 @@ class TestTrainCLI:
         r = run_cli(["train", "--mech", "he", "--seed", "3", "--rounds", "4",
                      "--out", out])
         assert r.returncode == 0, r.stderr
-        rows = iomod.read_round_log(os.path.join(out, "rounds.jsonl"))
+        rows = read_round_dicts(os.path.join(out, "rounds.jsonl"))
         assert all(row["delta_two_grad"] == 0.0 for row in rows)
         assert all(row["delta_two_param"] == 0.0 for row in rows)
         assert all(min(row["delta_up_grad"]) > 0.0 for row in rows)
@@ -338,6 +475,10 @@ class TestAttackCLI:
         # out of order, and one round short
         ("rounds.jsonl", lambda text: "".join(reversed(text.splitlines(True)))),
         ("rounds.jsonl", lambda text: "".join(text.splitlines(True)[:-1])),
+        # a line the attack does not score is still checked, and named: the
+        # last of the two rounds' lines cut short, with round 0 attacked
+        ("rounds.jsonl, line 2", lambda text: "".join(text.splitlines(True)[:-1])
+         + text.splitlines()[-1][:40] + "\n"),
     ], ids=["manifest-truncated", "manifest-without-config", "round-log-bad-line",
             "vector-non-numeric", "datasets-non-numeric", "master-seed-negative",
             "master-seed-null", "master-seed-float", "master-seed-string", "master-seed-bool",
@@ -345,9 +486,12 @@ class TestAttackCLI:
             "datasets-one-client-short", "shadow-one-short", "decoded-one-long",
             "datasets-client-relabelled", "datasets-one-row-short", "datasets-label-5",
             "round-log-not-utf8", "round-log-bad-byte-line-2", "datasets-not-utf8",
-            "datasets-bad-byte-row-2", "round-log-reversed", "round-log-one-round-short"])
+            "datasets-bad-byte-row-2", "round-log-reversed", "round-log-one-round-short",
+            "round-log-unscored-line-malformed"])
     def test_damaged_run_dir_exit_1(self, run_dir, tmp_path, name, damage):
-        path = os.path.join(run_dir, name)
+        # name is the damaged file, and what stderr must say of it when that
+        # is more than its name
+        path = os.path.join(run_dir, name.split(",")[0])
         with open(path) as fh:
             text = fh.read()
         damaged = damage(text)
@@ -629,6 +773,52 @@ class TestExitCodes:
         assert r.returncode == 1, r.stderr
         assert f"config error: {name} must be finite and > 0" in r.stderr
         assert "Traceback" not in r.stderr
+
+    # (dataset.num_classes, model kind, model.num_classes): a label the model
+    # has no class for. The first two once trained and then died in attack
+    # with an IndexError; the third trained on label 2 as the target y = 2
+    CLASS_MISMATCHES = [(4, "logistic", 3), (3, "mlp1", 2), (3, "logistic", 2)]
+
+    @staticmethod
+    def class_config(tmp_path, classes, kind, model_classes):
+        cfg = cli.default_config().to_dict()
+        cfg["dataset"]["num_classes"] = classes
+        cfg["model"].update(kind=kind, num_classes=model_classes,
+                            hidden_dim=3 if kind == "mlp1" else 0)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("classes, kind, model_classes", CLASS_MISMATCHES)
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep", "--axis", "sigma", "--values", "0", "--trials", "1"],
+        ["estimate-constants"]])
+    def test_labels_the_model_has_no_class_for_exit_1(self, tmp_path, command, classes, kind,
+                                                      model_classes):
+        out = tmp_path / "o"
+        r = run_cli([*command, "--config", self.class_config(tmp_path, classes, kind,
+                                                             model_classes), "--out", str(out)])
+        assert r.returncode == 1, r.stderr
+        assert (f"config error: dataset.num_classes {classes} differs from "
+                f"model.num_classes {model_classes}") in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes, kind, model_classes", CLASS_MISMATCHES)
+    def test_attack_on_a_manifest_of_mismatched_classes_exit_1(self, tmp_path, classes, kind,
+                                                               model_classes):
+        # the run trained with matching classes, its manifest then edited
+        run_dir, out = tmp_path / "run", tmp_path / "atk"
+        assert run_cli(["train", "--config", self.class_config(
+            tmp_path, classes, kind, classes), "--out", str(run_dir)]).returncode == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["model"]["num_classes"] = model_classes
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        r = run_cli(["attack", "--run-dir", str(run_dir), "--out", str(out), "--iters", "5"])
+        assert r.returncode == 1, r.stderr
+        assert "config error: dataset.num_classes" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_bad_sweep_value_exit_1(self, tmp_path):
         r = run_cli(["sweep", "--axis", "sigma", "--values", "0,abc", "--trials", "2",
