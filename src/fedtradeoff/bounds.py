@@ -135,13 +135,16 @@ def _utility_consts(big_c, delta_two, big_m, d, cap_d, eta, m) -> np.ndarray:
             raise ConfigurationError("C must be > 0")
         if two < 0:
             raise ConfigurationError("delta_two must be >= 0")
-    return np.concatenate([big_c[None], (big_c * delta_two)[None], _m_term_logs(*args[2:])])
+    with np.errstate(over="ignore"):     # past the largest float, the bound is inf
+        c_delta = big_c * delta_two
+    return np.concatenate([big_c[None], c_delta[None], _m_term_logs(*args[2:])])
 
 
 def _utility_bound(consts: np.ndarray, lam) -> np.ndarray:
     """C*lambda + C*delta_two + M*sqrt((2 N ln2 + 2 ln(1/eta)) / m) at lam, for the
     rows of ``consts`` (``_utility_consts``, shaped to broadcast against lam)."""
-    return (consts[0] * lam + consts[1]) + _m_term(consts[2:], lam)
+    with np.errstate(over="ignore"):     # past the largest float, the bound is inf
+        return (consts[0] * lam + consts[1]) + _m_term(consts[2:], lam)
 
 
 def _slope(k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +152,12 @@ def _slope(k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (``_m_term_logs``), then K = 2D log 2d and log K - log C. The bound's slope
     is C - h, h = T s K / lambda^3 with T the M term and s = exp(a - logaddexp(a,
     b)) its logaddexp weight; phi = log h - log C rises with u, and is finite
-    wherever log T is."""
+    wherever log T is. dphi/du overflows to inf for lambda above about 1.1e154."""
     val_log, a, lae, t = _m_term_log(k[:5], k[3] * u)
     s = np.where(a >= k[4], 1.0, t) / (1.0 + t)
-    return (val_log + (a - lae) + 1.5 * _libm(_log, u) + k[6],
-            k[5] * (1.0 - 0.5 * s) + 1.5 / u)
+    with np.errstate(over="ignore"):
+        return (val_log + (a - lae) + 1.5 * _libm(_log, u) + k[6],
+                k[5] * (1.0 - 0.5 * s) + 1.5 / u)
 
 
 # the bracket tops below which quadrupling keeps the top's square finite
@@ -169,11 +173,12 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     f is convex, so lambda* is ``lo`` (just above delta_two) where f' >= 0 there
     and otherwise the root of f' (``_slope``), found by safeguarded Newton steps
     in u = 1/lambda^2 (Numerical Recipes' rtsafe) in a bracket whose top is
-    quadrupled until f' > 0 there (at most 20 times, and not past 2^512, where
-    its square overflows; a row still unbracketed takes that top). Each row is
-    frozen once its step is 1e-14 relative (at most 60 steps) and equals its
-    one-row search bit for bit, on any numpy dispatch: the arithmetic is
-    correctly rounded and the logs and exps libm's.
+    first max(10 (D + 1), 4 delta_two + 1), taken below 2^512 (where its
+    square overflows) and not below lo, then quadrupled until f' > 0 there (at
+    most 20 times, and not past 2^512; a row still unbracketed takes that
+    top). Each row is frozen once its step is 1e-14 relative (at most 60
+    steps) and equals its one-row search bit for bit, on any numpy dispatch:
+    the arithmetic is correctly rounded and the logs and exps libm's.
     """
     args = _rows(big_c, delta_two, big_m, d, cap_d, eta, m)
     consts = _utility_consts(*args).reshape(7, -1)
@@ -181,15 +186,15 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     # Python's max(x, y) is y only when y > x
     lo = delta_two + np.where(1e-9 * delta_two > 1e-9, 1e-9 * delta_two, 1e-9)
     top, alt = 10.0 * (cap_d + 1.0), 4.0 * delta_two + 1.0
-    top = np.where(alt > top, alt, top)
+    top = np.maximum(np.minimum(np.where(alt > top, alt, top), np.nextafter(2.0 ** 512, 0)), lo)
     big_k = consts[5] * consts[4]
     k = np.concatenate([consts[2:], big_k[None],
                         (_libm(_log, big_k) - _libm(math.log, consts[0]))[None]])
 
     # phi at lo and at the first top, then at the top's end of each bracket.
-    # Past 2^512 a square overflows to inf, its u to 0 and phi there to -inf.
-    # A row whose lo or first top is that large has phi(lo) < 0 (short of a
-    # huge M and D), so lambda* = lo and its overflows are silenced
+    # Past 2^512 a square overflows to inf, its u to 0 and phi there to -inf:
+    # a row whose lo is that large has lambda* = lo, and its overflows are
+    # silenced
     lam = lo.copy()
     with np.errstate(over="ignore", divide="ignore"):
         u_pos, u = 1.0 / np.square(np.stack([lo, top]))
@@ -208,15 +213,17 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
     rows = rows[np.isin(rows, grow, invert=True)]
 
     # Newton from the top's end. A step that leaves the bracket, or scales u
-    # by more than 16 (where log u dominates phi, Newton crawls), takes the
-    # bracket's geometric midpoint. A row leaves (rows, k and its state) once
-    # its step is 1e-14 relative or its 60th
+    # by more than 16 (where log u dominates phi, Newton crawls), or whose
+    # slope overflowed (a step of 0), takes the bracket's geometric midpoint.
+    # A row leaves (rows, k and its state) once its step is 1e-14 relative or
+    # its 60th
     k, u, f, df, u_neg, u_pos = k[:, rows], u[rows], f[rows], df[rows], u[rows], u_pos[rows]
     for i in range(60):
         if not rows.size:
             break
         step = u - f / df
-        newton = (step >= u_neg) & (step <= u_pos) & (step <= 16.0 * u) & (16.0 * step >= u)
+        newton = ((step >= u_neg) & (step <= u_pos) & (step <= 16.0 * u) & (16.0 * step >= u)
+                  & (df < math.inf))
         step = np.where(newton, step, np.sqrt(u_neg) * np.sqrt(u_pos))
         done = (np.abs(step - u) <= 1e-14 * step) | (i == 59)
         u = step
@@ -234,11 +241,11 @@ def minimize_utility_lambda(big_c, delta_two, big_m, d, cap_d, eta, m
 
 @dataclass
 class BoundInputs:
-    """Everything the trade-off evaluators consume.
+    """What the trade-off formulas read.
 
-    Per-client quantities are arrays of length K; gamma broadcasts from a
-    scalar. ``big_l`` is the general trade-off's explicit Theta-constant
-    (default 1); ``rho`` the randomization trade-off's constant.
+    ``eps_p`` and ``eps_e`` hold one entry per client, K of them; gamma
+    broadcasts from a scalar. ``big_l`` is the general trade-off's explicit
+    Theta-constant (default 1); ``rho`` the randomization trade-off's constant.
     """
     constants: ConstantsEstimate
     eta: float
@@ -246,24 +253,17 @@ class BoundInputs:
     gamma: np.ndarray
     eps_p: np.ndarray
     eps_e: np.ndarray
-    delta_up: np.ndarray
-    delta_two: float
-    num_clients: int
     d: int
-    t_rounds: int
     rho: float = 1.0
     big_l: float = 1.0
 
     def __post_init__(self) -> None:
-        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=np.float64),
-                                     (self.num_clients,)).copy()
         self.eps_p = np.asarray(self.eps_p, dtype=np.float64)
         self.eps_e = np.asarray(self.eps_e, dtype=np.float64)
-        self.delta_up = np.asarray(self.delta_up, dtype=np.float64)
-        for name, arr in (("eps_p", self.eps_p), ("eps_e", self.eps_e),
-                          ("delta_up", self.delta_up)):
-            if arr.shape != (self.num_clients,):
-                raise ConfigurationError(f"{name} must have length K")
+        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=np.float64),
+                                     self.eps_p.shape).copy()
+        if self.eps_e.shape != self.eps_p.shape:
+            raise ConfigurationError("eps_e must have length K")
         if np.any(self.eps_e < 1):
             raise ConfigurationError("every eps_e must be >= 1")
         if not (0.0 < self.eta <= 1.0):
@@ -281,15 +281,15 @@ def _client_average_term(inputs: BoundInputs) -> float:
     c = inputs.constants
     coef = 2.0 * c.cap_d / c.c_a
     total = 0.0
-    for k in range(inputs.num_clients):
+    for k in range(len(inputs.eps_p)):
         total += coef * (1.0 - inputs.eps_p[k])
         total += coef * math.sqrt(math.log(1.0 / inputs.gamma[k]) / inputs.eps_e[k])
-    return total / inputs.num_clients
+    return total / len(inputs.eps_p)
 
 
 def _tradeoff(inputs: BoundInputs, client: int, coefficient: float) -> float:
     """coefficient * (the client-average term) + the M term of ``client``."""
-    if not (0 <= client < inputs.num_clients):
+    if not (0 <= client < len(inputs.eps_p)):
         raise ConfigurationError("client index out of range")
     if np.any(inputs.eps_e <= 0):
         raise ConfigurationError("eps_e must be positive")

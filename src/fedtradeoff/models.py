@@ -57,6 +57,9 @@ class ModelSpec:
             raise ConfigurationError(f"unknown model kind: {self.kind!r}")
         require_int("input_dim", self.input_dim, 1)
         require_int("hidden_dim", self.hidden_dim, 1 if self.kind == "mlp1" else 0)
+        if self.kind != "mlp1" and self.hidden_dim:
+            raise ConfigurationError(
+                f"hidden_dim must be 0 for a {self.kind} model, not {self.hidden_dim}")
         require_int("num_classes", self.num_classes,
                     2 if self.kind in ("logistic", "mlp1") else 1)
 

@@ -1,11 +1,12 @@
 """Four-step distorted-aggregation protocol over an in-memory channel.
 
 Per round: clients decode the downloaded model, compute one full-batch local
-gradient each, upload a protected version, and the server takes a
-size-weighted aggregation step. ``run_batch`` runs many trials' rounds at once
-on a leading trial axis, each trial on its own seed, and keeps each round's
-quantities on a leading round axis of its ``RunResult``, whose ``record(t)``
-is round t's ``RoundRecord``. Bookkeeping per round:
+gradient each, upload a protected version, and the server steps on the mean
+of the K uploads (every client holds the same number of rows, so each weighs
+1/K). ``run_batch`` runs many trials' rounds at once on a leading trial axis,
+each trial on its own seed, and keeps each round's quantities on a leading
+round axis of its ``RunResult``, whose ``record(t)`` is round t's
+``RoundRecord``. Bookkeeping per round:
 
 * ``delta_up_grad[k]  = ||g_tilde_k - g_k||`` (gradient space, row k's 1-D norm) and
   ``delta_up_param[k] = eta_t * delta_up_grad[k]`` (parameter space).
@@ -29,8 +30,8 @@ The HE mechanism is a simulated additively-homomorphic codec under a key
 exact, so the server keeps no ciphertext: it steps on the true aggregate, the
 decoded trajectory is bit-equal to the unprotected one, and the wire view of
 the model is ``theta[perm] + units * offset``, where ``units`` starts at 1 and
-loses ``eta_t`` times the size-weighted sum of the clients' unit offsets each
-round. A run draws its key once, from its seed on stream
+loses ``eta_t`` times the sum of K copies of 1/K, the clients' weighted unit
+offsets, each round. A run draws its key once, from its seed on stream
 ``(seed, MECH)``. A model, gradient or update that is not finite ends the run
 with ``NumericError``.
 """
@@ -214,20 +215,10 @@ def _eta_at(config: FLRunConfig, t: int) -> float:
 def _gradients(model_spec: models.ModelSpec, datasets: list[list[ClientDataset]], n: int):
     """``grads(out, *thetas)``: writes into ``out[:n]`` the (n, B, K, d)
     full-batch gradients of the first n (B, d) models, row b on each of trial
-    b's K clients. Each is numpy's mean over the examples, taken as its
-    ``np.add.reduce`` and then a division by the example count. When every
-    client has one size, the trials share one stacked pass over leading axes
-    (n, B, K), prepared once here over a buffer that each call fills with the
-    models; otherwise each model and client takes its own."""
-    if len({ds.size for trial in datasets for ds in trial}) > 1:
-        def each(out, *thetas):
-            for j, th in enumerate(thetas[:n]):
-                for b, (row, trial) in enumerate(zip(th, datasets)):
-                    for c, ds in enumerate(trial):
-                        np.add.reduce(models.per_example_grads(model_spec, row, ds.x, ds.y),
-                                      axis=0, out=out[j, b, c])
-                        out[j, b, c] /= ds.size
-        return each
+    b's K clients, all of one size m. Each is numpy's mean over the examples,
+    taken as its ``np.add.reduce`` and then a division by m, in one stacked
+    pass over leading axes (n, B, K), prepared once here over a buffer that
+    each call fills with the models."""
     x, y = (np.array([[[getattr(ds, f) for ds in trial] for trial in datasets]] * n,
                      dtype=np.float64) for f in "xy")
     stacked = np.empty(x.shape[:3] + (model_spec.param_dim,))
@@ -250,15 +241,17 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
 
     The B trials are stacked on a leading axis, and each round's quantities
     on a leading round axis. The mechanisms share their kind and noise
-    sharing, and the trials their client sizes; sigma, ``exact_norm`` and
-    ``offset_scale`` may differ. Every trial's init, he_codec key and noise
-    streams are seeded at once (``rng.streams``). ``config.seed`` is not read.
+    sharing, and every client of every trial holds the same number of rows
+    (``datagen.generate_batch`` gives each ``per_client_size``); sigma,
+    ``exact_norm`` and ``offset_scale`` may differ. Every trial's init,
+    he_codec key and noise streams are seeded at once (``rng.streams``).
+    ``config.seed`` is not read.
 
     A round does only what depends on the trajectory: one ``_gradients`` call
     for all trials (the model's and, under randomization, the shadow's), the
     wires under randomization, and one multiply of every gradient and wire by
-    the size weights whose K client slices are then added in client order
-    (``np.add.accumulate``), the bits of a left-to-right size-weighted sum.
+    the weight 1/K, whose K client slices are then added in client order
+    (``np.add.accumulate``), the bits of a left-to-right weighted sum.
     Randomization's distortion and its norms depend only on the noise, so
     they are taken for every round before round 0; the he_codec wires, the
     wire views, every norm and every ``eta *`` product after the last round.
@@ -271,12 +264,13 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
                 raise ConfigurationError("dataset / model dimension mismatch")
             if ds.size == 0:
                 raise ConfigurationError("client dataset is empty")
-    sizes, kind, shared = [ds.size for ds in datasets[0]], mechs[0].kind, mechs[0].shared_noise
-    if any([ds.size for ds in trial] != sizes for trial in datasets) or any(
+    kind, shared = mechs[0].kind, mechs[0].shared_noise
+    # one client count and one client size over all the trials
+    if len({(len(trial), ds.size) for trial in datasets for ds in trial}) > 1 or any(
             (m.kind, m.shared_noise) != (kind, shared) for m in mechs):
         raise ConfigurationError("stacked runs need one mechanism kind, noise sharing "
-                                 "and list of client sizes")
-    b, k, d, rounds = len(seeds), len(sizes), model_spec.param_dim, config.rounds
+                                 "and client size")
+    b, k, d, rounds = len(seeds), len(datasets[0]), model_spec.param_dim, config.rounds
     with np.errstate(over="ignore"):       # an overflowing draw raises below
         theta = np.array([models.init_params(model_spec, g, config.init_scale)
                           for g in rngmod.streams(seeds, [(rngmod.STREAM_INIT,)] * b)])
@@ -303,8 +297,7 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
         raise NumericError("run aborted: non-finite model at round 0")
 
     etas = [_eta_at(config, t) for t in range(rounds)]
-    total = float(sum(sizes))
-    weights = np.array([m / total for m in sizes])[:, None]
+    w = 1.0 / k
     # each round's gradients at the model and the shadow, then its wires
     stack = np.empty((rounds, 3 if noisy else 1, b, k, d))
     thetas = np.empty((rounds + 1, b, d))
@@ -324,7 +317,7 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
                 np.add(now[0], delta[t], out=now[2])
             # the server steps on what it decodes: the noisy wires under
             # randomization, else the true gradients (he_codec decrypts exactly)
-            agg = np.add.accumulate(now * weights, axis=2)[:, :, -1]
+            agg = np.add.accumulate(now * w, axis=2)[:, :, -1]
             np.subtract(thetas[t], eta * agg[-1], out=thetas[t + 1])
             if noisy:
                 np.subtract(shadows[t], eta * agg[1], out=shadows[t + 1])
@@ -341,8 +334,8 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
             wires = _encrypt(grads, keys)
             delta_up = _norms(wires - grads)
             # offset units in the wire view: 1, less eta_t times the
-            # size-weighted sum of the clients' unit offsets each round
-            step = np.add.accumulate(weights[:, 0])[-1]
+            # sum of the clients' weighted unit offsets each round
+            step = np.add.accumulate(np.full(k, w))[-1]
             units = np.subtract.accumulate(np.concatenate([[1.0], eta * step]))[1:]
             views = thetas[1:, np.arange(b)[:, None], keys[0]] + units[:, None, None] * keys[1]
         if kind == "none":

@@ -97,17 +97,15 @@ def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,
     eps_p = [[attackmod.privacy_leakage(trace) for trace in ts] for ts in traces]
     formula = (boundsmod.tradeoff_randomization if randomized_formula
                else boundsmod.tradeoff_general)
-    eta, gamma, iters, dim = config.eta, config.gamma, config.attack.iters, config.model.param_dim
+    eta, gamma, dim = config.eta, config.gamma, config.model.param_dim
     outs = []
     for obs, est, leak, (util, _) in zip(seen, ests, eps_p,
                                          utility_outcomes(config, block, seen, ests)):
-        lam, delta_two = util.extras["lambda"], util.extras["delta_two"]
+        lam = util.extras["lambda"]
         inputs = boundsmod.BoundInputs(
             constants=replace(est, big_m=util.extras["big_m"], cap_d=util.extras["cap_d"]),
             eta=eta, lam=lam, gamma=gamma, eps_p=np.array(leak),
-            eps_e=np.array([float(d.size) for d in obs.datasets]),
-            delta_up=np.array(obs.delta_up_grad), delta_two=delta_two,
-            num_clients=len(obs.datasets), d=dim, t_rounds=iters, rho=scenario.rho,
+            eps_e=np.array([float(d.size) for d in obs.datasets]), d=dim, rho=scenario.rho,
             big_l=scenario.big_l)
         budget = inputs.probability_budget()
         outs.append(TrialOutcome(measured=util.measured, rhs=formula(inputs, client=0),

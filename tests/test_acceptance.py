@@ -296,9 +296,8 @@ def test_criterion_10_bound_evaluator_cross_checks():
         kwargs = dict(
             constants=est, eta=float(g.uniform(0.05, 0.9)),
             lam=float(g.uniform(0.5, 3.0)), gamma=float(g.uniform(0.01, 0.2)),
-            eps_p=g.uniform(0.0, 1.0, k), eps_e=g.uniform(1.0, 100.0, k),
-            delta_up=g.uniform(0.0, 1.0, k), delta_two=0.1, num_clients=k, d=4,
-            t_rounds=50)
+            eps_p=g.uniform(0.0, 1.0, k), eps_e=g.uniform(1.0, 100.0, k), d=4)
+        g.uniform(0.0, 1.0, k)      # the dropped delta_up's draw, so later tuples stay
         rand_inp = bounds.BoundInputs(rho=1e-12, big_l=1.0, **kwargs)
         gen_inp = bounds.BoundInputs(rho=1.0, big_l=2.0, **kwargs)
         a = bounds.tradeoff_randomization(rand_inp)

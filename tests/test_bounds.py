@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_same_bits, golden_minimize_utility_lambda, he_utility_upper_bound,
                       utility_upper_bound)
@@ -221,6 +221,74 @@ class TestLambdaMinimizer:
         assert [tuple(v.tolist()) for v in both] == [
             (lo, 1.6036245110552965), (rhs, 2.7156873835108737)]
 
+    def test_first_top_past_the_square_root_of_the_largest_float(self):
+        # the first top, 4 ||delta|| + 1 = 4e154, squares past the largest
+        # float: taken as it is, u = 0 there, Newton starts from it (inf / inf)
+        # and lambda is inf. Taken below 2^512, it stays above lo = 1.000000001e154
+        args = (1e-300, 1e154, 1e300, 1000, 1e150, 1.0, 1)
+        lo, top = 1e154 + 1e-9 * 1e154, np.nextafter(2.0 ** 512, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, rhs = bounds.minimize_utility_lambda(*args)
+        assert lo <= lam <= top
+        assert rhs == utility_upper_bound(args[0], float(lam), *args[1:])
+
+    @pytest.mark.parametrize("big_c, delta_two", [(1e200, 1e200), (1e300, 1e8)],
+                             ids=["product", "sum"])
+    def test_linear_terms_past_the_largest_float(self, big_c, delta_two):
+        # C ||delta||, then C lambda + C ||delta||, overflow: the rhs is inf,
+        # as it is where the M term overflows, and once warned of the overflow
+        args = (big_c, delta_two, 1.0, 2, 2.0, 0.1, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, rhs = bounds.minimize_utility_lambda(*args)
+            assert rhs == math.inf == utility_upper_bound(big_c, float(lam), *args[1:])
+        assert lam == delta_two + 1e-9 * delta_two
+
+    # (C, ||delta||, M, d, D, eta, m) whose bracket's top is quadrupled 14
+    # times, to 4.92e146 * 4^14 = 1.32e154, where dphi/du = ... + 1.5 / u
+    # overflows: at the first C the slope is negative there too, so lambda is
+    # that top; at the second it is positive, and Newton took a step of
+    # f / inf = 0 there and stopped at the top, not at the root
+    SLOPE_OVERFLOW = (0.0, 8.047892612148732e+235, 343, 4.9245500639647645e+144,
+                      0.23356824100058138, 493663793)
+
+    @pytest.mark.parametrize("big_c", [2.609754543573839e-138, 2.2947266569290642e-83],
+                             ids=["unbracketed", "bracketed"])
+    def test_slope_past_the_largest_float(self, big_c):
+        row = (big_c, *self.SLOPE_OVERFLOW)
+        top = (10.0 * (row[4] + 1.0)) * 4.0 ** 14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, _ = bounds.minimize_utility_lambda(*row)
+        if big_c < 1e-100:
+            assert lam == top and self.log_h_over_c(*row, top) > 0
+        else:
+            assert top / 4.0 < lam < top
+            assert (self.log_h_over_c(*row, lam * (1 - 1e-9)) >= 0
+                    >= self.log_h_over_c(*row, lam * (1 + 1e-9)))
+
+    @settings(derandomize=True)
+    @given(st.lists(st.tuples(
+        *[st.floats(-300, 300).map(lambda e: 10.0 ** e)] * 3, st.integers(1, 1000),
+        st.one_of(st.just(0.0), st.floats(-300, 150).map(lambda e: 10.0 ** e)),
+        st.one_of(st.just(1.0), st.floats(1e-300, 1.0)), st.integers(1, 10 ** 9)),
+        min_size=1, max_size=5))
+    def test_rows_over_the_whole_float_range(self, rows):
+        # C, ||delta|| and M from 1e-300 to 1e300, D from 0 to the largest
+        # diameter cap: no warning, lambda in [lo, the capped top], the rhs
+        # the bound's at lambda, and each row its one-row search
+        args = [np.array(col) for col in zip(*rows)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, rhs = bounds.minimize_utility_lambda(*args)
+            alone = [bounds.minimize_utility_lambda(*row) for row in rows]
+        for row, got, value, one in zip(rows, lam.tolist(), rhs.tolist(), alone):
+            lo = row[1] + max(1e-9, 1e-9 * row[1])
+            assert lo <= got <= max(lo, np.nextafter(2.0 ** 512, 0)), row
+            assert value == utility_upper_bound(row[0], got, *row[1:]), row
+            assert (got, value) == tuple(map(float, one)), row
+
     @staticmethod
     def argument_rows(n=2400, seed=25):
         """n seeded (C, ||delta||, M, d, D, eta, m) rows: C down to 1e-10 (tops
@@ -391,9 +459,7 @@ def make_inputs(k=3, gamma=0.05, eta=0.1, lam=1.0, rho=1.0, big_l=1.0,
     return bounds.BoundInputs(
         constants=est, eta=eta, lam=lam, gamma=gamma,
         eps_p=np.array(eps_p if eps_p is not None else [0.5] * k),
-        eps_e=np.array(eps_e if eps_e is not None else [20.0] * k),
-        delta_up=np.array([0.3] * k), delta_two=0.3, num_clients=k, d=4, t_rounds=50,
-        rho=rho, big_l=big_l)
+        eps_e=np.array(eps_e if eps_e is not None else [20.0] * k), d=4, rho=rho, big_l=big_l)
 
 
 class TestTradeoffs:

@@ -734,6 +734,29 @@ class TestExitCodes:
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["train", "--model", "logistic", "--hidden", "5", "--rounds", "2", "--seed", "3"],
+        ["train", "--model", "linear", "--hidden", "1"],
+        ["sweep", "--axis", "sigma", "--values", "0,1", "--hidden", "4"],
+        ["estimate-constants", "--hidden", "4"],
+        ["verify", "--bound", "utility", "--trials", "100", "--hidden", "4"],
+        ["attack", "--run-dir", "run"],
+    ], ids=["train-logistic", "train-linear", "sweep", "estimate-constants", "verify",
+            "attack"])
+    def test_hidden_width_off_mlp1_exit_1(self, tmp_path, monkeypatch, args):
+        # once taken and ignored: only the manifest, and so the experiment id, moved
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "attack":
+            assert cli.main(["train", "--samples", "4", "--rounds", "1", "--out", "run"]) == 0
+            manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+            manifest["config"]["model"]["hidden_dim"] = 5
+            (tmp_path / "run" / "manifest.json").write_text(json.dumps(manifest))
+        r = run_cli([*args, "--out", "o"])
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("config error: hidden_dim must be 0 for a ")
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_divergence_exit_2(self, tmp_path):
         r = run_cli_process(["train", "--model", "linear", "--lr", "1e8", "--rounds", "80",
                              "--seed", "1", "--out", str(tmp_path / "div")])

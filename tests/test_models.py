@@ -42,6 +42,13 @@ class TestParamDim:
         with pytest.raises(ConfigurationError):
             models.ModelSpec("mlp1", 3, hidden_dim=0)
 
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_hidden_width_only_for_mlp1(self, kind):
+        # a width no pass reads would only move the experiment id
+        with pytest.raises(ConfigurationError,
+                           match=f"^hidden_dim must be 0 for a {kind} model, not 5$"):
+            models.ModelSpec(kind, 3, hidden_dim=5)
+
 
 class TestLinearClosedForm:
     # L = 0.5 (theta.x - y)^2 with theta=(1,1), x=(1,2), y=0: residual 3

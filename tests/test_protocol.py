@@ -60,6 +60,23 @@ class TestClientLocalUpdate:
         with pytest.raises(ConfigurationError, match="^client dataset is empty$"):
             round_zero(cut)
 
+    @pytest.mark.parametrize("sizes", [[4, 3], [3, 4]])
+    def test_clients_of_two_sizes_are_a_config_error(self, sizes):
+        # every client holds per_client_size rows, so the step weighs each 1/K
+        _, datasets = make_datasets(num_clients=2, m=4)
+        cut = [datagen.ClientDataset(ds.client_id, ds.x[:m], ds.y[:m])
+               for ds, m in zip(datasets, sizes)]
+        with pytest.raises(ConfigurationError, match="noise sharing and client size$"):
+            round_zero(cut)
+
+    @pytest.mark.parametrize("other", [dict(m=5), dict(num_clients=2)], ids=["size", "count"])
+    def test_trials_of_two_shapes_are_a_config_error(self, other):
+        _, first = make_datasets(m=4)
+        _, second = make_datasets(**{"m": 4, **other})
+        with pytest.raises(ConfigurationError, match="noise sharing and client size$"):
+            protocol.run_batch(MODEL, protocol.FLRunConfig(rounds=1),
+                               [protocol.MechanismSpec()] * 2, [first, second], [3, 4])
+
 
 class TestProtect:
     """Each mechanism's distortion, as ``run_batch`` takes it: ``_distortion``,
@@ -351,19 +368,15 @@ class TestRoundsMatchPerClientReference:
     one ``grad_params`` call per client and trajectory, and the noise of
     client k in round t drawn from its own ``rng.stream``."""
 
-    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
     @pytest.mark.parametrize("mech_name", list(RUN_MECHS))
     @pytest.mark.parametrize("num_clients", [1, 2, 7])
     @pytest.mark.parametrize("model", RUN_MODELS, ids=lambda m: f"{m.kind}{m.num_classes}")
-    def test_bit_identical(self, model, num_clients, mech_name, sizes):
+    def test_bit_identical(self, model, num_clients, mech_name):
         mech = RUN_MECHS[mech_name]
         spec = datagen.DatasetSpec(num_clients=num_clients, per_client_size=9, input_dim=3,
                                    num_classes=model.num_classes, class_separation=2.0,
                                    diameter_cap=2.0)
         datasets, = datagen.generate_batch(spec, [21])
-        if sizes == "unequal":
-            datasets = [datagen.ClientDataset(ds.client_id, ds.x[:9 - k], ds.y[:9 - k])
-                        for k, ds in enumerate(datasets)]
         seed = 17
         res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=4, learning_rate=0.3),
                                   [mech], [datasets], [seed])
@@ -431,21 +444,17 @@ class TestRunBatchEqualsTheRoundLoop:
     and the same final models."""
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
     @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
     @pytest.mark.parametrize("mech_name", list(ORACLE_MECHS))
     @pytest.mark.parametrize("model", [MODEL, models.ModelSpec("mlp1", 3, hidden_dim=4,
                                                                num_classes=3)],
                              ids=lambda m: m.kind)
-    def test_records_equal_the_round_loop(self, model, mech_name, schedule, sizes, batch):
+    def test_records_equal_the_round_loop(self, model, mech_name, schedule, batch):
         spec = datagen.DatasetSpec(num_clients=3, per_client_size=7, input_dim=3,
                                    num_classes=model.num_classes, class_separation=2.0,
                                    diameter_cap=2.0)
         seeds = [31, 5, 2024][:batch]
         datasets = datagen.generate_batch(spec, seeds)
-        if sizes == "unequal":
-            datasets = [[datagen.ClientDataset(ds.client_id, ds.x[:7 - 2 * k], ds.y[:7 - 2 * k])
-                         for k, ds in enumerate(trial)] for trial in datasets]
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.4, lr_schedule=schedule)
         mechs = ORACLE_MECHS[mech_name][:batch]
         got = protocol.run_batch(model, cfg, mechs, datasets, seeds)

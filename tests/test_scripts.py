@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 
@@ -199,3 +200,34 @@ def test_readme_config_table_names_every_leaf():
     leaves, keys = set(config_leaves(cli.default_config().to_dict())), readme_config_keys()
     assert {"missing": sorted(leaves - keys), "unknown": sorted(keys - leaves)} == {
         "missing": [], "unknown": []}
+
+
+def source_line(function, text):
+    """The line number of the line of ``function`` whose code is ``text``."""
+    lines, first = inspect.getsourcelines(function)
+    return first + [line.strip() for line in lines].index(text)
+
+
+def test_unreached_lists_what_the_commands_did_not_run():
+    # the tracer over one short train: a statement it ran is left out, one
+    # it did not run is listed, a raise is marked, and every module counted
+    from fedtradeoff import cli, protocol
+
+    script = load_script("unreached")
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    hits, failed = script.trace([["train", "--rounds", "1", "--out", "runs/t"]], {}, package)
+    assert failed == []
+    lines = script.unreached(hits, script.statements(package))
+    listed = [line for line in lines if re.match(r"\w+\.py:\d+ ", line)]
+    assert all(re.fullmatch(r"\w+\.py:\d+ [\w.]+: \S.*", line) for line in listed)
+    assert all(re.fullmatch(r"\w+\.py: \d+ unreached, \d+ of them raises", line)
+               for line in lines[len(listed):])
+    assert len(lines) - len(listed) == len(
+        [name for name in os.listdir(package) if name.endswith(".py")]) - 1   # __init__
+    ran = source_line(cli.cmd_train, "seed = config.master_seed")
+    assert not [line for line in listed if line.startswith(f"cli.py:{ran} ")]
+    assert f"cli.py:{source_line(cli.cmd_attack, 'run_dir = args.run_dir')} cmd_attack: " \
+           "run_dir = args.run_dir" in listed
+    empty = source_line(protocol.run_batch, 'raise ConfigurationError("client dataset is empty")')
+    assert (f"protocol.py:{empty} run_batch: "
+            'raise ConfigurationError("client dataset is empty")  (raise)') in listed
