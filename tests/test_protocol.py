@@ -366,20 +366,29 @@ RUN_MECHS = {
 class TestRoundsMatchPerClientReference:
     """Every round of ``run_batch`` equals the per-client computation bit for bit:
     one ``grad_params`` call per client and trajectory, and the noise of
-    client k in round t drawn from its own ``rng.stream``."""
+    client k in round t drawn from its own ``rng.stream``. Clients of more
+    than one size are refused, whatever the model and mechanism."""
 
+    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
     @pytest.mark.parametrize("mech_name", list(RUN_MECHS))
     @pytest.mark.parametrize("num_clients", [1, 2, 7])
     @pytest.mark.parametrize("model", RUN_MODELS, ids=lambda m: f"{m.kind}{m.num_classes}")
-    def test_bit_identical(self, model, num_clients, mech_name):
+    def test_bit_identical(self, model, num_clients, mech_name, sizes):
         mech = RUN_MECHS[mech_name]
         spec = datagen.DatasetSpec(num_clients=num_clients, per_client_size=9, input_dim=3,
                                    num_classes=model.num_classes, class_separation=2.0,
                                    diameter_cap=2.0)
         datasets, = datagen.generate_batch(spec, [21])
+        if sizes == "unequal":
+            datasets = [datagen.ClientDataset(ds.client_id, ds.x[:9 - k], ds.y[:9 - k])
+                        for k, ds in enumerate(datasets)]
         seed = 17
-        res, = protocol.run_batch(model, protocol.FLRunConfig(rounds=4, learning_rate=0.3),
-                                  [mech], [datasets], [seed])
+        cfg = protocol.FLRunConfig(rounds=4, learning_rate=0.3)
+        if num_clients > 1 and sizes == "unequal":
+            with pytest.raises(ConfigurationError, match="noise sharing and client size$"):
+                protocol.run_batch(model, cfg, [mech], [datasets], [seed])
+            return
+        res, = protocol.run_batch(model, cfg, [mech], [datasets], [seed])
         keys = None
         if mech_name == "he":
             perm, offset = protocol._he_key(model.param_dim,
@@ -441,15 +450,17 @@ def assert_same_record(got, want):
 class TestRunBatchEqualsTheRoundLoop:
     """``run_batch``'s stacked per-round arrays give, through ``record(t)``,
     the records of the per-round loop (``conftest.run_rounds``) bit for bit,
-    and the same final models."""
+    and the same final models. The loop weighs clients by size, but
+    ``run_batch`` refuses clients of more than one size."""
 
     @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("sizes", ["equal", "unequal"])
     @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
     @pytest.mark.parametrize("mech_name", list(ORACLE_MECHS))
     @pytest.mark.parametrize("model", [MODEL, models.ModelSpec("mlp1", 3, hidden_dim=4,
                                                                num_classes=3)],
                              ids=lambda m: m.kind)
-    def test_records_equal_the_round_loop(self, model, mech_name, schedule, batch):
+    def test_records_equal_the_round_loop(self, model, mech_name, schedule, sizes, batch):
         spec = datagen.DatasetSpec(num_clients=3, per_client_size=7, input_dim=3,
                                    num_classes=model.num_classes, class_separation=2.0,
                                    diameter_cap=2.0)
@@ -457,6 +468,12 @@ class TestRunBatchEqualsTheRoundLoop:
         datasets = datagen.generate_batch(spec, seeds)
         cfg = protocol.FLRunConfig(rounds=5, learning_rate=0.4, lr_schedule=schedule)
         mechs = ORACLE_MECHS[mech_name][:batch]
+        if sizes == "unequal":
+            datasets = [[datagen.ClientDataset(ds.client_id, ds.x[:7 - 2 * k], ds.y[:7 - 2 * k])
+                         for k, ds in enumerate(trial)] for trial in datasets]
+            with pytest.raises(ConfigurationError, match="noise sharing and client size$"):
+                protocol.run_batch(model, cfg, mechs, datasets, seeds)
+            return
         got = protocol.run_batch(model, cfg, mechs, datasets, seeds)
         want = run_rounds(model, cfg, mechs, datasets, seeds)
         for res, (recs, decoded, shadow, protected) in zip(got, want, strict=True):
