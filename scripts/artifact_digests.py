@@ -141,11 +141,16 @@ COMMANDS = [
      "--out", "runs/linear-sgd"],
     ["attack", "--run-dir", "runs/linear-sgd", "--out", "runs/linear-sgd-attack",
      "--dump-trajectory"],
+    # phase 2's linear predictions, on an inversion stopped before its step overflows
+    ["attack", "--run-dir", "runs/linear-sgd", "--out", "runs/linear-sgd-phase2", "--iters", "2",
+     "--phase2"],
     # the mlp1 inversion's backtracking re-scores, then an mlp1 inversion that
     # truncates mid-run: Adam at step 3e307 overflows after 61 of its 80 steps
     ["train", "--config", "configs/mlp1-backtracking.json", "--out", "runs/mlp1-sgd"],
     ["attack", "--run-dir", "runs/mlp1-sgd", "--out", "runs/mlp1-sgd-attack",
      "--dump-trajectory"],
+    # phase 2's argmax over three classes
+    ["attack", "--run-dir", "runs/mlp1-sgd", "--out", "runs/mlp1-sgd-phase2", "--phase2"],
     ["train", "--model", "mlp1", "--hidden", "5", "--input-dim", "3", "--step-size", "3e307",
      "--seed", "2", "--out", "runs/mlp1-truncated"],
     ["attack", "--run-dir", "runs/mlp1-truncated", "--out", "runs/mlp1-truncated-attack",
@@ -181,6 +186,9 @@ COMMANDS = [
     ["verify", "--bound", "tradeoff-randomization", "--trials", "100", "--clients", "2",
      "--rho", "0.5", "--big-l", "2", "--gamma", "0.05", "--eta", "0.2",
      "--out", "runs/verify-flags"],
+    # a stated confidence of 1 - 0.1 - 2 * 0.45 = 0: the vacuous budget's exit 0
+    ["verify", "--bound", "tradeoff-general", "--trials", "100", "--clients", "2",
+     "--gamma", "0.45", "--out", "runs/verify-vacuous"],
     # 150 trials of one shape: the command that crosses a lockstep block cut
     # (blocks of 79 and 71 trials)
     ["sweep", "--axis", "sigma", "--values", "0,0.05,0.1,0.2,0.5", "--trials", "30",

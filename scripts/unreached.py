@@ -10,7 +10,7 @@ line tracer limited to frames of the package under SRC (default: this
 checkout's ``src/``). It then prints every statement inside a function body
 (docstrings excluded) that no command ran, as ``module.py:LINE function:
 statement``, a raise marked ``(raise)``, and last a count per module. It
-exits 1 when a command fails. Traced, the 49 commands take about two minutes
+exits 1 when a command fails. Traced, the 52 commands take about 4 s
 on one core of a 2-core Xeon (Python 3.11).
 
 A statement ran when the tracer saw a line of it; a compound statement's

@@ -42,6 +42,8 @@ from .errors import ConfigurationError, NumericError, require_bool, require_int,
 
 @dataclass(frozen=True)
 class AttackConfig:
+    """A gradient inversion's settings. Only the gaussian init reads ``init_scale``
+    and only sgd ``backtracking``: either off its default elsewhere is refused."""
     iters: int
     optimizer: str = "adam"            # sgd | adam
     step_size: float = 0.05
@@ -63,6 +65,10 @@ class AttackConfig:
             raise ConfigurationError(f"unknown init: {self.init!r}")
         if not 0 <= self.init_scale < math.inf:
             raise ConfigurationError("attack init_scale must be finite and >= 0")
+        if self.init != "gaussian" and self.init_scale != 0.5:
+            raise ConfigurationError(f"attack.init_scale is not read by a {self.init} init")
+        if self.optimizer != "sgd" and self.backtracking:
+            raise ConfigurationError(f"attack.backtracking is not read by {self.optimizer}")
 
 
 @dataclass
@@ -195,7 +201,7 @@ def invert_batch(spec: models.ModelSpec, theta: np.ndarray, g_obs: np.ndarray,
             else:
                 x_new = x - step * grad
             f_new, v_new, vjp_new = _score(prep, x_new, g_obs)
-            if cfg.optimizer == "sgd" and cfg.backtracking:
+            if cfg.backtracking:
                 trial = np.full(len(live), step)
                 tries = 0
                 worse = f_new > f

@@ -38,7 +38,7 @@ _MECH_ALIASES = {"none": "none", "rand": "randomization", "randomization": "rand
 
 # each common config flag (by dest: --input-dim is input_dim), its add_argument
 # options and the ExperimentConfig.to_dict field(s) it overrides. Every flag is
-# None when absent, so the config file's value stands.
+# None when absent (or not offered), so the config file's value stands.
 _CONFIG_FLAGS = {
     "mech": (dict(choices=sorted(_MECH_ALIASES)), ["mechanism.kind"]),
     "sigma": (dict(type=float), ["mechanism.sigma"]),
@@ -89,7 +89,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(raw)
     d = cfg.to_dict()
     for flag, (_, paths) in _CONFIG_FLAGS.items():
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is None:
             continue
         if flag == "mech":
@@ -118,6 +118,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    given = [f for f in ("adv_budget", "pac_eps", "pac_delta") if getattr(args, f) is not None]
+    if given and not args.phase2:
+        raise ConfigurationError(f"--{given[0].replace('_', '-')} is not read without --phase2")
     run_dir = args.run_dir
     needed = ["manifest.json", "rounds.jsonl", "datasets.csv",
               "model_final_decoded.csv", "model_final_shadow.csv"]
@@ -126,6 +129,7 @@ def cmd_attack(args) -> int:
         raise ConfigurationError(f"missing run artifacts in {run_dir}: {missing}")
     manifest = iomod.read_manifest(os.path.join(run_dir, "manifest.json"))
     config = ExperimentConfig.from_dict(manifest["config"])
+    config.mechanism.check_read()       # the row scores it as the trial's mechanism
     seed = manifest["master_seed"]
     datasets = iomod.read_datasets(os.path.join(run_dir, "datasets.csv"))
     spec = config.dataset
@@ -179,7 +183,8 @@ def cmd_attack(args) -> int:
                   else 0.25 * config.dataset.diameter_cap)
         rep = attackmod.phase2_report(
             recovered, target.x, target.y, config.model, budget=budget,
-            pac_eps=args.pac_eps, pac_delta=args.pac_delta,
+            pac_eps=0.1 if args.pac_eps is None else args.pac_eps,
+            pac_delta=0.9 if args.pac_delta is None else args.pac_delta,
             c_a=row.c_a, delta_up=row.delta_up_grad, m_prot=target.size, seed=seed)
 
     os.makedirs(args.out, exist_ok=True)
@@ -260,10 +265,11 @@ def cmd_estimate_constants(args) -> int:
     return EXIT_OK
 
 
-def _add_common_config_flags(p: _Parser) -> None:
+def _add_common_config_flags(p: _Parser, omit: tuple[str, ...] = ()) -> None:
     p.add_argument("--config", help="JSON experiment config file")
     for flag, (options, _) in _CONFIG_FLAGS.items():
-        p.add_argument("--" + flag.replace("_", "-"), dest=flag, **options)
+        if flag not in omit:
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **options)
 
 
 @functools.cache        # built once per process: parse_args leaves the parser as it was
@@ -285,8 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("--append", action="store_true")
     p.add_argument("--dump-trajectory", dest="dump_trajectory", action="store_true")
     p.add_argument("--phase2", action="store_true")
-    p.add_argument("--pac-eps", dest="pac_eps", type=float, default=0.1)
-    p.add_argument("--pac-delta", dest="pac_delta", type=float, default=0.9)
+    p.add_argument("--pac-eps", dest="pac_eps", type=float)
+    p.add_argument("--pac-delta", dest="pac_delta", type=float)
     p.add_argument("--adv-budget", dest="adv_budget", type=float)
     p.set_defaults(func=cmd_attack)
 
@@ -321,7 +327,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("estimate-constants", help="estimate c_a, c_b, C, M, D, c_0, c_2")
-    _add_common_config_flags(p)
+    _add_common_config_flags(p, omit=("mech", "sigma", "shared_noise", "rounds", "lr"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate_constants)
 

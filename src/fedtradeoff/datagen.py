@@ -241,14 +241,6 @@ class ConstantsEstimate:
     c_2: float
     meta: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if not (0 < self.c_a <= self.c_b):
-            raise EstimationError(f"need 0 < c_a <= c_b, got {self.c_a}, {self.c_b}")
-        if self.big_c <= 0 or self.big_m <= 0 or self.cap_d <= 0:
-            raise EstimationError("C, M, D must be positive")
-        if self.c_0 > self.c_2:
-            raise EstimationError("need c_0 <= c_2")
-
 
 class _Pools(NamedTuple):
     """Each row's same-label pools: its labels with two or more points, in order
@@ -579,8 +571,10 @@ def _loss_sides(spec: models.ModelSpec, rows: _Drawn):
 def _assemble(probe: Probe, num_pairs: int, quantile: float, ratios: np.ndarray,
               bracket: tuple[float, float, float], envelope: tuple[float, float, float] | None,
               cap_d: float, c_theta: float, c_data: float, big_m: float) -> ConstantsEstimate:
-    """A row's validated estimate from its scored parts."""
+    """A row's estimate from its scored parts; its floors leave only c_a <= c_b to fail."""
     c_a, c_b, median = bracket
+    if not 0 < c_a <= c_b:
+        raise EstimationError(f"need 0 < c_a <= c_b, got {c_a}, {c_b}")
     skipped = num_pairs - len(ratios)
     if envelope is not None:
         c_0, c_2, c_fit = envelope
@@ -590,7 +584,7 @@ def _assemble(probe: Probe, num_pairs: int, quantile: float, ratios: np.ndarray,
     else:
         c_0, c_2 = 1.0, 1.0
         pilot_note = {"c_fit": None, "pilot_iters": 0}
-    est = ConstantsEstimate(
+    return ConstantsEstimate(
         c_a=c_a, c_b=c_b, big_c=max(c_theta, c_data, 1e-12), big_m=max(big_m, 1e-12),
         cap_d=cap_d or 1.0,   # 0 for single-point degenerate data; keep D usable
         c_0=c_0, c_2=c_2,
@@ -607,5 +601,3 @@ def _assemble(probe: Probe, num_pairs: int, quantile: float, ratios: np.ndarray,
             **pilot_note,
         },
     )
-    est.validate()
-    return est

@@ -39,7 +39,7 @@ with ``NumericError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,8 @@ from .datagen import ClientDataset
 from .errors import ConfigurationError, NumericError, require_bool, require_int, require_number
 
 MECH_KINDS = ("none", "randomization", "he_codec")
+MECH_READS = {"none": (), "randomization": ("sigma", "shared_noise", "exact_norm"),
+              "he_codec": ("offset_scale",)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class MechanismSpec:
 
     ``sigma``, ``shared_noise`` (one delta for all clients) and ``exact_norm``
     (rescale delta to this norm) set randomization; ``offset_scale`` sets the
-    he_codec offset, whose key a run draws once from its seed."""
+    he_codec offset, whose key a run draws once from its seed. A run (not the
+    spec: a sigma sweep's base may hold one) refuses an unread field off its default."""
     kind: str = "none"
     sigma: float = 0.0
     shared_noise: bool = False
@@ -80,6 +83,13 @@ class MechanismSpec:
             raise ConfigurationError(f"offset must be finite: offset_scale is {self.offset_scale}")
         if self.exact_norm is not None and not 0 <= self.exact_norm < math.inf:
             raise ConfigurationError("exact_norm must be >= 0 and finite")
+
+    def check_read(self) -> None:
+        """Raise ``ConfigurationError`` on a field off its default that ``MECH_READS`` omits."""
+        for f in fields(self)[1:]:                  # every field but kind
+            if f.name not in MECH_READS[self.kind] and getattr(self, f.name) != f.default:
+                raise ConfigurationError(
+                    f"mechanism.{f.name} is not read by a {self.kind} mechanism")
 
 
 def _he_key(dim: int, g: np.random.Generator,
@@ -243,9 +253,9 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
     on a leading round axis. The mechanisms share their kind and noise
     sharing, and every client of every trial holds the same number of rows
     (``datagen.generate_batch`` gives each ``per_client_size``); sigma,
-    ``exact_norm`` and ``offset_scale`` may differ. Every trial's init,
-    he_codec key and noise streams are seeded at once (``rng.streams``).
-    ``config.seed`` is not read.
+    ``exact_norm`` and ``offset_scale`` may differ, each distinct mechanism
+    passing ``check_read``. Every trial's init, he_codec key and noise
+    streams are seeded at once (``rng.streams``). ``config.seed`` is not read.
 
     A round does only what depends on the trajectory: one ``_gradients`` call
     for all trials (the model's and, under randomization, the shadow's), the
@@ -270,6 +280,8 @@ def run_batch(model_spec: models.ModelSpec, config: FLRunConfig, mechs: list[Mec
             (m.kind, m.shared_noise) != (kind, shared) for m in mechs):
         raise ConfigurationError("stacked runs need one mechanism kind, noise sharing "
                                  "and client size")
+    for mech in dict.fromkeys(mechs):
+        mech.check_read()
     b, k, d, rounds = len(seeds), len(datasets[0]), model_spec.param_dim, config.rounds
     with np.errstate(over="ignore"):       # an overflowing draw raises below
         theta = np.array([models.init_params(model_spec, g, config.init_scale)

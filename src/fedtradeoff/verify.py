@@ -82,11 +82,7 @@ class VerifyScenario:
 def _utility_outcomes(config: ExperimentConfig, block: list[tuple], seen: list[Observed],
                       traces: list[list], ests: list) -> list[TrialOutcome]:
     """Each trial's measured utility loss vs the utility bound."""
-    outs = [out for out, _ in utility_outcomes(config, block, seen, ests)]
-    for (_, mech, _), out in zip(block, outs):
-        if mech.kind == "he_codec" and out.extras["delta_two"] != 0.0:
-            raise ConfigurationError("HE run produced nonzero two-way distortion")
-    return outs
+    return [out for out, _ in utility_outcomes(config, block, seen, ests)]
 
 
 def _tradeoff_outcomes(scenario: VerifyScenario, randomized_formula: bool,

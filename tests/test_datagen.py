@@ -331,6 +331,23 @@ class TestEstimateConstants:
         assert est.big_c > 0 and est.big_m > 0 and est.cap_d > 0
         assert est.c_0 <= est.c_2
 
+    def test_floors_leave_only_the_ratio_bracket_to_check(self):
+        # C and M are floored at 1e-12, a zero D is taken as 1 and c_2 is
+        # raised to c_0, so an estimate can fail only 0 < c_a <= c_b
+        probe = datagen.Probe(np.zeros(3), [], attack_objectives=np.ones(4))
+
+        def assemble(bracket, parts):
+            return datagen._assemble(probe, 10, 0.05, np.ones(10), bracket, (0.5, 0.25, 0.1),
+                                     *parts)
+        est = assemble((1.0, 2.0, 1.5), (0.0, 0.0, 0.0, 0.0))
+        assert (est.big_c, est.big_m, est.cap_d, est.c_0, est.c_2) == (
+            1e-12, 1e-12, 1.0, 0.5, 0.5)
+        est = assemble((1.0, 2.0, 1.5), (math.nan,) * 4)       # NaN parts pass as they are
+        assert all(math.isnan(v) for v in (est.big_c, est.big_m, est.cap_d))
+        for bracket in ((0.0, 1.0, 0.5), (math.nan, 1.0, 1.0), (2.0, 1.0, 1.5)):
+            with pytest.raises(EstimationError, match="need 0 < c_a <= c_b"):
+                assemble(bracket, (1.0, 1.0, 1.0, 1.0))
+
     def test_skip_rate_recorded(self):
         spec, theta, datasets = self._spec_and_data(seed=7)
         est = estimate(spec, theta, datasets, num_pairs=40, seed=7)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -602,6 +603,9 @@ def attacked_runs(draw):
     k, m, p, rounds = (draw(st.integers(*span)) for span in ((1, 3), (2, 5), (1, 3), (1, 3)))
     optimizer, backtracking = draw(st.sampled_from([("adam", False), ("sgd", False),
                                                     ("sgd", True)]))
+    mechanism = MechanismSpec(kind=draw(st.sampled_from(["none", "randomization", "he_codec"])),
+                              sigma=draw(st.sampled_from([0.0, 0.1, 1.0])),
+                              shared_noise=draw(st.booleans()))
     base = cli.default_config()
     config = replace(
         base,
@@ -610,10 +614,8 @@ def attacked_runs(draw):
         model=models.ModelSpec(kind, p, hidden_dim=3 if kind == "mlp1" else 0,
                                num_classes=classes),
         fl=replace(base.fl, rounds=rounds),
-        mechanism=MechanismSpec(kind=draw(st.sampled_from(["none", "randomization",
-                                                           "he_codec"])),
-                                sigma=draw(st.sampled_from([0.0, 0.1, 1.0])),
-                                shared_noise=draw(st.booleans())),
+        mechanism=mechanism if mechanism.kind == "randomization" else MechanismSpec(
+            mechanism.kind),      # the other kinds read neither sigma nor shared_noise
         attack=replace(base.attack, iters=draw(st.integers(1, 6)), optimizer=optimizer,
                        backtracking=backtracking, step_size=0.1,
                        init=draw(st.sampled_from(["zeros", "gaussian"]))),
@@ -1080,7 +1082,7 @@ class TestExitCodes:
     def test_every_config_leaf_at_a_non_numeric_value_exits_1(self, tmp_path, capsys):
         # each leaf of the default config set to each JSON value below: train
         # exits 1 with a config error and leaves no --out, except where the
-        # value is one the leaf takes (a bool leaf at a bool, exact_norm at
+        # value is one the leaf takes (a bool leaf at false, exact_norm at
         # null) or the leaf is a seed that train does not read
         base = cli.default_config().to_dict()
         leaves = [(None, name) for name, v in base.items() if not isinstance(v, dict)] + [
@@ -1108,10 +1110,10 @@ class TestExitCodes:
                     bad.append((*case, rc, err))
         assert len(leaves) == 36
         assert bad == []
+        # true is refused: the default none mechanism and adam read neither
         assert ran == {(section, "seed", json.dumps(value))
                        for section in ("dataset", "fl", "attack") for value in values} | {
-            ("mechanism", "shared_noise", "true"), ("mechanism", "shared_noise", "false"),
-            ("attack", "backtracking", "true"), ("attack", "backtracking", "false"),
+            ("mechanism", "shared_noise", "false"), ("attack", "backtracking", "false"),
             ("mechanism", "exact_norm", "null")}
 
     def test_malformed_config_json_exit_1(self, tmp_path):
@@ -1429,3 +1431,196 @@ class TestEstimateConstantsCLI:
                     bad.append((*case, rc, err, out.exists()))
         assert len(leaves) == 28
         assert bad == []
+
+
+# each mechanism field that a kind does not read, at a value off its default
+UNREAD_MECHANISM = [("none", "sigma", 0.5), ("none", "shared_noise", True),
+                    ("none", "offset_scale", 2.0), ("none", "exact_norm", 1.0),
+                    ("randomization", "offset_scale", 2.0), ("he_codec", "sigma", 0.5),
+                    ("he_codec", "shared_noise", True), ("he_codec", "exact_norm", 1.0)]
+UNREAD_IDS = [f"{kind}-{field}".replace("_", "-") for kind, field, _ in UNREAD_MECHANISM]
+
+
+class TestUnreadValuesRefused:
+    """A value that a run would not read is a config error (exit 1, no
+    ``--out``): a mechanism field off its default under a kind that does not
+    read it, ``init_scale`` off the gaussian init, ``backtracking`` off sgd,
+    ``attack``'s phase-2 flags without ``--phase2`` and the flags whose values
+    ``estimate-constants``' pilot would overwrite."""
+
+    @staticmethod
+    def assert_refused(r, message, out):
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.strip().splitlines()[-1] == message
+        assert not os.path.exists(out)
+
+    @staticmethod
+    def config_file(tmp_path, **sections):
+        config = cli.default_config().to_dict()
+        for section, leaves in sections.items():
+            config[section].update(leaves)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @pytest.mark.parametrize("kind, field, value", UNREAD_MECHANISM, ids=UNREAD_IDS)
+    def test_train(self, tmp_path, kind, field, value):
+        path = self.config_file(tmp_path, mechanism={"kind": kind, field: value})
+        out = tmp_path / "o"
+        r = run_cli(["train", "--config", path, "--out", str(out)])
+        self.assert_refused(r, f"config error: mechanism.{field} is not read by a {kind} "
+                               "mechanism", out)
+
+    def test_train_sigma_without_mech(self, tmp_path):
+        # it once ran unprotected, its results row reading sigma=0.5
+        out = tmp_path / "o"
+        self.assert_refused(run_cli(["train", "--sigma", "0.5", "--out", str(out)]),
+                            "config error: mechanism.sigma is not read by a none mechanism", out)
+
+    @pytest.mark.parametrize("axis, values", [("m", "4,8"), ("T", "2,3")])
+    def test_sweep_whose_base_mechanism_runs(self, tmp_path, axis, values):
+        out = tmp_path / "o"
+        r = run_cli(["sweep", "--axis", axis, "--values", values, "--trials", "2",
+                     "--iters", "2", "--rounds", "1", "--shared-noise", "--out", str(out)])
+        self.assert_refused(
+            r, "config error: mechanism.shared_noise is not read by a none mechanism", out)
+
+    @pytest.mark.parametrize("axis, values", [("sigma", "0,0.2"), ("delta_up", "0.5,2")])
+    def test_sweep_that_replaces_the_base_mechanism_reads_its_shared_noise(self, tmp_path, axis,
+                                                                          values):
+        base = ["sweep", "--axis", axis, "--values", values, "--trials", "2", "--iters", "2",
+                "--rounds", "1", "--clients", "3"]
+        results = {}
+        for name, extra in (("own", []), ("shared", ["--shared-noise"])):
+            r = run_cli([*base, *extra, "--out", str(tmp_path / name)])
+            assert r.returncode == 0, r.stderr
+            results[name] = (tmp_path / name / "results.csv").read_text()
+        assert results["own"] != results["shared"]
+
+    @pytest.mark.parametrize("attack, message", [
+        ({"init": "zeros", "init_scale": 7.0}, "attack.init_scale is not read by a zeros init"),
+        ({"optimizer": "adam", "backtracking": True}, "attack.backtracking is not read by adam"),
+    ], ids=["init-scale-zeros", "backtracking-adam"])
+    def test_train_attack_setting(self, tmp_path, attack, message):
+        path, out = self.config_file(tmp_path, attack=attack), tmp_path / "o"
+        self.assert_refused(run_cli(["train", "--config", path, "--out", str(out)]),
+                            f"config error: {message}", out)
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """A run, a copy of it whose manifest holds each unread mechanism
+        value, and an attack's --out on the run."""
+        root = tmp_path_factory.mktemp("unread")
+        run, earlier = root / "run", root / "earlier"
+        assert run_cli(["train", "--seed", "2", "--samples", "6", "--rounds", "2",
+                        "--out", str(run)]).returncode == 0
+        assert run_cli(["attack", "--run-dir", str(run), "--out", str(earlier),
+                        "--iters", "2"]).returncode == 0
+        for kind, field, value in UNREAD_MECHANISM:
+            # what train wrote when it took the value: the same run files
+            edited = root / f"{kind}-{field}"
+            shutil.copytree(run, edited)
+            manifest = json.loads((edited / "manifest.json").read_text())
+            manifest["config"]["mechanism"].update(kind=kind, **{field: value})
+            (edited / "manifest.json").write_text(json.dumps(manifest))
+        return root
+
+    def assert_attack_refused(self, tmp_path, run_dir, flags, message):
+        args = ["attack", "--run-dir", run_dir, "--iters", "2", *flags]
+        self.assert_refused(run_cli([*args, "--out", str(tmp_path / "fresh")]), message,
+                            tmp_path / "fresh")
+        earlier = tmp_path / "earlier"
+        shutil.copytree(os.path.join(os.path.dirname(run_dir), "earlier"), earlier)
+        before = dir_hashes(earlier)
+        assert run_cli([*args, "--out", str(earlier), "--append"]).returncode == 1
+        assert dir_hashes(earlier) == before
+
+    @pytest.mark.parametrize("kind, field, value", UNREAD_MECHANISM, ids=UNREAD_IDS)
+    def test_attack_on_a_manifest_that_holds_one(self, run, tmp_path, kind, field, value):
+        self.assert_attack_refused(
+            tmp_path, str(run / f"{kind}-{field}"), [],
+            f"config error: mechanism.{field} is not read by a {kind} mechanism")
+
+    @pytest.mark.parametrize("flag", ["--adv-budget=0.3", "--pac-eps=0.2", "--pac-delta=0.8"])
+    def test_attack_phase2_flag_without_phase2(self, run, tmp_path, flag):
+        self.assert_attack_refused(
+            tmp_path, str(run / "run"), [flag],
+            f"config error: {flag.split('=')[0]} is not read without --phase2")
+
+    @pytest.mark.parametrize("flag", [["--mech", "rand"], ["--sigma", "0.2"], ["--shared-noise"],
+                                      ["--rounds", "2"], ["--lr", "0.3"]],
+                             ids=["mech", "sigma", "shared-noise", "rounds", "lr"])
+    def test_estimate_constants_flag_its_pilot_overwrites(self, tmp_path, flag):
+        out = tmp_path / "o"
+        r = run_cli(["estimate-constants", "--samples", "6", "--iters", "2", *flag,
+                     "--out", str(out)])
+        self.assert_refused(r, f"error: unrecognized arguments: {' '.join(flag)}", out)
+
+
+class TestEveryLeafActs:
+    """The dead-knob guard: each mechanism and attack leaf, set off its default
+    under each value of the leaves that decide whether it is read, changes what
+    ``train`` and then ``attack`` write, or ``train`` refuses it as not read."""
+
+    # the leaves that decide which others are read, and their values
+    SELECTORS = {"mechanism": {"kind": protocol.MECH_KINDS},
+                 "attack": {"init": ("zeros", "gaussian"), "optimizer": ("adam", "sgd")}}
+    # every other leaf's value off its default, which acts where it is read:
+    # randomization runs at sigma 0.2, and sgd at a step that backtracking halves
+    ACTING = {"mechanism": {"sigma": 0.5, "shared_noise": True, "offset_scale": 2.0,
+                            "exact_norm": 1.0},
+              "attack": {"iters": 2, "step_size": 0.5, "init_scale": 1.5, "backtracking": True}}
+    # read by nothing, like dataset.seed and fl.seed: the three go together,
+    # re-pinning experiment_id (ROADMAP item 1)
+    EXEMPT = {"attack": {"seed"}}
+
+    def outputs(self, tmp_path, config):
+        """train's exit code and stderr, and what its rounds.jsonl and attack's
+        results.csv hold, but for the row's echoes of the config: the
+        experiment_id and sigma columns."""
+        path, run, atk = (tmp_path / name for name in ("config.json", "run", "atk"))
+        for old in (run, atk):
+            shutil.rmtree(old, ignore_errors=True)
+        path.write_text(json.dumps(config))
+        r = run_cli(["train", "--config", str(path), "--out", str(run)])
+        if r.returncode:
+            return r.returncode, r.stderr, None
+        a = run_cli(["attack", "--run-dir", str(run), "--out", str(atk)])
+        assert a.returncode == 0, a.stderr
+        rows = [line.split(",") for line in (atk / "results.csv").open()]
+        kept = [j for j, name in enumerate(rows[0]) if name not in ("experiment_id", "sigma")]
+        return 0, "", ((run / "rounds.jsonl").read_bytes(),
+                       [[row[j] for j in kept] for row in rows])
+
+    def test_every_mechanism_and_attack_leaf_acts_or_is_refused(self, tmp_path):
+        base = cli.default_config().to_dict()
+        base["model"]["kind"] = "linear"
+        base["fl"]["rounds"] = 2
+        base["attack"]["iters"] = 10
+        base.update(n_eval=100, num_pairs=20)
+        assert base["dataset"]["num_clients"] == 2
+        dead, refused = [], set()
+        for section, selectors in self.SELECTORS.items():
+            assert set(base[section]) == (set(selectors) | set(self.ACTING[section])
+                                          | self.EXEMPT.get(section, set()))
+            for chosen in itertools.product(*selectors.values()):
+                config = json.loads(json.dumps(base))
+                config[section].update(zip(selectors, chosen))
+                if config["mechanism"]["kind"] == "randomization":
+                    config["mechanism"]["sigma"] = 0.2
+                if config["attack"]["optimizer"] == "sgd":
+                    config["attack"]["step_size"] = 50.0
+                rc, err, default = self.outputs(tmp_path, config)
+                assert rc == 0, err
+                for leaf, value in self.ACTING[section].items():
+                    case = json.loads(json.dumps(config))
+                    case[section][leaf] = value
+                    rc, err, got = self.outputs(tmp_path, case)
+                    if rc == 1 and "is not read" in err:
+                        refused.add((*chosen, leaf))
+                    elif rc or got == default:
+                        dead.append((section, *chosen, leaf, rc, err))
+        assert dead == []
+        assert refused == {(kind, field) for kind, field, _ in UNREAD_MECHANISM} | {
+            ("zeros", optimizer, "init_scale") for optimizer in ("adam", "sgd")} | {
+            (init, "adam", "backtracking") for init in ("zeros", "gaussian")}
